@@ -2,11 +2,13 @@
 
 The paper's Section 3.1 claims the sliding-window methodology generalizes
 beyond PageRank ("other kernels like ... k-core").  This bench runs the
-max-core (degeneracy) analysis per window under offline, streaming and
-postmortem execution on two datasets and checks the representational
-advantages carry over: the postmortem model avoids both the per-window
-rebuild (offline) and the structure-maintenance + snapshot costs
-(streaming).
+``kcore`` vertex program (per-vertex core numbers) per window under
+offline, streaming and postmortem execution on two datasets through
+``make_driver``, asserts the three models' core numbers are
+bitwise-identical, reports the largest (the degeneracy), and checks the
+representational advantages carry over: the postmortem model avoids both
+the per-window rebuild (offline) and the structure-maintenance + snapshot
+costs (streaming).
 
 Results are printed, persisted as text, and emitted as JSON
 (``benchmarks/output/extension_kcore.json``); the committed baseline is
@@ -21,14 +23,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from benchmarks._common import OUTPUT_DIR, emit, get_events, spec_for
-from repro.kernels import max_core
-from repro.models.kernel_models import (
-    offline_kernel_run,
-    postmortem_kernel_run,
-    streaming_kernel_run,
-)
+from repro.models import PostmortemOptions
 from repro.reporting import format_table
+from repro.runtime import MODELS, make_driver
 
 CONFIGS = [
     ("wiki-talk", 90.0, 259_200),
@@ -36,44 +36,16 @@ CONFIGS = [
 ]
 
 
-def graph_max_core(graph, active):
-    """Degeneracy from a materialized (graph, active) pair."""
-    import numpy as np
-
-    from repro.graph.csr import build_csr_from_edges
-
-    src, dst = graph.edges()
-    keep = src != dst
-    und = build_csr_from_edges(
-        np.concatenate([src[keep], dst[keep]]),
-        np.concatenate([dst[keep], src[keep]]),
-        graph.n_vertices,
-        dedup=True,
-    )
-    deg = und.out_degrees().astype(np.int64)
-    alive = deg > 0
-    k = 0
-    while alive.any():
-        k = max(k, int(deg[alive].min()))
-        while True:
-            shell = alive & (deg <= k)
-            if not shell.any():
-                break
-            alive[shell] = False
-            idx = np.flatnonzero(shell)
-            starts, ends = und.indptr[idx], und.indptr[idx + 1]
-            lens = ends - starts
-            if lens.sum():
-                offsets = np.repeat(
-                    starts - np.concatenate([[0], np.cumsum(lens)[:-1]]),
-                    lens,
-                )
-                nbrs = und.col[np.arange(int(lens.sum())) + offsets]
-                dec = np.bincount(
-                    nbrs[alive[nbrs]], minlength=graph.n_vertices
-                )
-                deg -= dec
-    return k
+def kcore_runs(events, spec):
+    """Per-vertex core numbers per window under each execution model,
+    all through the one vertex-program engine."""
+    return {
+        model: make_driver(
+            model, events, spec, program="kcore",
+            postmortem_options=PostmortemOptions(n_multiwindows=6),
+        ).run()
+        for model in MODELS
+    }
 
 
 def run_extension():
@@ -84,17 +56,20 @@ def run_extension():
     for name, ws, sw in CONFIGS:
         events = get_events(name)
         spec = spec_for(events, ws, sw)
-        off = offline_kernel_run(events, spec, graph_max_core)
-        stream = streaming_kernel_run(events, spec, graph_max_core)
-        pm = postmortem_kernel_run(
-            events, spec, graph_max_core, 6, view_kernel=max_core
+        runs = kcore_runs(events, spec)
+        off, stream, pm = (
+            runs["offline"], runs["streaming"], runs["postmortem"]
         )
-        match = off.values == stream.values == pm.values
+        cores = pm.values_matrix()
+        match = np.array_equal(cores, off.values_matrix()) and (
+            np.array_equal(cores, stream.values_matrix())
+        )
+        max_degeneracy = int(cores.max()) if cores.size else 0
         values_match = values_match and match
         stream_ratios.append(stream.total_time / pm.total_time)
         datasets[name] = {
             "n_windows": spec.n_windows,
-            "max_degeneracy": int(max(off.values)),
+            "max_degeneracy": max_degeneracy,
             "offline_s": round(off.total_time, 4),
             "streaming_s": round(stream.total_time, 4),
             "postmortem_s": round(pm.total_time, 4),
@@ -106,7 +81,7 @@ def run_extension():
             [
                 name,
                 spec.n_windows,
-                max(off.values),
+                max_degeneracy,
                 round(off.total_time, 3),
                 round(stream.total_time, 3),
                 round(pm.total_time, 3),

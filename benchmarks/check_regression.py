@@ -48,19 +48,13 @@ GUARDED = {
     "cluster_serving": [
         (("slo", "p99_over_single_p50"), "cluster top-k p99 / single p50"),
     ],
-    # back-to-back same-machine ratios: postmortem k-core wall-clock over
+    # back-to-back same-machine ratio: postmortem k-core wall-clock over
     # the offline rebuild (peeling-dominated, so postmortem tracks rather
     # than beats it — the bound keeps engine overhead from silently
-    # growing), and the program-engine path over the legacy kernel driver
+    # growing)
     "extension_kcore": [
         (("pm_over_offline_worst",),
          "postmortem/offline k-core wall-clock (worst dataset)"),
-    ],
-    "program_engine": [
-        (("kcore", "engine_over_kernel"),
-         "engine/kernel-driver k-core wall-clock"),
-        (("katz", "engine_over_kernel"),
-         "engine/kernel-driver Katz wall-clock"),
     ],
     # back-to-back same-machine ratios: the NumPy partitioning overhead
     # and the auto policy's slack over the measured best fixed backend
@@ -101,10 +95,6 @@ REQUIRED_FLAGS = {
     "extension_kcore": [
         ("values_match",),
         ("pm_beats_streaming",),
-    ],
-    "program_engine": [
-        ("kcore", "match_exact"),
-        ("katz", "match_close"),
     ],
     "backends": [
         ("parity", "spmv"),

@@ -1,55 +1,76 @@
-"""Plugging your own analysis kernel into the postmortem machinery.
+"""Plugging your own analysis into the postmortem machinery.
 
 The execution-model machinery (offline / streaming / postmortem) is not
-PageRank-specific: any per-window analysis can ride it.  This example
-defines a custom kernel — *reciprocity*, the fraction of window edges
-(u, v) whose reverse (v, u) is also active — in both signatures the
-runners accept, verifies the three models agree, and shows where each
-spends its time.
+PageRank-specific: any per-window analysis that yields one value per
+vertex can ride it as a :class:`~repro.programs.base.VertexProgram`.  This
+example defines a custom program — per-vertex *reciprocity*, the fraction
+of a vertex's out-edges (u, v) in the window whose reverse (v, u) is also
+present — runs it under all three models through ``make_driver``, checks
+they agree bit for bit, and shows where each spends its time.
 
-A window-view kernel gets the masked temporal CSR (cheap, postmortem
-only); a graph kernel gets a materialized (CSRGraph, active_mask) pair and
-runs under all three models.
+A program implements two surfaces: ``solve_window`` gets the masked
+temporal-CSR window view (postmortem, no graph materialization) and
+``solve_graph`` gets a materialized (CSRGraph, active mask) pair (offline
+and streaming).
 
 Run:  python examples/custom_kernel.py
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro import WindowSpec
 from repro.datasets import get_profile
-from repro.models.kernel_models import (
-    offline_kernel_run,
-    postmortem_kernel_run,
-    streaming_kernel_run,
-)
+from repro.programs import VertexProgram
+from repro.programs.base import fixpoint_result
 from repro.reporting import format_kv, format_series
+from repro.runtime import MODELS, make_driver
 
 
-def reciprocity_graph(graph, active) -> float:
-    """Fraction of directed edges whose reverse edge also exists."""
-    src, dst = graph.edges()
-    if src.size == 0:
-        return 0.0
-    forward = set(zip(src.tolist(), dst.tolist()))
-    mutual = sum(1 for u, v in forward if (v, u) in forward)
-    return mutual / len(forward)
+def reciprocity(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Per-vertex fraction of out-edges whose reverse edge also exists
+    (self-loops ignored; 0 for vertices without out-edges)."""
+    keep = src != dst
+    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
+    mutual = np.isin(dst * n + src, src * n + dst)
+    out_degree = np.bincount(src, minlength=n).astype(np.float64)
+    n_mutual = np.bincount(src, weights=mutual, minlength=n)
+    return np.divide(
+        n_mutual, out_degree,
+        out=np.zeros(n, dtype=np.float64), where=out_degree > 0,
+    )
 
 
-def reciprocity_view(view) -> float:
-    """The same kernel, written against the window view (postmortem
-    native): reads the dedup mask directly, no graph materialization."""
-    out_csr = view.adjacency.out_csr
-    dedup = out_csr.dedup_mask(view.window.t_start, view.window.t_end)
-    src = out_csr.row_ids()[dedup]
-    dst = out_csr.col[dedup]
-    if src.size == 0:
-        return 0.0
-    forward = set(zip(src.tolist(), dst.tolist()))
-    mutual = sum(1 for u, v in forward if (v, u) in forward)
-    return mutual / len(forward)
+@dataclass(frozen=True)
+class ReciprocityProgram(VertexProgram):
+    """Per-vertex edge reciprocity: one pass per window, no iteration."""
+
+    name = "reciprocity"
+    iterative = False
+
+    def init_window(self, view):
+        return None
+
+    def solve_window(self, view, x0=None, *, workspace=None,
+                     iteration_hint=None):
+        out_csr = view.adjacency.out_csr
+        dedup = out_csr.dedup_mask(view.window.t_start, view.window.t_end)
+        values = reciprocity(
+            out_csr.row_ids()[dedup], out_csr.col[dedup],
+            view.adjacency.n_vertices,
+        )
+        return fixpoint_result(
+            values, view.n_active_edges, view.n_active_vertices
+        )
+
+    def solve_graph(self, graph, active, *, prev_values=None,
+                    prev_active=None):
+        src, dst = graph.edges()
+        values = reciprocity(src, dst, graph.n_vertices)
+        return fixpoint_result(values, graph.n_edges, int(active.sum()))
 
 
 def main() -> None:
@@ -57,32 +78,37 @@ def main() -> None:
     spec = WindowSpec.covering_days(events, 90, 86_400 * 30)
     print(f"instance: {len(events)} events, {spec.n_windows} windows\n")
 
-    off = offline_kernel_run(events, spec, reciprocity_graph)
-    stream = streaming_kernel_run(events, spec, reciprocity_graph)
-    pm = postmortem_kernel_run(
-        events, spec, reciprocity_graph, 6, view_kernel=reciprocity_view
-    )
-
-    assert np.allclose(off.values, stream.values)
-    assert np.allclose(off.values, pm.values)
-    print("all three models produce identical reciprocity series\n")
+    runs = {
+        model: make_driver(
+            model, events, spec, program=ReciprocityProgram()
+        ).run()
+        for model in MODELS
+    }
+    values = runs["postmortem"].values_matrix()
+    for run in runs.values():
+        assert np.array_equal(run.values_matrix(), values)
+    print("all three models produce identical reciprocity vectors\n")
 
     idx = list(range(0, spec.n_windows, max(1, spec.n_windows // 10)))
+    n_active = [w.n_active_vertices for w in runs["postmortem"].windows]
+    mean_active = [
+        round(float(values[i].sum()) / max(n_active[i], 1), 3) for i in idx
+    ]
     print(
         format_series(
             "window",
             idx,
-            {"reciprocity": [round(off.values[i], 3) for i in idx]},
-            title="Edge reciprocity over time (wiki-talk profile)",
+            {"mean reciprocity": mean_active},
+            title="Vertex reciprocity over time (wiki-talk profile)",
         )
     )
 
     print()
-    for run in (off, stream, pm):
+    for model, run in runs.items():
         print(
             format_kv(
                 {k: round(v, 3) for k, v in run.timings.as_dict().items()},
-                title=f"{run.model} phases (s), total "
+                title=f"{model} phases (s), total "
                 f"{run.total_time:.3f}s",
             )
         )

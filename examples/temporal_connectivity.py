@@ -3,10 +3,10 @@
 The paper (Section 3.1) notes the sliding-window temporal graph "could be
 analyzed in various ways ... using other kernels like closeness and
 betweenness centrality, connecting component, k-core".  This example runs
-four kernels over the same windows of the synthetic stackoverflow profile
-— connected components, k-core degeneracy, degree centrality and Katz
-centrality — through the generic postmortem kernel driver, and prints how
-the network's structure consolidates as the site grows.
+three vertex programs over the same windows of the synthetic
+stackoverflow profile — connected-component sizes, k-core numbers and
+Katz centrality — through the postmortem driver, and prints how the
+network's structure consolidates as the site grows.
 
 Run:  python examples/temporal_connectivity.py
 """
@@ -17,14 +17,9 @@ import numpy as np
 
 from repro import WindowSpec
 from repro.datasets import get_profile
-from repro.kernels import (
-    TemporalKernelDriver,
-    connected_components,
-    degree_centrality,
-    katz_window,
-    max_core,
-)
+from repro.models import PostmortemOptions
 from repro.reporting import format_table
+from repro.runtime import make_driver
 
 
 def main() -> None:
@@ -35,32 +30,38 @@ def main() -> None:
         f"180 days\n"
     )
 
-    driver = TemporalKernelDriver(events, spec, n_multiwindows=6)
-
-    comps = driver.run(connected_components)
-    cores = driver.run(max_core, name="degeneracy")
-    katz = driver.run(katz_window, name="katz")
-    degrees = driver.run(
-        lambda v: degree_centrality(v, "total", normalized=False),
-        name="degree",
+    runs = {
+        program: make_driver(
+            "postmortem", events, spec, program=program,
+            postmortem_options=PostmortemOptions(n_multiwindows=6),
+        ).run()
+        for program in ("components", "kcore", "katz")
+    }
+    sizes = runs["components"].values_matrix()
+    cores = runs["kcore"].values_matrix()
+    katz = runs["katz"].values_matrix()
+    n_active = np.array(
+        [w.n_active_vertices for w in runs["components"].windows]
     )
+    # a component of size s holds s vertices valued s, so summing 1/s
+    # over the active vertices counts the components
+    with np.errstate(divide="ignore"):
+        n_components = np.where(sizes > 0, 1.0 / sizes, 0.0).sum(axis=1)
+    giant = sizes.max(axis=1) / np.maximum(n_active, 1)
+    degeneracy = cores.max(axis=1)
 
     rows = []
     for i in range(0, spec.n_windows, max(1, spec.n_windows // 12)):
-        c = comps.windows[i]
-        comp = c.value
-        deg = degrees.windows[i].value
-        k = katz.windows[i].value.values  # kernel returns a PagerankResult
-        top_katz = int(np.argmax(k)) if k.sum() else -1
+        w = runs["components"].windows[i]
+        top_katz = int(np.argmax(katz[i])) if katz[i].sum() else -1
         rows.append(
             [
                 i,
-                c.n_active_vertices,
-                c.n_active_edges,
-                comp.n_components,
-                round(comp.giant_fraction(), 2),
-                cores.windows[i].value,
-                round(float(deg.max()), 0),
+                w.n_active_vertices,
+                w.n_active_edges,
+                int(round(n_components[i])),
+                round(float(giant[i]), 2),
+                int(degeneracy[i]),
                 f"v{top_katz}",
             ]
         )
@@ -73,7 +74,6 @@ def main() -> None:
                 "components",
                 "giant frac",
                 "max core",
-                "max degree",
                 "top Katz",
             ],
             rows,
@@ -81,8 +81,6 @@ def main() -> None:
         )
     )
 
-    giant = comps.series(lambda c: c.giant_fraction())
-    degeneracy = cores.series(float)
     print(
         f"\ngiant-component fraction: {giant[0]:.2f} -> {giant[-1]:.2f}"
         f"   degeneracy: {degeneracy[0]:.0f} -> {degeneracy[-1]:.0f}"

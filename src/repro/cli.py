@@ -7,7 +7,7 @@ Usage (also available as ``python -m repro``)::
     repro-temporal run wiki.npz --delta-days 90 --sw 86400 --top 5
     repro-temporal compare wiki.npz --delta-days 90 --sw 86400
     repro-temporal sweep wiki.npz --delta-days 90 --sw 86400 --workers 48
-    repro-temporal kernel wiki.npz --delta-days 90 --sw 86400 --name maxcore
+    repro-temporal run wiki.npz --delta-days 90 --sw 86400 --program kcore
     repro-temporal report --output-dir benchmarks/output --out REPORT.md
     repro-temporal run wiki.npz --delta-days 90 --sw 86400 --store wiki.rankstore
     repro-temporal inspect wiki.rankstore
@@ -20,16 +20,15 @@ Usage (also available as ``python -m repro``)::
 
 * **generate** — write a synthetic dataset profile to ``.npz``/``.tsv``.
 * **info** — event counts, span, temporal shape classification.
-* **run** — windowed PageRank under ``--model offline|streaming|
-  postmortem`` (default postmortem); per-window top vertices.  ``--save``
-  archives the run (``.npz``); ``--store`` streams a servable rank store
-  to disk; ``--executor`` fans the work out where the model's dependence
-  structure permits.
+* **run** — a windowed vertex program (``--program``: PageRank by
+  default, or Katz / k-core / connected-component sizes) under
+  ``--model offline|streaming|postmortem`` (default postmortem);
+  per-window top vertices.  ``--save`` archives the run (``.npz``);
+  ``--store`` streams a servable rank store to disk; ``--executor`` fans
+  the work out where the model's dependence structure permits.
 * **compare** — measured wall-clock of offline / streaming / postmortem.
 * **sweep** — simulated multicore sweep of level x granularity (the
   Section 6.3.6 tuning aid).
-* **kernel** — a non-PageRank analysis (components / maxcore / triangles /
-  katz) per window.
 * **report** — collate benchmark outputs into one Markdown report.
 * **inspect** — describe a saved run archive or rank store.
 * **query** — answer top-k / rank / trajectory / movers / window-at
@@ -60,6 +59,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
+    from repro.programs.registry import PROGRAMS
+
     parser = argparse.ArgumentParser(
         prog="repro-temporal",
         description="Postmortem PageRank on temporal graphs (ICPP'22 "
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-8)
 
     p_run = sub.add_parser(
-        "run", help="windowed PageRank under any execution model"
+        "run", help="windowed PageRank (or another vertex program) under "
+        "any execution model"
     )
     p_run.add_argument("events", nargs="?", default=None,
                        help="event file (.npz, .tsv or .tcsr); or use "
@@ -114,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "model honours --store/--save, executors where its "
                        "dependence structure permits")
     p_run.add_argument("--program", default="pagerank",
-                       choices=["pagerank", "katz", "kcore"],
+                       choices=list(PROGRAMS),
                        help="vertex program to run on the engine "
                        "(default: pagerank; every model supports every "
                        "program)")
@@ -179,19 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_window_args(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=48)
     p_sweep.add_argument("--multiwindows", type=int, default=6)
-
-    p_kern = sub.add_parser(
-        "kernel", help="run a non-PageRank analysis kernel per window"
-    )
-    p_kern.add_argument("events")
-    add_window_args(p_kern)
-    p_kern.add_argument(
-        "--name",
-        default="components",
-        choices=["components", "maxcore", "triangles", "katz"],
-    )
-    p_kern.add_argument("--multiwindows", type=int, default=6)
-    p_kern.add_argument("--every", type=int, default=1)
 
     p_rep = sub.add_parser(
         "report", help="collate benchmark outputs into one Markdown report"
@@ -649,41 +638,6 @@ def cmd_sweep(args, out) -> int:
     print(
         f"\nbest: {level}/{kernel} at granularity {g} "
         f"({best[0] * 1000:.2f} ms)",
-        file=out,
-    )
-    return 0
-
-
-def cmd_kernel(args, out) -> int:
-    from repro.kernels import (
-        TemporalKernelDriver,
-        connected_components,
-        katz_window,
-        max_core,
-    )
-    from repro.analysis import triangle_count
-    from repro.reporting import format_series
-
-    events = _load_events(args.events)
-    spec = _make_spec(events, args)
-    driver = TemporalKernelDriver(events, spec, args.multiwindows)
-    kernels = {
-        "components": (connected_components, lambda c: c.n_components),
-        "maxcore": (max_core, float),
-        "triangles": (triangle_count, float),
-        "katz": (katz_window, lambda r: float(r.values.max())),
-    }
-    kernel, extract = kernels[args.name]
-    result = driver.run(kernel, name=args.name)
-    series = result.series(extract)
-    idx = list(range(0, spec.n_windows, max(args.every, 1)))
-    print(
-        format_series(
-            "window",
-            idx,
-            {args.name: [float(series[i]) for i in idx]},
-            title=f"{args.name} over {spec.n_windows} windows",
-        ),
         file=out,
     )
     return 0
@@ -1188,7 +1142,6 @@ _COMMANDS = {
     "run": cmd_run,
     "compare": cmd_compare,
     "sweep": cmd_sweep,
-    "kernel": cmd_kernel,
     "lint": cmd_lint,
     "backends": cmd_backends,
     "report": cmd_report,

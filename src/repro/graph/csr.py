@@ -81,8 +81,8 @@ class CSRGraph:
         return np.flatnonzero(present)
 
     def to_scipy(self):
-        """Convert to a ``scipy.sparse.csr_matrix`` with unit weights (used
-        only by tests for cross-validation)."""
+        """Convert to a ``scipy.sparse.csr_matrix`` with unit weights (the
+        components program's labelling input, and tests' cross-checks)."""
         from scipy.sparse import csr_matrix
 
         data = np.ones(self.n_edges, dtype=np.float64)

@@ -348,7 +348,7 @@ class UnseededRngRule(Rule):
         "global-state RNG (`np.random.rand` & co.) and "
         "`np.random.default_rng()` with no seed."
     )
-    scopes = ("kernels/", "pagerank/", "benchmarks/")
+    scopes = ("programs/", "pagerank/", "benchmarks/")
 
     LEGACY = {
         "seed", "rand", "randn", "randint", "random", "random_sample",
@@ -402,7 +402,7 @@ class MissingDtypeRule(Rule):
         "precision and doubling memory traffic in hot kernels."
     )
     scopes = (
-        "pagerank/", "pagerank/backends/", "kernels/", "programs/",
+        "pagerank/", "pagerank/backends/", "programs/",
         "graph/temporal_csr", "graph/io",
         "benchmarks/bench_edge_compaction",
         "benchmarks/bench_backends",
@@ -449,8 +449,7 @@ class CsrPythonLoopRule(Rule):
         "segment primitives exist to avoid."
     )
     scopes = (
-        "kernels/", "pagerank/", "pagerank/backends/", "graph/",
-        "programs/",
+        "pagerank/", "pagerank/backends/", "graph/", "programs/",
         "benchmarks/bench_edge_compaction", "benchmarks/bench_backends",
     )
 

@@ -1,18 +1,16 @@
 """Common result containers for execution-model drivers.
 
-Every driver — offline, streaming, postmortem, and the generic temporal
-kernel driver — returns the same :class:`RunResult` so benchmarks and
+Every driver — offline, streaming and postmortem, whatever vertex
+program it runs — returns the same :class:`RunResult` so benchmarks and
 tests compare them uniformly: one :class:`WindowResult` per window (in
 window order), a per-phase timing breakdown, and aggregated
-machine-independent work statistics.  Kernel runs use the ``value`` slot
-for arbitrary per-window outputs (scalars, small arrays) where the
-PageRank models fill ``values``.
+machine-independent work statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -27,13 +25,10 @@ __all__ = ["WindowResult", "RunResult"]
 class WindowResult:
     """One window's result, in the global vertex space.
 
-    For the PageRank models ``values`` is the solved rank vector; it may
-    be None when the driver runs with ``store_values=False`` (benchmark
-    mode: keep the summary, drop the vectors).  Generic kernel runs
-    (:class:`repro.kernels.driver.TemporalKernelDriver`) instead fill
-    ``value`` with the kernel's per-window output — a scalar, a small
-    array, whatever the kernel returns — and leave the solver fields at
-    their defaults.
+    ``values`` is the program's solved per-vertex vector (rank, Katz
+    score, core number, component size); it may be None when the driver
+    runs with ``store_values=False`` (benchmark mode: keep the summary,
+    drop the vectors).
     """
 
     window_index: int
@@ -43,7 +38,6 @@ class WindowResult:
     residual: float = 0.0
     n_active_vertices: int = 0
     n_active_edges: int = 0
-    value: Any = None
 
     def top_vertices(self, k: int = 10) -> List[tuple]:
         """The k highest-ranked vertices as (vertex, score) pairs."""
@@ -90,7 +84,7 @@ class RunResult:
         raise ValidationError(f"no result for window {index}")
 
     def values_matrix(self) -> np.ndarray:
-        """All stored PageRank vectors stacked as ``(n_windows, n_vertices)``."""
+        """All stored per-vertex vectors stacked as ``(n_windows, n_vertices)``."""
         vecs = []
         for w in sorted(self.windows, key=lambda w: w.window_index):
             if w.values is None:
@@ -99,23 +93,6 @@ class RunResult:
                 )
             vecs.append(w.values)
         return np.stack(vecs, axis=0)
-
-    def series(self, extract: Optional[Callable] = None):
-        """Per-window generic kernel outputs in window order.
-
-        With ``extract`` the outputs are projected to a scalar time series
-        (e.g. ``lambda c: c.giant_fraction()``) returned as an array;
-        without it the raw ``value`` slots are returned as a list.
-        """
-        ordered = sorted(self.windows, key=lambda w: w.window_index)
-        if extract is None:
-            return [w.value for w in ordered]
-        return np.array([extract(w.value) for w in ordered])
-
-    def kernel_values(self) -> List:
-        """The raw per-window kernel outputs (``series()`` without a
-        projection)."""
-        return self.series()
 
     def max_difference(self, other: "RunResult") -> float:
         """Largest |Δ| between two runs' stored vectors (model equivalence

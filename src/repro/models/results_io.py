@@ -40,8 +40,6 @@ WINDOW_FIELDS = [
     "n_active_edges",
 ]
 
-_FIELDS = WINDOW_FIELDS  # backwards-compatible alias
-
 
 def jsonable_metadata(metadata: Dict[str, object]) -> Dict[str, object]:
     """The JSON-serializable scalar subset of a run's metadata dict."""

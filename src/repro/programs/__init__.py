@@ -3,9 +3,11 @@
 The package splits into the abstraction (:mod:`repro.programs.base`), the
 registry (:mod:`repro.programs.registry` — lazy so name validation is
 import-cheap), the chain engine (:mod:`repro.programs.engine`) and the
-first-class programs (``pagerank`` / ``katz`` / ``kcore``).  Concrete
-program modules are imported on demand by :func:`make_program`, keeping
-this package's import light and cycle-free with :mod:`repro.kernels`.
+first-class programs (``pagerank`` / ``katz`` / ``kcore`` /
+``components``).  Concrete program modules are imported on demand by
+:func:`make_program`, keeping this package's import light and cycle-free
+with the model drivers.  Custom analytics subclass :class:`VertexProgram`
+and run anywhere a program name is accepted.
 """
 
 from repro.programs.base import VertexProgram

@@ -32,9 +32,27 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.result import BatchPagerankResult, PagerankResult
+from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
 
-__all__ = ["VertexProgram"]
+__all__ = ["VertexProgram", "fixpoint_result"]
+
+
+def fixpoint_result(
+    values: np.ndarray, n_edges: int, n_active: int
+) -> PagerankResult:
+    """Wrap a non-iterative program's per-vertex answer (one pass over
+    ``n_edges`` edges, no convergence loop) as a solved window."""
+    work = WorkStats()
+    work.edge_traversals += n_edges
+    work.active_edge_traversals += n_edges
+    work.vertex_ops += n_active
+    return PagerankResult(
+        values=values.astype(np.float64),
+        iterations=0,
+        converged=True,
+        residual=0.0,
+        work=work,
+    )
 
 
 class VertexProgram:
@@ -53,18 +71,16 @@ class VertexProgram:
     supports_batch:
         Whether ``solve_batch`` exists, i.e. the program has an
         SpMM-shaped batched kernel the region schedule can feed.
-    vertex_values:
-        Whether window solutions are per-vertex float vectors in the
-        view's local space (the engine scatters them to the global space
-        and can stream them into rank stores).  ``False`` for adapter
-        programs wrapping callable kernels with arbitrary outputs, which
-        ride in ``WindowResult.value`` instead.
+
+    Every window solution is a per-vertex float vector in the view's local
+    space; the engine scatters it to the global space and can stream it
+    into rank stores.  Custom analytics subclass this class and pass the
+    instance wherever a program name is accepted.
     """
 
     name: str = "program"
     iterative: bool = True
     supports_batch: bool = False
-    vertex_values: bool = True
 
     # -- temporal surface (postmortem engine) --------------------------
     def init_window(self, view: WindowView) -> Optional[np.ndarray]:

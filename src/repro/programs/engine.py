@@ -30,8 +30,7 @@ from repro.programs.base import VertexProgram
 
 # imports from repro.models are lazy (inside the functions below): the
 # model drivers import this engine, so a module-level import here would
-# be circular for callers that reach the engine first (repro.kernels'
-# adapter, direct engine users)
+# be circular for callers that reach the engine first
 
 __all__ = ["TaskRecord", "solve_program_chain"]
 
@@ -82,41 +81,6 @@ def _emit_window(
     )
     if value_sink is not None:
         value_sink(window, values, result)
-    out[window] = result
-
-
-def _emit_generic_window(
-    graph: MultiWindowGraph,
-    window: int,
-    view,
-    value,
-    out: Dict[int, "WindowResult"],
-    store_values: bool,
-    n_global_vertices: int,
-    to_global: bool,
-    value_sink=None,
-) -> None:
-    """Emit a window whose program produces an arbitrary object (adapter
-    programs wrapping callable kernels), riding in ``WindowResult.value``
-    instead of the per-vertex ``values`` slot."""
-    from repro.models.base import WindowResult
-
-    if (
-        to_global
-        and isinstance(value, np.ndarray)
-        and value.shape == (graph.n_local_vertices,)
-    ):
-        value = graph.to_global(value, n_global_vertices)
-    result = WindowResult(
-        window_index=window,
-        n_active_vertices=view.n_active_vertices,
-        n_active_edges=view.n_active_edges,
-        value=value,
-    )
-    if value_sink is not None:
-        value_sink(window, value, result)
-    if not store_values:
-        result.value = None
     out[window] = result
 
 
@@ -214,24 +178,6 @@ def solve_program_chain(
             iteration_hint = pr.iterations
             local_values[batch.windows[0]] = pr.values
             work.merge(pr.work)
-            if not program.vertex_values:
-                _emit_generic_window(
-                    graph,
-                    batch.windows[0],
-                    batch_views[0],
-                    pr.values,
-                    window_results,
-                    store_values,
-                    n_global_vertices,
-                    getattr(program, "to_global_values", False),
-                    value_sink,
-                )
-                keep = set(batch.windows)
-                views = {w: v for w, v in views.items() if w in keep}
-                local_values = {
-                    w: v for w, v in local_values.items() if w in keep
-                }
-                continue
             _emit_window(
                 graph,
                 batch.windows[0],

@@ -1,13 +1,19 @@
 """Temporal k-core decomposition as a vertex program.
 
+The k-core of a graph is its maximal subgraph where every vertex has
+degree >= k; a vertex's *core number* is the largest k whose k-core
+contains it.  The paper's related work (Gabert et al.; Sariyüce et al.)
+analyzes dense temporal regions exactly this way.
+
 k-core is the engine's *non-iterative fixpoint* shape: each window's core
 numbers are computed by peeling from scratch (no state transfers between
 windows, no convergence loop to warm-start), so the program reports
 ``iterative = False`` and the engine runs it on the sequential schedule
 without initial vectors.
 
-Both solve surfaces reduce the window to the same undirected simple graph
-and share :func:`repro.kernels.kcore.peel_core_numbers`, which makes
+Degrees are over the window's *undirected* simple graph (in + out
+neighbors, deduplicated, self-loops dropped).  Both solve surfaces reduce
+the window to that graph and share :func:`peel_core_numbers`, which makes
 cross-model parity *exact* (integer core numbers, not a tolerance): the
 temporal path deduplicates the multi-window structure's out-orientation,
 the materialized path symmetrizes the snapshot CSR, and both hand the
@@ -25,31 +31,85 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, build_csr_from_edges
 from repro.graph.temporal_csr import WindowView
-from repro.kernels.kcore import (
-    core_numbers,
-    peel_core_numbers,
-    undirected_simple_csr,
-)
-from repro.pagerank.result import PagerankResult, WorkStats
-from repro.programs.base import VertexProgram
+from repro.pagerank.result import PagerankResult
+from repro.programs.base import VertexProgram, fixpoint_result
 
-__all__ = ["KCoreProgram"]
+__all__ = [
+    "KCoreProgram",
+    "core_numbers",
+    "peel_core_numbers",
+    "undirected_simple_csr",
+    "undirected_window_csr",
+]
 
 
-def _as_result(core: np.ndarray, n_edges: int, n_active: int) -> PagerankResult:
-    work = WorkStats()
-    work.edge_traversals += n_edges
-    work.active_edge_traversals += n_edges
-    work.vertex_ops += n_active
-    return PagerankResult(
-        values=core.astype(np.float64),
-        iterations=0,
-        converged=True,
-        residual=0.0,
-        work=work,
+def undirected_simple_csr(
+    src: np.ndarray, dst: np.ndarray, n_vertices: int
+) -> CSRGraph:
+    """Symmetrize a simple edge list (u-v and v-u), dropping self-loops."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    return build_csr_from_edges(
+        np.concatenate([src, dst]),
+        np.concatenate([dst, src]),
+        n_vertices,
+        dedup=True,
     )
+
+
+def undirected_window_csr(view: WindowView) -> CSRGraph:
+    """The window's simple graph symmetrized (u-v and v-u), no loops."""
+    out_csr = view.adjacency.out_csr
+    dedup = out_csr.dedup_mask(view.window.t_start, view.window.t_end)
+    src = out_csr.row_ids()[dedup]
+    dst = out_csr.col[dedup]
+    return undirected_simple_csr(src, dst, view.adjacency.n_vertices)
+
+
+def peel_core_numbers(g: CSRGraph) -> np.ndarray:
+    """Core numbers of a symmetrized simple graph (0 for isolated
+    vertices).  The graph must already be undirected (every edge stored in
+    both directions) with no self-loops.
+
+    Classic linear-time peeling, round by round with vectorized degree
+    updates: each round strips the current-k shell, so total work is
+    Θ(Σ degrees)."""
+    n = g.n_vertices
+    deg = g.out_degrees().astype(np.int64)
+    core = np.zeros(n, dtype=np.int64)
+    alive = deg > 0
+    k = 0
+    while alive.any():
+        k = max(k, int(deg[alive].min()))
+        # strip the k-shell: repeatedly remove vertices with degree <= k
+        while True:
+            shell = alive & (deg <= k)
+            if not shell.any():
+                break
+            core[shell] = k
+            alive[shell] = False
+            # subtract removed vertices' contributions from their alive
+            # neighbors, vectorized over the shell's adjacency
+            idx = np.flatnonzero(shell)
+            starts, ends = g.indptr[idx], g.indptr[idx + 1]
+            lens = ends - starts
+            if lens.sum():
+                offsets = np.repeat(
+                    starts - np.concatenate([[0], np.cumsum(lens)[:-1]]),
+                    lens,
+                )
+                nbrs = g.col[np.arange(int(lens.sum())) + offsets]
+                dec = np.bincount(nbrs[alive[nbrs]], minlength=n)
+                deg -= dec
+    return core
+
+
+def core_numbers(view: WindowView) -> np.ndarray:
+    """Per-vertex core numbers for one window (0 for inactive vertices and
+    vertices with only self-loop incidences)."""
+    return peel_core_numbers(undirected_window_csr(view))
 
 
 @dataclass(frozen=True)
@@ -73,7 +133,7 @@ class KCoreProgram(VertexProgram):
         iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         core = core_numbers(view)
-        return _as_result(
+        return fixpoint_result(
             core, view.n_active_edges, view.n_active_vertices
         )
 
@@ -90,4 +150,4 @@ class KCoreProgram(VertexProgram):
         und = undirected_simple_csr(src, dst, graph.n_vertices)
         core = peel_core_numbers(und)
         mask = np.asarray(active, dtype=bool)
-        return _as_result(core, graph.n_edges, int(mask.sum()))
+        return fixpoint_result(core, graph.n_edges, int(mask.sum()))

@@ -4,7 +4,7 @@
 :class:`~repro.runtime.context.DriverContext` share.  Concrete program
 imports are lazy so importing this module (e.g. for name validation at
 context construction) costs nothing and cannot participate in an import
-cycle with :mod:`repro.kernels`.
+cycle with the model drivers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.programs.base import VertexProgram
 __all__ = ["PROGRAMS", "make_program", "resolve_program", "validate_program_name"]
 
 #: the first-class vertex programs, reference instance first
-PROGRAMS: Tuple[str, ...] = ("pagerank", "katz", "kcore")
+PROGRAMS: Tuple[str, ...] = ("pagerank", "katz", "kcore", "components")
 
 
 def validate_program_name(name: str) -> str:
@@ -60,17 +60,21 @@ def make_program(
 
         return PagerankProgram(config=config, weighted=weighted)
     if name == "katz":
-        from repro.kernels.katz import KatzConfig
-        from repro.programs.katz import KatzProgram
+        from repro.programs.katz import KatzConfig, KatzProgram
 
         return KatzProgram(
             config=katz_config if katz_config is not None else KatzConfig(),
             routing=config,
         )
 
-    from repro.programs.kcore import KCoreProgram
+    if name == "kcore":
+        from repro.programs.kcore import KCoreProgram
 
-    return KCoreProgram()
+        return KCoreProgram()
+
+    from repro.programs.components import ComponentsProgram
+
+    return ComponentsProgram()
 
 
 def resolve_program(

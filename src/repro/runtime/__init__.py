@@ -8,7 +8,7 @@ used to answer privately:
 * **policy** — :class:`~repro.runtime.context.DriverContext`: executor
   selection, default sinks, progress/trace hooks;
 * **execution** — :mod:`repro.runtime.execution`: the executor taxonomy
-  and the in-process ordered task map (process/shared execution lives in
+  and per-model executor validation (the executors themselves live in
   :mod:`repro.parallel`);
 * **output** — :mod:`repro.runtime.sinks`: chained streaming value
   sinks feeding rank stores and tests;
@@ -36,7 +36,7 @@ from repro.runtime.context import (
     RunScope,
     TraceFn,
 )
-from repro.runtime.execution import EXECUTORS, map_tasks, require_executor
+from repro.runtime.execution import EXECUTORS, require_executor
 from repro.runtime.registry import MODELS, make_driver
 from repro.runtime.sinks import Sink, chain_sinks, counting_sink
 from repro.programs.registry import PROGRAMS, make_program
@@ -52,7 +52,6 @@ __all__ = [
     "ProgressFn",
     "TraceFn",
     "EXECUTORS",
-    "map_tasks",
     "require_executor",
     "MODELS",
     "make_driver",

@@ -6,7 +6,7 @@ The protocol pins the surface the CLI, the analysis layer, and the parity
 tests rely on:
 
 * ``model_name`` — stable identifier (``"offline"``, ``"streaming"``,
-  ``"postmortem"``, ``"kernel"``),
+  ``"postmortem"``),
 * ``supported_executors`` — the subset of
   :data:`repro.runtime.execution.EXECUTORS` the model's dependence
   structure permits,

@@ -141,8 +141,8 @@ class DriverContext:
         (``"auto"``/``"numpy"``/``"pcpm"``/``"numba"``), applied the same
         way as ``edge_path``.
     program:
-        Optional vertex-program selection (``"pagerank"``/``"katz"``/
-        ``"kcore"``; see :mod:`repro.programs`).  ``None`` defers to the
+        Optional vertex-program selection (a name in
+        :data:`repro.programs.PROGRAMS`; see :mod:`repro.programs`).  ``None`` defers to the
         driver (whose default is the reference PageRank program); a
         driver-level ``program=`` argument wins over the context.
     """

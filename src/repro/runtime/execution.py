@@ -1,4 +1,4 @@
-"""Executor selection and the generic ordered task map.
+"""Executor selection.
 
 The runtime recognises four executors:
 
@@ -26,18 +26,14 @@ and gates requests through :func:`require_executor`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple
 
 from repro.errors import ValidationError
 
-__all__ = ["EXECUTORS", "require_executor", "map_tasks"]
+__all__ = ["EXECUTORS", "require_executor"]
 
 #: every executor the runtime knows about, in increasing dispatch cost
 EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "shared")
-
-_P = TypeVar("_P")
-_R = TypeVar("_R")
 
 
 def require_executor(
@@ -61,32 +57,3 @@ def require_executor(
         )
     return executor
 
-
-def map_tasks(
-    fn: Callable[[_P], _R],
-    payloads: Iterable[_P],
-    *,
-    executor: str = "serial",
-    n_workers: int = 4,
-) -> Iterator[_R]:
-    """Apply ``fn`` to each payload, yielding results in submission order.
-
-    The in-process half of the runtime's execution surface: ``serial``
-    loops inline and ``thread`` fans out over a pool (``Executor.map``
-    preserves order).  ``process``/``shared`` need picklable module-level
-    workers and arena publication, so drivers route those through
-    :func:`repro.parallel.shared_arena.run_shared_tasks` /
-    ``run_arena_tasks`` instead — passing them here is an error.
-    """
-    if executor == "serial":
-        for payload in payloads:
-            yield fn(payload)
-        return
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            yield from pool.map(fn, payloads)
-        return
-    raise ValidationError(
-        f"map_tasks handles 'serial' and 'thread', got {executor!r}; "
-        "route process/shared execution through repro.parallel"
-    )

@@ -136,7 +136,8 @@ class RankStoreWriter:
         self.n_vertices = n_vertices
         self.model = model
         #: which vertex program produced the vectors (pagerank / katz /
-        #: kcore ...) — recorded so the serving layer knows what it serves
+        #: kcore / components) — recorded so the serving layer knows what
+        #: it serves
         self.program = program
         self.metadata = dict(metadata or {})
         self._t_start = (

@@ -13,12 +13,12 @@ PACKAGES = [
     "repro.events",
     "repro.graph",
     "repro.pagerank",
+    "repro.programs",
     "repro.models",
     "repro.streaming",
     "repro.parallel",
     "repro.datasets",
     "repro.analysis",
-    "repro.kernels",
     "repro.reporting",
     "repro.service",
     "repro.utils",

@@ -6,7 +6,13 @@ import pytest
 from repro.errors import ValidationError
 from repro.events import Window, WindowSpec
 from repro.graph import TemporalAdjacency
-from repro.kernels import KatzConfig, katz_window, katz_windows_spmm
+from repro.pagerank import PagerankConfig
+from repro.programs.katz import (
+    KatzConfig,
+    KatzProgram,
+    katz_window,
+    katz_windows_spmm,
+)
 from tests.conftest import random_events
 
 CFG = KatzConfig(tolerance=1e-12, max_iterations=500)
@@ -54,6 +60,25 @@ class TestKatzSpmm:
         views = [adj.window_view(w) for w in spec]
         batch = katz_windows_spmm(views, CFG)
         assert batch.work.edge_traversals == batch.work.iterations * adj.nnz
+
+    def test_single_batch_counts_active_edges_like_solve_window(self, setup):
+        """A batch of one window reports the same active-edge work as the
+        SpMV solve of that window."""
+        adj, spec = setup
+        program = KatzProgram(
+            config=CFG, routing=PagerankConfig(edge_path="masked")
+        )
+        for w in spec:
+            view = adj.window_view(w)
+            x0 = program.init_window(view)
+            batch = program.solve_batch([view], x0[:, None])
+            single = program.solve_window(view, x0)
+            assert batch.iterations_per_window[0] == single.iterations
+            assert (
+                batch.work.active_edge_traversals
+                == single.work.active_edge_traversals
+                == single.iterations * view.n_active_edges
+            ), w.index
 
     def test_rejects_empty_and_mixed(self, setup):
         adj, spec = setup

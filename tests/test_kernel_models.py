@@ -1,5 +1,8 @@
-"""Tests for the generic three-model kernel runners, time-series
-analytics, and run persistence."""
+"""Tests for non-PageRank analytics under the three execution models,
+time-series analytics, and run persistence."""
+
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 import pytest
@@ -12,53 +15,16 @@ from repro.analysis.timeseries import (
 )
 from repro.errors import ValidationError
 from repro.events import WindowSpec
-from repro.kernels import connected_components, max_core
-from repro.models import PostmortemDriver
-from repro.models.kernel_models import (
-    adapt_view_kernel,
-    offline_kernel_run,
-    postmortem_kernel_run,
-    streaming_kernel_run,
-)
+from repro.graph import TemporalAdjacency
+from repro.models import PostmortemDriver, PostmortemOptions
 from repro.models.results_io import load_run, save_run
 from repro.pagerank import PagerankConfig
+from repro.pagerank.incremental import incremental_pagerank
+from repro.programs import make_program
+from repro.programs.katz import KatzProgram
+from repro.runtime import MODELS, make_driver
+from repro.streaming import StreamingDriver, StreamingGraph
 from tests.conftest import random_events
-
-
-def kcore_graph_kernel(graph, active):
-    """Max core number from a (graph, active) pair — a model-agnostic
-    kernel used across all three runners."""
-    import numpy as np
-
-    deg_out = graph.out_degrees()
-    tr = graph.transpose()
-    deg = deg_out + tr.out_degrees()
-    # quick degeneracy via peeling on the symmetrized graph
-    from repro.graph.csr import build_csr_from_edges
-
-    src, dst = graph.edges()
-    keep = src != dst
-    und = build_csr_from_edges(
-        np.concatenate([src[keep], dst[keep]]),
-        np.concatenate([dst[keep], src[keep]]),
-        graph.n_vertices,
-        dedup=True,
-    )
-    degs = und.out_degrees().astype(int)
-    alive = degs > 0
-    k = 0
-    while alive.any():
-        k = max(k, int(degs[alive].min()))
-        while True:
-            shell = alive & (degs <= k)
-            if not shell.any():
-                break
-            alive[shell] = False
-            for v in np.flatnonzero(shell):
-                for u in und.neighbors(int(v)):
-                    if alive[u]:
-                        degs[u] -= 1
-    return k
 
 
 @pytest.fixture(scope="module")
@@ -68,59 +34,67 @@ def instance():
     return events, spec
 
 
+def model_runs(events, spec, program):
+    return {
+        model: make_driver(
+            model, events, spec, program=program,
+            postmortem_options=PostmortemOptions(n_multiwindows=3),
+        ).run()
+        for model in MODELS
+    }
+
+
 class TestThreeModelKernels:
     def test_all_models_same_series(self, instance):
         events, spec = instance
-        off = offline_kernel_run(events, spec, kcore_graph_kernel)
-        stream = streaming_kernel_run(events, spec, kcore_graph_kernel)
-        pm = postmortem_kernel_run(events, spec, kcore_graph_kernel, 3)
-        assert off.values == stream.values == pm.values
-        assert len(off.values) == spec.n_windows
+        runs = model_runs(events, spec, "kcore")
+        ref = runs["offline"].values_matrix()
+        assert ref.shape[0] == spec.n_windows
+        for run in runs.values():
+            np.testing.assert_array_equal(run.values_matrix(), ref)
 
     def test_native_view_kernel_equivalent(self, instance):
+        """The temporal surface (window views) and the materialized surface
+        (snapshot CSR) give the same integer answers."""
         events, spec = instance
-        pm_adapted = postmortem_kernel_run(
-            events, spec, kcore_graph_kernel, 3
-        )
-        pm_native = postmortem_kernel_run(
-            events, spec, kcore_graph_kernel, 3, view_kernel=max_core
-        )
-        assert pm_adapted.values == pm_native.values
-
-    def test_adapter_name(self):
-        adapted = adapt_view_kernel(kcore_graph_kernel)
-        assert adapted.__name__ == "kcore_graph_kernel"
+        adj = TemporalAdjacency.from_events(events)
+        for name in ("kcore", "components"):
+            program = make_program(name)
+            for w in spec:
+                view = adj.window_view(w)
+                native = program.solve_window(view).values
+                graph = view.compact_graph()
+                materialized = program.solve_graph(
+                    graph, view.active_vertices_mask
+                ).values
+                np.testing.assert_array_equal(native, materialized)
 
     def test_components_across_models(self, instance):
+        from scipy.sparse.csgraph import connected_components
+
         events, spec = instance
-
-        def n_comp(graph, active):
-            import numpy as np
-            # reuse the view-based kernel through a one-off adjacency
-            # conversion is overkill; count via scipy for the reference
-            from scipy.sparse.csgraph import connected_components as cc
-
-            m = graph.to_scipy()
-            n, labels = cc(m + m.T, directed=False)
-            return int(len(set(labels[active].tolist())))
-
-        off = offline_kernel_run(events, spec, n_comp)
-        pm = postmortem_kernel_run(
-            events,
-            spec,
-            n_comp,
-            3,
-            view_kernel=lambda v: connected_components(v).n_components,
-        )
-        assert off.values == pm.values
+        runs = model_runs(events, spec, "components")
+        ref = runs["offline"].values_matrix()
+        for run in runs.values():
+            np.testing.assert_array_equal(run.values_matrix(), ref)
+        adj = TemporalAdjacency.from_events(events)
+        for w in spec:
+            view = adj.window_view(w)
+            m = view.compact_graph().to_scipy()
+            n, labels = connected_components(m + m.T, directed=False)
+            active = view.active_vertices_mask
+            # distinct sizes x their multiplicity recover the count
+            sizes = ref[w.index][active]
+            assert (1.0 / sizes).sum() == pytest.approx(
+                len(set(labels[active].tolist()))
+            )
 
     def test_timings_present(self, instance):
         events, spec = instance
-        off = offline_kernel_run(events, spec, kcore_graph_kernel)
-        stream = streaming_kernel_run(events, spec, kcore_graph_kernel)
-        assert "build" in off.timings.totals
-        assert "snapshot" in stream.timings.totals
-        assert off.total_time > 0
+        runs = model_runs(events, spec, "kcore")
+        assert "build" in runs["offline"].timings.totals
+        assert "snapshot" in runs["streaming"].timings.totals
+        assert runs["offline"].total_time > 0
 
 
 class TestTimeseries:
@@ -199,46 +173,45 @@ class TestRunPersistence:
 
 class TestStatefulStreaming:
     def test_warm_started_katz_through_generic_runner(self, instance):
-        import numpy as np
-
-        from repro.models.kernel_models import streaming_kernel_run_stateful
-
+        """A custom program subclass runs through ``make_driver``; the
+        streaming model hands every window after the first its
+        predecessor's solution."""
         events, spec = instance
 
-        calls = []
+        @dataclass(frozen=True)
+        class CountingKatz(KatzProgram):
+            calls: List[bool] = field(default_factory=list)
 
-        def counting_kernel(graph, active, prev):
-            calls.append(prev is not None)
-            return int(graph.n_edges)
+            def solve_graph(self, graph, active, *, prev_values=None,
+                            prev_active=None):
+                self.calls.append(prev_values is not None)
+                return super().solve_graph(
+                    graph, active, prev_values=prev_values,
+                    prev_active=prev_active,
+                )
 
-        run = streaming_kernel_run_stateful(events, spec, counting_kernel)
-        assert len(run.values) == spec.n_windows
-        # first call cold, all subsequent calls receive the previous value
-        assert calls[0] is False
-        assert all(calls[1:])
+        program = CountingKatz()
+        run = make_driver("streaming", events, spec, program=program).run()
+        assert run.n_windows == spec.n_windows
+        assert program.calls[0] is False
+        assert all(program.calls[1:])
 
     def test_stateful_pagerank_matches_driver(self, instance):
-        import numpy as np
-
-        from repro.models.kernel_models import streaming_kernel_run_stateful
-        from repro.pagerank import PagerankConfig
-        from repro.streaming import StreamingDriver
-        from repro.streaming.incremental import incremental_pagerank
-
         events, spec = instance
         cfg = PagerankConfig(tolerance=1e-11, max_iterations=300)
-
-        def pr_kernel(graph, active, prev):
-            return incremental_pagerank(
+        stream = StreamingGraph(events, 64)
+        prev = None
+        values = []
+        for window in spec:
+            stream.advance_to(window)
+            graph, active = stream.snapshot()
+            prev = incremental_pagerank(
                 graph,
                 cfg,
                 active=active,
                 prev_values=None if prev is None else prev.values,
             )
-
-        run = streaming_kernel_run_stateful(events, spec, pr_kernel)
+            values.append(prev.values)
         ref = StreamingDriver(events, spec, cfg).run()
-        for i, v in enumerate(run.values):
-            assert np.allclose(
-                v.values, ref.windows[i].values, atol=1e-7
-            ), i
+        for i, v in enumerate(values):
+            assert np.allclose(v, ref.windows[i].values, atol=1e-7), i

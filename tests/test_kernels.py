@@ -1,21 +1,18 @@
-"""Tests for the additional temporal analysis kernels."""
+"""Tests for the non-PageRank vertex programs' per-window math:
+connected-component sizes, k-core peeling and the reference Katz kernel,
+plus the programs run end to end through ``make_driver``."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.events import Window, WindowSpec
+from repro.events import Window
 from repro.graph import TemporalAdjacency
-from repro.kernels import (
-    KatzConfig,
-    TemporalKernelDriver,
-    connected_components,
-    core_numbers,
-    degree_centrality,
-    katz_partial_init,
-    katz_window,
-    max_core,
-)
+from repro.models import PostmortemOptions
+from repro.programs.components import ComponentsProgram
+from repro.programs.katz import KatzConfig, katz_partial_init, katz_window
+from repro.programs.kcore import core_numbers
+from repro.runtime import make_driver
 from tests.conftest import random_events
 
 
@@ -24,31 +21,8 @@ def view(adjacency, spec):
     return adjacency.window_view(spec.window(1))
 
 
-class TestDegreeCentrality:
-    def test_modes_sum(self, view):
-        d_in = degree_centrality(view, "in", normalized=False)
-        d_out = degree_centrality(view, "out", normalized=False)
-        d_tot = degree_centrality(view, "total", normalized=False)
-        assert np.allclose(d_tot, d_in + d_out)
-
-    def test_matches_compact_graph(self, view):
-        g = view.compact_graph()
-        d_out = degree_centrality(view, "out", normalized=False)
-        assert np.array_equal(d_out, g.out_degrees().astype(float))
-
-    def test_normalization(self, view):
-        raw = degree_centrality(view, "total", normalized=False)
-        norm = degree_centrality(view, "total", normalized=True)
-        denom = max(view.n_active_vertices - 1, 1)
-        assert np.allclose(norm, raw / denom)
-
-    def test_inactive_zero(self, view):
-        d = degree_centrality(view)
-        assert np.all(d[~view.active_vertices_mask] == 0)
-
-    def test_bad_mode(self, view):
-        with pytest.raises(ValidationError):
-            degree_centrality(view, "between")
+def component_sizes(view):
+    return ComponentsProgram().solve_window(view).values
 
 
 class TestConnectedComponents:
@@ -56,43 +30,40 @@ class TestConnectedComponents:
         sp = pytest.importorskip("scipy.sparse.csgraph")
         for w in spec:
             view = adjacency.window_view(w)
-            got = connected_components(view)
+            got = component_sizes(view)
             g = view.compact_graph().to_scipy()
-            n_ref, labels_ref = sp.connected_components(
-                g + g.T, directed=False
-            )
+            _, labels_ref = sp.connected_components(g + g.T, directed=False)
+            ref = np.bincount(labels_ref)[labels_ref]
             active = view.active_vertices_mask
-            # compare only over active vertices (scipy labels isolated
-            # inactive vertices as singletons)
-            ref_active = labels_ref[active]
-            got_active = got.labels[active]
-            # same partition: labels must be a bijection
-            pairs = set(zip(got_active.tolist(), ref_active.tolist()))
-            assert len(pairs) == got.n_components
-            assert got.n_components == len(set(ref_active.tolist()))
+            # scipy also sizes inactive vertices (as singletons); the
+            # program zeroes them
+            np.testing.assert_array_equal(got[active], ref[active])
 
-    def test_labels_inactive_minus_one(self, view):
-        got = connected_components(view)
-        assert np.all(got.labels[~view.active_vertices_mask] == -1)
+    def test_inactive_zero(self, view):
+        got = component_sizes(view)
+        assert np.all(got[~view.active_vertices_mask] == 0)
+        assert np.all(got[view.active_vertices_mask] >= 1)
 
     def test_sizes_and_giant(self, view):
-        got = connected_components(view)
-        sizes = got.sizes()
-        assert sizes.sum() == view.n_active_vertices
-        assert 0 < got.giant_fraction() <= 1.0
+        got = component_sizes(view)
+        # each component of size s contributes s vertices valued s
+        sizes, counts = np.unique(got[got > 0], return_counts=True)
+        assert np.all(counts % sizes == 0)
+        assert counts.sum() == view.n_active_vertices
+        giant = got.max() / view.n_active_vertices
+        assert 0 < giant <= 1.0
 
     def test_two_triangles(self):
         from repro.events import TemporalEventSet
 
         events = TemporalEventSet(
-            [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [1, 2, 3, 4, 5, 6]
+            [0, 1, 2, 3, 4, 5, 6], [1, 2, 0, 4, 5, 3, 6],
+            [1, 2, 3, 4, 5, 6, 7],
         )
         adj = TemporalAdjacency.from_events(events)
-        got = connected_components(adj.window_view(Window(0, 0, 10)))
-        assert got.n_components == 2
-        assert got.labels[0] == got.labels[1] == got.labels[2]
-        assert got.labels[3] == got.labels[4] == got.labels[5]
-        assert got.labels[0] != got.labels[3]
+        got = component_sizes(adj.window_view(Window(0, 0, 10)))
+        # two triangles plus a vertex whose only event is a self-loop
+        assert got.tolist() == [3, 3, 3, 3, 3, 3, 1]
 
 
 class TestKCore:
@@ -125,7 +96,7 @@ class TestKCore:
         adj = TemporalAdjacency.from_events(events)
         view = adj.window_view(Window(0, 0, 100))
         assert core_numbers(view).tolist() == [3, 3, 3, 3]
-        assert max_core(view) == 3
+        assert core_numbers(view).max() == 3
 
     def test_path_core_one(self):
         from repro.events import TemporalEventSet
@@ -137,7 +108,7 @@ class TestKCore:
 
     def test_empty_window(self, adjacency):
         view = adjacency.window_view(Window(0, 10**9, 10**9 + 1))
-        assert max_core(view) == 0
+        assert not core_numbers(view).any()
 
 
 class TestKatz:
@@ -202,30 +173,39 @@ class TestKatz:
             KatzConfig(base=0.0)
 
 
-class TestTemporalKernelDriver:
-    def test_runs_all_windows(self, events, spec):
-        driver = TemporalKernelDriver(events, spec, n_multiwindows=3)
-        result = driver.run(connected_components)
-        assert len(result.windows) == spec.n_windows
-        series = result.series(lambda c: c.n_components)
-        assert series.shape == (spec.n_windows,)
-        assert np.all(series >= 0)
+class TestProgramDriver:
+    """Non-PageRank analytics run through ``make_driver`` like PageRank."""
 
-    def test_per_vertex_kernels_to_global(self, events, spec):
-        driver = TemporalKernelDriver(
-            events, spec, n_multiwindows=3, to_global=True
-        )
-        result = driver.run(core_numbers)
-        for w in result.windows:
-            assert w.value.shape == (events.n_vertices,)
+    def test_runs_all_windows(self, events, spec):
+        run = make_driver(
+            "postmortem", events, spec, program="components",
+            postmortem_options=PostmortemOptions(n_multiwindows=3),
+        ).run()
+        assert len(run.windows) == spec.n_windows
+        assert run.metadata["program"] == "components"
+        assert np.all(run.values_matrix() >= 0)
+
+    def test_values_in_global_space(self, events, spec):
+        run = make_driver(
+            "postmortem", events, spec, program="kcore",
+            postmortem_options=PostmortemOptions(n_multiwindows=3),
+        ).run()
+        for w in run.windows:
+            assert w.values.shape == (events.n_vertices,)
 
     def test_matches_full_adjacency(self, events, spec, adjacency):
-        driver = TemporalKernelDriver(events, spec, n_multiwindows=4)
-        result = driver.run(max_core, name="max_core")
-        for w in spec:
-            direct = max_core(adjacency.window_view(w))
-            assert result.windows[w.index].value == direct
-
-    def test_validation(self, events, spec):
-        with pytest.raises(ValidationError):
-            TemporalKernelDriver(events, spec, n_multiwindows=0)
+        """Multi-window graphs solve in compacted local ids; scattered back
+        to the global space they equal the single full-adjacency view."""
+        for name, solve in (
+            ("kcore", core_numbers),
+            ("components", component_sizes),
+        ):
+            run = make_driver(
+                "postmortem", events, spec, program=name,
+                postmortem_options=PostmortemOptions(n_multiwindows=4),
+            ).run()
+            for w in spec:
+                direct = solve(adjacency.window_view(w))
+                np.testing.assert_array_equal(
+                    run.windows[w.index].values, direct
+                )

@@ -96,7 +96,7 @@ class TestMmapEscape:
             def head():
                 return mm[:10]
         """
-        assert rules_of(src, "kernels/fixture.py") == []
+        assert rules_of(src, "programs/fixture.py") == []
 
     def test_shared_view_escape_fires(self):
         src = """
@@ -267,7 +267,7 @@ class TestUnseededRng:
             import numpy as np
             rng = np.random.default_rng()
         """
-        assert rules_of(src, "kernels/f.py") == ["unseeded-rng"]
+        assert rules_of(src, "programs/f.py") == ["unseeded-rng"]
 
     def test_none_seed_fires(self):
         src = """
@@ -308,7 +308,7 @@ class TestMissingDtype:
             import numpy as np
             x = np.full(8, np.inf)
         """
-        assert rules_of(src, "kernels/katz.py") == ["missing-dtype"]
+        assert rules_of(src, "programs/katz.py") == ["missing-dtype"]
 
     def test_keyword_and_positional_dtype_are_clean(self):
         src = """
@@ -340,7 +340,7 @@ class TestCsrPythonLoop:
                     total += rowA[i]
                 return total
         """
-        assert rules_of(src, "kernels/f.py") == ["csr-python-loop"]
+        assert rules_of(src, "programs/f.py") == ["csr-python-loop"]
 
     def test_range_over_size_fires(self):
         src = """
@@ -369,7 +369,7 @@ class TestCsrPythonLoop:
                 for w in range(len(windows)):
                     yield windows[w]
         """
-        assert rules_of(src, "kernels/f.py") == []
+        assert rules_of(src, "programs/f.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -664,14 +664,18 @@ class TestRepositoryIsClean:
 
     def test_scopes_cover_the_program_layer(self):
         # the vertex programs drive the hottest solve chains in the
-        # tree (katz propagation, kcore peeling), so the dtype and
-        # CSR-loop rules must reach programs/ just like the kernels
+        # tree (katz propagation, kcore peeling, component labelling) and
+        # own their math, so the dtype, CSR-loop and RNG rules must reach
+        # programs/ just like pagerank/
         for path in (
             "src/repro/programs/katz.py",
             "src/repro/programs/kcore.py",
+            "src/repro/programs/components.py",
             "src/repro/programs/engine.py",
         ):
             applicable = {
                 r.name for r in ALL_RULES if r.applies_to(path)
             }
-            assert {"missing-dtype", "csr-python-loop"} <= applicable, path
+            assert {
+                "missing-dtype", "csr-python-loop", "unseeded-rng"
+            } <= applicable, path

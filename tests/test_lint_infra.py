@@ -90,7 +90,7 @@ class TestSuppressionSpans:
                     10,
                 )  # lint: disable=unseeded-rng — fixture noise
             """)
-        assert lint_source(source, path="kernels/fx.py") == []
+        assert lint_source(source, path="programs/fx.py") == []
 
     def test_disable_above_decorator_reaches_the_def(self):
         # mutable-default reports at the def line; the disable sits two
@@ -161,7 +161,7 @@ class TestScopeInheritance:
             def draw():
                 return np.random.rand(4)
             """)
-        nested = "src/repro/kernels/experimental/sub/fx.py"
+        nested = "src/repro/programs/experimental/sub/fx.py"
         outside = "src/repro/graphs/fx.py"
         assert [f.rule for f in lint_source(source, path=nested)] == [
             "unseeded-rng"

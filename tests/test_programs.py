@@ -1,11 +1,11 @@
 """The vertex-program layer (repro.programs).
 
-Covers the registry, the three first-class programs, the callable
-adapter, and the tentpole acceptance criterion: PageRank routed through
-the engine is *bitwise-identical* to the historic postmortem loop across
-kernels (spmv / spmm) × edge paths (masked / compacted) × backends
-(numpy / pcpm) × weighted — asserted against a hand-rolled reference
-chain that replays the pre-engine driver's solve sequence.
+Covers the registry, the first-class programs, and the bitwise contract:
+PageRank routed through the engine is *bitwise-identical* to the historic
+postmortem loop across kernels (spmv / spmm) × edge paths (masked /
+compacted) × backends (numpy / pcpm) × weighted — asserted against a
+hand-rolled reference chain that replays the pre-engine driver's solve
+sequence.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.events import WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.graph.csr import build_csr_from_edges
 from repro.graph.multiwindow import MultiWindowPartition
-from repro.kernels.katz import KatzConfig, katz_window
 from repro.models.postmortem import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
     PagerankConfig,
@@ -35,9 +34,13 @@ from repro.programs import (
     resolve_program,
     validate_program_name,
 )
-from repro.programs.adapter import CallableProgram
-from repro.programs.engine import solve_program_chain
-from repro.programs.katz import KatzProgram, katz_window_backend
+from repro.programs.components import ComponentsProgram
+from repro.programs.katz import (
+    KatzConfig,
+    KatzProgram,
+    katz_window,
+    katz_window_backend,
+)
 from repro.programs.kcore import KCoreProgram
 from repro.runtime import DriverContext
 from tests.conftest import random_events
@@ -128,7 +131,7 @@ def reference_chain(
 
 class TestRegistry:
     def test_registered_names(self):
-        assert PROGRAMS == ("pagerank", "katz", "kcore")
+        assert PROGRAMS == ("pagerank", "katz", "kcore", "components")
         for name in PROGRAMS:
             assert validate_program_name(name) == name
             assert make_program(name).name == name
@@ -169,7 +172,6 @@ class TestRegistry:
 
     def test_base_class_contract(self):
         base = VertexProgram()
-        assert base.vertex_values
         view = None
         with pytest.raises(NotImplementedError):
             base.init_window(view)
@@ -321,41 +323,19 @@ class TestKCoreProgram:
         program = KCoreProgram()
         assert not program.iterative
         assert not program.supports_batch
-        assert program.vertex_values
 
 
-class TestCallableProgram:
-    def test_generic_values_ride_value_slot(self, setup):
-        events, spec = setup
-        partition = MultiWindowPartition(events, spec, N_MULTIWINDOWS)
-        graph = partition[0]
-        program = CallableProgram(lambda view: view.n_active_edges)
-        assert not program.vertex_values
-        results, tasks, _ = solve_program_chain(
-            graph, 0, program, n_global_vertices=events.n_vertices
+class TestComponentsProgram:
+    def test_two_components_and_self_loop(self):
+        # a triangle 0-1-2, an edge 3-4, a self-loop on 5, 6 inactive
+        graph = build_csr_from_edges(
+            np.array([0, 1, 2, 3, 5]), np.array([1, 2, 0, 4, 5]), 7,
+            dedup=True,
         )
-        # generic programs emit no TaskRecords (nothing to simulate)
-        assert tasks == []
-        for w in graph.window_indices():
-            wr = results[w]
-            assert wr.values is None
-            assert wr.value == wr.n_active_edges
-
-    def test_to_global_scatter(self, setup):
-        events, spec = setup
-        partition = MultiWindowPartition(events, spec, N_MULTIWINDOWS)
-        graph = partition[0]
-        program = CallableProgram(
-            lambda view: np.ones(
-                view.adjacency.n_vertices, dtype=np.float64
-            ),
-            to_global_values=True,
-        )
-        results, _, _ = solve_program_chain(
-            graph, 0, program, n_global_vertices=events.n_vertices
-        )
-        for w in graph.window_indices():
-            assert results[w].value.shape == (events.n_vertices,)
+        active = np.array([True] * 6 + [False])
+        pr = ComponentsProgram().solve_graph(graph, active)
+        assert pr.values.tolist() == [3.0, 3.0, 3.0, 2.0, 2.0, 1.0, 0.0]
+        assert pr.converged and pr.iterations == 0
 
 
 class TestWeightedValidation:

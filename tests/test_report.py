@@ -74,24 +74,36 @@ class TestCliReport:
         assert rc == 1
 
 
-class TestCliKernel:
-    def test_kernel_subcommand(self, tmp_path):
+class TestCliProgram:
+    def test_run_program_subcommand(self, tmp_path):
+        from repro.programs import PROGRAMS
+        from repro.service import RankStore
+
         path = tmp_path / "e.npz"
         main(
             ["generate", "askubuntu", "--scale", "0.05", "--out", str(path)],
             out=io.StringIO(),
         )
-        for name in ("components", "maxcore", "triangles", "katz"):
+        for name in PROGRAMS:
+            store = tmp_path / f"{name}.rankstore"
             out = io.StringIO()
             rc = main(
                 [
-                    "kernel", str(path),
+                    "run", str(path),
                     "--delta-days", "180",
                     "--sw", "5184000",
-                    "--name", name,
+                    "--program", name,
                     "--max-windows", "4",
+                    "--store", str(store),
                 ],
                 out=out,
             )
             assert rc == 0, name
             assert name in out.getvalue()
+            with RankStore(store) as opened:
+                assert opened.info()["program"] == name
+            rc = main(
+                ["query", str(store), "top-k", "--window", "0", "-k", "3"],
+                out=io.StringIO(),
+            )
+            assert rc == 0, name

@@ -17,7 +17,6 @@ from repro.runtime import (
     chain_sinks,
     counting_sink,
     make_driver,
-    map_tasks,
     record_run_metadata,
     require_executor,
 )
@@ -103,19 +102,6 @@ class TestExecution:
         with pytest.raises(ValidationError, match="streaming"):
             require_executor("process", ("serial",), "streaming")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_map_tasks_preserves_order(self, executor):
-        out = list(
-            map_tasks(lambda x: x * x, range(17), executor=executor,
-                      n_workers=3)
-        )
-        assert out == [x * x for x in range(17)]
-
-    @pytest.mark.parametrize("executor", ["process", "shared"])
-    def test_map_tasks_rejects_multiprocess(self, executor):
-        with pytest.raises(ValidationError):
-            list(map_tasks(lambda x: x, [1], executor=executor))
-
 
 class TestRunScope:
     def test_phases_and_merge(self):
@@ -184,23 +170,27 @@ class TestRegistry:
         assert run.metadata["n_windows"] == spec.n_windows
 
 
-class TestWindowResultFold:
-    """KernelRunResult/KernelWindowResult are folded into the shared pair."""
+class TestWindowResult:
+    """Every program fills the one per-vertex ``values`` slot."""
 
-    def test_kernel_aliases_are_the_shared_types(self):
-        from repro.kernels.driver import KernelWindowResult
-
-        assert KernelWindowResult is WindowResult
-
-    def test_series_orders_by_window_index(self):
+    def test_values_matrix_orders_by_window_index(self):
         run = RunResult(
-            model="kernel",
+            model="postmortem",
             windows=[
-                WindowResult(window_index=1, value=10),
-                WindowResult(window_index=0, value=5),
+                WindowResult(window_index=1, values=np.array([0.0, 2.0])),
+                WindowResult(window_index=0, values=np.array([1.0, 0.0])),
             ],
         )
-        assert run.kernel_values() == [5, 10]
         np.testing.assert_array_equal(
-            run.series(lambda v: v * 2.0), np.array([10.0, 20.0])
+            run.values_matrix(), np.array([[1.0, 0.0], [0.0, 2.0]])
         )
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_non_pagerank_programs_fill_values(self, setup, model):
+        events, spec, cfg = setup
+        run = make_driver(model, events, spec, cfg, program="components").run()
+        values = run.values_matrix()
+        assert values.shape == (spec.n_windows, events.n_vertices)
+        for w in run.windows:
+            # a component size is at least 1 on every active vertex
+            assert np.count_nonzero(w.values) == w.n_active_vertices

@@ -11,13 +11,14 @@ seam the CLI uses, and the suite asserts the runtime-level guarantees:
 * every model's rank store is queryable by the PR-1 ``QueryEngine``.
 
 Since the vertex-program engine, every guarantee is per *program* too:
-the ``--program`` dimension (pagerank / katz / kcore) runs through the
-same drivers, so the suite asserts cross-model agreement (bitwise-grade
-for the integer k-core fixpoint, tolerance for the float fixed points),
-bitwise cross-executor parity per program, a Hypothesis property that
-selecting ``--program pagerank`` never changes PageRank output versus a
-hand-rolled pre-engine chain, and that katz/kcore stores are served
-unchanged by both the ``QueryEngine`` and the sharded cluster.
+the ``--program`` dimension (pagerank / katz / kcore / components) runs
+through the same drivers, so the suite asserts cross-model agreement
+(exact for the integer k-core and component-size fixpoints, tolerance for
+the float fixed points), bitwise cross-executor parity per program, a
+Hypothesis property that selecting ``--program pagerank`` never changes
+PageRank output versus a hand-rolled pre-engine chain, and that
+non-PageRank stores are served unchanged by both the ``QueryEngine`` and
+the sharded cluster.
 
 The suite runs under ``REPRO_SANITIZE=1`` in CI (see the sanitize job);
 locally the conftest session fixture honors the same variable.
@@ -248,12 +249,16 @@ class TestProgramCrossModelParity:
             diff = program_runs[program][model].max_difference(ref)
             assert diff < PROGRAM_TOL[program], (program, model, diff)
 
-    def test_kcore_exact_across_models(self, program_runs):
-        """Core numbers are integers peeled from identical undirected
-        simple window graphs — cross-model parity is *exact*."""
-        ref = program_runs["kcore"]["postmortem"].values_matrix()
+    @pytest.mark.parametrize("program", ["kcore", "components"])
+    def test_integer_programs_exact_across_models(
+        self, program_runs, program
+    ):
+        """Core numbers and component sizes are integers computed from
+        identical undirected simple window graphs, and neither depends on
+        vertex ids — cross-model parity is *exact*."""
+        ref = program_runs[program]["postmortem"].values_matrix()
         for model in ("offline", "streaming"):
-            got = program_runs["kcore"][model].values_matrix()
+            got = program_runs[program][model].values_matrix()
             assert np.array_equal(got, ref), model
 
 
@@ -362,11 +367,12 @@ class TestProgramFlagPreservesPagerank:
 
 
 class TestProgramStoreServing:
-    """The acceptance scenario for the new programs: ``run --program
-    katz/kcore --store`` produces a store the query tier serves unchanged
-    — single-process ``QueryEngine`` and the sharded cluster alike."""
+    """The acceptance scenario for the non-PageRank programs: ``run
+    --program katz/kcore/components --store`` produces a store the query
+    tier serves unchanged — single-process ``QueryEngine`` and the sharded
+    cluster alike."""
 
-    @pytest.mark.parametrize("program", ["katz", "kcore"])
+    @pytest.mark.parametrize("program", ["katz", "kcore", "components"])
     def test_store_served_by_engine_and_cluster(
         self, setup, program_runs, program, tmp_path
     ):
