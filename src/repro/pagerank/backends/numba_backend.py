@@ -16,6 +16,7 @@ gracefully**: plans fall back to the inherited NumPy per-partition path,
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -36,8 +37,14 @@ _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 _EMPTY_BOOL = np.zeros(0, dtype=np.bool_)
 
 
+@functools.cache
 def numba_available() -> bool:
-    """True iff ``import numba`` succeeds in this environment."""
+    """True iff ``import numba`` succeeds in this environment.
+
+    Memoized: ``backend="auto"`` asks once per window, and a failed
+    import is not cached by Python, so each retry would rescan
+    ``sys.path``.  ``numba_available.cache_clear()`` forgets the answer.
+    """
     try:
         import numba  # noqa: F401
     except Exception:

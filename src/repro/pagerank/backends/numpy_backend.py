@@ -30,10 +30,10 @@ class NumpyPlan(EdgePlan):
         contrib: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if contrib is None:
-            c = np.take(w, self.col)
+            c = w.take(self.col)
         else:
             c = contrib
-            np.take(w, self.col, out=c)
+            w.take(self.col, out=c)
         if mask is not None:
             c *= mask
         if weights is not None:

@@ -141,7 +141,7 @@ class PcpmPlan(EdgePlan):
                 out[base: base + wd] = 0.0
                 continue
             cs = contrib[lo:hi]
-            np.take(w, self.col[lo:hi], out=cs)
+            w.take(self.col[lo:hi], out=cs)
             if mask is not None:
                 cs *= mask[lo:hi]
             if weights is not None:

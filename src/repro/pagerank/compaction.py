@@ -10,8 +10,11 @@ regimes) still pays the full structure pass per iteration.
 Compaction is the classic gather-scatter move from the GAP/STINGER CSR
 lineage: pay one Θ(nnz) pass *per window* to pack the active deduplicated
 in-edges into a dense ``(indptr_c, col_c, rows_c)`` triple, then iterate
-over only the Θ(|E_w|) packed edges.  A boolean compress preserves order,
-so the packed edges keep their **within-row order**; reducing them with
+over only the Θ(|E_w|) packed edges (the kernels then relabel the pack
+into the window's own vertex space, so the vertex side of an iteration is
+Θ(|V_w|) and the whole iteration Θ(|V_w| + |E_w|)).  A boolean compress
+preserves order, so the packed edges keep their **within-row order** (and
+a monotone relabelling keeps it too); reducing them with
 the sequential :func:`~repro.utils.segments.segment_sum_ordered` then
 performs exactly the same additions in exactly the same order as the
 masked path — the results are bitwise-identical (masked positions

@@ -1,9 +1,16 @@
 """The SpMV-style postmortem PageRank kernel.
 
-One power iteration is a *pull* over the temporal CSR's in-orientation:
+One power iteration is a *pull* over the temporal CSR's in-orientation,
+restricted to the window's active vertex set ``V_w``:
 
-    y[v] = alpha/|V_i| + (1 - alpha) * Σ_{active in-edges (u, v)} x[u] / outdeg_i(u)
+    y[v] = alpha/|V_w| + (1 - alpha) * Σ_{active in-edges (u, v)} x[u] / outdeg_w(u)
 
+Each window is solved in its own **window-local vertex space**
+``[0, |V_w|)``.  Once per window the edge list the iteration streams is
+relabelled with a monotone map (local id = rank of the vertex among the
+active ones), and ``x0``, the inverse out-degrees and the dangling set are
+gathered into ``|V_w|``-length vectors.  Every per-iteration array then
+has length |V_w| (vertex side) or the streamed edge count (edge side),
 implemented as fully-vectorized NumPy (per the HPC-Python guides: gather +
 masked multiply + a sequential segment sum; no Python-level edge loop):
 
@@ -18,12 +25,16 @@ would round differently depending on how many masked zeros pad each row.
 
 The **masked** path traverses the whole stored structure (all ``nnz``
 events of the multi-window graph) each iteration and zeroes inactive
-events.  The **compacted** path (:mod:`repro.pagerank.compaction`) packs
-the active deduped edges once per window and iterates over only the
-Θ(|E_w|) packed arrays — bitwise-identical output, literal per-iteration
-Θ(|E_w|) work.  ``config.edge_path`` selects between them (``"auto"``
-asks the cost model, using the chain's ``iteration_hint`` when the driver
-supplies one).
+events; an inactive source or row carries only masked ``+0.0``
+contributions, so the monotone map may fold it into a neighbouring active
+id without changing a bit.  The **compacted** path
+(:mod:`repro.pagerank.compaction`) packs the active deduped edges once per
+window, so one iteration costs Θ(|V_w| + |E_w|) — bitwise-identical
+output.  ``config.edge_path`` selects between them (``"auto"`` asks the
+cost model, using the chain's ``iteration_hint`` when the driver supplies
+one).  The one length-``n`` pass left per iteration is the residual sum,
+which runs over a zero-padded buffer so its pairwise summation keeps the
+bits of the whole-graph residual.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.workspace import Workspace
 
 __all__ = ["pagerank_window"]
 
@@ -63,14 +75,15 @@ def pagerank_window(
     x0:
         Optional initial vector (e.g. from
         :func:`~repro.pagerank.init.partial_initialization`); defaults to
-        the uniform full initialization.
+        the uniform full initialization.  Only its entries on the window's
+        active vertices are read.
     workspace:
         Optional :class:`~repro.pagerank.workspace.Workspace` supplying the
-        per-iteration scratch (share vector, Θ(nnz) contribution buffer,
-        rank ping-pong pair, residual buffer) so a multi-window chain pays
-        the allocator once instead of per window per iteration.  Results
-        are bitwise-identical with and without a workspace; the returned
-        values are always a freshly owned array.
+        per-iteration scratch (window-local rank ping-pong pair, share
+        vector, Θ(nnz) contribution buffer, residual buffer) so a
+        multi-window chain pays the allocator once instead of per window.
+        Results are bitwise-identical with and without a workspace; the
+        returned values are always a freshly owned array.
     iteration_hint:
         Expected iteration count for the ``edge_path="auto"`` decision —
         drivers pass the chain's previous window count.
@@ -79,124 +92,151 @@ def pagerank_window(
     -------
     PagerankResult
         Values live in the view's (local) vertex space; inactive vertices
-        hold exactly 0.
+        hold exactly ``+0.0``.
     """
-    adjacency = view.adjacency
-    n = adjacency.n_vertices
-    n_active = view.n_active_vertices
-    if n_active == 0:
+    n = view.adjacency.n_vertices
+    if view.n_active_vertices == 0:
         return PagerankResult(
             values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
-
-    in_csr = adjacency.in_csr
-    dedup = view.in_dedup
-    nnz = in_csr.nnz
-    inv_out = view.inverse_out_degrees()
-    active_mask = view.active_vertices_mask
-    # precomputed dangling index set: the boolean-mask formulation
-    # (`x[dangling].sum()`) re-scans and copies Θ(n) every iteration
-    dangling_idx = np.flatnonzero(active_mask & (view.out_degrees == 0))
-
+    in_csr = view.adjacency.in_csr
     path = resolve_edge_path(
-        config, nnz, view.n_active_edges, n, iteration_hint
+        config, in_csr.nnz, view.n_active_edges, n, iteration_hint
     )
     if path == "compacted":
         packed = view.compact_pull(workspace=workspace)
-        it_col, it_rows = packed.col, packed.rows
-        it_nnz = packed.n_edges
+        col, rows, mask = packed.col, packed.rows, None
     else:
-        it_col, it_rows = in_csr.col, in_csr.row_ids()
-        it_nnz = nnz
-    it_mask = dedup if path != "compacted" else None
+        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
+    return _power_iterate(
+        view, config, x0, workspace, iteration_hint,
+        col, rows, mask, None, view.out_degrees,
+    )
+
+
+def _power_iterate(
+    view: WindowView,
+    config: PagerankConfig,
+    x0: Optional[np.ndarray],
+    workspace: Optional[Workspace],
+    iteration_hint: Optional[int],
+    col: np.ndarray,
+    rows: np.ndarray,
+    mask: Optional[np.ndarray],
+    weights: Optional[np.ndarray],
+    out_weight: np.ndarray,
+) -> PagerankResult:
+    """The power iteration shared by the SpMV and weighted kernels.
+
+    ``col``/``rows`` are the resolved pull edge list in the graph's vertex
+    space (destination-grouped), ``mask`` the per-edge activity mask of the
+    masked path (``None`` when compacted), ``weights`` the optional
+    per-edge multiplicities, and ``out_weight`` the length-``n`` window
+    out-degree (or out-strength) vector, zero exactly at dangling and
+    inactive vertices.  The view must have at least one active vertex.
+    """
+    n = view.adjacency.n_vertices
+    nnz = view.adjacency.in_csr.nnz
+    k = view.n_active_vertices
+    m = col.shape[0]
+    ws = workspace if workspace is not None else Workspace()
+
+    # monotone global -> local map: an active vertex gets its rank among
+    # the active ones, an inactive one folds into the preceding active id
+    # (it only ever carries masked +0.0 contributions), so relabelled rows
+    # stay non-decreasing and within-row order is untouched
+    active_idx = np.flatnonzero(view.active_vertices_mask)
+    local_id = ws.buffer("spmv.local_id", (n,), np.int64)
+    np.cumsum(view.active_vertices_mask, dtype=np.int64, out=local_id)
+    local_id -= 1
+    np.maximum(local_id, 0, out=local_id)
+    local_col, local_rows = ws.buffer("spmv.edges", (2, nnz), np.int64)[:, :m]
+    local_id.take(col, out=local_col)
+    local_id.take(rows, out=local_rows)
 
     # the backend prices the edges the iteration actually streams (after
     # the edge_path decision) and precomputes its per-window plan once —
     # the PCPM destination binning, pooled like the compaction buffers
-    work = WorkStats()
-    backend = resolve_backend(config, it_nnz, n, iteration_hint)
+    backend = resolve_backend(config, m, n, iteration_hint)
     t_bin = time.perf_counter()
     plan = backend.make_plan(
-        it_col, it_rows, n,
-        workspace=workspace, key="spmv.plan", capacity=nnz,
+        local_col, local_rows, k,
+        workspace=ws, key="spmv.plan", capacity=nnz,
     )
-    work.binning_seconds += time.perf_counter() - t_bin
+    binning_seconds = time.perf_counter() - t_bin
 
-    ws = workspace
-    if ws is not None:
-        # ping-pong rank buffers: x and y alternate between the pair so an
-        # iteration never reads the array it is writing
-        rank0 = ws.buffer("spmv.rank0", (n,), np.float64)
-        rank1 = ws.buffer("spmv.rank1", (n,), np.float64)
-        w_buf = ws.buffer("spmv.w", (n,), np.float64)
-        contrib = ws.buffer("spmv.contrib", (nnz,), np.float64)[:it_nnz]
-        resid = ws.buffer("spmv.resid", (n,), np.float64)
-        dang_buf = ws.buffer(
-            "spmv.dangling", (dangling_idx.size,), np.float64
-        )
+    # window-local scratch: capacity-n pooled rows sliced to |V_w|; x and
+    # y ping-pong between rank0/rank1 so an iteration never reads the
+    # array it is writing
+    rank0, rank1, share, diff, inv, dang_buf = ws.buffer(
+        "spmv.vertex", (6, n), np.float64
+    )[:, :k]
+    contrib = ws.buffer("spmv.contrib", (nnz,), np.float64)[:m]
+    # |y - x| scattered into zeros: the same n-term pairwise sum (and so
+    # the same bits) as a residual over the whole vertex space
+    resid = ws.zeros("spmv.resid", (n,), np.float64)
 
     if x0 is None:
-        x = full_initialization(view)
+        x0 = full_initialization(view)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (n,):
+        raise ValidationError(f"x0 must have shape ({n},), got {x0.shape}")
+    x0.take(active_idx, out=rank0)
+    # inv = 1/out_weight on the active vertices, 0 where dangling
+    np.copyto(inv, out_weight.take(active_idx))
+    if config.dangling == "uniform":
+        dangling = np.flatnonzero(inv == 0.0)
     else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValidationError(
-                f"x0 must have shape ({n},), got {x.shape}"
-            )
-        x = x.copy() if ws is None else x
-    if ws is not None:
-        np.copyto(rank0, x)
-        x = rank0
+        dangling = np.zeros(0, dtype=np.int64)
+    np.divide(1.0, inv, out=inv, where=inv != 0.0)
+    dang_buf = dang_buf[: dangling.size]
 
-    alpha = config.alpha
     damping = config.damping
-    teleport = alpha / n_active
+    teleport = config.alpha / k
     residual = np.inf
-
-    for it in range(1, config.max_iterations + 1):
+    iterations = 0
+    propagate_seconds = 0.0
+    x = rank0
+    for iterations in range(1, config.max_iterations + 1):
         t_prop = time.perf_counter()
-        if ws is None:
-            w = x * inv_out
-            y = plan.propagate(w, mask=it_mask)
-        else:
-            np.multiply(x, inv_out, out=w_buf)
-            y = rank1 if x is rank0 else rank0
-            plan.propagate(w_buf, mask=it_mask, out=y, contrib=contrib)
-        work.propagate_seconds += time.perf_counter() - t_prop
+        np.multiply(x, inv, out=share)
+        y = rank1 if x is rank0 else rank0
+        plan.propagate(
+            share, mask=mask, weights=weights, out=y, contrib=contrib
+        )
+        propagate_seconds += time.perf_counter() - t_prop
         y *= damping
-        if config.dangling == "uniform" and dangling_idx.size:
-            if ws is None:
-                dangling_mass = float(x[dangling_idx].sum())
-            else:
-                np.take(x, dangling_idx, out=dang_buf)
-                dangling_mass = float(dang_buf.sum())
+        if dangling.size:
+            x.take(dangling, out=dang_buf)
+            dangling_mass = float(np.add.reduce(dang_buf))
             if dangling_mass:
-                y[active_mask] += damping * dangling_mass / n_active
-        y[active_mask] += teleport
-        y[~active_mask] = 0.0
-
-        if ws is None:
-            residual = float(np.abs(y - x).sum())
-        else:
-            np.subtract(y, x, out=resid)
-            np.abs(resid, out=resid)
-            residual = float(resid.sum())
+                y += damping * dangling_mass / k
+        y += teleport
+        np.subtract(y, x, out=diff)
+        np.abs(diff, out=diff)
+        resid[active_idx] = diff
+        residual = float(np.add.reduce(resid))
         x = y
-        work.iterations += 1
-        work.edge_traversals += it_nnz
-        work.active_edge_traversals += view.n_active_edges
-        work.vertex_ops += n_active
         if residual < config.tolerance:
-            return PagerankResult(
-                x if ws is None else x.copy(), it, True, residual, work
+            break
+    else:
+        if config.strict:
+            raise ConvergenceError(
+                f"window {view.window.index} did not converge in "
+                f"{config.max_iterations} iterations "
+                f"(residual {residual:.3e})"
             )
 
-    if config.strict:
-        raise ConvergenceError(
-            f"window {view.window.index} did not converge in "
-            f"{config.max_iterations} iterations (residual {residual:.3e})"
-        )
+    values = np.zeros(n, dtype=np.float64)
+    values[active_idx] = x
+    work = WorkStats(
+        iterations=iterations,
+        edge_traversals=iterations * m,
+        active_edge_traversals=iterations * view.n_active_edges,
+        vertex_ops=iterations * k,
+        binning_seconds=binning_seconds,
+        propagate_seconds=propagate_seconds,
+    )
     return PagerankResult(
-        x if ws is None else x.copy(),
-        config.max_iterations, False, residual, work,
+        values, iterations, residual < config.tolerance, residual, work
     )

@@ -16,22 +16,24 @@ group the active events are contiguous, so the per-group count is a
 segment-count over *group runs* — the same O(nnz) vectorized machinery as
 the dedup mask.  No extra arrays are stored; weights are derived per
 window from the timestamps.
+
+The iteration itself is the SpMV kernel's window-local power loop: the
+weighted edge list is relabelled into ``[0, |V_w|)`` once per window and
+the scratch lives in that vertex space, so one iteration on the compacted
+path costs Θ(|V_w| + |E_w|).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import TemporalCSR, WindowView
-from repro.pagerank.backends import resolve_backend
 from repro.pagerank.compaction import compact_pull_weighted, resolve_edge_path
 from repro.pagerank.config import PagerankConfig
-from repro.pagerank.init import full_initialization
-from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.result import PagerankResult
+from repro.pagerank.spmv import _power_iterate
 
 __all__ = ["window_edge_weights", "pagerank_window_weighted"]
 
@@ -70,135 +72,41 @@ def pagerank_window_weighted(
 
     Same convergence/dangling semantics as the unweighted kernel; with all
     multiplicities equal to 1 the two kernels coincide exactly (tested).
-    ``workspace`` recycles the per-iteration share/contribution/rank
-    scratch; returned values are always freshly owned.  ``config.
-    edge_path="compacted"`` packs the active edges *and* their
+    Both run the same window-local power iteration
+    (:func:`~repro.pagerank.spmv._power_iterate`), so one iteration costs
+    Θ(|V_w| + |E_w|) on the compacted path and ``workspace`` recycles the
+    same |V_w|-sized scratch; returned values are always freshly owned.
+    ``config.edge_path="compacted"`` packs the active edges *and* their
     multiplicities once (:func:`~repro.pagerank.compaction.
-    compact_pull_weighted`) so each iteration streams Θ(|E_w|) —
-    bitwise-identical to the masked path.
+    compact_pull_weighted`) — bitwise-identical to the masked path.
     """
-    adjacency = view.adjacency
-    n = adjacency.n_vertices
-    n_active = view.n_active_vertices
-    if n_active == 0:
+    n = view.adjacency.n_vertices
+    if view.n_active_vertices == 0:
         return PagerankResult(
             values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
 
     ts, te = view.window.t_start, view.window.t_end
-    in_csr = adjacency.in_csr
+    in_csr = view.adjacency.in_csr
     dedup, weights = window_edge_weights(in_csr, ts, te)
     col = in_csr.col
-    nnz = in_csr.nnz
 
     # weighted out-strength per source: sum of its outgoing edge weights
     out_strength = np.zeros(n, dtype=np.float64)
     np.add.at(out_strength, col[dedup], weights[dedup])
-    inv_strength = np.zeros(n, dtype=np.float64)
-    nz = out_strength > 0
-    inv_strength[nz] = 1.0 / out_strength[nz]
-
-    active_mask = view.active_vertices_mask
-    dangling_idx = np.flatnonzero(active_mask & ~nz)
 
     path = resolve_edge_path(
-        config, nnz, view.n_active_edges, n, iteration_hint
+        config, in_csr.nnz, view.n_active_edges, n, iteration_hint
     )
     if path == "compacted":
         packed = compact_pull_weighted(
             view, dedup, weights, workspace=workspace
         )
-        it_col, it_rows = packed.col, packed.rows
-        it_weights = packed.weights
-        it_nnz = packed.n_edges
+        col, rows, mask = packed.col, packed.rows, None
+        weights = packed.weights
     else:
-        it_col, it_rows, it_weights = col, in_csr.row_ids(), weights
-        it_nnz = nnz
-    it_mask = dedup if path != "compacted" else None
-
-    work = WorkStats()
-    backend = resolve_backend(config, it_nnz, n, iteration_hint)
-    t_bin = time.perf_counter()
-    plan = backend.make_plan(
-        it_col, it_rows, n,
-        workspace=workspace, key="wspmv.plan", capacity=nnz,
-    )
-    work.binning_seconds += time.perf_counter() - t_bin
-
-    ws = workspace
-    if ws is not None:
-        rank0 = ws.buffer("wspmv.rank0", (n,), np.float64)
-        rank1 = ws.buffer("wspmv.rank1", (n,), np.float64)
-        w_buf = ws.buffer("wspmv.w", (n,), np.float64)
-        contrib_buf = ws.buffer("wspmv.contrib", (nnz,), np.float64)[:it_nnz]
-        resid = ws.buffer("wspmv.resid", (n,), np.float64)
-        dang_buf = ws.buffer(
-            "wspmv.dangling", (dangling_idx.size,), np.float64
-        )
-
-    if x0 is None:
-        x = full_initialization(view)
-    else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValidationError(f"x0 must have shape ({n},)")
-        x = x.copy() if ws is None else x
-    if ws is not None:
-        np.copyto(rank0, x)
-        x = rank0
-
-    alpha = config.alpha
-    damping = config.damping
-    teleport = alpha / n_active
-    residual = np.inf
-
-    for it in range(1, config.max_iterations + 1):
-        t_prop = time.perf_counter()
-        if ws is None:
-            w = x * inv_strength
-            y = plan.propagate(w, mask=it_mask, weights=it_weights)
-        else:
-            np.multiply(x, inv_strength, out=w_buf)
-            y = rank1 if x is rank0 else rank0
-            plan.propagate(
-                w_buf, mask=it_mask, weights=it_weights,
-                out=y, contrib=contrib_buf,
-            )
-        work.propagate_seconds += time.perf_counter() - t_prop
-        y *= damping
-        if config.dangling == "uniform" and dangling_idx.size:
-            if ws is None:
-                dangling_mass = float(x[dangling_idx].sum())
-            else:
-                np.take(x, dangling_idx, out=dang_buf)
-                dangling_mass = float(dang_buf.sum())
-            if dangling_mass:
-                y[active_mask] += damping * dangling_mass / n_active
-        y[active_mask] += teleport
-        y[~active_mask] = 0.0
-
-        if ws is None:
-            residual = float(np.abs(y - x).sum())
-        else:
-            np.subtract(y, x, out=resid)
-            np.abs(resid, out=resid)
-            residual = float(resid.sum())
-        x = y
-        work.iterations += 1
-        work.edge_traversals += it_nnz
-        work.active_edge_traversals += view.n_active_edges
-        work.vertex_ops += n_active
-        if residual < config.tolerance:
-            return PagerankResult(
-                x if ws is None else x.copy(), it, True, residual, work
-            )
-
-    if config.strict:
-        raise ConvergenceError(
-            f"weighted kernel did not converge in {config.max_iterations} "
-            f"iterations"
-        )
-    return PagerankResult(
-        x if ws is None else x.copy(),
-        config.max_iterations, False, residual, work,
+        rows, mask = in_csr.row_ids(), dedup
+    return _power_iterate(
+        view, config, x0, workspace, iteration_hint,
+        col, rows, mask, weights, out_strength,
     )

@@ -52,7 +52,9 @@ def no_numba(monkeypatch):
     monkeypatch.setitem(sys.modules, "numba", None)
     monkeypatch.setitem(numba_mod._JIT, "checked", False)
     monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
+    numba_available.cache_clear()
     yield
+    numba_available.cache_clear()
     monkeypatch.setitem(numba_mod._JIT, "checked", False)
     monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
 
@@ -313,10 +315,36 @@ class TestBackendSelection:
 # ---------------------------------------------------------------------------
 # numba degradation
 # ---------------------------------------------------------------------------
+class _CountingFinder:
+    """A ``sys.meta_path`` finder that only counts ``numba`` lookups."""
+
+    def __init__(self) -> None:
+        self.lookups = 0
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname == "numba":
+            self.lookups += 1
+        return None
+
+
 class TestNumbaDegradation:
     def test_availability_reports_false(self, no_numba):
         assert numba_available() is False
         assert backend_availability()["numba"][0] is False
+
+    def test_failed_import_is_attempted_once(self, monkeypatch):
+        # backend="auto" resolves once per window; a missing numba must
+        # not cost a sys.path scan per window
+        finder = _CountingFinder()
+        monkeypatch.setattr(sys, "meta_path", [finder, *sys.meta_path])
+        numba_available.cache_clear()
+        try:
+            cfg = PagerankConfig(backend="auto")
+            for _ in range(5):
+                resolve_backend(cfg, 1_000, 100)
+        finally:
+            numba_available.cache_clear()
+        assert finder.lookups <= 1
 
     def test_plan_falls_back_bitwise(self, no_numba):
         rng = np.random.default_rng(11)
