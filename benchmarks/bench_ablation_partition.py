@@ -17,7 +17,7 @@ Run:  pytest benchmarks/bench_ablation_partition.py --benchmark-only -s
 from __future__ import annotations
 
 from benchmarks._common import BENCH_CONFIG, emit, get_events, spec_for
-from repro.graph import BalancedMultiWindowPartition, MultiWindowPartition
+from repro.graph import BalancedMultiWindowPartition
 from repro.graph.balanced import run_work
 from repro.models import PostmortemDriver, PostmortemOptions
 from repro.reporting import format_table

@@ -42,7 +42,7 @@ from benchmarks._common import (
     get_events,
     spec_for,
 )
-from repro.graph import MultiWindowPartition
+from repro.graph import LazyMultiWindowPartition
 from repro.pagerank import (
     Workspace,
     compact_pull_union,
@@ -93,7 +93,7 @@ def test_edge_compaction():
 
     # one multi-window graph over the whole span: every window is a thin
     # activity slice of the shared structure — the regime compaction targets
-    graph = MultiWindowPartition(events, spec, 1).graphs[0]
+    graph = LazyMultiWindowPartition(events, spec, 1).graphs[0]
     nnz = graph.nnz
     views = [graph.window_view(i) for i in graph.window_indices()]
     ratios = np.array(

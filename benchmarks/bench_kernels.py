@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks._common import BENCH_CONFIG, get_events
 from repro.events import WindowSpec
-from repro.graph import MultiWindowPartition, TemporalAdjacency, build_csr_from_edges
+from repro.graph import LazyMultiWindowPartition, TemporalAdjacency, build_csr_from_edges
 from repro.pagerank import pagerank_window, pagerank_windows_spmm
 from repro.streaming.stinger import StreamingGraph
 
@@ -40,8 +40,10 @@ def test_temporal_csr_build(benchmark, events):
 
 
 def test_multiwindow_partition_build(benchmark, events, spec):
-    part = benchmark(MultiWindowPartition, events, spec, 6)
-    assert len(part) == 6
+    graphs = benchmark(
+        lambda: LazyMultiWindowPartition(events, spec, 6).graphs
+    )
+    assert len(graphs) == 6
 
 
 def test_window_mask_computation(benchmark, adjacency, spec):

@@ -1,18 +1,17 @@
-"""Out-of-core `.tcsr` construction and lazy postmortem: throughput + RSS.
+"""Out-of-core `.tcsr` construction and postmortem: throughput + RSS.
 
 The question this bench answers: **does the memory-mapped input path
 actually bound resident memory while staying bitwise-correct?**  Three
 measurements:
 
 * **parity** (small scale, in-process) — the artifact's adjacency equals
-  `TemporalAdjacency.from_events` array-for-array, and a lazy postmortem
-  run from the mapped event set is bitwise-identical to the eager in-RAM
-  run;
+  `TemporalAdjacency.from_events` array-for-array, and a postmortem run
+  from the mapped event set is bitwise-identical to the in-RAM run;
 * **build** (subprocess) — `generate_tcsr` at ``REPRO_OOC_EVENTS`` events
   (default 1,000,000; the committed baseline ran at 10,000,000), peak
   ``ru_maxrss`` net of interpreter startup must stay under 50% of the
   artifact's array bytes plus a fixed allocator slack;
-* **run** (subprocess) — a lazy serial postmortem over the whole artifact
+* **run** (subprocess) — a serial postmortem over the whole artifact
   under the same RSS bound: only the pages windows touch (the event log
   plus one transient compact graph at a time) ever become resident.
 
@@ -135,7 +134,6 @@ def _child_run(path: str) -> dict:
         "rss_bytes": _rss_bytes(),
         "seconds": seconds,
         "n_windows": spec.n_windows,
-        "materialize": run.metadata["materialize"],
         "total_iterations": run.total_iterations,
     }
 
@@ -167,7 +165,8 @@ def _spawn(mode: str, *args: str) -> dict:
 # ----------------------------------------------------------------------
 
 def _parity_flags(tmp_dir: str) -> dict:
-    """Small-scale, in-process: artifact vs in-RAM, lazy vs eager."""
+    """Small-scale, in-process: artifact vs in-RAM, adjacency and
+    postmortem run."""
     from repro.datasets import get_profile
     from repro.graph.io import open_adjacency, open_events, write_tcsr
     from repro.graph.temporal_csr import TemporalAdjacency
@@ -190,17 +189,13 @@ def _parity_flags(tmp_dir: str) -> dict:
     spec = _spec(events)
     cfg = PagerankConfig(tolerance=1e-10, max_iterations=200)
     opts = PostmortemOptions(n_multiwindows=N_MULTIWINDOWS)
-    eager = PostmortemDriver(events, spec, cfg, opts).run()
+    in_ram = PostmortemDriver(events, spec, cfg, opts).run()
     mapped = open_events(path)
-    lazy = PostmortemDriver(mapped, spec, cfg, opts).run()
-    postmortem_match = (
-        lazy.metadata["materialize"] == "lazy"
-        and eager.metadata["materialize"] == "eager"
-        and all(
-            np.array_equal(w0.values, w1.values)
-            and w0.iterations == w1.iterations
-            for w0, w1 in zip(eager.windows, lazy.windows)
-        )
+    from_file = PostmortemDriver(mapped, spec, cfg, opts).run()
+    postmortem_match = all(
+        np.array_equal(w0.values, w1.values)
+        and w0.iterations == w1.iterations
+        for w0, w1 in zip(in_ram.windows, from_file.windows)
     )
     mapped.close()
     return {
@@ -241,7 +236,6 @@ def test_outofcore(tmp_path):
             "seconds": run["seconds"],
             "n_windows": run["n_windows"],
             "total_iterations": run["total_iterations"],
-            "materialize": run["materialize"],
             "net_rss_bytes": run_net,
             "rss_within_bound": run_net < rss_bound,
         },
@@ -253,7 +247,7 @@ def test_outofcore(tmp_path):
          f"{payload['build']['events_per_second'] / 1e6:.2f}M ev/s",
          f"{build_net / mb:.0f} MiB"],
         ["run", f"{run['seconds']:.2f}",
-         f"{run['n_windows']} windows ({run['materialize']})",
+         f"{run['n_windows']} windows",
          f"{run_net / mb:.0f} MiB"],
     ]
     text = format_table(

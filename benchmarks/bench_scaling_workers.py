@@ -9,7 +9,7 @@ parallel efficiency — where each level's scaling saturates and why
 and synchronization; nested: the best of both).
 
 The real half exercises the unified runtime: the offline model's window
-loop under every executor (serial / thread / process / shared), asserting
+loop under every executor (serial / thread / shared), asserting
 bitwise-identical vectors and recording machine-independent dispatch
 metrics to ``benchmarks/output/scaling_workers.json`` for
 ``check_regression.py`` (baseline: ``BENCH_scaling_workers.json``).
@@ -43,7 +43,7 @@ WORKERS = [1, 2, 4, 8, 16, 24, 48, 96]
 
 #: worker count for the real offline executor sweep (CI-friendly)
 OFFLINE_WORKERS = 4
-OFFLINE_EXECUTORS = ("serial", "thread", "process", "shared")
+OFFLINE_EXECUTORS = ("serial", "thread", "shared")
 
 
 def run_scaling():
@@ -151,7 +151,6 @@ def test_offline_executor_sweep(benchmark):
 
     # every parallel executor must reproduce serial bit for bit
     assert payload["thread_match_exact"]
-    assert payload["process_match_exact"]
     assert payload["shared_match_exact"]
     # shared dispatch ships handles, not arrays: payload stays small
     assert payload["offline"]["shared_payload_bytes"] < 256 * 1024

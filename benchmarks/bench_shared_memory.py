@@ -1,21 +1,22 @@
-"""Executor dispatch cost: pickled processes vs the shared-memory arena.
+"""Executor dispatch cost: the shared-memory arena vs pickling graphs.
 
 The question this bench answers: **what does it cost to hand a
-multi-window graph to a worker?**  Four executors solve the same medium
+multi-window graph to a worker?**  Three executors solve the same medium
 synthetic profile:
 
 * ``serial`` — no dispatch at all (the kernel-time floor);
 * ``thread`` — shared address space, but GIL-bound kernels;
-* ``process`` — true parallelism, but every task pickles its graph's
-  ``indptr/col/time`` arrays into the worker;
-* ``shared`` — graphs published once into a shared-memory arena, tasks
-  carry only segment-name handles.
+* ``shared`` — the event columns published once into a shared-memory
+  arena, tasks carry only a segment-name handle and the graph's build
+  recipe.
 
-Wall-clock on a 1-core CI box is noise, so the *asserted* metrics are
-machine-independent: the bytes a task submission serializes.  The shared
-executor must ship ≤ 10% of the pickled executor's payload (in practice
-it is ~1000x less — handles are a few hundred bytes) while matching the
-thread executor's results bitwise.
+The reference is what pickling every multi-window graph to its worker
+would serialize (the deleted ``process`` executor's dispatch); it is
+computed, not run.  Wall-clock on a 1-core CI box is noise, so the
+*asserted* metrics are machine-independent: the bytes a task submission
+serializes.  The shared executor must ship ≤ 10% of the pickled
+reference (in practice ~1% — handles and recipes are a few hundred bytes)
+while matching the thread executor's results bitwise.
 
 Results are printed, persisted as text, and emitted as JSON
 (``benchmarks/output/shared_memory.json``); the committed baseline lives
@@ -47,8 +48,8 @@ SW_SECONDS = 86_400
 N_MULTIWINDOWS = 4
 N_WORKERS = 2
 
-#: acceptance bound — shared-arena dispatch payload relative to pickled
-#: process dispatch (ISSUE: ≤ 10%; measured ~0.1%)
+#: acceptance bound — shared-arena dispatch payload relative to pickling
+#: every graph (≤ 10%; measured ~1%)
 MAX_PAYLOAD_RATIO = 0.10
 
 
@@ -66,14 +67,14 @@ def _run(events, spec, executor):
 
 
 def _pickled_dispatch_bytes(driver_events, spec):
-    """What executor='process' serializes per run: each task ships its
-    whole multi-window graph (structure arrays included) to a worker."""
-    from repro.graph.multiwindow import MultiWindowPartition
+    """What pickling the graphs to workers serializes per run: each task
+    would ship its whole multi-window graph (structure arrays included)."""
+    from repro.graph.multiwindow import LazyMultiWindowPartition
 
-    part = MultiWindowPartition(driver_events, spec, N_MULTIWINDOWS)
+    part = LazyMultiWindowPartition(driver_events, spec, N_MULTIWINDOWS)
     return sum(
         len(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
-        for g in part.graphs
+        for g in part
     )
 
 
@@ -82,7 +83,7 @@ def test_shared_memory_dispatch():
     spec = spec_for(events, DELTA_DAYS, SW_SECONDS, max_windows=48)
 
     runs, seconds = {}, {}
-    for executor in ("serial", "thread", "process", "shared"):
+    for executor in ("serial", "thread", "shared"):
         runs[executor], seconds[executor] = _run(events, spec, executor)
 
     # -- correctness: shared must match thread bitwise -------------------
@@ -132,11 +133,9 @@ def test_shared_memory_dispatch():
 
     rows = [
         [ex, f"{seconds[ex]:.3f}",
-         "-" if ex in ("serial", "thread") else (
-             f"{pickled_payload:,}" if ex == "process"
-             else f"{shared_payload:,}")]
-        for ex in ("serial", "thread", "process", "shared")
-    ]
+         f"{shared_payload:,}" if ex == "shared" else "-"]
+        for ex in ("serial", "thread", "shared")
+    ] + [["(pickled graphs)", "-", f"{pickled_payload:,}"]]
     text = format_table(
         ["executor", "wall (s)", "dispatch bytes"], rows,
         title=(

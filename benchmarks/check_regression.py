@@ -74,7 +74,6 @@ REQUIRED_FLAGS = {
     "shared_memory": [("thread_match_exact",)],
     "scaling_workers": [
         ("thread_match_exact",),
-        ("process_match_exact",),
         ("shared_match_exact",),
     ],
     "edge_compaction": [

@@ -50,7 +50,7 @@ from repro.graph import (
     TemporalAdjacency,
     WindowView,
     MultiWindowGraph,
-    MultiWindowPartition,
+    LazyMultiWindowPartition,
 )
 from repro.pagerank import (
     PagerankConfig,
@@ -118,7 +118,7 @@ __all__ = [
     "TemporalAdjacency",
     "WindowView",
     "MultiWindowGraph",
-    "MultiWindowPartition",
+    "LazyMultiWindowPartition",
     # pagerank
     "PagerankConfig",
     "PagerankResult",

@@ -10,22 +10,21 @@ formula and the actually-allocated bytes per multi-window graph, plus the
 replication overhead vs. the raw event log — the quantity the multi-window
 count Y trades against per-SpMV work (Figure 8's companion discussion).
 
-Out-of-core runs split the accounting: ``heap_bytes`` is what the process
-actually owns (resident by construction), ``mapped_bytes`` is file-backed
-address space the kernel pages in and out on demand (a ``.tcsr`` artifact
-opened via :func:`repro.graph.io.open_events`).  Only the heap side counts
-against the paper's fit-in-memory requirement.
+Partitions build their graphs on demand, so each graph's bytes are a
+transient cost of the task solving it, never a standing allocation.  The
+accounting splits them by residency: ``heap_bytes`` is what the process
+owns while the graph is alive, ``mapped_bytes`` is file-backed address
+space the kernel pages in and out on demand (a ``.tcsr`` artifact opened
+via :func:`repro.graph.io.open_events`).  Only the heap side counts against
+the paper's fit-in-memory requirement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
-from repro.graph.multiwindow import (
-    LazyMultiWindowPartition,
-    MultiWindowPartition,
-)
+from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.utils.arrays import heap_and_mapped_bytes
 
 __all__ = ["MemoryReport", "memory_report", "ENCODING_BYTES"]
@@ -38,9 +37,9 @@ class GraphMemory:
     """Memory of one multi-window graph.
 
     ``heap_bytes`` + ``mapped_bytes`` partition the graph's array bytes by
-    residency: heap allocations vs file-backed memory maps.  For a lazy
-    partition the graphs are transient — ``heap_bytes`` is then the peak
-    one in-flight graph costs, not a standing allocation.
+    residency: heap allocations vs file-backed memory maps.  Graphs are
+    transient, so ``heap_bytes`` is what this graph costs while a task
+    holds it, not a standing allocation.
     """
 
     index: int
@@ -65,21 +64,11 @@ class MemoryReport:
     raw_event_bytes: int
     raw_event_mapped_bytes: int
     replication_factor: float
-    lazy: bool
 
     @property
     def total_model_bytes(self) -> int:
         """The paper's formula summed over all multi-window graphs."""
         return sum(g.model_bytes for g in self.graphs)
-
-    @property
-    def total_heap_bytes(self) -> int:
-        """Bytes the process owns outright.  For a lazy partition the
-        graphs are built per task and dropped, so the standing total is 0
-        and the per-graph values are transient peaks."""
-        if self.lazy:
-            return 0
-        return sum(g.heap_bytes for g in self.graphs)
 
     @property
     def total_mapped_bytes(self) -> int:
@@ -91,8 +80,8 @@ class MemoryReport:
 
     @property
     def peak_transient_bytes(self) -> int:
-        """Largest single-graph heap cost — what one in-flight lazy
-        materialization adds to RSS."""
+        """Largest single-graph heap cost — what one in-flight graph adds
+        to RSS."""
         return max((g.heap_bytes for g in self.graphs), default=0)
 
     @property
@@ -112,18 +101,15 @@ class MemoryReport:
 
 
 def memory_report(
-    partition: Union[MultiWindowPartition, LazyMultiWindowPartition],
+    partition: LazyMultiWindowPartition,
 ) -> MemoryReport:
     """Account the memory of a multi-window partition.
 
-    Works for both eager and lazy partitions; for a lazy one, graphs are
-    materialized one at a time (never all resident) and reported as
+    Graphs are built one at a time (never all resident) and reported as
     transient costs.
     """
-    lazy = isinstance(partition, LazyMultiWindowPartition)
     graphs = []
-    graph_iter = iter(partition) if lazy else partition.graphs
-    for i, g in enumerate(graph_iter):
+    for i, g in enumerate(partition):
         model = ENCODING_BYTES * (g.n_local_vertices + 2 * g.nnz)
         graphs.append(
             GraphMemory(
@@ -145,5 +131,4 @@ def memory_report(
         raw_event_bytes=raw_heap + raw_mapped,
         raw_event_mapped_bytes=raw_mapped,
         replication_factor=partition.replication_factor,
-        lazy=lazy,
     )

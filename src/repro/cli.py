@@ -60,6 +60,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
     from repro.programs.registry import PROGRAMS
+    from repro.runtime.execution import EXECUTORS
 
     parser = argparse.ArgumentParser(
         prog="repro-temporal",
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--graph", default=None, metavar="PATH",
                        help="run from a .tcsr artifact: events and "
                        "adjacency stay memory-mapped, multi-window graphs "
-                       "materialize lazily per task")
+                       "are built per task")
     add_window_args(p_run)
     p_run.add_argument("--model", default="postmortem",
                        choices=["offline", "streaming", "postmortem"],
@@ -126,11 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--partition", default="uniform",
                        choices=["uniform", "minimax", "greedy"])
     p_run.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process", "shared"],
+                       choices=list(EXECUTORS),
                        help="how window work is fanned out: in this "
-                       "process, by a thread pool, by a pickling process "
-                       "pool, or by a shared-memory process pool "
-                       "(zero-copy publication; works with --store). "
+                       "process, by a thread pool, or by a shared-memory "
+                       "process pool (zero-copy publication; works with "
+                       "--store). "
                        "postmortem parallelizes over multi-window graphs, "
                        "offline over windows; streaming is serial-only")
     p_run.add_argument("--executor-workers", type=int, default=4,

@@ -82,6 +82,24 @@ class TemporalEventSet:
         self.time = np.ascontiguousarray(time)
         self.n_vertices = int(n_vertices)
 
+    @classmethod
+    def from_validated(
+        cls, src: np.ndarray, dst: np.ndarray, time: np.ndarray,
+        n_vertices: int,
+    ) -> "TemporalEventSet":
+        """Wrap the columns of an event set that was already validated.
+
+        Skips the constructor's O(|Events|) scans — for views of a log
+        another event set checked, e.g. a shared-memory worker's attached
+        copy of its parent's columns.
+        """
+        events = object.__new__(cls)
+        events.src = src
+        events.dst = dst
+        events.time = time
+        events.n_vertices = int(n_vertices)
+        return events
+
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.graph.io import (
 from repro.graph.multiwindow import (
     LazyMultiWindowPartition,
     MultiWindowGraph,
-    MultiWindowPartition,
 )
 from repro.graph.balanced import (
     BalancedMultiWindowPartition,
@@ -50,7 +49,6 @@ __all__ = [
     "open_adjacency",
     "is_tcsr",
     "MultiWindowGraph",
-    "MultiWindowPartition",
     "LazyMultiWindowPartition",
     "BalancedMultiWindowPartition",
     "balanced_boundaries",

@@ -23,8 +23,9 @@ Two algorithms:
   cross-check and a fallback.
 
 :class:`BalancedMultiWindowPartition` plugs the boundaries into the same
-:class:`~repro.graph.multiwindow.MultiWindowGraph` machinery, so every
-driver and kernel works unchanged — the ablation bench
+on-demand :class:`~repro.graph.multiwindow.LazyMultiWindowPartition`, so
+every driver, executor and kernel works unchanged (``.tcsr`` input stays
+out of core) — the ablation bench
 (``benchmarks/bench_ablation_partition.py``) quantifies the gain over the
 paper's uniform split.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.events.windows import WindowSpec
-from repro.graph.multiwindow import MultiWindowPartition
+from repro.graph.multiwindow import LazyMultiWindowPartition
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.events.event_set import TemporalEventSet
@@ -175,12 +176,13 @@ def balanced_boundaries(
     return best
 
 
-class BalancedMultiWindowPartition(MultiWindowPartition):
+class BalancedMultiWindowPartition(LazyMultiWindowPartition):
     """A multi-window partition with work-balanced (not uniform) runs.
 
-    Drop-in replacement for
-    :class:`~repro.graph.multiwindow.MultiWindowPartition`; pass
-    ``method="greedy"`` for the cheap one-pass splitter.
+    Only the window boundaries differ from
+    :class:`~repro.graph.multiwindow.LazyMultiWindowPartition`: graphs are
+    still built on demand.  Pass ``method="greedy"`` for the cheap
+    one-pass splitter.
     """
 
     def __init__(
@@ -194,26 +196,26 @@ class BalancedMultiWindowPartition(MultiWindowPartition):
             raise ValidationError(
                 f"method must be 'minimax' or 'greedy', got {method!r}"
             )
-        if n_multiwindows <= 0:
-            raise ValidationError("n_multiwindows must be > 0")
-        if method == "minimax":
-            boundaries = balanced_boundaries(events, spec, n_multiwindows)
-        else:
-            boundaries = greedy_boundaries(events, spec, n_multiwindows)
-        self._boundaries = boundaries
+        self.method = method
+        super().__init__(events, spec, n_multiwindows)
 
-        # replicate the parent's construction with custom boundaries
-        self.events = events
-        self.spec = spec
-        self.n_multiwindows = len(boundaries) - 1
-        self.graphs = []
-        self._owner = np.empty(spec.n_windows, dtype=np.int64)
-        for g, (a, b) in enumerate(zip(boundaries[:-1], boundaries[1:])):
-            self._owner[a:b] = g
-            self.graphs.append(self._build_graph(a, b - a))
+    def _window_runs(
+        self, events: "TemporalEventSet", spec: WindowSpec,
+        n_multiwindows: int,
+    ) -> List[tuple]:
+        split = (
+            balanced_boundaries if self.method == "minimax"
+            else greedy_boundaries
+        )
+        self._boundaries = split(events, spec, n_multiwindows)
+        return [
+            (a, b - a)
+            for a, b in zip(self._boundaries[:-1], self._boundaries[1:])
+        ]
 
     @property
     def boundaries(self) -> Sequence[int]:
+        """Window index where each run starts, plus ``n_windows``."""
         return tuple(self._boundaries)
 
     def max_run_work(self) -> int:

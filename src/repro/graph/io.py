@@ -4,7 +4,7 @@ Mirrors the ``.rankstore`` design on the *input* side of the pipeline: a
 versioned preamble at offset 0, every array at a fixed 64-byte-aligned
 offset so readers ``np.memmap`` them directly, and a trailing JSON table
 describing the layout.  Opening an artifact costs O(1) I/O regardless of
-event count; windows materialize lazily because the existing
+event count; windows are built lazily because the existing
 ``WindowView``/workspace machinery only touches the slices a window needs.
 
 Layout of a ``.tcsr`` file::

@@ -10,17 +10,22 @@ are distributed uniformly; events spanning a boundary are replicated
 Each multi-window graph compacts its vertex set (``V_w`` is typically much
 smaller than ``V``), which is also why the paper does not attempt partial
 initialization *across* multi-window boundaries — the index spaces differ.
+
+A partition stores only a small build recipe per graph (its window run and
+event-log slice bounds); each graph is compacted from its slice when a
+worker solves it, so the same recipe serves in-process solves and
+shared-memory workers that hold the event columns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.events.windows import Window, WindowSpec
-from repro.graph.temporal_csr import TemporalAdjacency, TemporalCSR, WindowView
+from repro.graph.temporal_csr import TemporalAdjacency, WindowView
 from repro.utils.arrays import heap_and_mapped_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,10 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "MultiWindowGraph",
-    "MultiWindowPartition",
     "LazyMultiWindowPartition",
     "uniform_window_ranges",
     "build_compact_graph",
+    "graph_from_payload",
 ]
 
 
@@ -127,62 +132,6 @@ class MultiWindowGraph:
         """File-mapped bytes of the adjacency (address space, not RSS)."""
         return self.adjacency.mapped_bytes()
 
-    # ------------------------------------------------------------------
-    # shared-memory publication (repro.parallel.shared_arena)
-    # ------------------------------------------------------------------
-    def shared_arrays(self) -> dict:
-        """The graph's array payload, keyed for arena publication.
-
-        Everything a worker process needs to rebuild this graph without
-        recomputation: both temporal-CSR orientations (including the
-        precomputed ``group_start`` masks) and the vertex id mapping.  The
-        window ``spec`` and ``first_window`` travel separately — they are
-        tiny picklable metadata, not array payload.
-        """
-        a = self.adjacency
-        return {
-            "in_indptr": a.in_csr.indptr,
-            "in_col": a.in_csr.col,
-            "in_time": a.in_csr.time,
-            "in_group_start": a.in_csr.group_start,
-            "out_indptr": a.out_csr.indptr,
-            "out_col": a.out_csr.col,
-            "out_time": a.out_csr.time,
-            "out_group_start": a.out_csr.group_start,
-            "global_ids": self.global_ids,
-        }
-
-    @classmethod
-    def from_shared_arrays(
-        cls, spec: WindowSpec, first_window: int, arrays: dict
-    ) -> "MultiWindowGraph":
-        """Rebuild a graph from :meth:`shared_arrays` views (zero-copy).
-
-        The arrays may be read-only views into a shared-memory segment;
-        no structure pass (sorting, group-start derivation) is repeated.
-        """
-        n_rows = arrays["in_indptr"].size - 1
-        in_csr = TemporalCSR(
-            arrays["in_indptr"],
-            arrays["in_col"],
-            arrays["in_time"],
-            n_rows,
-            group_start=arrays["in_group_start"],
-        )
-        out_csr = TemporalCSR(
-            arrays["out_indptr"],
-            arrays["out_col"],
-            arrays["out_time"],
-            n_rows,
-            group_start=arrays["out_group_start"],
-        )
-        return cls(
-            spec,
-            first_window,
-            TemporalAdjacency(in_csr, out_csr),
-            arrays["global_ids"],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MultiWindowGraph(windows=[{self.first_window}, "
@@ -216,8 +165,7 @@ def build_compact_graph(
 ) -> MultiWindowGraph:
     """Compact a time-sliced event run into one multi-window graph.
 
-    The single construction step shared by the eager and lazy partitions
-    (and by shared-arena workers building graphs in-process): vertex
+    The single construction step behind every multi-window graph: vertex
     compaction via ``union1d`` + ``searchsorted`` relabeling, then both
     temporal-CSR orientations over local ids.
     """
@@ -234,119 +182,38 @@ def build_compact_graph(
     return MultiWindowGraph(sub, first_window, adjacency, ids)
 
 
-class MultiWindowPartition:
-    """Uniform partition of a window sequence into multi-window graphs.
-
-    ``n_multiwindows`` graphs each receive ``ceil(n_windows / Y)`` (or one
-    fewer) consecutive windows, mirroring the paper's uniform distribution.
-    Construction slices the event set once per multi-window graph and
-    compacts vertices; total build cost is O(Σ_w |E_w| log |E_w|).
-    """
-
-    def __init__(
-        self,
-        events: "TemporalEventSet",
-        spec: WindowSpec,
-        n_multiwindows: int,
-    ) -> None:
-        if n_multiwindows <= 0:
-            raise ValidationError(
-                f"n_multiwindows must be > 0, got {n_multiwindows}"
-            )
-        n_multiwindows = min(n_multiwindows, spec.n_windows)
-        self.events = events
-        self.spec = spec
-        self.n_multiwindows = n_multiwindows
-        self.graphs: List[MultiWindowGraph] = []
-        self._owner = np.empty(spec.n_windows, dtype=np.int64)
-
-        for g, (start, count) in enumerate(
-            uniform_window_ranges(spec.n_windows, n_multiwindows)
-        ):
-            self._owner[start: start + count] = g
-            self.graphs.append(self._build_graph(start, count))
-
-    def _build_graph(self, w_start: int, w_count: int) -> MultiWindowGraph:
-        sub = self.spec.subspec(w_start, w_count)
-        t_lo = sub.t0
-        t_hi = sub.t0 + (w_count - 1) * sub.sw + sub.delta
-        lo, hi = self.events.time_slice_indices(t_lo, t_hi)
-        return build_compact_graph(
-            self.events.src[lo:hi],
-            self.events.dst[lo:hi],
-            self.events.time[lo:hi],
-            sub,
-            w_start,
-        )
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.n_multiwindows
-
-    def __iter__(self) -> Iterator[MultiWindowGraph]:
-        return iter(self.graphs)
-
-    def __getitem__(self, g: int) -> MultiWindowGraph:
-        return self.graphs[g]
-
-    def owner_of(self, window_index: int) -> int:
-        """Which multi-window graph holds a global window index."""
-        if not (0 <= window_index < self.spec.n_windows):
-            raise ValidationError(
-                f"window index {window_index} out of range"
-            )
-        return int(self._owner[window_index])
-
-    def graph_of(self, window_index: int) -> MultiWindowGraph:
-        """The multi-window graph owning a global window index."""
-        return self.graphs[self.owner_of(window_index)]
-
-    def window_view(self, window_index: int, workspace=None) -> WindowView:
-        """Per-window view routed through the owning multi-window graph
-        (``workspace`` forwarded for construction-scratch and
-        compaction-buffer reuse)."""
-        return self.graph_of(window_index).window_view(
-            window_index, workspace=workspace
-        )
-
-    @property
-    def total_stored_events(self) -> int:
-        """Σ_w |E_w| — the replication-inflated storage volume."""
-        return sum(g.nnz for g in self.graphs)
-
-    @property
-    def replication_factor(self) -> float:
-        """Σ_w |E_w| / |Events| (>= 1 up to boundary truncation)."""
-        n = len(self.events)
-        return self.total_stored_events / n if n else 1.0
-
-    def memory_bytes(self) -> int:
-        """Total representation memory — encoding × (Σ|V_w| + 2 Σ|E_w|) in
-        the paper's accounting, measured here directly."""
-        return sum(g.memory_bytes() for g in self.graphs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MultiWindowPartition(Y={self.n_multiwindows}, "
-            f"windows={self.spec.n_windows}, "
-            f"stored_events={self.total_stored_events})"
-        )
+def graph_from_payload(
+    events: "TemporalEventSet", payload: tuple
+) -> MultiWindowGraph:
+    """Build the graph a :meth:`LazyMultiWindowPartition.graph_payload`
+    recipe describes from the full event log it was computed over."""
+    sub, first_window, lo, hi = payload
+    return build_compact_graph(
+        events.src[lo:hi],
+        events.dst[lo:hi],
+        events.time[lo:hi],
+        sub,
+        first_window,
+    )
 
 
 class LazyMultiWindowPartition:
-    """A uniform partition that materializes graphs on demand.
+    """A partition of the window sequence into multi-window graphs, each
+    built on demand.
 
-    Construction computes only the per-graph window ranges and event-log
+    ``n_multiwindows`` graphs each receive ``ceil(n_windows / Y)`` (or one
+    fewer) consecutive windows, mirroring the paper's uniform distribution;
+    :class:`~repro.graph.balanced.BalancedMultiWindowPartition` supplies
+    work-balanced runs instead.
+
+    Construction computes only the per-graph window runs and event-log
     slice bounds (two ``searchsorted`` probes each — with a ``.tcsr``
     event set that touches a handful of pages, not the whole log).  A
     multi-window graph's arrays exist only while someone holds the object
     :meth:`graph_at` returned, so peak memory for a run is one graph per
-    concurrent worker instead of all ``Y`` graphs at once.
-
-    Same read interface as :class:`MultiWindowPartition`, except
-    ``graphs`` is a *property* that eagerly materializes every graph —
-    the escape hatch for analysis paths; runtime paths should iterate or
-    call :meth:`graph_at`.
+    concurrent worker instead of all ``Y`` graphs at once.  ``graphs``
+    builds every graph at once — the escape hatch for analysis
+    paths; runtime paths iterate or call :meth:`graph_at`.
     """
 
     def __init__(
@@ -359,45 +226,43 @@ class LazyMultiWindowPartition:
             raise ValidationError(
                 f"n_multiwindows must be > 0, got {n_multiwindows}"
             )
-        n_multiwindows = min(n_multiwindows, spec.n_windows)
+        runs = self._window_runs(
+            events, spec, min(n_multiwindows, spec.n_windows)
+        )
         self.events = events
         self.spec = spec
-        self.n_multiwindows = n_multiwindows
+        self.n_multiwindows = len(runs)
         self._owner = np.empty(spec.n_windows, dtype=np.int64)
-        #: per graph: (w_start, w_count, sub_spec, event_lo, event_hi)
-        self._ranges: List[tuple] = []
-        for g, (start, count) in enumerate(
-            uniform_window_ranges(spec.n_windows, n_multiwindows)
-        ):
+        #: per graph: the graph_payload recipe (sub_spec, w_start, lo, hi)
+        self._payloads: List[tuple] = []
+        for g, (start, count) in enumerate(runs):
             self._owner[start: start + count] = g
             sub = spec.subspec(start, count)
-            t_lo = sub.t0
             t_hi = sub.t0 + (count - 1) * sub.sw + sub.delta
-            lo, hi = events.time_slice_indices(t_lo, t_hi)
-            self._ranges.append((start, count, sub, int(lo), int(hi)))
+            lo, hi = events.time_slice_indices(sub.t0, t_hi)
+            self._payloads.append((sub, start, int(lo), int(hi)))
+
+    def _window_runs(
+        self, events: "TemporalEventSet", spec: WindowSpec,
+        n_multiwindows: int,
+    ) -> List[tuple]:
+        """``(w_start, w_count)`` per graph: the uniform split."""
+        return uniform_window_ranges(spec.n_windows, n_multiwindows)
 
     # ------------------------------------------------------------------
     def graph_at(self, g: int) -> MultiWindowGraph:
         """Build multi-window graph ``g`` now (a fresh object each call;
         drop the reference to release its arrays)."""
-        w_start, _, sub, lo, hi = self._ranges[g]
-        return build_compact_graph(
-            self.events.src[lo:hi],
-            self.events.dst[lo:hi],
-            self.events.time[lo:hi],
-            sub,
-            w_start,
-        )
+        return graph_from_payload(self.events, self._payloads[g])
 
     def graph_payload(self, g: int) -> tuple:
-        """Picklable build recipe ``(sub_spec, first_window, lo, hi)`` for
-        workers that hold the event arrays already (shared arena)."""
-        w_start, _, sub, lo, hi = self._ranges[g]
-        return (sub, w_start, lo, hi)
+        """Picklable build recipe ``(sub_spec, first_window, lo, hi)`` of
+        graph ``g`` for :func:`graph_from_payload`."""
+        return self._payloads[g]
 
     @property
     def graphs(self) -> List[MultiWindowGraph]:
-        """Materialize *all* graphs (defeats laziness; analysis paths)."""
+        """Build *all* graphs (defeats laziness; analysis paths)."""
         return [self.graph_at(g) for g in range(self.n_multiwindows)]
 
     # ------------------------------------------------------------------
@@ -420,11 +285,12 @@ class LazyMultiWindowPartition:
         return int(self._owner[window_index])
 
     def graph_of(self, window_index: int) -> MultiWindowGraph:
-        """Materialize the graph owning a global window index."""
+        """Build the graph owning a global window index."""
         return self.graph_at(self.owner_of(window_index))
 
     def window_view(self, window_index: int, workspace=None) -> WindowView:
-        """Per-window view via a freshly materialized owning graph."""
+        """Per-window view via a freshly built owning graph
+        (``workspace`` forwarded for construction-scratch reuse)."""
         return self.graph_of(window_index).window_view(
             window_index, workspace=workspace
         )
@@ -432,16 +298,17 @@ class LazyMultiWindowPartition:
     @property
     def total_stored_events(self) -> int:
         """Σ_w |E_w| — known from slice bounds without building graphs."""
-        return sum(hi - lo for _, _, _, lo, hi in self._ranges)
+        return sum(hi - lo for _, _, lo, hi in self._payloads)
 
     @property
     def replication_factor(self) -> float:
+        """Σ_w |E_w| / |Events| (>= 1 up to boundary truncation)."""
         n = len(self.events)
         return self.total_stored_events / n if n else 1.0
 
     def memory_bytes(self) -> int:
-        """Resident representation bytes: 0 — nothing is materialized
-        until a caller asks for a graph."""
+        """Resident representation bytes: 0 — nothing is built until a
+        caller asks for a graph."""
         return 0
 
     def mapped_bytes(self) -> int:
@@ -453,7 +320,7 @@ class LazyMultiWindowPartition:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"LazyMultiWindowPartition(Y={self.n_multiwindows}, "
+            f"{type(self).__name__}(Y={self.n_multiwindows}, "
             f"windows={self.spec.n_windows}, "
             f"stored_events={self.total_stored_events})"
         )

@@ -7,20 +7,13 @@ being "embarrassingly parallel" — and what makes it pay the full
 graph-construction cost per window, the overhead the postmortem
 representation eliminates.
 
-Because windows are fully independent, this is the one model that supports
-every runtime executor:
-
-* ``serial`` — the reference loop;
-* ``thread`` — contiguous window chunks on a
-  :class:`~repro.parallel.executor.ChunkedThreadExecutor` (the kernels
-  release the GIL in NumPy);
-* ``process`` — window chunks in a process pool, each task carrying only
-  its chunk's slice of the event log (``value_sink`` cannot cross the
-  process boundary and is rejected);
-* ``shared`` — the event log's three columns published once into a
-  shared-memory arena (:func:`repro.parallel.shared_arena.run_arena_tasks`),
-  workers attach zero-copy and sinks run in the parent via the drain
-  thread.
+Because windows are fully independent, this is the one model whose every
+window is its own task.  The run states its work once — one window range
+per window and one module-level worker — and
+:func:`repro.runtime.execution.map_tasks` fans it out under any runtime
+executor (``serial``, ``thread``, or ``shared``, where the event log's
+three columns are published once into a shared-memory arena, workers
+attach zero-copy and sinks run in the parent via the drain thread).
 
 Every executor solves each window with the identical code path, so results
 are bitwise-identical to the serial run — the parity tests assert this.
@@ -28,26 +21,23 @@ are bitwise-identical to the serial run — the parity tests assert this.
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import Window, WindowSpec
 from repro.graph.csr import build_csr_from_edges
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
-from repro.parallel.executor import ChunkedThreadExecutor
 from repro.programs.base import VertexProgram
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
 from repro.runtime.context import NULL_SCOPE, DriverContext, RunScope
-from repro.runtime.execution import require_executor
+from repro.runtime.execution import EXECUTORS, map_tasks, require_executor
 from repro.runtime.sinks import chain_sinks
 
-__all__ = ["OfflineDriver", "solve_offline_chunk"]
+__all__ = ["OfflineDriver"]
 
 
 def _solve_one_window(
@@ -90,69 +80,32 @@ def _solve_one_window(
     return result
 
 
-def solve_offline_chunk(
-    events_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_vertices: int,
-    spec: WindowSpec,
-    lo: int,
-    hi: int,
-    config: PagerankConfig,
-    store_values: bool,
-    program: VertexProgram,
-):
-    """Solve the contiguous window chunk ``[lo, hi)`` from raw event
-    columns.
-
-    Module-level so the ``"process"`` executor can pickle it by reference;
-    the arrays arrive either as a pickled slice of the log (process) or as
-    zero-copy shared-memory views (shared).  Returns
-    ``(window_results, timings, work)`` with vectors included when
-    ``store_values`` (the parent also feeds them to any sink).
-    """
-    src, dst, time = events_arrays
-    events = TemporalEventSet(src, dst, time, n_vertices, sort=False)
-    scope = RunScope()
-    results: List[WindowResult] = []
-    for i in range(lo, hi):
-        results.append(
-            _solve_one_window(
-                events, spec.window(i), config, scope, store_values, None,
-                program,
-            )
-        )
-    return results, scope.timings, scope.work
-
-
-def _arena_offline_worker(
-    view,
-    payload: Tuple[int, int],
+def _solve_window_range(
+    events: TemporalEventSet,
+    window_range: Tuple[int, int],
     index: int,
     sink,
     spec: WindowSpec,
     config: PagerankConfig,
-    n_vertices: int,
     store_values: bool,
     program: VertexProgram,
 ):
-    """Worker for the ``"shared"`` executor: rebuild the event set as
-    zero-copy views of the published columns, solve the chunk, ship each
-    vector through the queue-backed ``sink``."""
-    lo, hi = payload
-    events = TemporalEventSet(
-        view.shared_view("src"),
-        view.shared_view("dst"),
-        view.shared_view("time"),
-        n_vertices,
-        sort=False,
-    )
+    """The task-map worker: build-and-solve windows ``[lo, hi)``.
+
+    ``events`` is the driver's own event set in-process, or the set over
+    a ``shared`` worker's attached columns (wrapped once per arena, not
+    per task).  Returns ``(window_results, timings, work)``; each vector
+    also goes to ``sink`` when one is configured.
+    """
+    lo, hi = window_range
     scope = RunScope()
-    results: List[WindowResult] = []
-    for i in range(lo, hi):
-        wr = _solve_one_window(
+    results = [
+        _solve_one_window(
             events, spec.window(i), config, scope, store_values, sink,
             program,
         )
-        results.append(wr)
+        for i in range(lo, hi)
+    ]
     return results, scope.timings, scope.work
 
 
@@ -160,7 +113,7 @@ class OfflineDriver:
     """Runs Algorithm 1 by rebuilding each window's graph from scratch."""
 
     model_name = "offline"
-    supported_executors = ("serial", "thread", "process", "shared")
+    supported_executors = EXECUTORS
 
     def __init__(
         self,
@@ -212,157 +165,41 @@ class OfflineDriver:
         to a rank store while holding only one chunk in memory.
         """
         ctx = self.context
-        executor = ctx.executor
         sink = chain_sinks(ctx.value_sink, value_sink)
         progress = progress if progress is not None else ctx.progress
-        if sink is not None and executor == "process":
-            raise ValidationError(
-                "value_sink is not supported with executor='process' "
-                "(the callback cannot cross the process boundary); "
-                "use executor='shared', which runs the sink in the parent"
-            )
-
         result = RunResult(model=self.model_name)
         n = self.spec.n_windows
-        ctx.emit("run.start", model=self.model_name, executor=executor,
+        ctx.emit("run.start", model=self.model_name, executor=ctx.executor,
                  n_windows=n)
 
-        if executor == "serial":
-            scope = RunScope.into(result)
-            for window in self.spec:
-                result.windows.append(
-                    _solve_one_window(
-                        self.events, window, self.config, scope,
-                        store_values, sink, self.program,
-                    )
-                )
-                ctx.emit("window.done", window=window.index)
-                if progress is not None:
-                    progress(window.index + 1, n)
-        elif executor == "thread":
-            result.windows = self._run_threaded(
-                result, n, store_values, sink, progress
-            )
-        elif executor == "process":
-            result.windows = self._run_process(result, n, store_values)
-        else:  # shared
-            result.windows = self._run_shared(result, n, store_values, sink)
+        def consume(task_result) -> None:
+            wrs, timings, work = task_result
+            result.windows.extend(wrs)
+            # per-task build/pagerank phases sum CPU time across workers —
+            # the same breakdown a serial run reports
+            result.timings.merge(timings)
+            result.work.merge(work)
+            for wr in wrs:
+                ctx.emit("window.done", window=wr.window_index)
+            if progress is not None:
+                progress(len(result.windows), n)
 
+        stats = map_tasks(
+            ctx.executor,
+            self.events,
+            [(i, i + 1) for i in range(n)],
+            _solve_window_range,
+            args=(self.spec, self.config, store_values, self.program),
+            consume=consume,
+            n_workers=ctx.n_workers,
+            value_sink=sink,
+        )
+        if stats:
+            result.metadata["shared_arena"] = stats
         record_run_metadata(
-            result, executor=executor, n_workers=ctx.n_workers, n_windows=n
+            result, executor=ctx.executor, n_workers=ctx.n_workers,
+            n_windows=n,
         )
         result.metadata["program"] = self.program.name
         ctx.emit("run.done", model=self.model_name, n_windows=n)
         return result
-
-    # ------------------------------------------------------------------
-    def _run_threaded(
-        self, result: RunResult, n: int, store_values: bool, sink, progress
-    ) -> List[WindowResult]:
-        """Contiguous window chunks on a thread pool; per-chunk scopes are
-        merged after the fan-in so the hot path takes no lock."""
-        ctx = self.context
-        scopes: List[RunScope] = []
-        scopes_lock = threading.Lock()
-        done = [0]
-
-        def solve_chunk(lo: int, hi: int) -> List[WindowResult]:
-            scope = RunScope()
-            out = [
-                _solve_one_window(
-                    self.events, self.spec.window(i), self.config, scope,
-                    store_values, sink, self.program,
-                )
-                for i in range(lo, hi)
-            ]
-            with scopes_lock:
-                scopes.append(scope)
-                done[0] += hi - lo
-                completed = done[0]
-            if progress is not None:
-                progress(completed, n)
-            return out
-
-        pool = ChunkedThreadExecutor(n_workers=ctx.n_workers)
-        windows = pool.map_chunks(solve_chunk, n)
-        # per-chunk build/pagerank phases sum CPU time across workers —
-        # the same breakdown the serial run reports
-        for scope in scopes:
-            scope.merge_into(result)
-        return windows
-
-    def _run_process(
-        self, result: RunResult, n: int, store_values: bool
-    ) -> List[WindowResult]:
-        """Window chunks in a process pool: each task is shipped only its
-        chunk's slice of the event log (windows outside the slice are
-        untouched, so results stay identical to serial)."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.parallel.partitioners import SIMPLE, chunk_ranges
-
-        ctx = self.context
-        ranges = chunk_ranges(n, 1, SIMPLE, ctx.n_workers)
-        windows: List[WindowResult] = []
-        with ProcessPoolExecutor(max_workers=ctx.n_workers) as pool:
-            futures = []
-            for lo, hi in ranges:
-                t_lo = self.spec.window(lo).t_start
-                t_hi = self.spec.window(hi - 1).t_end
-                chunk = self.events.events_between(t_lo, t_hi)
-                futures.append(
-                    pool.submit(
-                        solve_offline_chunk,
-                        (chunk.src, chunk.dst, chunk.time),
-                        self.events.n_vertices,
-                        self.spec,
-                        lo,
-                        hi,
-                        self.config,
-                        store_values,
-                        self.program,
-                    )
-                )
-            for fut in futures:
-                wrs, timings, work = fut.result()
-                windows.extend(wrs)
-                result.timings.merge(timings)
-                result.work.merge(work)
-        return windows
-
-    def _run_shared(
-        self, result: RunResult, n: int, store_values: bool, sink
-    ) -> List[WindowResult]:
-        """Publish the event columns once into a shared-memory arena and
-        fan window chunks out over it; sinks run in the parent via the
-        arena's drain thread."""
-        from repro.parallel.partitioners import SIMPLE, chunk_ranges
-        from repro.parallel.shared_arena import run_arena_tasks
-
-        ctx = self.context
-        ranges = chunk_ranges(n, 1, SIMPLE, ctx.n_workers)
-        task_results, stats = run_arena_tasks(
-            {
-                "src": self.events.src,
-                "dst": self.events.dst,
-                "time": self.events.time,
-            },
-            list(ranges),
-            _arena_offline_worker,
-            args=(
-                self.spec,
-                self.config,
-                self.events.n_vertices,
-                store_values,
-                self.program,
-            ),
-            n_workers=ctx.n_workers,
-            value_sink=sink,
-        )
-        windows: List[WindowResult] = []
-        for wrs, timings, work in task_results:
-            windows.extend(wrs)
-            result.timings.merge(timings)
-            result.work.merge(work)
-        result.metadata["shared_arena"] = stats
-        return windows

@@ -1,14 +1,22 @@
 """The postmortem execution model — the paper's contribution.
 
-The driver builds the multi-window temporal-CSR representation **once**
-(Section 4.1), then solves every window with:
+The driver partitions the window sequence into multi-window graphs
+**once** (Section 4.1), then solves every window with:
 
 * partial initialization across consecutive windows (Section 4.2),
 * the SpMV kernel or the SpMM-inspired batched kernel with the strided
   region schedule (Section 4.4),
-* optionally, real thread-based parallelism over windows in *contiguous
-  chunks*, so a thread that owns both G_{i-1} and G_i still applies partial
-  initialization (Section 4.3.1's scheduling constraint).
+* optionally, parallelism over multi-window graphs: each graph is one task
+  whose windows chain through partial initialization inside one worker
+  (Section 4.3.1's scheduling constraint).
+
+The partition holds only a build recipe per graph
+(:meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_payload`);
+the run hands those recipes and one module-level worker to
+:func:`repro.runtime.execution.map_tasks`, and whichever executor runs a
+task compacts its graph, solves the chain and drops the graph.  Live
+graphs are therefore bounded by the number of concurrent workers, on
+in-RAM and ``.tcsr`` input alike, for every partition method.
 
 Since the vertex-program refactor the per-graph chain loop lives in
 :mod:`repro.programs.engine`; this driver binds it to a
@@ -23,7 +31,6 @@ the documented substitution for the paper's 48-core TBB runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Union
 
@@ -33,10 +40,8 @@ from repro.events.windows import WindowSpec
 from repro.graph.multiwindow import (
     LazyMultiWindowPartition,
     MultiWindowGraph,
-    MultiWindowPartition,
-    build_compact_graph,
+    graph_from_payload,
 )
-from repro.utils.arrays import is_mmap_backed
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
 from repro.programs.base import VertexProgram
@@ -44,6 +49,7 @@ from repro.programs.engine import TaskRecord, solve_program_chain
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
 from repro.runtime.context import DriverContext
+from repro.runtime.execution import EXECUTORS, map_tasks
 from repro.runtime.sinks import chain_sinks
 
 __all__ = [
@@ -54,7 +60,6 @@ __all__ = [
 ]
 
 _KERNELS = ("spmv", "spmm")
-_EXECUTORS = ("serial", "thread", "process", "shared")
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,14 @@ class PostmortemOptions:
         SpMM batch width (the paper uses 8 or 16).
     executor:
         ``"serial"``, ``"thread"`` (threads over multi-window graphs;
-        scales only when kernels release the GIL), ``"process"``
-        (process pool over multi-window graphs; true parallelism on any
-        CPython at the cost of pickling each graph to its worker) or
-        ``"shared"`` (process pool attached to a shared-memory arena:
-        graphs are published once via
-        :mod:`repro.parallel.shared_arena`, workers receive only
-        segment-name handles — no array payload crosses the pickle
-        boundary — and ``value_sink`` callbacks run in the parent, fed
-        by a result shuttle).
+        scales only when kernels release the GIL) or ``"shared"``
+        (process pool over a shared-memory arena: the event columns are
+        published once via :mod:`repro.parallel.shared_arena`, each task
+        ships only its graph's build recipe, and ``value_sink`` callbacks
+        run in the parent, fed by a result shuttle).  Results are
+        bitwise-identical across executors.
     n_threads:
-        Worker count for the ``"thread"``, ``"process"`` and
-        ``"shared"`` executors.
+        Worker count for the ``"thread"`` and ``"shared"`` executors.
     partition_method:
         ``"uniform"`` (the paper's equal-window-count split),
         ``"minimax"`` or ``"greedy"`` (the work-balanced splits of
@@ -97,14 +98,6 @@ class PostmortemOptions:
         Weight window edges by their event multiplicity
         (:mod:`repro.pagerank.weighted`); requires the SpMV kernel and
         the PageRank program.
-    materialize:
-        ``"eager"`` builds every multi-window graph up front (the
-        historic behaviour), ``"lazy"`` defers each graph until its
-        worker solves it (peak memory: one graph per concurrent worker;
-        requires the uniform partition), ``"auto"`` picks lazy exactly
-        when the event arrays are memory-mapped (a ``.tcsr`` artifact)
-        and the partition is uniform — the out-of-core configuration —
-        and eager otherwise.  Results are identical either way.
     """
 
     n_multiwindows: int = 6
@@ -115,7 +108,6 @@ class PostmortemOptions:
     n_threads: int = 4
     partition_method: str = "uniform"
     weighted: bool = False
-    materialize: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_multiwindows <= 0:
@@ -124,8 +116,8 @@ class PostmortemOptions:
             raise ValidationError(f"kernel must be one of {_KERNELS}")
         if self.vector_length <= 0:
             raise ValidationError("vector_length must be > 0")
-        if self.executor not in _EXECUTORS:
-            raise ValidationError(f"executor must be one of {_EXECUTORS}")
+        if self.executor not in EXECUTORS:
+            raise ValidationError(f"executor must be one of {EXECUTORS}")
         if self.n_threads <= 0:
             raise ValidationError("n_threads must be > 0")
         if self.partition_method not in ("uniform", "minimax", "greedy"):
@@ -136,23 +128,13 @@ class PostmortemOptions:
             raise ValidationError(
                 "weighted PageRank requires kernel='spmv'"
             )
-        if self.materialize not in ("auto", "eager", "lazy"):
-            raise ValidationError(
-                "materialize must be 'auto', 'eager' or 'lazy'"
-            )
-        if self.materialize == "lazy" and self.partition_method != "uniform":
-            raise ValidationError(
-                "materialize='lazy' requires partition_method='uniform' "
-                "(balanced partitions need event counts for every window "
-                "boundary up front)"
-            )
 
 
 class PostmortemDriver:
     """Runs Algorithm 1 under the postmortem model."""
 
     model_name = "postmortem"
-    supported_executors = _EXECUTORS
+    supported_executors = EXECUTORS
 
     def __init__(
         self,
@@ -183,31 +165,16 @@ class PostmortemDriver:
         self.program = resolve_program(
             program, self.config, weighted=options.weighted
         )
-        self._partition: Optional[MultiWindowPartition] = None
+        self._partition: Optional[LazyMultiWindowPartition] = None
 
     # ------------------------------------------------------------------
-    def _lazy_materialize(self) -> bool:
-        """Whether this run defers graph construction to solve time."""
-        if self.options.materialize == "lazy":
-            return True
-        if self.options.materialize == "eager":
-            return False
-        return (
-            self.options.partition_method == "uniform"
-            and is_mmap_backed(self.events.time)
-        )
-
     @property
-    def partition(self) -> MultiWindowPartition:
-        """The multi-window representation (built lazily, once)."""
+    def partition(self) -> LazyMultiWindowPartition:
+        """The multi-window partition (computed once; graphs are built
+        per task)."""
         if self._partition is None:
             if self.options.partition_method == "uniform":
-                cls = (
-                    LazyMultiWindowPartition
-                    if self._lazy_materialize()
-                    else MultiWindowPartition
-                )
-                self._partition = cls(
+                self._partition = LazyMultiWindowPartition(
                     self.events, self.spec, self.options.n_multiwindows
                 )
             else:
@@ -238,166 +205,72 @@ class PostmortemDriver:
         sink).  Combined with ``store_values=False`` a run persists every
         vector while holding only one in memory at a time.  The sink may
         be called concurrently under the ``"thread"`` executor (rank-store
-        writers lock internally); the ``"process"`` executor cannot ship a
-        callback to its workers — use ``executor="shared"``, whose result
-        shuttle invokes the sink in the parent process.
+        writers lock internally); under ``"shared"`` the arena's result
+        shuttle invokes it in the parent process.
 
         ``progress(graphs_done, graphs_total)`` reports at multi-window
         graph granularity — the model's unit of parallel work.
         """
         ctx = self.context
-        executor = ctx.executor
         sink = chain_sinks(ctx.value_sink, value_sink)
         progress = progress if progress is not None else ctx.progress
-        if sink is not None and executor == "process":
-            raise ValidationError(
-                "value_sink is not supported with executor='process' "
-                "(the callback cannot cross the process boundary); "
-                "use executor='shared', which runs the sink in the parent"
-            )
         result = RunResult(model=self.model_name)
-        ctx.emit("run.start", model=self.model_name, executor=executor,
+        ctx.emit("run.start", model=self.model_name, executor=ctx.executor,
                  n_windows=self.spec.n_windows, program=self.program.name)
         with result.timings.phase("build"):
             partition = self.partition
-        ctx.emit("build.done", n_multiwindows=len(partition))
+        n_graphs = len(partition)
+        ctx.emit("build.done", n_multiwindows=n_graphs)
 
         task_log: List[TaskRecord] = []
         window_results: Dict[int, WindowResult] = {}
-        n_graphs = len(partition)
         done = 0
 
         def consume(task_result) -> None:
+            nonlocal done
             wrs, tasks, work = task_result
             window_results.update(wrs)
             task_log.extend(tasks)
             result.work.merge(work)
+            ctx.emit("graph.done", multiwindow=done)
+            done += 1
+            if progress is not None:
+                progress(done, n_graphs)
 
-        lazy = isinstance(partition, LazyMultiWindowPartition)
-        if executor == "shared" and n_graphs > 1 and lazy:
-            # publish the raw event columns (zero-copy when they are
-            # .tcsr-mapped) and ship only build recipes; each worker
-            # slices, compacts and solves its graph in-process
-            from repro.parallel.shared_arena import run_arena_tasks
-
-            with result.timings.phase("pagerank"):
-                task_results, stats = run_arena_tasks(
-                    {
-                        "src": self.events.src,
-                        "dst": self.events.dst,
-                        "time": self.events.time,
-                    },
-                    [partition.graph_payload(i) for i in range(n_graphs)],
-                    _shared_lazy_graph_worker,
-                    args=(
-                        self.config,
-                        self.options,
-                        self.events.n_vertices,
-                        store_values,
-                        self.program,
-                    ),
-                    n_workers=ctx.n_workers,
-                    value_sink=sink,
-                )
-            for task_result in task_results:
-                consume(task_result)
-                done += 1
-                if progress is not None:
-                    progress(done, n_graphs)
-            result.metadata["shared_arena"] = stats
-        elif executor == "shared" and n_graphs > 1:
-            from repro.parallel.shared_arena import run_shared_tasks
-
-            with result.timings.phase("pagerank"):
-                task_results, stats = run_shared_tasks(
-                    partition.graphs,
-                    _shared_graph_worker,
-                    args=(
-                        self.config,
-                        self.options,
-                        self.events.n_vertices,
-                        store_values,
-                        self.program,
-                    ),
-                    n_workers=ctx.n_workers,
-                    value_sink=sink,
-                )
-            for task_result in task_results:
-                consume(task_result)
-                done += 1
-                if progress is not None:
-                    progress(done, n_graphs)
-            result.metadata["shared_arena"] = stats
-        elif executor in ("thread", "process") and n_graphs > 1:
-            # one task per multi-window graph: the graph is the coarse
-            # parallel unit (its windows chain through partial init)
-            pool_cls = (
-                ThreadPoolExecutor
-                if executor == "thread"
-                else ProcessPoolExecutor
+        # one task per multi-window graph: the graph is the coarse
+        # parallel unit (its windows chain through partial init)
+        with result.timings.phase("pagerank"):
+            stats = map_tasks(
+                ctx.executor,
+                self.events,
+                [partition.graph_payload(i) for i in range(n_graphs)],
+                _solve_graph_task,
+                args=(
+                    self.config,
+                    self.options,
+                    self.events.n_vertices,
+                    store_values,
+                    self.program,
+                ),
+                consume=consume,
+                n_workers=ctx.n_workers,
+                value_sink=sink,
+                source=partition,
             )
-            with result.timings.phase("pagerank"):
-                with pool_cls(ctx.n_workers) as pool:
-                    if lazy:
-                        # ship the recipe, not the graph: workers build
-                        # inside the pool, bounding live graphs at
-                        # n_workers (a lazy partition pickles by
-                        # artifact path, so process submission is cheap)
-                        futures = [
-                            pool.submit(
-                                _solve_lazy_task,
-                                partition,
-                                i,
-                                self.config,
-                                self.options,
-                                self.events.n_vertices,
-                                store_values,
-                                sink,
-                                self.program,
-                            )
-                            for i in range(n_graphs)
-                        ]
-                    else:
-                        futures = [
-                            pool.submit(
-                                solve_multiwindow_graph,
-                                g,
-                                i,
-                                self.config,
-                                self.options,
-                                self.events.n_vertices,
-                                store_values,
-                                sink,
-                                self.program,
-                            )
-                            for i, g in enumerate(partition)
-                        ]
-                    for fut in futures:
-                        consume(fut.result())
-                        done += 1
-                        if progress is not None:
-                            progress(done, n_graphs)
-        else:
-            with result.timings.phase("pagerank"):
-                for i, g in enumerate(partition):
-                    consume(self._solve_graph(g, i, store_values, sink))
-                    done += 1
-                    ctx.emit("graph.done", multiwindow=i)
-                    if progress is not None:
-                        progress(done, n_graphs)
+        if stats:
+            result.metadata["shared_arena"] = stats
 
         result.windows = [
             window_results[i] for i in range(self.spec.n_windows)
         ]
         record_run_metadata(
             result,
-            executor=executor,
+            executor=ctx.executor,
             n_workers=ctx.n_workers,
             n_windows=self.spec.n_windows,
         )
-        result.metadata["n_multiwindows"] = len(partition)
+        result.metadata["n_multiwindows"] = n_graphs
         result.metadata["replication_factor"] = partition.replication_factor
-        result.metadata["materialize"] = "lazy" if lazy else "eager"
         result.metadata["backend"] = self.config.backend
         result.metadata["program"] = self.program.name
         result.metadata["task_log"] = task_log
@@ -406,35 +279,10 @@ class PostmortemDriver:
                  n_windows=self.spec.n_windows)
         return result
 
-    # ------------------------------------------------------------------
-    def _solve_graph(
-        self,
-        graph: MultiWindowGraph,
-        mw_index: int,
-        store_values: bool,
-        value_sink=None,
-    ):
-        """Solve every window of one multi-window graph (one sequential
-        warm-start chain).
 
-        ``mw_index`` is passed by the caller: a ``partition.graphs.index``
-        lookup here would rescan the partition (O(Y) comparisons of large
-        graphs) for every graph solved.
-        """
-        return solve_multiwindow_graph(
-            graph,
-            mw_index,
-            self.config,
-            self.options,
-            self.events.n_vertices,
-            store_values,
-            value_sink,
-            self.program,
-        )
-
-
-def _shared_graph_worker(
-    graph: MultiWindowGraph,
+def _solve_graph_task(
+    source,
+    payload: tuple,
     mw_index: int,
     sink,
     config: PagerankConfig,
@@ -443,12 +291,19 @@ def _shared_graph_worker(
     store_values: bool,
     program: Optional[VertexProgram] = None,
 ):
-    """Worker entry point for the ``"shared"`` executor.
+    """The task-map worker: build one multi-window graph, solve its chain,
+    drop it.
 
-    Invoked by :func:`repro.parallel.shared_arena.run_shared_tasks` with a
-    graph rebuilt from shared-memory views and a queue-backed ``sink``
-    stand-in (or ``None`` when the run has no ``value_sink``).
+    In-process ``source`` is the driver's partition, so the graph comes
+    from :meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_at`;
+    in a ``shared`` worker it is the event set over the attached columns
+    and ``payload`` (the graph's recipe) names the slice to compact.
+    Either way the graph is identical.
     """
+    if isinstance(source, LazyMultiWindowPartition):
+        graph = source.graph_at(mw_index)
+    else:
+        graph = graph_from_payload(source, payload)
     return solve_multiwindow_graph(
         graph,
         mw_index,
@@ -457,70 +312,6 @@ def _shared_graph_worker(
         n_global_vertices,
         store_values,
         sink,
-        program,
-    )
-
-
-def _shared_lazy_graph_worker(
-    view,
-    payload,
-    mw_index: int,
-    sink,
-    config: PagerankConfig,
-    options: PostmortemOptions,
-    n_global_vertices: int,
-    store_values: bool,
-    program: Optional[VertexProgram] = None,
-):
-    """Arena worker for the lazy ``"shared"`` path.
-
-    ``view`` holds the published event columns (file mappings when the
-    run came from a ``.tcsr`` artifact — zero bytes were copied);
-    ``payload`` is one :meth:`LazyMultiWindowPartition.graph_payload`
-    recipe.  The graph is built here, inside the worker, and dies with
-    the task — the parent never materializes it.
-    """
-    sub, first_window, lo, hi = payload
-    graph = build_compact_graph(
-        view.shared_view("src")[lo:hi],
-        view.shared_view("dst")[lo:hi],
-        view.shared_view("time")[lo:hi],
-        sub,
-        first_window,
-    )
-    return solve_multiwindow_graph(
-        graph,
-        mw_index,
-        config,
-        options,
-        n_global_vertices,
-        store_values,
-        sink,
-        program,
-    )
-
-
-def _solve_lazy_task(
-    partition: LazyMultiWindowPartition,
-    mw_index: int,
-    config: PagerankConfig,
-    options: PostmortemOptions,
-    n_global_vertices: int,
-    store_values: bool,
-    value_sink=None,
-    program: Optional[VertexProgram] = None,
-):
-    """Pool task for lazy thread/process execution: materialize one
-    multi-window graph inside the worker, solve it, drop it."""
-    graph = partition.graph_at(mw_index)
-    return solve_multiwindow_graph(
-        graph,
-        mw_index,
-        config,
-        options,
-        n_global_vertices,
-        store_values,
-        value_sink,
         program,
     )
 

@@ -9,11 +9,12 @@ directly, so this package provides both:
   work-stealing deque scheduler.  Functionally correct anywhere; actual
   scaling requires a multicore GIL-releasing host.
 * **A shared-memory process backend** (:mod:`repro.parallel.shared_arena`)
-  — multi-window graphs published once into ``multiprocessing``
-  shared-memory arenas; worker processes attach by segment name (no array
-  payload crosses the pickle boundary) and window results stream back to
-  the parent through a queue-drained shuttle, so ``value_sink`` callbacks
-  work under true process parallelism.
+  — the event log's columns published once into a ``multiprocessing``
+  shared-memory arena (or mapped straight from a ``.tcsr`` file); worker
+  processes attach by segment name (no array payload crosses the pickle
+  boundary) and window results stream back to the parent through a
+  queue-drained shuttle, so ``value_sink`` callbacks work under true
+  process parallelism.
 * **A simulated machine** (:mod:`repro.parallel.simulator`,
   :mod:`repro.parallel.levels`) — a discrete-event model of a P-core
   work-stealing runtime executing the *same task DAG* (window chunks /
@@ -59,18 +60,16 @@ from repro.parallel.shared_arena import (
     ArenaHandle,
     SharedArena,
     SharedArenaRegistry,
-    SharedGraphHandle,
     attach_arena,
-    run_shared_tasks,
+    run_arena_tasks,
 )
 
 __all__ = [
     "ArenaHandle",
     "SharedArena",
     "SharedArenaRegistry",
-    "SharedGraphHandle",
     "attach_arena",
-    "run_shared_tasks",
+    "run_arena_tasks",
     "Partitioner",
     "AUTO",
     "SIMPLE",

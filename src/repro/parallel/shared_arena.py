@@ -1,14 +1,15 @@
-"""Zero-copy shared-memory publication of multi-window graphs.
+"""Zero-copy shared-memory publication for process-parallel tasks.
 
-The postmortem model's whole advantage is building the temporal CSR
-**once**; the pickled ``executor="process"`` path gives that advantage
-back by serializing every graph's ``indptr/col/time`` arrays into each
-worker.  This module publishes the read-only structure arrays into
-POSIX shared memory (``multiprocessing.shared_memory``) instead, so a
-task submission carries only a few-hundred-byte *handle* — the segment
-name plus an offset manifest — and workers reconstruct
-:class:`~repro.graph.multiwindow.MultiWindowGraph` objects as zero-copy
-views into the same physical pages.
+Pickling a task's arrays into every worker gives back what building the
+event log **once** bought.  This module publishes read-only arrays (the
+event log's ``src``/``dst``/``time`` columns) into POSIX shared memory
+(``multiprocessing.shared_memory``) instead — or, when they are already
+``.tcsr``-mapped, points workers at the same file regions — so a task
+submission carries only a few-hundred-byte *handle* (the segment name
+plus an offset manifest) and a small payload, and workers read zero-copy
+views of the same physical pages.  :func:`run_arena_tasks` is the one
+entry point; :func:`repro.runtime.execution.map_tasks` routes the
+``shared`` executor through it.
 
 Ownership model (see docs/architecture.md for the diagram):
 
@@ -45,8 +46,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.events.windows import WindowSpec
-from repro.graph.multiwindow import MultiWindowGraph
 from repro.utils.arrays import file_backed_descriptor
 
 __all__ = [
@@ -58,9 +57,7 @@ __all__ = [
     "MappedArenaView",
     "SharedArena",
     "SharedArenaRegistry",
-    "SharedGraphHandle",
     "attach_arena",
-    "run_shared_tasks",
     "run_arena_tasks",
 ]
 
@@ -75,9 +72,6 @@ ARENA_NAME_PREFIX = "repro_arena"
 
 #: per-process cache of attached segments: segment name -> ArenaView
 _ATTACH_CACHE: Dict[str, "ArenaView"] = {}
-
-#: per-process cache of graphs rebuilt from arena views
-_GRAPH_CACHE: Dict[Tuple[str, str], MultiWindowGraph] = {}
 
 #: worker-process state installed by the pool initializer
 _WORKER_STATE: Dict[str, object] = {}
@@ -139,6 +133,9 @@ class ArenaView:
             d.key: d for d in handle.manifest
         }
         self._views: Dict[str, np.ndarray] = {}
+        #: per-attachment objects tasks derive from the views (dropped
+        #: on close)
+        self.memo: Dict[str, object] = {}
         self.segment = handle.segment
 
     def shared_view(self, key: str) -> np.ndarray:
@@ -181,10 +178,8 @@ class ArenaView:
     def close(self) -> None:
         """Drop the views and this process's mapping (never unlinks)."""
         self._views.clear()
+        self.memo.clear()
         _ATTACH_CACHE.pop(self.segment, None)
-        stale = [k for k, g in _GRAPH_CACHE.items() if k[0] == self.segment]
-        for k in stale:
-            del _GRAPH_CACHE[k]
         try:
             self._shm.close()
         except BufferError as exc:
@@ -247,7 +242,7 @@ class MappedArenaView:
     """Per-process read-only mappings of a :class:`MappedArenaHandle`.
 
     Same access interface as :class:`ArenaView` (``shared_view`` /
-    ``arrays`` / ``close``), so arena workers are agnostic to whether
+    ``arrays`` / ``memo`` / ``close``), so arena workers are agnostic to whether
     their arrays live in ``/dev/shm`` or in an on-disk artifact.
     """
 
@@ -256,6 +251,7 @@ class MappedArenaView:
             d.key: d for d in handle.manifest
         }
         self._views: Dict[str, np.ndarray] = {}
+        self.memo: Dict[str, object] = {}
         self.segment = handle.segment
 
     def shared_view(self, key: str) -> np.ndarray:
@@ -296,10 +292,8 @@ class MappedArenaView:
         """Drop the views and close this process's file mappings."""
         views = dict(self._views)
         self._views.clear()
+        self.memo.clear()
         _ATTACH_CACHE.pop(self.segment, None)
-        stale = [k for k, g in _GRAPH_CACHE.items() if k[0] == self.segment]
-        for k in stale:
-            del _GRAPH_CACHE[k]
         for arr in views.values():
             mm = getattr(arr, "_mmap", None)
             if mm is not None:
@@ -438,33 +432,6 @@ class SharedArena:
         )
 
 
-@dataclass(frozen=True)
-class SharedGraphHandle:
-    """Picklable reference to one multi-window graph inside an arena.
-
-    Carries only metadata — the arena handle, this graph's key prefix,
-    its :class:`WindowSpec` and first window — never array payload; that
-    is the property the pickle-size probe in the tests asserts.
-    """
-
-    arena: ArenaHandle
-    prefix: str
-    spec: WindowSpec
-    first_window: int
-
-    def materialize(self) -> MultiWindowGraph:
-        """Rebuild the graph as zero-copy views (cached per process)."""
-        key = (self.arena.segment, self.prefix)
-        graph = _GRAPH_CACHE.get(key)
-        if graph is None:
-            view = attach_arena(self.arena)
-            graph = MultiWindowGraph.from_shared_arrays(
-                self.spec, self.first_window, view.arrays(self.prefix)
-            )
-            _GRAPH_CACHE[key] = graph
-        return graph
-
-
 class SharedArenaRegistry:
     """Owns every arena a run creates and guarantees reclamation.
 
@@ -505,29 +472,6 @@ class SharedArenaRegistry:
         arena = SharedArena(arrays)
         self._arenas.append(arena)
         return arena.handle()
-
-    def publish_graphs(
-        self, graphs: Sequence[MultiWindowGraph]
-    ) -> List[SharedGraphHandle]:
-        """Publish a partition's graphs into one segment.
-
-        All graphs share a single segment (one create/unlink pair, one
-        attach per worker); keys are namespaced ``g{i}/...``.
-        """
-        arrays: Dict[str, np.ndarray] = {}
-        metas: List[Tuple[str, WindowSpec, int]] = []
-        for gi, graph in enumerate(graphs):
-            prefix = f"g{gi}/"
-            for key, arr in graph.shared_arrays().items():
-                arrays[prefix + key] = arr
-            metas.append((prefix, graph.spec, graph.first_window))
-        handle = self.publish(arrays)
-        return [
-            SharedGraphHandle(
-                arena=handle, prefix=p, spec=s, first_window=fw
-            )
-            for p, s, fw in metas
-        ]
 
     @property
     def total_bytes(self) -> int:
@@ -606,8 +550,8 @@ def _init_worker(sink_queue, worker, args) -> None:
     The result queue, the worker callable, and the shared ``args`` tuple
     are identical for every task of a run, so they ride the initializer
     (pickled once per worker process) instead of every task submission —
-    task payloads stay at "handle + index", which is what the
-    zero-payload probe asserts.
+    task submissions stay at "handle + small payload + index", which is
+    what the zero-payload probe asserts.
     """
     _WORKER_STATE["sink_queue"] = sink_queue
     _WORKER_STATE["worker"] = worker
@@ -624,13 +568,6 @@ def _worker_sink(window_index: int, values, meta) -> None:
     queue.put((window_index, values, meta))
 
 
-def _run_task(handle: SharedGraphHandle, index: int):
-    """Module-level task shim executed inside worker processes."""
-    graph = handle.materialize()
-    sink = _worker_sink if _WORKER_STATE.get("sink_queue") is not None else None
-    return _WORKER_STATE["worker"](graph, index, sink, *_WORKER_STATE["args"])
-
-
 def _run_arena_task(handle: ArenaHandle, payload, index: int):
     """Module-level task shim for :func:`run_arena_tasks` workers."""
     view = attach_arena(handle)
@@ -638,103 +575,6 @@ def _run_arena_task(handle: ArenaHandle, payload, index: int):
     return _WORKER_STATE["worker"](
         view, payload, index, sink, *_WORKER_STATE["args"]
     )
-
-
-def _pool_map(
-    task_fn: Callable,
-    payloads: Sequence[Tuple],
-    worker: Callable,
-    args: Tuple,
-    n_workers: int,
-    ctx,
-    value_sink: Optional[Callable],
-    stats: Dict[str, object],
-):
-    """Run pickled task tuples through a process pool, shuttling sink
-    calls back to the parent.
-
-    The shared core of :func:`run_shared_tasks` and
-    :func:`run_arena_tasks`: sets up the drain thread when a sink is
-    configured, records the pickled-payload-size probe in ``stats``,
-    executes ``task_fn(*payload)`` per payload in submission order, and
-    re-raises the first sink error after the pool winds down.  The caller
-    owns arena publication and reclamation.
-
-    ``worker`` and ``args`` are shipped once per worker process via the
-    pool initializer, not per task — ``stats["init_bytes"]`` records that
-    one-time cost, ``stats["payload_bytes"]`` the per-task traffic.
-    """
-    stats["payload_bytes"] = sum(
-        len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
-        for p in payloads
-    )
-    stats["init_bytes"] = len(
-        pickle.dumps((worker, args), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    stats["n_tasks"] = len(payloads)
-
-    drain: Optional[_SinkDrain] = None
-    if value_sink is not None:
-        drain = _SinkDrain(value_sink, ctx)
-        drain.start()
-    initargs = (drain.queue if drain is not None else None, worker, args)
-
-    try:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=initargs,
-        ) as pool:
-            futures = [pool.submit(task_fn, *p) for p in payloads]
-            results = [f.result() for f in futures]
-    finally:
-        sink_error = drain.finish() if drain is not None else None
-    if sink_error is not None:
-        raise sink_error
-    return results
-
-
-def run_shared_tasks(
-    graphs: Sequence[MultiWindowGraph],
-    worker: Callable,
-    args: Tuple = (),
-    n_workers: int = 2,
-    value_sink: Optional[Callable] = None,
-    mp_context=None,
-):
-    """Execute ``worker(graph, index, sink, *args)`` per graph in a
-    process pool attached to a shared-memory arena.
-
-    ``worker`` must be a module-level callable (pickled by reference).
-    ``value_sink(window, values, meta)``, when given, is invoked in the
-    *parent* by a drain thread fed from a worker-side queue.
-
-    Returns ``(results, stats)`` where ``results`` is per-graph worker
-    return values in submission order and ``stats`` records the dispatch
-    cost: pickled payload bytes per task (the probe the tests and the
-    shared-memory benchmark assert on), arena bytes, and publish time.
-    """
-    if n_workers <= 0:
-        raise ValidationError("n_workers must be > 0")
-    ctx = mp_context if mp_context is not None else multiprocessing.get_context()
-    registry = SharedArenaRegistry()
-    stats: Dict[str, object] = {}
-    try:
-        t0 = time.perf_counter()
-        handles = registry.publish_graphs(graphs)
-        stats["publish_seconds"] = time.perf_counter() - t0
-        stats["arena_bytes"] = registry.total_bytes
-        stats["segments"] = list(registry.segments)
-
-        task_payloads = [(h, i) for i, h in enumerate(handles)]
-        results = _pool_map(
-            _run_task, task_payloads, worker, tuple(args),
-            n_workers, ctx, value_sink, stats,
-        )
-    finally:
-        registry.close(unlink=True)
-    return results, stats
 
 
 def run_arena_tasks(
@@ -749,15 +589,24 @@ def run_arena_tasks(
     """Execute ``worker(view, payload, index, sink, *args)`` per payload
     in a process pool attached to one published segment of ``arrays``.
 
-    The generic sibling of :func:`run_shared_tasks`: where that function
-    is specialized to multi-window graphs, this one publishes an arbitrary
-    dict of read-only arrays once and fans arbitrary (small, picklable)
-    ``payloads`` out over it — e.g. the offline driver publishes the raw
-    event log's ``src``/``dst``/``time`` columns and ships window-range
-    payloads.  Workers receive the attached :class:`ArenaView` (cached per
-    process) and must copy anything that outlives the task.
+    Publishes the read-only ``arrays`` once and fans small, picklable
+    ``payloads`` out over them — e.g. the event log's ``src``/``dst``/
+    ``time`` columns with multi-window graph recipes or window ranges.
+    Workers receive the attached :class:`ArenaView` (cached per process,
+    with a ``memo`` for objects derived from it) and must copy anything
+    that outlives the task.  ``worker`` must be module-level (pickled by
+    reference); it and ``args`` ride the pool initializer, once per worker
+    process, so each task ships only ``(handle, payload, index)``.
+    ``value_sink(window, values, meta)``, when given, is invoked in the
+    *parent* by a drain thread fed from a worker-side queue.
 
-    Returns ``(results, stats)`` exactly like :func:`run_shared_tasks`.
+    Returns ``(results, stats)``: worker return values in submission order
+    and the dispatch cost — pickled bytes of all task payloads
+    (``payload_bytes``, the probe the tests and the shared-memory
+    benchmark assert on), the one-time initializer bytes per worker
+    (``init_bytes``), copied and mapped arena bytes, and publish time.
+    The first sink error is re-raised after the pool winds down; the
+    arena is reclaimed on every exit path.
     """
     if n_workers <= 0:
         raise ValidationError("n_workers must be > 0")
@@ -773,10 +622,38 @@ def run_arena_tasks(
         stats["segments"] = list(registry.segments)
 
         task_payloads = [(handle, p, i) for i, p in enumerate(payloads)]
-        results = _pool_map(
-            _run_arena_task, task_payloads, worker, tuple(args),
-            n_workers, ctx, value_sink, stats,
+        stats["payload_bytes"] = sum(
+            len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+            for p in task_payloads
         )
+        stats["init_bytes"] = len(
+            pickle.dumps((worker, tuple(args)),
+                         protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        stats["n_tasks"] = len(task_payloads)
+
+        drain: Optional[_SinkDrain] = None
+        if value_sink is not None:
+            drain = _SinkDrain(value_sink, ctx)
+            drain.start()
+        initargs = (
+            drain.queue if drain is not None else None, worker, tuple(args)
+        )
+        try:
+            with ProcessPoolExecutor(
+                max_workers=n_workers,
+                mp_context=ctx,
+                initializer=_init_worker,
+                initargs=initargs,
+            ) as pool:
+                futures = [
+                    pool.submit(_run_arena_task, *p) for p in task_payloads
+                ]
+                results = [f.result() for f in futures]
+        finally:
+            sink_error = drain.finish() if drain is not None else None
+        if sink_error is not None:
+            raise sink_error
     finally:
         registry.close(unlink=True)
     return results, stats

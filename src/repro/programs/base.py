@@ -20,8 +20,8 @@ A program exposes **two solve surfaces**, one per graph representation:
   drivers use it, which is what makes cross-model parity a property every
   program inherits instead of a PageRank-only test.
 
-Programs are small frozen dataclasses holding only configuration, so every
-executor (thread / process / shared) can pickle them to workers.
+Programs are small frozen dataclasses holding only configuration, so the
+``shared`` executor can pickle them to its worker processes.
 """
 
 from __future__ import annotations

@@ -98,8 +98,8 @@ def solve_program_chain(
 ):
     """Run ``program`` over every window of one multi-window graph.
 
-    A module-level function (not a method) so the ``"process"`` and
-    ``"shared"`` executors can ship it to worker processes; within one
+    A module-level function (not a method) so the ``"shared"`` executor
+    can run it in worker processes; within one
     graph the windows form a sequential warm-start chain, so a graph is
     the natural unit of coarse-grained parallelism.
 

@@ -2,8 +2,8 @@
 
 Every execution model answers the same three questions at run time —
 
-* **where** does the work execute (``serial`` / ``thread`` / ``process`` /
-  ``shared``, worker count)?
+* **where** does the work execute (``serial`` / ``thread`` / ``shared``,
+  worker count)?
 * **where** do solved vectors go (the chained value sinks of
   :mod:`repro.runtime.sinks`, in addition to the in-memory ``RunResult``)?
 * **who** is told about progress and phase boundaries (``progress`` and
@@ -117,7 +117,7 @@ class DriverContext:
     Attributes
     ----------
     executor:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"shared"``.  Each
+        ``"serial"``, ``"thread"`` or ``"shared"``.  Each
         driver validates the choice against its dependence structure
         (``supported_executors``) at construction.
     n_workers:

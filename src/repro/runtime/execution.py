@@ -1,39 +1,40 @@
-"""Executor selection.
+"""Executor selection and the one ordered task map.
 
-The runtime recognises four executors:
+The runtime recognises three executors:
 
 ``serial``
     Plain loop in the calling thread.  Always supported; the reference
     against which the parallel executors must be bitwise-identical.
 ``thread``
-    ``ThreadPoolExecutor`` (or :class:`repro.parallel.executor.
-    ChunkedThreadExecutor` for chunked window fan-out).  NumPy kernels
-    release the GIL, so this wins on real workloads with zero pickling.
-``process``
-    ``ProcessPoolExecutor`` with pickled task payloads.  Highest
-    isolation, highest dispatch cost; ``value_sink`` is rejected because
-    a closure cannot cross a process boundary.
+    ``ThreadPoolExecutor`` over the tasks.  NumPy kernels release the
+    GIL, so this wins on real workloads with zero pickling.
 ``shared``
     Process pool over a POSIX shared-memory arena
-    (:mod:`repro.parallel.shared_arena`): ~KB pickled handles instead of
-    array payloads, and a parent-side drain thread that makes
-    ``value_sink`` work under process execution.
+    (:mod:`repro.parallel.shared_arena`): the event columns are published
+    once (zero-copy when they are ``.tcsr``-mapped), tasks ship only small
+    payloads, and a parent-side drain thread makes ``value_sink`` work
+    under process execution.
 
 Not every model can use every executor — streaming's warm-start chain is
 inherently sequential — so each driver declares ``supported_executors``
-and gates requests through :func:`require_executor`.
+and gates requests through :func:`require_executor`.  The models that
+parallelize state their work once — the event set, a list of small
+payloads and one module-level worker — and hand it to :func:`map_tasks`,
+which is the only place that looks at the executor name.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+from repro.events.event_set import TemporalEventSet
 
-__all__ = ["EXECUTORS", "require_executor"]
+__all__ = ["EXECUTORS", "map_tasks", "require_executor"]
 
 #: every executor the runtime knows about, in increasing dispatch cost
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "shared")
+EXECUTORS: Tuple[str, ...] = ("serial", "thread", "shared")
 
 
 def require_executor(
@@ -57,3 +58,79 @@ def require_executor(
         )
     return executor
 
+
+def map_tasks(
+    executor: str,
+    events: TemporalEventSet,
+    payloads: Sequence,
+    worker: Callable,
+    args: Tuple = (),
+    *,
+    consume: Callable[[object], None],
+    n_workers: int = 1,
+    value_sink: Optional[Callable] = None,
+    source: object = None,
+) -> Dict[str, object]:
+    """Run ``worker(source, payload, index, sink, *args)`` once per
+    payload and feed each return value to ``consume`` in payload order.
+
+    ``serial`` (and any run of fewer than two tasks) calls the worker in
+    this thread, ``thread`` on a pool of ``n_workers`` threads; both pass
+    ``source`` (default: ``events`` itself) and call ``value_sink``
+    directly.  ``shared`` publishes ``events``' columns through
+    :func:`repro.parallel.shared_arena.run_arena_tasks`; there ``source``
+    is an event set over the attached columns, wrapped once per arena in
+    each worker process, and ``sink`` ships vectors to ``value_sink`` in
+    the parent.  ``worker`` must then be module-level (it is pickled by
+    reference) and ``payloads``/``args`` picklable.
+
+    Returns the arena's dispatch statistics for ``shared`` and an empty
+    dict for the in-process executors.
+    """
+    require_executor(executor, EXECUTORS, "task map")
+    if source is None:
+        source = events
+    if executor == "serial" or len(payloads) < 2:
+        for i, payload in enumerate(payloads):
+            consume(worker(source, payload, i, value_sink, *args))
+        return {}
+    if executor == "thread":
+        with ThreadPoolExecutor(n_workers) as pool:
+            futures = [
+                pool.submit(worker, source, payload, i, value_sink, *args)
+                for i, payload in enumerate(payloads)
+            ]
+            for future in futures:
+                consume(future.result())
+        return {}
+    # resolved at call time, so wrappers set on the module attribute
+    # (tracing) see the dispatch
+    from repro.parallel import shared_arena
+
+    results, stats = shared_arena.run_arena_tasks(
+        {"src": events.src, "dst": events.dst, "time": events.time},
+        payloads,
+        _attached_worker,
+        args=(worker, events.n_vertices) + tuple(args),
+        n_workers=n_workers,
+        value_sink=value_sink,
+    )
+    for result in results:
+        consume(result)
+    return stats
+
+
+def _attached_worker(view, payload, index: int, sink, worker: Callable,
+                     n_vertices: int, *args):
+    """Arena entry point of :func:`map_tasks`: hand ``worker`` the event
+    set over the attached columns, wrapped once per arena in this process
+    (the parent validated the log; nothing is scanned again)."""
+    events = view.memo.get("events")
+    if events is None:
+        events = view.memo["events"] = TemporalEventSet.from_validated(
+            view.shared_view("src"),
+            view.shared_view("dst"),
+            view.shared_view("time"),
+            n_vertices,
+        )
+    return worker(events, payload, index, sink, *args)

@@ -60,7 +60,7 @@ class TestDocumentation:
     def test_public_classes_document_their_methods(self):
         from repro import (
             CSRGraph,
-            MultiWindowPartition,
+            LazyMultiWindowPartition,
             PostmortemDriver,
             TemporalAdjacency,
             TemporalEventSet,
@@ -72,7 +72,7 @@ class TestDocumentation:
             WindowSpec,
             CSRGraph,
             TemporalAdjacency,
-            MultiWindowPartition,
+            LazyMultiWindowPartition,
             PostmortemDriver,
         ):
             for name, member in inspect.getmembers(cls):

@@ -10,7 +10,7 @@ from repro.errors import ValidationError
 from repro.events import TemporalEventSet, WindowSpec
 from repro.graph import (
     BalancedMultiWindowPartition,
-    MultiWindowPartition,
+    LazyMultiWindowPartition,
     balanced_boundaries,
     greedy_boundaries,
     window_event_counts,
@@ -54,7 +54,7 @@ class TestBoundaries:
     def test_minimax_beats_uniform_on_spiky_data(self, spiky):
         spec = WindowSpec.covering(spiky, delta=8_000, sw=2_000)
         balanced = BalancedMultiWindowPartition(spiky, spec, 6)
-        uniform = MultiWindowPartition(spiky, spec, 6)
+        uniform = LazyMultiWindowPartition(spiky, spec, 6)
         uniform_max = max(
             run_work(spiky, spec, g.first_window,
                      g.first_window + g.n_windows)

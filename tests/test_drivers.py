@@ -83,19 +83,6 @@ class TestPostmortemDriver:
         ).run()
         assert serial.max_difference(threaded) < 1e-9
 
-    def test_process_executor_same_result(self, setup):
-        events, spec, cfg = setup
-        serial = PostmortemDriver(events, spec, cfg).run()
-        procs = PostmortemDriver(
-            events,
-            spec,
-            cfg,
-            PostmortemOptions(executor="process", n_threads=2,
-                              n_multiwindows=3),
-        ).run()
-        assert serial.max_difference(procs) < 1e-9
-        assert procs.all_converged
-
     def test_task_log(self, setup):
         events, spec, cfg = setup
         opts = PostmortemOptions(n_multiwindows=3, kernel="spmm",

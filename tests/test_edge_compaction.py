@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.events import WindowSpec
-from repro.graph import MultiWindowPartition, TemporalAdjacency
+from repro.graph import LazyMultiWindowPartition, TemporalAdjacency
 from repro.models import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
     PagerankConfig,
@@ -350,7 +350,7 @@ class TestDriverThreading:
     def test_multiwindow_views_forward_workspace(self):
         events = random_events(seed=41)
         spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
-        part = MultiWindowPartition(events, spec, 2)
+        part = LazyMultiWindowPartition(events, spec, 2)
         ws = Workspace()
         view = part.window_view(0, workspace=ws)
         packed = view.compact_pull()

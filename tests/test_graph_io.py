@@ -10,9 +10,9 @@ Covers the acceptance properties of the memory-mapped input path:
 * **rejection** — truncated, corrupted, and unfinalized artifacts raise
   ``ValidationError`` instead of returning garbage;
 * **memory honesty** — mapped arrays report as mapped, not heap;
-* **lazy materialization** — postmortem runs from a mapped event set are
-  bitwise-identical to the eager in-RAM path under every executor, and
-  the shared arena publishes mapped partitions without copying;
+* **zero-copy publication** — the shared arena publishes mapped event
+  columns without copying (postmortem parity on ``.tcsr`` input lives in
+  ``tests/test_knob_parity.py``);
 * **CLI** — ``generate --out x.tcsr``, ``run --graph``, ``inspect``.
 """
 
@@ -38,13 +38,9 @@ from repro.graph.io import (
     open_events,
     write_tcsr,
 )
-from repro.graph.multiwindow import (
-    LazyMultiWindowPartition,
-    MultiWindowPartition,
-)
+from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.graph.temporal_csr import TemporalAdjacency
-from repro.models import PostmortemDriver, PostmortemOptions
-from repro.pagerank import PagerankConfig, window_edge_weights
+from repro.pagerank import window_edge_weights
 from repro.utils.arrays import is_mmap_backed
 from tests.conftest import random_events
 
@@ -312,70 +308,15 @@ class TestMemoryHonesty:
         spec = WindowSpec.covering(events, delta=2_000, sw=500)
         from repro.analysis import memory_report
 
-        eager = memory_report(MultiWindowPartition(events, spec, 3))
-        assert not eager.lazy
-        assert eager.total_heap_bytes > 0
-        assert eager.raw_event_mapped_bytes == 0
+        in_ram = memory_report(LazyMultiWindowPartition(events, spec, 3))
+        assert in_ram.peak_transient_bytes > 0
+        assert in_ram.raw_event_mapped_bytes == 0
 
         mapped = open_events(path)
-        lazy = memory_report(LazyMultiWindowPartition(mapped, spec, 3))
-        assert lazy.lazy
-        assert lazy.total_heap_bytes == 0
-        assert lazy.peak_transient_bytes > 0
-        assert lazy.raw_event_mapped_bytes == 3 * 8 * len(events)
+        report = memory_report(LazyMultiWindowPartition(mapped, spec, 3))
+        assert report.peak_transient_bytes > 0
+        assert report.raw_event_mapped_bytes == 3 * 8 * len(events)
         mapped.close()
-
-
-# ----------------------------------------------------------------------
-# lazy materialization parity
-# ----------------------------------------------------------------------
-class TestLazyPostmortemParity:
-    @pytest.fixture
-    def setting(self, tmp_path):
-        events = random_events(n_vertices=40, n_events=1_500, seed=53)
-        path = roundtrip(tmp_path, events)
-        spec = WindowSpec.covering(events, delta=2_500, sw=700)
-        cfg = PagerankConfig(tolerance=1e-10, max_iterations=200)
-        return events, path, spec, cfg
-
-    def _run(self, events, spec, cfg, executor="serial", **opt_kw):
-        opts = PostmortemOptions(
-            n_multiwindows=3, executor=executor, n_threads=2, **opt_kw
-        )
-        return PostmortemDriver(events, spec, cfg, opts).run()
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "shared"])
-    def test_bitwise_parity_vs_eager(self, setting, executor):
-        events, path, spec, cfg = setting
-        baseline = self._run(events, spec, cfg)
-        assert baseline.metadata["materialize"] == "eager"
-        mapped = open_events(path)
-        run = self._run(mapped, spec, cfg, executor=executor)
-        assert run.metadata["materialize"] == "lazy"
-        for w0, w1 in zip(baseline.windows, run.windows):
-            np.testing.assert_array_equal(w0.values, w1.values)
-            assert w0.iterations == w1.iterations
-        mapped.close()
-
-    def test_forced_modes(self, setting):
-        events, path, spec, cfg = setting
-        eager_on_mapped = None
-        mapped = open_events(path)
-        eager_on_mapped = self._run(
-            mapped, spec, cfg, materialize="eager"
-        )
-        assert eager_on_mapped.metadata["materialize"] == "eager"
-        lazy_on_heap = self._run(events, spec, cfg, materialize="lazy")
-        assert lazy_on_heap.metadata["materialize"] == "lazy"
-        for w0, w1 in zip(eager_on_mapped.windows, lazy_on_heap.windows):
-            np.testing.assert_array_equal(w0.values, w1.values)
-        mapped.close()
-
-    def test_lazy_rejects_nonuniform(self):
-        with pytest.raises(ValidationError, match="uniform"):
-            PostmortemOptions(materialize="lazy", partition_method="greedy")
-        with pytest.raises(ValidationError, match="materialize"):
-            PostmortemOptions(materialize="sometimes")
 
 
 # ----------------------------------------------------------------------

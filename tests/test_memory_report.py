@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import memory_report
 from repro.analysis.memory import ENCODING_BYTES
 from repro.events import WindowSpec
-from repro.graph import MultiWindowPartition
+from repro.graph import LazyMultiWindowPartition
 from tests.conftest import random_events
 
 
@@ -13,7 +13,7 @@ from tests.conftest import random_events
 def partition():
     events = random_events(n_vertices=40, n_events=800, seed=71)
     spec = WindowSpec.covering(events, delta=3_000, sw=900)
-    return MultiWindowPartition(events, spec, 4), events
+    return LazyMultiWindowPartition(events, spec, 4), events
 
 
 class TestMemoryReport:
@@ -55,8 +55,8 @@ class TestMemoryReport:
     def test_more_partitions_more_memory(self):
         events = random_events(n_vertices=40, n_events=800, seed=72)
         spec = WindowSpec.covering(events, delta=3_000, sw=900)
-        small = memory_report(MultiWindowPartition(events, spec, 1))
-        large = memory_report(MultiWindowPartition(events, spec, 8))
+        small = memory_report(LazyMultiWindowPartition(events, spec, 1))
+        large = memory_report(LazyMultiWindowPartition(events, spec, 8))
         assert (
             large.total_allocated_bytes >= small.total_allocated_bytes
         )

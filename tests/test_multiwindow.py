@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.events import WindowSpec
-from repro.graph import MultiWindowPartition, TemporalAdjacency
+from repro.graph import LazyMultiWindowPartition, TemporalAdjacency
 from tests.conftest import random_events
 
 
@@ -19,7 +19,7 @@ def setup():
 class TestPartitioning:
     def test_covers_all_windows(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 4)
+        part = LazyMultiWindowPartition(events, spec, 4)
         covered = []
         for g in part:
             covered.extend(g.window_indices())
@@ -27,31 +27,31 @@ class TestPartitioning:
 
     def test_uniform_distribution(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         sizes = [g.n_windows for g in part]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == spec.n_windows
 
     def test_clamps_to_window_count(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, spec.n_windows * 5)
+        part = LazyMultiWindowPartition(events, spec, spec.n_windows * 5)
         assert len(part) == spec.n_windows
         assert all(g.n_windows == 1 for g in part)
 
     def test_single_partition_holds_everything(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 1)
+        part = LazyMultiWindowPartition(events, spec, 1)
         assert len(part) == 1
         assert part[0].nnz == len(events)
 
     def test_rejects_nonpositive(self, setup):
         events, spec = setup
         with pytest.raises(ValidationError):
-            MultiWindowPartition(events, spec, 0)
+            LazyMultiWindowPartition(events, spec, 0)
 
     def test_owner_routing(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 4)
+        part = LazyMultiWindowPartition(events, spec, 4)
         for w in range(spec.n_windows):
             g = part.graph_of(w)
             assert w in g.window_indices()
@@ -60,19 +60,21 @@ class TestPartitioning:
 
     def test_replication_at_least_boundary_truncated(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 4)
+        part = LazyMultiWindowPartition(events, spec, 4)
         # stored events never exceed events x partitions and the overlap
         # duplication makes Σ|E_w| at least the events inside any window
         assert part.total_stored_events <= len(events) * 4
         assert part.replication_factor > 0
-        assert part.memory_bytes() > 0
+        # the partition holds recipes only; each built graph holds arrays
+        assert part.memory_bytes() == 0
+        assert all(g.memory_bytes() > 0 for g in part)
 
 
 class TestLocalViews:
     def test_window_views_match_full_adjacency(self, setup):
         events, spec = setup
         full = TemporalAdjacency.from_events(events)
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         for w in spec:
             local = part.window_view(w.index)
             reference = full.window_view(w)
@@ -81,7 +83,7 @@ class TestLocalViews:
 
     def test_local_edges_map_to_global(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         w = spec.window(2)
         g = part.graph_of(2)
         view = g.window_view(2)
@@ -98,7 +100,7 @@ class TestLocalViews:
 
     def test_to_global_scatter(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         g = part[0]
         local = np.arange(g.n_local_vertices, dtype=np.float64) + 1
         out = g.to_global(local, events.n_vertices)
@@ -111,7 +113,7 @@ class TestLocalViews:
 
     def test_local_window_rejects_foreign_index(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         g = part[0]
         foreign = part[1].first_window
         with pytest.raises(ValidationError):
@@ -119,7 +121,7 @@ class TestLocalViews:
 
     def test_subspec_timing_preserved(self, setup):
         events, spec = setup
-        part = MultiWindowPartition(events, spec, 4)
+        part = LazyMultiWindowPartition(events, spec, 4)
         for g in part:
             for w_idx in g.window_indices():
                 local = g.local_window(w_idx)

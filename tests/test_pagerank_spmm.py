@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.events import Window, WindowSpec
-from repro.graph import MultiWindowPartition, TemporalAdjacency
+from repro.graph import LazyMultiWindowPartition, TemporalAdjacency
 from repro.pagerank import (
     PagerankConfig,
     pagerank_window,
@@ -122,7 +122,7 @@ class TestSpmmInsideMultiwindow:
     def test_local_space_batches(self, tight):
         events = random_events(n_vertices=40, n_events=600, seed=61)
         spec = WindowSpec.covering(events, delta=3_000, sw=800)
-        part = MultiWindowPartition(events, spec, 2)
+        part = LazyMultiWindowPartition(events, spec, 2)
         g = part[0]
         views = [g.window_view(i) for i in g.window_indices()]
         batch = pagerank_windows_spmm(views, tight)

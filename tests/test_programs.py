@@ -15,7 +15,7 @@ from repro.errors import ValidationError
 from repro.events import WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.graph.csr import build_csr_from_edges
-from repro.graph.multiwindow import MultiWindowPartition
+from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.models.postmortem import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
     PagerankConfig,
@@ -74,7 +74,7 @@ def reference_chain(
     """
     solver = pagerank_window_weighted if weighted else pagerank_window
     out = np.zeros((spec.n_windows, events.n_vertices))
-    partition = MultiWindowPartition(events, spec, N_MULTIWINDOWS)
+    partition = LazyMultiWindowPartition(events, spec, N_MULTIWINDOWS)
     for graph in partition:
         if kernel == "spmm" and graph.n_windows > 1 and not weighted:
             batches = spmm_region_schedule(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import TemporalEventSet
-from repro.graph import MultiWindowPartition, TemporalAdjacency, build_csr_from_edges
+from repro.graph import LazyMultiWindowPartition, TemporalAdjacency, build_csr_from_edges
 from repro.events.windows import WindowSpec
 
 
@@ -102,7 +102,7 @@ def test_multiwindow_views_equal_full_views(events, n_mw):
     spec = WindowSpec.covering(events, delta=max(span // 3, 1),
                                sw=max(span // 7, 1))
     full = TemporalAdjacency.from_events(events)
-    part = MultiWindowPartition(events, spec, n_mw)
+    part = LazyMultiWindowPartition(events, spec, n_mw)
     for w in spec:
         local = part.window_view(w.index)
         ref = full.window_view(w)

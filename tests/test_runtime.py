@@ -93,14 +93,14 @@ class TestDriverContext:
 
 class TestExecution:
     def test_executor_registry(self):
-        assert EXECUTORS == ("serial", "thread", "process", "shared")
+        assert EXECUTORS == ("serial", "thread", "shared")
 
     def test_require_executor_accepts_supported(self):
         require_executor("thread", ("serial", "thread"), "offline")
 
     def test_require_executor_rejects_unsupported(self):
         with pytest.raises(ValidationError, match="streaming"):
-            require_executor("process", ("serial",), "streaming")
+            require_executor("shared", ("serial",), "streaming")
 
 
 class TestRunScope:

@@ -205,13 +205,6 @@ class TestDriverSink:
                 atol=1e-12,
             )
 
-    def test_sink_with_process_executor_rejected(self, events, spec,
-                                                 config):
-        options = PostmortemOptions(executor="process")
-        driver = PostmortemDriver(events, spec, config, options)
-        with pytest.raises(ValidationError, match="process"):
-            driver.run(value_sink=lambda *a: None)
-
     def test_streaming_peak_memory_independent_of_window_count(
         self, tmp_path
     ):

@@ -1,14 +1,16 @@
 """Tests for the shared-memory process backend (repro.parallel.shared_arena).
 
-Covers the three acceptance properties of the zero-copy executor:
+Covers the acceptance properties of the zero-copy executor:
 
 * **parity** — ``executor="shared"`` produces bitwise-identical window
   results (and identical rank stores via ``value_sink``) to the thread
-  and pickled-process executors;
-* **zero payload** — task submissions carry only handles, asserted with a
-  pickle-size probe against the published array volume;
+  executor;
+* **zero payload** — task submissions carry only handles and build
+  recipes, asserted with a pickle-size probe against the pickled graphs;
+* **one event set per arena** — a worker wraps the attached columns once,
+  not once per task, and in-process runs wrap none;
 * **lifecycle** — no ``/dev/shm`` segment survives a normal run, a driver
-  exception, or a killed worker.
+  exception, a failing worker or sink, or a killed worker.
 """
 
 import glob
@@ -21,16 +23,20 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ValidationError
-from repro.events import WindowSpec
-from repro.graph.multiwindow import MultiWindowPartition
-from repro.models import PostmortemDriver, PostmortemOptions
+from repro.events import TemporalEventSet, WindowSpec
+from repro.graph.multiwindow import LazyMultiWindowPartition
+from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
+from repro.models.offline import _solve_window_range
 from repro.pagerank import PagerankConfig
 from repro.parallel.shared_arena import (
     ARENA_NAME_PREFIX,
     SharedArenaRegistry,
     attach_arena,
-    run_shared_tasks,
+    run_arena_tasks,
 )
+from repro.programs.registry import resolve_program
+from repro.runtime import DriverContext
+from repro.runtime.execution import _attached_worker
 from repro.service import RankStore, RankStoreWriter
 from tests.conftest import random_events
 
@@ -38,6 +44,10 @@ from tests.conftest import random_events
 def shm_segments():
     """Live arena segments in /dev/shm (Linux shared-memory mount)."""
     return glob.glob(f"/dev/shm/{ARENA_NAME_PREFIX}*")
+
+
+def columns(events):
+    return {"src": events.src, "dst": events.dst, "time": events.time}
 
 
 @pytest.fixture
@@ -63,38 +73,31 @@ def run_with(events, spec, cfg, executor, kernel="spmv", sink=None,
 class TestArena:
     def test_round_trip_views(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 3)
         with SharedArenaRegistry() as reg:
-            handles = reg.publish_graphs(part.graphs)
-            for g, h in zip(part.graphs, handles):
-                rebuilt = h.materialize()
-                for key, arr in g.shared_arrays().items():
-                    view = rebuilt.shared_arrays()[key]
-                    assert np.array_equal(arr, view)
-                    assert not view.flags.writeable
+            view = attach_arena(reg.publish(columns(events)))
+            for key, arr in columns(events).items():
+                shared = view.shared_view(key)
+                assert np.array_equal(arr, shared)
+                assert not shared.flags.writeable
         assert shm_segments() == []
 
-    def test_materialize_is_cached_per_process(self, setup):
+    def test_attach_is_cached_per_process(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 2)
         with SharedArenaRegistry() as reg:
-            h = reg.publish_graphs(part.graphs)[0]
-            assert h.materialize() is h.materialize()
+            handle = reg.publish(columns(events))
+            assert attach_arena(handle) is attach_arena(handle)
 
     def test_unknown_key_rejected(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 2)
         with SharedArenaRegistry() as reg:
-            handle = reg.publish_graphs(part.graphs)[0].arena
-            view = attach_arena(handle)
+            view = attach_arena(reg.publish(columns(events)))
             with pytest.raises(ValidationError):
                 view.shared_view("no-such-array")
 
     def test_close_is_idempotent(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 2)
         reg = SharedArenaRegistry()
-        reg.publish_graphs(part.graphs)
+        reg.publish(columns(events))
         reg.close()
         reg.close()
         assert shm_segments() == []
@@ -105,20 +108,13 @@ class TestArena:
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    def test_shared_matches_thread_and_process_bitwise(self, setup, kernel):
+    def test_shared_matches_thread_bitwise(self, setup, kernel):
         events, spec, cfg = setup
-        runs = {
-            ex: run_with(events, spec, cfg, ex, kernel)
-            for ex in ("thread", "process", "shared")
-        }
-        ref = runs["thread"]
-        for name in ("process", "shared"):
-            other = runs[name]
-            for wa, wb in zip(ref.windows, other.windows):
-                assert wa.iterations == wb.iterations, (name, wa.window_index)
-                assert np.array_equal(wa.values, wb.values), (
-                    name, wa.window_index,
-                )
+        ref = run_with(events, spec, cfg, "thread", kernel)
+        other = run_with(events, spec, cfg, "shared", kernel)
+        for wa, wb in zip(ref.windows, other.windows):
+            assert wa.iterations == wb.iterations, wa.window_index
+            assert np.array_equal(wa.values, wb.values), wa.window_index
 
     def test_value_sink_runs_in_parent(self, setup):
         events, spec, cfg = setup
@@ -156,11 +152,6 @@ class TestExecutorParity:
             for w in range(spec.n_windows):
                 assert np.array_equal(a.row(w), b.row(w)), w
 
-    def test_pickled_process_still_rejects_sink(self, setup):
-        events, spec, cfg = setup
-        with pytest.raises(ValidationError, match="shared"):
-            run_with(events, spec, cfg, "process", sink=lambda *a: None)
-
 
 # ----------------------------------------------------------------------
 # the zero-pickling guarantee
@@ -170,13 +161,12 @@ class TestPayloadProbe:
         events, spec, cfg = setup
         run = run_with(events, spec, cfg, "shared")
         stats = run.metadata["shared_arena"]
-        part = MultiWindowPartition(events, spec, 3)
+        part = LazyMultiWindowPartition(events, spec, 3)
         pickled_graphs = sum(
-            len(pickle.dumps(g.shared_arrays(), pickle.HIGHEST_PROTOCOL))
-            for g in part.graphs
+            len(pickle.dumps(g, pickle.HIGHEST_PROTOCOL)) for g in part
         )
         # the probe: total submitted task bytes must be a sliver of what
-        # pickling the graphs' arrays would cost, and far below the arena
+        # pickling the graphs would cost, and far below the arena
         assert stats["n_tasks"] == 3
         assert stats["payload_bytes"] < pickled_graphs / 10
         assert stats["payload_bytes"] < stats["arena_bytes"]
@@ -186,26 +176,83 @@ class TestPayloadProbe:
         for n_events in (500, 4000):
             events = random_events(n_vertices=80, n_events=n_events, seed=5)
             spec = WindowSpec.covering(events, delta=2_500, sw=900)
-            part = MultiWindowPartition(events, spec, 2)
-            with SharedArenaRegistry() as reg:
-                handles = reg.publish_graphs(part.graphs)
-                sizes.append(
-                    len(pickle.dumps(handles, pickle.HIGHEST_PROTOCOL))
-                )
-        # 8x the events moves the handle size only by metadata jitter
+            opts = PostmortemOptions(
+                n_multiwindows=2, executor="shared", n_threads=2
+            )
+            run = PostmortemDriver(
+                events, spec, PagerankConfig(), opts
+            ).run(store_values=False)
+            stats = run.metadata["shared_arena"]
+            assert stats["n_tasks"] == 2
+            sizes.append(stats["payload_bytes"])
+        # 8x the events moves the payload size only by metadata jitter
         # (integer field widths), never by array payload
         assert abs(sizes[0] - sizes[1]) < 128
         assert max(sizes) < 4096
 
 
 # ----------------------------------------------------------------------
+# the attached event set: wrapped once per arena, never in-process
+# ----------------------------------------------------------------------
+@pytest.fixture
+def count_event_sets(monkeypatch):
+    """Counts event-set constructions: validated and wrapped."""
+    counts = {"validated": 0, "wrapped": 0}
+    init = TemporalEventSet.__init__
+    wrap = TemporalEventSet.from_validated.__func__
+
+    def counting_init(self, *args, **kwargs):
+        counts["validated"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_wrap(cls, *args, **kwargs):
+        counts["wrapped"] += 1
+        return wrap(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TemporalEventSet, "__init__", counting_init)
+    monkeypatch.setattr(
+        TemporalEventSet, "from_validated", classmethod(counting_wrap)
+    )
+    return counts
+
+
+class TestAttachedEventSet:
+    def test_k_payloads_one_event_set(self, setup, count_event_sets):
+        events, spec, cfg = setup
+        program = resolve_program(None, cfg)
+        serial = OfflineDriver(events, spec, cfg).run()
+        count_event_sets.update(validated=0, wrapped=0)
+        with SharedArenaRegistry() as reg:
+            view = attach_arena(reg.publish(columns(events)))
+            for i in range(spec.n_windows):
+                (wr,), _, _ = _attached_worker(
+                    view, (i, i + 1), i, None, _solve_window_range,
+                    events.n_vertices, spec, cfg, True, program,
+                )
+                assert np.array_equal(wr.values, serial.windows[i].values)
+        assert spec.n_windows > 1
+        assert count_event_sets == {"validated": 0, "wrapped": 1}
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_in_process_runs_construct_none(
+        self, setup, count_event_sets, executor
+    ):
+        events, spec, cfg = setup
+        ctx = DriverContext(executor=executor, n_workers=2)
+        driver = OfflineDriver(events, spec, cfg, context=ctx)
+        count_event_sets.update(validated=0, wrapped=0)
+        driver.run(store_values=False)
+        assert count_event_sets == {"validated": 0, "wrapped": 0}
+
+
+# ----------------------------------------------------------------------
 # lifecycle: nothing leaks into /dev/shm
 # ----------------------------------------------------------------------
-def _killed_worker(graph, index, sink):
+def _killed_worker(view, payload, index, sink):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _failing_worker(graph, index, sink):
+def _failing_worker(view, payload, index, sink):
     raise RuntimeError("worker boom")
 
 
@@ -230,16 +277,18 @@ class TestLifecycle:
 
     def test_failing_worker_unlinks(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 3)
         with pytest.raises(RuntimeError, match="worker boom"):
-            run_shared_tasks(part.graphs, _failing_worker, n_workers=2)
+            run_arena_tasks(
+                columns(events), [0, 1, 2], _failing_worker, n_workers=2
+            )
         assert shm_segments() == []
 
     def test_killed_worker_unlinks(self, setup):
         events, spec, cfg = setup
-        part = MultiWindowPartition(events, spec, 3)
         with pytest.raises(BrokenProcessPool):
-            run_shared_tasks(part.graphs, _killed_worker, n_workers=2)
+            run_arena_tasks(
+                columns(events), [0, 1, 2], _killed_worker, n_workers=2
+            )
         assert shm_segments() == []
 
     def test_convergence_error_unlinks(self, setup):

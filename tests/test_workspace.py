@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.events import WindowSpec
-from repro.graph.multiwindow import MultiWindowPartition
+from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.pagerank import PagerankConfig, Workspace
 from repro.pagerank.propagation_blocking import pagerank_window_pb
 from repro.pagerank.spmm import pagerank_windows_spmm
@@ -23,7 +23,7 @@ from tests.conftest import random_events
 def graph():
     events = random_events(n_vertices=50, n_events=900, seed=23)
     spec = WindowSpec.covering(events, delta=2_000, sw=600)
-    return MultiWindowPartition(events, spec, 1).graphs[0]
+    return LazyMultiWindowPartition(events, spec, 1).graphs[0]
 
 
 CFG = PagerankConfig(tolerance=1e-11, max_iterations=200)
@@ -133,7 +133,7 @@ class TestDriverParity:
         )
         run = PostmortemDriver(events, spec, CFG, opts).run()
         if kernel == "spmv" and not partial:
-            part = MultiWindowPartition(events, spec, 2)
+            part = LazyMultiWindowPartition(events, spec, 2)
             for g in part.graphs:
                 for w in g.window_indices():
                     view = g.window_view(w)
