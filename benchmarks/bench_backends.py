@@ -2,22 +2,20 @@
 
 The backend registry (:mod:`repro.pagerank.backends`) lets every kernel
 swap its per-iteration gather→reduce step between the flat NumPy
-reference, the PCPM-style destination-partitioned reduce, and the
-(optional) numba JIT-fused variant.  This bench answers three questions:
+reference and the (optional) numba JIT-fused destination-partitioned
+reduce.  This bench answers three questions:
 
 * **Is it always the same answer?**  Every backend must match the numpy
-  reference *bitwise* on a realistic window, for all four kernels (spmv,
-  weighted, spmm, pb) — the tentpole acceptance claim.
-* **What does the slice-at-a-time NumPy partitioning cost?**  Measured
-  per-iteration propagate time at large V for numpy vs pcpm, plus the
-  one-time binning cost.  On a JIT-less host the pcpm path is a measured
-  *overhead* (the gather stays random over the full rank vector; only the
-  fused reduce realizes the locality win) — the ratio is recorded and
-  guarded so it cannot silently grow.
+  reference *bitwise* on a realistic window, for all three kernels (spmv,
+  weighted, spmm) — the tentpole acceptance claim.
+* **What does the fused partitioned reduce cost?**  Measured
+  per-iteration propagate time at large V for numpy vs numba, plus the
+  one-time binning cost.  The ratio is reported, not guarded: it is only
+  meaningful where the JIT is importable (without it the numba backend
+  *is* the flat pass).
 * **Can ``backend="auto"`` be trusted?**  The resolved choice must land
   within 10% of whichever fixed backend is actually faster.  Without
-  numba the cost model prices pcpm with no locality discount
-  (``fused=False``) and correctly stays flat.
+  numba ``auto`` resolves to numpy without asking the cost model.
 
 Results are printed, persisted as text, and emitted as JSON
 (``benchmarks/output/backends.json``); the committed baseline is
@@ -40,7 +38,6 @@ from repro.graph import TemporalAdjacency
 from repro.pagerank import (
     Workspace,
     pagerank_window,
-    pagerank_window_pb,
     pagerank_window_weighted,
     pagerank_windows_spmm,
 )
@@ -65,7 +62,7 @@ LARGE_M = 2_400_000
 #: allowed slack of the auto policy over the better fixed backend
 AUTO_SLACK = 1.10
 
-BACKENDS = ("numpy", "pcpm", "numba", "auto")
+BACKENDS = ("numpy", "numba", "auto")
 
 
 def _best_of(fn, repeats: int = REPEATS):
@@ -78,7 +75,7 @@ def _best_of(fn, repeats: int = REPEATS):
 
 
 def _parity_flags(view, views):
-    """Bitwise parity of every backend against numpy, all four kernels.
+    """Bitwise parity of every backend against numpy, all three kernels.
 
     ``edge_path="masked"`` streams the *whole* stored structure through
     each backend's plan every iteration — the largest edge list the
@@ -102,16 +99,13 @@ def _parity_flags(view, views):
         "spmm": lambda cfg: pagerank_windows_spmm(
             views, cfg, workspace=Workspace()
         ),
-        "pb": lambda cfg: pagerank_window_pb(
-            view, cfg, workspace=Workspace()
-        ),
     }
     flags = {}
     for name, solve in kernels.items():
         base = solve(cfgs["numpy"])
         flags[name] = all(
             np.array_equal(solve(cfgs[b]).values, base.values)
-            for b in ("pcpm", "numba", "auto")
+            for b in ("numba", "auto")
         )
     return flags
 
@@ -140,13 +134,13 @@ def test_backends():
     views = sorted(busiest[:SPMM_BATCH], key=lambda v: v.window.index)
     view = busiest[0]
 
-    # -- parity: every backend bitwise vs numpy, all four kernels --------
+    # -- parity: every backend bitwise vs numpy, all three kernels -------
     flags = _parity_flags(view, views)
 
     # -- per-iteration propagate cost at large V -------------------------
     rows, cols, w = _large_v_instance()
     periter_ms, bin_ms = {}, {}
-    for name in ("numpy", "pcpm"):
+    for name in ("numpy", "numba"):
         backend = create_backend(name)
         plan, t_bin = _best_of(
             lambda b=backend: b.make_plan(cols, rows, LARGE_V), 1
@@ -154,7 +148,7 @@ def test_backends():
         _, t_prop = _best_of(lambda p=plan: p.propagate(w))
         periter_ms[name] = t_prop * 1e3
         bin_ms[name] = t_bin * 1e3
-    pcpm_over_numpy = periter_ms["pcpm"] / periter_ms["numpy"]
+    numba_over_numpy = periter_ms["numba"] / periter_ms["numpy"]
 
     # -- the auto gate: full kernel at large V ---------------------------
     # a full-span window over a synthetic graph whose rank vector dwarfs
@@ -172,12 +166,12 @@ def test_backends():
         Window(0, 0, 10_001)
     )
     seconds, runs = {}, {}
-    for name in ("numpy", "pcpm", "auto"):
+    for name in ("numpy", "numba", "auto"):
         cfg = replace(BENCH_CONFIG, backend=name)
         runs[name], seconds[name] = _best_of(
             lambda c=cfg: pagerank_window(big_view, c, workspace=Workspace())
         )
-    best_fixed = min(("numpy", "pcpm"), key=seconds.get)
+    best_fixed = min(("numpy", "numba"), key=seconds.get)
     auto_over_best = seconds["auto"] / seconds[best_fixed]
     auto_within_bound = auto_over_best <= AUTO_SLACK
     resolved = resolve_backend(
@@ -186,9 +180,10 @@ def test_backends():
     ).name
 
     # -- WorkStats attribution -------------------------------------------
-    pcpm_work = runs["pcpm"].work
+    numba_work = runs["numba"].work
     stats_recorded = (
-        pcpm_work.binning_seconds > 0.0 and pcpm_work.propagate_seconds > 0.0
+        numba_work.binning_seconds > 0.0
+        and numba_work.propagate_seconds > 0.0
     )
 
     payload = {
@@ -198,16 +193,16 @@ def test_backends():
             "n_vertices": LARGE_V,
             "n_edges": LARGE_M,
             "numpy_ms": round(periter_ms["numpy"], 3),
-            "pcpm_ms": round(periter_ms["pcpm"], 3),
-            "pcpm_binning_ms": round(bin_ms["pcpm"], 3),
-            "pcpm_over_numpy": round(pcpm_over_numpy, 4),
+            "numba_ms": round(periter_ms["numba"], 3),
+            "numba_binning_ms": round(bin_ms["numba"], 3),
+            "numba_over_numpy": round(numba_over_numpy, 4),
         },
         "auto": {
             "n_vertices": n_v,
             "n_edges": int(big_view.n_active_edges),
             "iterations": int(runs["numpy"].iterations),
             "seconds_numpy": round(seconds["numpy"], 4),
-            "seconds_pcpm": round(seconds["pcpm"], 4),
+            "seconds_numba": round(seconds["numba"], 4),
             "seconds_auto": round(seconds["auto"], 4),
             "best_fixed": best_fixed,
             "resolved": resolved,
@@ -215,8 +210,8 @@ def test_backends():
             "auto_within_bound": bool(auto_within_bound),
         },
         "workstats": {
-            "binning_seconds": round(pcpm_work.binning_seconds, 6),
-            "propagate_seconds": round(pcpm_work.propagate_seconds, 6),
+            "binning_seconds": round(numba_work.binning_seconds, 6),
+            "propagate_seconds": round(numba_work.propagate_seconds, 6),
             "recorded": bool(stats_recorded),
         },
     }
@@ -229,7 +224,7 @@ def test_backends():
         [k, "bitwise" if ok else "DIVERGED"] for k, ok in flags.items()
     ]
     text = format_table(
-        ["kernel", "numpy vs pcpm/numba/auto"], rows_tbl,
+        ["kernel", "numpy vs numba/auto"], rows_tbl,
         title=(
             f"backend parity on {PROFILE} (window {view.window.index}, "
             f"{adj.nnz:,} streamed events, "
@@ -240,16 +235,16 @@ def test_backends():
     text += (
         f"\n\nlarge-V propagate ({LARGE_V:,} vertices, {LARGE_M:,} edges):"
         f" numpy {periter_ms['numpy']:.2f} ms/it,"
-        f" pcpm {periter_ms['pcpm']:.2f} ms/it"
-        f" (ratio {pcpm_over_numpy:.2f}x,"
-        f" binning {bin_ms['pcpm']:.2f} ms once)"
+        f" numba {periter_ms['numba']:.2f} ms/it"
+        f" (ratio {numba_over_numpy:.2f}x,"
+        f" binning {bin_ms['numba']:.2f} ms once)"
         f"\nnumba available: {numba_available()}"
         f"\nauto on {n_v:,}-vertex window: resolved={resolved},"
         f" {seconds['auto']:.3f}s vs best fixed"
         f" {best_fixed}={seconds[best_fixed]:.3f}s"
         f" ({auto_over_best:.3f}x, bound {AUTO_SLACK:.2f}x)"
-        f"\nworkstats: binning={pcpm_work.binning_seconds * 1e3:.2f} ms,"
-        f" propagate={pcpm_work.propagate_seconds * 1e3:.2f} ms"
+        f"\nworkstats: binning={numba_work.binning_seconds * 1e3:.2f} ms,"
+        f" propagate={numba_work.propagate_seconds * 1e3:.2f} ms"
     )
     emit("backends", text)
 

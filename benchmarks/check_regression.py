@@ -56,11 +56,9 @@ GUARDED = {
         (("pm_over_offline_worst",),
          "postmortem/offline k-core wall-clock (worst dataset)"),
     ],
-    # back-to-back same-machine ratios: the NumPy partitioning overhead
-    # and the auto policy's slack over the measured best fixed backend
+    # back-to-back same-machine ratio: the auto policy's slack over the
+    # measured best fixed backend
     "backends": [
-        (("propagate_large_v", "pcpm_over_numpy"),
-         "pcpm/numpy per-iteration propagate time"),
         (("auto", "auto_over_best"),
          "auto/best-fixed full-kernel time"),
     ],
@@ -82,7 +80,6 @@ REQUIRED_FLAGS = {
         ("weighted", "match_exact"),
         ("spmm", "match_exact"),
         ("spmm", "auto_within_bound"),
-        ("pb", "match_close"),
         ("auto_within_bound",),
     ],
     "cluster_serving": [
@@ -99,7 +96,6 @@ REQUIRED_FLAGS = {
         ("parity", "spmv"),
         ("parity", "weighted"),
         ("parity", "spmm"),
-        ("parity", "pb"),
         ("auto", "auto_within_bound"),
         ("workstats", "recorded"),
     ],

@@ -11,7 +11,6 @@ from repro.analysis.comparison import (
     speedup_grid,
 )
 from repro.analysis.memory import MemoryReport, memory_report
-from repro.analysis.graph_stats import triangle_count, degree_histogram, window_stats
 from repro.analysis.timeseries import (
     rank_stability_series,
     topk_churn_series,
@@ -32,9 +31,6 @@ __all__ = [
     "speedup_grid",
     "MemoryReport",
     "memory_report",
-    "triangle_count",
-    "degree_histogram",
-    "window_stats",
     "spearman_rank_correlation",
     "topk_overlap",
     "l1_distance",

@@ -59,6 +59,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
+    from repro.pagerank.backends import BACKEND_NAMES
     from repro.programs.registry import PROGRAMS
     from repro.runtime.execution import EXECUTORS
 
@@ -143,15 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "per window (bitwise-identical), or let the cost "
                        "model decide per window (default)")
     p_run.add_argument("--backend", default="auto",
-                       choices=["auto", "numpy", "pcpm", "numba"],
+                       choices=list(BACKEND_NAMES),
                        help="kernel propagation backend: flat NumPy "
-                       "gather/reduce, PCPM destination-partitioned "
-                       "reduce under a cache budget, numba-JIT PCPM "
-                       "(degrades to pcpm without numba), or the cost "
-                       "model's pick (default); all bitwise-identical")
+                       "gather/reduce, numba-JIT destination-partitioned "
+                       "reduce under a cache budget (the flat pass "
+                       "without numba), or the cost model's pick "
+                       "(default); all bitwise-identical")
     p_run.add_argument("--cache-budget", type=int, default=262_144,
                        help="per-partition rank-slice budget in bytes for "
-                       "the partitioned backends (default 256 KiB)")
+                       "the numba backend (default 256 KiB)")
     p_run.add_argument("--top", type=int, default=3,
                        help="top vertices to print per window")
     p_run.add_argument("--every", type=int, default=1,
@@ -1078,7 +1079,7 @@ def cmd_lint(args, out) -> int:
 
 def cmd_backends(args, out) -> int:
     from repro.pagerank.backends import backend_availability
-    from repro.pagerank.backends.pcpm import DEFAULT_CACHE_BUDGET
+    from repro.pagerank.backends.numba_backend import DEFAULT_CACHE_BUDGET
     from repro.parallel.cost_model import (
         DEFAULT_EXPECTED_ITERATIONS,
         PCPM_BIN_COST_RATIO,

@@ -21,16 +21,15 @@ Layout of a ``.tcsr`` file::
     after them  the JSON table: per-array name/dtype/shape/offset + meta
 
 The file is written by :class:`TemporalCSRBuilder` in **bounded memory**:
-incoming event chunks spill to a side file, a parallel pass (fanned out
-through the shared :class:`~repro.parallel.executor.ChunkedThreadExecutor`)
-time-sorts each chunk in place and takes per-vertex degree counts, chunks
-are merged bucket-at-a-time into the final time-sorted log, and each CSR
-orientation is built with a streaming counting-sort scatter followed by a
-parallel per-row-block ``(neighbor, time)`` sort — never holding more than
-O(chunk) events in RAM.  The resulting arrays are bitwise-identical to
-:meth:`TemporalAdjacency.from_events` on the same events (stable sorts
-compose: per-chunk sort + in-order bucket merge reproduces the global
-stable time sort exactly).
+incoming event chunks spill to a side file, a parallel pass (one thread
+task per chunk) time-sorts each chunk in place and takes per-vertex degree
+counts, chunks are merged bucket-at-a-time into the final time-sorted log,
+and each CSR orientation is built with a streaming counting-sort scatter
+followed by a parallel per-row-block ``(neighbor, time)`` sort — never
+holding more than O(chunk) events in RAM.  The resulting arrays are
+bitwise-identical to :meth:`TemporalAdjacency.from_events` on the same
+events (stable sorts compose: per-chunk sort + in-order bucket merge
+reproduces the global stable time sort exactly).
 """
 
 from __future__ import annotations
@@ -39,14 +38,16 @@ import json
 import mmap
 import os
 import struct
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
 from repro.errors import GraphBuildError, ValidationError
 from repro.events.event_set import TemporalEventSet
 from repro.graph.temporal_csr import TemporalAdjacency, TemporalCSR
-from repro.parallel.executor import ChunkedThreadExecutor
 from repro.sanitize import freeze_boundary
 from repro.utils.segments import indptr_to_row_ids, lengths_to_indptr
 
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 PathLike = Union[str, os.PathLike]
+T = TypeVar("T")
 
 MAGIC = b"TCSRART1"
 VERSION = 1
@@ -149,6 +151,24 @@ def _drop_pages(arr, dirty: bool = False, lo=None, hi=None) -> None:
     if dirty:
         mm.flush(start, stop - start)
     mm.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
+
+def _map_items(
+    fn: Callable[[int], T], n_items: int, n_workers: int
+) -> List[T]:
+    """``[fn(i) for i in range(n_items)]``, one thread task per item when
+    there is more than one worker; the first failure re-raises here."""
+    if n_workers == 1 or n_items <= 1:
+        return [fn(i) for i in range(n_items)]
+    with ThreadPoolExecutor(n_workers) as pool:
+        return list(pool.map(fn, range(n_items)))
+
+
+def _unlink_if_exists(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:  # lint: disable=silent-except
+        pass
 
 
 def _close_map(arr) -> None:
@@ -289,47 +309,38 @@ class TemporalCSRBuilder:
         )
 
     def _sort_count_pass(
-        self, spill: np.ndarray, executor: ChunkedThreadExecutor
+        self, spill: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Time-sort every spill chunk in place; per-vertex degree counts
         and boundary samples fall out of the same scan."""
         V = self.n_vertices
 
-        def sort_count(lo: int, hi: int):
-            in_c = np.zeros(V, dtype=np.int64)
-            out_c = np.zeros(V, dtype=np.int64)
-            samples = []
-            for ci in range(lo, hi):
-                s_v, d_v, t_v = self._chunk_views(spill, ci)
-                order = np.argsort(t_v, kind="stable")
-                t = t_v[order]
-                t_v[:] = t
-                s = s_v[order]
-                s_v[:] = s
-                out_c += np.bincount(s, minlength=V).astype(
-                    np.int64, copy=False
-                )
-                del s
-                d = d_v[order]
-                d_v[:] = d
-                in_c += np.bincount(d, minlength=V).astype(
-                    np.int64, copy=False
-                )
-                del d
-                step = max(1, t.size // _SAMPLES_PER_CHUNK)
-                samples.append(t[::step].copy())
-                off, cnt = self._chunks[ci]
-                _drop_pages(spill, dirty=True, lo=off, hi=off + 3 * cnt)
-            return [(in_c, out_c, samples)]
+        def sort_count(ci: int):
+            s_v, d_v, t_v = self._chunk_views(spill, ci)
+            order = np.argsort(t_v, kind="stable")
+            t = t_v[order]
+            t_v[:] = t
+            s = s_v[order]
+            s_v[:] = s
+            out_c = np.bincount(s, minlength=V).astype(np.int64, copy=False)
+            del s
+            d = d_v[order]
+            d_v[:] = d
+            in_c = np.bincount(d, minlength=V).astype(np.int64, copy=False)
+            del d
+            step = max(1, t.size // _SAMPLES_PER_CHUNK)
+            off, cnt = self._chunks[ci]
+            _drop_pages(spill, dirty=True, lo=off, hi=off + 3 * cnt)
+            return in_c, out_c, t[::step].copy()
 
-        parts = executor.map_chunks(sort_count, len(self._chunks))
+        parts = _map_items(sort_count, len(self._chunks), self.n_workers)
         in_counts = np.zeros(V, dtype=np.int64)
         out_counts = np.zeros(V, dtype=np.int64)
         all_samples: List[np.ndarray] = []
-        for in_c, out_c, samples in parts:
+        for in_c, out_c, sample in parts:
             in_counts += in_c
             out_counts += out_c
-            all_samples.extend(samples)
+            all_samples.append(sample)
         samples = (
             np.sort(np.concatenate(all_samples))
             if all_samples else np.empty(0, dtype=np.int64)
@@ -364,7 +375,6 @@ class TemporalCSRBuilder:
         spill: np.ndarray,
         splits: np.ndarray,
         maps: Dict[str, np.ndarray],
-        executor: ChunkedThreadExecutor,
     ) -> None:
         """Gather each time bucket from every chunk (in add order), stable
         sort by time, and stream it to its final slot in the event log.
@@ -384,49 +394,46 @@ class TemporalCSRBuilder:
         stride = self.time_index_stride
         n_chunks = len(self._chunks)
 
-        def merge(lo: int, hi: int):
-            for b in range(lo, hi):
-                slices = [
-                    (ci, int(splits[ci, b]), int(splits[ci, b + 1]))
-                    for ci in range(n_chunks)
-                    if splits[ci, b + 1] > splits[ci, b]
-                ]
-                if not slices:
-                    continue
-                g0, g1 = int(starts[b]), int(starts[b + 1])
-                # gather one component at a time straight from the mapped
-                # spill, freeing each as soon as it is written: the
-                # transient heap peak is what the RSS bound pays for
-                t = np.concatenate(
-                    [self._chunk_views(spill, ci)[2][a:z]
+        def merge(b: int) -> None:
+            slices = [
+                (ci, int(splits[ci, b]), int(splits[ci, b + 1]))
+                for ci in range(n_chunks)
+                if splits[ci, b + 1] > splits[ci, b]
+            ]
+            if not slices:
+                return
+            g0, g1 = int(starts[b]), int(starts[b + 1])
+            # gather one component at a time straight from the mapped
+            # spill, freeing each as soon as it is written: the transient
+            # heap peak is what the RSS bound pays for
+            t = np.concatenate(
+                [self._chunk_views(spill, ci)[2][a:z] for ci, a, z in slices]
+            )
+            order = np.argsort(t, kind="stable")
+            t = t[order]
+            ev_time[g0:g1] = t
+            p0 = -(-g0 // stride) * stride
+            ps = np.arange(p0, g1, stride, dtype=np.int64)
+            if ps.size:
+                ti[ps // stride] = t[ps - g0]
+            del t
+            _drop_pages(ev_time, dirty=True, lo=g0, hi=g1)
+            for comp, out in ((0, ev_src), (1, ev_dst)):
+                vals = np.concatenate(
+                    [self._chunk_views(spill, ci)[comp][a:z]
                      for ci, a, z in slices]
                 )
-                order = np.argsort(t, kind="stable")
-                t = t[order]
-                ev_time[g0:g1] = t
-                p0 = -(-g0 // stride) * stride
-                ps = np.arange(p0, g1, stride, dtype=np.int64)
-                if ps.size:
-                    ti[ps // stride] = t[ps - g0]
-                del t
-                _drop_pages(ev_time, dirty=True, lo=g0, hi=g1)
-                for comp, out in ((0, ev_src), (1, ev_dst)):
-                    vals = np.concatenate(
-                        [self._chunk_views(spill, ci)[comp][a:z]
-                         for ci, a, z in slices]
-                    )
-                    out[g0:g1] = vals[order]
-                    del vals
-                    _drop_pages(out, dirty=True, lo=g0, hi=g1)
-                # this bucket's slice of every chunk is consumed — no
-                # later bucket rereads it
-                for ci, a, z in slices:
-                    off, cnt = self._chunks[ci]
-                    for base in (off, off + cnt, off + 2 * cnt):
-                        _drop_pages(spill, lo=base + a, hi=base + z)
-            return [None]
+                out[g0:g1] = vals[order]
+                del vals
+                _drop_pages(out, dirty=True, lo=g0, hi=g1)
+            # this bucket's slice of every chunk is consumed — no later
+            # bucket rereads it
+            for ci, a, z in slices:
+                off, cnt = self._chunks[ci]
+                for base in (off, off + cnt, off + 2 * cnt):
+                    _drop_pages(spill, lo=base + a, hi=base + z)
 
-        executor.map_chunks(merge, int(sizes.size))
+        _map_items(merge, int(sizes.size), self.n_workers)
         for arr in (ev_src, ev_dst, ev_time, ti):
             _drop_pages(arr, dirty=True)
 
@@ -499,7 +506,6 @@ class TemporalCSRBuilder:
         col_mm: np.ndarray,
         time_mm: np.ndarray,
         gs_mm: np.ndarray,
-        executor: ChunkedThreadExecutor,
     ) -> None:
         """Per-row-block ``(neighbor, time)`` sort + group-start mask.
 
@@ -509,34 +515,30 @@ class TemporalCSRBuilder:
         """
         blocks = self._row_blocks(indptr)
 
-        def sort_rows(lo: int, hi: int):
-            done = 0
-            for bi in range(lo, hi):
-                r0, r1 = blocks[bi]
-                e0, e1 = int(indptr[r0]), int(indptr[r1])
-                if e1 == e0:
-                    continue
-                c = np.array(col_mm[e0:e1])
-                t = np.array(time_mm[e0:e1])
-                rows = indptr_to_row_ids(indptr[r0: r1 + 1] - e0)
-                order = np.lexsort((t, c, rows))
-                c = c[order]
-                t = t[order]
-                col_mm[e0:e1] = c
-                time_mm[e0:e1] = t
-                gs = np.empty(c.size, dtype=np.bool_)
-                gs[0] = True
-                np.not_equal(c[1:], c[:-1], out=gs[1:])
-                rs = rows[order]
-                gs[1:] |= rs[1:] != rs[:-1]
-                gs_mm[e0:e1] = gs
-                done += 1
-                _drop_pages(col_mm, dirty=True, lo=e0, hi=e1)
-                _drop_pages(time_mm, dirty=True, lo=e0, hi=e1)
-                _drop_pages(gs_mm, dirty=True, lo=e0, hi=e1)
-            return [None]
+        def sort_rows(bi: int) -> None:
+            r0, r1 = blocks[bi]
+            e0, e1 = int(indptr[r0]), int(indptr[r1])
+            if e1 == e0:
+                return
+            c = np.array(col_mm[e0:e1])
+            t = np.array(time_mm[e0:e1])
+            rows = indptr_to_row_ids(indptr[r0: r1 + 1] - e0)
+            order = np.lexsort((t, c, rows))
+            c = c[order]
+            t = t[order]
+            col_mm[e0:e1] = c
+            time_mm[e0:e1] = t
+            gs = np.empty(c.size, dtype=np.bool_)
+            gs[0] = True
+            np.not_equal(c[1:], c[:-1], out=gs[1:])
+            rs = rows[order]
+            gs[1:] |= rs[1:] != rs[:-1]
+            gs_mm[e0:e1] = gs
+            _drop_pages(col_mm, dirty=True, lo=e0, hi=e1)
+            _drop_pages(time_mm, dirty=True, lo=e0, hi=e1)
+            _drop_pages(gs_mm, dirty=True, lo=e0, hi=e1)
 
-        executor.map_chunks(sort_rows, len(blocks))
+        _map_items(sort_rows, len(blocks), self.n_workers)
 
     # ------------------------------------------------------------------
     def finalize(self) -> str:
@@ -544,52 +546,51 @@ class TemporalCSRBuilder:
 
         Returns the artifact path.  The preamble's ``finalized`` flag is
         written last, so a crash mid-build leaves a file every reader
-        rejects rather than a silently-truncated artifact.
+        rejects rather than a silently-truncated artifact; a build that
+        raises removes that file and the spill before re-raising.
         """
         if self._finalized:
             return self.path
         self._finalized = True
         self._spill_file.flush()
         self._spill_file.close()
-        n, V = self._n_events, self.n_vertices
-        executor = ChunkedThreadExecutor(self.n_workers)
-
+        opened_artifact = False
         spill: Optional[np.ndarray] = None
-        if n:
-            spill = np.memmap(
-                self._spill_path, dtype=np.int64, mode="r+",
-                shape=(3 * n,),
-            )
-            in_counts, out_counts, samples = self._sort_count_pass(
-                spill, executor
-            )
-            _, splits = self._bucket_splits(spill, samples)
-        else:
-            in_counts = np.zeros(V, dtype=np.int64)
-            out_counts = np.zeros(V, dtype=np.int64)
-            splits = np.zeros((0, 2), dtype=np.int64)
-
-        ti_len = len(range(0, n, self.time_index_stride))
-        entries, arrays_end = _layout(V, n, ti_len)
-        with open(self.path, "wb") as f:
-            f.write(
-                _pack_preamble(0, V, n, 0, 0, self.time_index_stride)
-            )
-            f.truncate(arrays_end)
         maps: Dict[str, np.ndarray] = {}
-        for e in entries:
-            shape = tuple(e["shape"])
-            if int(np.prod(shape, dtype=np.int64)) == 0:
-                maps[e["name"]] = np.empty(shape, dtype=e["dtype"])
-            else:
-                maps[e["name"]] = np.memmap(
-                    self.path, dtype=np.dtype(str(e["dtype"])),
-                    mode="r+", offset=int(e["offset"]), shape=shape,
-                )
-
         try:
+            n, V = self._n_events, self.n_vertices
             if n:
-                self._merge_pass(spill, splits, maps, executor)
+                spill = np.memmap(
+                    self._spill_path, dtype=np.int64, mode="r+",
+                    shape=(3 * n,),
+                )
+                in_counts, out_counts, samples = self._sort_count_pass(spill)
+                _, splits = self._bucket_splits(spill, samples)
+            else:
+                in_counts = np.zeros(V, dtype=np.int64)
+                out_counts = np.zeros(V, dtype=np.int64)
+                splits = np.zeros((0, 2), dtype=np.int64)
+
+            ti_len = len(range(0, n, self.time_index_stride))
+            entries, arrays_end = _layout(V, n, ti_len)
+            with open(self.path, "wb") as f:
+                opened_artifact = True
+                f.write(
+                    _pack_preamble(0, V, n, 0, 0, self.time_index_stride)
+                )
+                f.truncate(arrays_end)
+            for e in entries:
+                shape = tuple(e["shape"])
+                if int(np.prod(shape, dtype=np.int64)) == 0:
+                    maps[e["name"]] = np.empty(shape, dtype=e["dtype"])
+                else:
+                    maps[e["name"]] = np.memmap(
+                        self.path, dtype=np.dtype(str(e["dtype"])),
+                        mode="r+", offset=int(e["offset"]), shape=shape,
+                    )
+
+            if n:
+                self._merge_pass(spill, splits, maps)
             # the spill is dead once the merged log exists
             if spill is not None:
                 _close_map(spill)
@@ -611,7 +612,7 @@ class TemporalCSRBuilder:
                     self._rowsort_pass(
                         indptr,
                         maps[f"{prefix}_col"], maps[f"{prefix}_time"],
-                        maps[f"{prefix}_group_start"], executor,
+                        maps[f"{prefix}_group_start"],
                     )
                 for name in ("_col", "_time", "_group_start", "_indptr"):
                     _drop_pages(maps[prefix + name], dirty=True)
@@ -640,9 +641,16 @@ class TemporalCSRBuilder:
                 )
                 f.flush()
                 os.fsync(f.fileno())
+        except BaseException:
+            # the spill is as large as the event log and the half-written
+            # artifact never got its finalized flag: neither may outlive
+            # a failed build
+            _unlink_if_exists(self._spill_path)
+            if opened_artifact:
+                _unlink_if_exists(self.path)
+            raise
         finally:
-            if spill is not None:
-                _close_map(spill)
+            _close_map(spill)
             for arr in maps.values():
                 _close_map(arr)
         return self.path
@@ -652,8 +660,7 @@ class TemporalCSRBuilder:
         if not self._finalized:
             self._finalized = True
             self._spill_file.close()
-            if os.path.exists(self._spill_path):
-                os.unlink(self._spill_path)
+            _unlink_if_exists(self._spill_path)
 
     def __enter__(self) -> "TemporalCSRBuilder":
         return self

@@ -55,7 +55,6 @@ from repro.runtime.sinks import chain_sinks
 __all__ = [
     "PostmortemOptions",
     "PostmortemDriver",
-    "TaskRecord",
     "solve_multiwindow_graph",
 ]
 

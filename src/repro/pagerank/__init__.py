@@ -14,8 +14,8 @@
 * :mod:`repro.pagerank.compaction` — per-window active-edge packing (the
   literal Θ(|E_w|) iteration) and the masked/compacted path resolution.
 * :mod:`repro.pagerank.backends` — pluggable execution strategies for the
-  per-iteration gather→reduce step (flat NumPy, PCPM destination
-  partitioning, optional numba JIT) behind one bitwise-identical contract.
+  per-iteration gather→reduce step (flat NumPy, or numba-JIT destination
+  partitioning) behind one bitwise-identical contract.
 * :mod:`repro.pagerank.incremental` — warm-startable power iteration on a
   simple CSR graph (offline cold start, streaming warm start).
 """
@@ -31,7 +31,6 @@ from repro.pagerank.compaction import (
     compact_pull,
     compact_pull_union,
     compact_pull_weighted,
-    compact_push,
     resolve_edge_path,
 )
 from repro.pagerank.config import PagerankConfig
@@ -44,7 +43,6 @@ from repro.pagerank.spmv import pagerank_window
 from repro.pagerank.init import full_initialization, partial_initialization
 from repro.pagerank.spmm import pagerank_windows_spmm
 from repro.pagerank.weighted import pagerank_window_weighted, window_edge_weights
-from repro.pagerank.propagation_blocking import pagerank_window_pb
 from repro.pagerank.workspace import Workspace
 from repro.pagerank.incremental import csr_pull_arrays, incremental_pagerank
 
@@ -64,13 +62,11 @@ __all__ = [
     "pagerank_windows_spmm",
     "pagerank_window_weighted",
     "window_edge_weights",
-    "pagerank_window_pb",
     "CompactedPull",
     "CompactedUnion",
     "compact_pull",
     "compact_pull_weighted",
     "compact_pull_union",
-    "compact_push",
     "resolve_edge_path",
     "backend_availability",
     "create_backend",

@@ -3,10 +3,11 @@
 Every PageRank kernel in the library performs the same inner step each
 power iteration: gather per-source shares along the window's edge list and
 reduce them per destination (``segment_sum_ordered``).  This package
-factors that step behind a small registry so alternative *execution
-strategies* — the flat NumPy pass, a PCPM-style destination-partitioned
-pass (Lakhotia et al.), and an optional numba-JIT variant — can be swapped
-without touching the kernels, all **bitwise-identical** by construction.
+factors that step behind a small registry so the two *execution
+strategies* — the flat NumPy pass and an optional numba-JIT
+destination-partitioned pass (after Lakhotia et al.'s PCPM) — can be
+swapped without touching the kernels, **bitwise-identical** by
+construction.
 
 ``PagerankConfig.backend`` selects one (``"auto"`` asks the cost model,
 composing with ``edge_path``); :func:`resolve_backend` is the kernels'
@@ -15,7 +16,6 @@ entry point, mirroring ``resolve_edge_path``.
 
 from repro.pagerank.backends.base import EdgePlan, KernelBackend
 from repro.pagerank.backends.numpy_backend import NumpyBackend
-from repro.pagerank.backends.pcpm import PcpmBackend, accumulate_binned
 from repro.pagerank.backends.numba_backend import NumbaBackend, numba_available
 from repro.pagerank.backends.registry import (
     BACKEND_NAMES,
@@ -31,8 +31,6 @@ __all__ = [
     "KernelBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "PcpmBackend",
-    "accumulate_binned",
     "backend_availability",
     "create_backend",
     "numba_available",

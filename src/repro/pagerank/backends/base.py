@@ -5,8 +5,8 @@ gather→reduce step.  For each window (or SpMM batch) a kernel asks the
 backend for an :class:`EdgePlan` over the resolved edge list — the masked
 structure or the compacted pack, whichever ``edge_path`` chose — and then
 calls the plan once per power iteration.  The plan is where a backend may
-precompute per-window acceleration structures (the PCPM destination
-binning); the call sequence inside ``propagate`` is required to be
+precompute per-window acceleration structures (the numba plan's
+destination binning); the call sequence inside ``propagate`` is required to be
 **bitwise-identical** to the reference flat pass::
 
     c = np.take(w, col)          # gather per-source shares
@@ -107,7 +107,7 @@ class KernelBackend:
     ----------
     name:
         Registry name of the strategy actually executing (``"numpy"``,
-        ``"pcpm"``, ``"numba"``).
+        ``"numba"``).
     """
 
     name = "abstract"
@@ -130,12 +130,3 @@ class KernelBackend:
         chain sliced to the current edge count.
         """
         raise NotImplementedError
-
-    def pb_bin_width(self, n_vertices: int, n_bins: int) -> int:
-        """Destination-bin width for the propagation-blocking kernel.
-
-        PB is the push twin of the pull binning: the default honours the
-        caller's requested bin count, while cache-budgeted backends
-        override this to derive the width from their partition size.
-        """
-        return -(-max(n_vertices, 1) // max(n_bins, 1))

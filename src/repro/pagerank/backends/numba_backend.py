@@ -1,17 +1,29 @@
-"""Optional numba-JIT variant of the partition-centric backend.
+"""Optional numba-JIT destination-partitioned backend.
 
-Identical binning to :class:`~repro.pagerank.backends.pcpm.PcpmBackend`;
-when numba is importable the per-partition 1-D reduce is a JIT-compiled
-fused gather→mask→weight→accumulate loop (realizing the locality win the
-NumPy slices can only approximate).  The scalar loop adds each edge's
-contribution to its destination **in array order** — exactly the
-accumulation order of ``np.bincount`` — so the result stays
-bitwise-identical to every other backend.
+Lakhotia, Kannan & Prasanna, "Accelerating PageRank using Partition-Centric
+Processing" (USENIX ATC'18): bin destination updates into vertex partitions
+sized so each partition's slice of the rank vector fits a cache budget,
+then reduce one partition at a time.  The pull edge lists the kernels hand
+us are already **grouped by destination** (the in-CSR row ids, and every
+compacted pack preserves that order), so the binning needs no permutation:
+partition ``p`` owns the contiguous edge span ``pstart[p]:pstart[p+1]``
+found by one ``searchsorted`` over the row ids, and the per-partition
+local destination is just ``rows % width``.  That is the per-window
+precomputation (:meth:`NumbaBackend.make_plan`, workspace-pooled like
+compaction).
 
-Without numba (this container does not ship it) the backend **degrades
-gracefully**: plans fall back to the inherited NumPy per-partition path,
+The partitioning only pays with a fused reduce, so each partition's 1-D
+pass is a JIT-compiled gather→mask→weight→accumulate loop.  The scalar
+loop adds each edge's contribution to its destination **in array order**
+— exactly the accumulation order of ``np.bincount`` — and all edges of one
+destination live in exactly one partition, so the result stays
+bitwise-identical to the flat pass.
+
+Without numba the backend **degrades gracefully**: ``make_plan`` returns
+the flat :class:`~repro.pagerank.backends.numpy_backend.NumpyPlan`,
 ``numba_available()`` reports ``False``, and nothing raises.  The batched
-(SpMM) propagation always uses the inherited path.
+(SpMM) propagation, and a plan whose compilation fails, run the inherited
+flat pass.
 """
 
 from __future__ import annotations
@@ -21,17 +33,20 @@ from typing import Optional
 
 import numpy as np
 
-from repro.pagerank.backends.pcpm import (
-    DEFAULT_CACHE_BUDGET,
-    PcpmBackend,
-    PcpmPlan,
-)
+from repro.errors import ValidationError
+from repro.pagerank.backends.base import KernelBackend
+from repro.pagerank.backends.numpy_backend import NumpyPlan
 
-__all__ = ["NumbaBackend", "NumbaPlan", "numba_available"]
+__all__ = [
+    "DEFAULT_CACHE_BUDGET",
+    "NumbaBackend",
+    "NumbaPlan",
+    "numba_available",
+]
 
-#: lazily compiled kernel cache: ``checked`` flips after the first import
-#: attempt so a missing numba costs one failed import per process
-_JIT = {"checked": False, "pull_1d": None}
+#: default per-partition rank-slice budget in bytes: 256 KiB, the typical
+#: per-core L2 share — 32768 float64 vertices per partition
+DEFAULT_CACHE_BUDGET = 262_144
 
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 _EMPTY_BOOL = np.zeros(0, dtype=np.bool_)
@@ -52,12 +67,11 @@ def numba_available() -> bool:
     return True
 
 
+@functools.cache
 def _load_pull_1d():
     """Compile (once) the fused per-partition pull loop; None if numba
-    is absent or compilation fails."""
-    if _JIT["checked"]:
-        return _JIT["pull_1d"]
-    _JIT["checked"] = True
+    is absent or compilation fails.  ``_load_pull_1d.cache_clear()``
+    forgets the kernel."""
     try:
         import numba
     except Exception:
@@ -76,12 +90,54 @@ def _load_pull_1d():
                 v = v * weights[e]
             seg[dst_local[e]] += v
 
-    _JIT["pull_1d"] = pull_1d
     return pull_1d
 
 
-class NumbaPlan(PcpmPlan):
-    """PCPM plan whose 1-D propagation runs the fused JIT loop."""
+class NumbaPlan(NumpyPlan):
+    """Destination-partitioned plan whose 1-D propagation runs the fused
+    JIT loop.
+
+    Attributes
+    ----------
+    width:
+        Vertices per partition (``cache_budget // 8``).
+    n_parts:
+        Partition count ``ceil(n_rows / width)``.
+    pstart:
+        ``(n_parts + 1,)`` edge-span boundaries per partition.
+    dst_local:
+        ``(n_edges,)`` partition-local destination ids (``rows % width``).
+    """
+
+    def __init__(
+        self,
+        col: np.ndarray,
+        rows: np.ndarray,
+        n_rows: int,
+        width: int,
+        workspace=None,
+        key: str = "plan",
+        capacity: Optional[int] = None,
+    ) -> None:
+        super().__init__(col, rows, n_rows)
+        if rows.size and np.any(rows[1:] < rows[:-1]):
+            raise ValidationError(
+                "partitioned plans require destination-grouped "
+                "(non-decreasing) row ids; the pull edge lists satisfy "
+                "this by construction"
+            )
+        self.width = int(width)
+        self.n_parts = -(-self.n_rows // self.width)
+        bases = np.arange(self.n_parts + 1, dtype=np.int64) * self.width
+        self.pstart = np.searchsorted(rows, bases)
+        if workspace is not None and capacity is not None:
+            buf = workspace.buffer(
+                key + ".dst_local", (int(capacity),), np.int64
+            )[: self.n_edges]
+            np.mod(rows, self.width, out=buf, casting="unsafe")
+            self.dst_local = buf
+        else:
+            self.dst_local = rows % self.width
 
     def propagate(
         self,
@@ -101,8 +157,6 @@ class NumbaPlan(PcpmPlan):
             out = np.empty(n, dtype=np.float64)
         width = self.width
         pstart = self.pstart
-        mask_arr = _EMPTY_BOOL if mask is None else mask
-        weights_arr = _EMPTY_F64 if weights is None else weights
         for p in range(self.n_parts):
             lo, hi = int(pstart[p]), int(pstart[p + 1])
             base = p * width
@@ -113,20 +167,27 @@ class NumbaPlan(PcpmPlan):
                 continue
             pull_1d(
                 self.col[lo:hi], self.dst_local[lo:hi], w,
-                mask_arr[lo:hi] if mask is not None else _EMPTY_BOOL,
-                weights_arr[lo:hi] if weights is not None else _EMPTY_F64,
+                mask[lo:hi] if mask is not None else _EMPTY_BOOL,
+                weights[lo:hi] if weights is not None else _EMPTY_F64,
                 mask is not None, weights is not None, seg,
             )
         return out
 
 
-class NumbaBackend(PcpmBackend):
-    """Cache-budgeted PCPM backend with the JIT-fused 1-D reduce."""
+class NumbaBackend(KernelBackend):
+    """Cache-budgeted partitioned backend with the JIT-fused 1-D reduce;
+    flat plans when numba is not importable."""
 
     name = "numba"
 
     def __init__(self, cache_budget: int = DEFAULT_CACHE_BUDGET) -> None:
-        super().__init__(cache_budget)
+        if cache_budget <= 0:
+            raise ValidationError(
+                f"cache_budget must be > 0 bytes, got {cache_budget}"
+            )
+        self.cache_budget = int(cache_budget)
+        #: vertices whose float64 rank entries fill the cache budget
+        self.width = max(1, self.cache_budget // 8)
 
     def make_plan(
         self,
@@ -136,7 +197,9 @@ class NumbaBackend(PcpmBackend):
         workspace=None,
         key: str = "plan",
         capacity: Optional[int] = None,
-    ) -> PcpmPlan:
+    ) -> NumpyPlan:
+        if not numba_available():
+            return NumpyPlan(col, rows, n_rows)
         return NumbaPlan(
             col, rows, n_rows, self.width,
             workspace=workspace, key=key, capacity=capacity,

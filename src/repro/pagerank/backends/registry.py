@@ -3,10 +3,8 @@
 Mirrors the ``edge_path`` machinery: :func:`resolve_backend` turns
 ``PagerankConfig.backend`` into a concrete :class:`KernelBackend`
 instance, asking :func:`repro.parallel.cost_model.choose_backend` when the
-config says ``"auto"``.  The cost model decides between the *strategies*
-``"numpy"`` and ``"pcpm"``; when it picks the partitioned strategy and
-numba is importable, the registry upgrades to the JIT implementation
-(same binning, fused reduce).
+config says ``"auto"`` and the numba JIT is importable.  Without the JIT
+there is one strategy to run, so ``"auto"`` is the flat numpy pass.
 
 The two knobs compose: the kernels resolve ``edge_path`` first and hand
 this module the edge count actually traversed per iteration (``nnz`` for
@@ -21,8 +19,8 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ValidationError
 from repro.pagerank.backends.base import KernelBackend
 from repro.pagerank.backends.numpy_backend import NumpyBackend
-from repro.pagerank.backends.pcpm import DEFAULT_CACHE_BUDGET, PcpmBackend
 from repro.pagerank.backends.numba_backend import (
+    DEFAULT_CACHE_BUDGET,
     NumbaBackend,
     numba_available,
 )
@@ -36,13 +34,7 @@ __all__ = [
 ]
 
 #: every name ``PagerankConfig.backend`` / ``run --backend`` accepts
-BACKEND_NAMES = ("auto", "numpy", "pcpm", "numba")
-
-_CLASSES = {
-    "numpy": NumpyBackend,
-    "pcpm": PcpmBackend,
-    "numba": NumbaBackend,
-}
+BACKEND_NAMES = ("auto", "numpy", "numba")
 
 
 def validate_backend_name(name: str) -> str:
@@ -60,16 +52,16 @@ def create_backend(
     """Instantiate a concrete (non-``auto``) backend by registry name.
 
     ``"numba"`` is always constructible — without numba installed its
-    plans transparently run the NumPy per-partition path (the graceful
-    degradation the tests pin down).
+    plans transparently run the flat NumPy pass (the graceful degradation
+    the tests pin down).
     """
     if name == "numpy":
         return NumpyBackend()
-    if name in ("pcpm", "numba"):
-        return _CLASSES[name](cache_budget)
+    if name == "numba":
+        return NumbaBackend(cache_budget)
     raise ValidationError(
         f"cannot instantiate backend {name!r}; "
-        f"concrete names are {tuple(_CLASSES)}"
+        f"concrete names are {BACKEND_NAMES[1:]}"
     )
 
 
@@ -83,16 +75,12 @@ def backend_availability() -> Dict[str, Tuple[bool, str]]:
     has_numba = numba_available()
     return {
         "numpy": (True, "flat full-width gather/reduce (reference)"),
-        "pcpm": (
-            True,
-            "destination-partitioned NumPy reduce "
-            f"(default cache budget {DEFAULT_CACHE_BUDGET} B)",
-        ),
         "numba": (
             has_numba,
-            "JIT-fused per-partition reduce"
+            "JIT-fused per-partition reduce "
+            f"(default cache budget {DEFAULT_CACHE_BUDGET} B)"
             if has_numba
-            else "numba not importable; degrades to the pcpm NumPy reduce",
+            else "numba not importable; degrades to the flat numpy pass",
         ),
     }
 
@@ -109,16 +97,16 @@ def resolve_backend(
     the ``edge_path`` resolution.  ``"auto"`` asks the cost model with
     the same iteration estimate policy as ``resolve_edge_path`` (the
     chain's ``iteration_hint`` when positive, else the conservative
-    default capped by the iteration budget).  Numba's availability is
-    passed as the model's ``fused`` flag — without the JIT the
-    partitioned strategy has no locality win to amortize its binning
-    (measured; see the cost-model docstring), so ``"auto"`` resolves to
-    ``"numpy"`` on JIT-less hosts and a ``"pcpm"`` verdict always
-    upgrades to the numba implementation.
+    default capped by the iteration budget).  Without the JIT the
+    partitioned plan has no fused reduce to amortize its binning, so
+    ``"auto"`` resolves to ``"numpy"`` on JIT-less hosts without asking
+    the model.
     """
     name = config.backend
     if name != "auto":
         return create_backend(name, config.cache_budget)
+    if not numba_available():
+        return NumpyBackend()
     # lazy import: repro.parallel pulls in the executor stack; the kernels
     # must stay importable without it at module-import time
     from repro.parallel.cost_model import (
@@ -130,10 +118,7 @@ def resolve_backend(
         expected = min(iteration_hint, config.max_iterations)
     else:
         expected = min(config.max_iterations, DEFAULT_EXPECTED_ITERATIONS)
-    has_jit = numba_available()
     strategy = choose_backend(
-        n_edges, n_vertices, expected, config.cache_budget, fused=has_jit
+        n_edges, n_vertices, expected, config.cache_budget
     )
-    if strategy == "pcpm" and has_jit:
-        strategy = "numba"
     return create_backend(strategy, config.cache_budget)

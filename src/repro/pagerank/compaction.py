@@ -57,7 +57,6 @@ __all__ = [
     "compact_pull",
     "compact_pull_weighted",
     "compact_pull_union",
-    "compact_push",
     "resolve_edge_path",
 ]
 
@@ -233,31 +232,6 @@ def compact_pull_union(
     return CompactedUnion(
         indptr=indptr_u, col=col_u, rows=rows_u, active=active
     )
-
-
-def compact_push(
-    view: "WindowView", workspace: Optional["Workspace"] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack the window's active deduped **out**-edges as ``(src, dst)``.
-
-    The propagation-blocking kernel's edge list — it bins by destination,
-    so it wants the push orientation.  Returned arrays are workspace
-    slices when a workspace is supplied (the PB kernel immediately
-    reorders them into owned, bin-grouped copies).
-    """
-    out_csr = view.adjacency.out_csr
-    ts, te = view.window.t_start, view.window.t_end
-    dedup = out_csr.dedup_mask(ts, te, workspace=workspace)
-    row_ids = out_csr.row_ids()
-    if workspace is None:
-        return row_ids[dedup], out_csr.col[dedup]
-    m = int(np.count_nonzero(dedup))
-    nnz = out_csr.nnz
-    src = workspace.buffer("compact.push_src", (nnz,), np.int64)[:m]
-    dst = workspace.buffer("compact.push_dst", (nnz,), np.int64)[:m]
-    np.compress(dedup, row_ids, out=src)
-    np.compress(dedup, out_csr.col, out=dst)
-    return src, dst
 
 
 def resolve_edge_path(

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
+from repro.pagerank.backends.registry import validate_backend_name
 
 __all__ = ["PagerankConfig"]
 
 _DANGLING_MODES = ("drop", "uniform")
 _EDGE_PATHS = ("auto", "masked", "compacted")
-_BACKENDS = ("auto", "numpy", "pcpm", "numba")
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,16 @@ class PagerankConfig:
     backend:
         Execution strategy for the per-iteration gather→reduce step
         (:mod:`repro.pagerank.backends`): ``"numpy"`` (flat full-width
-        pass), ``"pcpm"`` (destination-partitioned reduce under the
-        cache budget, after Lakhotia et al.), ``"numba"`` (PCPM with a
-        JIT-fused reduce; degrades to pcpm when numba is absent), or
-        ``"auto"`` (default: ask
+        pass), ``"numba"`` (destination-partitioned reduce under the
+        cache budget, after Lakhotia et al., with a JIT-fused loop; the
+        flat pass when numba is absent), or ``"auto"`` (default: numpy
+        without the JIT, else ask
         :func:`repro.parallel.cost_model.choose_backend`, composing with
         the resolved ``edge_path``).  All backends produce
         bitwise-identical values.
     cache_budget:
-        Per-partition rank-slice budget in bytes for the partitioned
-        backends (``cache_budget // 8`` vertices per partition); also the
+        Per-partition rank-slice budget in bytes for the numba backend
+        (``cache_budget // 8`` vertices per partition); also the
         threshold below which ``backend="auto"`` never partitions.
     """
 
@@ -105,11 +105,7 @@ class PagerankConfig:
                 f"edge_path must be one of {_EDGE_PATHS}, "
                 f"got {self.edge_path!r}"
             )
-        if self.backend not in _BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
+        validate_backend_name(self.backend)
         if self.cache_budget <= 0:
             raise ValidationError(
                 f"cache_budget must be > 0 bytes, got {self.cache_budget}"

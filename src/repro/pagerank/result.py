@@ -34,7 +34,8 @@ class WorkStats:
         Iterations × vertices updated.
     binning_seconds:
         Wall-clock spent in the backend's one-time edge-plan setup (the
-        PCPM destination-partition binning; ~0 for the flat numpy plan).
+        numba plan's destination-partition binning; ~0 for the flat
+        numpy plan).
         Unlike the counters above this is machine-*dependent* — it exists
         so benchmarks and the traffic harness can attribute backend wins
         without re-profiling.

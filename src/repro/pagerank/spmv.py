@@ -156,7 +156,7 @@ def _power_iterate(
 
     # the backend prices the edges the iteration actually streams (after
     # the edge_path decision) and precomputes its per-window plan once —
-    # the PCPM destination binning, pooled like the compaction buffers
+    # the numba destination binning, pooled like the compaction buffers
     backend = resolve_backend(config, m, n, iteration_hint)
     t_bin = time.perf_counter()
     plan = backend.make_plan(

@@ -1,13 +1,10 @@
 """The parallel-execution substrate (paper Section 4.3).
 
 The paper runs on 48 real cores under Intel TBB's work-stealing scheduler.
-CPython's GIL (and this container's single core) make that unmeasurable
-directly, so this package provides both:
+CPython's GIL makes that unmeasurable directly, so this package provides
+both a real process backend and a simulated machine (the drivers' thread
+and serial fan-out lives in :func:`repro.runtime.execution.map_tasks`):
 
-* **Real executors** (:mod:`repro.parallel.executor`,
-  :mod:`repro.parallel.workstealing`) — thread-based chunk execution with a
-  work-stealing deque scheduler.  Functionally correct anywhere; actual
-  scaling requires a multicore GIL-releasing host.
 * **A shared-memory process backend** (:mod:`repro.parallel.shared_arena`)
   — the event log's columns published once into a ``multiprocessing``
   shared-memory arena (or mapped straight from a ``.tcsr`` file); worker
@@ -54,8 +51,6 @@ from repro.parallel.tracing import (
     simulate_chunk_schedule_traced,
     format_gantt,
 )
-from repro.parallel.executor import ChunkedThreadExecutor
-from repro.parallel.workstealing import WorkStealingPool
 from repro.parallel.shared_arena import (
     ArenaHandle,
     SharedArena,
@@ -91,6 +86,4 @@ __all__ = [
     "ChunkTrace",
     "simulate_chunk_schedule_traced",
     "format_gantt",
-    "ChunkedThreadExecutor",
-    "WorkStealingPool",
 ]

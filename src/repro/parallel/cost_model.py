@@ -61,8 +61,7 @@ DEFAULT_EXPECTED_ITERATIONS = 20
 #: once every partition's rank slice is cache resident: the reduction
 #: streams a slice instead of scattering across the full vector.  Like
 #: ``SPMM_COLUMN_DISCOUNT`` this is a modelling constant of the simulated
-#: machine — the NumPy backend realises only part of it (smaller bincount
-#: outputs), the numba backend most of it (fused gather+reduce loop).
+#: machine, realised by the numba backend's fused gather+reduce loop.
 PCPM_LOCALITY_DISCOUNT = 0.7
 
 #: one-time destination-partition binning pass, relative to the per-edge
@@ -171,7 +170,7 @@ class CostModel:
         return "compacted" if compacted < masked else "masked"
 
     # ------------------------------------------------------------------
-    # partition-centric backend (repro.pagerank.backends.pcpm)
+    # partition-centric backend (repro.pagerank.backends.numba_backend)
     # ------------------------------------------------------------------
     def bin_cost(self, n_edges: int) -> float:
         """The one-time destination-partition binning of ``n_edges``."""
@@ -182,7 +181,6 @@ class CostModel:
         n_edges: int,
         n_vertices: int,
         n_partitions: int,
-        fused: bool = True,
     ) -> float:
         """One partition-centric power iteration: locality-discounted edge
         work, the usual vertex update, plus a fixed per-partition dispatch
@@ -190,13 +188,9 @@ class CostModel:
 
         The locality discount models the *fused* per-partition reduce —
         gather, mask, weight and accumulate in one cache-resident pass.
-        Slice-at-a-time NumPy cannot realize it (each partition still
-        gathers randomly across the full rank vector, measured on this
-        host), so ``fused=False`` charges the undiscounted per-edge cost.
         """
-        c_edge = self.c_edge_local if fused else self.c_edge
         return (
-            c_edge * n_edges
+            self.c_edge_local * n_edges
             + self.c_vertex * n_vertices
             + self.c_partition * max(n_partitions, 1)
         )
@@ -207,21 +201,19 @@ class CostModel:
         n_vertices: int,
         expected_iterations: int,
         cache_budget: int,
-        fused: bool = True,
     ) -> str:
-        """``"numpy"`` or ``"pcpm"``: whichever total is cheaper.
+        """``"numpy"`` or ``"numba"``: whichever total is cheaper.
 
         ``n_edges`` is the number of edges actually traversed per
         iteration — i.e. *after* the ``edge_path`` decision (``nnz`` for
         masked, ``|E_w|`` for compacted), which is how the two knobs
         compose.  Partitioning cannot help when the whole rank vector
         already fits the cache budget, so that case short-circuits to
-        ``"numpy"``; otherwise PCPM wins iff the per-iteration locality
-        saving, over the expected iteration count, amortizes the one-time
-        binning pass and the per-partition dispatch overhead.  With
-        ``fused=False`` (no JIT available — the registry passes numba's
-        availability here) there is no locality saving to amortize the
-        binning, so the answer is always ``"numpy"``.
+        ``"numpy"``; otherwise the partitioned numba plan wins iff the
+        per-iteration locality saving, over the expected iteration count,
+        amortizes the one-time binning pass and the per-partition
+        dispatch overhead.  The registry only asks when the JIT is
+        importable.
         """
         if n_edges <= 0 or n_vertices * 8 <= cache_budget:
             return "numpy"
@@ -229,10 +221,10 @@ class CostModel:
         width = max(1, int(cache_budget) // 8)
         n_partitions = -(-n_vertices // width)
         flat = iters * self.spmv_iteration_cost(n_edges, n_vertices)
-        pcpm = self.bin_cost(n_edges) + iters * self.pcpm_iteration_cost(
-            n_edges, n_vertices, n_partitions, fused=fused
+        partitioned = self.bin_cost(n_edges) + iters * (
+            self.pcpm_iteration_cost(n_edges, n_vertices, n_partitions)
         )
-        return "pcpm" if pcpm < flat else "numpy"
+        return "numba" if partitioned < flat else "numpy"
 
     def with_overrides(self, **kwargs) -> "CostModel":
         return replace(self, **kwargs)
@@ -275,21 +267,18 @@ def choose_backend(
     expected_iterations: int,
     cache_budget: int,
     model: CostModel = None,
-    fused: bool = True,
 ) -> str:
     """Stateless entry point for the kernels' ``backend="auto"`` policy.
 
-    Returns the cheaper *strategy* — ``"numpy"`` (flat full-width
-    reduction) or ``"pcpm"`` (destination-partitioned reduction); the
-    backend registry upgrades ``"pcpm"`` to the numba implementation when
-    numba is importable, and passes ``fused=numba_available()`` so the
-    locality discount is only priced in when the fused reduce exists.
+    Returns the cheaper backend — ``"numpy"`` (flat full-width
+    reduction) or ``"numba"`` (JIT-fused destination-partitioned
+    reduction); the backend registry asks only when numba is importable.
     Deterministic default model unless a calibrated one is supplied,
     mirroring :func:`choose_edge_path`.
     """
     model = model if model is not None else _DEFAULT_MODEL
     return model.choose_backend(
-        n_edges, n_vertices, expected_iterations, cache_budget, fused=fused
+        n_edges, n_vertices, expected_iterations, cache_budget
     )
 
 

@@ -12,8 +12,7 @@ PagerankProgram` the solve sequence is call-for-call identical to the
 historic driver, so output is bitwise-identical by construction.
 
 :class:`TaskRecord` (the machine-independent work log the parallel
-simulator replays) lives here because the engine is what emits it;
-:mod:`repro.models.postmortem` re-exports it for compatibility.
+simulator replays) lives here because the engine is what emits it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ normalization — so its temporal kernel reuses the SpMV propagation
 contract *directly*: :func:`repro.pagerank.compaction.resolve_edge_path`
 picks masked vs compacted edge traversal, the
 :mod:`repro.pagerank.backends` registry supplies the
-``make_plan``/``propagate`` pair (numpy / PCPM / numba), and the chain's
+``make_plan``/``propagate`` pair (numpy / numba), and the chain's
 pooled workspace feeds the plan exactly as :mod:`repro.pagerank.spmv`
 does.  Nathan & Bader's streaming Katz (cited in the paper's Section 3.2)
 updates it incrementally; this is the *postmortem* version, with the

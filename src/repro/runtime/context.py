@@ -138,7 +138,7 @@ class DriverContext:
     backend:
         Optional runtime override for
         :attr:`repro.pagerank.config.PagerankConfig.backend`
-        (``"auto"``/``"numpy"``/``"pcpm"``/``"numba"``), applied the same
+        (``"auto"``/``"numpy"``/``"numba"``), applied the same
         way as ``edge_path``.
     program:
         Optional vertex-program selection (a name in

@@ -13,19 +13,12 @@ postmortem code").
 
 from repro.streaming.edge_blocks import EdgeBlockAdjacency
 from repro.streaming.stinger import StreamingGraph
-# re-exported from its new home for compatibility; the solver itself
-# lives in repro.pagerank (streaming depends on pagerank, not the reverse)
-from repro.pagerank.incremental import incremental_pagerank
 from repro.streaming.driver import StreamingDriver
 from repro.streaming.delta import delta_incremental_pagerank
-from repro.streaming.estimators import HeadTailDegreeEstimator, EdgeSampleTriangleCounter
 
 __all__ = [
     "EdgeBlockAdjacency",
     "StreamingGraph",
-    "incremental_pagerank",
     "StreamingDriver",
     "delta_incremental_pagerank",
-    "HeadTailDegreeEstimator",
-    "EdgeSampleTriangleCounter",
 ]

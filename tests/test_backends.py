@@ -1,5 +1,5 @@
 """Kernel-backend registry: plan structure, bitwise parity of the
-numpy/pcpm/numba backends across all four kernels, the ``backend="auto"``
+numpy/numba backends across all three kernels, the ``backend="auto"``
 cost-model decision, numba-absent degradation, and the driver/CLI
 threading of ``backend``."""
 
@@ -18,7 +18,6 @@ from repro.pagerank import (
     PagerankConfig,
     Workspace,
     pagerank_window,
-    pagerank_window_pb,
     pagerank_window_weighted,
     pagerank_windows_spmm,
 )
@@ -26,7 +25,6 @@ from repro.pagerank.backends import (
     BACKEND_NAMES,
     NumbaBackend,
     NumpyBackend,
-    PcpmBackend,
     backend_availability,
     create_backend,
     numba_available,
@@ -35,7 +33,11 @@ from repro.pagerank.backends import (
 )
 from repro.pagerank.backends import numba_backend as numba_mod
 from repro.pagerank.backends import registry as registry_mod
-from repro.pagerank.backends.pcpm import DEFAULT_CACHE_BUDGET, PcpmPlan
+from repro.pagerank.backends.numba_backend import (
+    DEFAULT_CACHE_BUDGET,
+    NumbaPlan,
+)
+from repro.pagerank.backends.numpy_backend import NumpyPlan
 from repro.parallel.cost_model import CostModel, choose_backend
 from repro.runtime.context import DriverContext
 from tests.conftest import random_events
@@ -50,13 +52,11 @@ TINY_BUDGET = 64
 def no_numba(monkeypatch):
     """Simulate an environment without numba and reset the JIT cache."""
     monkeypatch.setitem(sys.modules, "numba", None)
-    monkeypatch.setitem(numba_mod._JIT, "checked", False)
-    monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
     numba_available.cache_clear()
+    numba_mod._load_pull_1d.cache_clear()
     yield
     numba_available.cache_clear()
-    monkeypatch.setitem(numba_mod._JIT, "checked", False)
-    monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
+    numba_mod._load_pull_1d.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def no_numba(monkeypatch):
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_names(self):
-        assert BACKEND_NAMES == ("auto", "numpy", "pcpm", "numba")
+        assert BACKEND_NAMES == ("auto", "numpy", "numba")
         for name in BACKEND_NAMES:
             assert validate_backend_name(name) == name
         with pytest.raises(ValidationError):
@@ -72,26 +72,25 @@ class TestRegistry:
 
     def test_create(self):
         assert isinstance(create_backend("numpy"), NumpyBackend)
-        assert isinstance(create_backend("pcpm"), PcpmBackend)
         assert isinstance(create_backend("numba"), NumbaBackend)
         with pytest.raises(ValidationError):
             create_backend("auto")
 
     def test_cache_budget_shapes_partition_width(self):
-        assert create_backend("pcpm", 64).width == 8
-        assert create_backend("pcpm", 1).width == 1
+        assert create_backend("numba", 64).width == 8
+        assert create_backend("numba", 1).width == 1
         with pytest.raises(ValidationError):
-            create_backend("pcpm", 0)
+            create_backend("numba", 0)
 
     def test_availability_covers_concrete_backends(self):
         avail = backend_availability()
-        assert set(avail) == {"numpy", "pcpm", "numba"}
-        assert avail["numpy"][0] and avail["pcpm"][0]
+        assert set(avail) == {"numpy", "numba"}
+        assert avail["numpy"][0]
         assert avail["numba"][0] == numba_available()
         assert all(note for _, note in avail.values())
 
     def test_config_validates(self):
-        assert PagerankConfig(backend="pcpm").backend == "pcpm"
+        assert PagerankConfig(backend="numba").backend == "numba"
         with pytest.raises(ValidationError):
             PagerankConfig(backend="gpu")
         with pytest.raises(ValidationError):
@@ -102,15 +101,38 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             DriverContext(backend="gpu")
 
+    def test_removed_pcpm_name_rejected_naming_legal_set(self, capsys):
+        legal = str(BACKEND_NAMES)
+        for make in (
+            lambda: PagerankConfig(backend="pcpm"),
+            lambda: DriverContext(backend="pcpm"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert legal in str(exc.value)
+
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "x.npz", "--delta-days", "1", "--sw", "1",
+                 "--backend", "pcpm"]
+            )
+        err = capsys.readouterr().err
+        assert "'pcpm'" in err
+        assert all(f"'{name}'" in err for name in BACKEND_NAMES)
+
 
 # ---------------------------------------------------------------------------
 # plan structure
 # ---------------------------------------------------------------------------
 class TestPlanStructure:
+    """The numba plan's destination binning; construction needs no JIT."""
+
     def _plan(self, rows, n_rows, width, **kw):
         rows = np.asarray(rows, dtype=np.int64)
         col = np.zeros(rows.size, dtype=np.int64)
-        return PcpmPlan(col, rows, n_rows, width, **kw)
+        return NumbaPlan(col, rows, n_rows, width, **kw)
 
     def test_partition_spans_and_local_ids(self):
         # destinations 0..9 over width-4 partitions: {0-3}, {4-7}, {8-9}
@@ -139,14 +161,22 @@ class TestPlanStructure:
         assert np.array_equal(a.dst_local, rows % 4)
 
     def test_propagate_matches_flat_reference(self):
+        # the fused JIT loop where numba is importable, the inherited
+        # flat pass (the compile-failure fallback) where it is not
         rng = np.random.default_rng(7)
         n, m = 30, 200
         rows = np.sort(rng.integers(0, n, m)).astype(np.int64)
         col = rng.integers(0, n, m).astype(np.int64)
         w = rng.random(n)
         mask = rng.random(m) < 0.6
+        weights = rng.random(m)
         flat = NumpyBackend().make_plan(col, rows, n)
-        part = PcpmBackend(TINY_BUDGET).make_plan(col, rows, n)
+        part = NumbaPlan(col, rows, n, TINY_BUDGET // 8)
+        assert part.n_parts > 1
+        assert np.array_equal(
+            part.propagate(w, mask=mask, weights=weights),
+            flat.propagate(w, mask=mask, weights=weights),
+        )
         assert np.array_equal(
             part.propagate(w, mask=mask), flat.propagate(w, mask=mask)
         )
@@ -159,14 +189,14 @@ class TestPlanStructure:
 
 
 # ---------------------------------------------------------------------------
-# bitwise parity: numpy vs pcpm vs numba vs auto, all four kernels
+# bitwise parity: numpy vs numba vs auto, all three kernels
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("use_workspace", [False, True], ids=["owned", "ws"])
 @pytest.mark.parametrize(
     "name,view", _views_regimes(), ids=[n for n, _ in _views_regimes()]
 )
 class TestBackendParity:
-    OTHERS = ("pcpm", "numba", "auto")
+    OTHERS = ("numba", "auto")
 
     def _cfg(self, backend):
         return replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
@@ -207,17 +237,10 @@ class TestBackendParity:
                 r.iterations_per_window, base.iterations_per_window
             )
 
-    def test_pb(self, name, view, use_workspace):
-        base = self._solve(pagerank_window_pb, view, "numpy", use_workspace)
-        for backend in self.OTHERS:
-            r = self._solve(pagerank_window_pb, view, backend, use_workspace)
-            assert np.array_equal(r.values, base.values), backend
-            assert r.iterations == base.iterations
-
     def test_composes_with_edge_path(self, name, view, use_workspace):
         base = self._solve(pagerank_window, view, "numpy", use_workspace)
         for path in ("masked", "compacted"):
-            cfg = replace(self._cfg("pcpm"), edge_path=path)
+            cfg = replace(self._cfg("numba"), edge_path=path)
             ws = Workspace() if use_workspace else None
             r = pagerank_window(view, cfg, workspace=ws)
             assert np.array_equal(r.values, base.values), path
@@ -229,7 +252,7 @@ def test_backends_share_one_workspace():
     view = make_view(seed=47)
     ws = Workspace()
     base = pagerank_window(view, replace(CFG, backend="numpy"), workspace=ws)
-    for backend in ("pcpm", "numba", "numpy"):
+    for backend in ("numba", "numpy"):
         cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
         r = pagerank_window(view, cfg, workspace=ws)
         assert np.array_equal(r.values, base.values), backend
@@ -251,7 +274,7 @@ class TestBackendSelection:
     def test_large_dense_graph_partitions(self):
         assert choose_backend(
             20_000_000, 1_000_000, 50, DEFAULT_CACHE_BUDGET
-        ) == "pcpm"
+        ) == "numba"
 
     def test_sparse_large_graph_stays_flat(self):
         # huge rank vector but almost no edges: per-partition overhead
@@ -262,21 +285,30 @@ class TestBackendSelection:
 
     def test_crossover_moves_with_bin_cost(self):
         args = (20_000_000, 1_000_000, 2, DEFAULT_CACHE_BUDGET)
-        assert CostModel(c_bin=0.0).choose_backend(*args) == "pcpm"
+        assert CostModel(c_bin=0.0).choose_backend(*args) == "numba"
         assert CostModel(c_bin=1.0).choose_backend(*args) == "numpy"
 
-    def test_unfused_never_partitions(self):
-        # without the JIT there is no locality discount, so the binning
-        # pass can never amortize — even on the most PCPM-friendly shape
-        assert choose_backend(
-            20_000_000, 1_000_000, 1_000, DEFAULT_CACHE_BUDGET,
-            fused=False,
-        ) == "numpy"
+    def test_unfused_never_partitions(self, monkeypatch):
+        # without the JIT there is no fused reduce to amortize the
+        # binning, so auto stays flat — even on the most partition-friendly
+        # shape, and without consulting the cost model
+        monkeypatch.setattr(
+            registry_mod, "numba_available", lambda: False
+        )
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("cost model consulted without the JIT")
+
+        monkeypatch.setattr(
+            "repro.parallel.cost_model.choose_backend", no_model
+        )
+        cfg = PagerankConfig(backend="auto", max_iterations=1_000)
+        assert resolve_backend(cfg, 20_000_000, 1_000_000, 1_000).name \
+            == "numpy"
 
     def test_resolve_pinned_names_bypass_model(self):
         for name, cls in (
-            ("numpy", NumpyBackend), ("pcpm", PcpmBackend),
-            ("numba", NumbaBackend),
+            ("numpy", NumpyBackend), ("numba", NumbaBackend),
         ):
             cfg = PagerankConfig(backend=name)
             assert isinstance(resolve_backend(cfg, 10, 10), cls)
@@ -287,8 +319,8 @@ class TestBackendSelection:
         assert small.name == "numpy"
 
     def test_resolve_auto_tracks_jit_availability(self, monkeypatch):
-        # the PCPM-friendly shape: partitioned *iff* the fused reduce
-        # exists, and then always as the numba implementation
+        # the partition-friendly shape: numba *iff* the fused reduce
+        # exists
         cfg = PagerankConfig(backend="auto")
         monkeypatch.setattr(
             registry_mod, "numba_available", lambda: True
@@ -353,8 +385,22 @@ class TestNumbaDegradation:
         col = rng.integers(0, n, m).astype(np.int64)
         w = rng.random(n)
         jit = NumbaBackend(TINY_BUDGET).make_plan(col, rows, n)
-        ref = PcpmBackend(TINY_BUDGET).make_plan(col, rows, n)
+        ref = NumpyBackend().make_plan(col, rows, n)
         assert np.array_equal(jit.propagate(w), ref.propagate(w))
+
+    def test_numba_without_jit_is_the_flat_plan(self, monkeypatch):
+        monkeypatch.setattr(numba_mod, "numba_available", lambda: False)
+        monkeypatch.setattr(
+            registry_mod, "numba_available", lambda: False
+        )
+        rows = np.array([0, 1, 1, 3], dtype=np.int64)
+        plan = create_backend("numba", TINY_BUDGET).make_plan(
+            np.zeros(4, dtype=np.int64), rows, 4
+        )
+        assert type(plan) is NumpyPlan
+        cfg = PagerankConfig(backend="auto")
+        assert resolve_backend(cfg, 20_000_000, 1_000_000, 50).name \
+            == "numpy"
 
     def test_kernel_with_numba_backend_still_exact(self, no_numba):
         view = make_view(seed=53)
@@ -371,7 +417,7 @@ class TestNumbaDegradation:
 class TestWorkStats:
     def test_kernels_record_phase_seconds(self):
         view = make_view(seed=59)
-        for backend in ("numpy", "pcpm"):
+        for backend in ("numpy", "numba"):
             cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
             r = pagerank_window(view, cfg)
             assert r.work.binning_seconds >= 0.0
@@ -406,22 +452,22 @@ class TestDriverThreading:
     def test_driver_backends_agree(self, kernel):
         runs = {
             b: self._run(b, kernel)
-            for b in ("numpy", "pcpm", "numba", "auto")
+            for b in ("numpy", "numba", "auto")
         }
         base = runs["numpy"]
-        for b in ("pcpm", "numba", "auto"):
+        for b in ("numba", "auto"):
             for w_base, w in zip(base.windows, runs[b].windows):
                 assert np.array_equal(w_base.values, w.values), b
                 assert w_base.iterations == w.iterations
 
     def test_metadata_records_backend(self):
-        assert self._run("pcpm").metadata["backend"] == "pcpm"
+        assert self._run("numba").metadata["backend"] == "numba"
         assert self._run("auto").metadata["backend"] == "auto"
 
     def test_context_override_wins(self):
-        ctx = DriverContext(backend="pcpm")
+        ctx = DriverContext(backend="numba")
         via_ctx = self._run("numpy", context=ctx)
-        assert via_ctx.metadata["backend"] == "pcpm"
+        assert via_ctx.metadata["backend"] == "numba"
 
 
 def test_cli_run_accepts_backend(tmp_path):
@@ -434,7 +480,7 @@ def test_cli_run_accepts_backend(tmp_path):
     path = tmp_path / "ev.npz"
     save_events_npz(events, str(path))
     outs = {}
-    for backend in ("numpy", "pcpm"):
+    for backend in ("numpy", "numba"):
         buf = io.StringIO()
         rc = main(
             [
@@ -452,7 +498,7 @@ def test_cli_run_accepts_backend(tmp_path):
         )
         for k, v in outs.items()
     }
-    assert table["numpy"] == table["pcpm"]
+    assert table["numpy"] == table["numba"]
 
 
 def test_cli_backends_subcommand():
@@ -463,6 +509,6 @@ def test_cli_backends_subcommand():
     buf = io.StringIO()
     assert main(["backends"], out=buf) == 0
     text = buf.getvalue()
-    for needle in ("numpy", "pcpm", "numba", "c_edge_local", "c_bin",
+    for needle in ("numpy", "numba", "c_edge_local", "c_bin",
                    "cache budget"):
         assert needle in text, needle

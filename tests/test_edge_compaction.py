@@ -18,9 +18,7 @@ from repro.pagerank import (
     Workspace,
     compact_pull,
     compact_pull_union,
-    compact_push,
     pagerank_window,
-    pagerank_window_pb,
     pagerank_window_weighted,
     pagerank_windows_spmm,
     resolve_edge_path,
@@ -104,21 +102,9 @@ class TestCompactStructure:
         for j, v in enumerate(views):
             assert np.array_equal(packed.active[:, j], v.in_dedup[positions])
 
-    def test_push_orientation(self):
-        view = make_view(seed=17)
-        out_csr = view.adjacency.out_csr
-        ts, te = view.window.t_start, view.window.t_end
-        dedup = out_csr.dedup_mask(ts, te)
-        src, dst = compact_push(view)
-        assert np.array_equal(src, out_csr.row_ids()[dedup])
-        assert np.array_equal(dst, out_csr.col[dedup])
-        ws_src, ws_dst = compact_push(view, workspace=Workspace())
-        assert np.array_equal(ws_src, src)
-        assert np.array_equal(ws_dst, dst)
-
 
 # ---------------------------------------------------------------------------
-# bitwise parity: masked vs compacted vs auto, all four kernels
+# bitwise parity: masked vs compacted vs auto, all three kernels
 # ---------------------------------------------------------------------------
 def _views_regimes():
     """(name, view) pairs covering empty, sparse, and fully-active
@@ -172,15 +158,6 @@ class TestBitwiseParity:
             )
             assert np.array_equal(r.values, base.values)
             assert r.iterations == base.iterations
-
-    def test_pb_matches_spmv_all_paths(self, name, view, use_workspace):
-        """PB is inherently compacted; it must keep matching the pull
-        kernel whichever path the pull kernel takes."""
-        ws = Workspace() if use_workspace else None
-        pb = pagerank_window_pb(view, CFG, workspace=ws)
-        for path in ("masked", "compacted"):
-            r = self._solve(pagerank_window, view, path, use_workspace)
-            assert np.allclose(pb.values, r.values, atol=1e-12)
 
     def test_spmm(self, name, view, use_workspace):
         views = [view] * 3

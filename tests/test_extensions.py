@@ -1,73 +1,19 @@
-"""Tests for the extension components: propagation blocking, the delta
-incremental engine, and their integration points."""
+"""Tests for the extension components: the delta incremental engine and
+its integration points."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.events import WindowSpec
-from repro.graph import TemporalAdjacency, build_csr_from_edges
-from repro.pagerank import PagerankConfig, pagerank_window
-from repro.pagerank.propagation_blocking import (
-    PropagationBlockingKernel,
-    pagerank_window_pb,
-)
+from repro.graph import build_csr_from_edges
+from repro.pagerank import PagerankConfig
 from repro.streaming import StreamingDriver
 from repro.streaming.delta import delta_incremental_pagerank
 from repro.pagerank.incremental import incremental_pagerank
 from tests.conftest import random_events
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=400)
-
-
-class TestPropagationBlocking:
-    def test_matches_pull_kernel(self, events, spec):
-        adj = TemporalAdjacency.from_events(events)
-        for w in spec:
-            view = adj.window_view(w)
-            pull = pagerank_window(view, CFG)
-            pb = pagerank_window_pb(view, CFG)
-            assert np.allclose(pull.values, pb.values, atol=1e-9), w.index
-
-    @pytest.mark.parametrize("n_bins", [1, 3, 16, 1000])
-    def test_any_bin_count(self, adjacency, spec, n_bins):
-        view = adjacency.window_view(spec.window(1))
-        pb = pagerank_window_pb(view, CFG, n_bins=n_bins)
-        pull = pagerank_window(view, CFG)
-        assert np.allclose(pb.values, pull.values, atol=1e-9)
-
-    def test_kernel_reuse(self, adjacency, spec):
-        view = adjacency.window_view(spec.window(0))
-        kernel = PropagationBlockingKernel(view, n_bins=8)
-        a = pagerank_window_pb(view, CFG, kernel=kernel)
-        b = pagerank_window_pb(view, CFG, kernel=kernel)
-        assert np.array_equal(a.values, b.values)
-
-    def test_bins_partition_edges(self, adjacency, spec):
-        view = adjacency.window_view(spec.window(0))
-        kernel = PropagationBlockingKernel(view, n_bins=8)
-        covered = sum(
-            int(e - s) for s, e in zip(kernel.bin_starts, kernel.bin_ends)
-        )
-        assert covered == kernel.src.size == view.n_active_edges
-
-    def test_empty_window(self, adjacency):
-        from repro.events import Window
-
-        view = adjacency.window_view(Window(0, 10**9, 10**9 + 1))
-        r = pagerank_window_pb(view, CFG)
-        assert r.converged and np.all(r.values == 0)
-
-    def test_rejects_bad_bins(self, adjacency, spec):
-        view = adjacency.window_view(spec.window(0))
-        with pytest.raises(ValidationError):
-            PropagationBlockingKernel(view, n_bins=0)
-
-    def test_warm_start(self, adjacency, spec):
-        view = adjacency.window_view(spec.window(0))
-        exact = pagerank_window(view, CFG)
-        warm = pagerank_window_pb(view, CFG, x0=exact.values)
-        assert warm.iterations <= 2
 
 
 class TestDeltaIncremental:

@@ -16,6 +16,7 @@ Covers the acceptance properties of the memory-mapped input path:
 * **CLI** — ``generate --out x.tcsr``, ``run --graph``, ``inspect``.
 """
 
+import errno
 import io
 import os
 import pickle
@@ -26,6 +27,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.events import TemporalEventSet, WindowSpec
+from repro.graph import io as io_mod
 from repro.graph.io import (
     MAGIC,
     PREAMBLE_SIZE,
@@ -204,6 +206,53 @@ class TestChunkedBuilder:
         events = random_events(n_vertices=10, n_events=100, seed=23)
         path = roundtrip(tmp_path, events)
         assert not os.path.exists(path + ".spill")
+
+    @pytest.mark.parametrize(
+        "failing_pass,error",
+        [(0, MemoryError()),
+         (1, OSError(errno.ENOSPC, "No space left on device"))],
+        ids=["sort", "merge"],
+    )
+    def test_failed_worker_pass_removes_spill_and_artifact(
+        self, tmp_path, monkeypatch, failing_pass, error
+    ):
+        # the sort pass fails before the artifact file exists, the merge
+        # pass after; either way the spill (as large as the event log)
+        # and the unfinalized artifact must go
+        real_map = io_mod._map_items
+        passes = []
+
+        def map_with_failure(fn, n_items, n_workers):
+            passes.append(n_items)
+            if len(passes) - 1 != failing_pass:
+                return real_map(fn, n_items, n_workers)
+            assert n_items > 1 and n_workers == 2
+
+            def task(i):
+                if i == 1:
+                    raise error
+                return fn(i)
+
+            return real_map(task, n_items, n_workers)
+
+        monkeypatch.setattr(io_mod, "_map_items", map_with_failure)
+        events = random_events(n_vertices=10, n_events=100, seed=23)
+        path = str(tmp_path / "x.tcsr")
+        with pytest.raises(type(error)):
+            write_tcsr(events, path, chunk_events=25, n_workers=2)
+        assert len(passes) == failing_pass + 1
+        assert not os.path.exists(path + ".spill")
+        assert not os.path.exists(path)
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        events = random_events(n_vertices=40, n_events=3_000, seed=19)
+        blobs = []
+        for n_workers in (1, 4):
+            path = str(tmp_path / f"w{n_workers}.tcsr")
+            write_tcsr(events, path, chunk_events=256, n_workers=n_workers)
+            with open(path, "rb") as f:
+                blobs.append(f.read())
+        assert blobs[0] == blobs[1]
 
 
 # ----------------------------------------------------------------------

@@ -639,11 +639,11 @@ class TestRepositoryIsClean:
 
     def test_scopes_cover_the_kernel_backends(self):
         # the backend package holds the hottest allocation and loop
-        # sites in the tree (PCPM binning + per-partition reduce), so
+        # sites in the tree (partition binning + per-partition reduce), so
         # the dtype and CSR-loop rules must reach it, and the bench
         # that times it
         for path in (
-            "src/repro/pagerank/backends/pcpm.py",
+            "src/repro/pagerank/backends/numba_backend.py",
             "benchmarks/bench_backends.py",
         ):
             applicable = {

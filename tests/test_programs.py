@@ -3,7 +3,7 @@
 Covers the registry, the first-class programs, and the bitwise contract:
 PageRank routed through the engine is *bitwise-identical* to the historic
 postmortem loop across kernels (spmv / spmm) × edge paths (masked /
-compacted) × backends (numpy / pcpm) × weighted — asserted against a
+compacted) × backends (numpy / numba) × weighted — asserted against a
 hand-rolled reference chain that replays the pre-engine driver's solve
 sequence.
 """
@@ -190,7 +190,7 @@ class TestEngineBitwiseGrid:
 
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
     @pytest.mark.parametrize("edge_path", ["masked", "compacted"])
-    @pytest.mark.parametrize("backend", ["numpy", "pcpm"])
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_engine_matches_reference(
         self, setup, kernel, edge_path, backend
     ):
@@ -252,7 +252,8 @@ class TestEngineBitwiseGrid:
 class TestKatzProgram:
     def test_backend_kernel_matches_segment_sum(self, setup):
         """Backend propagation and the legacy reduceat kernel agree on
-        the normalized fixed point (different summation orders)."""
+        the normalized fixed point (different summation orders); the
+        partitioned numba plan matches the flat one bitwise."""
         events, spec = setup
         adj = TemporalAdjacency.from_events(events)
         cfg = KatzConfig(tolerance=1e-12, max_iterations=500)
@@ -263,6 +264,10 @@ class TestKatzProgram:
             assert np.allclose(
                 ours.values, legacy.values, atol=1e-9
             ), i
+            numba = katz_window_backend(
+                view, cfg, PagerankConfig(backend="numba", cache_budget=64)
+            )
+            assert np.array_equal(numba.values, ours.values), i
 
     def test_warm_start_converges_no_slower(self, setup):
         events, spec = setup

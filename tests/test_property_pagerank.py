@@ -110,7 +110,7 @@ def test_spmm_columns_equal_spmv(view, k):
 @given(window_instances(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_backend_never_changes_values(view, use_workspace):
-    """``backend`` is a pure execution-strategy knob: numpy, pcpm, numba
+    """``backend`` is a pure execution-strategy knob: numpy, numba
     (degraded or not) and auto produce bitwise-identical values, with
     owned and workspace-pooled buffers alike."""
     from repro.pagerank import Workspace
@@ -124,7 +124,7 @@ def test_backend_never_changes_values(view, use_workspace):
         )
 
     baseline = solve("numpy")
-    for backend in ("pcpm", "numba", "auto"):
+    for backend in ("numba", "auto"):
         r = solve(backend)
         assert np.array_equal(r.values, baseline.values)
         assert r.iterations == baseline.iterations

@@ -1,13 +1,8 @@
-"""Tests for weighted PageRank and per-window structural statistics."""
+"""Tests for weighted PageRank."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.graph_stats import (
-    degree_histogram,
-    triangle_count,
-    window_stats,
-)
 from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency
 from repro.pagerank import PagerankConfig, pagerank_window
@@ -15,7 +10,6 @@ from repro.pagerank.weighted import (
     pagerank_window_weighted,
     window_edge_weights,
 )
-from tests.conftest import random_events
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=400)
 
@@ -109,41 +103,3 @@ class TestWeightedPagerank:
             r = pagerank_window_weighted(view, CFG)
             if view.n_active_vertices:
                 assert r.total_mass == pytest.approx(1.0, abs=1e-8)
-
-
-class TestGraphStats:
-    def test_triangles_match_networkx(self):
-        nx = pytest.importorskip("networkx")
-        events = random_events(n_vertices=25, n_events=300, seed=87)
-        adj = TemporalAdjacency.from_events(events)
-        view = adj.window_view(Window(0, 0, 10_000))
-        got = triangle_count(view)
-        g = nx.Graph()
-        compact = view.compact_graph()
-        src, dst = compact.edges()
-        g.add_edges_from(
-            (int(u), int(v)) for u, v in zip(src, dst) if u != v
-        )
-        ref = sum(nx.triangles(g).values()) // 3
-        assert got == ref
-
-    def test_known_triangle(self):
-        events = TemporalEventSet([0, 1, 2], [1, 2, 0], [1, 2, 3])
-        adj = TemporalAdjacency.from_events(events)
-        view = adj.window_view(Window(0, 0, 10))
-        assert triangle_count(view) == 1
-        stats = window_stats(view)
-        assert stats.triangles == 1
-        assert stats.transitivity == pytest.approx(1.0)
-        assert stats.n_vertices == 3 and stats.n_edges == 3
-
-    def test_degree_histogram_sums_to_vertices(self, adjacency, spec):
-        view = adjacency.window_view(spec.window(0))
-        hist = degree_histogram(view)
-        assert hist.sum() == view.n_active_vertices
-
-    def test_empty_window_stats(self, adjacency):
-        view = adjacency.window_view(Window(0, 10**9, 10**9 + 1))
-        assert triangle_count(view) == 0
-        s = window_stats(view)
-        assert s.n_vertices == 0 and s.density == 0.0

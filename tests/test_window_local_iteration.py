@@ -82,7 +82,7 @@ def adversarial_windows(draw):
 @given(
     adjacency=adversarial_windows(),
     edge_path=st.sampled_from(["masked", "compacted"]),
-    backend=st.sampled_from(["numpy", "pcpm", "numba"]),
+    backend=st.sampled_from(["numpy", "numba"]),
     cache_budget=st.sampled_from([64, 262_144]),
     weighted=st.booleans(),
     warm=st.booleans(),

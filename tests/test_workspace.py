@@ -12,7 +12,6 @@ import pytest
 from repro.events import WindowSpec
 from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.pagerank import PagerankConfig, Workspace
-from repro.pagerank.propagation_blocking import pagerank_window_pb
 from repro.pagerank.spmm import pagerank_windows_spmm
 from repro.pagerank.spmv import pagerank_window
 from repro.pagerank.weighted import pagerank_window_weighted
@@ -72,9 +71,8 @@ class TestKernelParity:
         assert ws.hits > 0
 
     @pytest.mark.parametrize(
-        "solver", [pagerank_window, pagerank_window_weighted,
-                   pagerank_window_pb],
-        ids=["spmv", "weighted", "pb"],
+        "solver", [pagerank_window, pagerank_window_weighted],
+        ids=["spmv", "weighted"],
     )
     def test_chained_window_parity(self, graph, solver):
         ws = Workspace()
