@@ -105,13 +105,13 @@ class MultiWindowGraph:
         return Window(index=global_index, t_start=w.t_start, t_end=w.t_end)
 
     def window_view(self, global_index: int, workspace=None) -> WindowView:
-        """Per-window activity data, computed over the *local* structure —
-        the Θ(|E_w|) traversal the partitioning buys.
+        """Per-window activity data over the *local* structure.
 
-        ``workspace`` recycles construction scratch across this graph's
-        partial-initialization chain, and is remembered by the view so
-        its :meth:`~repro.graph.temporal_csr.WindowView.compact_pull`
-        packs into the same pooled scratch."""
+        Θ(window events + groups) through the adjacency's
+        :class:`~repro.graph.temporal_csr.GroupIndex`.  ``workspace`` is
+        remembered by the view so its
+        :meth:`~repro.graph.temporal_csr.WindowView.compact_pull` packs
+        into the chain's pooled scratch."""
         return self.adjacency.window_view(
             self.local_window(global_index), workspace=workspace
         )
@@ -290,7 +290,7 @@ class LazyMultiWindowPartition:
 
     def window_view(self, window_index: int, workspace=None) -> WindowView:
         """Per-window view via a freshly built owning graph
-        (``workspace`` forwarded for construction-scratch reuse)."""
+        (``workspace`` forwarded to the view)."""
         return self.graph_of(window_index).window_view(
             window_index, workspace=workspace
         )

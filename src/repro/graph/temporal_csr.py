@@ -4,19 +4,24 @@ One orientation of the structure stores, for every row vertex, its incident
 events sorted **by neighbor id, then by timestamp** — exactly the layout of
 Figure 3 (``rowA``, ``colA``, ``timeA``).  Because a window is a time
 *interval* and each (row, neighbor) group is time-sorted, the events of a
-group that are active in a window form a **contiguous run**, which makes
-both the activity test and the first-occurrence dedup mask O(nnz)
-vectorized operations:
+group that are active in a window form a **contiguous run**, so the
+activity test and the first-occurrence dedup mask are vectorized passes:
 
     active[j] = t_start <= timeA[j] <= t_end
     dedup[j]  = active[j] and (group_start[j] or not active[j-1])
 
 ``dedup`` selects exactly one event per active (row, neighbor) pair — the
-simple-graph edge multiplicity collapse the PageRank kernels need.
+simple-graph edge multiplicity collapse the PageRank kernels need.  Both
+are Θ(nnz) per window, so they define a window's edges but do not build
+its view.
 
 :class:`TemporalAdjacency` bundles the two orientations (in-edges for the
-pull-style SpMV, out-edges for per-window out-degrees) built from one event
-set; :class:`WindowView` packages everything a kernel needs for one window.
+pull-style SpMV, out-edges for push-style analytics) built from one event
+set, plus a :class:`GroupIndex` over the in-orientation's groups in time
+order.  A :class:`WindowView` counts its window's events per group with
+one ``bincount`` over that window's run of the time order — Θ(window
+events + groups) instead of a pass over every stored event — and keeps
+the active groups, the degrees and the active vertex set.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.events.event_set import TemporalEventSet
     from repro.events.windows import Window
 
-__all__ = ["TemporalCSR", "TemporalAdjacency", "WindowView"]
+__all__ = ["TemporalCSR", "TemporalAdjacency", "GroupIndex", "WindowView"]
 
 
 class TemporalCSR:
@@ -122,34 +127,17 @@ class TemporalCSR:
         return self._row_ids
 
     # ------------------------------------------------------------------
-    # window masks — the heart of the representation
+    # window masks — the Θ(nnz) definition window views are tested against
     # ------------------------------------------------------------------
-    def active_mask(
-        self, t_start: int, t_end: int, workspace=None
-    ) -> np.ndarray:
-        """Events with ``t_start <= t <= t_end``.
-
-        With a :class:`~repro.pagerank.workspace.Workspace` the mask is
-        written into reusable scratch (valid until the workspace's next
-        ``tcsr.*`` request) instead of freshly allocated.
-        """
-        if workspace is None:
-            return (self.time >= t_start) & (self.time <= t_end)
-        nnz = self.col.size
-        active = workspace.buffer("tcsr.active", (nnz,), np.bool_)
-        tmp = workspace.buffer("tcsr.tmp", (nnz,), np.bool_)
-        np.greater_equal(self.time, t_start, out=active)
-        np.less_equal(self.time, t_end, out=tmp)
-        active &= tmp
-        return active
+    def active_mask(self, t_start: int, t_end: int) -> np.ndarray:
+        """Events with ``t_start <= t <= t_end``."""
+        return (self.time >= t_start) & (self.time <= t_end)
 
     def dedup_mask(
         self,
         t_start: int,
         t_end: int,
         active: Optional[np.ndarray] = None,
-        workspace=None,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """First active event of each (row, neighbor) group in the window.
 
@@ -157,57 +145,17 @@ class TemporalCSR:
         on per-group time-sortedness: active events in a group are
         contiguous, so the representative is the event whose predecessor is
         outside the window or in a different group.
-
-        ``workspace`` recycles the construction scratch; ``out`` (shape
-        ``(nnz,)`` bool) additionally receives the result in place for
-        callers that treat the mask itself as transient.
         """
         if active is None:
-            active = self.active_mask(t_start, t_end, workspace=workspace)
-        if out is None:
-            dedup = active.copy()
-        else:
-            np.copyto(out, active)
-            dedup = out
-        if dedup.size == 0:
-            return dedup
-        if workspace is None:
-            inherited = ~self.group_start[1:] & active[:-1]
-            dedup[1:] &= ~inherited
-        else:
-            keep = workspace.buffer(
-                "tcsr.keep", (dedup.size - 1,), np.bool_
-            )
-            # keep = ~inherited = group_start[1:] | ~active[:-1]
-            np.logical_not(self.group_start[1:], out=keep)
-            keep &= active[:-1]
-            np.logical_not(keep, out=keep)
-            dedup[1:] &= keep
+            active = self.active_mask(t_start, t_end)
+        dedup = active.copy()
+        if dedup.size:
+            dedup[1:] &= self.group_start[1:] | ~active[:-1]
         return dedup
 
-    def degrees(
-        self,
-        t_start: int,
-        t_end: int,
-        dedup: Optional[np.ndarray] = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def degrees(self, t_start: int, t_end: int) -> np.ndarray:
         """Per-row count of distinct active neighbors in the window."""
-        cast = None
-        if dedup is None:
-            out = None
-            if workspace is not None:
-                nnz = self.col.size
-                out = workspace.buffer("tcsr.degrees", (nnz,), np.bool_)
-                cast = workspace.buffer("tcsr.cast", (nnz,), np.int64)
-            dedup = self.dedup_mask(
-                t_start, t_end, workspace=workspace, out=out
-            )
-        elif workspace is not None:
-            cast = workspace.buffer(
-                "tcsr.cast", (self.col.size,), np.int64
-            )
-        return segment_count(dedup, self.indptr, cast_buffer=cast)
+        return segment_count(self.dedup_mask(t_start, t_end), self.indptr)
 
     def compact_window(self, t_start: int, t_end: int) -> CSRGraph:
         """Materialize the window's simple graph as a plain CSR (row ->
@@ -244,12 +192,19 @@ class TemporalCSR:
 
 
 def _build_orientation(
-    rows: np.ndarray, cols: np.ndarray, times: np.ndarray, n_rows: int
+    rows: np.ndarray,
+    cols: np.ndarray,
+    times: np.ndarray,
+    n_rows: int,
+    order: Optional[np.ndarray] = None,
 ) -> TemporalCSR:
-    """Sort events by (row, neighbor, time) and pack into a TemporalCSR."""
-    if rows.size:
+    """Sort events by (row, neighbor, time) and pack into a TemporalCSR.
+
+    ``order`` is that sort's permutation (the input index of each stored
+    event) when the caller already holds it."""
+    if order is None:
         order = np.lexsort((times, cols, rows))
-        rows, cols, times = rows[order], cols[order], times[order]
+    rows, cols, times = rows[order], cols[order], times[order]
     counts = np.bincount(rows, minlength=n_rows) if rows.size else np.zeros(
         n_rows, dtype=np.int64
     )
@@ -257,18 +212,94 @@ def _build_orientation(
     return TemporalCSR(indptr, cols, times, n_rows)
 
 
+class GroupIndex:
+    """The in-orientation's (row, neighbor) groups, indexed by time.
+
+    Built once per adjacency:
+
+    * ``row`` / ``col`` — the destination and source of every group, in
+      group (= stored) order;
+    * ``time`` / ``group`` — every stored event's timestamp and group id
+      in time order, so a window's events are one contiguous run
+      ``span = [lo, hi)`` of that order, found by :meth:`span` with two
+      ``searchsorted`` probes.  ``time_order`` is ``(order, time)`` when
+      the adjacency was built from input in time order: ``order`` is the
+      input index of each stored event and ``time`` the input's times.
+      The index then *holds* that time array (no copy) and ``group`` is
+      one scatter through ``order``; otherwise both come from a stable
+      argsort of ``in_csr.time``.
+
+    Vertex and group ids are int32 while they fit, so beside a held time
+    array the index costs 4 B per stored event and 8 B per group.
+    :meth:`counts` turns a span into events per group — a simple edge is
+    active in a window iff its group has an event in it.
+    """
+
+    __slots__ = ("row", "col", "time", "group")
+
+    def __init__(
+        self,
+        in_csr: TemporalCSR,
+        time_order: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        starts = np.flatnonzero(in_csr.group_start)
+        vertex_dtype = np.int32 if in_csr.n_rows < 2**31 else np.int64
+        row = np.searchsorted(in_csr.indptr, starts, side="right")
+        row -= 1
+        self.row = row.astype(vertex_dtype)
+        self.col = in_csr.col[starts].astype(vertex_dtype)
+        id_dtype = np.int32 if in_csr.nnz < 2**31 else np.int64
+        group = np.cumsum(in_csr.group_start, dtype=id_dtype)
+        group -= 1
+        if time_order is None:
+            order = np.argsort(in_csr.time, kind="stable")
+            self.time = in_csr.time[order]
+            self.group = group[order]
+        else:
+            # in_csr.time == time[order], so scattering it back through
+            # the permutation would only rebuild time
+            order, self.time = time_order
+            self.group = np.empty_like(group)
+            self.group[order] = group
+
+    @property
+    def n_groups(self) -> int:
+        return self.row.size
+
+    def span(self, t_start: int, t_end: int) -> Tuple[int, int]:
+        """The run ``[lo, hi)`` of the time order inside
+        ``[t_start, t_end]``."""
+        lo = int(np.searchsorted(self.time, t_start, side="left"))
+        hi = int(np.searchsorted(self.time, t_end, side="right"))
+        return lo, hi
+
+    def counts(self, span: Tuple[int, int]) -> np.ndarray:
+        """Events per group in the window whose time-order run is
+        ``span`` — Θ(window events + groups)."""
+        lo, hi = span
+        return np.bincount(self.group[lo:hi], minlength=self.n_groups)
+
+
 class TemporalAdjacency:
     """Both orientations of the temporal CSR for one event set.
 
     * ``in_csr`` — rows are **destinations**, neighbors are sources: the
       pull-style PageRank iteration is a segment-sum over its rows.
-    * ``out_csr`` — rows are **sources**, neighbors are destinations: yields
-      per-window out-degrees |Γ+(u)|.
+    * ``out_csr`` — rows are **sources**, neighbors are destinations: the
+      push orientation, for analytics that walk out-edges.
+
+    Window views come from :attr:`groups`, the in-orientation's
+    :class:`GroupIndex`, built on the first view.
     """
 
-    __slots__ = ("in_csr", "out_csr", "n_vertices")
+    __slots__ = ("in_csr", "out_csr", "n_vertices", "_groups", "_time_order")
 
-    def __init__(self, in_csr: TemporalCSR, out_csr: TemporalCSR) -> None:
+    def __init__(
+        self,
+        in_csr: TemporalCSR,
+        out_csr: TemporalCSR,
+        time_order: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
         if in_csr.n_rows != out_csr.n_rows:
             raise GraphBuildError("orientations must share the vertex count")
         if in_csr.nnz != out_csr.nnz:
@@ -276,6 +307,10 @@ class TemporalAdjacency:
         self.in_csr = in_csr
         self.out_csr = out_csr
         self.n_vertices = in_csr.n_rows
+        self._groups: Optional[GroupIndex] = None
+        #: ``(permutation, times)`` of time-ordered input (see
+        #: :class:`GroupIndex`), held until the group index takes it
+        self._time_order = time_order
 
     @classmethod
     def from_events(cls, events: "TemporalEventSet") -> "TemporalAdjacency":
@@ -293,9 +328,11 @@ class TemporalAdjacency:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         time = np.asarray(time, dtype=np.int64)
-        in_csr = _build_orientation(dst, src, time, n_vertices)
+        order = np.lexsort((time, src, dst))
+        in_csr = _build_orientation(dst, src, time, n_vertices, order)
         out_csr = _build_orientation(src, dst, time, n_vertices)
-        return cls(in_csr, out_csr)
+        in_time_order = not np.any(time[1:] < time[:-1])
+        return cls(in_csr, out_csr, (order, time) if in_time_order else None)
 
     @classmethod
     def open(cls, path) -> "TemporalAdjacency":
@@ -312,12 +349,20 @@ class TemporalAdjacency:
     def nnz(self) -> int:
         return self.in_csr.nnz
 
-    def window_view(self, window: "Window", workspace=None) -> "WindowView":
-        """Precompute everything one PageRank run needs for ``window``.
+    @property
+    def groups(self) -> GroupIndex:
+        """The in-orientation's :class:`GroupIndex` (built on first use)."""
+        if self._groups is None:
+            self._groups = GroupIndex(self.in_csr, self._time_order)
+            self._time_order = None
+        return self._groups
 
-        ``workspace`` recycles the Θ(nnz) construction scratch across the
-        windows of one partial-init chain (the view's own persistent
-        arrays are still freshly owned).
+    def window_view(self, window: "Window", workspace=None) -> "WindowView":
+        """Everything one PageRank run needs for ``window``.
+
+        Θ(window events + groups) through the :class:`GroupIndex`, not a
+        pass over every stored event.  ``workspace`` is remembered by the
+        view for the scratch its kernels request.
         """
         return WindowView(self, window, workspace=workspace)
 
@@ -336,23 +381,36 @@ class TemporalAdjacency:
 
 
 class WindowView:
-    """Per-window activity data derived from a :class:`TemporalAdjacency`.
+    """One window's activity, read off a :class:`TemporalAdjacency`.
 
-    Holds the in-orientation dedup mask (which edges a pull iteration
-    traverses), per-vertex out-degrees, the active vertex set V_i, and
-    cached derived quantities.  Cost of construction is Θ(nnz) — the
-    per-window traversal the multi-window partitioning shrinks.
+    Construction counts the window's events per group through the
+    adjacency's :class:`GroupIndex` — Θ(window events + groups) — and
+    keeps:
+
+    * ``group_mask`` — which in-orientation (row, neighbor) groups have
+      an event in the window; :attr:`active_groups` lists them in group
+      order, one per active simple edge;
+    * ``in_degrees`` / ``out_degrees`` — ``bincount`` of the active
+      groups' rows / neighbors;
+    * ``active_vertices_mask`` (the active vertex set V_i),
+      ``n_active_vertices`` and ``n_active_edges``.
+
+    Two things are derived only on demand: :attr:`in_dedup`, the Θ(nnz)
+    first-active-event mask that the masked kernels stream, and
+    :attr:`multiplicities`, the weighted kernel's per-edge event counts.
+    Neither is kept on the view.
     """
 
     __slots__ = (
         "adjacency",
         "window",
-        "in_dedup",
+        "group_mask",
         "out_degrees",
         "in_degrees",
         "active_vertices_mask",
         "n_active_vertices",
         "n_active_edges",
+        "_span",
         "_inv_out",
         "_workspace",
         "_compact_pull",
@@ -367,24 +425,22 @@ class WindowView:
         self.adjacency = adjacency
         self.window = window
         self._workspace = workspace
-        ts, te = window.t_start, window.t_end
+        groups = adjacency.groups
+        self._span = groups.span(window.t_start, window.t_end)
+        self.group_mask = groups.counts(self._span) > 0
 
-        in_csr, out_csr = adjacency.in_csr, adjacency.out_csr
-        self.in_dedup = in_csr.dedup_mask(ts, te, workspace=workspace)
-        cast = (
-            workspace.buffer("tcsr.cast", (in_csr.col.size,), np.int64)
-            if workspace is not None
-            else None
+        active_groups = self.group_mask.nonzero()[0]
+        n = adjacency.n_vertices
+        self.in_degrees = np.bincount(
+            groups.row[active_groups], minlength=n
         )
-        self.in_degrees = segment_count(
-            self.in_dedup, in_csr.indptr, cast_buffer=cast
+        self.out_degrees = np.bincount(
+            groups.col[active_groups], minlength=n
         )
-        self.out_degrees = out_csr.degrees(ts, te, workspace=workspace)
-
-        active = (self.in_degrees > 0) | (self.out_degrees > 0)
+        active = np.logical_or(self.in_degrees, self.out_degrees)
         self.active_vertices_mask = active
-        self.n_active_vertices = int(active.sum())
-        self.n_active_edges = int(self.in_dedup.sum())
+        self.n_active_vertices = int(np.count_nonzero(active))
+        self.n_active_edges = int(active_groups.size)
         self._inv_out: Optional[np.ndarray] = None
         self._compact_pull = None
 
@@ -393,11 +449,36 @@ class WindowView:
         """|V_i| — vertices incident to at least one active edge."""
         return self.n_active_vertices
 
+    @property
+    def active_groups(self) -> np.ndarray:
+        """Ids of the window's active (row, neighbor) groups, ascending —
+        the order the in-orientation stores them in."""
+        return self.group_mask.nonzero()[0]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """Events in the window per active group, aligned with
+        :attr:`active_groups` (int64)."""
+        return self.adjacency.groups.counts(self._span)[self.group_mask]
+
+    @property
+    def in_dedup(self) -> np.ndarray:
+        """The in-orientation's first-active-event mask (``(nnz,)``
+        bool): one True per active simple edge, at the group's first
+        event in the window.
+
+        A fresh Θ(nnz) :meth:`TemporalCSR.dedup_mask` on every read — not
+        kept, so the views a chain holds stay group-sized.  The masked
+        kernels and Katz read it once per solve."""
+        return self.adjacency.in_csr.dedup_mask(
+            self.window.t_start, self.window.t_end
+        )
+
     def inverse_out_degrees(self) -> np.ndarray:
         """1 / |Γ+(u)| with zeros for dangling/inactive vertices.
 
-        Without a construction workspace the Θ(n) result is computed once
-        and cached on the view.  With one, it is recomputed into pooled
+        Without a workspace the Θ(n) result is computed once and cached
+        on the view.  With one, it is recomputed into pooled
         scratch on every call (no per-window allocation inside a
         partial-init chain) and stays valid until the next
         ``inverse_out_degrees`` call on *any* view sharing the workspace
@@ -420,12 +501,13 @@ class WindowView:
         return self._inv_out
 
     def compact_pull(self, workspace=None):
-        """The window's active deduped in-edges packed into a dense
+        """The window's active in-edges packed into a dense
         ``(indptr_c, col_c)`` pair (:class:`~repro.pagerank.compaction.
-        CompactedPull`), preserving within-row order so iterating over the
-        packed arrays is bitwise-identical to masking the full structure.
+        CompactedPull`): the active groups in group order, so iterating
+        over the packed arrays is bitwise-identical to masking the full
+        structure.
 
-        ``workspace`` defaults to the view's construction workspace; with
+        ``workspace`` defaults to the view's own; with
         one, the packed arrays are pooled-scratch slices valid for the
         current solve.  Without one, the result is owned and cached.
         """
@@ -439,10 +521,6 @@ class WindowView:
         if self._compact_pull is None:
             self._compact_pull = compact_pull(self)
         return self._compact_pull
-
-    def pull_sources(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(dedup mask, source ids) for the pull iteration."""
-        return self.in_dedup, self.adjacency.in_csr.col
 
     def compact_graph(self) -> CSRGraph:
         """The window's simple out-graph as a plain CSR (for reference

@@ -30,7 +30,6 @@ from repro.pagerank.compaction import (
     CompactedUnion,
     compact_pull,
     compact_pull_union,
-    compact_pull_weighted,
     resolve_edge_path,
 )
 from repro.pagerank.config import PagerankConfig
@@ -42,7 +41,7 @@ from repro.pagerank.reference import (
 from repro.pagerank.spmv import pagerank_window
 from repro.pagerank.init import full_initialization, partial_initialization
 from repro.pagerank.spmm import pagerank_windows_spmm
-from repro.pagerank.weighted import pagerank_window_weighted, window_edge_weights
+from repro.pagerank.weighted import pagerank_window_weighted
 from repro.pagerank.workspace import Workspace
 from repro.pagerank.incremental import csr_pull_arrays, incremental_pagerank
 
@@ -61,11 +60,9 @@ __all__ = [
     "partial_initialization",
     "pagerank_windows_spmm",
     "pagerank_window_weighted",
-    "window_edge_weights",
     "CompactedPull",
     "CompactedUnion",
     "compact_pull",
-    "compact_pull_weighted",
     "compact_pull_union",
     "resolve_edge_path",
     "backend_availability",

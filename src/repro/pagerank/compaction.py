@@ -8,14 +8,16 @@ sparse window (small ``delta``, wide partition span: the Figure 9/10
 regimes) still pays the full structure pass per iteration.
 
 Compaction is the classic gather-scatter move from the GAP/STINGER CSR
-lineage: pay one Θ(nnz) pass *per window* to pack the active deduplicated
+lineage: pay one gather *per window* to pack the active deduplicated
 in-edges into a dense ``(indptr_c, col_c, rows_c)`` triple, then iterate
 over only the Θ(|E_w|) packed edges (the kernels then relabel the pack
 into the window's own vertex space, so the vertex side of an iteration is
-Θ(|V_w|) and the whole iteration Θ(|V_w| + |E_w|)).  A boolean compress
-preserves order, so the packed edges keep their **within-row order** (and
-a monotone relabelling keeps it too); reducing them with
-the sequential :func:`~repro.utils.segments.segment_sum_ordered` then
+Θ(|V_w|) and the whole iteration Θ(|V_w| + |E_w|)).  The gather reads the
+window view's active (row, neighbor) groups, so the pack costs
+Θ(groups + |V| + |E_w|), not a pass over the stored events.  The groups
+are listed in stored order, so the packed edges keep their **within-row
+order** (and a monotone relabelling keeps it too); reducing them with the
+sequential :func:`~repro.utils.segments.segment_sum_ordered` then
 performs exactly the same additions in exactly the same order as the
 masked path — the results are bitwise-identical (masked positions
 contribute exact ``0.0``, and adding ``0.0`` to a non-negative
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.segments import lengths_to_indptr, segment_count
+from repro.utils.segments import lengths_to_indptr
 
 #: one-shot latch for the non-positive iteration_hint debug note (tests
 #: reset it to observe the message again)
@@ -55,7 +57,6 @@ __all__ = [
     "CompactedPull",
     "CompactedUnion",
     "compact_pull",
-    "compact_pull_weighted",
     "compact_pull_union",
     "resolve_edge_path",
 ]
@@ -76,9 +77,6 @@ class CompactedPull:
         ``(n_edges,)`` int64 — destination vertex per packed edge (the
         expansion of ``indptr``), consumed by the kernels' sequential
         :func:`~repro.utils.segments.segment_sum_ordered` reduction.
-    weights:
-        Optional ``(n_edges,)`` float64 — per-edge multiplicities for the
-        weighted kernel; ``None`` for the unweighted kernels.
 
     When built against a :class:`~repro.pagerank.workspace.Workspace` the
     arrays are slices of pooled scratch: valid for the current window's
@@ -88,7 +86,6 @@ class CompactedPull:
     indptr: np.ndarray
     col: np.ndarray
     rows: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     @property
     def n_edges(self) -> int:
@@ -126,62 +123,41 @@ def _packed_indptr(
     return indptr
 
 
+def _gather(
+    values: np.ndarray,
+    index: np.ndarray,
+    workspace: Optional["Workspace"],
+    key: str,
+) -> np.ndarray:
+    """``values[index]`` as int64 (the group index may store int32 ids),
+    into group-capacity pooled scratch when a workspace is given (the
+    capacity is constant per multi-window graph, so a chain allocates
+    once)."""
+    if workspace is None:
+        return values[index].astype(np.int64, copy=False)
+    out = workspace.buffer(key, values.shape, np.int64)[: index.size]
+    np.copyto(out, values[index])
+    return out
+
+
 def compact_pull(
     view: "WindowView", workspace: Optional["Workspace"] = None
 ) -> CompactedPull:
-    """Pack ``view``'s active deduped in-edges into ``(indptr_c, col_c,
-    rows_c)``.
+    """Pack ``view``'s active in-edges into ``(indptr_c, col_c, rows_c)``.
 
-    One Θ(nnz) pass (a prefix sum over the already-computed per-row active
-    degrees plus two boolean compresses); every subsequent power iteration
-    then costs Θ(|E_w|) instead of Θ(nnz).
+    A scan of the view's group mask, a gather of the active groups'
+    sources and destinations and a prefix sum over the view's in-degrees
+    — Θ(groups + |V| + |E_w|) — after which every
+    power iteration costs Θ(|E_w|) instead of Θ(nnz).  The weighted
+    kernel pairs the packed edges with ``view.multiplicities``, which
+    follow the same group order.
     """
-    in_csr = view.adjacency.in_csr
-    dedup = view.in_dedup
-    indptr_c = _packed_indptr(view.in_degrees, workspace, "compact.indptr")
-    m = view.n_active_edges
-    if workspace is None:
-        col_c = in_csr.col[dedup]
-        rows_c = in_csr.row_ids()[dedup]
-    else:
-        # nnz-capacity buffers sliced to m: the capacity is constant per
-        # multi-window graph, so the chain reallocates at most once
-        col_c = workspace.buffer("compact.col", (in_csr.nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.col, out=col_c)
-        rows_c = workspace.buffer(
-            "compact.rows", (in_csr.nnz,), np.int64
-        )[:m]
-        np.compress(dedup, in_csr.row_ids(), out=rows_c)
-    return CompactedPull(indptr=indptr_c, col=col_c, rows=rows_c)
-
-
-def compact_pull_weighted(
-    view: "WindowView",
-    dedup: np.ndarray,
-    weights: np.ndarray,
-    workspace: Optional["Workspace"] = None,
-) -> CompactedPull:
-    """Like :func:`compact_pull`, additionally packing the per-edge
-    multiplicities the weighted kernel derived for this window."""
-    in_csr = view.adjacency.in_csr
-    indptr_c = _packed_indptr(view.in_degrees, workspace, "compact.indptr")
-    m = view.n_active_edges
-    if workspace is None:
-        col_c = in_csr.col[dedup]
-        rows_c = in_csr.row_ids()[dedup]
-        weights_c = weights[dedup]
-    else:
-        nnz = in_csr.nnz
-        col_c = workspace.buffer("compact.col", (nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.col, out=col_c)
-        rows_c = workspace.buffer("compact.rows", (nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.row_ids(), out=rows_c)
-        weights_c = workspace.buffer(
-            "compact.weights", (nnz,), np.float64
-        )[:m]
-        np.compress(dedup, weights, out=weights_c)
+    groups = view.adjacency.groups
+    active = view.active_groups
     return CompactedPull(
-        indptr=indptr_c, col=col_c, rows=rows_c, weights=weights_c
+        indptr=_packed_indptr(view.in_degrees, workspace, "compact.indptr"),
+        col=_gather(groups.col, active, workspace, "compact.col"),
+        rows=_gather(groups.row, active, workspace, "compact.rows"),
     )
 
 
@@ -193,42 +169,35 @@ def compact_pull_union(
 
     The SpMM kernel's batched iteration gathers and reduces over the
     packed union once per iteration; ``active`` re-expresses each window's
-    dedup mask in union positions so per-column masking is preserved
-    (and with it, bitwise identity to the masked batch).
+    active groups in union positions so per-column masking is preserved
+    (and with it, bitwise identity to the masked batch).  Everything runs
+    in group space — Θ(k · groups) — so the batch never builds an
+    nnz-length mask.
     """
     adjacency = views[0].adjacency
-    in_csr = adjacency.in_csr
-    nnz = in_csr.nnz
+    groups = adjacency.groups
     k = len(views)
     if workspace is None:
-        union = np.zeros(nnz, dtype=np.bool_)
+        union = np.zeros(groups.n_groups, dtype=np.bool_)
     else:
-        union = workspace.zeros("compact.union", (nnz,), np.bool_)
+        union = workspace.zeros("compact.union", (groups.n_groups,), np.bool_)
     for v in views:
-        union |= v.in_dedup
+        union |= v.group_mask
+    positions = np.flatnonzero(union)
+    m = positions.size
 
-    cast = (
-        workspace.buffer("tcsr.cast", (nnz,), np.int64)
-        if workspace is not None
-        else None
-    )
-    counts = segment_count(union, in_csr.indptr, cast_buffer=cast)
+    rows_u = _gather(groups.row, positions, workspace, "compact.rows")
+    counts = np.bincount(rows_u, minlength=adjacency.n_vertices)
     indptr_u = _packed_indptr(counts, workspace, "compact.indptr")
-    m = int(indptr_u[-1])
-
+    col_u = _gather(groups.col, positions, workspace, "compact.col")
     if workspace is None:
-        col_u = in_csr.col[union]
-        rows_u = in_csr.row_ids()[union]
         active = np.empty((m, k), dtype=np.bool_)
     else:
-        col_u = workspace.buffer("compact.col", (nnz,), np.int64)[:m]
-        np.compress(union, in_csr.col, out=col_u)
-        rows_u = workspace.buffer("compact.rows", (nnz,), np.int64)[:m]
-        np.compress(union, in_csr.row_ids(), out=rows_u)
-        active = workspace.buffer("compact.active", (nnz, k), np.bool_)[:m]
-    positions = np.flatnonzero(union)
+        active = workspace.buffer(
+            "compact.active", (groups.n_groups, k), np.bool_
+        )[:m]
     for j, v in enumerate(views):
-        active[:, j] = v.in_dedup[positions]
+        active[:, j] = v.group_mask[positions]
     return CompactedUnion(
         indptr=indptr_u, col=col_u, rows=rows_u, active=active
     )
@@ -243,12 +212,14 @@ def resolve_edge_path(
 ) -> str:
     """Turn ``config.edge_path`` into a concrete ``"masked"``/``"compacted"``.
 
-    ``"auto"`` asks the parallel cost model: compaction pays one Θ(nnz)
-    pack to save ``(nnz - |E_w|)`` traversed events per iteration, so the
-    decision needs an iteration estimate — ``iteration_hint`` (typically
-    the previous window of the chain, whose spectrum is nearly identical)
-    when available, otherwise a conservative default capped by the
-    config's iteration budget.
+    ``"auto"`` asks the parallel cost model: compaction pays one pack to
+    save ``(nnz - |E_w|)`` traversed events per iteration.  The model
+    prices the pack per packed edge only; its Θ(groups + |V|) scan and
+    prefix sum match work the view already did on either path, so they
+    are left out (docs/tuning.md).  The decision needs an iteration
+    estimate — ``iteration_hint`` (typically the previous window of the
+    chain, whose spectrum is nearly identical) when available, otherwise a
+    conservative default capped by the config's iteration budget.
 
     A non-positive hint — a previous window that converged in zero
     iterations (empty window) or a driver that deliberately passes its

@@ -95,9 +95,8 @@ def pagerank_windows_spmm(
     )
 
     # the union can't exceed the sum of the windows' active edges (nor
-    # nnz), so that bound stands in for its size in the auto decision —
-    # computing the real union only to discard it would cost the very
-    # Θ(nnz·k) pass the masked path avoids paying twice
+    # nnz), so that bound stands in for its size in the auto decision
+    # without building it
     est_union = min(nnz, int(active_edge_counts.sum()))
     path = resolve_edge_path(config, nnz, est_union, n, iteration_hint)
 
@@ -107,14 +106,14 @@ def pagerank_windows_spmm(
         it_col, it_rows = packed.col, packed.rows
         dedup = packed.active
         it_nnz = packed.n_edges
-    elif ws is None:
-        dedup = np.stack([v.in_dedup for v in views], axis=1)
-        it_col, it_rows, it_nnz = in_csr.col, in_csr.row_ids(), nnz
     else:
-        dedup = np.stack(
-            [v.in_dedup for v in views], axis=1,
-            out=ws.buffer("spmm.dedup", (nnz, k), np.bool_),
-        )
+        if ws is None:
+            dedup = np.empty((nnz, k), dtype=np.bool_)
+        else:
+            dedup = ws.buffer("spmm.dedup", (nnz, k), np.bool_)
+        # a column at a time: one transient nnz-length mask, not k
+        for j, v in enumerate(views):
+            dedup[:, j] = v.in_dedup
         it_col, it_rows, it_nnz = in_csr.col, in_csr.row_ids(), nnz
 
     work = WorkStats()

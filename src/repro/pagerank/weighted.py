@@ -11,11 +11,11 @@ weighted PageRank:
 where ``w_i(u,v)`` is the number of (u, v) events inside window i and
 ``W_i(u)`` the sum of u's outgoing window weights.
 
-The temporal CSR makes the weights nearly free: within a (row, neighbor)
-group the active events are contiguous, so the per-group count is a
-segment-count over *group runs* — the same O(nnz) vectorized machinery as
-the dedup mask.  No extra arrays are stored; weights are derived per
-window from the timestamps.
+The temporal CSR makes the weights free: a window view already knows its
+active (row, neighbor) groups, and a group's multiplicity is its count of
+events inside the window (:attr:`~repro.graph.temporal_csr.WindowView.
+multiplicities`, read off the adjacency's time-ordered group index).  No
+extra arrays are stored.
 
 The iteration itself is the SpMV kernel's window-local power loop: the
 weighted edge list is relabelled into ``[0, |V_w|)`` once per window and
@@ -25,40 +25,17 @@ path costs Θ(|V_w| + |E_w|).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.graph.temporal_csr import TemporalCSR, WindowView
-from repro.pagerank.compaction import compact_pull_weighted, resolve_edge_path
+from repro.graph.temporal_csr import WindowView
+from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult
 from repro.pagerank.spmv import _power_iterate
 
-__all__ = ["window_edge_weights", "pagerank_window_weighted"]
-
-
-def window_edge_weights(
-    csr: TemporalCSR, t_start: int, t_end: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge multiplicities for one window.
-
-    Returns ``(dedup_mask, weights)`` where ``weights[j]`` (only meaningful
-    at dedup positions) is the number of the group's events inside the
-    window.  Vectorized: group ids from a cumulative sum of group starts,
-    active counts per group via ``bincount``.
-    """
-    active = csr.active_mask(t_start, t_end)
-    dedup = csr.dedup_mask(t_start, t_end, active)
-    if csr.nnz == 0:
-        return dedup, np.zeros(0, dtype=np.float64)
-    group_ids = np.cumsum(csr.group_start) - 1
-    counts = np.bincount(
-        group_ids[active], minlength=int(group_ids[-1]) + 1
-    )
-    weights = np.zeros(csr.nnz, dtype=np.float64)
-    weights[dedup] = counts[group_ids[dedup]]
-    return dedup, weights
+__all__ = ["pagerank_window_weighted"]
 
 
 def pagerank_window_weighted(
@@ -76,9 +53,10 @@ def pagerank_window_weighted(
     (:func:`~repro.pagerank.spmv._power_iterate`), so one iteration costs
     Θ(|V_w| + |E_w|) on the compacted path and ``workspace`` recycles the
     same |V_w|-sized scratch; returned values are always freshly owned.
-    ``config.edge_path="compacted"`` packs the active edges *and* their
-    multiplicities once (:func:`~repro.pagerank.compaction.
-    compact_pull_weighted`) — bitwise-identical to the masked path.
+    ``config.edge_path="compacted"`` packs the active edges once
+    (:func:`~repro.pagerank.compaction.compact_pull`); the
+    multiplicities already follow the packed order — bitwise-identical
+    to the masked path.
     """
     n = view.adjacency.n_vertices
     if view.n_active_vertices == 0:
@@ -86,26 +64,25 @@ def pagerank_window_weighted(
             values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
 
-    ts, te = view.window.t_start, view.window.t_end
     in_csr = view.adjacency.in_csr
-    dedup, weights = window_edge_weights(in_csr, ts, te)
-    col = in_csr.col
-
+    groups = view.adjacency.groups
+    weights = view.multiplicities.astype(np.float64)
     # weighted out-strength per source: sum of its outgoing edge weights
-    out_strength = np.zeros(n, dtype=np.float64)
-    np.add.at(out_strength, col[dedup], weights[dedup])
+    out_strength = np.bincount(
+        groups.col[view.active_groups], weights=weights, minlength=n
+    )
 
     path = resolve_edge_path(
         config, in_csr.nnz, view.n_active_edges, n, iteration_hint
     )
     if path == "compacted":
-        packed = compact_pull_weighted(
-            view, dedup, weights, workspace=workspace
-        )
+        packed = view.compact_pull(workspace=workspace)
         col, rows, mask = packed.col, packed.rows, None
-        weights = packed.weights
     else:
-        rows, mask = in_csr.row_ids(), dedup
+        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
+        per_event = np.zeros(in_csr.nnz, dtype=np.float64)
+        per_event[mask] = weights
+        weights = per_event
     return _power_iterate(
         view, config, x0, workspace, iteration_hint,
         col, rows, mask, weights, out_strength,

@@ -2,14 +2,14 @@
 
 A multi-window graph's windows form one sequential partial-initialization
 chain, and every window's solve allocates the same transient arrays: the
-active/dedup masks derived from the temporal CSR (Θ(nnz) booleans), the
 per-event contribution buffer of each power iteration (Θ(nnz) floats — the
-dominant allocation), the window-local relabelled edge list, and the
-per-vertex scratch.  The SpMV and weighted kernels iterate in the window's
-own vertex space, so their rank ping-pong pair, share, difference and
-inverse-degree vectors have length |V_w|: each is pooled as a capacity-n
-buffer sliced to the window (the way the compaction pools its edge arrays
-at capacity nnz), and only the zero-padded residual buffer keeps length n.
+dominant allocation), the compacted and window-local relabelled edge
+lists, and the per-vertex scratch.  The SpMV and weighted kernels iterate
+in the window's own vertex space, so their rank ping-pong pair, share,
+difference and inverse-degree vectors have length |V_w|: each is pooled as
+a capacity-n buffer sliced to the window (the way the compaction pools its
+edge arrays at the graph's group count), and only the zero-padded residual
+buffer keeps length n.
 PCPM-style PageRank work is memory-bound, so paying the allocator (and
 first-touch page faults) for the same shapes once per window per iteration
 is pure overhead.

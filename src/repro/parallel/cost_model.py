@@ -45,10 +45,10 @@ __all__ = [
 #: column (the register-streamed part of the work).
 SPMM_COLUMN_DISCOUNT = 0.5
 
-#: one-time active-edge compaction pass, relative to the per-iteration
-#: per-stored-event cost: a boolean compress + prefix sum streams the
-#: structure about twice (read mask + write packed arrays), so the pack
-#: costs roughly two masked iterations' worth of per-event work.
+#: one-time active-edge compaction, per packed edge, relative to the
+#: per-iteration per-stored-event cost: the pack gathers each active
+#: edge's source and destination from the window view's active groups and
+#: writes both out, about two iterations' worth of per-edge work.
 PACK_COST_RATIO = 2.0
 
 #: iteration estimate used by the ``edge_path="auto"`` policy when the
@@ -141,9 +141,9 @@ class CostModel:
     # ------------------------------------------------------------------
     # active-edge compaction (repro.pagerank.compaction)
     # ------------------------------------------------------------------
-    def pack_cost(self, nnz: int) -> float:
-        """The one-time per-window compaction pass over ``nnz`` events."""
-        return self.c_pack * nnz
+    def pack_cost(self, n_edges: int) -> float:
+        """The one-time per-window compaction of ``n_edges`` packed edges."""
+        return self.c_pack * n_edges
 
     def choose_edge_path(
         self,
@@ -155,17 +155,20 @@ class CostModel:
         """``"masked"`` or ``"compacted"``: whichever total is cheaper.
 
         Masked pays ``c_edge * nnz`` every iteration; compacted pays the
-        pack once, then ``c_edge * |E_w|`` per iteration.  Compaction wins
-        iff ``iters * (nnz - |E_w|) * c_edge > c_pack * nnz`` — i.e. the
+        pack of the ``|E_w|`` active edges once, then ``c_edge * |E_w|``
+        per iteration.  Compaction wins iff
+        ``iters * (nnz - |E_w|) * c_edge > c_pack * |E_w|`` — i.e. the
         activity ratio is low enough, for long enough, to amortize the
-        pack (the docs/tuning.md crossover).
+        pack (the docs/tuning.md crossover).  The pack's scan of the
+        view's groups and prefix sum over its vertices are left out: the
+        view already paid that order of work on either path.
         """
         if nnz <= 0 or n_active_edges >= nnz:
             return "masked"
         iters = max(int(expected_iterations), 1)
         masked = iters * self.spmv_iteration_cost(nnz, n_vertices)
-        compacted = self.pack_cost(nnz) + iters * self.spmv_iteration_cost(
-            n_active_edges, n_vertices
+        compacted = self.pack_cost(n_active_edges) + (
+            iters * self.spmv_iteration_cost(n_active_edges, n_vertices)
         )
         return "compacted" if compacted < masked else "masked"
 

@@ -31,6 +31,7 @@ the user callback in the parent.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import logging
 import multiprocessing
 import os
@@ -568,13 +569,38 @@ def _worker_sink(window_index: int, values, meta) -> None:
     queue.put((window_index, values, meta))
 
 
+def _malloc_trim() -> Optional[Callable[[int], int]]:
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
 def _run_arena_task(handle: ArenaHandle, payload, index: int):
-    """Module-level task shim for :func:`run_arena_tasks` workers."""
+    """Module-level task shim for :func:`run_arena_tasks` workers.
+
+    A task's arrays are all freed by the time it returns, but glibc keeps
+    freed heap resident and gives the top of it back only past a
+    threshold that moves with the largest array freed so far.  What a
+    worker holds after a task, and so its peak during the next one, would
+    then depend on which tasks it happened to run before; trimming after
+    every task starts each one from the same footprint.
+    """
     view = attach_arena(handle)
     sink = _worker_sink if _WORKER_STATE.get("sink_queue") is not None else None
-    return _WORKER_STATE["worker"](
-        view, payload, index, sink, *_WORKER_STATE["args"]
-    )
+    try:
+        return _WORKER_STATE["worker"](
+            view, payload, index, sink, *_WORKER_STATE["args"]
+        )
+    finally:
+        if "malloc_trim" not in _WORKER_STATE:
+            _WORKER_STATE["malloc_trim"] = _malloc_trim()
+        trim = _WORKER_STATE["malloc_trim"]
+        if trim is not None:
+            trim(0)
 
 
 def run_arena_tasks(

@@ -310,7 +310,9 @@ def katz_windows_spmm(
     in_csr = adjacency.in_csr
     col = in_csr.col
 
-    dedup = np.stack([v.in_dedup for v in views], axis=1)
+    dedup = np.empty((in_csr.nnz, k), dtype=np.bool_)
+    for j, v in enumerate(views):
+        dedup[:, j] = v.in_dedup
     active = np.stack([v.active_vertices_mask for v in views], axis=1)
     n_active = np.array([v.n_active_vertices for v in views], dtype=np.int64)
     active_edge_counts = np.array(

@@ -16,13 +16,23 @@ import numpy as np
 
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.backends import resolve_backend
-from repro.pagerank.compaction import compact_pull_weighted, resolve_edge_path
+from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult
-from repro.pagerank.weighted import window_edge_weights
 
-__all__ = ["dense_mask_pagerank"]
+__all__ = ["dense_mask_pagerank", "pair_multiplicities"]
+
+
+def pair_multiplicities(csr, t_start: int, t_end: int):
+    """``(rows, cols, counts)`` of one orientation's window: every
+    distinct (row, neighbor) pair with an event in ``[t_start, t_end]``,
+    in (row, neighbor) order, and its event count — ``np.unique`` over
+    the active events, independent of the group index."""
+    active = csr.active_mask(t_start, t_end)
+    pairs = np.stack([csr.row_ids()[active], csr.col[active]])
+    uniq, counts = np.unique(pairs, axis=1, return_counts=True)
+    return uniq[0], uniq[1], counts
 
 
 def dense_mask_pagerank(
@@ -49,10 +59,13 @@ def dense_mask_pagerank(
     in_csr = adjacency.in_csr
     nnz = in_csr.nnz
     active_mask = view.active_vertices_mask
+    dedup = view.in_dedup
     if weighted:
-        dedup, weights = window_edge_weights(
+        *_, counts = pair_multiplicities(
             in_csr, view.window.t_start, view.window.t_end
         )
+        weights = np.zeros(nnz, dtype=np.float64)
+        weights[dedup] = counts
         out_strength = np.zeros(n, dtype=np.float64)
         np.add.at(out_strength, in_csr.col[dedup], weights[dedup])
         inv_out = np.zeros(n, dtype=np.float64)
@@ -60,17 +73,15 @@ def dense_mask_pagerank(
         inv_out[nz] = 1.0 / out_strength[nz]
         dangling_idx = np.flatnonzero(active_mask & ~nz)
     else:
-        dedup, weights = view.in_dedup, None
+        weights = None
         inv_out = view.inverse_out_degrees()
         dangling_idx = np.flatnonzero(active_mask & (view.out_degrees == 0))
 
     path = resolve_edge_path(config, nnz, view.n_active_edges, n)
     if path == "compacted":
+        packed = view.compact_pull()
         if weighted:
-            packed = compact_pull_weighted(view, dedup, weights)
-            weights = packed.weights
-        else:
-            packed = view.compact_pull()
+            weights = weights[dedup]
         it_col, it_rows, it_mask = packed.col, packed.rows, None
     else:
         it_col, it_rows, it_mask = in_csr.col, in_csr.row_ids(), dedup

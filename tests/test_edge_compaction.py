@@ -90,17 +90,30 @@ class TestCompactStructure:
     def test_union_covers_every_window(self):
         events = random_events(seed=13)
         adj = TemporalAdjacency.from_events(events)
+        in_csr = adj.in_csr
         spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
         views = [adj.window_view(spec.window(i)) for i in range(3)]
         packed = compact_pull_union(views)
-        union = np.zeros(adj.nnz, dtype=np.bool_)
-        for v in views:
-            union |= v.in_dedup
-        assert packed.n_edges == int(union.sum())
-        assert np.array_equal(packed.col, adj.in_csr.col[union])
-        positions = np.flatnonzero(union)
+        pairs = list(zip(packed.rows.tolist(), packed.col.tolist()))
+        # one packed edge per simple edge active in any window, in stored
+        # (row, neighbor) order
+        assert pairs == sorted(set(pairs))
+        expected = set()
         for j, v in enumerate(views):
-            assert np.array_equal(packed.active[:, j], v.in_dedup[positions])
+            sel = packed.active[:, j]
+            assert np.array_equal(packed.col[sel], in_csr.col[v.in_dedup])
+            assert np.array_equal(
+                packed.rows[sel], in_csr.row_ids()[v.in_dedup]
+            )
+            expected |= set(zip(
+                in_csr.row_ids()[v.in_dedup].tolist(),
+                in_csr.col[v.in_dedup].tolist(),
+            ))
+        assert set(pairs) == expected
+        assert np.array_equal(
+            np.diff(packed.indptr),
+            np.bincount(packed.rows, minlength=adj.n_vertices),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +231,20 @@ class TestEdgePathSelection:
 
     def test_resolve_auto_uses_hint(self):
         cfg = PagerankConfig(edge_path="auto", max_iterations=500)
-        # hint=1 -> never repays; large hint -> compacts
-        assert resolve_edge_path(cfg, 10_000, 500, 100, 1) == "masked"
+        # half active: hint=1 cannot repay the pack; large hint -> compacts
+        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 1) == "masked"
         assert (
-            resolve_edge_path(cfg, 10_000, 500, 100, 100) == "compacted"
+            resolve_edge_path(cfg, 10_000, 5_000, 100, 100) == "compacted"
         )
 
     def test_resolve_auto_caps_hint_by_budget(self):
         cfg = PagerankConfig(edge_path="auto", max_iterations=1)
-        assert resolve_edge_path(cfg, 10_000, 500, 100, 400) == "masked"
+        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 400) == "masked"
+
+    def test_pack_is_priced_per_packed_edge(self):
+        # 5% active: the pack gathers 500 edges, not 10,000 stored events,
+        # so even a single iteration repays it
+        assert choose_edge_path(10_000, 500, 100, 1) == "compacted"
 
     def test_nonpositive_hint_falls_back_to_default_audibly(
         self, monkeypatch, caplog
@@ -260,12 +278,12 @@ class TestEdgePathSelection:
             ) == 1
 
     def test_nonpositive_hint_crossover_boundary(self):
-        # at the 10_000/500 structure the default (20 expected
+        # at the 10_000/5_000 structure the default (20 expected
         # iterations) amortizes the pack but a true hint of 1 does not:
         # hint=0 must land on the default's side of the crossover
         cfg = PagerankConfig(edge_path="auto", max_iterations=500)
-        assert resolve_edge_path(cfg, 10_000, 500, 100, 0) == "compacted"
-        assert resolve_edge_path(cfg, 10_000, 500, 100, 1) == "masked"
+        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 0) == "compacted"
+        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 1) == "masked"
 
     def test_default_expected_iterations_positive(self):
         assert DEFAULT_EXPECTED_ITERATIONS > 0

@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ValidationError
-from repro.events import TemporalEventSet, WindowSpec
+from repro.events import TemporalEventSet, Window, WindowSpec
 from repro.graph import io as io_mod
 from repro.graph.io import (
     MAGIC,
@@ -42,7 +42,6 @@ from repro.graph.io import (
 )
 from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.graph.temporal_csr import TemporalAdjacency
-from repro.pagerank import window_edge_weights
 from repro.utils.arrays import is_mmap_backed
 from tests.conftest import random_events
 
@@ -124,10 +123,10 @@ class TestRoundTrip:
         ram = TemporalAdjacency.from_events(events)
         adj = open_adjacency(path)
         assert_adjacency_equal(adj, ram)
-        d0, w0 = window_edge_weights(ram.in_csr, 10, 30)
-        d1, w1 = window_edge_weights(adj.in_csr, 10, 30)
-        np.testing.assert_array_equal(d0, d1)
-        np.testing.assert_array_equal(w0, w1)
+        v0 = ram.window_view(Window(0, 10, 30))
+        v1 = adj.window_view(Window(0, 10, 30))
+        np.testing.assert_array_equal(v0.in_dedup, v1.in_dedup)
+        np.testing.assert_array_equal(v0.multiplicities, v1.multiplicities)
 
     def test_empty_windows(self, tmp_path):
         # a long quiet gap in the middle of the span: window views over

@@ -9,12 +9,18 @@ every combination must reproduce the canonical answer *bitwise*:
   serial in-RAM run of the same partition method (balanced runs group
   windows differently, so their warm-start chains differ from uniform);
 * offline: executor {serial, thread, shared} x input, against the serial
-  in-RAM run.
+  in-RAM run;
+* kernels: kernel {spmv, spmm} x edge path {masked, compacted} (and the
+  weighted SpMV kernel) x executor, against the serial masked run of the
+  same kernel on the numpy backend — the compacted paths pack window
+  views' active groups, the masked ones stream the Θ(nnz) dedup mask.
 
 Values and per-window iteration counts must be equal, not close.  The
 suite also pins the executor surface: the legal set is exactly
 ``serial``/``thread``/``shared`` and anything else is a typed error.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +122,39 @@ def test_offline_bitwise(inputs, spec, offline_reference, executor, medium):
     run = offline(inputs[medium], spec, executor)
     assert run.metadata["executor"] == executor
     assert_bitwise(run, offline_reference)
+
+
+#: (kernel, weighted) pairs: the weighted kernel exists only as SpMV
+KERNELS = (("spmv", False), ("spmv", True), ("spmm", False))
+
+
+def kernel_run(events, spec, kernel, weighted, edge_path, executor="serial"):
+    config = replace(CONFIG, edge_path=edge_path, backend="numpy")
+    options = PostmortemOptions(
+        n_multiwindows=4, executor=executor, n_threads=2, kernel=kernel,
+        vector_length=4, weighted=weighted,
+    )
+    return PostmortemDriver(events, spec, config, options).run()
+
+
+@pytest.fixture(scope="module")
+def kernel_reference(events, spec):
+    return {
+        (kernel, weighted): kernel_run(
+            events, spec, kernel, weighted, "masked"
+        )
+        for kernel, weighted in KERNELS
+    }
+
+
+@pytest.mark.parametrize("edge_path", ["masked", "compacted"])
+@pytest.mark.parametrize("kernel, weighted", KERNELS)
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_kernel_edge_path_bitwise(
+    events, spec, kernel_reference, executor, kernel, weighted, edge_path
+):
+    run = kernel_run(events, spec, kernel, weighted, edge_path, executor)
+    assert_bitwise(run, kernel_reference[(kernel, weighted)])
 
 
 def run_starts(partition):

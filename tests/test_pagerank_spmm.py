@@ -108,12 +108,16 @@ class TestSpmmKernel:
         views = [adjacency.window_view(w) for w in spec]
         cfg = replace(tight, edge_path="compacted")
         batch = pagerank_windows_spmm(views, cfg)
-        union = np.zeros(adjacency.nnz, dtype=np.bool_)
+        in_csr = adjacency.in_csr
+        union = set()
         for v in views:
-            union |= v.in_dedup
-        m = int(union.sum())
+            union |= set(zip(
+                in_csr.row_ids()[v.in_dedup].tolist(),
+                in_csr.col[v.in_dedup].tolist(),
+            ))
+        m = len(union)
         # each joint iteration reads only the packed union of the k
-        # windows' active edges
+        # windows' active simple edges
         assert batch.work.edge_traversals == batch.work.iterations * m
         assert m <= adjacency.nnz
 

@@ -10,7 +10,9 @@ Covers the acceptance properties of the zero-copy executor:
 * **one event set per arena** — a worker wraps the attached columns once,
   not once per task, and in-process runs wrap none;
 * **lifecycle** — no ``/dev/shm`` segment survives a normal run, a driver
-  exception, a failing worker or sink, or a killed worker.
+  exception, a failing worker or sink, or a killed worker;
+* **heap trim** — a worker hands its freed heap back after every task,
+  whether the task returned or raised.
 """
 
 import glob
@@ -28,6 +30,7 @@ from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
 from repro.models.offline import _solve_window_range
 from repro.pagerank import PagerankConfig
+from repro.parallel import shared_arena
 from repro.parallel.shared_arena import (
     ARENA_NAME_PREFIX,
     SharedArenaRegistry,
@@ -301,3 +304,49 @@ class TestLifecycle:
         with pytest.raises(ConvergenceError):
             run_with(events, spec, strict, "shared")
         assert shm_segments() == []
+
+
+# ----------------------------------------------------------------------
+# heap trim after every worker task
+# ----------------------------------------------------------------------
+def _trim_seen_worker(view, payload, index, sink):
+    """Whether this worker process had trimmed before running the task."""
+    return "malloc_trim" in shared_arena._WORKER_STATE
+
+
+class TestWorkerHeapTrim:
+    @pytest.fixture
+    def trims(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            shared_arena._WORKER_STATE, "malloc_trim", calls.append
+        )
+        monkeypatch.setitem(shared_arena._WORKER_STATE, "args", ())
+        return calls
+
+    def run_task(self, events, monkeypatch, worker):
+        monkeypatch.setitem(shared_arena._WORKER_STATE, "worker", worker)
+        with SharedArenaRegistry() as reg:
+            handle = reg.publish(columns(events))
+            return shared_arena._run_arena_task(handle, 7, 0)
+
+    def test_trims_after_a_task_returns(self, setup, monkeypatch, trims):
+        events, spec, cfg = setup
+        result = self.run_task(
+            events, monkeypatch, lambda view, payload, index, sink: payload
+        )
+        assert result == 7
+        assert trims == [0]
+
+    def test_trims_after_a_task_raises(self, setup, monkeypatch, trims):
+        events, spec, cfg = setup
+        with pytest.raises(RuntimeError, match="worker boom"):
+            self.run_task(events, monkeypatch, _failing_worker)
+        assert trims == [0]
+
+    def test_workers_trim_between_tasks(self, setup):
+        events, spec, cfg = setup
+        seen, _ = run_arena_tasks(
+            columns(events), [0, 1, 2], _trim_seen_worker, n_workers=1
+        )
+        assert seen == [False, True, True]

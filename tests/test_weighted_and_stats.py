@@ -6,42 +6,53 @@ import pytest
 from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency
 from repro.pagerank import PagerankConfig, pagerank_window
-from repro.pagerank.weighted import (
-    pagerank_window_weighted,
-    window_edge_weights,
-)
+from repro.pagerank.weighted import pagerank_window_weighted
+from tests.dense_mask_reference import pair_multiplicities
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=400)
 
 
-class TestWindowEdgeWeights:
+class TestMultiplicities:
     def test_counts_multiplicities(self):
         # (0 -> 1) three times, twice inside the window; (0 -> 2) once
         events = TemporalEventSet(
             [0, 0, 0, 0], [1, 1, 1, 2], [5, 10, 50, 12]
         )
         adj = TemporalAdjacency.from_events(events)
-        dedup, weights = window_edge_weights(adj.out_csr, 0, 20)
+        view = adj.window_view(Window(0, 0, 20))
+        groups = adj.groups
+        ag = view.active_groups
+        # in-orientation groups: row = destination, col = source
         got = {
-            (int(adj.out_csr.row_ids()[j]), int(adj.out_csr.col[j])):
-                weights[j]
-            for j in np.flatnonzero(dedup)
+            (int(groups.col[g]), int(groups.row[g])): int(m)
+            for g, m in zip(ag, view.multiplicities)
         }
-        assert got == {(0, 1): 2.0, (0, 2): 1.0}
+        assert got == {(0, 1): 2, (0, 2): 1}
+
+    def test_match_numpy_oracle(self, adjacency, spec):
+        groups = adjacency.groups
+        for w in spec:
+            view = adjacency.window_view(w)
+            rows, cols, counts = pair_multiplicities(
+                adjacency.in_csr, w.t_start, w.t_end
+            )
+            ag = view.active_groups
+            np.testing.assert_array_equal(groups.row[ag], rows)
+            np.testing.assert_array_equal(groups.col[ag], cols)
+            np.testing.assert_array_equal(view.multiplicities, counts)
 
     def test_total_weight_equals_active_events(self, adjacency, spec):
         for w in spec:
-            dedup, weights = window_edge_weights(
-                adjacency.in_csr, w.t_start, w.t_end
-            )
+            view = adjacency.window_view(w)
             active = adjacency.in_csr.active_mask(w.t_start, w.t_end)
-            assert weights[dedup].sum() == active.sum()
+            assert view.multiplicities.sum() == active.sum()
 
     def test_empty_structure(self):
         events = TemporalEventSet([], [], [], n_vertices=3)
         adj = TemporalAdjacency.from_events(events)
-        dedup, weights = window_edge_weights(adj.in_csr, 0, 10)
-        assert dedup.size == 0 and weights.size == 0
+        view = adj.window_view(Window(0, 0, 10))
+        assert view.multiplicities.size == 0
+        assert view.in_dedup.size == 0
 
 
 class TestWeightedPagerank:
