@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import os
+import time
 from pathlib import Path
 
 from repro.datasets import DatasetRegistry
@@ -106,6 +107,39 @@ def postmortem_stats(name: str, spec: WindowSpec, n_multiwindows: int = 6,
             events, spec, BENCH_CONFIG, n_multiwindows
         )
     return _STATS_CACHE[key]
+
+
+def interleaved_rounds(fns, rounds: int):
+    """Time every callable once per round after one untimed warm-up
+    call each, rotating which goes first.
+
+    A host whose speed drifts over a few seconds slows every contender of
+    a round alike, so per-round ratios see through drift that separate
+    best-of runs cannot.
+
+    Returns ``({name: [seconds per round]}, {name: last result})``.
+    """
+    names = list(fns)
+    results = {name: fns[name]() for name in names}
+    seconds = {name: [] for name in names}
+    for r in range(rounds):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            t0 = time.perf_counter()
+            results[name] = fns[name]()
+            seconds[name].append(time.perf_counter() - t0)
+    return seconds, results
+
+
+def round_ratios(round_seconds, name: str, fixed):
+    """Per round, ``name``'s time over the fastest of ``fixed`` in that
+    same round (the auto-policy gates take the median)."""
+    return [
+        t / min(others)
+        for t, *others in zip(
+            round_seconds[name], *(round_seconds[f] for f in fixed)
+        )
+    ]
 
 
 def emit(name: str, text: str) -> str:

@@ -36,7 +36,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from benchmarks._common import BENCH_CONFIG, OUTPUT_DIR, emit, get_events, spec_for
+from benchmarks._common import (
+    BENCH_CONFIG,
+    OUTPUT_DIR,
+    emit,
+    get_events,
+    interleaved_rounds,
+    round_ratios,
+    spec_for,
+)
 from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency
 from repro.pagerank import (
@@ -79,24 +87,6 @@ def _best_of(fn, repeats: int = REPEATS):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return result, best
-
-
-def _interleaved_rounds(fns, rounds: int):
-    """Time every callable once per round after one untimed warm-up
-    call each, rotating which goes first.
-
-    Returns ``({name: [seconds per round]}, {name: last result})``.
-    """
-    names = list(fns)
-    results = {name: fns[name]() for name in names}
-    seconds = {name: [] for name in names}
-    for r in range(rounds):
-        shift = r % len(names)
-        for name in names[shift:] + names[:shift]:
-            t0 = time.perf_counter()
-            results[name] = fns[name]()
-            seconds[name].append(time.perf_counter() - t0)
-    return seconds, results
 
 
 def _parity_flags(view, views):
@@ -198,19 +188,13 @@ def test_backends():
         )
         for name in BACKENDS
     }
-    round_seconds, runs = _interleaved_rounds(solves, AUTO_ROUNDS)
+    round_seconds, runs = interleaved_rounds(solves, AUTO_ROUNDS)
     seconds = {
         name: float(np.median(t)) for name, t in round_seconds.items()
     }
     best_fixed = min(("numpy", "numba"), key=seconds.get)
-    round_ratios = [
-        auto / min(numpy, numba)
-        for numpy, numba, auto in zip(
-            round_seconds["numpy"], round_seconds["numba"],
-            round_seconds["auto"],
-        )
-    ]
-    auto_over_best = float(np.median(round_ratios))
+    auto_ratios = round_ratios(round_seconds, "auto", ("numpy", "numba"))
+    auto_over_best = float(np.median(auto_ratios))
     auto_within_bound = auto_over_best <= AUTO_SLACK
     resolved = resolve_backend(
         replace(BENCH_CONFIG, backend="auto"),
@@ -245,7 +229,7 @@ def test_backends():
             "best_fixed": best_fixed,
             "resolved": resolved,
             "rounds": AUTO_ROUNDS,
-            "auto_over_best_per_round": [round(r, 4) for r in round_ratios],
+            "auto_over_best_per_round": [round(r, 4) for r in auto_ratios],
             "auto_over_best": round(auto_over_best, 4),
             "auto_within_bound": bool(auto_within_bound),
         },

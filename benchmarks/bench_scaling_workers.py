@@ -36,7 +36,7 @@ from repro.pagerank import PagerankConfig
 from repro.parallel import AUTO, MachineSpec
 from repro.parallel.levels import estimate_makespan
 from repro.reporting import format_series
-from repro.runtime import DriverContext, make_driver
+from repro.runtime import make_driver
 from repro.utils.timer import Timer
 
 WORKERS = [1, 2, 4, 8, 16, 24, 48, 96]
@@ -108,8 +108,10 @@ def run_offline_executor_sweep():
     matrices = {}
     arena_stats = None
     for executor in OFFLINE_EXECUTORS:
-        ctx = DriverContext(executor=executor, n_workers=OFFLINE_WORKERS)
-        driver = make_driver("offline", events, spec, cfg, context=ctx)
+        driver = make_driver(
+            "offline", events, spec, cfg, executor=executor,
+            n_workers=OFFLINE_WORKERS,
+        )
         with Timer() as t:
             run = driver.run(store_values=True)
         seconds[executor] = t.elapsed

@@ -70,12 +70,7 @@ from repro.models import (
     PostmortemOptions,
 )
 from repro.streaming import StreamingDriver, StreamingGraph
-from repro.runtime import (
-    DriverContext,
-    ModelDriver,
-    chain_sinks,
-    make_driver,
-)
+from repro.runtime import ModelDriver, make_driver
 from repro.datasets import get_profile, list_profiles, DatasetRegistry
 from repro.analysis import compare_models, ModelTiming, edge_distribution
 from repro.parallel import (
@@ -137,9 +132,7 @@ __all__ = [
     "StreamingDriver",
     "StreamingGraph",
     # runtime
-    "DriverContext",
     "ModelDriver",
-    "chain_sinks",
     "make_driver",
     # datasets
     "get_profile",

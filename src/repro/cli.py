@@ -479,7 +479,7 @@ def cmd_run(args, out) -> int:
     from repro.errors import ValidationError
     from repro.models import PostmortemOptions
     from repro.reporting import format_table
-    from repro.runtime import DriverContext, make_driver
+    from repro.runtime import make_driver
 
     if (args.events is None) == (args.graph is None):
         raise ValidationError(
@@ -500,21 +500,14 @@ def cmd_run(args, out) -> int:
         executor=args.executor,
         n_threads=args.executor_workers,
     )
-    context = DriverContext(
-        executor=args.executor,
-        n_workers=args.executor_workers,
-        # a pinned path travels on the context too, so drivers that clone
-        # or rebuild their config still honour the CLI choice
-        edge_path=None if args.edge_path == "auto" else args.edge_path,
-        backend=None if args.backend == "auto" else args.backend,
-        program=args.program,
-    )
     driver = make_driver(
         args.model,
         events,
         spec,
         _make_config(args),
-        context=context,
+        executor=args.executor,
+        n_workers=args.executor_workers,
+        program=args.program,
         postmortem_options=options,
     )
     if args.store:

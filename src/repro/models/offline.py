@@ -21,21 +21,22 @@ are bitwise-identical to the serial run — the parity tests assert this.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import Window, WindowSpec
 from repro.graph.csr import build_csr_from_edges
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
+from repro.pagerank.result import WorkStats
 from repro.programs.base import VertexProgram
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
-from repro.runtime.context import NULL_SCOPE, DriverContext, RunScope
 from repro.runtime.execution import EXECUTORS, map_tasks, require_executor
-from repro.runtime.sinks import chain_sinks
+from repro.utils.timer import TimingAccumulator
 
 __all__ = ["OfflineDriver"]
 
@@ -44,7 +45,8 @@ def _solve_one_window(
     events: TemporalEventSet,
     window: Window,
     config: PagerankConfig,
-    scope,
+    timings: TimingAccumulator,
+    work: WorkStats,
     store_values: bool,
     sink,
     program: VertexProgram,
@@ -55,17 +57,17 @@ def _solve_one_window(
     The solve goes through the program's materialized surface; with the
     reference PageRank program that is exactly the historic
     ``incremental_pagerank`` cold-start call."""
-    with scope.phase("build"):
+    with timings.phase("build"):
         src, dst = events.edges_between(window.t_start, window.t_end)
         graph = build_csr_from_edges(src, dst, events.n_vertices, dedup=True)
         active = np.zeros(events.n_vertices, dtype=bool)
         active[src] = True
         active[dst] = True
 
-    with scope.phase("pagerank"):
+    with timings.phase("pagerank"):
         pr = program.solve_graph(graph, active)
 
-    scope.add_work(pr.work)
+    work.merge(pr.work)
     result = WindowResult(
         window_index=window.index,
         values=pr.values if store_values else None,
@@ -98,15 +100,15 @@ def _solve_window_range(
     also goes to ``sink`` when one is configured.
     """
     lo, hi = window_range
-    scope = RunScope()
+    timings, work = TimingAccumulator(), WorkStats()
     results = [
         _solve_one_window(
-            events, spec.window(i), config, scope, store_values, sink,
-            program,
+            events, spec.window(i), config, timings, work, store_values,
+            sink, program,
         )
         for i in range(lo, hi)
     ]
-    return results, scope.timings, scope.work
+    return results, timings, work
 
 
 class OfflineDriver:
@@ -121,35 +123,22 @@ class OfflineDriver:
         spec: WindowSpec,
         config: PagerankConfig = PagerankConfig(),
         *,
-        context: Optional[DriverContext] = None,
+        executor: str = "serial",
+        n_workers: int = 4,
         program=None,
     ) -> None:
         self.events = events
         self.spec = spec
         self.config = config
-        self.context = context if context is not None else DriverContext()
-        require_executor(
-            self.context.executor, self.supported_executors, self.model_name
+        self.executor = require_executor(
+            executor, self.supported_executors, self.model_name
         )
-        if program is None:
-            program = self.context.program
+        if n_workers <= 0:
+            raise ValidationError("n_workers must be > 0")
+        self.n_workers = n_workers
         self.program = resolve_program(program, config)
 
     # ------------------------------------------------------------------
-    def run_window(
-        self, window: Window, scope=NULL_SCOPE, store_values: bool = True
-    ) -> WindowResult:
-        """Build-and-solve one window.
-
-        ``scope`` is a :class:`~repro.runtime.context.RunScope`
-        accumulating phase timings and work counters; the default
-        :data:`~repro.runtime.context.NULL_SCOPE` measures nothing.
-        """
-        return _solve_one_window(
-            self.events, window, self.config, scope, store_values, None,
-            self.program,
-        )
-
     def run(
         self,
         store_values: bool = True,
@@ -157,20 +146,15 @@ class OfflineDriver:
         value_sink=None,
         progress=None,
     ) -> RunResult:
-        """Solve every window under the context's executor.
+        """Solve every window under the driver's executor.
 
         ``value_sink(window_index, values, meta)`` receives each window's
-        global rank vector as it is solved (chained after any context
-        sink); with ``store_values=False`` a run can stream every vector
-        to a rank store while holding only one chunk in memory.
+        global rank vector as it is solved; with ``store_values=False`` a
+        run can stream every vector to a rank store while holding only
+        one chunk in memory.
         """
-        ctx = self.context
-        sink = chain_sinks(ctx.value_sink, value_sink)
-        progress = progress if progress is not None else ctx.progress
         result = RunResult(model=self.model_name)
         n = self.spec.n_windows
-        ctx.emit("run.start", model=self.model_name, executor=ctx.executor,
-                 n_windows=n)
 
         def consume(task_result) -> None:
             wrs, timings, work = task_result
@@ -179,27 +163,24 @@ class OfflineDriver:
             # the same breakdown a serial run reports
             result.timings.merge(timings)
             result.work.merge(work)
-            for wr in wrs:
-                ctx.emit("window.done", window=wr.window_index)
             if progress is not None:
                 progress(len(result.windows), n)
 
         stats = map_tasks(
-            ctx.executor,
+            self.executor,
             self.events,
             [(i, i + 1) for i in range(n)],
             _solve_window_range,
             args=(self.spec, self.config, store_values, self.program),
             consume=consume,
-            n_workers=ctx.n_workers,
-            value_sink=sink,
+            n_workers=self.n_workers,
+            value_sink=value_sink,
         )
         if stats:
             result.metadata["shared_arena"] = stats
         record_run_metadata(
-            result, executor=ctx.executor, n_workers=ctx.n_workers,
+            result, executor=self.executor, n_workers=self.n_workers,
             n_windows=n,
         )
         result.metadata["program"] = self.program.name
-        ctx.emit("run.done", model=self.model_name, n_windows=n)
         return result

@@ -31,7 +31,7 @@ the documented substitution for the paper's 48-core TBB runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ValidationError
@@ -48,9 +48,7 @@ from repro.programs.base import VertexProgram
 from repro.programs.engine import TaskRecord, solve_program_chain
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
-from repro.runtime.context import DriverContext
 from repro.runtime.execution import EXECUTORS, map_tasks
-from repro.runtime.sinks import chain_sinks
 
 __all__ = [
     "PostmortemOptions",
@@ -142,27 +140,14 @@ class PostmortemDriver:
         config: PagerankConfig = PagerankConfig(),
         options: PostmortemOptions = PostmortemOptions(),
         *,
-        context: Optional[DriverContext] = None,
         program: Union[None, str, VertexProgram] = None,
     ) -> None:
         self.events = events
         self.spec = spec
-        self.options = options
-        # executor authority stays with PostmortemOptions (the model's
-        # tuning surface); the context contributes sinks, hooks and the
-        # runtime edge-path/backend/program overrides
-        self.context = (
-            context if context is not None else DriverContext()
-        ).with_execution(options.executor, options.n_threads)
-        if self.context.edge_path is not None:
-            config = replace(config, edge_path=self.context.edge_path)
-        if self.context.backend is not None:
-            config = replace(config, backend=self.context.backend)
         self.config = config
-        if program is None:
-            program = self.context.program
+        self.options = options
         self.program = resolve_program(
-            program, self.config, weighted=options.weighted
+            program, config, weighted=options.weighted
         )
         self._partition: Optional[LazyMultiWindowPartition] = None
 
@@ -190,8 +175,8 @@ class PostmortemDriver:
     def run(
         self,
         store_values: bool = True,
-        value_sink=None,
         *,
+        value_sink=None,
         progress=None,
     ) -> RunResult:
         """Solve every window; ``store_values=False`` keeps only per-window
@@ -200,26 +185,19 @@ class PostmortemDriver:
         ``value_sink`` is an optional callback ``sink(window_index, values,
         meta)`` invoked with each window's *global* value vector the moment
         it is solved — e.g. ``RankStoreWriter.write_window`` to stream a
-        servable rank store to disk (chained after any context-level
-        sink).  Combined with ``store_values=False`` a run persists every
-        vector while holding only one in memory at a time.  The sink may
-        be called concurrently under the ``"thread"`` executor (rank-store
-        writers lock internally); under ``"shared"`` the arena's result
-        shuttle invokes it in the parent process.
+        servable rank store to disk.  Combined with ``store_values=False``
+        a run persists every vector while holding only one in memory at a
+        time.  The sink may be called concurrently under the ``"thread"``
+        executor (rank-store writers lock internally); under ``"shared"``
+        the arena's result shuttle invokes it in the parent process.
 
         ``progress(graphs_done, graphs_total)`` reports at multi-window
         graph granularity — the model's unit of parallel work.
         """
-        ctx = self.context
-        sink = chain_sinks(ctx.value_sink, value_sink)
-        progress = progress if progress is not None else ctx.progress
         result = RunResult(model=self.model_name)
-        ctx.emit("run.start", model=self.model_name, executor=ctx.executor,
-                 n_windows=self.spec.n_windows, program=self.program.name)
         with result.timings.phase("build"):
             partition = self.partition
         n_graphs = len(partition)
-        ctx.emit("build.done", n_multiwindows=n_graphs)
 
         task_log: List[TaskRecord] = []
         window_results: Dict[int, WindowResult] = {}
@@ -231,7 +209,6 @@ class PostmortemDriver:
             window_results.update(wrs)
             task_log.extend(tasks)
             result.work.merge(work)
-            ctx.emit("graph.done", multiwindow=done)
             done += 1
             if progress is not None:
                 progress(done, n_graphs)
@@ -240,7 +217,7 @@ class PostmortemDriver:
         # parallel unit (its windows chain through partial init)
         with result.timings.phase("pagerank"):
             stats = map_tasks(
-                ctx.executor,
+                self.options.executor,
                 self.events,
                 [partition.graph_payload(i) for i in range(n_graphs)],
                 _solve_graph_task,
@@ -252,8 +229,8 @@ class PostmortemDriver:
                     self.program,
                 ),
                 consume=consume,
-                n_workers=ctx.n_workers,
-                value_sink=sink,
+                n_workers=self.options.n_threads,
+                value_sink=value_sink,
                 source=partition,
             )
         if stats:
@@ -264,8 +241,8 @@ class PostmortemDriver:
         ]
         record_run_metadata(
             result,
-            executor=ctx.executor,
-            n_workers=ctx.n_workers,
+            executor=self.options.executor,
+            n_workers=self.options.n_threads,
             n_windows=self.spec.n_windows,
         )
         result.metadata["n_multiwindows"] = n_graphs
@@ -274,8 +251,6 @@ class PostmortemDriver:
         result.metadata["program"] = self.program.name
         result.metadata["task_log"] = task_log
         result.metadata["options"] = self.options
-        ctx.emit("run.done", model=self.model_name,
-                 n_windows=self.spec.n_windows)
         return result
 
 

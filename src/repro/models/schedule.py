@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.errors import ValidationError
+
 __all__ = ["SpmmBatch", "spmm_region_schedule", "sequential_schedule"]
 
 
@@ -59,7 +61,9 @@ def spmm_region_schedule(
     [[0, 2, 4, 6], [1, 3, 5, 7]]
     """
     if vector_length <= 0:
-        raise ValueError(f"vector_length must be > 0, got {vector_length}")
+        raise ValidationError(
+            f"vector_length must be > 0, got {vector_length}"
+        )
     L = min(vector_length, n_windows)
     base = n_windows // L
     extra = n_windows % L

@@ -38,7 +38,7 @@ BACKEND_NAMES = ("auto", "numpy", "numba")
 
 
 def validate_backend_name(name: str) -> str:
-    """Shared validation for config/CLI/context surfaces."""
+    """Shared validation for the config and CLI surfaces."""
     if name not in BACKEND_NAMES:
         raise ValidationError(
             f"backend must be one of {BACKEND_NAMES}, got {name!r}"

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.utils.segments import lengths_to_indptr
 
 #: one-shot latch for the non-positive iteration_hint debug note (tests
@@ -253,13 +252,3 @@ def resolve_edge_path(
                 )
         expected = min(config.max_iterations, DEFAULT_EXPECTED_ITERATIONS)
     return choose_edge_path(nnz, n_active_edges, n_vertices, expected)
-
-
-def validate_edge_path(path: str) -> str:
-    """Shared validation for config/CLI surfaces."""
-    if path not in ("auto", "masked", "compacted"):
-        raise ValidationError(
-            f"edge_path must be 'auto', 'masked' or 'compacted', "
-            f"got {path!r}"
-        )
-    return path

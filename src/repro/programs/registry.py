@@ -1,9 +1,8 @@
 """Program registry: names for the first-class vertex programs.
 
-``make_program`` is the seam the drivers, the CLI (``run --program``) and
-:class:`~repro.runtime.context.DriverContext` share.  Concrete program
-imports are lazy so importing this module (e.g. for name validation at
-context construction) costs nothing and cannot participate in an import
+``make_program`` is the seam the drivers and the CLI (``run --program``)
+share.  Concrete program imports are lazy so importing this module (e.g.
+for name validation) costs nothing and cannot participate in an import
 cycle with the model drivers.
 """
 

@@ -12,7 +12,7 @@ tests rely on:
   structure permits,
 * ``run(store_values=..., value_sink=..., progress=...)`` — the uniform
   entry point.  ``value_sink`` streams each window's vector as it is
-  solved (see :mod:`repro.runtime.sinks`); ``progress`` is called as
+  solved (a :data:`Sink`); ``progress`` is called as
   ``progress(done, total)``.
 
 Drivers remain plain classes — the protocol is ``runtime_checkable`` so
@@ -21,13 +21,25 @@ tests can assert conformance without inheritance coupling.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.models.base import RunResult
-from repro.runtime.context import ProgressFn
-from repro.runtime.sinks import Sink
 
-__all__ = ["ModelDriver", "record_run_metadata"]
+__all__ = ["ModelDriver", "ProgressFn", "Sink", "record_run_metadata"]
+
+#: the sink contract: ``sink(window_index, values, meta)``, invoked with
+#: each window's solved vector (global vertex space) the moment it exists;
+#: ``meta`` is the window's :class:`~repro.models.base.WindowResult`.  The
+#: canonical sink is :meth:`repro.service.store.RankStoreWriter.
+#: write_window`.  The ``"thread"`` executor may call a sink concurrently
+#: and the ``"shared"`` executor calls it from a parent-side drain thread,
+#: so a sink that mutates shared state must lock internally.
+Sink = Callable[[int, object, object], None]
+
+#: progress callback: ``progress(done, total)``.  Parallel executors may
+#: invoke it from worker threads (never from worker *processes* — those
+#: report through the parent).
+ProgressFn = Callable[[int, int], None]
 
 
 @runtime_checkable

@@ -18,7 +18,6 @@ from repro.errors import ValidationError
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
 from repro.pagerank.config import PagerankConfig
-from repro.runtime.context import DriverContext
 
 __all__ = ["MODELS", "make_driver"]
 
@@ -32,23 +31,22 @@ def make_driver(
     spec: WindowSpec,
     config: Optional[PagerankConfig] = None,
     *,
-    context: Optional[DriverContext] = None,
+    executor: str = "serial",
+    n_workers: int = 4,
     program=None,
     postmortem_options=None,
-    streaming_engine: str = "warm",
-    streaming_block_size: int = 64,
 ):
     """Construct the driver for ``model`` against one event set and spec.
 
-    ``context`` carries the runtime policy (executor, sinks, hooks);
-    ``program`` selects the vertex program every model driver runs (a
-    registered name or a :class:`~repro.programs.base.VertexProgram`
-    instance; ``None`` means the reference PageRank program, deferring to
-    any ``context.program``).  The per-model extras
-    (``postmortem_options``, ``streaming_engine``,
-    ``streaming_block_size``) apply only to their model and are ignored —
-    deliberately, so one call site can pass a full configuration and let
-    the model name select what matters — by the others.
+    ``executor`` goes to the offline and streaming drivers (streaming
+    rejects all but ``"serial"``) and ``n_workers`` to offline;
+    postmortem takes both from ``postmortem_options``, the model's tuning
+    surface, which the other models ignore — deliberately, so one call
+    site can pass a full configuration and let the model name select what
+    matters.  ``program`` selects the vertex program every model driver
+    runs (a registered name or a :class:`~repro.programs.base.
+    VertexProgram` instance; ``None`` means the reference PageRank
+    program).
     """
     if model not in MODELS:
         raise ValidationError(
@@ -61,19 +59,14 @@ def make_driver(
         from repro.models.offline import OfflineDriver
 
         return OfflineDriver(
-            events, spec, config, context=context, program=program
+            events, spec, config, executor=executor, n_workers=n_workers,
+            program=program,
         )
     if model == "streaming":
         from repro.streaming.driver import StreamingDriver
 
         return StreamingDriver(
-            events,
-            spec,
-            config,
-            block_size=streaming_block_size,
-            engine=streaming_engine,
-            context=context,
-            program=program,
+            events, spec, config, executor=executor, program=program
         )
 
     from repro.models.postmortem import PostmortemDriver, PostmortemOptions
@@ -81,6 +74,5 @@ def make_driver(
     if postmortem_options is None:
         postmortem_options = PostmortemOptions()
     return PostmortemDriver(
-        events, spec, config, postmortem_options, context=context,
-        program=program,
+        events, spec, config, postmortem_options, program=program
     )

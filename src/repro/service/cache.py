@@ -12,6 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, TypeVar
 
+from repro.errors import ValidationError
 from repro.sanitize import LOCK_RANK_ENGINE_CACHE, make_lock
 
 __all__ = ["CacheStats", "LRUCache"]
@@ -58,7 +59,7 @@ class LRUCache:
 
     def __init__(self, maxsize: int = 128, name: str = "lru") -> None:
         if maxsize <= 0:
-            raise ValueError(f"maxsize must be > 0, got {maxsize}")
+            raise ValidationError(f"maxsize must be > 0, got {maxsize}")
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()

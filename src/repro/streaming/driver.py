@@ -14,15 +14,13 @@ offline and postmortem.
 
 The warm-start chain makes window ``i`` depend on window ``i-1``, so the
 model's dependence structure admits only the ``serial`` executor — the
-driver rejects any other :class:`~repro.runtime.context.DriverContext`
-choice at construction.  Sinks and progress work exactly as in the other
-models: with ``value_sink=RankStoreWriter.write_window`` a streaming run
-feeds the serving layer window by window.
+driver rejects any other ``executor`` at construction.  Sinks and
+progress work exactly as in the other models: with
+``value_sink=RankStoreWriter.write_window`` a streaming run feeds the
+serving layer window by window.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
@@ -31,9 +29,7 @@ from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
-from repro.runtime.context import DriverContext, RunScope
 from repro.runtime.execution import require_executor
-from repro.runtime.sinks import chain_sinks
 from repro.streaming.stinger import StreamingGraph
 
 __all__ = ["StreamingDriver"]
@@ -50,30 +46,23 @@ class StreamingDriver:
         events: TemporalEventSet,
         spec: WindowSpec,
         config: PagerankConfig = PagerankConfig(),
-        block_size: int = 64,
         engine: str = "warm",
         *,
-        context: Optional[DriverContext] = None,
+        executor: str = "serial",
         program=None,
     ) -> None:
         if engine not in ("warm", "delta"):
-            raise ValueError(
+            raise ValidationError(
                 f"engine must be 'warm' or 'delta', got {engine!r}"
             )
+        require_executor(executor, self.supported_executors, self.model_name)
         self.events = events
         self.spec = spec
         self.config = config
-        self.block_size = block_size
         #: "warm" = warm-started power iteration; "delta" = frontier-based
         #: residual propagation (the paper's eq. 3, see
         #: :mod:`repro.streaming.delta`)
         self.engine = engine
-        self.context = context if context is not None else DriverContext()
-        require_executor(
-            self.context.executor, self.supported_executors, self.model_name
-        )
-        if program is None:
-            program = self.context.program
         self.program = resolve_program(program, config)
         if engine == "delta" and self.program.name != "pagerank":
             raise ValidationError(
@@ -89,25 +78,19 @@ class StreamingDriver:
         value_sink=None,
         progress=None,
     ) -> RunResult:
-        ctx = self.context
-        sink = chain_sinks(ctx.value_sink, value_sink)
-        progress = progress if progress is not None else ctx.progress
         result = RunResult(model=self.model_name)
-        scope = RunScope.into(result)
         n = self.spec.n_windows
-        ctx.emit("run.start", model=self.model_name, executor="serial",
-                 n_windows=n)
 
-        stream = StreamingGraph(self.events, self.block_size)
+        stream = StreamingGraph(self.events)
         prev_values = None
         prev_active = None
 
         for window in self.spec:
-            with scope.phase("update"):
+            with result.timings.phase("update"):
                 stream.advance_to(window)
-            with scope.phase("snapshot"):
+            with result.timings.phase("snapshot"):
                 graph, active = stream.snapshot()
-            with scope.phase("pagerank"):
+            with result.timings.phase("pagerank"):
                 if self.engine == "delta" and prev_values is not None:
                     from repro.streaming.delta import (
                         delta_incremental_pagerank,
@@ -123,7 +106,7 @@ class StreamingDriver:
                         prev_values=prev_values,
                         prev_active=prev_active,
                     )
-            scope.add_work(pr.work)
+            result.work.merge(pr.work)
             window_result = WindowResult(
                 window_index=window.index,
                 values=pr.values if store_values else None,
@@ -133,10 +116,9 @@ class StreamingDriver:
                 n_active_vertices=int(active.sum()),
                 n_active_edges=graph.n_edges,
             )
-            if sink is not None:
-                sink(window.index, pr.values, window_result)
+            if value_sink is not None:
+                value_sink(window.index, pr.values, window_result)
             result.windows.append(window_result)
-            ctx.emit("window.done", window=window.index)
             if progress is not None:
                 progress(window.index + 1, n)
             prev_values = pr.values
@@ -149,5 +131,4 @@ class StreamingDriver:
         result.metadata["entries_inserted"] = stream.adjacency.entries_inserted
         result.metadata["entries_expired"] = stream.adjacency.entries_expired
         result.metadata["blocks_allocated"] = stream.adjacency.blocks_allocated
-        ctx.emit("run.done", model=self.model_name, n_windows=n)
         return result

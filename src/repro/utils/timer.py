@@ -58,11 +58,9 @@ class TimingAccumulator:
     """
 
     totals: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    counts: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def add(self, phase: str, seconds: float) -> None:
         self.totals[phase] += seconds
-        self.counts[phase] += 1
 
     def phase(self, name: str) -> "_PhaseContext":
         """Context manager that times a block and records it under ``name``."""
@@ -75,8 +73,6 @@ class TimingAccumulator:
     def merge(self, other: "TimingAccumulator") -> None:
         for k, v in other.totals.items():
             self.totals[k] += v
-        for k, c in other.counts.items():
-            self.counts[k] += c
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self.totals)

@@ -39,7 +39,6 @@ from repro.pagerank.backends.numba_backend import (
 )
 from repro.pagerank.backends.numpy_backend import NumpyPlan
 from repro.parallel.cost_model import CostModel, choose_backend
-from repro.runtime.context import DriverContext
 from tests.conftest import random_events
 from tests.test_edge_compaction import CFG, _views_regimes, make_view
 
@@ -96,20 +95,11 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             PagerankConfig(cache_budget=0)
 
-    def test_context_validates(self):
-        assert DriverContext(backend="numba").backend == "numba"
-        with pytest.raises(ValidationError):
-            DriverContext(backend="gpu")
-
     def test_removed_pcpm_name_rejected_naming_legal_set(self, capsys):
         legal = str(BACKEND_NAMES)
-        for make in (
-            lambda: PagerankConfig(backend="pcpm"),
-            lambda: DriverContext(backend="pcpm"),
-        ):
-            with pytest.raises(ValidationError) as exc:
-                make()
-            assert legal in str(exc.value)
+        with pytest.raises(ValidationError) as exc:
+            PagerankConfig(backend="pcpm")
+        assert legal in str(exc.value)
 
         from repro.cli import build_parser
 
@@ -434,17 +424,16 @@ class TestWorkStats:
 
 
 # ---------------------------------------------------------------------------
-# driver / context / CLI threading
+# driver / CLI threading
 # ---------------------------------------------------------------------------
 class TestDriverThreading:
-    def _run(self, backend, kernel="spmv", context=None):
+    def _run(self, backend, kernel="spmv"):
         events = random_events(seed=61, n_events=300)
         spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
         cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
         driver = PostmortemDriver(
             events, spec, cfg,
             PostmortemOptions(n_multiwindows=2, kernel=kernel),
-            context=context,
         )
         return driver.run()
 
@@ -463,11 +452,6 @@ class TestDriverThreading:
     def test_metadata_records_backend(self):
         assert self._run("numba").metadata["backend"] == "numba"
         assert self._run("auto").metadata["backend"] == "auto"
-
-    def test_context_override_wins(self):
-        ctx = DriverContext(backend="numba")
-        via_ctx = self._run("numpy", context=ctx)
-        assert via_ctx.metadata["backend"] == "numba"
 
 
 def test_cli_run_accepts_backend(tmp_path):

@@ -23,13 +23,11 @@ from repro.pagerank import (
     pagerank_windows_spmm,
     resolve_edge_path,
 )
-from repro.pagerank.compaction import validate_edge_path
 from repro.parallel.cost_model import (
     DEFAULT_EXPECTED_ITERATIONS,
     CostModel,
     choose_edge_path,
 )
-from repro.runtime.context import DriverContext
 from tests.conftest import random_events
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=300)
@@ -288,28 +286,22 @@ class TestEdgePathSelection:
     def test_default_expected_iterations_positive(self):
         assert DEFAULT_EXPECTED_ITERATIONS > 0
 
-    def test_validate_edge_path(self):
-        assert validate_edge_path("auto") == "auto"
-        with pytest.raises(ValidationError):
-            validate_edge_path("fastest")
-
     def test_config_rejects_bad_edge_path(self):
         with pytest.raises(ValidationError):
             PagerankConfig(edge_path="fastest")
 
 
 # ---------------------------------------------------------------------------
-# driver / context / CLI threading
+# driver / CLI threading
 # ---------------------------------------------------------------------------
 class TestDriverThreading:
-    def _run(self, edge_path, kernel="spmv", context=None):
+    def _run(self, edge_path, kernel="spmv"):
         events = random_events(seed=37, n_events=300)
         spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
         cfg = replace(CFG, edge_path=edge_path)
         driver = PostmortemDriver(
             events, spec, cfg,
             PostmortemOptions(n_multiwindows=2, kernel=kernel),
-            context=context,
         )
         return driver.run()
 
@@ -330,17 +322,6 @@ class TestDriverThreading:
         assert (
             comp.work.edge_traversals < masked.work.edge_traversals
         )
-
-    def test_context_override_wins(self):
-        # config says masked, context pins compacted: context wins
-        ctx = DriverContext(edge_path="compacted")
-        via_ctx = self._run("masked", context=ctx)
-        comp = self._run("compacted")
-        assert via_ctx.work.edge_traversals == comp.work.edge_traversals
-
-    def test_context_validates_edge_path(self):
-        with pytest.raises(ValidationError):
-            DriverContext(edge_path="fastest")
 
     def test_multiwindow_views_forward_workspace(self):
         events = random_events(seed=41)

@@ -73,5 +73,5 @@ class TestDeltaIncremental:
 
     def test_driver_rejects_bad_engine(self, sliding):
         events, spec = sliding
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             StreamingDriver(events, spec, CFG, engine="magic")

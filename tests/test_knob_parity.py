@@ -33,7 +33,7 @@ from repro.graph.balanced import BalancedMultiWindowPartition
 from repro.graph.io import open_events, write_tcsr
 from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
 from repro.pagerank import PagerankConfig
-from repro.runtime import EXECUTORS, DriverContext
+from repro.runtime import EXECUTORS
 
 CONFIG = PagerankConfig(tolerance=1e-11, max_iterations=300)
 PARTITIONS = ("uniform", "minimax", "greedy")
@@ -83,8 +83,9 @@ def postmortem(events, spec, executor="serial", partition="uniform"):
 
 
 def offline(events, spec, executor="serial"):
-    ctx = DriverContext(executor=executor, n_workers=2)
-    return OfflineDriver(events, spec, CONFIG, context=ctx).run()
+    return OfflineDriver(
+        events, spec, CONFIG, executor=executor, n_workers=2
+    ).run()
 
 
 def assert_bitwise(run, reference):
@@ -209,9 +210,9 @@ class TestExecutorSurface:
             PostmortemOptions(executor="process")
         assert str(EXECUTORS) in str(exc.value)
 
-    def test_context_rejects_process_naming_legal_set(self):
+    def test_driver_rejects_process_naming_legal_set(self, events, spec):
         with pytest.raises(ValidationError) as exc:
-            DriverContext(executor="process")
+            OfflineDriver(events, spec, CONFIG, executor="process")
         assert str(EXECUTORS) in str(exc.value)
 
     def test_cli_rejects_process(self, capsys):

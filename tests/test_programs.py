@@ -42,7 +42,7 @@ from repro.programs.katz import (
     katz_window_backend,
 )
 from repro.programs.kcore import KCoreProgram
-from repro.runtime import DriverContext
+from repro.runtime import make_driver
 from tests.conftest import random_events
 
 VECTOR_LENGTH = 4
@@ -142,10 +142,15 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             make_program("betweenness")
 
-    def test_context_validates_program(self):
-        DriverContext(program="katz")
-        with pytest.raises(ValidationError):
-            DriverContext(program="betweenness")
+    def test_make_driver_validates_program(self):
+        events = random_events(seed=3, n_events=60)
+        spec = WindowSpec.covering(events, delta=2_000, sw=1_000)
+        for model in ("offline", "streaming", "postmortem"):
+            assert make_driver(
+                model, events, spec, program="katz"
+            ).program.name == "katz"
+            with pytest.raises(ValidationError):
+                make_driver(model, events, spec, program="betweenness")
 
     def test_weighted_only_for_pagerank(self):
         assert make_program("pagerank", weighted=True).weighted

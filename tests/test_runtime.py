@@ -5,17 +5,13 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.events import WindowSpec
+from repro.models import PostmortemOptions
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank import PagerankConfig
 from repro.runtime import (
     EXECUTORS,
     MODELS,
-    NULL_SCOPE,
-    DriverContext,
     ModelDriver,
-    RunScope,
-    chain_sinks,
-    counting_sink,
     make_driver,
     record_run_metadata,
     require_executor,
@@ -31,66 +27,6 @@ def setup():
     return events, spec, cfg
 
 
-class TestSinks:
-    def test_chain_of_nothing_is_none(self):
-        assert chain_sinks() is None
-        assert chain_sinks(None, None) is None
-
-    def test_single_sink_returned_unwrapped(self):
-        calls = []
-        sink = calls.append
-        assert chain_sinks(None, sink) is sink
-
-    def test_fanout_preserves_order(self):
-        order = []
-        a = lambda w, v, m: order.append(("a", w))
-        b = lambda w, v, m: order.append(("b", w))
-        fan = chain_sinks(a, None, b)
-        fan(3, None, None)
-        assert order == [("a", 3), ("b", 3)]
-
-    def test_counting_sink(self):
-        counter = {}
-        sink = counting_sink(counter)
-        sink(0, np.ones(3), None)
-        sink(1, np.ones(3), None)
-        sink(1, np.ones(3), None)
-        assert counter == {0: 1, 1: 2}
-
-
-class TestDriverContext:
-    def test_defaults(self):
-        ctx = DriverContext()
-        assert ctx.executor == "serial"
-        assert ctx.n_workers == 4
-        assert ctx.value_sink is None
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValidationError):
-            DriverContext(executor="gpu")
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValidationError):
-            DriverContext(n_workers=0)
-
-    def test_with_execution_preserves_sinks(self):
-        counter = {}
-        sink = counting_sink(counter)
-        ctx = DriverContext(value_sink=sink).with_execution("thread", 2)
-        assert ctx.executor == "thread"
-        assert ctx.n_workers == 2
-        assert ctx.value_sink is sink
-
-    def test_emit_forwards_to_trace(self):
-        seen = []
-        ctx = DriverContext(trace=lambda ev, payload: seen.append((ev, payload)))
-        ctx.emit("window.done", index=4)
-        assert seen == [("window.done", {"index": 4})]
-
-    def test_emit_without_trace_is_noop(self):
-        DriverContext().emit("run.start")
-
-
 class TestExecution:
     def test_executor_registry(self):
         assert EXECUTORS == ("serial", "thread", "shared")
@@ -101,30 +37,6 @@ class TestExecution:
     def test_require_executor_rejects_unsupported(self):
         with pytest.raises(ValidationError, match="streaming"):
             require_executor("shared", ("serial",), "streaming")
-
-
-class TestRunScope:
-    def test_phases_and_merge(self):
-        result = RunResult(model="test", windows=[])
-        scope = RunScope.into(result)
-        with scope.phase("build"):
-            pass
-        with scope.phase("pagerank"):
-            pass
-        assert result.timings.counts["build"] == 1
-        assert result.timings.counts["pagerank"] == 1
-
-    def test_detached_scope_merges_later(self):
-        scope = RunScope()
-        with scope.phase("pagerank"):
-            pass
-        result = RunResult(model="test", windows=[])
-        scope.merge_into(result)
-        assert result.timings.counts["pagerank"] == 1
-
-    def test_null_scope_is_inert(self):
-        with NULL_SCOPE.phase("anything"):
-            pass  # no state to observe; must simply not raise
 
 
 class TestRecordRunMetadata:
@@ -160,14 +72,39 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             make_driver("quantum", events, spec, cfg)
 
-    def test_context_threads_through(self, setup):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_offline_executor_has_one_home(self, setup, executor):
         events, spec, cfg = setup
-        ctx = DriverContext(executor="thread", n_workers=2)
-        driver = make_driver("offline", events, spec, cfg, context=ctx)
-        run = driver.run()
+        run = make_driver(
+            "offline", events, spec, cfg, executor=executor, n_workers=2
+        ).run()
+        assert run.metadata["executor"] == executor
+        assert run.metadata["n_workers"] == (
+            1 if executor == "serial" else 2
+        )
+        assert run.metadata["n_windows"] == spec.n_windows
+
+    @pytest.mark.parametrize("executor", ["thread", "shared"])
+    def test_streaming_rejects_parallel_executor(self, setup, executor):
+        events, spec, cfg = setup
+        with pytest.raises(ValidationError, match="streaming"):
+            make_driver("streaming", events, spec, cfg, executor=executor)
+
+    def test_postmortem_executor_comes_from_options(self, setup):
+        events, spec, cfg = setup
+        options = PostmortemOptions(
+            n_multiwindows=2, executor="thread", n_threads=2
+        )
+        run = make_driver(
+            "postmortem", events, spec, cfg, postmortem_options=options
+        ).run()
         assert run.metadata["executor"] == "thread"
         assert run.metadata["n_workers"] == 2
-        assert run.metadata["n_windows"] == spec.n_windows
+
+    def test_rejects_nonpositive_workers(self, setup):
+        events, spec, cfg = setup
+        with pytest.raises(ValidationError):
+            make_driver("offline", events, spec, cfg, n_workers=0)
 
 
 class TestWindowResult:

@@ -1,7 +1,7 @@
 """Cross-model parity through the unified runtime (ISSUE satellite).
 
-Every model is driven through the same ``make_driver`` + ``DriverContext``
-seam the CLI uses, and the suite asserts the runtime-level guarantees:
+Every model is driven through the same ``make_driver`` seam the CLI
+uses, and the suite asserts the runtime-level guarantees:
 
 * identical window geometry across offline / streaming / postmortem,
 * rank vectors agree within tolerance across models,
@@ -41,7 +41,7 @@ from repro.pagerank import (
     pagerank_window,
     partial_initialization,
 )
-from repro.runtime import MODELS, PROGRAMS, DriverContext, make_driver
+from repro.runtime import MODELS, PROGRAMS, make_driver
 from repro.service.cluster import ShardCluster
 from repro.service.engine import QueryEngine
 from repro.service.store import RankStore, RankStoreWriter
@@ -118,8 +118,9 @@ class TestOfflineExecutorParity:
     @pytest.mark.parametrize("executor", ["thread", "shared"])
     def test_bitwise_identical_to_serial(self, setup, runs, executor):
         events, spec, cfg = setup
-        ctx = DriverContext(executor=executor, n_workers=3)
-        run = make_driver("offline", events, spec, cfg, context=ctx).run()
+        run = make_driver(
+            "offline", events, spec, cfg, executor=executor, n_workers=3
+        ).run()
         serial = runs["offline"]
         assert run.metadata["executor"] == executor
         assert np.array_equal(run.values_matrix(), serial.values_matrix())
@@ -127,16 +128,15 @@ class TestOfflineExecutorParity:
     def test_thread_sink_sees_every_window_once(self, setup, runs):
         events, spec, cfg = setup
         counter = {}
-        ctx = DriverContext(executor="thread", n_workers=3)
         collected = {}
 
         def sink(w, values, meta):
             counter[w] = counter.get(w, 0) + 1
             collected[w] = np.array(values, copy=True)
 
-        make_driver("offline", events, spec, cfg, context=ctx).run(
-            store_values=False, value_sink=sink
-        )
+        make_driver(
+            "offline", events, spec, cfg, executor="thread", n_workers=3
+        ).run(store_values=False, value_sink=sink)
         assert counter == {i: 1 for i in range(spec.n_windows)}
         emitted = np.stack([collected[i] for i in range(spec.n_windows)])
         np.testing.assert_array_equal(emitted, runs["offline"].values_matrix())
@@ -156,9 +156,8 @@ class TestRankStoreParity:
             spec=spec,
             dtype=np.float64,
         )
-        ctx = DriverContext(value_sink=writer.write_window)
-        make_driver(model, events, spec, cfg, context=ctx).run(
-            store_values=False
+        make_driver(model, events, spec, cfg).run(
+            store_values=False, value_sink=writer.write_window
         )
         writer.close()
 
@@ -189,12 +188,9 @@ class TestRankStoreParity:
             spec=spec,
             dtype=np.float64,
         )
-        ctx = DriverContext(
-            executor="thread", n_workers=3, value_sink=writer.write_window
-        )
-        make_driver("offline", events, spec, cfg, context=ctx).run(
-            store_values=False
-        )
+        make_driver(
+            "offline", events, spec, cfg, executor="thread", n_workers=3
+        ).run(store_values=False, value_sink=writer.write_window)
         writer.close()
 
         store = RankStore(path)
@@ -295,9 +291,9 @@ class TestProgramExecutorParity:
     @pytest.mark.parametrize("executor", ["thread", "shared"])
     def test_offline_bitwise(self, setup, program_runs, program, executor):
         events, spec, cfg = setup
-        ctx = DriverContext(executor=executor, n_workers=3)
         run = make_driver(
-            "offline", events, spec, cfg, context=ctx, program=program
+            "offline", events, spec, cfg, executor=executor, n_workers=3,
+            program=program,
         ).run()
         assert np.array_equal(
             run.values_matrix(),
@@ -387,10 +383,9 @@ class TestProgramStoreServing:
             dtype=np.float64,
             program=program,
         )
-        ctx = DriverContext(value_sink=writer.write_window)
-        make_driver(
-            "postmortem", events, spec, cfg, context=ctx, program=program
-        ).run(store_values=False)
+        make_driver("postmortem", events, spec, cfg, program=program).run(
+            store_values=False, value_sink=writer.write_window
+        )
         writer.close()
 
         store = RankStore(path)

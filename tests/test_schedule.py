@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.models.schedule import (
     SpmmBatch,
     sequential_schedule,
@@ -68,7 +69,7 @@ class TestRegionSchedule:
         assert batches[0].windows == [0, 1, 2]
 
     def test_rejects_bad_vector_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             spmm_region_schedule(0, 4, 0)
 
     def test_batch_width(self):

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.service import LRUCache
 
 
@@ -69,7 +70,7 @@ class TestLRU:
         assert cache.stats.hits == 1
 
     def test_maxsize_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             LRUCache(0)
 
     def test_thread_safety(self):

@@ -38,7 +38,6 @@ from repro.parallel.shared_arena import (
     run_arena_tasks,
 )
 from repro.programs.registry import resolve_program
-from repro.runtime import DriverContext
 from repro.runtime.execution import _attached_worker
 from repro.service import RankStore, RankStoreWriter
 from tests.conftest import random_events
@@ -241,8 +240,9 @@ class TestAttachedEventSet:
         self, setup, count_event_sets, executor
     ):
         events, spec, cfg = setup
-        ctx = DriverContext(executor=executor, n_workers=2)
-        driver = OfflineDriver(events, spec, cfg, context=ctx)
+        driver = OfflineDriver(
+            events, spec, cfg, executor=executor, n_workers=2
+        )
         count_event_sets.update(validated=0, wrapped=0)
         driver.run(store_values=False)
         assert count_event_sets == {"validated": 0, "wrapped": 0}

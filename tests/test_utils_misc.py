@@ -54,8 +54,7 @@ class TestTimingAccumulator:
             pass
         with acc.phase("b"):
             pass
-        assert acc.counts["a"] == 2
-        assert acc.counts["b"] == 1
+        assert set(acc.totals) == {"a", "b"}
         assert acc.total == pytest.approx(
             acc.totals["a"] + acc.totals["b"]
         )
@@ -68,7 +67,6 @@ class TestTimingAccumulator:
         a.merge(b)
         assert a.totals["x"] == 3.0
         assert a.totals["y"] == 3.0
-        assert a.counts["x"] == 2
 
     def test_as_dict(self):
         acc = TimingAccumulator()
