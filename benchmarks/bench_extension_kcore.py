@@ -10,6 +10,11 @@ representational advantages carry over: the postmortem model avoids both
 the per-window rebuild (offline) and the structure-maintenance + snapshot
 costs (streaming).
 
+The three models are timed in interleaved round-robin rounds
+(``benchmarks._common.interleaved_rounds``): a host whose speed drifts
+slows every model of a round alike, so the gated ratios are medians of
+per-round ratios, not quotients of two single runs.
+
 Results are printed, persisted as text, and emitted as JSON
 (``benchmarks/output/extension_kcore.json``); the committed baseline is
 ``benchmarks/BENCH_extension_kcore.json`` and the CI ``bench-smoke`` job
@@ -25,7 +30,14 @@ import json
 
 import numpy as np
 
-from benchmarks._common import OUTPUT_DIR, emit, get_events, spec_for
+from benchmarks._common import (
+    OUTPUT_DIR,
+    emit,
+    get_events,
+    interleaved_rounds,
+    round_ratios,
+    spec_for,
+)
 from repro.models import PostmortemOptions
 from repro.reporting import format_table
 from repro.runtime import MODELS, make_driver
@@ -35,17 +47,25 @@ CONFIGS = [
     ("youtube-growth", 60.0, 86_400),
 ]
 
+#: timed rounds per dataset, after one untimed warm-up run per model
+ROUNDS = 5
+
 
 def kcore_runs(events, spec):
     """Per-vertex core numbers per window under each execution model,
-    all through the one vertex-program engine."""
-    return {
-        model: make_driver(
+    all through the one vertex-program engine, timed in interleaved
+    rounds.
+
+    Returns ``({model: [seconds per round]}, {model: last run})``."""
+    def solve(model):
+        return make_driver(
             model, events, spec, program="kcore",
             postmortem_options=PostmortemOptions(n_multiwindows=6),
         ).run()
-        for model in MODELS
-    }
+
+    return interleaved_rounds(
+        {model: (lambda m=model: solve(m)) for model in MODELS}, ROUNDS
+    )
 
 
 def run_extension():
@@ -56,25 +76,30 @@ def run_extension():
     for name, ws, sw in CONFIGS:
         events = get_events(name)
         spec = spec_for(events, ws, sw)
-        runs = kcore_runs(events, spec)
-        off, stream, pm = (
-            runs["offline"], runs["streaming"], runs["postmortem"]
-        )
-        cores = pm.values_matrix()
-        match = np.array_equal(cores, off.values_matrix()) and (
-            np.array_equal(cores, stream.values_matrix())
+        round_seconds, runs = kcore_runs(events, spec)
+        cores = runs["postmortem"].values_matrix()
+        match = np.array_equal(cores, runs["offline"].values_matrix()) and (
+            np.array_equal(cores, runs["streaming"].values_matrix())
         )
         max_degeneracy = int(cores.max()) if cores.size else 0
         values_match = values_match and match
-        stream_ratios.append(stream.total_time / pm.total_time)
+        seconds = {m: float(np.median(t)) for m, t in round_seconds.items()}
+        pm_rounds = round_ratios(round_seconds, "postmortem", ("offline",))
+        stream_rounds = round_ratios(
+            round_seconds, "streaming", ("postmortem",)
+        )
+        stream_ratio = float(np.median(stream_rounds))
+        stream_ratios.append(stream_ratio)
         datasets[name] = {
             "n_windows": spec.n_windows,
             "max_degeneracy": max_degeneracy,
-            "offline_s": round(off.total_time, 4),
-            "streaming_s": round(stream.total_time, 4),
-            "postmortem_s": round(pm.total_time, 4),
-            "pm_over_offline": round(pm.total_time / off.total_time, 4),
-            "stream_over_pm": round(stream.total_time / pm.total_time, 4),
+            "offline_s": round(seconds["offline"], 4),
+            "streaming_s": round(seconds["streaming"], 4),
+            "postmortem_s": round(seconds["postmortem"], 4),
+            "pm_over_offline": round(float(np.median(pm_rounds)), 4),
+            "stream_over_pm": round(stream_ratio, 4),
+            "pm_over_offline_rounds": [round(r, 4) for r in pm_rounds],
+            "stream_over_pm_rounds": [round(r, 4) for r in stream_rounds],
             "values_match": bool(match),
         }
         rows.append(
@@ -82,10 +107,10 @@ def run_extension():
                 name,
                 spec.n_windows,
                 max_degeneracy,
-                round(off.total_time, 3),
-                round(stream.total_time, 3),
-                round(pm.total_time, 3),
-                round(stream.total_time / pm.total_time, 2),
+                round(seconds["offline"], 3),
+                round(seconds["streaming"], 3),
+                round(seconds["postmortem"], 3),
+                round(stream_ratio, 2),
             ]
         )
     # the headline representational claim for a non-PageRank kernel:
@@ -94,8 +119,8 @@ def run_extension():
     # factor of the embarrassingly-cheap offline rebuild (the guarded
     # ratio — at this peeling-dominated scale offline's per-window build
     # is not the bottleneck, so postmortem tracks rather than beats it).
-    # both quotients are back-to-back same-machine, so they are stable
-    # where absolute wall-clock is not
+    # both are medians of per-round same-machine ratios, so they are
+    # stable where absolute wall-clock is not
     pm_over_offline_worst = max(
         d["pm_over_offline"] for d in datasets.values()
     )
@@ -122,7 +147,8 @@ def run_extension():
         rows,
         title=(
             "Extension: k-core degeneracy per window under the three "
-            "execution models (identical results asserted)"
+            f"execution models (median of {ROUNDS} interleaved rounds; "
+            "identical results asserted)"
         ),
     )
     return text, stream_ratios, payload

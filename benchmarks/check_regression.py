@@ -48,10 +48,10 @@ GUARDED = {
     "cluster_serving": [
         (("slo", "p99_over_single_p50"), "cluster top-k p99 / single p50"),
     ],
-    # back-to-back same-machine ratio: postmortem k-core wall-clock over
-    # the offline rebuild (peeling-dominated, so postmortem tracks rather
-    # than beats it — the bound keeps engine overhead from silently
-    # growing)
+    # median per-round ratio over interleaved same-machine rounds:
+    # postmortem k-core wall-clock over the offline rebuild
+    # (peeling-dominated, so postmortem tracks rather than beats it — the
+    # bound keeps engine overhead from silently growing)
     "extension_kcore": [
         (("pm_over_offline_worst",),
          "postmortem/offline k-core wall-clock (worst dataset)"),

@@ -56,12 +56,9 @@ class ReciprocityProgram(VertexProgram):
 
     def solve_window(self, view, x0=None, *, workspace=None,
                      iteration_hint=None):
-        out_csr = view.adjacency.out_csr
-        dedup = out_csr.dedup_mask(view.window.t_start, view.window.t_end)
-        values = reciprocity(
-            out_csr.row_ids()[dedup], out_csr.col[dedup],
-            view.adjacency.n_vertices,
-        )
+        # the window's simple edges, read off the adjacency's group index
+        src, dst = view.edges()
+        values = reciprocity(src, dst, view.adjacency.n_vertices)
         return fixpoint_result(
             values, view.n_active_edges, view.n_active_vertices
         )

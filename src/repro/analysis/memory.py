@@ -10,6 +10,11 @@ formula and the actually-allocated bytes per multi-window graph, plus the
 replication overhead vs. the raw event log — the quantity the multi-window
 count Y trades against per-SpMV work (Figure 8's companion discussion).
 
+A graph stores one temporal CSR, as the paper does, so its heap bytes
+are the formula plus three small terms: the global-id map (8 B per
+vertex), the ``group_start`` mask (1 B per event) and the extra
+``indptr`` entry (8 B).
+
 Partitions build their graphs on demand, so each graph's bytes are a
 transient cost of the task solving it, never a standing allocation.  The
 accounting splits them by residency: ``heap_bytes`` is what the process

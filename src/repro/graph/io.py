@@ -16,17 +16,17 @@ Layout of a ``.tcsr`` file::
     offset 64   the arrays, each 64-byte aligned, in table order:
                   ev_src/ev_dst/ev_time      the time-sorted event log
                   time_index                 every stride-th timestamp
-                  in_indptr/in_col/in_time/in_group_start    pull CSR
-                  out_indptr/out_col/out_time/out_group_start push CSR
+                  in_indptr/in_col/in_time/in_group_start    the temporal
+                                             CSR (rows = destinations)
     after them  the JSON table: per-array name/dtype/shape/offset + meta
 
 The file is written by :class:`TemporalCSRBuilder` in **bounded memory**:
 incoming event chunks spill to a side file, a parallel pass (one thread
-task per chunk) time-sorts each chunk in place and takes per-vertex degree
-counts, chunks are merged bucket-at-a-time into the final time-sorted log,
-and each CSR orientation is built with a streaming counting-sort scatter
-followed by a parallel per-row-block ``(neighbor, time)`` sort — never
-holding more than O(chunk) events in RAM.  The resulting arrays are
+task per chunk) time-sorts each chunk in place and takes per-destination
+event counts, chunks are merged bucket-at-a-time into the final
+time-sorted log, and the CSR is built with a streaming counting-sort
+scatter followed by a parallel per-row-block ``(neighbor, time)`` sort —
+never holding more than O(chunk) events in RAM.  The resulting arrays are
 bitwise-identical to :meth:`TemporalAdjacency.from_events` on the same
 events (stable sorts compose: per-chunk sort + in-order bucket merge
 reproduces the global stable time sort exactly).
@@ -68,7 +68,7 @@ PathLike = Union[str, os.PathLike]
 T = TypeVar("T")
 
 MAGIC = b"TCSRART1"
-VERSION = 1
+VERSION = 2
 #: preamble struct: magic, version, flags, n_vertices, n_events,
 #: table_offset, table_len, time_index_stride (+ padding to 64 bytes)
 _PREAMBLE = struct.Struct("<8sII5Q")
@@ -89,12 +89,11 @@ _SAMPLES_PER_CHUNK = 64
 #: the resident set contributed by dirty mmap pages
 _DROP_INTERVAL_BLOCKS = 4
 
-#: the array names every v1 artifact must carry, in layout order
+#: the array names of an artifact, in layout order
 ARRAY_NAMES = (
     "ev_src", "ev_dst", "ev_time",
     "time_index",
     "in_indptr", "in_col", "in_time", "in_group_start",
-    "out_indptr", "out_col", "out_time", "out_group_start",
 )
 
 
@@ -193,8 +192,6 @@ def _layout(
         "time_index": (ti_len,),
         "in_indptr": (n_vertices + 1,), "in_col": (n_events,),
         "in_time": (n_events,), "in_group_start": (n_events,),
-        "out_indptr": (n_vertices + 1,), "out_col": (n_events,),
-        "out_time": (n_events,), "out_group_start": (n_events,),
     }
     entries: List[Dict[str, object]] = []
     offset = PREAMBLE_SIZE
@@ -212,7 +209,8 @@ def _layout(
                 "offset": offset,
             }
         )
-        offset += int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # plain ints: a corrupt preamble's sizes must not overflow int64
+        offset += shape[0] * dtype.itemsize
     return entries, offset
 
 
@@ -232,7 +230,7 @@ class TemporalCSRBuilder:
     ``chunk_events`` bounds both the spill granularity and the working
     set of every construction pass (sort, merge, scatter, row-block
     sort); peak resident memory is O(``chunk_events`` x ``n_workers``)
-    plus two per-vertex count arrays, never O(total events).
+    plus a per-vertex count array, never O(total events).
     """
 
     def __init__(
@@ -310,9 +308,9 @@ class TemporalCSRBuilder:
 
     def _sort_count_pass(
         self, spill: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Time-sort every spill chunk in place; per-vertex degree counts
-        and boundary samples fall out of the same scan."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Time-sort every spill chunk in place; per-destination event
+        counts and boundary samples fall out of the same scan."""
         V = self.n_vertices
 
         def sort_count(ci: int):
@@ -320,10 +318,7 @@ class TemporalCSRBuilder:
             order = np.argsort(t_v, kind="stable")
             t = t_v[order]
             t_v[:] = t
-            s = s_v[order]
-            s_v[:] = s
-            out_c = np.bincount(s, minlength=V).astype(np.int64, copy=False)
-            del s
+            s_v[:] = s_v[order]
             d = d_v[order]
             d_v[:] = d
             in_c = np.bincount(d, minlength=V).astype(np.int64, copy=False)
@@ -331,21 +326,19 @@ class TemporalCSRBuilder:
             step = max(1, t.size // _SAMPLES_PER_CHUNK)
             off, cnt = self._chunks[ci]
             _drop_pages(spill, dirty=True, lo=off, hi=off + 3 * cnt)
-            return in_c, out_c, t[::step].copy()
+            return in_c, t[::step].copy()
 
         parts = _map_items(sort_count, len(self._chunks), self.n_workers)
         in_counts = np.zeros(V, dtype=np.int64)
-        out_counts = np.zeros(V, dtype=np.int64)
         all_samples: List[np.ndarray] = []
-        for in_c, out_c, sample in parts:
+        for in_c, sample in parts:
             in_counts += in_c
-            out_counts += out_c
             all_samples.append(sample)
         samples = (
             np.sort(np.concatenate(all_samples))
             if all_samples else np.empty(0, dtype=np.int64)
         )
-        return in_counts, out_counts, samples
+        return in_counts, samples
 
     def _bucket_splits(
         self, spill: np.ndarray, samples: np.ndarray
@@ -473,7 +466,7 @@ class TemporalCSRBuilder:
             time_mm[dest] = t[order]
             cursors[r[seg_idx]] += seg_len
             # the log block is consumed; the scatter destinations are
-            # spread over the whole orientation, so those two drop whole
+            # spread over the whole CSR, so those two drop whole
             _drop_pages(ev_rows, lo=lo, hi=hi)
             _drop_pages(ev_cols, lo=lo, hi=hi)
             _drop_pages(ev_time, lo=lo, hi=hi)
@@ -483,7 +476,7 @@ class TemporalCSRBuilder:
                 _drop_pages(time_mm, dirty=True)
         if not np.array_equal(cursors, indptr[1:]):
             raise GraphBuildError(
-                "orientation scatter did not fill every row"
+                "CSR scatter did not fill every row"
             )
 
     def _row_blocks(self, indptr: np.ndarray) -> List[Tuple[int, int]]:
@@ -564,11 +557,10 @@ class TemporalCSRBuilder:
                     self._spill_path, dtype=np.int64, mode="r+",
                     shape=(3 * n,),
                 )
-                in_counts, out_counts, samples = self._sort_count_pass(spill)
+                in_counts, samples = self._sort_count_pass(spill)
                 _, splits = self._bucket_splits(spill, samples)
             else:
                 in_counts = np.zeros(V, dtype=np.int64)
-                out_counts = np.zeros(V, dtype=np.int64)
                 splits = np.zeros((0, 2), dtype=np.int64)
 
             ti_len = len(range(0, n, self.time_index_stride))
@@ -597,25 +589,19 @@ class TemporalCSRBuilder:
                 spill = None
             os.unlink(self._spill_path)
 
-            for prefix, counts, rows_key, cols_key in (
-                ("in", in_counts, "ev_dst", "ev_src"),
-                ("out", out_counts, "ev_src", "ev_dst"),
-            ):
-                indptr = lengths_to_indptr(counts)
-                maps[f"{prefix}_indptr"][:] = indptr
-                if n:
-                    self._scatter_pass(
-                        maps[rows_key], maps[cols_key], maps["ev_time"],
-                        indptr,
-                        maps[f"{prefix}_col"], maps[f"{prefix}_time"],
-                    )
-                    self._rowsort_pass(
-                        indptr,
-                        maps[f"{prefix}_col"], maps[f"{prefix}_time"],
-                        maps[f"{prefix}_group_start"],
-                    )
-                for name in ("_col", "_time", "_group_start", "_indptr"):
-                    _drop_pages(maps[prefix + name], dirty=True)
+            indptr = lengths_to_indptr(in_counts)
+            maps["in_indptr"][:] = indptr
+            if n:
+                self._scatter_pass(
+                    maps["ev_dst"], maps["ev_src"], maps["ev_time"], indptr,
+                    maps["in_col"], maps["in_time"],
+                )
+                self._rowsort_pass(
+                    indptr, maps["in_col"], maps["in_time"],
+                    maps["in_group_start"],
+                )
+            for name in ("in_col", "in_time", "in_group_start", "in_indptr"):
+                _drop_pages(maps[name], dirty=True)
 
             table = {
                 "arrays": entries,
@@ -760,7 +746,8 @@ class TcsrFile:
                 )
             if version != VERSION:
                 raise ValidationError(
-                    f"{self.path}: unsupported .tcsr version {version}"
+                    f"{self.path}: unsupported .tcsr version {version} "
+                    f"(need v{VERSION}); rebuild it from its events"
                 )
             if not flags & FLAG_FINALIZED:
                 raise ValidationError(
@@ -782,24 +769,31 @@ class TcsrFile:
         self.n_vertices = int(n_vertices)
         self.n_events = int(n_events)
         self.time_index_stride = int(stride)
-        self.meta: Dict[str, object] = table.get("meta", {})
-        self._entries: Dict[str, Dict[str, object]] = {}
-        for e in table.get("arrays", ()):
-            nbytes = int(
-                np.prod(e["shape"], dtype=np.int64)
-            ) * np.dtype(str(e["dtype"])).itemsize
-            if int(e["offset"]) + nbytes > table_offset:
-                raise ValidationError(
-                    f"{self.path}: array {e['name']!r} extends past the "
-                    "layout table (corrupt artifact)"
-                )
-            self._entries[str(e["name"])] = e
-        missing = set(ARRAY_NAMES) - set(self._entries)
-        if missing:
+        # the preamble fixes the whole layout: the table must restate it
+        # exactly, so no table entry is ever trusted on its own
+        if stride == 0:
             raise ValidationError(
-                f"{self.path}: artifact is missing arrays "
-                f"{sorted(missing)}"
+                f"{self.path}: corrupt preamble (time-index stride 0)"
             )
+        ti_len = -(-self.n_events // self.time_index_stride)
+        entries, arrays_end = _layout(self.n_vertices, self.n_events, ti_len)
+        if arrays_end > table_offset:
+            raise ValidationError(
+                f"{self.path}: arrays extend past the layout table "
+                "(corrupt artifact)"
+            )
+        if not (
+            isinstance(table, dict) and table.get("arrays") == entries
+            and isinstance(table.get("meta", {}), dict)
+        ):
+            raise ValidationError(
+                f"{self.path}: layout table does not match the preamble "
+                "(corrupt artifact)"
+            )
+        self.meta: Dict[str, object] = table.get("meta", {})
+        self._entries: Dict[str, Dict[str, object]] = {
+            e["name"]: e for e in entries
+        }
         self._views: Dict[str, np.ndarray] = {}
         self._time_index_ram: Optional[np.ndarray] = None
 
@@ -873,22 +867,21 @@ class TcsrFile:
         )
 
     def adjacency(self) -> TemporalAdjacency:
-        """Both temporal-CSR orientations as mapped arrays.
+        """The temporal CSR as mapped arrays.
 
-        The precomputed ``group_start`` masks are trusted (the writer
-        derived them once), so no O(nnz) pass runs at open time.
+        The precomputed ``group_start`` mask is trusted (the writer
+        derived it once), so no O(nnz) pass runs at open time.
         """
-        def orientation(prefix: str) -> TemporalCSR:
-            indptr = self.array(f"{prefix}_indptr")
-            return TemporalCSR(
+        indptr = self.array("in_indptr")
+        return TemporalAdjacency(
+            TemporalCSR(
                 indptr,
-                self.array(f"{prefix}_col"),
-                self.array(f"{prefix}_time"),
+                self.array("in_col"),
+                self.array("in_time"),
                 indptr.size - 1,
-                group_start=self.array(f"{prefix}_group_start"),
+                group_start=self.array("in_group_start"),
             )
-
-        return TemporalAdjacency(orientation("in"), orientation("out"))
+        )
 
     # ------------------------------------------------------------------
     def header_info(self) -> Dict[str, object]:

@@ -166,8 +166,8 @@ def build_compact_graph(
     """Compact a time-sliced event run into one multi-window graph.
 
     The single construction step behind every multi-window graph: vertex
-    compaction via ``union1d`` + ``searchsorted`` relabeling, then both
-    temporal-CSR orientations over local ids.
+    compaction via ``union1d`` + ``searchsorted`` relabeling, then the
+    temporal CSR over local ids.
     """
     if src.size:
         ids = np.union1d(src, dst)

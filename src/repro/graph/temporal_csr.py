@@ -15,13 +15,15 @@ simple-graph edge multiplicity collapse the PageRank kernels need.  Both
 are Θ(nnz) per window, so they define a window's edges but do not build
 its view.
 
-:class:`TemporalAdjacency` bundles the two orientations (in-edges for the
-pull-style SpMV, out-edges for push-style analytics) built from one event
-set, plus a :class:`GroupIndex` over the in-orientation's groups in time
-order.  A :class:`WindowView` counts its window's events per group with
-one ``bincount`` over that window's run of the time order — Θ(window
-events + groups) instead of a pass over every stored event — and keeps
-the active groups, the degrees and the active vertex set.
+:class:`TemporalAdjacency` holds the one orientation the paper stores:
+rows are destinations, so the pull-style SpMV is a segment-sum over rows.
+Its :class:`GroupIndex` lists the (destination, source) groups and orders
+the stored events by time, which gives both degree vectors and every
+window's simple edges without a second, push-style orientation.  A
+:class:`WindowView` counts its window's events per group with one
+``bincount`` over that window's run of the time order — Θ(window events +
+groups) instead of a pass over every stored event — and keeps the active
+groups, the degrees and the active vertex set.
 """
 
 from __future__ import annotations
@@ -157,14 +159,6 @@ class TemporalCSR:
         """Per-row count of distinct active neighbors in the window."""
         return segment_count(self.dedup_mask(t_start, t_end), self.indptr)
 
-    def compact_window(self, t_start: int, t_end: int) -> CSRGraph:
-        """Materialize the window's simple graph as a plain CSR (row ->
-        neighbor).  Used by tests and by per-window precompaction."""
-        dedup = self.dedup_mask(t_start, t_end)
-        rows = self.row_ids()[dedup]
-        cols = self.col[dedup]
-        return build_csr_from_edges(rows, cols, self.n_rows, dedup=False)
-
     def _arrays(self) -> tuple:
         return (self.indptr, self.col, self.time, self.group_start)
 
@@ -281,31 +275,22 @@ class GroupIndex:
 
 
 class TemporalAdjacency:
-    """Both orientations of the temporal CSR for one event set.
+    """The temporal CSR of one event set.
 
-    * ``in_csr`` — rows are **destinations**, neighbors are sources: the
-      pull-style PageRank iteration is a segment-sum over its rows.
-    * ``out_csr`` — rows are **sources**, neighbors are destinations: the
-      push orientation, for analytics that walk out-edges.
-
-    Window views come from :attr:`groups`, the in-orientation's
+    ``in_csr`` has **destinations** as rows and sources as neighbors: the
+    pull-style PageRank iteration is a segment-sum over its rows.  Window
+    views, out-degrees and out-edges come from :attr:`groups`, its
     :class:`GroupIndex`, built on the first view.
     """
 
-    __slots__ = ("in_csr", "out_csr", "n_vertices", "_groups", "_time_order")
+    __slots__ = ("in_csr", "n_vertices", "_groups", "_time_order")
 
     def __init__(
         self,
         in_csr: TemporalCSR,
-        out_csr: TemporalCSR,
         time_order: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        if in_csr.n_rows != out_csr.n_rows:
-            raise GraphBuildError("orientations must share the vertex count")
-        if in_csr.nnz != out_csr.nnz:
-            raise GraphBuildError("orientations must store the same events")
         self.in_csr = in_csr
-        self.out_csr = out_csr
         self.n_vertices = in_csr.n_rows
         self._groups: Optional[GroupIndex] = None
         #: ``(permutation, times)`` of time-ordered input (see
@@ -314,7 +299,7 @@ class TemporalAdjacency:
 
     @classmethod
     def from_events(cls, events: "TemporalEventSet") -> "TemporalAdjacency":
-        """Build both orientations from a temporal event set — the single
+        """Build the temporal CSR from a temporal event set — the single
         O(|Events| log |Events|) construction step of the postmortem model."""
         return cls.from_arrays(
             events.src, events.dst, events.time, events.n_vertices
@@ -324,19 +309,18 @@ class TemporalAdjacency:
     def from_arrays(
         cls, src, dst, time, n_vertices: int
     ) -> "TemporalAdjacency":
-        """Build both orientations from raw (src, dst, time) arrays."""
+        """Build the temporal CSR from raw (src, dst, time) arrays."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         time = np.asarray(time, dtype=np.int64)
         order = np.lexsort((time, src, dst))
         in_csr = _build_orientation(dst, src, time, n_vertices, order)
-        out_csr = _build_orientation(src, dst, time, n_vertices)
         in_time_order = not np.any(time[1:] < time[:-1])
-        return cls(in_csr, out_csr, (order, time) if in_time_order else None)
+        return cls(in_csr, (order, time) if in_time_order else None)
 
     @classmethod
     def open(cls, path) -> "TemporalAdjacency":
-        """Open a ``.tcsr`` artifact as mmap-backed orientations.
+        """Open a ``.tcsr`` artifact as an mmap-backed temporal CSR.
 
         O(1) in the event count: arrays page in lazily as windows touch
         them.  See :mod:`repro.graph.io` for the artifact format.
@@ -367,12 +351,12 @@ class TemporalAdjacency:
         return WindowView(self, window, workspace=workspace)
 
     def memory_bytes(self) -> int:
-        """Total heap bytes of both orientations (mapped arrays excluded)."""
-        return self.in_csr.memory_bytes() + self.out_csr.memory_bytes()
+        """Heap bytes of the temporal CSR (mapped arrays excluded)."""
+        return self.in_csr.memory_bytes()
 
     def mapped_bytes(self) -> int:
-        """Total file-mapped bytes of both orientations."""
-        return self.in_csr.mapped_bytes() + self.out_csr.mapped_bytes()
+        """File-mapped bytes of the temporal CSR."""
+        return self.in_csr.mapped_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -522,11 +506,22 @@ class WindowView:
             self._compact_pull = compact_pull(self)
         return self._compact_pull
 
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of the window's simple edges (int64), one per
+        active group, in the in-orientation's group order — Θ(groups)."""
+        groups = self.adjacency.groups
+        active = self.active_groups
+        return (
+            groups.col[active].astype(np.int64),
+            groups.row[active].astype(np.int64),
+        )
+
     def compact_graph(self) -> CSRGraph:
         """The window's simple out-graph as a plain CSR (for reference
         implementations and the offline model comparison)."""
-        return self.adjacency.out_csr.compact_window(
-            self.window.t_start, self.window.t_end
+        src, dst = self.edges()
+        return build_csr_from_edges(
+            src, dst, self.adjacency.n_vertices, dedup=False
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

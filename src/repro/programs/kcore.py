@@ -15,9 +15,9 @@ Degrees are over the window's *undirected* simple graph (in + out
 neighbors, deduplicated, self-loops dropped).  Both solve surfaces reduce
 the window to that graph and share :func:`peel_core_numbers`, which makes
 cross-model parity *exact* (integer core numbers, not a tolerance): the
-temporal path deduplicates the multi-window structure's out-orientation,
-the materialized path symmetrizes the snapshot CSR, and both hand the
-identical edge set to one peeling.
+temporal path reads the window's active groups off the multi-window
+structure's group index, the materialized path symmetrizes the snapshot
+CSR, and both hand the identical edge set to one peeling.
 
 Core numbers are served as ``float64`` so the rank-store / query stack —
 built for real-valued rank vectors — works unchanged; values are exact
@@ -61,10 +61,7 @@ def undirected_simple_csr(
 
 def undirected_window_csr(view: WindowView) -> CSRGraph:
     """The window's simple graph symmetrized (u-v and v-u), no loops."""
-    out_csr = view.adjacency.out_csr
-    dedup = out_csr.dedup_mask(view.window.t_start, view.window.t_end)
-    src = out_csr.row_ids()[dedup]
-    dst = out_csr.col[dedup]
+    src, dst = view.edges()
     return undirected_simple_csr(src, dst, view.adjacency.n_vertices)
 
 

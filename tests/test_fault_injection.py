@@ -48,21 +48,6 @@ class TestMalformedStructures:
                 np.array([0, 2]), np.array([0]), np.array([1, 2]), 1
             )
 
-    def test_adjacency_orientation_mismatch(self):
-        from repro.graph.temporal_csr import (
-            TemporalAdjacency,
-            _build_orientation,
-        )
-
-        a = _build_orientation(
-            np.array([0]), np.array([1]), np.array([5]), 2
-        )
-        b = _build_orientation(
-            np.array([0, 1]), np.array([1, 0]), np.array([5, 6]), 2
-        )
-        with pytest.raises(GraphBuildError):
-            TemporalAdjacency(a, b)
-
     def test_nan_in_x0_does_not_go_unnoticed(self, adjacency, spec):
         """A NaN warm start must not silently converge: the residual is
         NaN, so the solver reports non-convergence."""

@@ -3,11 +3,12 @@
 Covers the acceptance properties of the memory-mapped input path:
 
 * **round-trip parity** — ``from_events → write → open`` equals the
-  in-RAM adjacency array-for-array, both orientations, including empty
-  windows, dangling-heavy graphs, and duplicate-heavy (weighted) logs;
+  in-RAM adjacency array-for-array, including empty windows,
+  dangling-heavy graphs, and duplicate-heavy (weighted) logs;
 * **chunked construction** — the builder's bounded-memory merge of
   unsorted chunks is bitwise-identical to a single in-RAM sort;
-* **rejection** — truncated, corrupted, and unfinalized artifacts raise
+* **rejection** — truncated, corrupted, unfinalized and old-version
+  artifacts, and layout tables that disagree with the preamble, raise
   ``ValidationError`` instead of returning garbage;
 * **memory honesty** — mapped arrays report as mapped, not heap;
 * **zero-copy publication** — the shared arena publishes mapped event
@@ -18,6 +19,7 @@ Covers the acceptance properties of the memory-mapped input path:
 
 import errno
 import io
+import json
 import os
 import pickle
 
@@ -51,13 +53,11 @@ CSR_ARRAYS = ("indptr", "col", "time", "group_start")
 
 def assert_adjacency_equal(mapped: TemporalAdjacency, ram: TemporalAdjacency):
     assert mapped.n_vertices == ram.n_vertices
-    for orient in ("in_csr", "out_csr"):
-        a, b = getattr(mapped, orient), getattr(ram, orient)
-        for name in CSR_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(a, name), getattr(b, name),
-                err_msg=f"{orient}.{name}",
-            )
+    for name in CSR_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(mapped.in_csr, name), getattr(ram.in_csr, name),
+            err_msg=f"in_csr.{name}",
+        )
 
 
 def roundtrip(tmp_path, events, **kw):
@@ -288,6 +288,21 @@ class TestMappedEventSet:
 # ----------------------------------------------------------------------
 # rejection of damaged artifacts
 # ----------------------------------------------------------------------
+def edit_entry(name, key, value):
+    """A layout-table edit: set one array entry's ``key`` to ``value``
+    (``None`` deletes it)."""
+    def mutate(table):
+        for e in table["arrays"]:
+            if e["name"] == name:
+                if value is None:
+                    del e[key]
+                else:
+                    e[key] = value
+        return table
+
+    return mutate
+
+
 class TestRejection:
     def _valid(self, tmp_path):
         events = random_events(n_vertices=10, n_events=150, seed=41)
@@ -331,6 +346,52 @@ class TestRejection:
         data[8] = 99
         open(path, "wb").write(bytes(data))
         with pytest.raises(ValidationError, match="version"):
+            TcsrFile(path)
+
+    def test_v1_artifact_asks_for_a_rebuild(self, tmp_path):
+        # v1 stored a second, push-style CSR; its preamble is the same
+        path = self._valid(tmp_path)
+        data = bytearray(open(path, "rb").read())
+        data[8] = 1
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(ValidationError, match="version 1.*rebuild"):
+            TcsrFile(path)
+
+    @staticmethod
+    def _rewrite_table(path, mutate):
+        """Replace the layout table with ``mutate(table)`` (well-formed
+        JSON) and point the preamble at it."""
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        fields = list(io_mod._PREAMBLE.unpack(data[: io_mod._PREAMBLE.size]))
+        table_offset, table_len = fields[5], fields[6]
+        table = json.loads(data[table_offset: table_offset + table_len])
+        payload = json.dumps(mutate(table)).encode()
+        fields[6] = len(payload)
+        data[: io_mod._PREAMBLE.size] = io_mod._PREAMBLE.pack(*fields)
+        with open(path, "wb") as f:
+            f.write(bytes(data[:table_offset]) + payload)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            edit_entry("ev_src", "shape", None),
+            edit_entry("in_time", "dtype", "garbage"),
+            lambda table: table["arrays"],
+            edit_entry("ev_dst", "offset", -64),
+            edit_entry("in_col", "dtype", "<f8"),
+            edit_entry("ev_src", "shape", [1]),
+        ],
+        ids=[
+            "missing-shape", "garbage-dtype", "table-is-list",
+            "negative-offset", "float-col", "short-shape",
+        ],
+    )
+    def test_layout_table_must_match_preamble(self, tmp_path, mutate):
+        path = self._valid(tmp_path)
+        TcsrFile(path).close()
+        self._rewrite_table(path, mutate)
+        with pytest.raises(ValidationError, match="layout table"):
             TcsrFile(path)
 
     def test_not_a_file(self, tmp_path):
@@ -440,7 +501,7 @@ class TestCli:
         out = io.StringIO()
         assert main(["inspect", art], out=out) == 0
         dump = out.getvalue()
-        assert "tcsr v1" in dump and "TCSRART1" in dump
+        assert "tcsr v2" in dump and "TCSRART1" in dump
         assert "in_indptr" in dump and "time-index" in dump
 
         out = io.StringIO()

@@ -28,9 +28,24 @@ class TestMemoryReport:
     def test_allocated_at_least_model(self, partition):
         part, _ = partition
         report = memory_report(part)
-        # the real structure stores both orientations + masks, so the
-        # allocation always exceeds the paper's single-orientation formula
+        # the real structure adds the group-start mask and the id map
+        # to the paper's formula
         assert report.total_allocated_bytes >= report.total_model_bytes
+
+    def test_heap_is_model_plus_id_map_mask_and_indptr_end(self, partition):
+        """One temporal CSR per graph: 8·(|V_w| + 2·|E_w|) for
+        ``rowA``/``colA``/``timeA``, plus the global-id map (8 B per
+        vertex), one ``group_start`` byte per event and the extra
+        ``indptr`` entry."""
+        part, _ = partition
+        report = memory_report(part)
+        assert len(report.graphs) == 4
+        for g in report.graphs:
+            assert g.mapped_bytes == 0
+            assert g.heap_bytes == (
+                g.model_bytes + ENCODING_BYTES * g.n_vertices
+                + g.n_events + ENCODING_BYTES
+            )
 
     def test_raw_bytes(self, partition):
         part, events = partition

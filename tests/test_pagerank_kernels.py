@@ -63,10 +63,10 @@ class TestSpmvKernel:
         ours = pagerank_window(view, tight)
 
         g = nx.DiGraph()
-        dedup = adj.out_csr.dedup_mask(0, 10_000)
-        rows = adj.out_csr.row_ids()[dedup]
-        cols = adj.out_csr.col[dedup]
-        g.add_edges_from(zip(rows.tolist(), cols.tolist()))
+        dedup = adj.in_csr.dedup_mask(0, 10_000)
+        dst = adj.in_csr.row_ids()[dedup]
+        src = adj.in_csr.col[dedup]
+        g.add_edges_from(zip(src.tolist(), dst.tolist()))
         # networkx alpha is the damping factor = 1 - our teleport alpha;
         # its default dangling handling = uniform redistribution
         nx_pr = nx.pagerank(g, alpha=tight.damping, tol=1e-14, max_iter=1000)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import GraphBuildError
 from repro.events import Window
-from repro.graph import TemporalAdjacency, TemporalCSR
+from repro.graph import TemporalAdjacency, TemporalCSR, build_csr_from_edges
 from repro.graph.temporal_csr import _build_orientation
 from tests.conftest import random_events
 
@@ -17,10 +17,17 @@ def brute_force_window_edges(events, t_start, t_end):
     return set(zip(events.src[mask].tolist(), events.dst[mask].tolist()))
 
 
+def dedup_edges(adj, t_start, t_end):
+    """The window's ``(src, dst)`` simple edges from the Θ(nnz)
+    in-orientation dedup mask: rows are destinations, so swap them."""
+    dedup = adj.in_csr.dedup_mask(t_start, t_end)
+    return adj.in_csr.col[dedup], adj.in_csr.row_ids()[dedup]
+
+
 class TestStructure:
     def test_neighbors_sorted_by_neighbor_then_time(self, events):
         adj = TemporalAdjacency.from_events(events)
-        csr = adj.out_csr
+        csr = adj.in_csr
         for v in range(csr.n_rows):
             lo, hi = csr.indptr[v], csr.indptr[v + 1]
             cols = csr.col[lo:hi]
@@ -33,7 +40,7 @@ class TestStructure:
     def test_nnz_preserved(self, events):
         adj = TemporalAdjacency.from_events(events)
         assert adj.nnz == len(events)
-        assert adj.in_csr.nnz == adj.out_csr.nnz
+        assert adj.in_csr.nnz == len(events)
 
     def test_group_starts(self):
         csr = _build_orientation(
@@ -87,21 +94,20 @@ class TestWindowMasks:
         events = random_events(n_vertices=25, n_events=300, seed=21)
         adj = TemporalAdjacency.from_events(events)
         for t0, t1 in [(0, 2_000), (3_000, 7_000), (9_000, 10_000), (0, 10_000)]:
-            dedup = adj.out_csr.dedup_mask(t0, t1)
-            rows = adj.out_csr.row_ids()[dedup]
-            cols = adj.out_csr.col[dedup]
-            got = set(zip(rows.tolist(), cols.tolist()))
+            src, dst = dedup_edges(adj, t0, t1)
+            got = set(zip(src.tolist(), dst.tolist()))
             assert got == brute_force_window_edges(events, t0, t1)
 
     def test_degrees_match_compact(self):
         events = random_events(n_vertices=20, n_events=200, seed=22)
         adj = TemporalAdjacency.from_events(events)
-        deg = adj.out_csr.degrees(1_000, 6_000)
-        compact = adj.out_csr.compact_window(1_000, 6_000)
+        deg = adj.in_csr.degrees(1_000, 6_000)
+        src, dst = dedup_edges(adj, 1_000, 6_000)
+        compact = build_csr_from_edges(dst, src, adj.n_vertices)
         assert deg.tolist() == compact.out_degrees().tolist()
 
     def test_empty_window(self, adjacency):
-        deg = adjacency.out_csr.degrees(10**9, 2 * 10**9)
+        deg = adjacency.in_csr.degrees(10**9, 2 * 10**9)
         assert deg.sum() == 0
 
 
@@ -152,10 +158,8 @@ class TestPaperExample:
     def test_interval_edge_sets(self, paper_example_events):
         adj = TemporalAdjacency.from_events(paper_example_events)
         for (t0, t1), expected in self.EXPECTED.items():
-            dedup = adj.out_csr.dedup_mask(t0, t1)
-            rows = adj.out_csr.row_ids()[dedup]
-            cols = adj.out_csr.col[dedup]
-            assert set(zip(rows.tolist(), cols.tolist())) == expected
+            src, dst = dedup_edges(adj, t0, t1)
+            assert set(zip(src.tolist(), dst.tolist())) == expected
 
     def test_duplicate_edge_once_per_window(self, paper_example_events):
         # (1, 2) occurs at days 20 and 157; a window covering both must

@@ -4,8 +4,8 @@ A :class:`~repro.graph.temporal_csr.WindowView` counts its window's
 events per (row, neighbor) group through the adjacency's
 :class:`~repro.graph.temporal_csr.GroupIndex`.  Whatever windows came
 before it, every view must equal the Θ(nnz) definition: the
-in-orientation's ``dedup_mask`` and the per-row ``segment_count`` of both
-orientations.
+in-orientation's ``dedup_mask``, its per-row ``segment_count`` and, with
+row and column swapped, the out-degrees and out-edges.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import TemporalEventSet, Window
-from repro.graph import TemporalAdjacency
+from repro.graph import TemporalAdjacency, build_csr_from_edges
+from repro.programs.kcore import undirected_simple_csr, undirected_window_csr
 from repro.utils.segments import lengths_to_indptr
 from tests.dense_mask_reference import pair_multiplicities
 
@@ -60,13 +61,17 @@ def window_sequences(draw):
 
 def assert_view_matches_oracle(view):
     adj = view.adjacency
-    in_csr, out_csr = adj.in_csr, adj.out_csr
+    in_csr, n = adj.in_csr, adj.n_vertices
     ts, te = view.window.t_start, view.window.t_end
     dedup = in_csr.dedup_mask(ts, te)
+    # the in-orientation stores (destination, source): swap for out-edges
+    src, dst = in_csr.col[dedup], in_csr.row_ids()[dedup]
 
     np.testing.assert_array_equal(view.in_dedup, dedup)
     np.testing.assert_array_equal(view.in_degrees, in_csr.degrees(ts, te))
-    np.testing.assert_array_equal(view.out_degrees, out_csr.degrees(ts, te))
+    np.testing.assert_array_equal(
+        view.out_degrees, np.bincount(src, minlength=n)
+    )
     np.testing.assert_array_equal(
         view.active_vertices_mask,
         (view.in_degrees > 0) | (view.out_degrees > 0),
@@ -79,6 +84,14 @@ def assert_view_matches_oracle(view):
     groups = adj.groups
     np.testing.assert_array_equal(groups.row[view.active_groups], rows)
     np.testing.assert_array_equal(groups.col[view.active_groups], cols)
+
+    for got, want in (
+        (view.compact_graph(), build_csr_from_edges(src, dst, n, dedup=False)),
+        (undirected_window_csr(view), undirected_simple_csr(src, dst, n)),
+    ):
+        assert got == want
+        assert got.indptr.dtype == want.indptr.dtype
+        assert got.col.dtype == want.col.dtype
 
     packed = view.compact_pull()
     np.testing.assert_array_equal(packed.col, in_csr.col[dedup])
@@ -101,7 +114,7 @@ def test_views_equal_from_scratch_oracle(events, windows):
     built = TemporalAdjacency.from_events(events)
     # the same structure without its build permutation: the group index
     # then orders events by an argsort, as for a mapped artifact
-    bare = TemporalAdjacency(built.in_csr, built.out_csr)
+    bare = TemporalAdjacency(built.in_csr)
     for adj in (built, bare):
         views = []
         for i, (ts, te) in enumerate(windows):
@@ -113,7 +126,7 @@ def test_views_equal_from_scratch_oracle(events, windows):
             for got, want in zip(snapshot(view), before):
                 np.testing.assert_array_equal(got, want)
             # ...and a view does not depend on the views built before it
-            fresh = TemporalAdjacency(built.in_csr, built.out_csr)
+            fresh = TemporalAdjacency(built.in_csr)
             alone = fresh.window_view(view.window)
             for got, want in zip(snapshot(alone), before):
                 np.testing.assert_array_equal(got, want)
