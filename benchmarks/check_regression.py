@@ -62,6 +62,9 @@ GUARDED = {
         (("auto", "auto_over_best"),
          "auto/best-fixed full-kernel time"),
     ],
+    # no guarded ratios: the Fig 5 contract is the ordering flags below
+    # (postmortem faster than offline and streaming on every config)
+    "fig5_models": [],
     # no guarded ratios: the out-of-core contract is the RSS-bound and
     # parity flags below (wall-clock and absolute RSS are machine facts)
     "outofcore": [],
@@ -98,6 +101,11 @@ REQUIRED_FLAGS = {
         ("parity", "spmm"),
         ("auto", "auto_within_bound"),
         ("workstats", "recorded"),
+    ],
+    # minimum over configs of the median per-round speedup is > 1
+    "fig5_models": [
+        ("pm_beats_offline",),
+        ("pm_beats_streaming",),
     ],
     "outofcore": [
         ("parity", "adjacency_match"),

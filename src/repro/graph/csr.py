@@ -22,6 +22,9 @@ from repro.utils.validation import check_1d_int, check_same_length
 
 __all__ = ["CSRGraph", "build_csr_from_edges"]
 
+#: the largest vertex count whose fused ``src * n + dst`` key fits int64
+_MAX_VERTICES = 2**31
+
 
 class CSRGraph:
     """A directed graph in compressed-sparse-row form.
@@ -118,7 +121,11 @@ def build_csr_from_edges(
 
     Duplicate pairs are collapsed when ``dedup`` is True (the default);
     the per-row adjacency is always sorted ascending.  Fully vectorized:
-    lexsort + boundary masks, no Python loop over edges.
+    one sort of the fused key ``src * n_vertices + dst`` (the (src, dst)
+    order ``np.lexsort((dst, src))`` gives), dedup on the sorted key, and
+    a ``divmod`` back to endpoints; no Python loop over edges.  The key
+    fits in int64 only while ``n_vertices <= 2**31``; larger graphs raise
+    :class:`GraphBuildError`.
     """
     src = check_1d_int(src, "src")
     dst = check_1d_int(dst, "dst")
@@ -127,6 +134,11 @@ def build_csr_from_edges(
     if n_vertices is None:
         n_vertices = int(max(src.max(), dst.max())) + 1 if src.size else 0
     n_vertices = int(n_vertices)
+    if n_vertices > _MAX_VERTICES:
+        raise GraphBuildError(
+            f"n_vertices={n_vertices} exceeds {_MAX_VERTICES}: the fused "
+            "(src, dst) sort key would overflow int64"
+        )
     if src.size:
         hi = int(max(src.max(), dst.max()))
         if hi >= n_vertices or min(src.min(), dst.min()) < 0:
@@ -141,14 +153,13 @@ def build_csr_from_edges(
             n_vertices,
         )
 
-    order = np.lexsort((dst, src))
-    s, d = src[order], dst[order]
+    key = np.sort(src * n_vertices + dst)
     if dedup:
-        keep = np.empty(s.size, dtype=bool)
+        keep = np.empty(key.size, dtype=bool)
         keep[0] = True
-        np.not_equal(s[1:], s[:-1], out=keep[1:])
-        keep[1:] |= d[1:] != d[:-1]
-        s, d = s[keep], d[keep]
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    s, d = np.divmod(key, n_vertices)
 
     counts = np.bincount(s, minlength=n_vertices)
     indptr = lengths_to_indptr(counts)

@@ -143,14 +143,11 @@ def delta_incremental_pagerank(
         # propagate the pushed correction to out-neighbors: each frontier
         # vertex u adds damping * push[u] / outdeg(u) to r[v] for (u, v)
         shares = push * inv_out[frontier] * damping
-        # expand frontier adjacency vectorized
         starts = graph.indptr[frontier]
         ends = graph.indptr[frontier + 1]
         lens = ends - starts
         if lens.sum() > 0:
-            flat_targets = np.concatenate(
-                [graph.col[s:e] for s, e in zip(starts, ends)]
-            ) if frontier.size < 1024 else _gather_ranges(graph.col, starts, ends)
+            flat_targets = _gather_ranges(graph.col, starts, ends)
             flat_shares = np.repeat(shares, lens)
             np.add.at(r, flat_targets, flat_shares)
         if config.dangling == "uniform":

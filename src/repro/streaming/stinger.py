@@ -1,11 +1,14 @@
 """The streaming graph middleware: sliding a window over an event stream.
 
 :class:`StreamingGraph` owns an :class:`~repro.streaming.edge_blocks.
-EdgeBlockAdjacency` representing the graph "now" and advances it window by
-window: events entering ``(prev_end, new_end]`` are batch-inserted, events
-older than the new window start are expired.  Updates are batched exactly
-like the paper's modified STINGER ("updates in batches equivalent to the
-postmortem code").
+EdgeBlockAdjacency` (one pool of edge blocks held in NumPy arrays)
+representing the graph "now" and advances it window by window: events
+entering ``(prev_end, new_end]`` are batch-inserted, events older than the
+new window start are expired, each as a few whole-array passes.  Updates
+are batched exactly like the paper's modified STINGER ("updates in
+batches equivalent to the postmortem code").  A snapshot rebuilds the
+simple graph's CSR from the live entries every window: the structure is
+built for updates, not for the PageRank pull.
 
 The streaming model sees the event log *as a stream*: it may only read
 events in timestamp order and cannot look ahead beyond the current window's

@@ -42,6 +42,20 @@ class TestBuild:
         with pytest.raises(GraphBuildError):
             build_csr_from_edges([0, 5], [1, 1], 3)
 
+    def test_rejects_vertex_count_past_fused_key(self):
+        # the (src, dst) sort key src * n + dst overflows int64 past 2**31
+        # vertices; rejected before the (n + 1)-entry indptr is allocated
+        with pytest.raises(GraphBuildError, match="2147483648"):
+            build_csr_from_edges([0], [1], 2**31 + 1)
+
+    def test_fused_key_order_matches_lexsort(self):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 50, 400)
+        dst = rng.integers(0, 50, 400)
+        g = build_csr_from_edges(src, dst, 50, dedup=False)
+        order = np.lexsort((dst, src))
+        assert g.col.tolist() == dst[order].tolist()
+
     def test_invalid_indptr(self):
         with pytest.raises(GraphBuildError):
             CSRGraph(np.array([0, 1]), np.array([0]), 3)

@@ -36,8 +36,52 @@ class TestCorruptedEdgeBlocks:
     def test_bad_fill_detected(self):
         adj = EdgeBlockAdjacency(2)
         adj.insert_batch(np.array([0]), np.array([1]), np.array([1]))
-        adj._blocks[0][0].fill = 999
+        adj._fill[adj._tail[0]] = 999  # corrupt the pool's fill array
         with pytest.raises(ValidationError, match="fill"):
+            adj.check_invariants()
+
+    def test_corrupt_tail_detected(self):
+        adj = EdgeBlockAdjacency(3, block_size=1)
+        adj.insert_batch(np.array([0, 0]), np.array([1, 2]),
+                         np.array([1, 2]))
+        first, newest = np.flatnonzero(adj._owner == 0)[
+            np.argsort(adj._seq[adj._owner == 0])
+        ]
+        assert adj._tail[0] == newest
+        adj._tail[0] = first  # owned and live, but not the newest block
+        with pytest.raises(ValidationError, match="tail"):
+            adj.check_invariants()
+
+    def test_double_free_detected(self):
+        adj = EdgeBlockAdjacency(3, block_size=2)
+        adj.insert_batch(np.array([0, 1]), np.array([1, 2]),
+                         np.array([1, 2]))
+        adj.expire_before(2)  # frees vertex 0's block
+        freed = adj._free[-1]
+        adj._free = np.append(adj._free, freed)
+        with pytest.raises(ValidationError, match="free list twice"):
+            adj.check_invariants()
+
+    def test_filled_free_block_detected(self):
+        adj = EdgeBlockAdjacency(3, block_size=2)
+        adj.insert_batch(np.array([0]), np.array([1]), np.array([1]))
+        adj.expire_before(5)
+        adj._fill[adj._free[-1]] = 1
+        with pytest.raises(ValidationError, match="free block"):
+            adj.check_invariants()
+
+    def test_free_and_owned_block_detected(self):
+        adj = EdgeBlockAdjacency(3, block_size=2)
+        adj.insert_batch(np.array([0]), np.array([1]), np.array([1]))
+        adj._free = np.append(adj._free, adj._tail[0])
+        with pytest.raises(ValidationError, match="free and owned"):
+            adj.check_invariants()
+
+    def test_out_of_range_owner_detected(self):
+        adj = EdgeBlockAdjacency(3, block_size=2)
+        adj.insert_batch(np.array([0]), np.array([1]), np.array([1]))
+        adj._owner[adj._tail[0]] = 3
+        with pytest.raises(ValidationError, match="out-of-range owner"):
             adj.check_invariants()
 
 
