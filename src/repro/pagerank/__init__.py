@@ -43,12 +43,11 @@ from repro.pagerank.init import full_initialization, partial_initialization
 from repro.pagerank.spmm import pagerank_windows_spmm
 from repro.pagerank.weighted import pagerank_window_weighted
 from repro.pagerank.workspace import Workspace
-from repro.pagerank.incremental import csr_pull_arrays, incremental_pagerank
+from repro.pagerank.incremental import incremental_pagerank
 
 __all__ = [
     "Workspace",
     "incremental_pagerank",
-    "csr_pull_arrays",
     "PagerankConfig",
     "PagerankResult",
     "BatchPagerankResult",

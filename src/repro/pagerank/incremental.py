@@ -31,20 +31,11 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.pagerank.config import PagerankConfig
+from repro.pagerank.init import materialized_partial_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
-from repro.utils.segments import segment_sum
+from repro.utils.segments import _check_indptr, _sum_nonempty
 
-__all__ = ["incremental_pagerank", "csr_pull_arrays"]
-
-
-def csr_pull_arrays(graph: CSRGraph):
-    """Transpose a CSR out-graph into pull arrays (in-indptr, src-col).
-
-    The streaming model pays this per window: its structure is organized
-    for updates (out-adjacency blocks), not for the pull iteration.
-    """
-    tr = graph.transpose()
-    return tr.indptr, tr.col
+__all__ = ["incremental_pagerank"]
 
 
 def incremental_pagerank(
@@ -87,28 +78,19 @@ def incremental_pagerank(
     inv_out = np.zeros(n, dtype=np.float64)
     nz = out_deg > 0
     inv_out[nz] = 1.0 / out_deg[nz]
-    in_indptr, in_col = csr_pull_arrays(graph)
+    # the streaming model pays this transpose per window: its structure is
+    # organized for updates (out-adjacency blocks), not for the pull
+    in_graph = graph.transpose()
+    in_col = in_graph.col
+    in_indptr = _check_indptr(in_graph.indptr, in_col.size)
+    nonempty = in_indptr[:-1] < in_indptr[1:]
+    starts = in_indptr[:-1][nonempty]
     dangling = mask & ~nz
 
-    # warm start: previous values on shared vertices, uniform on new ones,
-    # renormalized — the streaming analogue of the paper's eq. 4.
     if prev_values is not None:
-        prev_values = np.asarray(prev_values, dtype=np.float64)
-        shared = mask & (
-            np.asarray(prev_active, dtype=bool)
-            if prev_active is not None
-            else prev_values > 0
+        x = materialized_partial_initialization(
+            mask, n_active, prev_values, prev_active
         )
-        n_shared = int(shared.sum())
-        shared_mass = float(prev_values[shared].sum())
-        x = np.zeros(n, dtype=np.float64)
-        if n_shared and shared_mass > 0:
-            x[shared] = prev_values[shared] * (
-                (n_shared / n_active) / shared_mass
-            )
-            x[mask & ~shared] = 1.0 / n_active
-        else:
-            x[mask] = 1.0 / n_active
     else:
         x = np.where(mask, 1.0 / n_active, 0.0)
 
@@ -120,7 +102,9 @@ def incremental_pagerank(
 
     for it in range(1, config.max_iterations + 1):
         w = x * inv_out
-        y = segment_sum(w[in_col], in_indptr)
+        y = _sum_nonempty(
+            w[in_col], nonempty, starts, np.empty(n, dtype=np.float64)
+        )
         y *= damping
         if config.dangling == "uniform":
             dangling_mass = float(x[dangling].sum())

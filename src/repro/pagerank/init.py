@@ -20,12 +20,18 @@ across multi-window boundaries because the compacted index spaces differ.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.graph.temporal_csr import WindowView
 
-__all__ = ["full_initialization", "partial_initialization"]
+__all__ = [
+    "full_initialization",
+    "partial_initialization",
+    "materialized_partial_initialization",
+]
 
 
 def full_initialization(view: WindowView) -> np.ndarray:
@@ -83,4 +89,38 @@ def partial_initialization(
     x[shared] = prev_values[shared] * scale
     # vertices newly active in this window get the uniform share
     x[cur & ~prev] = 1.0 / n_cur
+    return x
+
+
+def materialized_partial_initialization(
+    mask: np.ndarray,
+    n_active: int,
+    prev_values: np.ndarray,
+    prev_active: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Eq. 4 warm start on a materialized graph (offline / streaming).
+
+    The previous window's values on the shared vertices, rescaled so they
+    carry ``n_shared / n_active`` of the mass, and the uniform
+    ``1 / n_active`` on vertices new in this window.  ``prev_active``
+    defaults to the previous vector's positive support.  Falls back to
+    the uniform vector when no vertex is shared or the shared mass is 0.
+
+    PageRank's and Katz's materialized solvers (``solve_graph``) share it.
+    """
+    n = mask.size
+    prev_values = np.asarray(prev_values, dtype=np.float64)
+    shared = mask & (
+        np.asarray(prev_active, dtype=bool)
+        if prev_active is not None
+        else prev_values > 0
+    )
+    n_shared = int(shared.sum())
+    shared_mass = float(prev_values[shared].sum())
+    x = np.zeros(n, dtype=np.float64)
+    if n_shared and shared_mass > 0:
+        x[shared] = prev_values[shared] * ((n_shared / n_active) / shared_mass)
+        x[mask & ~shared] = 1.0 / n_active
+    else:
+        x[mask] = 1.0 / n_active
     return x

@@ -34,9 +34,10 @@ from repro.graph.temporal_csr import WindowView
 from repro.pagerank.backends import resolve_backend
 from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
+from repro.pagerank.init import materialized_partial_initialization
 from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
 from repro.programs.base import VertexProgram
-from repro.utils.segments import segment_sum
+from repro.utils.segments import _check_indptr, _sum_nonempty, segment_sum
 
 __all__ = [
     "KatzConfig",
@@ -391,7 +392,10 @@ def _katz_graph(
         )
 
     in_graph = graph.transpose()
-    in_indptr, in_col = in_graph.indptr, in_graph.col
+    in_col = in_graph.col
+    in_indptr = _check_indptr(in_graph.indptr, in_col.size)
+    nonempty = in_indptr[:-1] < in_indptr[1:]
+    starts = in_indptr[:-1][nonempty]
     a = config.attenuation
     if config.auto_clamp:
         out_deg = graph.out_degrees()
@@ -405,29 +409,18 @@ def _katz_graph(
         # eq. 4 transfer, deliberately not shared with katz_partial_init:
         # the two group their float operations differently, and merging
         # them would change the stored bits of one of the models
-        prev_values = np.asarray(prev_values, dtype=np.float64)
-        shared = mask & (
-            np.asarray(prev_active, dtype=bool)
-            if prev_active is not None
-            else prev_values > 0
+        x = materialized_partial_initialization(
+            mask, n_active, prev_values, prev_active
         )
-        n_shared = int(shared.sum())
-        shared_mass = float(prev_values[shared].sum())
-        x = np.zeros(n, dtype=np.float64)
-        if n_shared and shared_mass > 0:
-            x[shared] = prev_values[shared] * (
-                (n_shared / n_active) / shared_mass
-            )
-            x[mask & ~shared] = 1.0 / n_active
-        else:
-            x[mask] = 1.0 / n_active
     else:
         x = np.where(mask, b, 0.0)
 
     work = WorkStats()
     residual = np.inf
     for it in range(1, config.max_iterations + 1):
-        y = a * segment_sum(x[in_col], in_indptr)
+        y = a * _sum_nonempty(
+            x[in_col], nonempty, starts, np.empty(n, dtype=np.float64)
+        )
         y[mask] += b
         y[~mask] = 0.0
         residual = float(np.abs(_normalized(y) - _normalized(x)).sum())

@@ -32,7 +32,6 @@ ARTIFACT_ORDER = [
     "ablation_partition",
     "ablation_vector_length",
     "ablation_memory",
-    "ablation_delta_engine",
     "ablation_tolerance",
     "scaling_workers",
     "extension_kcore",
@@ -52,7 +51,6 @@ _TITLES = {
     "ablation_partition": "Ablation — balanced multi-window partitioning",
     "ablation_vector_length": "Ablation — SpMM vector length",
     "ablation_memory": "Ablation — memory vs multi-window count",
-    "ablation_delta_engine": "Ablation — delta vs warm streaming engine",
     "ablation_tolerance": "Ablation — tolerance vs ranking quality",
     "scaling_workers": "Study — strong scaling",
     "extension_kcore": "Extension — k-core under the three models",

@@ -14,11 +14,9 @@ postmortem code").
 from repro.streaming.edge_blocks import EdgeBlockAdjacency
 from repro.streaming.stinger import StreamingGraph
 from repro.streaming.driver import StreamingDriver
-from repro.streaming.delta import delta_incremental_pagerank
 
 __all__ = [
     "EdgeBlockAdjacency",
     "StreamingGraph",
     "StreamingDriver",
-    "delta_incremental_pagerank",
 ]

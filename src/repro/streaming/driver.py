@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
-from repro.errors import ValidationError
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
 from repro.programs.registry import resolve_program
@@ -46,30 +45,15 @@ class StreamingDriver:
         events: TemporalEventSet,
         spec: WindowSpec,
         config: PagerankConfig = PagerankConfig(),
-        engine: str = "warm",
         *,
         executor: str = "serial",
         program=None,
     ) -> None:
-        if engine not in ("warm", "delta"):
-            raise ValidationError(
-                f"engine must be 'warm' or 'delta', got {engine!r}"
-            )
         require_executor(executor, self.supported_executors, self.model_name)
         self.events = events
         self.spec = spec
         self.config = config
-        #: "warm" = warm-started power iteration; "delta" = frontier-based
-        #: residual propagation (the paper's eq. 3, see
-        #: :mod:`repro.streaming.delta`)
-        self.engine = engine
         self.program = resolve_program(program, config)
-        if engine == "delta" and self.program.name != "pagerank":
-            raise ValidationError(
-                "the delta engine is PageRank-specific (eq. 3 residual "
-                f"propagation); program {self.program.name!r} requires "
-                "engine='warm'"
-            )
 
     def run(
         self,
@@ -91,21 +75,12 @@ class StreamingDriver:
             with result.timings.phase("snapshot"):
                 graph, active = stream.snapshot()
             with result.timings.phase("pagerank"):
-                if self.engine == "delta" and prev_values is not None:
-                    from repro.streaming.delta import (
-                        delta_incremental_pagerank,
-                    )
-
-                    pr = delta_incremental_pagerank(
-                        graph, prev_values, self.config, active=active
-                    )
-                else:
-                    pr = self.program.solve_graph(
-                        graph,
-                        active,
-                        prev_values=prev_values,
-                        prev_active=prev_active,
-                    )
+                pr = self.program.solve_graph(
+                    graph,
+                    active,
+                    prev_values=prev_values,
+                    prev_active=prev_active,
+                )
             result.work.merge(pr.work)
             window_result = WindowResult(
                 window_index=window.index,

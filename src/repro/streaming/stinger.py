@@ -51,11 +51,6 @@ class StreamingGraph:
         self.adjacency = EdgeBlockAdjacency(events.n_vertices, block_size)
         self._cursor = 0  # next unread event in the stream
         self._current: Optional[Window] = None
-        self.updates: list[UpdateSummary] = []
-
-    @property
-    def current_window(self) -> Optional[Window]:
-        return self._current
 
     @property
     def n_live_entries(self) -> int:
@@ -90,14 +85,12 @@ class StreamingGraph:
 
         expired = self.adjacency.expire_before(window.t_start)
         self._current = window
-        summary = UpdateSummary(
+        return UpdateSummary(
             window_index=window.index,
             inserted=inserted,
             expired=expired,
             live_entries=self.adjacency.n_entries,
         )
-        self.updates.append(summary)
-        return summary
 
     def snapshot(self) -> Tuple[CSRGraph, np.ndarray]:
         """The current simple graph and its active-vertex mask."""

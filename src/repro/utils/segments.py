@@ -78,26 +78,35 @@ def segment_sum(
     n_seg = indptr.size - 1
     out_shape = (n_seg,) + values.shape[1:]
     if out is None:
-        out = np.zeros(out_shape, dtype=values.dtype)
-    else:
-        if out.shape != out_shape or out.dtype != values.dtype:
-            raise ValidationError(
-                f"out must have shape {out_shape} and dtype "
-                f"{values.dtype}, got {out.shape}/{out.dtype}"
-            )
-        out.fill(0)
-    if n_seg == 0 or values.shape[0] == 0:
-        return out
-
-    # reduceat over only the non-empty segments: consecutive non-empty
-    # starts are exactly those segments' boundaries (empty segments have
-    # start == end, so skipping them leaves the spans intact).  This also
-    # avoids reduceat's inability to take a start index == len(values).
-    nonempty = indptr[:-1] < indptr[1:]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(
-            values, indptr[:-1][nonempty], axis=0
+        out = np.empty(out_shape, dtype=values.dtype)
+    elif out.shape != out_shape or out.dtype != values.dtype:
+        raise ValidationError(
+            f"out must have shape {out_shape} and dtype "
+            f"{values.dtype}, got {out.shape}/{out.dtype}"
         )
+    nonempty = indptr[:-1] < indptr[1:]
+    return _sum_nonempty(values, nonempty, indptr[:-1][nonempty], out)
+
+
+def _sum_nonempty(
+    values: np.ndarray,
+    nonempty: np.ndarray,
+    starts: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The reduction behind :func:`segment_sum`, for an already-checked
+    ``indptr``: ``nonempty`` is ``indptr[:-1] < indptr[1:]`` and ``starts``
+    is ``indptr[:-1][nonempty]``.  An iterative solver computes both once
+    per graph and calls this on every iteration.  ``out`` is overwritten.
+
+    reduceat runs over only the non-empty segments: consecutive non-empty
+    starts are exactly those segments' boundaries (empty segments have
+    start == end, so skipping them leaves the spans intact).  This also
+    avoids reduceat's inability to take a start index == len(values).
+    """
+    out.fill(0)
+    if starts.size:
+        out[nonempty] = np.add.reduceat(values, starts, axis=0)
     return out
 
 

@@ -359,13 +359,3 @@ class TestWeightedValidation:
                 PostmortemOptions(weighted=True),
                 program="katz",
             )
-
-    def test_streaming_delta_engine_is_pagerank_specific(self, setup):
-        from repro.streaming.driver import StreamingDriver
-
-        events, spec = setup
-        with pytest.raises(ValidationError):
-            StreamingDriver(
-                events, spec, PagerankConfig(), engine="delta",
-                program="kcore",
-            )

@@ -9,7 +9,7 @@ from repro.graph import build_csr_from_edges
 from repro.pagerank import PagerankConfig
 from repro.pagerank.reference import pagerank_csr_reference
 from repro.streaming import StreamingDriver, StreamingGraph
-from repro.pagerank.incremental import csr_pull_arrays, incremental_pagerank
+from repro.pagerank.incremental import incremental_pagerank
 from tests.conftest import random_events
 
 
@@ -46,13 +46,6 @@ class TestStreamingGraph:
 
 
 class TestIncrementalPagerank:
-    def test_pull_arrays_match_transpose(self):
-        g = build_csr_from_edges([0, 1, 2], [1, 2, 0], 3)
-        indptr, col = csr_pull_arrays(g)
-        tr = g.transpose()
-        assert np.array_equal(indptr, tr.indptr)
-        assert np.array_equal(col, tr.col)
-
     def test_matches_reference_cold(self, events, spec):
         cfg = PagerankConfig(tolerance=1e-13, max_iterations=500)
         w = spec.window(0)
@@ -87,6 +80,37 @@ class TestIncrementalPagerank:
         g = build_csr_from_edges([], [], 5)
         r = incremental_pagerank(g, active=np.zeros(5, dtype=bool))
         assert r.converged and np.all(r.values == 0)
+
+    def test_pull_indptr_checked_once_per_solve(
+        self, events, spec, monkeypatch
+    ):
+        """The pull CSR is validated once per solve, not per iteration."""
+        import repro.pagerank.incremental as incremental
+        import repro.utils.segments as segments
+
+        calls = []
+        check = segments._check_indptr
+
+        def counting_check(indptr, n_values):
+            calls.append(n_values)
+            return check(indptr, n_values)
+
+        monkeypatch.setattr(segments, "_check_indptr", counting_check)
+        monkeypatch.setattr(
+            incremental, "_check_indptr", counting_check, raising=False
+        )
+        w = spec.window(0)
+        src, dst = events.edges_between(w.t_start, w.t_end)
+        g = build_csr_from_edges(src, dst, events.n_vertices)
+        iterations = set()
+        for tolerance in (1e-4, 1e-12):
+            calls.clear()
+            cfg = PagerankConfig(tolerance=tolerance, max_iterations=500)
+            r = incremental_pagerank(g, cfg)
+            assert r.iterations > 1
+            assert calls == [g.n_edges]
+            iterations.add(r.iterations)
+        assert len(iterations) == 2
 
 
 class TestStreamingDriver:
