@@ -105,12 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "any execution model"
     )
     p_run.add_argument("events", nargs="?", default=None,
-                       help="event file (.npz, .tsv or .tcsr); or use "
-                       "--graph")
-    p_run.add_argument("--graph", default=None, metavar="PATH",
-                       help="run from a .tcsr artifact: events and "
-                       "adjacency stay memory-mapped, multi-window graphs "
-                       "are built per task")
+                       help="event file (.npz, .tsv or .tcsr; a .tcsr "
+                       "artifact stays memory-mapped)")
     add_window_args(p_run)
     p_run.add_argument("--model", default="postmortem",
                        choices=["offline", "streaming", "postmortem"],
@@ -481,16 +477,9 @@ def cmd_run(args, out) -> int:
     from repro.reporting import format_table
     from repro.runtime import make_driver
 
-    if (args.events is None) == (args.graph is None):
-        raise ValidationError(
-            "give exactly one input: an events file, or --graph PATH"
-        )
-    if args.graph is not None:
-        from repro.graph.io import open_events
-
-        events = open_events(args.graph)
-    else:
-        events = _load_events(args.events)
+    if args.events is None:
+        raise ValidationError("give an events file (.npz, .tsv or .tcsr)")
+    events = _load_events(args.events)
     spec = _make_spec(events, args)
     options = PostmortemOptions(
         n_multiwindows=args.multiwindows,

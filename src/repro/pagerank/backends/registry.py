@@ -24,6 +24,7 @@ from repro.pagerank.backends.numba_backend import (
     NumbaBackend,
     numba_available,
 )
+from repro.pagerank.compaction import cost_model_estimate
 
 __all__ = [
     "BACKEND_NAMES",
@@ -95,30 +96,19 @@ def resolve_backend(
 
     ``n_edges`` must be the per-iteration traversed edge count *after*
     the ``edge_path`` resolution.  ``"auto"`` asks the cost model with
-    the same iteration estimate policy as ``resolve_edge_path`` (the
-    chain's ``iteration_hint`` when positive, else the conservative
-    default capped by the iteration budget).  Without the JIT the
-    partitioned plan has no fused reduce to amortize its binning, so
-    ``"auto"`` resolves to ``"numpy"`` on JIT-less hosts without asking
-    the model.
+    the iteration estimate ``resolve_edge_path`` uses
+    (:func:`~repro.pagerank.compaction.cost_model_estimate`).  Without
+    the JIT the partitioned plan has no fused reduce to amortize its
+    binning, so ``"auto"`` resolves to ``"numpy"`` on JIT-less hosts
+    without asking the model.
     """
     name = config.backend
     if name != "auto":
         return create_backend(name, config.cache_budget)
     if not numba_available():
         return NumpyBackend()
-    # lazy import: repro.parallel pulls in the executor stack; the kernels
-    # must stay importable without it at module-import time
-    from repro.parallel.cost_model import (
-        DEFAULT_EXPECTED_ITERATIONS,
-        choose_backend,
-    )
-
-    if iteration_hint is not None and iteration_hint > 0:
-        expected = min(iteration_hint, config.max_iterations)
-    else:
-        expected = min(config.max_iterations, DEFAULT_EXPECTED_ITERATIONS)
-    strategy = choose_backend(
+    cost_model, expected = cost_model_estimate(config, iteration_hint)
+    strategy = cost_model.choose_backend(
         n_edges, n_vertices, expected, config.cache_budget
     )
     return create_backend(strategy, config.cache_budget)

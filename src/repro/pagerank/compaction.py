@@ -57,6 +57,7 @@ __all__ = [
     "CompactedUnion",
     "compact_pull",
     "compact_pull_union",
+    "cost_model_estimate",
     "resolve_edge_path",
 ]
 
@@ -202,6 +203,45 @@ def compact_pull_union(
     )
 
 
+def cost_model_estimate(
+    config: "PagerankConfig", iteration_hint: Optional[int] = None
+):
+    """``(cost_model, expected_iterations)`` for an ``"auto"`` decision.
+
+    Both ``auto`` knobs (``edge_path`` here, ``backend`` in
+    :mod:`repro.pagerank.backends.registry`) price per-iteration savings
+    against a one-off cost, so they share one iteration estimate:
+    ``iteration_hint`` (typically the previous window of the chain, whose
+    spectrum is nearly identical) when positive, otherwise a conservative
+    default — either way capped by the config's iteration budget.
+
+    A non-positive hint — a previous window that converged in zero
+    iterations (empty window) or a driver that deliberately passes its
+    raw counter — also falls back to the default, but *audibly*: a single
+    debug-level note per process, because a chain that silently treats
+    "converged instantly" as "no information" is hard to diagnose when
+    the crossover lands on the wrong side.
+    """
+    # lazy import: repro.parallel pulls in the executor stack; the kernels
+    # must stay importable without it at module-import time
+    from repro.parallel import cost_model
+
+    if iteration_hint is not None and iteration_hint > 0:
+        return cost_model, min(iteration_hint, config.max_iterations)
+    default = cost_model.DEFAULT_EXPECTED_ITERATIONS
+    if iteration_hint is not None:
+        global _NONPOSITIVE_HINT_NOTED
+        if not _NONPOSITIVE_HINT_NOTED:
+            _NONPOSITIVE_HINT_NOTED = True
+            logging.getLogger(__name__).debug(
+                "an 'auto' decision received iteration_hint=%d; "
+                "falling back to DEFAULT_EXPECTED_ITERATIONS=%d (noted "
+                "once per process)",
+                iteration_hint, default,
+            )
+    return cost_model, min(config.max_iterations, default)
+
+
 def resolve_edge_path(
     config: "PagerankConfig",
     nnz: int,
@@ -215,40 +255,13 @@ def resolve_edge_path(
     save ``(nnz - |E_w|)`` traversed events per iteration.  The model
     prices the pack per packed edge only; its Θ(groups + |V|) scan and
     prefix sum match work the view already did on either path, so they
-    are left out (docs/tuning.md).  The decision needs an iteration
-    estimate — ``iteration_hint`` (typically the previous window of the
-    chain, whose spectrum is nearly identical) when available, otherwise a
-    conservative default capped by the config's iteration budget.
-
-    A non-positive hint — a previous window that converged in zero
-    iterations (empty window) or a driver that deliberately passes its
-    raw counter — also falls back to the default, but *audibly*: a single
-    debug-level note per process, because a chain that silently treats
-    "converged instantly" as "no information" is hard to diagnose when
-    the crossover lands on the wrong side.
+    are left out (docs/tuning.md).  The iteration estimate comes from
+    :func:`cost_model_estimate`.
     """
     path = config.edge_path
     if path != "auto":
         return path
-    # lazy import: repro.parallel pulls in the executor stack; the kernels
-    # must stay importable without it at module-import time
-    from repro.parallel.cost_model import (
-        DEFAULT_EXPECTED_ITERATIONS,
-        choose_edge_path,
+    cost_model, expected = cost_model_estimate(config, iteration_hint)
+    return cost_model.choose_edge_path(
+        nnz, n_active_edges, n_vertices, expected
     )
-
-    if iteration_hint is not None and iteration_hint > 0:
-        expected = min(iteration_hint, config.max_iterations)
-    else:
-        if iteration_hint is not None:
-            global _NONPOSITIVE_HINT_NOTED
-            if not _NONPOSITIVE_HINT_NOTED:
-                _NONPOSITIVE_HINT_NOTED = True
-                logging.getLogger(__name__).debug(
-                    "edge_path='auto' received iteration_hint=%d; falling "
-                    "back to DEFAULT_EXPECTED_ITERATIONS=%d (noted once "
-                    "per process)",
-                    iteration_hint, DEFAULT_EXPECTED_ITERATIONS,
-                )
-        expected = min(config.max_iterations, DEFAULT_EXPECTED_ITERATIONS)
-    return choose_edge_path(nnz, n_active_edges, n_vertices, expected)

@@ -33,6 +33,7 @@ from repro.graph.csr import CSRGraph
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import materialized_partial_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.spmv import _unit_mass
 from repro.utils.segments import _check_indptr, _sum_nonempty
 
 __all__ = ["incremental_pagerank"]
@@ -65,19 +66,51 @@ def incremental_pagerank(
         mask[dst] = True
     else:
         mask = np.asarray(active, dtype=bool)
+    return _power_iterate_graph(
+        graph, config, mask, 1.0, prev_values, prev_active,
+        graph.out_degrees(), config.damping, config.alpha,
+    )
+
+
+def _power_iterate_graph(
+    graph: CSRGraph,
+    config: PagerankConfig,
+    mask: np.ndarray,
+    cold_mass: float,
+    prev_values: Optional[np.ndarray],
+    prev_active: Optional[np.ndarray],
+    out_weight: np.ndarray,
+    scale: float,
+    base: float,
+    normalized: bool = False,
+) -> PagerankResult:
+    """The power iteration of every materialized (simple-graph) solve.
+
+    The affine pull of :func:`~repro.pagerank.spmv._power_iterate` over
+    the whole vertex space of ``graph``, restricted to the active
+    ``mask``.  It starts from ``prev_values`` transferred by eq. 4
+    (:func:`~repro.pagerank.init.materialized_partial_initialization`)
+    or, cold, from ``cold_mass`` spread evenly over the active vertices.
+    ``out_weight`` is the per-source weight (out-degree for PageRank, 1
+    for Katz), ``normalized`` compares unit-mass iterates and returns the
+    unit-mass fixed point, and ``config`` supplies the tolerance,
+    iteration cap, strictness and dangling policy.
+    """
+    n = graph.n_vertices
     n_active = int(mask.sum())
     if n_active == 0:
         return PagerankResult(
-            values=np.zeros(n, dtype=np.float64),
-            iterations=0,
-            converged=True,
-            residual=0.0,
+            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
-
-    out_deg = graph.out_degrees()
+    if prev_values is not None:
+        x = materialized_partial_initialization(
+            mask, n_active, prev_values, prev_active
+        )
+    else:
+        x = np.where(mask, cold_mass / n_active, 0.0)
     inv_out = np.zeros(n, dtype=np.float64)
-    nz = out_deg > 0
-    inv_out[nz] = 1.0 / out_deg[nz]
+    nz = out_weight > 0
+    inv_out[nz] = 1.0 / out_weight[nz]
     # the streaming model pays this transpose per window: its structure is
     # organized for updates (out-adjacency blocks), not for the pull
     in_graph = graph.transpose()
@@ -87,44 +120,48 @@ def incremental_pagerank(
     starts = in_indptr[:-1][nonempty]
     dangling = mask & ~nz
 
-    if prev_values is not None:
-        x = materialized_partial_initialization(
-            mask, n_active, prev_values, prev_active
-        )
-    else:
-        x = np.where(mask, 1.0 / n_active, 0.0)
-
-    alpha = config.alpha
-    damping = config.damping
-    teleport = alpha / n_active
+    teleport = base / n_active
     work = WorkStats()
     residual = np.inf
+    if normalized:
+        total = x.sum()
 
     for it in range(1, config.max_iterations + 1):
         w = x * inv_out
         y = _sum_nonempty(
             w[in_col], nonempty, starts, np.empty(n, dtype=np.float64)
         )
-        y *= damping
+        y *= scale
         if config.dangling == "uniform":
             dangling_mass = float(x[dangling].sum())
             if dangling_mass:
-                y[mask] += damping * dangling_mass / n_active
+                y[mask] += scale * dangling_mass / n_active
         y[mask] += teleport
         y[~mask] = 0.0
 
-        residual = float(np.abs(y - x).sum())
+        if normalized:
+            y_total = y.sum()
+            residual = float(
+                np.abs(_unit_mass(y, y_total) - _unit_mass(x, total)).sum()
+            )
+            total = y_total
+        else:
+            residual = float(np.abs(y - x).sum())
         x = y
         work.iterations += 1
         work.edge_traversals += graph.n_edges
         work.active_edge_traversals += graph.n_edges
         work.vertex_ops += n_active
         if residual < config.tolerance:
-            return PagerankResult(x, it, True, residual, work)
-
-    if config.strict:
-        raise ConvergenceError(
-            f"incremental pagerank did not converge in "
-            f"{config.max_iterations} iterations (residual {residual:.3e})"
-        )
-    return PagerankResult(x, config.max_iterations, False, residual, work)
+            break
+    else:
+        if config.strict:
+            raise ConvergenceError(
+                f"materialized solve did not converge in "
+                f"{config.max_iterations} iterations "
+                f"(residual {residual:.3e})"
+            )
+    return PagerankResult(
+        _unit_mass(x, total) if normalized else x,
+        work.iterations, residual < config.tolerance, residual, work,
+    )

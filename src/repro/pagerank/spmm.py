@@ -23,12 +23,15 @@ the k windows' active deduped edges once per batch
 region schedule batches windows that are far apart in time, so the union
 is typically a small fraction of nnz and the shared structure pass
 shrinks accordingly.  Bitwise-identical to the masked batch.
+
+The loop (``_power_iterate_batch``) takes a per-column scale and the base
+as arguments, so Katz's batches (:mod:`repro.programs.katz`) run it too.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +42,8 @@ from repro.pagerank.compaction import compact_pull_union, resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import BatchPagerankResult, WorkStats
+from repro.pagerank.spmv import _unit_mass
+from repro.pagerank.workspace import Workspace
 
 __all__ = ["pagerank_windows_spmm"]
 
@@ -65,15 +70,44 @@ def pagerank_windows_spmm(
         structure matrices (the ``(nnz, k)`` dedup mask — the batch's
         dominant allocation — plus degrees/activity) and the per-iteration
         gather/reduce buffers are recycled across same-width batches of a
-        chain.  Once columns start converging the live subset shrinks and
-        the kernel falls back to the allocating slow path for those
-        iterations; results are bitwise-identical either way, and returned
-        values are always freshly owned.
+        chain; without one the batch pools through a private workspace.
+        Once columns start converging the live subset shrinks and the
+        kernel gathers the live columns per iteration; results are
+        bitwise-identical either way, and returned values are always
+        freshly owned.
 
     Returns
     -------
     BatchPagerankResult
         ``values[:, j]`` is the PageRank of ``views[j].window``.
+    """
+    return _power_iterate_batch(
+        views, config, x0, workspace, iteration_hint,
+        np.full(len(views), config.damping, dtype=np.float64), config.alpha,
+    )
+
+
+def _power_iterate_batch(
+    views: Sequence[WindowView],
+    config: PagerankConfig,
+    x0: Optional[np.ndarray],
+    workspace: Optional[Workspace],
+    iteration_hint: Optional[int],
+    scale: np.ndarray,
+    base: float,
+    normalized: bool = False,
+    unit_weights: bool = False,
+) -> BatchPagerankResult:
+    """The batched power iteration of every SpMM solve.
+
+    Column j steps ``y = scale[j] * A^T (x / outdeg_j) + dangling +
+    base / |V_j|`` — the affine pull of
+    :func:`~repro.pagerank.spmv._power_iterate`, k windows per structure
+    pass.  ``unit_weights`` replaces the window out-degrees by 1 (Katz:
+    no degree normalization, so no dangling set); ``normalized`` compares
+    unit-mass columns and returns the unit-mass fixed points.  ``config``
+    supplies the tolerance, iteration cap, strictness, dangling policy and
+    propagation routing.
     """
     if not views:
         raise ValidationError("need at least one window view")
@@ -89,7 +123,7 @@ def pagerank_windows_spmm(
     k = len(views)
     in_csr = adjacency.in_csr
     nnz = in_csr.nnz
-    ws = workspace
+    ws = workspace if workspace is not None else Workspace()
     active_edge_counts = np.array(
         [v.n_active_edges for v in views], dtype=np.int64
     )
@@ -107,10 +141,7 @@ def pagerank_windows_spmm(
         dedup = packed.active
         it_nnz = packed.n_edges
     else:
-        if ws is None:
-            dedup = np.empty((nnz, k), dtype=np.bool_)
-        else:
-            dedup = ws.buffer("spmm.dedup", (nnz, k), np.bool_)
+        dedup = ws.buffer("spmm.dedup", (nnz, k), np.bool_)
         # a column at a time: one transient nnz-length mask, not k
         for j, v in enumerate(views):
             dedup[:, j] = v.in_dedup
@@ -124,52 +155,37 @@ def pagerank_windows_spmm(
     )
     work.binning_seconds += time.perf_counter() - t_bin
 
-    if ws is None:
-        inv_out = np.empty((n, k), dtype=np.float64)
-        active = np.stack([v.active_vertices_mask for v in views], axis=1)
-        dangling = active & np.stack(
-            [v.out_degrees == 0 for v in views], axis=1
-        )
+    inv_out = ws.buffer("spmm.inv_out", (n, k), np.float64)
+    active = np.stack(
+        [v.active_vertices_mask for v in views], axis=1,
+        out=ws.buffer("spmm.active", (n, k), np.bool_),
+    )
+    dangling = ws.buffer("spmm.dangling", (n, k), np.bool_)
+    if unit_weights:
+        inv_out.fill(1.0)
+        dangling.fill(False)
     else:
-        inv_out = ws.buffer("spmm.inv_out", (n, k), np.float64)
-        active = np.stack(
-            [v.active_vertices_mask for v in views], axis=1,
-            out=ws.buffer("spmm.active", (n, k), np.bool_),
-        )
-        dangling = np.stack(
-            [v.out_degrees == 0 for v in views], axis=1,
-            out=ws.buffer("spmm.dangling", (n, k), np.bool_),
-        )
+        np.stack([v.out_degrees == 0 for v in views], axis=1, out=dangling)
         dangling &= active
-    # column-at-a-time fill: a workspace-built view's inverse_out_degrees
-    # returns shared pooled scratch, so each result must be copied out
-    # before the next view's call overwrites it
-    for j, v in enumerate(views):
-        inv_out[:, j] = v.inverse_out_degrees()
+        # column-at-a-time fill: a workspace-built view's
+        # inverse_out_degrees returns shared pooled scratch, so each
+        # result must be copied out before the next view's call
+        # overwrites it
+        for j, v in enumerate(views):
+            inv_out[:, j] = v.inverse_out_degrees()
     n_active = np.array([v.n_active_vertices for v in views], dtype=np.int64)
 
+    X = ws.buffer("spmm.X", (n, k), np.float64)
     if x0 is None:
-        if ws is None:
-            X = np.stack([full_initialization(v) for v in views], axis=1)
-        else:
-            X = np.stack(
-                [full_initialization(v) for v in views], axis=1,
-                out=ws.buffer("spmm.X", (n, k), np.float64),
-            )
+        np.stack([full_initialization(v) for v in views], axis=1, out=X)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n, k):
             raise ValidationError(f"x0 must have shape ({n}, {k})")
-        if ws is None:
-            X = x0.copy()
-        else:
-            X = ws.buffer("spmm.X", (n, k), np.float64)
-            np.copyto(X, x0)
+        np.copyto(X, x0)
 
-    alpha = config.alpha
-    damping = config.damping
     safe_active = np.maximum(n_active, 1)
-    teleport = np.where(n_active > 0, alpha / safe_active, 0.0)
+    teleport = np.where(n_active > 0, base / safe_active, 0.0)
 
     iterations = np.zeros(k, dtype=np.int64)
     residuals = np.full(k, np.inf, dtype=np.float64)
@@ -183,7 +199,7 @@ def pagerank_windows_spmm(
         it += 1
         idx = np.flatnonzero(live)
         t_prop = time.perf_counter()
-        if ws is not None and idx.size == k:
+        if idx.size == k:
             # full-width fast path: every window still live, so the
             # workspace buffers apply directly with no column selection
             Xl = X
@@ -207,14 +223,19 @@ def pagerank_windows_spmm(
             act = active[:, idx]
             dang = dangling[:, idx]
         work.propagate_seconds += time.perf_counter() - t_prop
-        Y *= damping
+        Y *= scale[idx]
         if config.dangling == "uniform":
             dmass = np.sum(Xl * dang, axis=0)
-            Y += (damping * dmass / safe_active[idx]) * act
+            Y += (scale[idx] * dmass / safe_active[idx]) * act
         Y += teleport[idx] * act
         Y[~act] = 0.0
 
-        res = np.abs(Y - Xl).sum(axis=0)
+        if normalized:
+            res = np.abs(
+                _unit_mass(Y, Y.sum(axis=0)) - _unit_mass(Xl, Xl.sum(axis=0))
+            ).sum(axis=0)
+        else:
+            res = np.abs(Y - Xl).sum(axis=0)
         X[:, idx] = Y
         iterations[idx] += 1
         residuals[idx] = res
@@ -236,7 +257,7 @@ def pagerank_windows_spmm(
         )
 
     return BatchPagerankResult(
-        values=X if ws is None else X.copy(),
+        values=_unit_mass(X, X.sum(axis=0)) if normalized else X.copy(),
         window_indices=[v.window.index for v in views],
         iterations_per_window=iterations,
         converged=converged,

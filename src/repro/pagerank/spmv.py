@@ -35,6 +35,10 @@ cost model, using the chain's ``iteration_hint`` when the driver supplies
 one).  The one length-``n`` pass left per iteration is the residual sum,
 which runs over a zero-padded buffer so its pairwise summation keeps the
 bits of the whole-graph residual.
+
+The loop (``_power_iterate``) takes the step's affine constants as
+arguments rather than reading ``alpha``, so the weighted kernel and Katz
+(:mod:`repro.programs.katz`) run it too.
 """
 
 from __future__ import annotations
@@ -94,24 +98,16 @@ def pagerank_window(
         Values live in the view's (local) vertex space; inactive vertices
         hold exactly ``+0.0``.
     """
-    n = view.adjacency.n_vertices
-    if view.n_active_vertices == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
-    in_csr = view.adjacency.in_csr
-    path = resolve_edge_path(
-        config, in_csr.nnz, view.n_active_edges, n, iteration_hint
-    )
-    if path == "compacted":
-        packed = view.compact_pull(workspace=workspace)
-        col, rows, mask = packed.col, packed.rows, None
-    else:
-        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
     return _power_iterate(
         view, config, x0, workspace, iteration_hint,
-        col, rows, mask, None, view.out_degrees,
+        view.out_degrees, config.damping, config.alpha,
     )
+
+
+def _unit_mass(values: np.ndarray, total) -> np.ndarray:
+    """``values`` divided by ``total`` (per column for a matrix), or left
+    unscaled where the total is not positive."""
+    return values / np.where(total > 0, total, 1.0)
 
 
 def _power_iterate(
@@ -120,24 +116,51 @@ def _power_iterate(
     x0: Optional[np.ndarray],
     workspace: Optional[Workspace],
     iteration_hint: Optional[int],
-    col: np.ndarray,
-    rows: np.ndarray,
-    mask: Optional[np.ndarray],
-    weights: Optional[np.ndarray],
     out_weight: np.ndarray,
+    scale: float,
+    base: float,
+    weights: Optional[np.ndarray] = None,
+    normalized: bool = False,
 ) -> PagerankResult:
-    """The power iteration shared by the SpMV and weighted kernels.
+    """The window-local power iteration of every single-window solve.
 
-    ``col``/``rows`` are the resolved pull edge list in the graph's vertex
-    space (destination-grouped), ``mask`` the per-edge activity mask of the
-    masked path (``None`` when compacted), ``weights`` the optional
-    per-edge multiplicities, and ``out_weight`` the length-``n`` window
-    out-degree (or out-strength) vector, zero exactly at dangling and
-    inactive vertices.  The view must have at least one active vertex.
+    One step is the affine pull
+
+        y = scale * A^T (x / out_weight) + dangling + base / |V_w|
+
+    — PageRank passes ``scale = 1 - alpha`` and ``base = alpha``, Katz its
+    clamped attenuation, its base and unit out-weights (so its dangling
+    set is empty).  ``out_weight`` is the length-``n`` source weight
+    vector (window out-degree or out-strength), zero exactly at dangling
+    and inactive vertices; ``weights`` the optional per-edge
+    multiplicities, aligned with the view's active groups.
+    ``normalized`` compares unit-mass iterates (a scale-invariant
+    residual) and returns the unit-mass fixed point.  ``config`` supplies
+    the tolerance, iteration cap, strictness, dangling policy and
+    propagation routing (edge path and backend).
     """
     n = view.adjacency.n_vertices
-    nnz = view.adjacency.in_csr.nnz
     k = view.n_active_vertices
+    if k == 0:
+        return PagerankResult(
+            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
+        )
+    in_csr = view.adjacency.in_csr
+    nnz = in_csr.nnz
+    path = resolve_edge_path(
+        config, nnz, view.n_active_edges, n, iteration_hint
+    )
+    if path == "compacted":
+        packed = view.compact_pull(workspace=workspace)
+        col, rows, mask = packed.col, packed.rows, None
+    else:
+        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
+        if weights is not None:
+            # the multiplicities follow the group order, which is the
+            # order of the first-active events
+            per_event = np.zeros(nnz, dtype=np.float64)
+            per_event[mask] = weights
+            weights = per_event
     m = col.shape[0]
     ws = workspace if workspace is not None else Workspace()
 
@@ -191,8 +214,12 @@ def _power_iterate(
     np.divide(1.0, inv, out=inv, where=inv != 0.0)
     dang_buf = dang_buf[: dangling.size]
 
-    damping = config.damping
-    teleport = config.alpha / k
+    teleport = base / k
+    if normalized:
+        # unit-mass totals are summed over the zero-padded buffer too, so
+        # their bits match a sum over the whole vertex space
+        resid[active_idx] = rank0
+        total = float(np.add.reduce(resid))
     residual = np.inf
     iterations = 0
     propagate_seconds = 0.0
@@ -205,14 +232,22 @@ def _power_iterate(
             share, mask=mask, weights=weights, out=y, contrib=contrib
         )
         propagate_seconds += time.perf_counter() - t_prop
-        y *= damping
+        y *= scale
         if dangling.size:
             x.take(dangling, out=dang_buf)
             dangling_mass = float(np.add.reduce(dang_buf))
             if dangling_mass:
-                y += damping * dangling_mass / k
+                y += scale * dangling_mass / k
         y += teleport
-        np.subtract(y, x, out=diff)
+        if normalized:
+            resid[active_idx] = y
+            y_total = float(np.add.reduce(resid))
+            np.subtract(
+                _unit_mass(y, y_total), _unit_mass(x, total), out=diff
+            )
+            total = y_total
+        else:
+            np.subtract(y, x, out=diff)
         np.abs(diff, out=diff)
         resid[active_idx] = diff
         residual = float(np.add.reduce(resid))
@@ -228,7 +263,7 @@ def _power_iterate(
             )
 
     values = np.zeros(n, dtype=np.float64)
-    values[active_idx] = x
+    values[active_idx] = _unit_mass(x, total) if normalized else x
     work = WorkStats(
         iterations=iterations,
         edge_traversals=iterations * m,

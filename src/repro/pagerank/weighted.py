@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult
 from repro.pagerank.spmv import _power_iterate
@@ -59,31 +58,13 @@ def pagerank_window_weighted(
     to the masked path.
     """
     n = view.adjacency.n_vertices
-    if view.n_active_vertices == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
-
-    in_csr = view.adjacency.in_csr
-    groups = view.adjacency.groups
     weights = view.multiplicities.astype(np.float64)
     # weighted out-strength per source: sum of its outgoing edge weights
     out_strength = np.bincount(
-        groups.col[view.active_groups], weights=weights, minlength=n
+        view.adjacency.groups.col[view.active_groups],
+        weights=weights, minlength=n,
     )
-
-    path = resolve_edge_path(
-        config, in_csr.nnz, view.n_active_edges, n, iteration_hint
-    )
-    if path == "compacted":
-        packed = view.compact_pull(workspace=workspace)
-        col, rows, mask = packed.col, packed.rows, None
-    else:
-        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
-        per_event = np.zeros(in_csr.nnz, dtype=np.float64)
-        per_event[mask] = weights
-        weights = per_event
     return _power_iterate(
         view, config, x0, workspace, iteration_hint,
-        col, rows, mask, weights, out_strength,
+        out_strength, config.damping, config.alpha, weights=weights,
     )

@@ -1,4 +1,5 @@
-"""Tests for the SpMM-batched Katz kernel."""
+"""Tests for batched Katz: ``KatzProgram.solve_batch`` on the shared
+SpMM power loop, checked against the reference ``katz_window``."""
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ import pytest
 from repro.errors import ValidationError
 from repro.events import Window, WindowSpec
 from repro.graph import TemporalAdjacency
-from repro.pagerank import PagerankConfig
-from repro.programs.katz import (
-    KatzConfig,
-    KatzProgram,
-    katz_window,
-    katz_windows_spmm,
-)
+from repro.pagerank import PagerankConfig, Workspace
+from repro.programs.katz import KatzConfig, KatzProgram, katz_window
 from tests.conftest import random_events
 
 CFG = KatzConfig(tolerance=1e-12, max_iterations=500)
+PROGRAM = KatzProgram(config=CFG, routing=PagerankConfig(edge_path="masked"))
+
+
+def solve_batch(views, program=PROGRAM, **kwargs):
+    """Batch-solve ``views`` from their cold starts."""
+    x0 = np.stack([program.init_window(v) for v in views], axis=1)
+    return program.solve_batch(views, x0, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ class TestKatzSpmm:
     def test_matches_single_kernel(self, setup):
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
-        batch = katz_windows_spmm(views, CFG)
+        batch = solve_batch(views)
         for j, v in enumerate(views):
             single = katz_window(v, CFG)
             assert np.allclose(batch.values[:, j], single.values,
@@ -39,7 +42,7 @@ class TestKatzSpmm:
     def test_columns_are_distributions(self, setup):
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
-        batch = katz_windows_spmm(views, CFG)
+        batch = solve_batch(views)
         for j, v in enumerate(views):
             if v.n_active_vertices:
                 assert batch.values[:, j].sum() == pytest.approx(1.0,
@@ -51,28 +54,25 @@ class TestKatzSpmm:
             adj.window_view(spec.window(0)),
             adj.window_view(Window(1, 10**9, 10**9 + 1)),
         ]
-        batch = katz_windows_spmm(views, CFG)
+        batch = solve_batch(views)
         assert batch.converged[1]
         assert np.all(batch.values[:, 1] == 0)
 
     def test_shared_structure_work(self, setup):
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
-        batch = katz_windows_spmm(views, CFG)
+        batch = solve_batch(views)
         assert batch.work.edge_traversals == batch.work.iterations * adj.nnz
 
     def test_single_batch_counts_active_edges_like_solve_window(self, setup):
         """A batch of one window reports the same active-edge work as the
         SpMV solve of that window."""
         adj, spec = setup
-        program = KatzProgram(
-            config=CFG, routing=PagerankConfig(edge_path="masked")
-        )
         for w in spec:
             view = adj.window_view(w)
-            x0 = program.init_window(view)
-            batch = program.solve_batch([view], x0[:, None])
-            single = program.solve_window(view, x0)
+            x0 = PROGRAM.init_window(view)
+            batch = PROGRAM.solve_batch([view], x0[:, None])
+            single = PROGRAM.solve_window(view, x0)
             assert batch.iterations_per_window[0] == single.iterations
             assert (
                 batch.work.active_edge_traversals
@@ -83,21 +83,75 @@ class TestKatzSpmm:
     def test_rejects_empty_and_mixed(self, setup):
         adj, spec = setup
         with pytest.raises(ValidationError):
-            katz_windows_spmm([], CFG)
+            PROGRAM.solve_batch([], np.zeros((35, 0)))
         other = TemporalAdjacency.from_events(
             random_events(n_vertices=35, n_events=450, seed=77)
         )
         with pytest.raises(ValidationError):
-            katz_windows_spmm(
+            solve_batch(
                 [adj.window_view(spec.window(0)),
-                 other.window_view(spec.window(1))],
-                CFG,
+                 other.window_view(spec.window(1))]
             )
 
     def test_rejects_bad_x0(self, setup):
         adj, spec = setup
         with pytest.raises(ValidationError):
-            katz_windows_spmm(
-                [adj.window_view(spec.window(0))], CFG,
-                x0=np.zeros((2, 1)),
+            PROGRAM.solve_batch(
+                [adj.window_view(spec.window(0))], np.zeros((2, 1))
+            )
+
+
+ROUTINGS = [
+    PagerankConfig(edge_path=path, backend=backend, cache_budget=64)
+    for path in ("masked", "compacted")
+    for backend in ("numpy", "numba")
+]
+
+
+class TestKatzRouting:
+    """Katz runs PageRank's power loops, so it inherits their routing
+    contract: every edge path and backend gives the same bits."""
+
+    def test_solve_window_bitwise_across_routing(self, setup):
+        adj, spec = setup
+        for w in spec:
+            view = adj.window_view(w)
+            x0 = PROGRAM.init_window(view)
+            runs = [
+                KatzProgram(config=CFG, routing=r).solve_window(view, x0)
+                for r in ROUTINGS
+            ]
+            for r in runs[1:]:
+                assert np.array_equal(r.values, runs[0].values), w.index
+                assert r.iterations == runs[0].iterations, w.index
+
+    def test_solve_batch_bitwise_across_routing(self, setup):
+        adj, spec = setup
+        views = [adj.window_view(w) for w in spec]
+        runs = [
+            solve_batch(views, KatzProgram(config=CFG, routing=r), **kw)
+            for r in ROUTINGS
+            for kw in ({}, {"workspace": Workspace()})
+        ]
+        for r in runs[1:]:
+            assert np.array_equal(r.values, runs[0].values)
+            assert np.array_equal(
+                r.iterations_per_window, runs[0].iterations_per_window
+            )
+
+    def test_compacted_batch_streams_only_the_union(self, setup):
+        adj, spec = setup
+        views = [
+            adj.window_view(spec.window(0)),
+            adj.window_view(spec.window(spec.n_windows - 1)),
+        ]
+        program = KatzProgram(
+            config=CFG, routing=PagerankConfig(edge_path="compacted")
+        )
+        batch = solve_batch(views, program)
+        assert 0 < batch.work.edge_traversals
+        assert batch.work.edge_traversals < batch.work.iterations * adj.nnz
+        for j, v in enumerate(views):
+            assert np.allclose(
+                batch.values[:, j], katz_window(v, CFG).values, atol=1e-8
             )

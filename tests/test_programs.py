@@ -35,12 +35,7 @@ from repro.programs import (
     validate_program_name,
 )
 from repro.programs.components import ComponentsProgram
-from repro.programs.katz import (
-    KatzConfig,
-    KatzProgram,
-    katz_window,
-    katz_window_backend,
-)
+from repro.programs.katz import KatzConfig, KatzProgram, katz_window
 from repro.programs.kcore import KCoreProgram
 from repro.runtime import make_driver
 from tests.conftest import random_events
@@ -256,22 +251,25 @@ class TestEngineBitwiseGrid:
 
 class TestKatzProgram:
     def test_backend_kernel_matches_segment_sum(self, setup):
-        """Backend propagation and the legacy reduceat kernel agree on
-        the normalized fixed point (different summation orders); the
-        partitioned numba plan matches the flat one bitwise."""
+        """The program's solve (PageRank's window-local loop) and the
+        reference reduceat kernel agree on the normalized fixed point
+        (different summation orders); the partitioned numba plan matches
+        the flat one bitwise."""
         events, spec = setup
         adj = TemporalAdjacency.from_events(events)
         cfg = KatzConfig(tolerance=1e-12, max_iterations=500)
+        numba_program = KatzProgram(
+            config=cfg,
+            routing=PagerankConfig(backend="numba", cache_budget=64),
+        )
         for i in range(min(spec.n_windows, 4)):
             view = adj.window_view(spec.window(i))
-            ours = katz_window_backend(view, cfg, PagerankConfig())
+            ours = KatzProgram(config=cfg).solve_window(view)
             legacy = katz_window(view, cfg)
             assert np.allclose(
                 ours.values, legacy.values, atol=1e-9
             ), i
-            numba = katz_window_backend(
-                view, cfg, PagerankConfig(backend="numba", cache_budget=64)
-            )
+            numba = numba_program.solve_window(view)
             assert np.array_equal(numba.values, ours.values), i
 
     def test_warm_start_converges_no_slower(self, setup):

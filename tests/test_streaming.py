@@ -84,9 +84,12 @@ class TestIncrementalPagerank:
     def test_pull_indptr_checked_once_per_solve(
         self, events, spec, monkeypatch
     ):
-        """The pull CSR is validated once per solve, not per iteration."""
+        """The pull CSR is validated once per solve, not per iteration —
+        PageRank's materialized solve and Katz's, which runs the same
+        loop."""
         import repro.pagerank.incremental as incremental
         import repro.utils.segments as segments
+        from repro.programs.katz import KatzConfig, KatzProgram
 
         calls = []
         check = segments._check_indptr
@@ -102,15 +105,26 @@ class TestIncrementalPagerank:
         w = spec.window(0)
         src, dst = events.edges_between(w.t_start, w.t_end)
         g = build_csr_from_edges(src, dst, events.n_vertices)
-        iterations = set()
-        for tolerance in (1e-4, 1e-12):
-            calls.clear()
+        active = np.zeros(g.n_vertices, dtype=bool)
+        active[g.active_vertices()] = True
+
+        def pagerank(tolerance):
             cfg = PagerankConfig(tolerance=tolerance, max_iterations=500)
-            r = incremental_pagerank(g, cfg)
-            assert r.iterations > 1
-            assert calls == [g.n_edges]
-            iterations.add(r.iterations)
-        assert len(iterations) == 2
+            return incremental_pagerank(g, cfg)
+
+        def katz(tolerance):
+            cfg = KatzConfig(tolerance=tolerance, max_iterations=500)
+            return KatzProgram(config=cfg).solve_graph(g, active)
+
+        for solve in (pagerank, katz):
+            iterations = set()
+            for tolerance in (1e-4, 1e-12):
+                calls.clear()
+                r = solve(tolerance)
+                assert r.iterations > 1
+                assert calls == [g.n_edges], solve.__name__
+                iterations.add(r.iterations)
+            assert len(iterations) == 2, solve.__name__
 
 
 class TestStreamingDriver:
