@@ -9,15 +9,22 @@ answers three questions on a realistic profile:
 * **How much cheaper is an iteration?**  A low-activity window (active
   ratio ≤ 0.25) must run its iterations ≥ 2x faster compacted than
   masked — the tentpole acceptance claim.
-* **Is it still the same answer?**  The compacted spmv/weighted/spmm
-  paths must match the masked paths *bitwise* (sequential
+* **Is it still the same answer?**  The compacted spmv/weighted paths
+  must match the masked paths *bitwise* (sequential
   ``segment_sum_ordered`` makes zero-dropping exact).
 * **Can ``edge_path="auto"`` be trusted?**  The adaptive choice must
   land within 10% of whichever fixed path is actually faster.
 
+The SpMM batch has no edge path to choose: it reads only its live
+(edge, window) cells (:class:`~repro.pagerank.spmm.ActiveCells`).  Its
+section reports the cells read per iteration as a fraction of
+``nnz * k`` and checks the batch, under every ``edge_path`` value,
+bitwise against the full-width masked pass it replaced
+(``tests/spmm_reference.py``).
+
 Wall-clock on a shared CI box is noise, so the *guarded* regression
-metrics are ratios: traversed-events fractions (pure code facts) and
-same-machine time ratios.  The three paths are timed round-robin in
+metrics are ratios: traversed-events and cell fractions (pure code
+facts) and same-machine time ratios.  The three paths are timed round-robin in
 interleaved rounds (``benchmarks._common.interleaved_rounds``); each
 path's time is its median round, and the auto gate is the median
 per-round ratio of auto over the better fixed path, which a host whose
@@ -47,12 +54,12 @@ from benchmarks._common import (
 from repro.graph import LazyMultiWindowPartition
 from repro.pagerank import (
     Workspace,
-    compact_pull_union,
     pagerank_window,
     pagerank_window_weighted,
     pagerank_windows_spmm,
 )
 from repro.reporting import format_table
+from tests.spmm_reference import reference_power_iterate_batch
 
 PROFILE = "stackoverflow"
 DELTA_DAYS = 30
@@ -151,33 +158,39 @@ def test_edge_compaction():
         and np.array_equal(w_runs["masked"].values, w_runs["auto"].values)
     )
 
-    # -- spmm: the strided batch's packed union --------------------------
+    # -- spmm: the strided batch's active cells --------------------------
     stride = max(1, len(views) // SPMM_BATCH)
     batch = views[::stride][:SPMM_BATCH]
-    union_fraction = compact_pull_union(batch).n_edges / nnz
-    m_runs, m_seconds, spmm_auto_ratios = _timed({
-        path: (
-            lambda ws, cfg=cfg: pagerank_windows_spmm(
-                batch, cfg, workspace=ws
-            )
-        )
+    m_runs = {
+        path: pagerank_windows_spmm(batch, cfg, workspace=Workspace())
         for path, cfg in configs.items()
-    })
-    spmm_match = (
-        np.array_equal(
-            m_runs["masked"].iterations_per_window,
-            m_runs["compacted"].iterations_per_window,
-        )
-        and np.array_equal(
-            m_runs["masked"].values, m_runs["compacted"].values
-        )
-        and np.array_equal(m_runs["masked"].values, m_runs["auto"].values)
+    }
+    oracle = reference_power_iterate_batch(
+        batch, BENCH_CONFIG, None,
+        np.full(len(batch), BENCH_CONFIG.damping, dtype=np.float64),
+        BENCH_CONFIG.alpha,
     )
-    spmm_iters = int(m_runs["masked"].work.iterations)
-    spmm_periter = {p: m_seconds[p] / spmm_iters for p in configs}
-    spmm_speedup = spmm_periter["masked"] / spmm_periter["compacted"]
-    spmm_auto_over_best = float(np.median(spmm_auto_ratios))
-    spmm_auto_ok = spmm_auto_over_best <= AUTO_SLACK
+    spmm_match = all(
+        np.array_equal(r.values, oracle.values)
+        and np.array_equal(
+            r.iterations_per_window, oracle.iterations_per_window
+        )
+        and np.array_equal(r.residuals, oracle.residuals)
+        for r in m_runs.values()
+    )
+    spmm_work = m_runs["auto"].work
+    spmm_iters = int(spmm_work.iterations)
+    cell_fraction = spmm_work.edge_traversals / (
+        spmm_iters * nnz * len(batch)
+    )
+    # every edge path runs the same cells, so one timing stands for all
+    m_seconds, _ = interleaved_rounds(
+        {"spmm": lambda: pagerank_windows_spmm(
+            batch, configs["auto"], workspace=Workspace()
+        )},
+        ROUNDS,
+    )
+    spmm_periter = float(np.median(m_seconds["spmm"])) / spmm_iters
 
     payload = {
         "profile": {
@@ -209,19 +222,10 @@ def test_edge_compaction():
         "weighted": {"match_exact": bool(weighted_match)},
         "spmm": {
             "batch": len(batch),
-            "union_fraction": round(float(union_fraction), 5),
-            "periter_masked_ms": round(spmm_periter["masked"] * 1e3, 4),
-            "periter_compacted_ms": round(spmm_periter["compacted"] * 1e3, 4),
-            "speedup": round(spmm_speedup, 3),
-            "periter_ratio": round(
-                spmm_periter["compacted"] / spmm_periter["masked"], 5
-            ),
+            "iterations": spmm_iters,
+            "cell_fraction": round(float(cell_fraction), 5),
+            "periter_ms": round(spmm_periter * 1e3, 4),
             "match_exact": bool(spmm_match),
-            "auto_over_best_per_round": [
-                round(r, 4) for r in spmm_auto_ratios
-            ],
-            "auto_over_best": round(spmm_auto_over_best, 4),
-            "auto_within_bound": bool(spmm_auto_ok),
         },
         "rounds": ROUNDS,
         "auto_within_bound": bool(auto_within_bound),
@@ -235,10 +239,6 @@ def test_edge_compaction():
         ["spmv", f"{activity_ratio:.3f}", f"{periter['masked'] * 1e3:.3f}",
          f"{periter['compacted'] * 1e3:.3f}", f"{speedup:.2f}x",
          "bitwise" if spmv_match else "DIVERGED"],
-        ["spmm", f"{union_fraction:.3f}",
-         f"{spmm_periter['masked'] * 1e3:.3f}",
-         f"{spmm_periter['compacted'] * 1e3:.3f}", f"{spmm_speedup:.2f}x",
-         "bitwise" if spmm_match else "DIVERGED"],
     ]
     text = format_table(
         ["kernel", "active/nnz", "masked ms/it", "compacted ms/it",
@@ -254,8 +254,10 @@ def test_edge_compaction():
         f"\n\nweighted parity: "
         f"{'bitwise' if weighted_match else 'DIVERGED'}"
         f"\nauto / better fixed path, median of {ROUNDS} interleaved "
-        f"rounds (bound {AUTO_SLACK:.2f}x): spmv={auto_over_best:.3f} "
-        f"spmm={spmm_auto_over_best:.3f}"
+        f"rounds (bound {AUTO_SLACK:.2f}x): spmv={auto_over_best:.3f}"
+        f"\nspmm batch of {len(batch)}: {cell_fraction:.3f} of nnz*k cells "
+        f"read per iteration, {spmm_periter * 1e3:.3f} ms/it, "
+        f"{'bitwise' if spmm_match else 'DIVERGED'} vs the masked pass"
     )
     emit("edge_compaction", text)
 
@@ -263,4 +265,4 @@ def test_edge_compaction():
     assert spmv_match and weighted_match and spmm_match
     assert activity_ratio <= LOW_ACTIVITY
     assert speedup >= MIN_SPEEDUP, f"speedup {speedup:.2f}x < {MIN_SPEEDUP}x"
-    assert auto_within_bound and spmm_auto_ok
+    assert auto_within_bound

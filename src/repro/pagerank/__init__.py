@@ -27,9 +27,7 @@ from repro.pagerank.backends import (
 )
 from repro.pagerank.compaction import (
     CompactedPull,
-    CompactedUnion,
     compact_pull,
-    compact_pull_union,
     resolve_edge_path,
 )
 from repro.pagerank.config import PagerankConfig
@@ -60,9 +58,7 @@ __all__ = [
     "pagerank_windows_spmm",
     "pagerank_window_weighted",
     "CompactedPull",
-    "CompactedUnion",
     "compact_pull",
-    "compact_pull_union",
     "resolve_edge_path",
     "backend_availability",
     "create_backend",

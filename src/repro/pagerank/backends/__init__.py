@@ -1,9 +1,10 @@
 """Pluggable kernel backends for the per-iteration propagation step.
 
-Every PageRank kernel in the library performs the same inner step each
-power iteration: gather per-source shares along the window's edge list and
-reduce them per destination (``segment_sum_ordered``).  This package
-factors that step behind a small registry so the two *execution
+Every single-window PageRank kernel (SpMV, weighted) performs the same
+inner step each power iteration: gather per-source shares along the
+window's edge list and reduce them per destination
+(``segment_sum_ordered``).  This package factors that step behind a small
+registry so the two *execution
 strategies* — the flat NumPy pass and an optional numba-JIT
 destination-partitioned pass (after Lakhotia et al.'s PCPM) — can be
 swapped without touching the kernels, **bitwise-identical** by

@@ -1,13 +1,15 @@
 """The kernel-backend contract: edge plans and the backend interface.
 
-A *backend* owns one execution strategy for the kernels' inner
-gather→reduce step.  For each window (or SpMM batch) a kernel asks the
-backend for an :class:`EdgePlan` over the resolved edge list — the masked
-structure or the compacted pack, whichever ``edge_path`` chose — and then
-calls the plan once per power iteration.  The plan is where a backend may
-precompute per-window acceleration structures (the numba plan's
-destination binning); the call sequence inside ``propagate`` is required to be
-**bitwise-identical** to the reference flat pass::
+A *backend* owns one execution strategy for the single-window kernels'
+inner gather→reduce step.  For each window the SpMV and weighted kernels
+ask the backend for an :class:`EdgePlan` over the resolved edge list —
+the masked structure or the compacted pack, whichever ``edge_path``
+chose — and then call the plan once per power iteration.  The SpMM
+batch has no plan: it reads its live (edge, window) cells directly
+(:class:`~repro.pagerank.spmm.ActiveCells`).  The plan is where a
+backend may precompute per-window acceleration structures (the numba
+plan's destination binning); the call sequence inside ``propagate`` is
+required to be **bitwise-identical** to the reference flat pass::
 
     c = np.take(w, col)          # gather per-source shares
     c *= mask                    # optional: zero inactive stored events
@@ -79,23 +81,6 @@ class EdgePlan:
         contrib:
             Optional ``(n_edges,)`` float64 gather scratch; allocated per
             call when absent.
-        """
-        raise NotImplementedError
-
-    def propagate_batch(
-        self,
-        W: np.ndarray,
-        active: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        contrib: Optional[np.ndarray] = None,
-        scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One gather→reduce pass for k stacked rank vectors (SpMM).
-
-        ``W`` is ``(n_rows, k)``; ``active`` the ``(n_edges, k)``
-        per-column activity mask; ``out``/``contrib``/``scratch`` mirror
-        the 1-D variant (``scratch`` stages strided columns for the
-        sequential reduce).
         """
         raise NotImplementedError
 

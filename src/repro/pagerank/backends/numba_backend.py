@@ -21,9 +21,8 @@ bitwise-identical to the flat pass.
 
 Without numba the backend **degrades gracefully**: ``make_plan`` returns
 the flat :class:`~repro.pagerank.backends.numpy_backend.NumpyPlan`,
-``numba_available()`` reports ``False``, and nothing raises.  The batched
-(SpMM) propagation, and a plan whose compilation fails, run the inherited
-flat pass.
+``numba_available()`` reports ``False``, and nothing raises.  A plan
+whose compilation fails runs the inherited flat pass.
 """
 
 from __future__ import annotations

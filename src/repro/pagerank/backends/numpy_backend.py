@@ -1,9 +1,9 @@
 """The default flat NumPy backend.
 
-One full-width gather + one full-width sequential segment reduction per
-iteration — exactly the op sequence the kernels inlined before the backend
-registry existed, so this backend *is* the bitwise reference the others
-are tested against.
+One gather + one sequential segment reduction per iteration — exactly
+the op sequence the kernels inlined before the backend registry existed,
+so this backend *is* the bitwise reference the others are tested
+against.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ class NumpyPlan(EdgePlan):
         if weights is not None:
             c *= weights
         return segment_sum_ordered(c, self.rows, self.n_rows, out=out)
-
-    def propagate_batch(
-        self,
-        W: np.ndarray,
-        active: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        contrib: Optional[np.ndarray] = None,
-        scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if contrib is None:
-            C = np.take(W, self.col, axis=0)
-        else:
-            C = contrib
-            np.take(W, self.col, axis=0, out=C)
-        C *= active
-        return segment_sum_ordered(
-            C, self.rows, self.n_rows, out=out, scratch=scratch
-        )
 
 
 class NumpyBackend(KernelBackend):

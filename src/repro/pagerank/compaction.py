@@ -30,14 +30,17 @@ Selection between the two paths is the job of
 over the window's iterations, so it wins unless the window is almost fully
 active or converges almost immediately.  ``PagerankConfig.edge_path``
 pins the decision (``"masked"`` / ``"compacted"``) or delegates it
-(``"auto"``, the default).
+(``"auto"``, the default).  The choice steers the single-window kernels
+(SpMV, weighted) only: the SpMM batch reads each window's active groups
+directly (:class:`~repro.pagerank.spmm.ActiveCells`), which is the
+compacted traversal with no mask to choose.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -54,9 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CompactedPull",
-    "CompactedUnion",
     "compact_pull",
-    "compact_pull_union",
     "cost_model_estimate",
     "resolve_edge_path",
 ]
@@ -86,26 +87,6 @@ class CompactedPull:
     indptr: np.ndarray
     col: np.ndarray
     rows: np.ndarray
-
-    @property
-    def n_edges(self) -> int:
-        return self.col.size
-
-
-@dataclass(frozen=True)
-class CompactedUnion:
-    """The union of k windows' active in-edges, for the SpMM kernel.
-
-    ``active[:, j]`` marks which packed edges belong to window j; an edge
-    is packed iff it is active in *any* of the k windows, so the
-    per-iteration structure pass shrinks from nnz to the union size while
-    each column still masks exactly its own edges.
-    """
-
-    indptr: np.ndarray
-    col: np.ndarray
-    rows: np.ndarray
-    active: np.ndarray  # (n_edges, k) bool
 
     @property
     def n_edges(self) -> int:
@@ -158,48 +139,6 @@ def compact_pull(
         indptr=_packed_indptr(view.in_degrees, workspace, "compact.indptr"),
         col=_gather(groups.col, active, workspace, "compact.col"),
         rows=_gather(groups.row, active, workspace, "compact.rows"),
-    )
-
-
-def compact_pull_union(
-    views: Sequence["WindowView"],
-    workspace: Optional["Workspace"] = None,
-) -> CompactedUnion:
-    """Pack the union of k same-graph windows' active in-edges.
-
-    The SpMM kernel's batched iteration gathers and reduces over the
-    packed union once per iteration; ``active`` re-expresses each window's
-    active groups in union positions so per-column masking is preserved
-    (and with it, bitwise identity to the masked batch).  Everything runs
-    in group space — Θ(k · groups) — so the batch never builds an
-    nnz-length mask.
-    """
-    adjacency = views[0].adjacency
-    groups = adjacency.groups
-    k = len(views)
-    if workspace is None:
-        union = np.zeros(groups.n_groups, dtype=np.bool_)
-    else:
-        union = workspace.zeros("compact.union", (groups.n_groups,), np.bool_)
-    for v in views:
-        union |= v.group_mask
-    positions = np.flatnonzero(union)
-    m = positions.size
-
-    rows_u = _gather(groups.row, positions, workspace, "compact.rows")
-    counts = np.bincount(rows_u, minlength=adjacency.n_vertices)
-    indptr_u = _packed_indptr(counts, workspace, "compact.indptr")
-    col_u = _gather(groups.col, positions, workspace, "compact.col")
-    if workspace is None:
-        active = np.empty((m, k), dtype=np.bool_)
-    else:
-        active = workspace.buffer(
-            "compact.active", (groups.n_groups, k), np.bool_
-        )[:m]
-    for j, v in enumerate(views):
-        active[:, j] = v.group_mask[positions]
-    return CompactedUnion(
-        indptr=indptr_u, col=col_u, rows=rows_u, active=active
     )
 
 

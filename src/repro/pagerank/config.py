@@ -51,7 +51,10 @@ class PagerankConfig:
         When True, kernels raise :class:`~repro.errors.ConvergenceError`
         instead of returning a non-converged result.
     edge_path:
-        How kernels traverse the window's edges each iteration:
+        How the single-window kernels (SpMV, weighted) traverse the
+        window's edges each iteration — the SpMM batch ignores it and
+        reads only its live (edge, window) cells
+        (:class:`~repro.pagerank.spmm.ActiveCells`):
         ``"masked"`` streams all stored nnz events and zeroes the inactive
         ones, ``"compacted"`` packs the active deduped edges once per
         window (:mod:`repro.pagerank.compaction`) and iterates over only
@@ -60,8 +63,9 @@ class PagerankConfig:
         :func:`repro.parallel.cost_model.choose_edge_path`.  All three
         produce bitwise-identical values.
     backend:
-        Execution strategy for the per-iteration gather→reduce step
-        (:mod:`repro.pagerank.backends`): ``"numpy"`` (flat full-width
+        Execution strategy for the single-window kernels' per-iteration
+        gather→reduce step (:mod:`repro.pagerank.backends`; the SpMM
+        batch's cell pass has one strategy): ``"numpy"`` (flat
         pass), ``"numba"`` (destination-partitioned reduce under the
         cache budget, after Lakhotia et al., with a JIT-fused loop; the
         flat pass when numba is absent), or ``"auto"`` (default: numpy

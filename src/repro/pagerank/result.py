@@ -25,23 +25,28 @@ class WorkStats:
     iterations:
         Power iterations executed.
     edge_traversals:
-        Total stored events touched (iterations × structure nnz for the
-        masked kernels; note this is the *structure* size, which is why
-        multi-window partitioning matters).
+        Total stored events or cells read.  The masked single-window
+        kernels read iterations × structure nnz — the *structure* size,
+        which is why multi-window partitioning matters; the compacted
+        ones and the SpMM batch read only active edges, so for them this
+        equals ``active_edge_traversals``.
     active_edge_traversals:
-        Iterations × active (deduplicated) edges — the useful work.
+        Iterations × active (deduplicated) edges — the useful work; for
+        an SpMM batch, the live (edge, window) cells of every joint
+        iteration.
     vertex_ops:
         Iterations × vertices updated.
     binning_seconds:
-        Wall-clock spent in the backend's one-time edge-plan setup (the
-        numba plan's destination-partition binning; ~0 for the flat
-        numpy plan).
+        Wall-clock spent in the one-time edge setup: the numba plan's
+        destination-partition binning (~0 for the flat numpy plan), or
+        building an SpMM batch's active cells.
         Unlike the counters above this is machine-*dependent* — it exists
         so benchmarks and the traffic harness can attribute backend wins
         without re-profiling.
     propagate_seconds:
-        Wall-clock spent inside the backend's per-iteration
-        gather→reduce propagation calls.
+        Wall-clock spent inside the per-iteration gather→reduce
+        propagation (the backend's plan, or the SpMM cell pass with its
+        share computation).
     """
 
     iterations: int = 0

@@ -1,28 +1,36 @@
 """The SpMM-inspired postmortem PageRank kernel (paper Section 4.4).
 
 When several windows live in the *same* multi-window graph, their PageRank
-iterations share the structure arrays (``rowA``/``colA``/``timeA``).  The
-SpMM kernel keeps the k in-flight PageRank vectors as an ``(n, k)`` matrix
-and performs one iteration for all k windows in a single pass over the
-structure:
+iterations share the structure arrays.  The SpMM kernel keeps the k
+in-flight PageRank vectors as an ``(n, k)`` matrix and performs one
+iteration for all live windows in one pass over their **active cells** —
+the (edge, window) pairs whose edge is active in the window:
 
-    W[n, k]       = X * inv_outdeg[:, window]         # per-source shares
-    C[nnz, k]     = W[colA, :] * active[nnz, k]       # one gather for all k
-    Y[n, k]       = segment_sum_ordered(C, rowA)      # one reduction pass
+    S[k, n]   = (X * inv_outdeg).T                  # per-source shares
+    for each group of COLUMN_GROUP live columns:
+        c     = S_group.take(gather)                # one gather
+        Y_grp = bincount(key, weights=c)            # one reduction
 
-The structure is read once per iteration instead of k times, and the
-gathered rows of ``W`` are contiguous — the access-pattern regularization
-the paper borrows from classic SpMM.  Windows may converge at different
-iterations; converged columns are frozen (their values stop changing) while
-the remaining columns keep iterating, and per-column iteration counts are
-reported.
+The cells are built once per batch from each window's active (row,
+neighbour) groups.  The batch's columns are cut into fixed groups of
+``COLUMN_GROUP``; a group holds one contiguous segment per live column,
+in stored group order, with the column's offset ``r * n`` (r its rank in
+the group) baked into both the gather index and the scatter key.  An
+iteration reads exactly the live windows' active edges — masked-out
+cells cost nothing — and needs no per-iteration index arithmetic.
+``np.bincount`` adds strictly in input order and each (row, column) bin
+holds only its own column's cells in stored order, so the result is
+bitwise-identical to the full-width masked pass (dropping exact-zero
+contributions changes no bit; see
+:func:`~repro.utils.segments.segment_sum_ordered`).  ``edge_path`` and
+``backend`` do not apply: the cell list is the one traversal.
 
-With ``config.edge_path="compacted"`` the kernel packs the **union** of
-the k windows' active deduped edges once per batch
-(:func:`~repro.pagerank.compaction.compact_pull_union`): the strided
-region schedule batches windows that are far apart in time, so the union
-is typically a small fraction of nnz and the shared structure pass
-shrinks accordingly.  Bitwise-identical to the masked batch.
+Windows may converge at different iterations.  A converged column's
+values are written out and the live state, the per-column vertex data
+and the cells are compacted to the survivors — only the column groups
+that lost a column are rebuilt, each with a few whole-array passes — so
+later iterations touch only live columns.  Per-column iteration counts
+are reported.
 
 The loop (``_power_iterate_batch``) takes a per-column scale and the base
 as arguments, so Katz's batches (:mod:`repro.programs.katz`) run it too.
@@ -36,16 +44,116 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
-from repro.graph.temporal_csr import WindowView
-from repro.pagerank.backends import resolve_backend
-from repro.pagerank.compaction import compact_pull_union, resolve_edge_path
+from repro.graph.temporal_csr import TemporalAdjacency, WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import BatchPagerankResult, WorkStats
 from repro.pagerank.spmv import _unit_mass
 from repro.pagerank.workspace import Workspace
 
-__all__ = ["pagerank_windows_spmm"]
+__all__ = ["COLUMN_GROUP", "ActiveCells", "pagerank_windows_spmm"]
+
+#: live columns per ``np.bincount``: each call's output holds
+#: ``COLUMN_GROUP * n`` bins and its gathered shares one group's cells,
+#: so the per-call transients grow with the group, not the batch width
+COLUMN_GROUP = 4
+
+
+class ActiveCells:
+    """The live (edge, window) cells of one SpMM batch.
+
+    The batch's columns are cut into fixed groups of
+    :data:`COLUMN_GROUP` consecutive columns.  A group's live columns are
+    consecutive rows of the live share matrix, and the group owns two
+    flat int64 arrays holding one segment per live column, in stored
+    group order.  For the column of rank ``r`` among its group's live
+    columns:
+
+    * ``gather`` — ``groups.col[g] + r * n``: the source's share in the
+      group's flattened share rows;
+    * ``key`` — ``groups.row[g] + r * n``: the (destination, column) bin
+      of the group's ``np.bincount``.
+    """
+
+    __slots__ = ("n", "n_cells", "_groups", "_vals")
+
+    def __init__(
+        self, adjacency: TemporalAdjacency, views: Sequence[WindowView]
+    ) -> None:
+        index = adjacency.groups
+        n = self.n = adjacency.n_vertices
+        #: per group: (cells per live column, gather, key)
+        self._groups = []
+        for g0 in range(0, len(views), COLUMN_GROUP):
+            block = views[g0: g0 + COLUMN_GROUP]
+            lengths = np.array(
+                [v.n_active_edges for v in block], dtype=np.int64
+            )
+            gather = np.empty(int(lengths.sum()), dtype=np.int64)
+            key = np.empty_like(gather)
+            lo = 0
+            for r, v in enumerate(block):
+                active = v.active_groups
+                hi = lo + active.size
+                np.add(index.col[active], r * n, out=gather[lo:hi])
+                np.add(index.row[active], r * n, out=key[lo:hi])
+                lo = hi
+            self._groups.append((lengths, gather, key))
+        self.n_cells = sum(g[1].size for g in self._groups)
+        self._vals = np.empty(
+            max((g[1].size for g in self._groups), default=0),
+            dtype=np.float64,
+        )
+
+    def propagate(self, shares: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[:, p] = A_p^T shares[p]`` for every live column ``p``.
+
+        ``shares`` is the C-contiguous ``(m, n)`` share matrix of the m
+        live columns, ``out`` an ``(n, m)`` result, fully overwritten.
+        """
+        n = self.n
+        p = 0
+        for lengths, gather, key in self._groups:
+            q = p + lengths.size
+            # mode="clip" skips the bounds check (and the buffered copy
+            # take makes with out= under mode="raise"): every index lies
+            # in the group's rows by construction
+            vals = np.take(
+                shares[p:q].reshape(-1), gather,
+                out=self._vals[: gather.size], mode="clip",
+            )
+            y = np.bincount(key, weights=vals, minlength=(q - p) * n)
+            out[:, p:q] = y.reshape(q - p, n).T
+            p = q
+        return out
+
+    def keep(self, survive: np.ndarray) -> None:
+        """Drop the columns not in ``survive`` (a mask over the live
+        columns).  Only a group that loses a column is rebuilt: its
+        survivors' segments are compacted and re-based to their new
+        ranks, so a shrink allocates no more than one group's cells."""
+        n = self.n
+        p = 0
+        groups = []
+        for lengths, gather, key in self._groups:
+            q = p + lengths.size
+            s = survive[p:q]
+            p = q
+            if s.all():
+                groups.append((lengths, gather, key))
+            elif s.any():
+                cells = np.repeat(s, lengths)
+                rank = np.cumsum(s) - 1
+                shift = np.repeat(
+                    ((rank - np.arange(s.size)) * n)[s], lengths[s]
+                )
+                gather = gather[cells]
+                gather += shift
+                key = key[cells]
+                key += shift
+                groups.append((lengths[s], gather, key))
+        self._groups = groups
+        self.n_cells = sum(g[1].size for g in groups)
 
 
 def pagerank_windows_spmm(
@@ -53,7 +161,6 @@ def pagerank_windows_spmm(
     config: PagerankConfig = PagerankConfig(),
     x0: Optional[np.ndarray] = None,
     workspace=None,
-    iteration_hint: Optional[int] = None,
 ) -> BatchPagerankResult:
     """Solve k windows of one multi-window graph simultaneously.
 
@@ -66,15 +173,11 @@ def pagerank_windows_spmm(
         Optional ``(n, k)`` initial matrix (column j initializes
         ``views[j]``); columns default to full initialization.
     workspace:
-        Optional :class:`~repro.pagerank.workspace.Workspace`.  The stacked
-        structure matrices (the ``(nnz, k)`` dedup mask — the batch's
-        dominant allocation — plus degrees/activity) and the per-iteration
-        gather/reduce buffers are recycled across same-width batches of a
-        chain; without one the batch pools through a private workspace.
-        Once columns start converging the live subset shrinks and the
-        kernel gathers the live columns per iteration; results are
-        bitwise-identical either way, and returned values are always
-        freshly owned.
+        Optional :class:`~repro.pagerank.workspace.Workspace`.  The
+        per-iteration ``(n, k)`` state, share and result buffers and the
+        stacked per-window vertex data are recycled across same-width
+        batches of a chain; without one the batch pools through a private
+        workspace.  Returned values are always freshly owned.
 
     Returns
     -------
@@ -82,7 +185,7 @@ def pagerank_windows_spmm(
         ``values[:, j]`` is the PageRank of ``views[j].window``.
     """
     return _power_iterate_batch(
-        views, config, x0, workspace, iteration_hint,
+        views, config, x0, workspace,
         np.full(len(views), config.damping, dtype=np.float64), config.alpha,
     )
 
@@ -92,7 +195,6 @@ def _power_iterate_batch(
     config: PagerankConfig,
     x0: Optional[np.ndarray],
     workspace: Optional[Workspace],
-    iteration_hint: Optional[int],
     scale: np.ndarray,
     base: float,
     normalized: bool = False,
@@ -102,12 +204,12 @@ def _power_iterate_batch(
 
     Column j steps ``y = scale[j] * A^T (x / outdeg_j) + dangling +
     base / |V_j|`` — the affine pull of
-    :func:`~repro.pagerank.spmv._power_iterate`, k windows per structure
-    pass.  ``unit_weights`` replaces the window out-degrees by 1 (Katz:
-    no degree normalization, so no dangling set); ``normalized`` compares
-    unit-mass columns and returns the unit-mass fixed points.  ``config``
-    supplies the tolerance, iteration cap, strictness, dangling policy and
-    propagation routing.
+    :func:`~repro.pagerank.spmv._power_iterate`, k windows per pass over
+    their active cells.  ``unit_weights`` replaces the window out-degrees
+    by 1 (Katz: no degree normalization, so no dangling set);
+    ``normalized`` compares unit-mass columns and returns the unit-mass
+    fixed points.  ``config`` supplies the tolerance, iteration cap,
+    strictness and dangling policy.
     """
     if not views:
         raise ValidationError("need at least one window view")
@@ -121,61 +223,33 @@ def _power_iterate_batch(
 
     n = adjacency.n_vertices
     k = len(views)
-    in_csr = adjacency.in_csr
-    nnz = in_csr.nnz
     ws = workspace if workspace is not None else Workspace()
-    active_edge_counts = np.array(
-        [v.n_active_edges for v in views], dtype=np.int64
-    )
-
-    # the union can't exceed the sum of the windows' active edges (nor
-    # nnz), so that bound stands in for its size in the auto decision
-    # without building it
-    est_union = min(nnz, int(active_edge_counts.sum()))
-    path = resolve_edge_path(config, nnz, est_union, n, iteration_hint)
-
-    # per-window structure data: per-edge masks and (n, k) degrees
-    if path == "compacted":
-        packed = compact_pull_union(views, workspace=ws)
-        it_col, it_rows = packed.col, packed.rows
-        dedup = packed.active
-        it_nnz = packed.n_edges
-    else:
-        dedup = ws.buffer("spmm.dedup", (nnz, k), np.bool_)
-        # a column at a time: one transient nnz-length mask, not k
-        for j, v in enumerate(views):
-            dedup[:, j] = v.in_dedup
-        it_col, it_rows, it_nnz = in_csr.col, in_csr.row_ids(), nnz
-
     work = WorkStats()
-    backend = resolve_backend(config, it_nnz, n, iteration_hint)
-    t_bin = time.perf_counter()
-    plan = backend.make_plan(
-        it_col, it_rows, n, workspace=ws, key="spmm.plan", capacity=nnz,
-    )
-    work.binning_seconds += time.perf_counter() - t_bin
 
-    inv_out = ws.buffer("spmm.inv_out", (n, k), np.float64)
     active = np.stack(
         [v.active_vertices_mask for v in views], axis=1,
         out=ws.buffer("spmm.active", (n, k), np.bool_),
     )
     dangling = ws.buffer("spmm.dangling", (n, k), np.bool_)
+    # transposed: row j holds column j's inverse out-degrees, the layout
+    # of the share matrix the cells gather from
+    inv_out = ws.buffer("spmm.inv_out", (k, n), np.float64)
     if unit_weights:
         inv_out.fill(1.0)
         dangling.fill(False)
     else:
         np.stack([v.out_degrees == 0 for v in views], axis=1, out=dangling)
         dangling &= active
-        # column-at-a-time fill: a workspace-built view's
-        # inverse_out_degrees returns shared pooled scratch, so each
-        # result must be copied out before the next view's call
-        # overwrites it
+        # a workspace-built view's inverse_out_degrees returns shared
+        # pooled scratch, so each result is copied out before the next
+        # view's call overwrites it
         for j, v in enumerate(views):
-            inv_out[:, j] = v.inverse_out_degrees()
+            inv_out[j] = v.inverse_out_degrees()
     n_active = np.array([v.n_active_vertices for v in views], dtype=np.int64)
 
-    X = ws.buffer("spmm.X", (n, k), np.float64)
+    # the returned matrix: the state while every column is live, then
+    # the home of each column's values once it converges
+    X = np.empty((n, k), dtype=np.float64)
     if x0 is None:
         np.stack([full_initialization(v) for v in views], axis=1, out=X)
     else:
@@ -193,41 +267,39 @@ def _power_iterate_batch(
     residuals[converged] = 0.0
     X[:, converged] = 0.0
 
-    live = ~converged
+    # the live columns' data, compacted to the live set (``live`` maps
+    # live position -> batch column)
+    live = np.flatnonzero(~converged)
+    m = live.size
+    t_bin = time.perf_counter()
+    cells = ActiveCells(adjacency, [views[j] for j in live])
+    work.binning_seconds += time.perf_counter() - t_bin
+    # Layout fixes the bits: NumPy sums a C-ordered (n, m) matrix down its
+    # columns row by row, but a column-contiguous one pairwise.  The
+    # canonical pass iterated on X itself while every column was live and
+    # on a column selection ``X[:, live]`` (column-contiguous) after, so
+    # the live state, activity and dangling sets keep those layouts.
+    if m == k:
+        Xl, act, dang, inv = X, active, dangling, inv_out
+    else:
+        Xl, act, dang = (a.T[live].T for a in (X, active, dangling))
+        inv = inv_out[live]
+    lscale, lsafe, lteleport = scale[live], safe_active[live], teleport[live]
+    out = ws.buffer("spmm.Y", (n * k,), np.float64)
+    shares = ws.buffer("spmm.W", (k * n,), np.float64)
+
     it = 0
-    while live.any() and it < config.max_iterations:
+    while m and it < config.max_iterations:
         it += 1
-        idx = np.flatnonzero(live)
         t_prop = time.perf_counter()
-        if idx.size == k:
-            # full-width fast path: every window still live, so the
-            # workspace buffers apply directly with no column selection
-            Xl = X
-            W = np.multiply(
-                X, inv_out, out=ws.buffer("spmm.W", (n, k), np.float64)
-            )
-            Y = plan.propagate_batch(
-                W, dedup,
-                out=ws.buffer("spmm.Y", (n, k), np.float64),
-                contrib=ws.buffer("spmm.C", (nnz, k), np.float64)[:it_nnz],
-                scratch=ws.buffer("spmm.colbuf", (nnz,), np.float64)[:it_nnz],
-            )
-            act = active
-            dang = dangling
-        else:
-            Xl = X[:, idx]
-            W = Xl * inv_out[:, idx]
-            # one structure pass for every live window (over the packed
-            # union when compacted — column selection composes with it)
-            Y = plan.propagate_batch(W, dedup[:, idx])
-            act = active[:, idx]
-            dang = dangling[:, idx]
+        S = np.multiply(Xl.T, inv, out=shares[: m * n].reshape(m, n))
+        Y = cells.propagate(S, out[: n * m].reshape(n, m))
         work.propagate_seconds += time.perf_counter() - t_prop
-        Y *= scale[idx]
+        Y *= lscale
         if config.dangling == "uniform":
             dmass = np.sum(Xl * dang, axis=0)
-            Y += (scale[idx] * dmass / safe_active[idx]) * act
-        Y += teleport[idx] * act
+            Y += (lscale * dmass / lsafe) * act
+        Y += lteleport * act
         Y[~act] = 0.0
 
         if normalized:
@@ -236,18 +308,30 @@ def _power_iterate_batch(
             ).sum(axis=0)
         else:
             res = np.abs(Y - Xl).sum(axis=0)
-        X[:, idx] = Y
-        iterations[idx] += 1
-        residuals[idx] = res
+        np.copyto(Xl, Y)
+        iterations[live] += 1
+        residuals[live] = res
 
         work.iterations += 1
-        work.edge_traversals += it_nnz  # one shared structure pass
-        work.active_edge_traversals += int(active_edge_counts[idx].sum())
-        work.vertex_ops += int(n_active[idx].sum())
+        work.edge_traversals += cells.n_cells
+        work.active_edge_traversals += cells.n_cells
+        work.vertex_ops += int(n_active[live].sum())
 
         newly = res < config.tolerance
-        converged[idx[newly]] = True
-        live = ~converged
+        if newly.any():
+            X[:, live[newly]] = Xl[:, newly]
+            converged[live[newly]] = True
+            keep = ~newly
+            live = live[keep]
+            m = live.size
+            cells.keep(keep)
+            Xl, act, dang = (a.T[keep].T for a in (Xl, act, dang))
+            inv = inv[keep]
+            lscale, lsafe, lteleport = (
+                lscale[keep], lsafe[keep], lteleport[keep]
+            )
+    if m:
+        X[:, live] = Xl
 
     if config.strict and not converged.all():
         bad = [views[j].window.index for j in np.flatnonzero(~converged)]
@@ -257,7 +341,7 @@ def _power_iterate_batch(
         )
 
     return BatchPagerankResult(
-        values=_unit_mass(X, X.sum(axis=0)) if normalized else X.copy(),
+        values=_unit_mass(X, X.sum(axis=0)) if normalized else X,
         window_indices=[v.window.index for v in views],
         iterations_per_window=iterations,
         converged=converged,

@@ -14,10 +14,12 @@ The SpMV/SpMM distinction encodes the paper's Section 4.4 argument: the
 memory-bound structure stream is read **once** for all k columns, while the
 per-column arithmetic streams through registers.  ``c_active`` (per active
 edge per column) is cheaper than ``c_edge`` (per stored event, including
-the random-access gather) by the ``spmm_column_discount`` ratio.  NumPy
-kernels on this host cannot exhibit that locality win (each column is a
-separate full-width array pass), so the ratio is a *modelling constant of
-the simulated 48-core machine*, documented in DESIGN.md §2; all absolute
+the random-access gather) by the ``spmm_column_discount`` ratio.  The
+NumPy batch realises the ``sum_active_edges`` term — it reads only the
+live (edge, window) cells, in column groups of four — but not the shared
+structure read: each group gathers its own cells.  So the discount is a
+*modelling constant of the simulated 48-core machine*, documented in
+DESIGN.md §2; all absolute
 magnitudes (``c_edge``, ``c_vertex``, overheads) are fitted against real
 measured kernel runs so 1-worker simulated time matches real serial
 wall-clock.

@@ -126,7 +126,10 @@ class VertexProgram:
         iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         """Solve a region-schedule batch (column ``j`` of ``x0`` seeds
-        ``views[j]``).  Only called when ``supports_batch``."""
+        ``views[j]``).  Only called when ``supports_batch``.  The
+        batched loop has no adaptive choice, so it ignores
+        ``iteration_hint``; the keyword keeps one call shape for both
+        solve surfaces."""
         raise NotImplementedError
 
     # -- materialized surface (offline / streaming drivers) ------------

@@ -188,8 +188,9 @@ class KatzProgram(VertexProgram):
     """Temporal Katz centrality on the PageRank-grade stack."""
 
     config: KatzConfig = field(default_factory=KatzConfig)
-    #: propagation policy (edge path, backend, cache budget) — the Katz
-    #: parameters themselves live in ``config``
+    #: propagation policy of the single-window solves (edge path,
+    #: backend, cache budget) — the Katz parameters themselves live in
+    #: ``config``
     routing: PagerankConfig = field(default_factory=PagerankConfig)
 
     name = "katz"
@@ -241,7 +242,7 @@ class KatzProgram(VertexProgram):
         iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         """Katz on PageRank's SpMM loop: one clamped attenuation per
-        column, routed, pooled and compacted exactly like a PageRank
+        column, pooled and read cell by cell exactly like a PageRank
         batch."""
         c = self.config
         scale = np.array(
@@ -250,7 +251,7 @@ class KatzProgram(VertexProgram):
             dtype=np.float64,
         )
         return _power_iterate_batch(
-            views, self._solver(), x0, workspace, iteration_hint,
+            views, self._solver(), x0, workspace,
             scale, c.base, normalized=True, unit_weights=True,
         )
 

@@ -87,8 +87,7 @@ class PagerankProgram(VertexProgram):
         iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         return pagerank_windows_spmm(
-            views, self.config, x0=x0, workspace=workspace,
-            iteration_hint=iteration_hint,
+            views, self.config, x0=x0, workspace=workspace
         )
 
     # -- materialized surface ------------------------------------------

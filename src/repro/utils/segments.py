@@ -115,7 +115,6 @@ def segment_sum_ordered(
     row_ids: np.ndarray,
     n_rows: int,
     out: np.ndarray = None,
-    scratch: np.ndarray = None,
 ) -> np.ndarray:
     """Left-to-right sequential segment sum keyed by per-entry row ids.
 
@@ -132,42 +131,27 @@ def segment_sum_ordered(
     Parameters
     ----------
     values:
-        ``(nnz,)`` or ``(nnz, k)`` float contributions (columns reduced
-        independently).
+        ``(nnz,)`` float contributions.
     row_ids:
         ``(nnz,)`` non-negative destination row per entry (need not be
         sorted; order only matters *within* a row).
     n_rows:
         Number of output rows.
     out:
-        Optional ``(n_rows,)`` / ``(n_rows, k)`` float64 result buffer,
-        fully overwritten.  ``np.bincount`` has no ``out=`` of its own, so
-        its internal Θ(n_rows) allocation per call remains either way.
-    scratch:
-        Optional ``(nnz,)`` float64 buffer for the 2-D case: each strided
-        column is staged through it so ``bincount`` reads contiguously.
+        Optional ``(n_rows,)`` float64 result buffer, fully overwritten.
+        ``np.bincount`` has no ``out=`` of its own, so its internal
+        Θ(n_rows) allocation per call remains either way.
     """
     values = np.asarray(values)
-    if values.shape[0] != row_ids.shape[0]:
+    if values.shape != row_ids.shape:
         raise ValidationError(
             f"values and row_ids must agree on nnz, got "
-            f"{values.shape[0]} != {row_ids.shape[0]}"
+            f"{values.shape} != {row_ids.shape}"
         )
-    if values.ndim == 1:
-        y = np.bincount(row_ids, weights=values, minlength=n_rows)
-        if out is None:
-            return y
-        np.copyto(out, y)
-        return out
-    k = values.shape[1]
+    y = np.bincount(row_ids, weights=values, minlength=n_rows)
     if out is None:
-        out = np.empty((n_rows, k), dtype=np.float64)
-    for j in range(k):
-        col = values[:, j]
-        if scratch is not None:
-            np.copyto(scratch, col)
-            col = scratch
-        out[:, j] = np.bincount(row_ids, weights=col, minlength=n_rows)
+        return y
+    np.copyto(out, y)
     return out
 
 

@@ -170,12 +170,6 @@ class TestPlanStructure:
         assert np.array_equal(
             part.propagate(w, mask=mask), flat.propagate(w, mask=mask)
         )
-        W = rng.random((n, 3))
-        active = rng.random((m, 3)) < 0.6
-        assert np.array_equal(
-            part.propagate_batch(W, active),
-            flat.propagate_batch(W, active),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.pagerank import (
     PagerankConfig,
     Workspace,
     compact_pull,
-    compact_pull_union,
     pagerank_window,
     pagerank_window_weighted,
     pagerank_windows_spmm,
@@ -84,34 +83,6 @@ class TestCompactStructure:
         packed = compact_pull(view)
         assert packed.n_edges == 0
         assert packed.indptr[-1] == 0
-
-    def test_union_covers_every_window(self):
-        events = random_events(seed=13)
-        adj = TemporalAdjacency.from_events(events)
-        in_csr = adj.in_csr
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
-        views = [adj.window_view(spec.window(i)) for i in range(3)]
-        packed = compact_pull_union(views)
-        pairs = list(zip(packed.rows.tolist(), packed.col.tolist()))
-        # one packed edge per simple edge active in any window, in stored
-        # (row, neighbor) order
-        assert pairs == sorted(set(pairs))
-        expected = set()
-        for j, v in enumerate(views):
-            sel = packed.active[:, j]
-            assert np.array_equal(packed.col[sel], in_csr.col[v.in_dedup])
-            assert np.array_equal(
-                packed.rows[sel], in_csr.row_ids()[v.in_dedup]
-            )
-            expected |= set(zip(
-                in_csr.row_ids()[v.in_dedup].tolist(),
-                in_csr.col[v.in_dedup].tolist(),
-            ))
-        assert set(pairs) == expected
-        assert np.array_equal(
-            np.diff(packed.indptr),
-            np.bincount(packed.rows, minlength=adj.n_vertices),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,15 @@ class TestKatzSpmm:
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
         batch = solve_batch(views)
-        assert batch.work.edge_traversals == batch.work.iterations * adj.nnz
+        # the batch reads each live window's active cells, not the whole
+        # structure per column
+        assert batch.work.edge_traversals == sum(
+            int(it) * v.n_active_edges
+            for it, v in zip(batch.iterations_per_window, views)
+        )
+        assert (
+            batch.work.edge_traversals == batch.work.active_edge_traversals
+        )
 
     def test_single_batch_counts_active_edges_like_solve_window(self, setup):
         """A batch of one window reports the same active-edge work as the

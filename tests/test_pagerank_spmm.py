@@ -97,29 +97,34 @@ class TestSpmmKernel:
         views = [adjacency.window_view(w) for w in spec]
         cfg = replace(tight, edge_path="masked")
         batch = pagerank_windows_spmm(views, cfg)
-        # the batched kernel reads the structure once per joint iteration,
-        # not once per window per iteration
-        assert batch.work.edge_traversals == batch.work.iterations * adjacency.nnz
+        # one joint iteration reads each live window's active cells once:
+        # the traversed count is the useful count, not iterations * nnz
+        cells = sum(
+            int(it) * v.n_active_edges
+            for it, v in zip(batch.iterations_per_window, views)
+        )
+        assert batch.work.edge_traversals == cells
+        assert batch.work.active_edge_traversals == cells
+        assert cells < batch.work.iterations * adjacency.nnz * len(views)
         assert batch.work.iterations <= int(
             batch.iterations_per_window.max()
         ) + 1
 
     def test_work_counts_compacted_union(self, adjacency, spec, tight):
         views = [adjacency.window_view(w) for w in spec]
-        cfg = replace(tight, edge_path="compacted")
-        batch = pagerank_windows_spmm(views, cfg)
-        in_csr = adjacency.in_csr
-        union = set()
-        for v in views:
-            union |= set(zip(
-                in_csr.row_ids()[v.in_dedup].tolist(),
-                in_csr.col[v.in_dedup].tolist(),
-            ))
-        m = len(union)
-        # each joint iteration reads only the packed union of the k
-        # windows' active simple edges
-        assert batch.work.edge_traversals == batch.work.iterations * m
-        assert m <= adjacency.nnz
+        runs = {
+            path: pagerank_windows_spmm(
+                views, replace(tight, edge_path=path)
+            )
+            for path in ("masked", "compacted")
+        }
+        # the batch reads the same active cells whichever edge path the
+        # config names: the SpMM kernel has one traversal
+        assert (
+            runs["compacted"].work.edge_traversals
+            == runs["masked"].work.edge_traversals
+            == runs["masked"].work.active_edge_traversals
+        )
 
 
 class TestSpmmInsideMultiwindow:

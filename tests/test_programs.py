@@ -112,7 +112,7 @@ def reference_chain(
             else:
                 br = pagerank_windows_spmm(
                     bviews, cfg, x0=np.stack(x0_cols, axis=1),
-                    workspace=workspace, iteration_hint=hint,
+                    workspace=workspace,
                 )
                 hint = int(br.iterations_per_window.max())
                 for j, w in enumerate(batch.windows):
