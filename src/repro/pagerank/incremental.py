@@ -15,6 +15,15 @@ from-scratch solve (the paper made the streaming and postmortem code bases
 "produce the same results") while doing fewer iterations when the change is
 small — the streaming model's one computational advantage.
 
+Like the postmortem SpMV kernel, each solve runs in the window's own
+vertex space ``[0, |V_w|)``: once per solve the snapshot's edges are
+relabelled with a monotone map and transposed into a pull CSR in local
+ids, so an iteration costs Θ(|V_w| + |E_w|) however large the event set's
+vertex space is.  The pull rows keep the within-row source order of a
+transpose over the whole vertex space, and the residual is summed over a
+zero-padded length-``n`` buffer, so the values and iteration counts are
+those of an iteration over all ``n`` vertices, bit for bit.
+
 This solver lives under :mod:`repro.pagerank` because it is a general
 simple-graph solver, not streaming machinery: the offline model uses it
 cold-started (``prev_values=None`` degrades to the plain power iteration)
@@ -84,74 +93,109 @@ def _power_iterate_graph(
     base: float,
     normalized: bool = False,
 ) -> PagerankResult:
-    """The power iteration of every materialized (simple-graph) solve.
+    """The window-local power iteration of every materialized solve.
 
-    The affine pull of :func:`~repro.pagerank.spmv._power_iterate` over
-    the whole vertex space of ``graph``, restricted to the active
-    ``mask``.  It starts from ``prev_values`` transferred by eq. 4
+    The affine pull of :func:`~repro.pagerank.spmv._power_iterate` on a
+    simple graph, solved in the active ``mask``'s own vertex space
+    ``[0, |V_w|)``.  Once per solve it relabels the snapshot's edges with
+    a monotone map and transposes them into a pull CSR in local ids, and
+    gathers the start vector, the inverse out-weights and the dangling
+    set into ``|V_w|``-length vectors, so each iteration touches |V_w|
+    entries and the snapshot's edges.  It starts from ``prev_values``
+    transferred by eq. 4
     (:func:`~repro.pagerank.init.materialized_partial_initialization`)
     or, cold, from ``cold_mass`` spread evenly over the active vertices.
-    ``out_weight`` is the per-source weight (out-degree for PageRank, 1
-    for Katz), ``normalized`` compares unit-mass iterates and returns the
-    unit-mass fixed point, and ``config`` supplies the tolerance,
-    iteration cap, strictness and dangling policy.
+    ``out_weight`` is the length-``n`` per-source weight (out-degree for
+    PageRank, 1 for Katz), ``normalized`` compares unit-mass iterates and
+    returns the unit-mass fixed point, and ``config`` supplies the
+    tolerance, iteration cap, strictness and dangling policy.  The values
+    come back in the graph's vertex space, exactly ``+0.0`` off ``mask``.
     """
     n = graph.n_vertices
-    n_active = int(mask.sum())
-    if n_active == 0:
+    active_idx = np.flatnonzero(mask)
+    k = active_idx.size
+    if k == 0:
         return PagerankResult(
             values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
-    if prev_values is not None:
-        x = materialized_partial_initialization(
-            mask, n_active, prev_values, prev_active
-        )
-    else:
-        x = np.where(mask, cold_mass / n_active, 0.0)
-    inv_out = np.zeros(n, dtype=np.float64)
-    nz = out_weight > 0
-    inv_out[nz] = 1.0 / out_weight[nz]
-    # the streaming model pays this transpose per window: its structure is
-    # organized for updates (out-adjacency blocks), not for the pull
-    in_graph = graph.transpose()
-    in_col = in_graph.col
-    in_indptr = _check_indptr(in_graph.indptr, in_col.size)
+    # monotone global -> local map; an inactive source reads the zero
+    # share in slot k, the +0.0 term it always added to its row
+    local_id = np.full(n, k, dtype=np.int64)
+    local_id[active_idx] = np.arange(k, dtype=np.int64)
+    # sorted by (row, global source) as the n-space transpose was, so each
+    # reduceat segment sums the same terms in the same order; edges into
+    # inactive rows are dropped (those rows were zeroed every iteration)
+    src, dst = graph.edges()
+    into = mask[dst]
+    rows, in_src = np.divmod(np.sort(local_id[dst[into]] * n + src[into]), n)
+    in_col = local_id[in_src]
+    in_indptr = _check_indptr(
+        np.searchsorted(rows, np.arange(k + 1)), in_col.size
+    )
     nonempty = in_indptr[:-1] < in_indptr[1:]
     starts = in_indptr[:-1][nonempty]
-    dangling = mask & ~nz
 
-    teleport = base / n_active
+    # pooled once per solve: the x/y ping-pong pair, |y - x|, the shares
+    # (plus the zero slot) and the gathered per-edge terms
+    rank0, rank1, diff = np.empty((3, k), dtype=np.float64)
+    share = np.zeros(k + 1, dtype=np.float64)
+    terms = np.empty(in_col.size, dtype=np.float64)
+    # |y - x| and the unit-mass totals scattered into zeros: the same
+    # n-term pairwise sums (and bits) as over the whole vertex space
+    resid = np.zeros(n, dtype=np.float64)
+    if prev_values is not None:
+        materialized_partial_initialization(
+            mask, k, prev_values, prev_active
+        ).take(active_idx, out=rank0)
+    else:
+        rank0.fill(cold_mass / k)
+    weight = out_weight[active_idx]
+    nz = weight > 0
+    inv_out = np.zeros(k, dtype=np.float64)
+    np.divide(1.0, weight, out=inv_out, where=nz)
+    if config.dangling == "uniform":
+        dangling = np.flatnonzero(~nz)
+    else:
+        dangling = np.zeros(0, dtype=np.int64)
+    dang_buf = np.empty(dangling.size, dtype=np.float64)
+
+    teleport = base / k
     work = WorkStats()
     residual = np.inf
+    x = rank0
     if normalized:
-        total = x.sum()
+        resid[active_idx] = x
+        total = np.add.reduce(resid)
 
-    for it in range(1, config.max_iterations + 1):
-        w = x * inv_out
-        y = _sum_nonempty(
-            w[in_col], nonempty, starts, np.empty(n, dtype=np.float64)
-        )
+    for _ in range(config.max_iterations):
+        np.multiply(x, inv_out, out=share[:k])
+        y = rank1 if x is rank0 else rank0
+        share.take(in_col, out=terms, mode="clip")
+        _sum_nonempty(terms, nonempty, starts, y)
         y *= scale
-        if config.dangling == "uniform":
-            dangling_mass = float(x[dangling].sum())
+        if dangling.size:
+            x.take(dangling, out=dang_buf, mode="clip")
+            dangling_mass = float(np.add.reduce(dang_buf))
             if dangling_mass:
-                y[mask] += scale * dangling_mass / n_active
-        y[mask] += teleport
-        y[~mask] = 0.0
+                y += scale * dangling_mass / k
+        y += teleport
 
         if normalized:
-            y_total = y.sum()
-            residual = float(
-                np.abs(_unit_mass(y, y_total) - _unit_mass(x, total)).sum()
+            resid[active_idx] = y
+            y_total = np.add.reduce(resid)
+            np.subtract(
+                _unit_mass(y, y_total), _unit_mass(x, total), out=diff
             )
             total = y_total
         else:
-            residual = float(np.abs(y - x).sum())
+            np.subtract(y, x, out=diff)
+        resid[active_idx] = np.abs(diff, out=diff)
+        residual = float(np.add.reduce(resid))
         x = y
         work.iterations += 1
         work.edge_traversals += graph.n_edges
         work.active_edge_traversals += graph.n_edges
-        work.vertex_ops += n_active
+        work.vertex_ops += k
         if residual < config.tolerance:
             break
     else:
@@ -161,7 +205,8 @@ def _power_iterate_graph(
                 f"{config.max_iterations} iterations "
                 f"(residual {residual:.3e})"
             )
+    values = np.zeros(n, dtype=np.float64)
+    values[active_idx] = _unit_mass(x, total) if normalized else x
     return PagerankResult(
-        _unit_mass(x, total) if normalized else x,
-        work.iterations, residual < config.tolerance, residual, work,
+        values, work.iterations, residual < config.tolerance, residual, work,
     )

@@ -123,13 +123,9 @@ class VertexProgram:
         x0: np.ndarray,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         """Solve a region-schedule batch (column ``j`` of ``x0`` seeds
-        ``views[j]``).  Only called when ``supports_batch``.  The
-        batched loop has no adaptive choice, so it ignores
-        ``iteration_hint``; the keyword keeps one call shape for both
-        solve surfaces."""
+        ``views[j]``).  Only called when ``supports_batch``."""
         raise NotImplementedError
 
     # -- materialized surface (offline / streaming drivers) ------------

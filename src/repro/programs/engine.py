@@ -205,8 +205,7 @@ def solve_program_chain(
         else:
             X0 = np.stack(x0_cols, axis=1)
             batch_result = program.solve_batch(
-                batch_views, X0, workspace=workspace,
-                iteration_hint=iteration_hint,
+                batch_views, X0, workspace=workspace
             )
             iteration_hint = int(batch_result.iterations_per_window.max())
             work.merge(batch_result.work)

@@ -239,7 +239,6 @@ class KatzProgram(VertexProgram):
         x0: np.ndarray,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         """Katz on PageRank's SpMM loop: one clamped attenuation per
         column, pooled and read cell by cell exactly like a PageRank

@@ -84,7 +84,6 @@ class PagerankProgram(VertexProgram):
         x0: np.ndarray,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> BatchPagerankResult:
         return pagerank_windows_spmm(
             views, self.config, x0=x0, workspace=workspace

@@ -40,7 +40,13 @@ from repro.pagerank.backends.numba_backend import (
 from repro.pagerank.backends.numpy_backend import NumpyPlan
 from repro.parallel.cost_model import CostModel, choose_backend
 from tests.conftest import random_events
-from tests.test_edge_compaction import CFG, _views_regimes, make_view
+from tests.test_edge_compaction import (
+    CFG,
+    _views_regimes,
+    assert_batch_matches,
+    make_view,
+    spmm_oracle,
+)
 
 #: a tiny budget (8 vertices per partition) so even the small test graphs
 #: span several partitions
@@ -208,18 +214,16 @@ class TestBackendParity:
             assert r.iterations == base.iterations
 
     def test_spmm(self, name, view, use_workspace):
+        """The batch reads no backend, so each setting's batch must match
+        the masked oracle rather than the numpy setting's batch."""
         views = [view] * 3
-        ws0 = Workspace() if use_workspace else None
-        base = pagerank_windows_spmm(views, self._cfg("numpy"), workspace=ws0)
-        for backend in self.OTHERS:
+        want = spmm_oracle(views, CFG)
+        for backend in ("numpy",) + self.OTHERS:
             ws = Workspace() if use_workspace else None
             r = pagerank_windows_spmm(
                 views, self._cfg(backend), workspace=ws
             )
-            assert np.array_equal(r.values, base.values), backend
-            assert np.array_equal(
-                r.iterations_per_window, base.iterations_per_window
-            )
+            assert_batch_matches(r, want)
 
     def test_composes_with_edge_path(self, name, view, use_workspace):
         base = self._solve(pagerank_window, view, "numpy", use_workspace)

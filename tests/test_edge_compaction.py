@@ -28,8 +28,26 @@ from repro.parallel.cost_model import (
     choose_edge_path,
 )
 from tests.conftest import random_events
+from tests.spmm_reference import reference_power_iterate_batch
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=300)
+
+
+def spmm_oracle(views, config):
+    """A PageRank batch solved by the full-width masked SpMM oracle."""
+    return reference_power_iterate_batch(
+        views, config, None,
+        np.full(len(views), config.damping, dtype=np.float64), config.alpha,
+    )
+
+
+def assert_batch_matches(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(
+        got.iterations_per_window, want.iterations_per_window
+    )
+    assert np.array_equal(got.residuals, want.residuals)
+    assert np.array_equal(got.converged, want.converged)
 
 
 def make_view(seed=0, n_vertices=40, n_events=400, delta=3_000, sw=1_000,
@@ -142,20 +160,16 @@ class TestBitwiseParity:
             assert r.iterations == base.iterations
 
     def test_spmm(self, name, view, use_workspace):
+        """The batch reads no edge path, so each setting's batch must
+        match the masked oracle rather than one another."""
         views = [view] * 3
-        ws0 = Workspace() if use_workspace else None
-        base = pagerank_windows_spmm(
-            views, replace(CFG, edge_path="masked"), workspace=ws0
-        )
-        for path in ("compacted", "auto"):
+        want = spmm_oracle(views, CFG)
+        for path in ("masked", "compacted", "auto"):
             ws = Workspace() if use_workspace else None
             r = pagerank_windows_spmm(
                 views, replace(CFG, edge_path=path), workspace=ws
             )
-            assert np.array_equal(r.values, base.values)
-            assert np.array_equal(
-                r.iterations_per_window, base.iterations_per_window
-            )
+            assert_batch_matches(r, want)
 
 
 def test_spmm_distinct_windows_parity():
@@ -163,9 +177,10 @@ def test_spmm_distinct_windows_parity():
     adj = TemporalAdjacency.from_events(events)
     spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
     views = [adj.window_view(spec.window(i)) for i in range(4)]
-    base = pagerank_windows_spmm(views, replace(CFG, edge_path="masked"))
-    comp = pagerank_windows_spmm(views, replace(CFG, edge_path="compacted"))
-    assert np.array_equal(comp.values, base.values)
+    want = spmm_oracle(views, CFG)
+    for path in ("masked", "compacted"):
+        r = pagerank_windows_spmm(views, replace(CFG, edge_path=path))
+        assert_batch_matches(r, want)
 
 
 # ---------------------------------------------------------------------------
