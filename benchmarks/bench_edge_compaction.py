@@ -1,36 +1,33 @@
-"""Active-edge compaction: per-iteration cost, parity and the auto policy.
+"""Active-edge compaction: per-iteration cost and parity.
 
-The masked kernels touch all ``nnz`` stored events of their multi-window
-graph every power iteration; compaction
-(:mod:`repro.pagerank.compaction`) packs each window's active deduped
-edges once and iterates over the Θ(|E_w|) packed arrays.  This bench
-answers three questions on a realistic profile:
+A masked pass touches all ``nnz`` stored events of its multi-window graph
+every power iteration; the single-window kernels instead pack each
+window's active deduped edges once (:mod:`repro.pagerank.compaction`)
+and iterate over the Θ(|E_w|) packed arrays.  The masked pass survives
+only as the tests' oracle (``tests/dense_mask_reference.py``), and this
+bench measures the kernels against it on a realistic profile:
 
 * **How much cheaper is an iteration?**  A low-activity window (active
-  ratio ≤ 0.25) must run its iterations ≥ 2x faster compacted than
-  masked — the tentpole acceptance claim.
-* **Is it still the same answer?**  The compacted spmv/weighted paths
-  must match the masked paths *bitwise* (sequential
-  ``segment_sum_ordered`` makes zero-dropping exact).
-* **Can ``edge_path="auto"`` be trusted?**  The adaptive choice must
-  land within 10% of whichever fixed path is actually faster.
+  ratio ≤ 0.25) must run its iterations ≥ 2x faster in the kernel than
+  in the masked oracle.
+* **Is it still the same answer?**  The spmv/weighted kernels must match
+  the masked oracle *bitwise* (sequential ``segment_sum_ordered`` makes
+  zero-dropping exact).
 
-The SpMM batch has no edge path to choose: it reads only its live
-(edge, window) cells (:class:`~repro.pagerank.spmm.ActiveCells`).  Its
-section reports the cells read per iteration as a fraction of
-``nnz * k`` and checks the batch, under every ``edge_path`` value,
-bitwise against the full-width masked pass it replaced
+The SpMM batch reads only its live (edge, window) cells
+(:class:`~repro.pagerank.spmm.ActiveCells`).  Its section reports the
+cells read per iteration as a fraction of ``nnz * k`` and checks the
+batch bitwise against the full-width masked pass it replaced
 (``tests/spmm_reference.py``).
 
 Wall-clock on a shared CI box is noise, so the *guarded* regression
 metrics are ratios: traversed-events and cell fractions (pure code
-facts) and same-machine time ratios.  The three paths are timed round-robin in
-interleaved rounds (``benchmarks._common.interleaved_rounds``); each
-path's time is its median round, and the auto gate is the median
-per-round ratio of auto over the better fixed path, which a host whose
-speed drifts between rounds cannot fool.  Results are printed, persisted
-as text, and emitted as JSON (``benchmarks/output/edge_compaction.json``);
-the committed baseline is ``benchmarks/BENCH_edge_compaction.json``.
+facts) and same-machine time ratios.  The kernel and the oracle are
+timed round-robin in interleaved rounds
+(``benchmarks._common.interleaved_rounds``); each one's time is its
+median round.  Results are printed, persisted as text, and emitted as
+JSON (``benchmarks/output/edge_compaction.json``); the committed
+baseline is ``benchmarks/BENCH_edge_compaction.json``.
 
 Run:  pytest benchmarks/bench_edge_compaction.py -s
 """
@@ -38,7 +35,6 @@ Run:  pytest benchmarks/bench_edge_compaction.py -s
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +44,6 @@ from benchmarks._common import (
     emit,
     get_events,
     interleaved_rounds,
-    round_ratios,
     spec_for,
 )
 from repro.graph import LazyMultiWindowPartition
@@ -59,6 +54,7 @@ from repro.pagerank import (
     pagerank_windows_spmm,
 )
 from repro.reporting import format_table
+from tests.dense_mask_reference import dense_mask_pagerank
 from tests.spmm_reference import reference_power_iterate_batch
 
 PROFILE = "stackoverflow"
@@ -70,36 +66,17 @@ SPMM_BATCH = 8
 #: interleaved timing rounds per kernel (odd: a clean median)
 ROUNDS = 15
 
-#: acceptance bounds — per-iteration speedup of the compacted path on a
-#: window with activity ratio ≤ LOW_ACTIVITY, and the auto policy's
-#: allowed slack over the better fixed path
+#: acceptance bounds — per-iteration speedup of the kernel over the
+#: masked oracle on a window with activity ratio ≤ LOW_ACTIVITY
 LOW_ACTIVITY = 0.25
 MIN_SPEEDUP = 2.0
-AUTO_SLACK = 1.10
 
 
-def _timed(solves):
-    """Interleaved rounds over ``{path: solve(workspace)}``, each call on a
-    fresh workspace so the pack pass and buffer-pool warmup are inside
-    the measurement.
-
-    Returns ``(last results, median seconds, per-round auto/better-fixed
-    ratios)``.
-    """
-    round_seconds, results = interleaved_rounds(
-        {path: (lambda f=f: f(Workspace())) for path, f in solves.items()},
-        ROUNDS,
+def _same(got, want) -> bool:
+    return (
+        got.iterations == want.iterations
+        and np.array_equal(got.values, want.values)
     )
-    seconds = {p: float(np.median(t)) for p, t in round_seconds.items()}
-    ratios = round_ratios(round_seconds, "auto", ("masked", "compacted"))
-    return results, seconds, ratios
-
-
-def _spmv_configs():
-    return {
-        path: replace(BENCH_CONFIG, edge_path=path)
-        for path in ("masked", "compacted", "auto")
-    }
 
 
 def test_edge_compaction():
@@ -123,70 +100,59 @@ def test_edge_compaction():
     view = views[j_low]
     activity_ratio = float(ratios[j_low])
 
-    configs = _spmv_configs()
-
     # -- spmv: parity + per-iteration cost on the guarded window ---------
-    runs, seconds, auto_ratios = _timed({
-        path: (lambda ws, cfg=cfg: pagerank_window(view, cfg, workspace=ws))
-        for path, cfg in configs.items()
-    })
-    spmv_match = (
-        runs["masked"].iterations == runs["compacted"].iterations
-        and np.array_equal(runs["masked"].values, runs["compacted"].values)
-        and np.array_equal(runs["masked"].values, runs["auto"].values)
+    # the kernel on a fresh workspace, so the pack pass and buffer-pool
+    # warmup are inside the measurement
+    round_seconds, runs = interleaved_rounds(
+        {
+            "masked": lambda: dense_mask_pagerank(view, BENCH_CONFIG),
+            "compacted": lambda: pagerank_window(
+                view, BENCH_CONFIG, workspace=Workspace()
+            ),
+        },
+        ROUNDS,
     )
+    seconds = {p: float(np.median(t)) for p, t in round_seconds.items()}
+    spmv_match = _same(runs["compacted"], runs["masked"])
     iters = runs["masked"].iterations
-    periter = {p: seconds[p] / iters for p in configs}
+    periter = {p: seconds[p] / iters for p in seconds}
     speedup = periter["masked"] / periter["compacted"]
     traversal_ratio = (
-        runs["compacted"].work.edge_traversals
-        / runs["masked"].work.edge_traversals
+        runs["compacted"].work.edge_traversals / (iters * nnz)
     )
-    auto_over_best = float(np.median(auto_ratios))
-    auto_within_bound = auto_over_best <= AUTO_SLACK
 
     # -- weighted: parity on the same window -----------------------------
-    w_runs = {
-        path: pagerank_window_weighted(view, cfg, workspace=Workspace())
-        for path, cfg in configs.items()
-    }
-    weighted_match = (
-        w_runs["masked"].iterations == w_runs["compacted"].iterations
-        and np.array_equal(
-            w_runs["masked"].values, w_runs["compacted"].values
-        )
-        and np.array_equal(w_runs["masked"].values, w_runs["auto"].values)
+    weighted_match = _same(
+        pagerank_window_weighted(view, BENCH_CONFIG, workspace=Workspace()),
+        dense_mask_pagerank(view, BENCH_CONFIG, weighted=True),
     )
 
     # -- spmm: the strided batch's active cells --------------------------
     stride = max(1, len(views) // SPMM_BATCH)
     batch = views[::stride][:SPMM_BATCH]
-    m_runs = {
-        path: pagerank_windows_spmm(batch, cfg, workspace=Workspace())
-        for path, cfg in configs.items()
-    }
+    m_run = pagerank_windows_spmm(
+        batch, BENCH_CONFIG, workspace=Workspace()
+    )
     oracle = reference_power_iterate_batch(
         batch, BENCH_CONFIG, None,
         np.full(len(batch), BENCH_CONFIG.damping, dtype=np.float64),
         BENCH_CONFIG.alpha,
     )
-    spmm_match = all(
-        np.array_equal(r.values, oracle.values)
+    spmm_match = (
+        np.array_equal(m_run.values, oracle.values)
         and np.array_equal(
-            r.iterations_per_window, oracle.iterations_per_window
+            m_run.iterations_per_window, oracle.iterations_per_window
         )
-        and np.array_equal(r.residuals, oracle.residuals)
-        for r in m_runs.values()
+        and np.array_equal(m_run.residuals, oracle.residuals)
     )
-    spmm_work = m_runs["auto"].work
+    spmm_work = m_run.work
     spmm_iters = int(spmm_work.iterations)
     cell_fraction = spmm_work.edge_traversals / (
         spmm_iters * nnz * len(batch)
     )
-    # every edge path runs the same cells, so one timing stands for all
     m_seconds, _ = interleaved_rounds(
         {"spmm": lambda: pagerank_windows_spmm(
-            batch, configs["auto"], workspace=Workspace()
+            batch, BENCH_CONFIG, workspace=Workspace()
         )},
         ROUNDS,
     )
@@ -208,7 +174,6 @@ def test_edge_compaction():
             "iterations": int(iters),
             "periter_masked_ms": round(periter["masked"] * 1e3, 4),
             "periter_compacted_ms": round(periter["compacted"] * 1e3, 4),
-            "periter_auto_ms": round(periter["auto"] * 1e3, 4),
             "speedup": round(speedup, 3),
             "speedup_ok": bool(
                 activity_ratio <= LOW_ACTIVITY and speedup >= MIN_SPEEDUP
@@ -216,8 +181,6 @@ def test_edge_compaction():
             "traversal_ratio": round(float(traversal_ratio), 5),
             "periter_ratio": round(periter["compacted"] / periter["masked"], 5),
             "match_exact": bool(spmv_match),
-            "auto_over_best_per_round": [round(r, 4) for r in auto_ratios],
-            "auto_over_best": round(auto_over_best, 4),
         },
         "weighted": {"match_exact": bool(weighted_match)},
         "spmm": {
@@ -228,7 +191,6 @@ def test_edge_compaction():
             "match_exact": bool(spmm_match),
         },
         "rounds": ROUNDS,
-        "auto_within_bound": bool(auto_within_bound),
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "edge_compaction.json").write_text(
@@ -253,8 +215,6 @@ def test_edge_compaction():
     text += (
         f"\n\nweighted parity: "
         f"{'bitwise' if weighted_match else 'DIVERGED'}"
-        f"\nauto / better fixed path, median of {ROUNDS} interleaved "
-        f"rounds (bound {AUTO_SLACK:.2f}x): spmv={auto_over_best:.3f}"
         f"\nspmm batch of {len(batch)}: {cell_fraction:.3f} of nnz*k cells "
         f"read per iteration, {spmm_periter * 1e3:.3f} ms/it, "
         f"{'bitwise' if spmm_match else 'DIVERGED'} vs the masked pass"
@@ -265,4 +225,3 @@ def test_edge_compaction():
     assert spmv_match and weighted_match and spmm_match
     assert activity_ratio <= LOW_ACTIVITY
     assert speedup >= MIN_SPEEDUP, f"speedup {speedup:.2f}x < {MIN_SPEEDUP}x"
-    assert auto_within_bound

@@ -8,7 +8,7 @@ of a vertex's out-edges (u, v) in the window whose reverse (v, u) is also
 present — runs it under all three models through ``make_driver``, checks
 they agree bit for bit, and shows where each spends its time.
 
-A program implements two surfaces: ``solve_window`` gets the masked
+A program implements two surfaces: ``solve_window`` gets the
 temporal-CSR window view (postmortem, no graph materialization) and
 ``solve_graph`` gets a materialized (CSRGraph, active mask) pair (offline
 and streaming).

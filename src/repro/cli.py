@@ -133,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "offline over windows; streaming is serial-only")
     p_run.add_argument("--executor-workers", type=int, default=4,
                        help="worker count for the non-serial executors")
-    p_run.add_argument("--edge-path", default="auto",
-                       choices=["auto", "masked", "compacted"],
-                       help="per-window kernel edge traversal: mask the "
-                       "full stored structure, pack the active edges once "
-                       "per window (bitwise-identical), or let the cost "
-                       "model decide per window (default)")
     p_run.add_argument("--backend", default="auto",
                        choices=list(BACKEND_NAMES),
                        help="kernel propagation backend: flat NumPy "
@@ -373,7 +367,6 @@ def _make_config(args):
     return PagerankConfig(
         alpha=args.alpha,
         tolerance=args.tolerance,
-        edge_path=getattr(args, "edge_path", "auto"),
         backend=getattr(args, "backend", "auto"),
         cache_budget=getattr(args, "cache_budget", 262_144),
     )

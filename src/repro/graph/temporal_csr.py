@@ -380,7 +380,7 @@ class WindowView:
       ``n_active_vertices`` and ``n_active_edges``.
 
     Two things are derived only on demand: :attr:`in_dedup`, the Θ(nnz)
-    first-active-event mask that the masked kernels stream, and
+    first-active-event mask that the masked reference loops stream, and
     :attr:`multiplicities`, the weighted kernel's per-edge event counts.
     Neither is kept on the view.
     """
@@ -453,7 +453,8 @@ class WindowView:
 
         A fresh Θ(nnz) :meth:`TemporalCSR.dedup_mask` on every read — not
         kept, so the views a chain holds stay group-sized.  The masked
-        kernels and Katz read it once per solve."""
+        reference loops (:func:`repro.programs.katz.katz_window` and the
+        test oracles) read it once per solve."""
         return self.adjacency.in_csr.dedup_mask(
             self.window.t_start, self.window.t_end
         )

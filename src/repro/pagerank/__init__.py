@@ -5,14 +5,14 @@
 * :mod:`repro.pagerank.reference` — slow, obviously-correct implementations
   used as test oracles.
 * :mod:`repro.pagerank.spmv` — the pull-style power iteration over a
-  masked temporal CSR window (the paper's SpMV kernel).
+  temporal CSR window's packed active edges (the paper's SpMV kernel).
 * :mod:`repro.pagerank.init` — full and partial initialization (eq. 4).
 * :mod:`repro.pagerank.spmm` — the SpMM-inspired multi-window kernel
   (Section 4.4).
 * :mod:`repro.pagerank.workspace` — reusable kernel scratch buffers shared
   across the windows of one partial-initialization chain.
 * :mod:`repro.pagerank.compaction` — per-window active-edge packing (the
-  literal Θ(|E_w|) iteration) and the masked/compacted path resolution.
+  literal Θ(|E_w|) iteration).
 * :mod:`repro.pagerank.backends` — pluggable execution strategies for the
   per-iteration gather→reduce step (flat NumPy, or numba-JIT destination
   partitioning) behind one bitwise-identical contract.
@@ -25,11 +25,7 @@ from repro.pagerank.backends import (
     create_backend,
     resolve_backend,
 )
-from repro.pagerank.compaction import (
-    CompactedPull,
-    compact_pull,
-    resolve_edge_path,
-)
+from repro.pagerank.compaction import CompactedPull, compact_pull
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult, BatchPagerankResult, WorkStats
 from repro.pagerank.reference import (
@@ -59,7 +55,6 @@ __all__ = [
     "pagerank_window_weighted",
     "CompactedPull",
     "compact_pull",
-    "resolve_edge_path",
     "backend_availability",
     "create_backend",
     "resolve_backend",

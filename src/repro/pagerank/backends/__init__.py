@@ -1,8 +1,8 @@
 """Pluggable kernel backends for the per-iteration propagation step.
 
-Every single-window PageRank kernel (SpMV, weighted) performs the same
-inner step each power iteration: gather per-source shares along the
-window's edge list and reduce them per destination
+Every single-window solve (SpMV, weighted, Katz) performs the same inner
+step each power iteration: gather per-source shares along the window's
+packed active edges and reduce them per destination
 (``segment_sum_ordered``).  This package factors that step behind a small
 registry so the two *execution
 strategies* — the flat NumPy pass and an optional numba-JIT
@@ -10,9 +10,8 @@ destination-partitioned pass (after Lakhotia et al.'s PCPM) — can be
 swapped without touching the kernels, **bitwise-identical** by
 construction.
 
-``PagerankConfig.backend`` selects one (``"auto"`` asks the cost model,
-composing with ``edge_path``); :func:`resolve_backend` is the kernels'
-entry point, mirroring ``resolve_edge_path``.
+``PagerankConfig.backend`` selects one (``"auto"`` asks the cost model);
+:func:`resolve_backend` is the kernels' entry point.
 """
 
 from repro.pagerank.backends.base import EdgePlan, KernelBackend

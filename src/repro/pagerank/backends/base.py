@@ -1,10 +1,11 @@
 """The kernel-backend contract: edge plans and the backend interface.
 
 A *backend* owns one execution strategy for the single-window kernels'
-inner gather→reduce step.  For each window the SpMV and weighted kernels
-ask the backend for an :class:`EdgePlan` over the resolved edge list —
-the masked structure or the compacted pack, whichever ``edge_path``
-chose — and then call the plan once per power iteration.  The SpMM
+inner gather→reduce step.  For each window the SpMV, weighted and Katz
+solves ask the backend for an :class:`EdgePlan` over the window's packed
+active edges (:mod:`repro.pagerank.compaction`, relabelled into the
+window-local vertex space) and then call the plan once per power
+iteration.  The SpMM
 batch has no plan: it reads its live (edge, window) cells directly
 (:class:`~repro.pagerank.spmm.ActiveCells`).  The plan is where a
 backend may precompute per-window acceleration structures (the numba
@@ -12,7 +13,6 @@ plan's destination binning); the call sequence inside ``propagate`` is
 required to be **bitwise-identical** to the reference flat pass::
 
     c = np.take(w, col)          # gather per-source shares
-    c *= mask                    # optional: zero inactive stored events
     c *= weights                 # optional: per-edge multiplicities
     y = segment_sum_ordered(c, rows, n_rows)
 
@@ -58,7 +58,6 @@ class EdgePlan:
     def propagate(
         self,
         w: np.ndarray,
-        mask: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
         contrib: Optional[np.ndarray] = None,
@@ -69,12 +68,9 @@ class EdgePlan:
         ----------
         w:
             ``(n_rows,)`` per-source share vector (``x * inv_outdeg``).
-        mask:
-            Optional ``(n_edges,)`` mask zeroing inactive stored events
-            (the masked edge path; ``None`` for compacted edge lists).
         weights:
             Optional ``(n_edges,)`` per-edge multiplicities (the weighted
-            kernel), applied after the mask.
+            kernel).
         out:
             Optional ``(n_rows,)`` float64 result buffer, fully
             overwritten (a workspace rank buffer in the hot kernels).
@@ -106,12 +102,13 @@ class KernelBackend:
         key: str = "plan",
         capacity: Optional[int] = None,
     ) -> EdgePlan:
-        """Build the per-window plan for one resolved edge list.
+        """Build the per-window plan for one packed edge list.
 
         ``workspace``/``key``/``capacity`` let backends pool their
         precomputed per-edge arrays the way the kernels pool their
-        iteration scratch: ``capacity`` is the structure's nnz upper
-        bound, so a pooled buffer allocated once serves every window of a
-        chain sliced to the current edge count.
+        iteration scratch: ``capacity`` is an upper bound on any window's
+        edge count in the structure (its group count), so a pooled buffer
+        allocated once serves every window of a chain sliced to the
+        current edge count.
         """
         raise NotImplementedError

@@ -4,8 +4,8 @@ Lakhotia, Kannan & Prasanna, "Accelerating PageRank using Partition-Centric
 Processing" (USENIX ATC'18): bin destination updates into vertex partitions
 sized so each partition's slice of the rank vector fits a cache budget,
 then reduce one partition at a time.  The pull edge lists the kernels hand
-us are already **grouped by destination** (the in-CSR row ids, and every
-compacted pack preserves that order), so the binning needs no permutation:
+us are already **grouped by destination** (the packed active edges keep
+the in-CSR row order), so the binning needs no permutation:
 partition ``p`` owns the contiguous edge span ``pstart[p]:pstart[p+1]``
 found by one ``searchsorted`` over the row ids, and the per-partition
 local destination is just ``rows % width``.  That is the per-window
@@ -13,7 +13,7 @@ precomputation (:meth:`NumbaBackend.make_plan`, workspace-pooled like
 compaction).
 
 The partitioning only pays with a fused reduce, so each partition's 1-D
-pass is a JIT-compiled gather→mask→weight→accumulate loop.  The scalar
+pass is a JIT-compiled gather→weight→accumulate loop.  The scalar
 loop adds each edge's contribution to its destination **in array order**
 — exactly the accumulation order of ``np.bincount`` — and all edges of one
 destination live in exactly one partition, so the result stays
@@ -48,7 +48,6 @@ __all__ = [
 DEFAULT_CACHE_BUDGET = 262_144
 
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
-_EMPTY_BOOL = np.zeros(0, dtype=np.bool_)
 
 
 @functools.cache
@@ -77,14 +76,11 @@ def _load_pull_1d():
         return None
 
     @numba.njit(fastmath=False)
-    def pull_1d(col, dst_local, w, mask, weights, has_mask, has_weights,
-                seg):
+    def pull_1d(col, dst_local, w, weights, has_weights, seg):
         seg[:] = 0.0
         # lint: disable=csr-python-loop — inside @njit the scalar loop is compiled, not interpreted
         for e in range(col.shape[0]):
             v = w[col[e]]
-            if has_mask:
-                v = v * mask[e]
             if has_weights:
                 v = v * weights[e]
             seg[dst_local[e]] += v
@@ -141,7 +137,6 @@ class NumbaPlan(NumpyPlan):
     def propagate(
         self,
         w: np.ndarray,
-        mask: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
         contrib: Optional[np.ndarray] = None,
@@ -149,7 +144,7 @@ class NumbaPlan(NumpyPlan):
         pull_1d = _load_pull_1d()
         if pull_1d is None:
             return super().propagate(
-                w, mask=mask, weights=weights, out=out, contrib=contrib
+                w, weights=weights, out=out, contrib=contrib
             )
         n = self.n_rows
         if out is None:
@@ -166,9 +161,8 @@ class NumbaPlan(NumpyPlan):
                 continue
             pull_1d(
                 self.col[lo:hi], self.dst_local[lo:hi], w,
-                mask[lo:hi] if mask is not None else _EMPTY_BOOL,
                 weights[lo:hi] if weights is not None else _EMPTY_F64,
-                mask is not None, weights is not None, seg,
+                weights is not None, seg,
             )
         return out
 

@@ -24,7 +24,6 @@ class NumpyPlan(EdgePlan):
     def propagate(
         self,
         w: np.ndarray,
-        mask: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
         contrib: Optional[np.ndarray] = None,
@@ -34,8 +33,6 @@ class NumpyPlan(EdgePlan):
         else:
             c = contrib
             w.take(self.col, out=c)
-        if mask is not None:
-            c *= mask
         if weights is not None:
             c *= weights
         return segment_sum_ordered(c, self.rows, self.n_rows, out=out)

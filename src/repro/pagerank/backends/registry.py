@@ -1,19 +1,18 @@
 """Backend registry and the kernels' ``backend="auto"`` resolution.
 
-Mirrors the ``edge_path`` machinery: :func:`resolve_backend` turns
-``PagerankConfig.backend`` into a concrete :class:`KernelBackend`
-instance, asking :func:`repro.parallel.cost_model.choose_backend` when the
-config says ``"auto"`` and the numba JIT is importable.  Without the JIT
-there is one strategy to run, so ``"auto"`` is the flat numpy pass.
-
-The two knobs compose: the kernels resolve ``edge_path`` first and hand
-this module the edge count actually traversed per iteration (``nnz`` for
-masked, ``|E_w|`` for compacted), so the backend decision prices the
-structure the iteration will really stream.
+:func:`resolve_backend` turns ``PagerankConfig.backend`` into a concrete
+:class:`KernelBackend` instance, asking
+:func:`repro.parallel.cost_model.choose_backend` when the config says
+``"auto"`` and the numba JIT is importable.  Without the JIT there is one
+strategy to run, so ``"auto"`` is the flat numpy pass.  The kernels hand
+it the window's packed active-edge count ``|E_w|``, the edges one
+iteration streams, and the chain's iteration hint
+(:func:`cost_model_estimate`).
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ValidationError
@@ -24,15 +23,19 @@ from repro.pagerank.backends.numba_backend import (
     NumbaBackend,
     numba_available,
 )
-from repro.pagerank.compaction import cost_model_estimate
 
 __all__ = [
     "BACKEND_NAMES",
     "backend_availability",
+    "cost_model_estimate",
     "create_backend",
     "resolve_backend",
     "validate_backend_name",
 ]
+
+#: one-shot latch for the non-positive iteration_hint debug note (tests
+#: reset it to observe the message again)
+_NONPOSITIVE_HINT_NOTED = False
 
 #: every name ``PagerankConfig.backend`` / ``run --backend`` accepts
 BACKEND_NAMES = ("auto", "numpy", "numba")
@@ -86,6 +89,43 @@ def backend_availability() -> Dict[str, Tuple[bool, str]]:
     }
 
 
+def cost_model_estimate(config, iteration_hint: Optional[int] = None):
+    """``(cost_model, expected_iterations)`` for a ``backend="auto"``
+    decision.
+
+    The partitioned plan amortizes a one-off binning pass over the
+    window's iterations, so the decision needs an iteration estimate:
+    ``iteration_hint`` (typically the previous window of the chain, whose
+    spectrum is nearly identical) when positive, otherwise a conservative
+    default — either way capped by the config's iteration budget.
+
+    A non-positive hint — a previous window that converged in zero
+    iterations (empty window) or a driver that deliberately passes its
+    raw counter — also falls back to the default, but *audibly*: a single
+    debug-level note per process, because a chain that silently treats
+    "converged instantly" as "no information" is hard to diagnose when
+    the crossover lands on the wrong side.
+    """
+    # lazy import: repro.parallel pulls in the executor stack; the kernels
+    # must stay importable without it at module-import time
+    from repro.parallel import cost_model
+
+    if iteration_hint is not None and iteration_hint > 0:
+        return cost_model, min(iteration_hint, config.max_iterations)
+    default = cost_model.DEFAULT_EXPECTED_ITERATIONS
+    if iteration_hint is not None:
+        global _NONPOSITIVE_HINT_NOTED
+        if not _NONPOSITIVE_HINT_NOTED:
+            _NONPOSITIVE_HINT_NOTED = True
+            logging.getLogger(__name__).debug(
+                "an 'auto' decision received iteration_hint=%d; "
+                "falling back to DEFAULT_EXPECTED_ITERATIONS=%d (noted "
+                "once per process)",
+                iteration_hint, default,
+            )
+    return cost_model, min(config.max_iterations, default)
+
+
 def resolve_backend(
     config,
     n_edges: int,
@@ -94,13 +134,12 @@ def resolve_backend(
 ) -> KernelBackend:
     """Turn ``config.backend`` into a concrete backend instance.
 
-    ``n_edges`` must be the per-iteration traversed edge count *after*
-    the ``edge_path`` resolution.  ``"auto"`` asks the cost model with
-    the iteration estimate ``resolve_edge_path`` uses
-    (:func:`~repro.pagerank.compaction.cost_model_estimate`).  Without
-    the JIT the partitioned plan has no fused reduce to amortize its
-    binning, so ``"auto"`` resolves to ``"numpy"`` on JIT-less hosts
-    without asking the model.
+    ``n_edges`` is the per-iteration traversed edge count (the window's
+    packed active edges).  ``"auto"`` asks the cost model with the
+    iteration estimate of :func:`cost_model_estimate`.  Without the JIT
+    the partitioned plan has no fused reduce to amortize its binning, so
+    ``"auto"`` resolves to ``"numpy"`` on JIT-less hosts without asking
+    the model.
     """
     name = config.backend
     if name != "auto":

@@ -1,11 +1,12 @@
 """Per-window active-edge compaction (the literal Θ(|E_w|) iteration).
 
-The masked kernels traverse **all stored nnz events** of their multi-window
-graph every power iteration and zero out the inactive ones.  The paper's
-complexity claim (Section 4.2, Figure 8) is asymptotic — partitioning
-bounds nnz by the multi-window graph's |E_w| — but within one graph a
-sparse window (small ``delta``, wide partition span: the Figure 9/10
-regimes) still pays the full structure pass per iteration.
+A window of a multi-window graph sees only a slice of the stored
+structure: a sparse window (small ``delta``, wide partition span: the
+Figure 9/10 regimes) has far fewer active deduplicated edges |E_w| than
+stored events nnz.  The paper's Section 4.2 charges a window Θ(|E_w|)
+work per iteration, so the single-window solves (SpMV, weighted, Katz)
+never stream the stored structure: they pack the window's active edges
+once and iterate over the pack.
 
 Compaction is the classic gather-scatter move from the GAP/STINGER CSR
 lineage: pay one gather *per window* to pack the active deduplicated
@@ -18,27 +19,20 @@ window view's active (row, neighbor) groups, so the pack costs
 are listed in stored order, so the packed edges keep their **within-row
 order** (and a monotone relabelling keeps it too); reducing them with the
 sequential :func:`~repro.utils.segments.segment_sum_ordered` then
-performs exactly the same additions in exactly the same order as the
-masked path — the results are bitwise-identical (masked positions
-contribute exact ``0.0``, and adding ``0.0`` to a non-negative
-intermediate is exact in IEEE-754).  Note this identity genuinely needs
-the *sequential* reduction: ``np.add.reduceat`` sums pairwise, so its
-rounding depends on how many masked zeros pad each segment.
-
-Selection between the two paths is the job of
-:func:`repro.parallel.cost_model.choose_edge_path`: compaction amortizes
-over the window's iterations, so it wins unless the window is almost fully
-active or converges almost immediately.  ``PagerankConfig.edge_path``
-pins the decision (``"masked"`` / ``"compacted"``) or delegates it
-(``"auto"``, the default).  The choice steers the single-window kernels
-(SpMV, weighted) only: the SpMM batch reads each window's active groups
-directly (:class:`~repro.pagerank.spmm.ActiveCells`), which is the
-compacted traversal with no mask to choose.
+performs exactly the same additions in exactly the same order as a
+masked pass over all stored events — the results are bitwise-identical
+to that pass (masked positions contribute exact ``0.0``, and adding
+``0.0`` to a non-negative intermediate is exact in IEEE-754; the tests
+keep the masked pass as their oracle, ``tests/dense_mask_reference.py``).
+Note this identity genuinely needs the *sequential* reduction:
+``np.add.reduceat`` sums pairwise, so its rounding depends on how many
+masked zeros pad each segment.  The SpMM batch reads each window's
+active groups directly (:class:`~repro.pagerank.spmm.ActiveCells`), the
+same traversal cut into (edge, window) cells.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -46,20 +40,13 @@ import numpy as np
 
 from repro.utils.segments import lengths_to_indptr
 
-#: one-shot latch for the non-positive iteration_hint debug note (tests
-#: reset it to observe the message again)
-_NONPOSITIVE_HINT_NOTED = False
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.temporal_csr import WindowView
-    from repro.pagerank.config import PagerankConfig
     from repro.pagerank.workspace import Workspace
 
 __all__ = [
     "CompactedPull",
     "compact_pull",
-    "cost_model_estimate",
-    "resolve_edge_path",
 ]
 
 
@@ -139,68 +126,4 @@ def compact_pull(
         indptr=_packed_indptr(view.in_degrees, workspace, "compact.indptr"),
         col=_gather(groups.col, active, workspace, "compact.col"),
         rows=_gather(groups.row, active, workspace, "compact.rows"),
-    )
-
-
-def cost_model_estimate(
-    config: "PagerankConfig", iteration_hint: Optional[int] = None
-):
-    """``(cost_model, expected_iterations)`` for an ``"auto"`` decision.
-
-    Both ``auto`` knobs (``edge_path`` here, ``backend`` in
-    :mod:`repro.pagerank.backends.registry`) price per-iteration savings
-    against a one-off cost, so they share one iteration estimate:
-    ``iteration_hint`` (typically the previous window of the chain, whose
-    spectrum is nearly identical) when positive, otherwise a conservative
-    default — either way capped by the config's iteration budget.
-
-    A non-positive hint — a previous window that converged in zero
-    iterations (empty window) or a driver that deliberately passes its
-    raw counter — also falls back to the default, but *audibly*: a single
-    debug-level note per process, because a chain that silently treats
-    "converged instantly" as "no information" is hard to diagnose when
-    the crossover lands on the wrong side.
-    """
-    # lazy import: repro.parallel pulls in the executor stack; the kernels
-    # must stay importable without it at module-import time
-    from repro.parallel import cost_model
-
-    if iteration_hint is not None and iteration_hint > 0:
-        return cost_model, min(iteration_hint, config.max_iterations)
-    default = cost_model.DEFAULT_EXPECTED_ITERATIONS
-    if iteration_hint is not None:
-        global _NONPOSITIVE_HINT_NOTED
-        if not _NONPOSITIVE_HINT_NOTED:
-            _NONPOSITIVE_HINT_NOTED = True
-            logging.getLogger(__name__).debug(
-                "an 'auto' decision received iteration_hint=%d; "
-                "falling back to DEFAULT_EXPECTED_ITERATIONS=%d (noted "
-                "once per process)",
-                iteration_hint, default,
-            )
-    return cost_model, min(config.max_iterations, default)
-
-
-def resolve_edge_path(
-    config: "PagerankConfig",
-    nnz: int,
-    n_active_edges: int,
-    n_vertices: int,
-    iteration_hint: Optional[int] = None,
-) -> str:
-    """Turn ``config.edge_path`` into a concrete ``"masked"``/``"compacted"``.
-
-    ``"auto"`` asks the parallel cost model: compaction pays one pack to
-    save ``(nnz - |E_w|)`` traversed events per iteration.  The model
-    prices the pack per packed edge only; its Θ(groups + |V|) scan and
-    prefix sum match work the view already did on either path, so they
-    are left out (docs/tuning.md).  The iteration estimate comes from
-    :func:`cost_model_estimate`.
-    """
-    path = config.edge_path
-    if path != "auto":
-        return path
-    cost_model, expected = cost_model_estimate(config, iteration_hint)
-    return cost_model.choose_edge_path(
-        nnz, n_active_edges, n_vertices, expected
     )

@@ -26,7 +26,6 @@ from repro.pagerank.backends.registry import validate_backend_name
 __all__ = ["PagerankConfig"]
 
 _DANGLING_MODES = ("drop", "uniform")
-_EDGE_PATHS = ("auto", "masked", "compacted")
 
 
 @dataclass(frozen=True)
@@ -50,29 +49,16 @@ class PagerankConfig:
     strict:
         When True, kernels raise :class:`~repro.errors.ConvergenceError`
         instead of returning a non-converged result.
-    edge_path:
-        How the single-window kernels (SpMV, weighted) traverse the
-        window's edges each iteration — the SpMM batch ignores it and
-        reads only its live (edge, window) cells
-        (:class:`~repro.pagerank.spmm.ActiveCells`):
-        ``"masked"`` streams all stored nnz events and zeroes the inactive
-        ones, ``"compacted"`` packs the active deduped edges once per
-        window (:mod:`repro.pagerank.compaction`) and iterates over only
-        those, and ``"auto"`` (default) picks per window from the
-        activity ratio and expected iteration count via
-        :func:`repro.parallel.cost_model.choose_edge_path`.  All three
-        produce bitwise-identical values.
     backend:
         Execution strategy for the single-window kernels' per-iteration
-        gather→reduce step (:mod:`repro.pagerank.backends`; the SpMM
-        batch's cell pass has one strategy): ``"numpy"`` (flat
-        pass), ``"numba"`` (destination-partitioned reduce under the
-        cache budget, after Lakhotia et al., with a JIT-fused loop; the
-        flat pass when numba is absent), or ``"auto"`` (default: numpy
-        without the JIT, else ask
-        :func:`repro.parallel.cost_model.choose_backend`, composing with
-        the resolved ``edge_path``).  All backends produce
-        bitwise-identical values.
+        gather→reduce step over the window's packed active edges
+        (:mod:`repro.pagerank.backends`; the SpMM batch's cell pass has
+        one strategy): ``"numpy"`` (flat pass), ``"numba"``
+        (destination-partitioned reduce under the cache budget, after
+        Lakhotia et al., with a JIT-fused loop; the flat pass when numba
+        is absent), or ``"auto"`` (default: numpy without the JIT, else
+        ask :func:`repro.parallel.cost_model.choose_backend`).  All
+        backends produce bitwise-identical values.
     cache_budget:
         Per-partition rank-slice budget in bytes for the numba backend
         (``cache_budget // 8`` vertices per partition); also the
@@ -84,7 +70,6 @@ class PagerankConfig:
     max_iterations: int = 100
     dangling: str = "uniform"
     strict: bool = False
-    edge_path: str = "auto"
     backend: str = "auto"
     cache_budget: int = 262_144
 
@@ -103,11 +88,6 @@ class PagerankConfig:
             raise ValidationError(
                 f"dangling must be one of {_DANGLING_MODES}, "
                 f"got {self.dangling!r}"
-            )
-        if self.edge_path not in _EDGE_PATHS:
-            raise ValidationError(
-                f"edge_path must be one of {_EDGE_PATHS}, "
-                f"got {self.edge_path!r}"
             )
         validate_backend_name(self.backend)
         if self.cache_budget <= 0:

@@ -25,11 +25,12 @@ class WorkStats:
     iterations:
         Power iterations executed.
     edge_traversals:
-        Total stored events or cells read.  The masked single-window
-        kernels read iterations × structure nnz — the *structure* size,
-        which is why multi-window partitioning matters; the compacted
-        ones and the SpMM batch read only active edges, so for them this
-        equals ``active_edge_traversals``.
+        Total stored events or cells read.  The single-window kernels
+        iterate over the window's packed active edges and the SpMM batch
+        over its live cells, so for them this equals
+        ``active_edge_traversals``; a masked pass would read iterations ×
+        structure nnz — the *structure* size, which is why multi-window
+        partitioning matters for it.
     active_edge_traversals:
         Iterations × active (deduplicated) edges — the useful work; for
         an SpMM batch, the live (edge, window) cells of every joint

@@ -5,36 +5,29 @@ restricted to the window's active vertex set ``V_w``:
 
     y[v] = alpha/|V_w| + (1 - alpha) * Σ_{active in-edges (u, v)} x[u] / outdeg_w(u)
 
-Each window is solved in its own **window-local vertex space**
-``[0, |V_w|)``.  Once per window the edge list the iteration streams is
-relabelled with a monotone map (local id = rank of the vertex among the
-active ones), and ``x0``, the inverse out-degrees and the dangling set are
-gathered into ``|V_w|``-length vectors.  Every per-iteration array then
-has length |V_w| (vertex side) or the streamed edge count (edge side),
-implemented as fully-vectorized NumPy (per the HPC-Python guides: gather +
-masked multiply + a sequential segment sum; no Python-level edge loop):
+Once per window the active deduplicated in-edges are packed
+(:mod:`repro.pagerank.compaction`) and relabelled into the window's own
+**window-local vertex space** ``[0, |V_w|)`` with a monotone map (local
+id = rank of the vertex among the active ones); ``x0``, the inverse
+out-degrees and the dangling set are gathered into ``|V_w|``-length
+vectors.  Every per-iteration array then has length |V_w| (vertex side)
+or |E_w| (edge side), so one iteration costs Θ(|V_w| + |E_w|) — the
+paper's §4.2 per-window work — implemented as fully-vectorized NumPy
+(per the HPC-Python guides: a gather and a sequential segment sum; no
+Python-level edge loop):
 
     w       = x * inv_outdeg                         # per-source share
-    contrib = where(dedup_mask, w[colA], 0)          # per-stored-event
-    y       = segment_sum_ordered(contrib, rowA)     # per-destination
+    contrib = w[col_c]                               # per-packed-edge
+    y       = segment_sum_ordered(contrib, rows_c)   # per-destination
 
 The reduction is :func:`~repro.utils.segments.segment_sum_ordered`
-(strictly left-to-right within each destination), which is what makes the
-two edge paths below bitwise-interchangeable — a pairwise ``reduceat``
-would round differently depending on how many masked zeros pad each row.
-
-The **masked** path traverses the whole stored structure (all ``nnz``
-events of the multi-window graph) each iteration and zeroes inactive
-events; an inactive source or row carries only masked ``+0.0``
-contributions, so the monotone map may fold it into a neighbouring active
-id without changing a bit.  The **compacted** path
-(:mod:`repro.pagerank.compaction`) packs the active deduped edges once per
-window, so one iteration costs Θ(|V_w| + |E_w|) — bitwise-identical
-output.  ``config.edge_path`` selects between them (``"auto"`` asks the
-cost model, using the chain's ``iteration_hint`` when the driver supplies
-one).  The one length-``n`` pass left per iteration is the residual sum,
-which runs over a zero-padded buffer so its pairwise summation keeps the
-bits of the whole-graph residual.
+(strictly left-to-right within each destination), which keeps the result
+bitwise-identical to a masked pass over all ``nnz`` stored events that
+zeroes the inactive ones (the oracle in ``tests/dense_mask_reference.py``)
+— a pairwise ``reduceat`` would round differently depending on how many
+masked zeros pad each row.  The one length-``n`` pass left per iteration
+is the residual sum, which runs over a zero-padded buffer so its pairwise
+summation keeps the bits of the whole-graph residual.
 
 The loop (``_power_iterate``) takes the step's affine constants as
 arguments rather than reading ``alpha``, so the weighted kernel and Katz
@@ -51,7 +44,6 @@ import numpy as np
 from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.backends import resolve_backend
-from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
@@ -75,7 +67,7 @@ def pagerank_window(
         Precomputed :class:`~repro.graph.temporal_csr.WindowView` (activity
         masks, degrees, active vertex set).
     config:
-        Solver parameters, including ``edge_path`` (see module docstring).
+        Solver parameters.
     x0:
         Optional initial vector (e.g. from
         :func:`~repro.pagerank.init.partial_initialization`); defaults to
@@ -84,12 +76,12 @@ def pagerank_window(
     workspace:
         Optional :class:`~repro.pagerank.workspace.Workspace` supplying the
         per-iteration scratch (window-local rank ping-pong pair, share
-        vector, Θ(nnz) contribution buffer, residual buffer) so a
+        vector, packed-edge contribution buffer, residual buffer) so a
         multi-window chain pays the allocator once instead of per window.
         Results are bitwise-identical with and without a workspace; the
         returned values are always a freshly owned array.
     iteration_hint:
-        Expected iteration count for the ``edge_path="auto"`` decision —
+        Expected iteration count for the ``backend="auto"`` decision —
         drivers pass the chain's previous window count.
 
     Returns
@@ -137,7 +129,7 @@ def _power_iterate(
     ``normalized`` compares unit-mass iterates (a scale-invariant
     residual) and returns the unit-mass fixed point.  ``config`` supplies
     the tolerance, iteration cap, strictness, dangling policy and
-    propagation routing (edge path and backend).
+    propagation backend.
     """
     n = view.adjacency.n_vertices
     k = view.n_active_vertices
@@ -145,46 +137,34 @@ def _power_iterate(
         return PagerankResult(
             values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
         )
-    in_csr = view.adjacency.in_csr
-    nnz = in_csr.nnz
-    path = resolve_edge_path(
-        config, nnz, view.n_active_edges, n, iteration_hint
-    )
-    if path == "compacted":
-        packed = view.compact_pull(workspace=workspace)
-        col, rows, mask = packed.col, packed.rows, None
-    else:
-        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
-        if weights is not None:
-            # the multiplicities follow the group order, which is the
-            # order of the first-active events
-            per_event = np.zeros(nnz, dtype=np.float64)
-            per_event[mask] = weights
-            weights = per_event
-    m = col.shape[0]
+    # a window packs at most one edge per (row, neighbor) group, so the
+    # pooled edge buffers take the graph's group count as capacity
+    capacity = view.adjacency.groups.n_groups
+    packed = view.compact_pull(workspace=workspace)
+    m = packed.n_edges
     ws = workspace if workspace is not None else Workspace()
 
     # monotone global -> local map: an active vertex gets its rank among
-    # the active ones, an inactive one folds into the preceding active id
-    # (it only ever carries masked +0.0 contributions), so relabelled rows
-    # stay non-decreasing and within-row order is untouched
+    # the active ones; the packed edges join active vertices only, so
+    # relabelled rows stay non-decreasing and within-row order is untouched
     active_idx = np.flatnonzero(view.active_vertices_mask)
     local_id = ws.buffer("spmv.local_id", (n,), np.int64)
     np.cumsum(view.active_vertices_mask, dtype=np.int64, out=local_id)
     local_id -= 1
-    np.maximum(local_id, 0, out=local_id)
-    local_col, local_rows = ws.buffer("spmv.edges", (2, nnz), np.int64)[:, :m]
-    local_id.take(col, out=local_col)
-    local_id.take(rows, out=local_rows)
+    local_col, local_rows = ws.buffer(
+        "spmv.edges", (2, capacity), np.int64
+    )[:, :m]
+    local_id.take(packed.col, out=local_col)
+    local_id.take(packed.rows, out=local_rows)
 
-    # the backend prices the edges the iteration actually streams (after
-    # the edge_path decision) and precomputes its per-window plan once —
-    # the numba destination binning, pooled like the compaction buffers
+    # the backend prices the packed edges the iteration streams and
+    # precomputes its per-window plan once — the numba destination
+    # binning, pooled like the compaction buffers
     backend = resolve_backend(config, m, n, iteration_hint)
     t_bin = time.perf_counter()
     plan = backend.make_plan(
         local_col, local_rows, k,
-        workspace=ws, key="spmv.plan", capacity=nnz,
+        workspace=ws, key="spmv.plan", capacity=capacity,
     )
     binning_seconds = time.perf_counter() - t_bin
 
@@ -194,7 +174,7 @@ def _power_iterate(
     rank0, rank1, share, diff, inv, dang_buf = ws.buffer(
         "spmv.vertex", (6, n), np.float64
     )[:, :k]
-    contrib = ws.buffer("spmv.contrib", (nnz,), np.float64)[:m]
+    contrib = ws.buffer("spmv.contrib", (capacity,), np.float64)[:m]
     # |y - x| scattered into zeros: the same n-term pairwise sum (and so
     # the same bits) as a residual over the whole vertex space
     resid = ws.zeros("spmv.resid", (n,), np.float64)
@@ -228,9 +208,7 @@ def _power_iterate(
         t_prop = time.perf_counter()
         np.multiply(x, inv, out=share)
         y = rank1 if x is rank0 else rank0
-        plan.propagate(
-            share, mask=mask, weights=weights, out=y, contrib=contrib
-        )
+        plan.propagate(share, weights=weights, out=y, contrib=contrib)
         propagate_seconds += time.perf_counter() - t_prop
         y *= scale
         if dangling.size:

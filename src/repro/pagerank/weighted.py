@@ -18,9 +18,9 @@ multiplicities`, read off the adjacency's time-ordered group index).  No
 extra arrays are stored.
 
 The iteration itself is the SpMV kernel's window-local power loop: the
-weighted edge list is relabelled into ``[0, |V_w|)`` once per window and
-the scratch lives in that vertex space, so one iteration on the compacted
-path costs Θ(|V_w| + |E_w|).
+packed active edges are relabelled into ``[0, |V_w|)`` once per window
+and the scratch lives in that vertex space, so one iteration costs
+Θ(|V_w| + |E_w|).
 """
 
 from __future__ import annotations
@@ -50,12 +50,10 @@ def pagerank_window_weighted(
     multiplicities equal to 1 the two kernels coincide exactly (tested).
     Both run the same window-local power iteration
     (:func:`~repro.pagerank.spmv._power_iterate`), so one iteration costs
-    Θ(|V_w| + |E_w|) on the compacted path and ``workspace`` recycles the
-    same |V_w|-sized scratch; returned values are always freshly owned.
-    ``config.edge_path="compacted"`` packs the active edges once
-    (:func:`~repro.pagerank.compaction.compact_pull`); the
-    multiplicities already follow the packed order — bitwise-identical
-    to the masked path.
+    Θ(|V_w| + |E_w|) and ``workspace`` recycles the same |V_w|-sized
+    scratch; returned values are always freshly owned.  The
+    multiplicities follow the group order, which is the order of the
+    packed edges (:func:`~repro.pagerank.compaction.compact_pull`).
     """
     n = view.adjacency.n_vertices
     weights = view.multiplicities.astype(np.float64)

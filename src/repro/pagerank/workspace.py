@@ -2,9 +2,10 @@
 
 A multi-window graph's windows form one sequential partial-initialization
 chain, and every window's solve allocates the same transient arrays: the
-per-event contribution buffer of each power iteration (Θ(nnz) floats — the
-dominant allocation), the compacted and window-local relabelled edge
-lists, and the per-vertex scratch.  The SpMV and weighted kernels iterate
+per-edge contribution buffer of each power iteration (pooled at the
+graph's group count, sliced to the window's |E_w| packed edges), the
+compacted and window-local relabelled edge lists, and the per-vertex
+scratch.  The SpMV and weighted kernels iterate
 in the window's own vertex space, so their rank ping-pong pair, share,
 difference and inverse-degree vectors have length |V_w|: each is pooled as
 a capacity-n buffer sliced to the window (the way the compaction pools its

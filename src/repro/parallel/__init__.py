@@ -32,7 +32,6 @@ from repro.parallel.cost_model import (
     CostModel,
     calibrate_cost_model,
     choose_backend,
-    choose_edge_path,
     default_cost_model,
 )
 from repro.parallel.simulator import (
@@ -74,7 +73,6 @@ __all__ = [
     "CostModel",
     "calibrate_cost_model",
     "choose_backend",
-    "choose_edge_path",
     "default_cost_model",
     "simulate_parallel_for",
     "simulate_chunk_schedule",

@@ -38,7 +38,6 @@ __all__ = [
     "CostModel",
     "calibrate_cost_model",
     "choose_backend",
-    "choose_edge_path",
     "default_cost_model",
     "DEFAULT_EXPECTED_ITERATIONS",
 ]
@@ -47,13 +46,7 @@ __all__ = [
 #: column (the register-streamed part of the work).
 SPMM_COLUMN_DISCOUNT = 0.5
 
-#: one-time active-edge compaction, per packed edge, relative to the
-#: per-iteration per-stored-event cost: the pack gathers each active
-#: edge's source and destination from the window view's active groups and
-#: writes both out, about two iterations' worth of per-edge work.
-PACK_COST_RATIO = 2.0
-
-#: iteration estimate used by the ``edge_path="auto"`` policy when the
+#: iteration estimate used by the ``backend="auto"`` policy when the
 #: caller has no history (first window of a chain): typical converged
 #: counts at tolerance 1e-8 land in the 15-40 range, so 20 is
 #: conservative without being timid.
@@ -81,7 +74,6 @@ class CostModel:
     c_active: float = 0.5e-8
     c_task: float = 7.5e-7
     c_region: float = 3.0e-6
-    c_pack: float = PACK_COST_RATIO * 1.0e-8
     c_edge_local: float = PCPM_LOCALITY_DISCOUNT * 1.0e-8
     c_bin: float = PCPM_BIN_COST_RATIO * 1.0e-8
     c_partition: float = 5.0e-6
@@ -89,7 +81,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in (
             "c_edge", "c_vertex", "c_active", "c_task", "c_region",
-            "c_pack", "c_edge_local", "c_bin", "c_partition",
+            "c_edge_local", "c_bin", "c_partition",
         ):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -141,40 +133,6 @@ class CostModel:
         return iterations * per_iter
 
     # ------------------------------------------------------------------
-    # active-edge compaction (repro.pagerank.compaction)
-    # ------------------------------------------------------------------
-    def pack_cost(self, n_edges: int) -> float:
-        """The one-time per-window compaction of ``n_edges`` packed edges."""
-        return self.c_pack * n_edges
-
-    def choose_edge_path(
-        self,
-        nnz: int,
-        n_active_edges: int,
-        n_vertices: int,
-        expected_iterations: int,
-    ) -> str:
-        """``"masked"`` or ``"compacted"``: whichever total is cheaper.
-
-        Masked pays ``c_edge * nnz`` every iteration; compacted pays the
-        pack of the ``|E_w|`` active edges once, then ``c_edge * |E_w|``
-        per iteration.  Compaction wins iff
-        ``iters * (nnz - |E_w|) * c_edge > c_pack * |E_w|`` — i.e. the
-        activity ratio is low enough, for long enough, to amortize the
-        pack (the docs/tuning.md crossover).  The pack's scan of the
-        view's groups and prefix sum over its vertices are left out: the
-        view already paid that order of work on either path.
-        """
-        if nnz <= 0 or n_active_edges >= nnz:
-            return "masked"
-        iters = max(int(expected_iterations), 1)
-        masked = iters * self.spmv_iteration_cost(nnz, n_vertices)
-        compacted = self.pack_cost(n_active_edges) + (
-            iters * self.spmv_iteration_cost(n_active_edges, n_vertices)
-        )
-        return "compacted" if compacted < masked else "masked"
-
-    # ------------------------------------------------------------------
     # partition-centric backend (repro.pagerank.backends.numba_backend)
     # ------------------------------------------------------------------
     def bin_cost(self, n_edges: int) -> float:
@@ -210,10 +168,9 @@ class CostModel:
         """``"numpy"`` or ``"numba"``: whichever total is cheaper.
 
         ``n_edges`` is the number of edges actually traversed per
-        iteration — i.e. *after* the ``edge_path`` decision (``nnz`` for
-        masked, ``|E_w|`` for compacted), which is how the two knobs
-        compose.  Partitioning cannot help when the whole rank vector
-        already fits the cache budget, so that case short-circuits to
+        iteration — the window's packed active edges ``|E_w|``.
+        Partitioning cannot help when the whole rank vector already fits
+        the cache budget, so that case short-circuits to
         ``"numpy"``; otherwise the partitioned numba plan wins iff the
         per-iteration locality saving, over the expected iteration count,
         amortizes the one-time binning pass and the per-partition
@@ -242,28 +199,9 @@ def default_cost_model() -> CostModel:
     return CostModel()
 
 
-#: module-level model backing the stateless :func:`choose_edge_path`;
+#: module-level model backing the stateless :func:`choose_backend`;
 #: deterministic so the ``"auto"`` decision never varies run to run
 _DEFAULT_MODEL = CostModel()
-
-
-def choose_edge_path(
-    nnz: int,
-    n_active_edges: int,
-    n_vertices: int,
-    expected_iterations: int,
-    model: CostModel = None,
-) -> str:
-    """Stateless entry point for the kernels' ``edge_path="auto"`` policy.
-
-    Uses the deterministic default model unless a calibrated one is
-    supplied: the decision depends only on *ratios* of same-unit costs,
-    which the calibration barely moves.
-    """
-    model = model if model is not None else _DEFAULT_MODEL
-    return model.choose_edge_path(
-        nnz, n_active_edges, n_vertices, expected_iterations
-    )
 
 
 def choose_backend(
@@ -278,8 +216,9 @@ def choose_backend(
     Returns the cheaper backend — ``"numpy"`` (flat full-width
     reduction) or ``"numba"`` (JIT-fused destination-partitioned
     reduction); the backend registry asks only when numba is importable.
-    Deterministic default model unless a calibrated one is supplied,
-    mirroring :func:`choose_edge_path`.
+    Uses the deterministic default model unless a calibrated one is
+    supplied: the decision depends only on *ratios* of same-unit costs,
+    which the calibration barely moves.
     """
     model = model if model is not None else _DEFAULT_MODEL
     return model.choose_backend(
@@ -355,7 +294,6 @@ def calibrate_cost_model(
         c_active=SPMM_COLUMN_DISCOUNT * c_edge,
         c_task=c_task,
         c_region=c_task * 4,
-        c_pack=PACK_COST_RATIO * c_edge,
         c_edge_local=PCPM_LOCALITY_DISCOUNT * c_edge,
         c_bin=PCPM_BIN_COST_RATIO * c_edge,
         c_partition=c_task * 5,

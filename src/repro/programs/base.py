@@ -112,7 +112,7 @@ class VertexProgram:
         ``workspace`` is the chain's pooled
         :class:`~repro.pagerank.workspace.Workspace`; programs that use it
         must still return freshly owned values.  ``iteration_hint`` is the
-        chain's previous iteration count (the ``edge_path="auto"``
+        chain's previous iteration count (the ``backend="auto"``
         predictor); non-adaptive programs ignore it.
         """
         raise NotImplementedError

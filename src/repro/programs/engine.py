@@ -5,7 +5,7 @@ per-multi-window-graph loop.  Everything the paper's machinery provides —
 lazy window views against one pooled workspace, partial-initialization
 chaining (Section 4.2) via the program's ``warm_start`` hook, the SpMM
 region schedule (Section 4.4) for programs with a batched kernel, the
-iteration-count feedback that drives ``edge_path="auto"``, and the
+iteration-count feedback that drives ``backend="auto"``, and the
 two-batch memory bound — now serves *any* :class:`~repro.programs.base.
 VertexProgram`.  With the reference :class:`~repro.programs.pagerank.
 PagerankProgram` the solve sequence is call-for-call identical to the
@@ -139,7 +139,7 @@ def solve_program_chain(
 
     workspace = Workspace()
     views: Dict[int, object] = {}
-    # edge_path="auto" iteration estimate: consecutive windows of a chain
+    # backend="auto" iteration estimate: consecutive windows of a chain
     # have nearly identical spectra, so the previous solve's iteration
     # count is the best available predictor for the next one
     iteration_hint: Optional[int] = None
@@ -172,8 +172,8 @@ def solve_program_chain(
                 iteration_hint=iteration_hint,
             )
             # raw count on purpose: a zero (empty previous window) makes
-            # resolve_edge_path fall back to its default estimate with a
-            # debug note instead of being silently dropped here
+            # cost_model_estimate fall back to its default estimate with
+            # a debug note instead of being silently dropped here
             iteration_hint = pr.iterations
             local_values[batch.windows[0]] = pr.values
             work.merge(pr.work)

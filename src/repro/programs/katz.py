@@ -6,7 +6,8 @@ instead of the degree normalization — so it has no power loop of its own.
 All three solve surfaces run PageRank's loops with Katz's constants
 (scale ``a``, the max-degree-clamped attenuation; base ``b``) and a
 normalized residual: :func:`repro.pagerank.spmv._power_iterate` per
-window (edge path, backend and the chain's pooled workspace included),
+window (packed active edges, backend and the chain's pooled workspace
+included),
 :func:`repro.pagerank.spmm._power_iterate_batch` for region-schedule
 batches (Section 4.4's batching applied to a second analytic), and
 :func:`repro.pagerank.incremental._power_iterate_graph` for the
@@ -188,8 +189,8 @@ class KatzProgram(VertexProgram):
     """Temporal Katz centrality on the PageRank-grade stack."""
 
     config: KatzConfig = field(default_factory=KatzConfig)
-    #: propagation policy of the single-window solves (edge path,
-    #: backend, cache budget) — the Katz parameters themselves live in
+    #: propagation policy of the single-window solves (backend, cache
+    #: budget) — the Katz parameters themselves live in
     #: ``config``
     routing: PagerankConfig = field(default_factory=PagerankConfig)
 

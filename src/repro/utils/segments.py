@@ -126,7 +126,8 @@ def segment_sum_ordered(
     makes this variant **zero-insertion invariant**: dropping entries whose
     value is exactly ``0.0`` cannot change the result bitwise (``x + 0.0``
     is exact for every non-negative ``x``).  The PageRank kernels reduce
-    with it so their masked and compacted edge paths are bitwise-identical.
+    with it so their packed active-edge pass is bitwise-identical to a
+    masked pass over every stored event (the tests' oracle).
 
     Parameters
     ----------

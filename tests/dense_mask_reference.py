@@ -1,27 +1,46 @@
-"""The dense-mask SpMV power iteration, kept as a test oracle.
+"""The dense-mask single-window power iteration, kept as a test oracle.
 
-Before the SpMV and weighted kernels moved to a window-local vertex space
-they iterated over every vertex of the multi-window graph: the rank
-vectors had length ``n``, the active set was applied with boolean vertex
-masks each iteration, and the residual ran over all ``n`` entries.  This
-module is that loop, unchanged in arithmetic, so the differential tests
-can require the window-local kernels to match it bit for bit.
+Before the single-window kernels iterated over each window's packed
+active edges in a window-local vertex space, they streamed every stored
+event of the multi-window graph each iteration, zeroed the inactive ones
+with the window's first-active-event mask, and kept rank vectors of
+length ``n`` with the active set applied by boolean vertex masks and the
+residual run over all ``n`` entries.  This module is that loop, unchanged
+in arithmetic and independent of the library's packing and backends, so
+the differential tests can require the SpMV, weighted and Katz solves to
+match it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.backends import resolve_backend
-from repro.pagerank.compaction import resolve_edge_path
+from repro.models.schedule import sequential_schedule, spmm_region_schedule
+from repro.pagerank import (
+    Workspace,
+    pagerank_window,
+    pagerank_window_weighted,
+    pagerank_windows_spmm,
+    partial_initialization,
+)
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult
+from repro.programs.katz import KatzConfig, KatzProgram, _effective_attenuation
+from repro.utils.segments import segment_sum_ordered
+from tests.spmm_reference import reference_power_iterate_batch
 
-__all__ = ["dense_mask_pagerank", "pair_multiplicities"]
+__all__ = [
+    "ChainResult",
+    "dense_mask_katz",
+    "dense_mask_pagerank",
+    "pair_multiplicities",
+    "reference_chain",
+]
 
 
 def pair_multiplicities(csr, t_start: int, t_end: int):
@@ -35,6 +54,69 @@ def pair_multiplicities(csr, t_start: int, t_end: int):
     return uniq[0], uniq[1], counts
 
 
+def _unit_mass(values: np.ndarray, total: float) -> np.ndarray:
+    return values / np.where(total > 0, total, 1.0)
+
+
+def _masked_loop(
+    view: WindowView,
+    config: PagerankConfig,
+    x: np.ndarray,
+    inv_out: np.ndarray,
+    dangling_idx: np.ndarray,
+    scale: float,
+    base: float,
+    weights: Optional[np.ndarray] = None,
+    normalized: bool = False,
+) -> PagerankResult:
+    """``y = scale * A^T (x * inv_out) + dangling + base / |V_w|`` over
+    the whole vertex space, every stored event gathered and the inactive
+    ones zeroed by the first-active-event mask (``weights`` per stored
+    event, zero off the mask).  ``normalized`` compares and returns
+    unit-mass iterates (Katz)."""
+    in_csr = view.adjacency.in_csr
+    n = view.adjacency.n_vertices
+    dedup = view.in_dedup
+    rows = in_csr.row_ids()
+    active_mask = view.active_vertices_mask
+    n_active = view.n_active_vertices
+    teleport = base / n_active
+    total = float(np.add.reduce(x))
+    residual = np.inf
+    for it in range(1, config.max_iterations + 1):
+        c = (x * inv_out).take(in_csr.col)
+        c *= dedup
+        if weights is not None:
+            c *= weights
+        y = segment_sum_ordered(c, rows, n)
+        y *= scale
+        if config.dangling == "uniform" and dangling_idx.size:
+            dangling_mass = float(x[dangling_idx].sum())
+            if dangling_mass:
+                y[active_mask] += scale * dangling_mass / n_active
+        y[active_mask] += teleport
+        y[~active_mask] = 0.0
+        if normalized:
+            y_total = float(np.add.reduce(y))
+            diff = _unit_mass(y, y_total) - _unit_mass(x, total)
+            total = y_total
+        else:
+            diff = y - x
+        residual = float(np.abs(diff).sum())
+        x = y
+        if residual < config.tolerance:
+            break
+    values = _unit_mass(x, total) if normalized else x
+    return PagerankResult(values, it, residual < config.tolerance, residual)
+
+
+def _empty(n: int) -> PagerankResult:
+    return PagerankResult(
+        values=np.zeros(n, dtype=np.float64), iterations=0,
+        converged=True, residual=0.0,
+    )
+
+
 def dense_mask_pagerank(
     view: WindowView,
     config: PagerankConfig,
@@ -44,27 +126,22 @@ def dense_mask_pagerank(
     """PageRank of one window by the whole-vertex-space masked loop.
 
     ``weighted`` selects the event-multiplicity weights of
-    :func:`~repro.pagerank.weighted.pagerank_window_weighted`; the edge
-    path and backend come from ``config`` as in the library kernels.
+    :func:`~repro.pagerank.weighted.pagerank_window_weighted`, counted
+    here by ``np.unique`` rather than read off the group index.
     """
     adjacency = view.adjacency
     n = adjacency.n_vertices
-    n_active = view.n_active_vertices
-    if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0,
-            converged=True, residual=0.0,
-        )
+    if view.n_active_vertices == 0:
+        return _empty(n)
 
     in_csr = adjacency.in_csr
-    nnz = in_csr.nnz
     active_mask = view.active_vertices_mask
     dedup = view.in_dedup
     if weighted:
         *_, counts = pair_multiplicities(
             in_csr, view.window.t_start, view.window.t_end
         )
-        weights = np.zeros(nnz, dtype=np.float64)
+        weights = np.zeros(in_csr.nnz, dtype=np.float64)
         weights[dedup] = counts
         out_strength = np.zeros(n, dtype=np.float64)
         np.add.at(out_strength, in_csr.col[dedup], weights[dedup])
@@ -77,37 +154,142 @@ def dense_mask_pagerank(
         inv_out = view.inverse_out_degrees()
         dangling_idx = np.flatnonzero(active_mask & (view.out_degrees == 0))
 
-    path = resolve_edge_path(config, nnz, view.n_active_edges, n)
-    if path == "compacted":
-        packed = view.compact_pull()
-        if weighted:
-            weights = weights[dedup]
-        it_col, it_rows, it_mask = packed.col, packed.rows, None
-    else:
-        it_col, it_rows, it_mask = in_csr.col, in_csr.row_ids(), dedup
-    plan = resolve_backend(config, it_col.size, n).make_plan(
-        it_col, it_rows, n
-    )
-
     if x0 is None:
         x = full_initialization(view)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
+    return _masked_loop(
+        view, config, x, inv_out, dangling_idx, config.damping,
+        config.alpha, weights=weights,
+    )
 
-    damping = config.damping
-    teleport = config.alpha / n_active
-    residual = np.inf
-    for it in range(1, config.max_iterations + 1):
-        y = plan.propagate(x * inv_out, mask=it_mask, weights=weights)
-        y *= damping
-        if config.dangling == "uniform" and dangling_idx.size:
-            dangling_mass = float(x[dangling_idx].sum())
-            if dangling_mass:
-                y[active_mask] += damping * dangling_mass / n_active
-        y[active_mask] += teleport
-        y[~active_mask] = 0.0
-        residual = float(np.abs(y - x).sum())
-        x = y
-        if residual < config.tolerance:
-            return PagerankResult(x, it, True, residual)
-    return PagerankResult(x, config.max_iterations, False, residual)
+
+def dense_mask_katz(
+    view: WindowView,
+    config: KatzConfig = KatzConfig(),
+    x0: Optional[np.ndarray] = None,
+) -> PagerankResult:
+    """Katz of one window by the whole-vertex-space masked loop: unit
+    source weights (no dangling set), the clamped attenuation as the
+    scale and a normalized residual — what
+    :meth:`~repro.programs.katz.KatzProgram.solve_window` computes."""
+    n = view.adjacency.n_vertices
+    if view.n_active_vertices == 0:
+        return _empty(n)
+    if x0 is None:
+        x = KatzProgram(config=config).init_window(view)
+    else:
+        x = np.asarray(x0, dtype=np.float64).copy()
+    loop = PagerankConfig(
+        tolerance=config.tolerance, max_iterations=config.max_iterations
+    )
+    inv_out = view.active_vertices_mask.astype(np.float64)
+    scale = _effective_attenuation(config, view.in_degrees, view.out_degrees)
+    return _masked_loop(
+        view, loop, x, inv_out, np.zeros(0, dtype=np.int64),
+        scale, config.base, normalized=True,
+    )
+
+
+class ChainResult(NamedTuple):
+    """Per-window answers of a postmortem run, indexed by window."""
+
+    values: np.ndarray  # (n_windows, n_global_vertices)
+    iterations: np.ndarray  # (n_windows,)
+
+
+def reference_chain(
+    events,
+    spec,
+    cfg: PagerankConfig,
+    n_multiwindows: int,
+    *,
+    kernel: str = "spmv",
+    vector_length: int = 4,
+    weighted: bool = False,
+    partial_init: bool = True,
+    masked: bool = True,
+) -> ChainResult:
+    """The postmortem solve sequence over a uniform partition, hand-rolled.
+
+    Replays what the driver does per multi-window graph: eq. 4 warm
+    starts along the chain and the region schedule for (unweighted)
+    SpMM.  ``masked=True`` solves every window with the masked oracles —
+    :func:`dense_mask_pagerank` and the full-width SpMM loop of
+    ``tests/spmm_reference.py`` — which is the canonical answer every
+    execution knob must reproduce bitwise.  ``masked=False`` calls the
+    library kernels instead, with one pooled workspace per graph and the
+    previous solve's iteration count as the ``backend="auto"`` hint.
+    """
+    out = np.zeros((spec.n_windows, events.n_vertices))
+    iterations = np.zeros(spec.n_windows, dtype=np.int64)
+    partition = LazyMultiWindowPartition(events, spec, n_multiwindows)
+    for graph in partition:
+        if kernel == "spmm" and graph.n_windows > 1 and not weighted:
+            batches = spmm_region_schedule(
+                graph.first_window, graph.n_windows, vector_length
+            )
+        else:
+            batches = sequential_schedule(
+                graph.first_window, graph.n_windows
+            )
+        workspace = Workspace()
+        views = {}
+        values = {}
+        hint = None
+        for batch in batches:
+            bviews = []
+            for w in batch.windows:
+                if w not in views:
+                    views[w] = graph.window_view(w, workspace=workspace)
+                bviews.append(views[w])
+            x0_cols = []
+            for w, pred in zip(batch.windows, batch.predecessors):
+                if partial_init and pred is not None and pred in values:
+                    x0_cols.append(
+                        partial_initialization(
+                            views[w], views[pred], values[pred]
+                        )
+                    )
+                else:
+                    x0_cols.append(full_initialization(views[w]))
+            if len(batch.windows) == 1:
+                if masked:
+                    pr = dense_mask_pagerank(
+                        bviews[0], cfg, x0=x0_cols[0], weighted=weighted
+                    )
+                else:
+                    solver = (
+                        pagerank_window_weighted if weighted
+                        else pagerank_window
+                    )
+                    pr = solver(
+                        bviews[0], cfg, x0=x0_cols[0], workspace=workspace,
+                        iteration_hint=hint,
+                    )
+                hint = pr.iterations
+                solved = [(batch.windows[0], pr.values, pr.iterations)]
+            else:
+                X0 = np.stack(x0_cols, axis=1)
+                if masked:
+                    br = reference_power_iterate_batch(
+                        bviews, cfg, X0,
+                        np.full(len(bviews), cfg.damping), cfg.alpha,
+                    )
+                else:
+                    br = pagerank_windows_spmm(
+                        bviews, cfg, x0=X0, workspace=workspace
+                    )
+                hint = int(br.iterations_per_window.max())
+                solved = [
+                    (w, br.values[:, j].copy(), br.iterations_per_window[j])
+                    for j, w in enumerate(batch.windows)
+                ]
+            for w, local, iters in solved:
+                values[w] = local
+                out[w] = graph.to_global(local, events.n_vertices)
+                iterations[w] = iters
+            keep = set(batch.windows)
+            views = {w: v for w, v in views.items() if w in keep}
+            values = {w: v for w, v in values.items() if w in keep}
+    return ChainResult(out, iterations)

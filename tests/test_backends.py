@@ -38,8 +38,13 @@ from repro.pagerank.backends.numba_backend import (
     NumbaPlan,
 )
 from repro.pagerank.backends.numpy_backend import NumpyPlan
-from repro.parallel.cost_model import CostModel, choose_backend
+from repro.parallel.cost_model import (
+    DEFAULT_EXPECTED_ITERATIONS,
+    CostModel,
+    choose_backend,
+)
 from tests.conftest import random_events
+from tests.dense_mask_reference import dense_mask_pagerank
 from tests.test_edge_compaction import (
     CFG,
     _views_regimes,
@@ -164,18 +169,15 @@ class TestPlanStructure:
         rows = np.sort(rng.integers(0, n, m)).astype(np.int64)
         col = rng.integers(0, n, m).astype(np.int64)
         w = rng.random(n)
-        mask = rng.random(m) < 0.6
         weights = rng.random(m)
         flat = NumpyBackend().make_plan(col, rows, n)
         part = NumbaPlan(col, rows, n, TINY_BUDGET // 8)
         assert part.n_parts > 1
         assert np.array_equal(
-            part.propagate(w, mask=mask, weights=weights),
-            flat.propagate(w, mask=mask, weights=weights),
+            part.propagate(w, weights=weights),
+            flat.propagate(w, weights=weights),
         )
-        assert np.array_equal(
-            part.propagate(w, mask=mask), flat.propagate(w, mask=mask)
-        )
+        assert np.array_equal(part.propagate(w), flat.propagate(w))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +227,16 @@ class TestBackendParity:
             )
             assert_batch_matches(r, want)
 
-    def test_composes_with_edge_path(self, name, view, use_workspace):
-        base = self._solve(pagerank_window, view, "numpy", use_workspace)
-        for path in ("masked", "compacted"):
-            cfg = replace(self._cfg("numba"), edge_path=path)
-            ws = Workspace() if use_workspace else None
-            r = pagerank_window(view, cfg, workspace=ws)
-            assert np.array_equal(r.values, base.values), path
+    def test_numba_matches_masked_oracle(self, name, view, use_workspace):
+        """The partitioned plan over the packed edges reproduces the
+        masked pass over every stored event, weighted or not."""
+        for weighted, kernel in (
+            (False, pagerank_window), (True, pagerank_window_weighted),
+        ):
+            r = self._solve(kernel, view, "numba", use_workspace)
+            want = dense_mask_pagerank(view, CFG, weighted=weighted)
+            assert np.array_equal(r.values, want.values), weighted
+            assert r.iterations == want.iterations
 
 
 def test_backends_share_one_workspace():
@@ -320,6 +325,45 @@ class TestBackendSelection:
         )
         assert resolve_backend(cfg, 20_000_000, 1_000_000, 50).name \
             == "numpy"
+
+    def test_default_expected_iterations_positive(self):
+        assert DEFAULT_EXPECTED_ITERATIONS > 0
+
+    def test_positive_hint_capped_by_budget(self):
+        cfg = PagerankConfig(max_iterations=5)
+        assert registry_mod.cost_model_estimate(cfg, 3)[1] == 3
+        assert registry_mod.cost_model_estimate(cfg, 400)[1] == 5
+
+    def test_nonpositive_hint_falls_back_to_default_audibly(
+        self, monkeypatch, caplog
+    ):
+        import logging
+
+        monkeypatch.setattr(registry_mod, "_NONPOSITIVE_HINT_NOTED", False)
+        cfg = PagerankConfig(max_iterations=500)
+        with caplog.at_level(
+            logging.DEBUG, logger="repro.pagerank.backends.registry"
+        ):
+            # hint=0 (a previous empty window) behaves exactly like "no
+            # hint": the conservative default, not "zero iterations"
+            _, expected = registry_mod.cost_model_estimate(cfg, 0)
+            assert expected == DEFAULT_EXPECTED_ITERATIONS
+            assert registry_mod.cost_model_estimate(cfg, None)[1] \
+                == expected
+            notes = [
+                r for r in caplog.records
+                if "iteration_hint=0" in r.getMessage()
+            ]
+            assert len(notes) == 1
+            assert "DEFAULT_EXPECTED_ITERATIONS" in notes[0].getMessage()
+            # the note is a one-shot latch, not per-call noise
+            registry_mod.cost_model_estimate(cfg, 0)
+            assert len(
+                [
+                    r for r in caplog.records
+                    if "iteration_hint" in r.getMessage()
+                ]
+            ) == 1
 
     def test_resolve_auto_honours_cache_budget(self, monkeypatch):
         # same structure, huge per-partition budget: no win left even

@@ -1,16 +1,16 @@
-"""Active-edge compaction: structure correctness, bitwise parity of the
-masked and compacted kernel paths, the adaptive cost-model decision, and
-the driver/CLI threading of ``edge_path``."""
+"""Active-edge compaction: the packed structure, and bitwise parity of
+every single-window solve (SpMV, weighted, Katz) and the SpMM batch with
+the masked passes over all stored events that the tests keep as oracles
+(``tests/dense_mask_reference.py``, ``tests/spmm_reference.py``)."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.events import WindowSpec
+from repro.events import TemporalEventSet, Window, WindowSpec
 from repro.graph import LazyMultiWindowPartition, TemporalAdjacency
 from repro.models import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
@@ -20,17 +20,18 @@ from repro.pagerank import (
     pagerank_window,
     pagerank_window_weighted,
     pagerank_windows_spmm,
-    resolve_edge_path,
 )
-from repro.parallel.cost_model import (
-    DEFAULT_EXPECTED_ITERATIONS,
-    CostModel,
-    choose_edge_path,
-)
+from repro.programs.katz import KatzConfig, KatzProgram
 from tests.conftest import random_events
+from tests.dense_mask_reference import (
+    dense_mask_katz,
+    dense_mask_pagerank,
+    reference_chain,
+)
 from tests.spmm_reference import reference_power_iterate_batch
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=300)
+KATZ = KatzConfig(tolerance=1e-12, max_iterations=300)
 
 
 def spmm_oracle(views, config):
@@ -50,6 +51,14 @@ def assert_batch_matches(got, want):
     assert np.array_equal(got.converged, want.converged)
 
 
+def assert_solve_matches(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert np.float64(got.residual).tobytes() == \
+        np.float64(want.residual).tobytes()
+
+
 def make_view(seed=0, n_vertices=40, n_events=400, delta=3_000, sw=1_000,
               window=0):
     events = random_events(
@@ -58,6 +67,15 @@ def make_view(seed=0, n_vertices=40, n_events=400, delta=3_000, sw=1_000,
     adj = TemporalAdjacency.from_events(events)
     spec = WindowSpec.covering(events, delta=delta, sw=sw)
     return adj.window_view(spec.window(window))
+
+
+def _window_of_all(src, dst, n_vertices):
+    """A window spanning every event of ``src -> dst`` (times 0, 1, ...)."""
+    events = TemporalEventSet(
+        src, dst, np.arange(len(src)), n_vertices=n_vertices
+    )
+    adj = TemporalAdjacency.from_events(events)
+    return adj.window_view(Window(0, 0, len(src)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,26 +109,43 @@ class TestCompactStructure:
         assert view.compact_pull() is view.compact_pull()
 
     def test_empty_window(self):
-        view = make_view(seed=5, window=0, delta=1, sw=1)
-        # shrink the window until nothing is active (t range below min t)
-        events = random_events(seed=5)
-        adj = TemporalAdjacency.from_events(events)
-        from repro.events import Window
-
+        # a time range below every event: nothing is active
+        adj = TemporalAdjacency.from_events(random_events(seed=5))
         view = adj.window_view(Window(0, -10, -5))
         packed = compact_pull(view)
         assert packed.n_edges == 0
         assert packed.indptr[-1] == 0
 
+    def test_multiwindow_views_forward_workspace(self):
+        events = random_events(seed=41)
+        spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
+        part = LazyMultiWindowPartition(events, spec, 2)
+        ws = Workspace()
+        view = part.window_view(0, workspace=ws)
+        packed = view.compact_pull()
+        assert packed.n_edges == view.n_active_edges
+
+    def test_parity_regimes_have_their_shapes(self):
+        """Guards the parity inputs below: each regime is the window it
+        is named after."""
+        regimes = dict(_views_regimes())
+        assert regimes["empty"].n_active_vertices == 0
+        no_dup = regimes["no_dup"]
+        assert no_dup.n_active_edges == no_dup.adjacency.nnz
+        # a uniform start on a directed cycle is the fixed point
+        fixed = regimes["fixed_point"]
+        assert pagerank_window(fixed, CFG).iterations <= 1
+        assert KatzProgram(config=KATZ).solve_window(fixed).iterations <= 1
+
 
 # ---------------------------------------------------------------------------
-# bitwise parity: masked vs compacted vs auto, all three kernels
+# bitwise parity with the masked oracles
 # ---------------------------------------------------------------------------
 def _views_regimes():
-    """(name, view) pairs covering empty, sparse, and fully-active
-    windows, plus a dangling-heavy one."""
-    from repro.events import TemporalEventSet, Window
-
+    """(name, view) pairs: a sparse window, a fully active one with
+    duplicate events, a fully active one without (every stored event is
+    an active edge), a window whose start is its fixed point, an empty
+    window and a dangling-heavy one."""
     regimes = []
     # sparse: one window of a long event stream
     regimes.append(("sparse", make_view(seed=23)))
@@ -118,6 +153,17 @@ def _views_regimes():
     events = random_events(seed=29)
     adj = TemporalAdjacency.from_events(events)
     regimes.append(("full", adj.window_view(Window(0, 0, 10_000))))
+    # fully active, every (src, dst) pair once: |E_w| == nnz
+    rng = np.random.default_rng(31)
+    pairs = [(s, d) for s in range(20) for d in range(20) if s != d]
+    picked = rng.permutation(len(pairs))[:90]
+    src, dst = np.array([pairs[i] for i in picked]).T
+    regimes.append(("no_dup", _window_of_all(src, dst, 20)))
+    # a directed cycle: the uniform start is already the fixed point
+    ring = np.arange(10)
+    regimes.append(
+        ("fixed_point", _window_of_all(ring, (ring + 1) % 10, 10))
+    )
     # empty
     regimes.append(("empty", adj.window_view(Window(0, -10, -5))))
     # dangling-heavy: a star where leaves never point back
@@ -135,41 +181,28 @@ def _views_regimes():
     "name,view", _views_regimes(), ids=[n for n, _ in _views_regimes()]
 )
 class TestBitwiseParity:
-    def _solve(self, kernel, view, path, use_workspace, **kw):
-        ws = Workspace() if use_workspace else None
-        return kernel(
-            view, replace(CFG, edge_path=path), workspace=ws, **kw
-        )
-
     def test_spmv(self, name, view, use_workspace):
-        base = self._solve(pagerank_window, view, "masked", use_workspace)
-        for path in ("compacted", "auto"):
-            r = self._solve(pagerank_window, view, path, use_workspace)
-            assert np.array_equal(r.values, base.values)
-            assert r.iterations == base.iterations
+        ws = Workspace() if use_workspace else None
+        got = pagerank_window(view, CFG, workspace=ws)
+        assert_solve_matches(got, dense_mask_pagerank(view, CFG))
 
     def test_weighted(self, name, view, use_workspace):
-        base = self._solve(
-            pagerank_window_weighted, view, "masked", use_workspace
+        ws = Workspace() if use_workspace else None
+        got = pagerank_window_weighted(view, CFG, workspace=ws)
+        assert_solve_matches(
+            got, dense_mask_pagerank(view, CFG, weighted=True)
         )
-        for path in ("compacted", "auto"):
-            r = self._solve(
-                pagerank_window_weighted, view, path, use_workspace
-            )
-            assert np.array_equal(r.values, base.values)
-            assert r.iterations == base.iterations
+
+    def test_katz(self, name, view, use_workspace):
+        ws = Workspace() if use_workspace else None
+        got = KatzProgram(config=KATZ).solve_window(view, workspace=ws)
+        assert_solve_matches(got, dense_mask_katz(view, KATZ))
 
     def test_spmm(self, name, view, use_workspace):
-        """The batch reads no edge path, so each setting's batch must
-        match the masked oracle rather than one another."""
         views = [view] * 3
-        want = spmm_oracle(views, CFG)
-        for path in ("masked", "compacted", "auto"):
-            ws = Workspace() if use_workspace else None
-            r = pagerank_windows_spmm(
-                views, replace(CFG, edge_path=path), workspace=ws
-            )
-            assert_batch_matches(r, want)
+        ws = Workspace() if use_workspace else None
+        r = pagerank_windows_spmm(views, CFG, workspace=ws)
+        assert_batch_matches(r, spmm_oracle(views, CFG))
 
 
 def test_spmm_distinct_windows_parity():
@@ -177,174 +210,45 @@ def test_spmm_distinct_windows_parity():
     adj = TemporalAdjacency.from_events(events)
     spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
     views = [adj.window_view(spec.window(i)) for i in range(4)]
-    want = spmm_oracle(views, CFG)
-    for path in ("masked", "compacted"):
-        r = pagerank_windows_spmm(views, replace(CFG, edge_path=path))
-        assert_batch_matches(r, want)
+    r = pagerank_windows_spmm(views, CFG)
+    assert_batch_matches(r, spmm_oracle(views, CFG))
 
 
 # ---------------------------------------------------------------------------
-# adaptive selection
+# driver level
 # ---------------------------------------------------------------------------
-class TestEdgePathSelection:
-    def test_sparse_long_run_compacts(self):
-        # 5% activity over many iterations: packing obviously amortizes
-        assert choose_edge_path(10_000, 500, 100, 50) == "compacted"
-
-    def test_fully_active_stays_masked(self):
-        assert choose_edge_path(10_000, 10_000, 100, 50) == "masked"
-
-    def test_single_iteration_stays_masked(self):
-        # one iteration cannot repay a pack priced at ~2 edge-traversals
-        assert choose_edge_path(10_000, 9_000, 100, 1) == "masked"
-
-    def test_empty_structure_masked(self):
-        assert choose_edge_path(0, 0, 100, 50) == "masked"
-
-    def test_crossover_moves_with_pack_cost(self):
-        cheap = CostModel(c_pack=1e-12)
-        dear = CostModel(c_pack=1.0)
-        args = (10_000, 9_999, 100, 2)
-        assert cheap.choose_edge_path(*args) == "compacted"
-        assert dear.choose_edge_path(*args) == "masked"
-
-    def test_resolve_pinned_paths_bypass_model(self):
-        for path in ("masked", "compacted"):
-            cfg = PagerankConfig(edge_path=path)
-            assert resolve_edge_path(cfg, 100, 1, 10) == path
-
-    def test_resolve_auto_uses_hint(self):
-        cfg = PagerankConfig(edge_path="auto", max_iterations=500)
-        # half active: hint=1 cannot repay the pack; large hint -> compacts
-        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 1) == "masked"
-        assert (
-            resolve_edge_path(cfg, 10_000, 5_000, 100, 100) == "compacted"
-        )
-
-    def test_resolve_auto_caps_hint_by_budget(self):
-        cfg = PagerankConfig(edge_path="auto", max_iterations=1)
-        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 400) == "masked"
-
-    def test_pack_is_priced_per_packed_edge(self):
-        # 5% active: the pack gathers 500 edges, not 10,000 stored events,
-        # so even a single iteration repays it
-        assert choose_edge_path(10_000, 500, 100, 1) == "compacted"
-
-    def test_nonpositive_hint_falls_back_to_default_audibly(
-        self, monkeypatch, caplog
-    ):
-        import logging
-
-        from repro.pagerank import compaction
-
-        monkeypatch.setattr(compaction, "_NONPOSITIVE_HINT_NOTED", False)
-        cfg = PagerankConfig(edge_path="auto", max_iterations=500)
-        with caplog.at_level(
-            logging.DEBUG, logger="repro.pagerank.compaction"
-        ):
-            # hint=0 (a previous empty window) behaves exactly like "no
-            # hint": the conservative default, not "zero iterations"
-            assert resolve_edge_path(cfg, 10_000, 500, 100, 0) \
-                == resolve_edge_path(cfg, 10_000, 500, 100, None)
-            notes = [
-                r for r in caplog.records
-                if "iteration_hint=0" in r.getMessage()
-            ]
-            assert len(notes) == 1
-            assert "DEFAULT_EXPECTED_ITERATIONS" in notes[0].getMessage()
-            # the note is a one-shot latch, not per-call noise
-            resolve_edge_path(cfg, 10_000, 500, 100, 0)
-            assert len(
-                [
-                    r for r in caplog.records
-                    if "iteration_hint" in r.getMessage()
-                ]
-            ) == 1
-
-    def test_nonpositive_hint_crossover_boundary(self):
-        # at the 10_000/5_000 structure the default (20 expected
-        # iterations) amortizes the pack but a true hint of 1 does not:
-        # hint=0 must land on the default's side of the crossover
-        cfg = PagerankConfig(edge_path="auto", max_iterations=500)
-        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 0) == "compacted"
-        assert resolve_edge_path(cfg, 10_000, 5_000, 100, 1) == "masked"
-
-    def test_default_expected_iterations_positive(self):
-        assert DEFAULT_EXPECTED_ITERATIONS > 0
-
-    def test_config_rejects_bad_edge_path(self):
-        with pytest.raises(ValidationError):
-            PagerankConfig(edge_path="fastest")
+@pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+def test_driver_matches_masked_chain(kernel):
+    """A postmortem run reproduces the masked oracles' warm-start chain
+    bitwise, and its work counters show it read active edges only."""
+    events = random_events(seed=37, n_events=300)
+    spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
+    run = PostmortemDriver(
+        events, spec, CFG,
+        PostmortemOptions(n_multiwindows=2, kernel=kernel, vector_length=4),
+    ).run()
+    want = reference_chain(
+        events, spec, CFG, 2, kernel=kernel, vector_length=4
+    )
+    np.testing.assert_array_equal(run.values_matrix(), want.values)
+    assert [w.iterations for w in run.windows] == want.iterations.tolist()
+    assert run.work.edge_traversals == run.work.active_edge_traversals
 
 
-# ---------------------------------------------------------------------------
-# driver / CLI threading
-# ---------------------------------------------------------------------------
-class TestDriverThreading:
-    def _run(self, edge_path, kernel="spmv"):
-        events = random_events(seed=37, n_events=300)
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
-        cfg = replace(CFG, edge_path=edge_path)
-        driver = PostmortemDriver(
-            events, spec, cfg,
-            PostmortemOptions(n_multiwindows=2, kernel=kernel),
-        )
-        return driver.run()
-
-    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    def test_driver_paths_agree(self, kernel):
-        runs = {
-            p: self._run(p, kernel) for p in ("masked", "compacted", "auto")
-        }
-        base = runs["masked"]
-        for p in ("compacted", "auto"):
-            for w_base, w in zip(base.windows, runs[p].windows):
-                assert np.array_equal(w_base.values, w.values)
-                assert w_base.iterations == w.iterations
-
-    def test_compacted_does_less_edge_work(self):
-        masked = self._run("masked")
-        comp = self._run("compacted")
-        assert (
-            comp.work.edge_traversals < masked.work.edge_traversals
-        )
-
-    def test_multiwindow_views_forward_workspace(self):
-        events = random_events(seed=41)
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
-        part = LazyMultiWindowPartition(events, spec, 2)
-        ws = Workspace()
-        view = part.window_view(0, workspace=ws)
-        packed = view.compact_pull()
-        assert packed.n_edges == view.n_active_edges
-
-
-def test_cli_run_accepts_edge_path(tmp_path, capsys):
-    import io
-
+def test_edge_path_knob_removed(tmp_path, capsys):
+    """Compaction is the only traversal: there is no knob to pin."""
     from repro.cli import main
     from repro.events import save_events_npz
 
-    events = random_events(seed=43, n_events=200)
+    assert "edge_path" not in {f.name for f in fields(PagerankConfig)}
+    with pytest.raises(TypeError):
+        PagerankConfig(edge_path="masked")
     path = tmp_path / "ev.npz"
-    save_events_npz(events, str(path))
-    outs = {}
-    for edge_path in ("masked", "compacted"):
-        buf = io.StringIO()
-        rc = main(
-            [
-                "run", str(path), "--delta-days", "0.03", "--sw", "1000",
-                "--kernel", "spmv", "--edge-path", edge_path,
-            ],
-            out=buf,
-        )
-        assert rc == 0
-        outs[edge_path] = buf.getvalue()
-    # same solve, different execution strategy: identical tables
-    table = {
-        k: "\n".join(
-            line for line in v.splitlines() if not line.startswith("total")
-        )
-        for k, v in outs.items()
-    }
-    assert table["masked"] == table["compacted"]
+    save_events_npz(random_events(seed=43, n_events=200), str(path))
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", str(path), "--delta-days", "0.03", "--sw", "1000",
+            "--edge-path", "masked",
+        ])
+    assert exc.value.code == 2
+    assert "--edge-path" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from repro.programs.katz import KatzConfig, KatzProgram, katz_window
 from tests.conftest import random_events
 
 CFG = KatzConfig(tolerance=1e-12, max_iterations=500)
-PROGRAM = KatzProgram(config=CFG, routing=PagerankConfig(edge_path="masked"))
+PROGRAM = KatzProgram(config=CFG)
 
 
 def solve_batch(views, program=PROGRAM, **kwargs):
@@ -110,15 +110,14 @@ class TestKatzSpmm:
 
 
 ROUTINGS = [
-    PagerankConfig(edge_path=path, backend=backend, cache_budget=64)
-    for path in ("masked", "compacted")
+    PagerankConfig(backend=backend, cache_budget=64)
     for backend in ("numpy", "numba")
 ]
 
 
 class TestKatzRouting:
     """Katz runs PageRank's power loops, so it inherits their routing
-    contract: every edge path and backend gives the same bits."""
+    contract: every backend gives the same bits."""
 
     def test_solve_window_bitwise_across_routing(self, setup):
         adj, spec = setup
@@ -153,10 +152,7 @@ class TestKatzRouting:
             adj.window_view(spec.window(0)),
             adj.window_view(spec.window(spec.n_windows - 1)),
         ]
-        program = KatzProgram(
-            config=CFG, routing=PagerankConfig(edge_path="compacted")
-        )
-        batch = solve_batch(views, program)
+        batch = solve_batch(views)
         assert 0 < batch.work.edge_traversals
         assert batch.work.edge_traversals < batch.work.iterations * adj.nnz
         for j, v in enumerate(views):

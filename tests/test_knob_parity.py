@@ -10,17 +10,16 @@ every combination must reproduce the canonical answer *bitwise*:
   windows differently, so their warm-start chains differ from uniform);
 * offline: executor {serial, thread, shared} x input, against the serial
   in-RAM run;
-* kernels: kernel {spmv, spmm} x edge path {masked, compacted} (and the
-  weighted SpMV kernel) x executor, against the serial masked run of the
-  same kernel on the numpy backend — the compacted paths pack window
-  views' active groups, the masked ones stream the Θ(nnz) dedup mask.
+* kernels: kernel {spmv, spmm} (and the weighted SpMV kernel) x
+  executor, against the canonical answer: the same warm-start chain
+  solved serially by the masked oracles, which stream every stored event
+  under the Θ(nnz) dedup mask (``tests/dense_mask_reference.py``).  The
+  kernels themselves iterate each window's packed active edges.
 
 Values and per-window iteration counts must be equal, not close.  The
 suite also pins the executor surface: the legal set is exactly
 ``serial``/``thread``/``shared`` and anything else is a typed error.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from repro.graph.io import open_events, write_tcsr
 from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
 from repro.pagerank import PagerankConfig
 from repro.runtime import EXECUTORS
+from tests.dense_mask_reference import reference_chain
 
 CONFIG = PagerankConfig(tolerance=1e-11, max_iterations=300)
 PARTITIONS = ("uniform", "minimax", "greedy")
@@ -129,33 +129,37 @@ def test_offline_bitwise(inputs, spec, offline_reference, executor, medium):
 KERNELS = (("spmv", False), ("spmv", True), ("spmm", False))
 
 
-def kernel_run(events, spec, kernel, weighted, edge_path, executor="serial"):
-    config = replace(CONFIG, edge_path=edge_path, backend="numpy")
+def kernel_run(events, spec, kernel, weighted, executor="serial"):
     options = PostmortemOptions(
         n_multiwindows=4, executor=executor, n_threads=2, kernel=kernel,
         vector_length=4, weighted=weighted,
     )
-    return PostmortemDriver(events, spec, config, options).run()
+    return PostmortemDriver(events, spec, CONFIG, options).run()
 
 
 @pytest.fixture(scope="module")
 def kernel_reference(events, spec):
     return {
-        (kernel, weighted): kernel_run(
-            events, spec, kernel, weighted, "masked"
+        (kernel, weighted): reference_chain(
+            events, spec, CONFIG, 4, kernel=kernel, vector_length=4,
+            weighted=weighted,
         )
         for kernel, weighted in KERNELS
     }
 
 
-@pytest.mark.parametrize("edge_path", ["masked", "compacted"])
 @pytest.mark.parametrize("kernel, weighted", KERNELS)
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_kernel_edge_path_bitwise(
-    events, spec, kernel_reference, executor, kernel, weighted, edge_path
+def test_kernel_bitwise(
+    events, spec, kernel_reference, executor, kernel, weighted
 ):
-    run = kernel_run(events, spec, kernel, weighted, edge_path, executor)
-    assert_bitwise(run, kernel_reference[(kernel, weighted)])
+    run = kernel_run(events, spec, kernel, weighted, executor)
+    want = kernel_reference[(kernel, weighted)]
+    assert [w.window_index for w in run.windows] == list(
+        range(spec.n_windows)
+    )
+    assert [w.iterations for w in run.windows] == want.iterations.tolist()
+    np.testing.assert_array_equal(run.values_matrix(), want.values)
 
 
 def run_starts(partition):

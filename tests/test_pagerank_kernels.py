@@ -118,17 +118,21 @@ class TestSpmvKernel:
 
     def test_work_stats_recorded(self, adjacency, spec):
         view = adjacency.window_view(spec.window(0))
-        r = pagerank_window(view, PagerankConfig(edge_path="masked"))
+        r = pagerank_window(view)
         assert r.work.iterations == r.iterations
-        assert r.work.edge_traversals == r.iterations * adjacency.nnz
+        assert r.work.active_edge_traversals == (
+            r.iterations * view.n_active_edges
+        )
         assert r.work.vertex_ops == r.iterations * view.n_active_vertices
 
     def test_work_stats_compacted_counts_active_edges(self, adjacency, spec):
         view = adjacency.window_view(spec.window(0))
-        r = pagerank_window(view, PagerankConfig(edge_path="compacted"))
+        r = pagerank_window(view)
+        # the kernel streams the packed active edges, never the structure
         assert (
             r.work.edge_traversals == r.iterations * view.n_active_edges
         )
+        assert view.n_active_edges < adjacency.nnz
 
     def test_fixed_point_property(self, adjacency, spec, tight):
         """The converged vector satisfies the PageRank equation."""

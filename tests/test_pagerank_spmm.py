@@ -1,7 +1,5 @@
 """Unit tests for the SpMM-inspired batched kernel (Section 4.4)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from repro.events import Window, WindowSpec
 from repro.graph import LazyMultiWindowPartition, TemporalAdjacency
 from repro.pagerank import (
     PagerankConfig,
+    compact_pull,
     pagerank_window,
     pagerank_windows_spmm,
 )
@@ -95,8 +94,7 @@ class TestSpmmKernel:
 
     def test_work_counts_shared_structure(self, adjacency, spec, tight):
         views = [adjacency.window_view(w) for w in spec]
-        cfg = replace(tight, edge_path="masked")
-        batch = pagerank_windows_spmm(views, cfg)
+        batch = pagerank_windows_spmm(views, tight)
         # one joint iteration reads each live window's active cells once:
         # the traversed count is the useful count, not iterations * nnz
         cells = sum(
@@ -112,19 +110,15 @@ class TestSpmmKernel:
 
     def test_work_counts_compacted_union(self, adjacency, spec, tight):
         views = [adjacency.window_view(w) for w in spec]
-        runs = {
-            path: pagerank_windows_spmm(
-                views, replace(tight, edge_path=path)
-            )
-            for path in ("masked", "compacted")
-        }
-        # the batch reads the same active cells whichever edge path the
-        # config names: the SpMM kernel has one traversal
-        assert (
-            runs["compacted"].work.edge_traversals
-            == runs["masked"].work.edge_traversals
-            == runs["masked"].work.active_edge_traversals
+        batch = pagerank_windows_spmm(views, tight)
+        # the batch's cells for a window are that window's packed edges,
+        # the ones its single-window solve would iterate
+        packed = sum(
+            int(it) * compact_pull(v).n_edges
+            for it, v in zip(batch.iterations_per_window, views)
         )
+        assert batch.work.edge_traversals == packed
+        assert batch.work.active_edge_traversals == packed
 
 
 class TestSpmmInsideMultiwindow:

@@ -2,10 +2,10 @@
 
 Covers the registry, the first-class programs, and the bitwise contract:
 PageRank routed through the engine is *bitwise-identical* to the historic
-postmortem loop across kernels (spmv / spmm) × edge paths (masked /
-compacted) × backends (numpy / numba) × weighted — asserted against a
-hand-rolled reference chain that replays the pre-engine driver's solve
-sequence.
+postmortem loop across kernels (spmv / spmm) × backends (numpy / numba) ×
+weighted — asserted against hand-rolled reference chains that replay the
+pre-engine driver's solve sequence, once with the library kernels and
+once with the masked oracles (``tests/dense_mask_reference.py``).
 """
 
 import numpy as np
@@ -15,18 +15,8 @@ from repro.errors import ValidationError
 from repro.events import WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.graph.csr import build_csr_from_edges
-from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.models.postmortem import PostmortemDriver, PostmortemOptions
-from repro.pagerank import (
-    PagerankConfig,
-    Workspace,
-    full_initialization,
-    pagerank_window,
-    partial_initialization,
-)
-from repro.pagerank.weighted import pagerank_window_weighted
-from repro.pagerank.spmm import pagerank_windows_spmm
-from repro.models.schedule import sequential_schedule, spmm_region_schedule
+from repro.pagerank import PagerankConfig
 from repro.programs import (
     PROGRAMS,
     VertexProgram,
@@ -39,6 +29,7 @@ from repro.programs.katz import KatzConfig, KatzProgram, katz_window
 from repro.programs.kcore import KCoreProgram
 from repro.runtime import make_driver
 from tests.conftest import random_events
+from tests.dense_mask_reference import reference_chain as _reference_chain
 
 VECTOR_LENGTH = 4
 N_MULTIWINDOWS = 3
@@ -49,79 +40,6 @@ def setup():
     events = random_events(n_vertices=50, n_events=900, seed=977)
     spec = WindowSpec.covering(events, delta=1_800, sw=750)
     return events, spec
-
-
-def reference_chain(
-    events,
-    spec,
-    cfg,
-    *,
-    kernel="spmv",
-    weighted=False,
-    partial_init=True,
-):
-    """The pre-engine postmortem solve sequence, hand-rolled.
-
-    Replays exactly what the historic driver did per multi-window graph:
-    one pooled workspace, eq. 4 warm starts along the chain, the region
-    schedule for SpMM, the previous solve's iteration count as the
-    edge-path hint.  The engine must match this bitwise.
-    """
-    solver = pagerank_window_weighted if weighted else pagerank_window
-    out = np.zeros((spec.n_windows, events.n_vertices))
-    partition = LazyMultiWindowPartition(events, spec, N_MULTIWINDOWS)
-    for graph in partition:
-        if kernel == "spmm" and graph.n_windows > 1 and not weighted:
-            batches = spmm_region_schedule(
-                graph.first_window, graph.n_windows, VECTOR_LENGTH
-            )
-        else:
-            batches = sequential_schedule(
-                graph.first_window, graph.n_windows
-            )
-        workspace = Workspace()
-        views = {}
-        values = {}
-        hint = None
-        for batch in batches:
-            bviews = []
-            for w in batch.windows:
-                if w not in views:
-                    views[w] = graph.window_view(w, workspace=workspace)
-                bviews.append(views[w])
-            x0_cols = []
-            for w, pred in zip(batch.windows, batch.predecessors):
-                if partial_init and pred is not None and pred in values:
-                    x0_cols.append(
-                        partial_initialization(
-                            views[w], views[pred], values[pred]
-                        )
-                    )
-                else:
-                    x0_cols.append(full_initialization(views[w]))
-            if len(batch.windows) == 1:
-                pr = solver(
-                    bviews[0], cfg, x0=x0_cols[0], workspace=workspace,
-                    iteration_hint=hint,
-                )
-                hint = pr.iterations
-                values[batch.windows[0]] = pr.values
-                out[batch.windows[0]] = graph.to_global(
-                    pr.values, events.n_vertices
-                )
-            else:
-                br = pagerank_windows_spmm(
-                    bviews, cfg, x0=np.stack(x0_cols, axis=1),
-                    workspace=workspace,
-                )
-                hint = int(br.iterations_per_window.max())
-                for j, w in enumerate(batch.windows):
-                    values[w] = br.values[:, j].copy()
-                    out[w] = graph.to_global(values[w], events.n_vertices)
-            keep = set(batch.windows)
-            views = {w: v for w, v in views.items() if w in keep}
-            values = {w: v for w, v in values.items() if w in keep}
-    return out
 
 
 class TestRegistry:
@@ -183,22 +101,31 @@ class TestRegistry:
             base.solve_graph(None, None)
 
 
+def reference_chain(events, spec, cfg, reference="compacted", **kw):
+    """The hand-rolled chain over this module's partition: ``"masked"``
+    solves with the masked oracles, ``"compacted"`` with the library
+    kernels (which iterate each window's packed active edges)."""
+    return _reference_chain(
+        events, spec, cfg, N_MULTIWINDOWS, vector_length=VECTOR_LENGTH,
+        masked=reference == "masked", **kw,
+    ).values
+
+
 class TestEngineBitwiseGrid:
     """The tentpole acceptance criterion: PageRank through the engine is
-    bitwise-identical to the historic driver loop, across kernels × edge
-    paths × backends × weighted."""
+    bitwise-identical to the historic driver loop and to the masked
+    oracles, across kernels × backends × weighted."""
 
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    @pytest.mark.parametrize("edge_path", ["masked", "compacted"])
+    @pytest.mark.parametrize("reference", ["masked", "compacted"])
     @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_engine_matches_reference(
-        self, setup, kernel, edge_path, backend
+        self, setup, kernel, reference, backend
     ):
         events, spec = setup
         cfg = PagerankConfig(
             tolerance=1e-10,
             max_iterations=300,
-            edge_path=edge_path,
             backend=backend,
             cache_budget=512,
         )
@@ -212,15 +139,15 @@ class TestEngineBitwiseGrid:
                 vector_length=VECTOR_LENGTH,
             ),
         ).run()
-        expected = reference_chain(events, spec, cfg, kernel=kernel)
+        expected = reference_chain(
+            events, spec, cfg, reference, kernel=kernel
+        )
         np.testing.assert_array_equal(run.values_matrix(), expected)
 
-    @pytest.mark.parametrize("edge_path", ["masked", "compacted"])
-    def test_weighted_engine_matches_reference(self, setup, edge_path):
+    @pytest.mark.parametrize("reference", ["masked", "compacted"])
+    def test_weighted_engine_matches_reference(self, setup, reference):
         events, spec = setup
-        cfg = PagerankConfig(
-            tolerance=1e-10, max_iterations=300, edge_path=edge_path
-        )
+        cfg = PagerankConfig(tolerance=1e-10, max_iterations=300)
         run = PostmortemDriver(
             events,
             spec,
@@ -229,7 +156,9 @@ class TestEngineBitwiseGrid:
                 n_multiwindows=N_MULTIWINDOWS, weighted=True
             ),
         ).run()
-        expected = reference_chain(events, spec, cfg, weighted=True)
+        expected = reference_chain(
+            events, spec, cfg, reference, weighted=True
+        )
         np.testing.assert_array_equal(run.values_matrix(), expected)
 
     def test_cold_chain_matches_reference(self, setup):

@@ -32,20 +32,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.events import WindowSpec
-from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.models.postmortem import PostmortemOptions
-from repro.pagerank import (
-    PagerankConfig,
-    Workspace,
-    full_initialization,
-    pagerank_window,
-    partial_initialization,
-)
+from repro.pagerank import PagerankConfig
 from repro.runtime import MODELS, PROGRAMS, make_driver
 from repro.service.cluster import ShardCluster
 from repro.service.engine import QueryEngine
 from repro.service.store import RankStore, RankStoreWriter
 from tests.conftest import random_events
+from tests.dense_mask_reference import reference_chain
 
 TOL = 1e-7
 
@@ -337,27 +331,11 @@ class TestProgramFlagPreservesPagerank:
 
         # the historic postmortem loop, hand-rolled: one pooled workspace
         # per multi-window graph, eq. 4 warm starts along the chain, the
-        # previous solve's iteration count as the edge-path hint
-        expected = np.zeros((spec.n_windows, events.n_vertices))
-        partition = LazyMultiWindowPartition(events, spec, n_multiwindows)
-        for graph in partition:
-            workspace = Workspace()
-            prev_view = None
-            prev_values = None
-            hint = None
-            for w in graph.window_indices():
-                view = graph.window_view(w, workspace=workspace)
-                if partial and prev_view is not None:
-                    x0 = partial_initialization(view, prev_view, prev_values)
-                else:
-                    x0 = full_initialization(view)
-                pr = pagerank_window(
-                    view, cfg, x0=x0, workspace=workspace,
-                    iteration_hint=hint,
-                )
-                hint = pr.iterations
-                expected[w] = graph.to_global(pr.values, events.n_vertices)
-                prev_view, prev_values = view, pr.values
+        # previous solve's iteration count as the backend="auto" hint
+        expected = reference_chain(
+            events, spec, cfg, n_multiwindows, partial_init=partial,
+            masked=False,
+        ).values
 
         np.testing.assert_array_equal(run.values_matrix(), expected)
 

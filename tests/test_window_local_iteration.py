@@ -1,12 +1,12 @@
 """Differential test of the window-local power iteration.
 
 The SpMV and weighted kernels solve each window in ``[0, |V_w|)`` after a
-monotone relabelling of the streamed edge list.  The oracle is the dense
+monotone relabelling of its packed active edges.  The oracle is the dense
 whole-vertex-space loop they replaced (``tests/dense_mask_reference.py``):
 on adversarial windows — empty, a lone self-loop, all destinations
 dangling, active vertices interleaved with inactive ones, inactive rows
-before and after the active block — and across edge paths, backends,
-weighting and warm starts, values, iteration counts and residuals must
+before and after the active block — and across backends, weighting and
+warm starts, values, iteration counts and residuals must
 agree bit for bit, and every inactive entry must be ``+0.0``.
 """
 
@@ -81,7 +81,6 @@ def adversarial_windows(draw):
 
 @given(
     adjacency=adversarial_windows(),
-    edge_path=st.sampled_from(["masked", "compacted"]),
     backend=st.sampled_from(["numpy", "numba"]),
     cache_budget=st.sampled_from([64, 262_144]),
     weighted=st.booleans(),
@@ -92,11 +91,11 @@ def adversarial_windows(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_matches_dense_mask_loop(
-    adjacency, edge_path, backend, cache_budget, weighted, warm,
+    adjacency, backend, cache_budget, weighted, warm,
     use_workspace, dangling, max_iterations,
 ):
     cfg = PagerankConfig(
-        tolerance=1e-12, max_iterations=max_iterations, edge_path=edge_path,
+        tolerance=1e-12, max_iterations=max_iterations,
         backend=backend, cache_budget=cache_budget, dangling=dangling,
     )
     view = adjacency.window_view(WINDOW)
