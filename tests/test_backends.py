@@ -227,9 +227,10 @@ class TestBackendParity:
             )
             assert_batch_matches(r, want)
 
-    def test_numba_matches_masked_oracle(self, name, view, use_workspace):
-        """The partitioned plan over the packed edges reproduces the
-        masked pass over every stored event, weighted or not."""
+    def test_composes_with_edge_path(self, name, view, use_workspace):
+        """The partitioned plan composes with the one edge path, the
+        packed active edges: it reproduces the masked pass over every
+        stored event, weighted or not."""
         for weighted, kernel in (
             (False, pagerank_window), (True, pagerank_window_weighted),
         ):

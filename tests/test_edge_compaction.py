@@ -116,15 +116,6 @@ class TestCompactStructure:
         assert packed.n_edges == 0
         assert packed.indptr[-1] == 0
 
-    def test_multiwindow_views_forward_workspace(self):
-        events = random_events(seed=41)
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
-        part = LazyMultiWindowPartition(events, spec, 2)
-        ws = Workspace()
-        view = part.window_view(0, workspace=ws)
-        packed = view.compact_pull()
-        assert packed.n_edges == view.n_active_edges
-
     def test_parity_regimes_have_their_shapes(self):
         """Guards the parity inputs below: each regime is the window it
         is named after."""
@@ -217,32 +208,74 @@ def test_spmm_distinct_windows_parity():
 # ---------------------------------------------------------------------------
 # driver level
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-def test_driver_matches_masked_chain(kernel):
-    """A postmortem run reproduces the masked oracles' warm-start chain
-    bitwise, and its work counters show it read active edges only."""
-    events = random_events(seed=37, n_events=300)
-    spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
-    run = PostmortemDriver(
-        events, spec, CFG,
-        PostmortemOptions(n_multiwindows=2, kernel=kernel, vector_length=4),
-    ).run()
-    want = reference_chain(
-        events, spec, CFG, 2, kernel=kernel, vector_length=4
-    )
-    np.testing.assert_array_equal(run.values_matrix(), want.values)
-    assert [w.iterations for w in run.windows] == want.iterations.tolist()
-    assert run.work.edge_traversals == run.work.active_edge_traversals
+class TestDriverThreading:
+    """A postmortem run threads the packed edge path through every
+    window: it reproduces the masked oracles' warm-start chain bitwise
+    while reading active edges only."""
+
+    def _inputs(self):
+        events = random_events(seed=37, n_events=300)
+        spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
+        return events, spec
+
+    def _run(self, kernel="spmv"):
+        events, spec = self._inputs()
+        return PostmortemDriver(
+            events, spec, CFG,
+            PostmortemOptions(
+                n_multiwindows=2, kernel=kernel, vector_length=4
+            ),
+        ).run()
+
+    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+    def test_driver_paths_agree(self, kernel):
+        events, spec = self._inputs()
+        run = self._run(kernel)
+        want = reference_chain(
+            events, spec, CFG, 2, kernel=kernel, vector_length=4
+        )
+        np.testing.assert_array_equal(run.values_matrix(), want.values)
+        assert [w.iterations for w in run.windows] == \
+            want.iterations.tolist()
+
+    def test_compacted_does_less_edge_work(self):
+        """Every traversal is of an active edge, and there are fewer of
+        them than the masked pass's ``iterations x nnz`` stored events."""
+        events, spec = self._inputs()
+        run = self._run()
+        part = LazyMultiWindowPartition(events, spec, 2)
+        masked = sum(
+            w.iterations * part.window_view(w.window_index).adjacency.nnz
+            for w in run.windows
+        )
+        assert run.work.edge_traversals == run.work.active_edge_traversals
+        assert 0 < run.work.edge_traversals < masked
+
+    def test_multiwindow_views_forward_workspace(self):
+        events = random_events(seed=41)
+        spec = WindowSpec.covering(events, delta=3_000, sw=1_000)
+        part = LazyMultiWindowPartition(events, spec, 2)
+        ws = Workspace()
+        view = part.window_view(0, workspace=ws)
+        packed = view.compact_pull()
+        assert packed.n_edges == view.n_active_edges
+
+
+class TestEdgePathSelection:
+    def test_config_rejects_bad_edge_path(self):
+        """There is no edge path left to select: the config has no such
+        field, so every value is rejected."""
+        assert "edge_path" not in {f.name for f in fields(PagerankConfig)}
+        for edge_path in ("masked", "compacted", "auto", "fastest"):
+            with pytest.raises(TypeError):
+                PagerankConfig(edge_path=edge_path)
 
 
 def test_edge_path_knob_removed(tmp_path, capsys):
-    """Compaction is the only traversal: there is no knob to pin."""
+    """Compaction is the only traversal: ``run`` has no knob to pin."""
     from repro.cli import main
     from repro.events import save_events_npz
 
-    assert "edge_path" not in {f.name for f in fields(PagerankConfig)}
-    with pytest.raises(TypeError):
-        PagerankConfig(edge_path="masked")
     path = tmp_path / "ev.npz"
     save_events_npz(random_events(seed=43, n_events=200), str(path))
     with pytest.raises(SystemExit) as exc:

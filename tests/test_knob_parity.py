@@ -11,10 +11,15 @@ every combination must reproduce the canonical answer *bitwise*:
 * offline: executor {serial, thread, shared} x input, against the serial
   in-RAM run;
 * kernels: kernel {spmv, spmm} (and the weighted SpMV kernel) x
-  executor, against the canonical answer: the same warm-start chain
-  solved serially by the masked oracles, which stream every stored event
-  under the Θ(nnz) dedup mask (``tests/dense_mask_reference.py``).  The
-  kernels themselves iterate each window's packed active edges.
+  executor x window regime, against the canonical answer: the same
+  warm-start chain solved serially by the masked oracles, which stream
+  every stored event under the Θ(nnz) dedup mask
+  (``tests/dense_mask_reference.py``).  The kernels themselves always
+  iterate each window's packed active edges; the regimes are the windows
+  a per-window edge-path choice would tell apart — ``compacted``: sparse
+  windows of a bursty stream; ``masked``: windows whose pack is every
+  stored event (fully active, no duplicate pairs), warm starts that are
+  already the fixed point, and empty windows.
 
 Values and per-window iteration counts must be equal, not close.  The
 suite also pins the executor surface: the legal set is exactly
@@ -127,6 +132,26 @@ def test_offline_bitwise(inputs, spec, offline_reference, executor, medium):
 
 #: (kernel, weighted) pairs: the weighted kernel exists only as SpMV
 KERNELS = (("spmv", False), ("spmv", True), ("spmm", False))
+REGIMES = ("masked", "compacted")
+
+
+@pytest.fixture(scope="module")
+def full_windows():
+    """Events on distinct (src, dst) pairs at times 1..9 and a spec whose
+    windows either hold all of them or none: window 0 and windows 16..23
+    are empty, windows 1..15 are fully active and identical, so every
+    warm start after window 1 is already the fixed point."""
+    rng = np.random.default_rng(31)
+    pairs = np.array([(s, d) for s in range(50) for d in range(50) if s != d])
+    src, dst = pairs[rng.permutation(len(pairs))[:400]].T
+    t = np.sort(rng.integers(1, 10, len(src)))
+    events = TemporalEventSet(src, dst, t, n_vertices=50)
+    return events, WindowSpec(t0=-600, delta=600, sw=40, n_windows=24)
+
+
+@pytest.fixture(scope="module")
+def regime_inputs(events, spec, full_windows):
+    return {"masked": full_windows, "compacted": (events, spec)}
 
 
 def kernel_run(events, spec, kernel, weighted, executor="serial"):
@@ -138,28 +163,53 @@ def kernel_run(events, spec, kernel, weighted, executor="serial"):
 
 
 @pytest.fixture(scope="module")
-def kernel_reference(events, spec):
+def kernel_reference(regime_inputs):
     return {
-        (kernel, weighted): reference_chain(
-            events, spec, CONFIG, 4, kernel=kernel, vector_length=4,
-            weighted=weighted,
+        (regime, kernel, weighted): reference_chain(
+            *regime_inputs[regime], CONFIG, 4, kernel=kernel,
+            vector_length=4, weighted=weighted,
         )
+        for regime in REGIMES
         for kernel, weighted in KERNELS
     }
 
 
+@pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("kernel, weighted", KERNELS)
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_kernel_bitwise(
-    events, spec, kernel_reference, executor, kernel, weighted
+def test_kernel_edge_path_bitwise(
+    regime_inputs, kernel_reference, executor, kernel, weighted, regime
 ):
+    events, spec = regime_inputs[regime]
     run = kernel_run(events, spec, kernel, weighted, executor)
-    want = kernel_reference[(kernel, weighted)]
+    want = kernel_reference[(regime, kernel, weighted)]
     assert [w.window_index for w in run.windows] == list(
         range(spec.n_windows)
     )
     assert [w.iterations for w in run.windows] == want.iterations.tolist()
     np.testing.assert_array_equal(run.values_matrix(), want.values)
+
+
+def test_masked_regime_windows_are_full_or_empty(full_windows):
+    """Guards the ``masked`` regime: each window's pack is either every
+    stored event of its graph or nothing, and every warm-started window
+    converges in at most one iteration."""
+    events, spec = full_windows
+    part = multiwindow.LazyMultiWindowPartition(events, spec, 4)
+    active = [
+        (part.window_view(i).n_active_edges,
+         part.window_view(i).adjacency.nnz)
+        for i in range(spec.n_windows)
+    ]
+    assert all(n in (0, nnz) for n, nnz in active)
+    assert [i for i, (n, _) in enumerate(active) if n] == list(range(1, 16))
+    assert active[1][0] == len(events.src)
+    # the serial chain starts cold at each graph's first active window
+    # (graphs hold windows 0-5, 6-11, 12-17, 18-23)
+    iterations = reference_chain(events, spec, CONFIG, 4).iterations
+    cold = [1, 6, 12]
+    assert all(iterations[cold] > 1)
+    assert all(np.delete(iterations, cold) <= 1)
 
 
 def run_starts(partition):

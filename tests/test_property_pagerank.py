@@ -133,10 +133,11 @@ def test_backend_never_changes_values(view, use_workspace):
 
 @given(window_instances())
 @settings(max_examples=100, deadline=None)
-def test_kernel_matches_masked_oracle(view):
+def test_edge_path_never_changes_values(view):
     """Iterating the packed active edges is an execution strategy, not a
-    different computation: the kernel reproduces the masked pass over
-    every stored event (``tests/dense_mask_reference.py``) bit for bit."""
+    different computation: the kernel's one edge path reproduces the
+    masked pass over every stored event (``tests/dense_mask_reference.py``)
+    bit for bit."""
     from tests.dense_mask_reference import dense_mask_pagerank
 
     got = pagerank_window(view, CFG)
