@@ -4,8 +4,8 @@ The question this bench answers: **does the memory-mapped input path
 actually bound resident memory while staying bitwise-correct?**  Three
 measurements:
 
-* **parity** (small scale, in-process) — the artifact's adjacency equals
-  `TemporalAdjacency.from_events` array-for-array, and a postmortem run
+* **parity** (small scale, in-process) — the artifact's event log equals
+  the in-RAM `TemporalEventSet` array-for-array, and a postmortem run
   from the mapped event set is bitwise-identical to the in-RAM run;
 * **build** (subprocess) — `generate_tcsr` at ``REPRO_OOC_EVENTS`` events
   (default 1,000,000; the committed baseline ran at 10,000,000), peak
@@ -165,11 +165,10 @@ def _spawn(mode: str, *args: str) -> dict:
 # ----------------------------------------------------------------------
 
 def _parity_flags(tmp_dir: str) -> dict:
-    """Small-scale, in-process: artifact vs in-RAM, adjacency and
+    """Small-scale, in-process: artifact vs in-RAM, event log and
     postmortem run."""
     from repro.datasets import get_profile
-    from repro.graph.io import open_adjacency, open_events, write_tcsr
-    from repro.graph.temporal_csr import TemporalAdjacency
+    from repro.graph.io import open_events, write_tcsr
     from repro.models import PostmortemDriver, PostmortemOptions
     from repro.pagerank import PagerankConfig
 
@@ -177,20 +176,16 @@ def _parity_flags(tmp_dir: str) -> dict:
     path = os.path.join(tmp_dir, "parity.tcsr")
     write_tcsr(events, path, chunk_events=4_096)
 
-    ram = TemporalAdjacency.from_events(events)
-    mapped_adj = open_adjacency(path)
-    adjacency_match = all(
-        np.array_equal(
-            getattr(mapped_adj.in_csr, name), getattr(ram.in_csr, name)
-        )
-        for name in ("indptr", "col", "time", "group_start")
+    mapped = open_events(path)
+    event_log_match = mapped.n_vertices == events.n_vertices and all(
+        np.array_equal(getattr(mapped, name), getattr(events, name))
+        for name in ("src", "dst", "time")
     )
 
     spec = _spec(events)
     cfg = PagerankConfig(tolerance=1e-10, max_iterations=200)
     opts = PostmortemOptions(n_multiwindows=N_MULTIWINDOWS)
     in_ram = PostmortemDriver(events, spec, cfg, opts).run()
-    mapped = open_events(path)
     from_file = PostmortemDriver(mapped, spec, cfg, opts).run()
     postmortem_match = all(
         np.array_equal(w0.values, w1.values)
@@ -199,7 +194,7 @@ def _parity_flags(tmp_dir: str) -> dict:
     )
     mapped.close()
     return {
-        "adjacency_match": bool(adjacency_match),
+        "event_log_match": bool(event_log_match),
         "postmortem_match_exact": bool(postmortem_match),
     }
 
@@ -267,7 +262,7 @@ def test_outofcore(tmp_path):
         json.dumps(payload, indent=2) + "\n"
     )
 
-    assert parity["adjacency_match"]
+    assert parity["event_log_match"]
     assert parity["postmortem_match_exact"]
     assert payload["build"]["rss_within_bound"], (
         f"build RSS {build_net / mb:.0f} MiB over bound {rss_bound / mb:.0f}"

@@ -107,7 +107,7 @@ REQUIRED_FLAGS = {
         ("pm_beats_streaming",),
     ],
     "outofcore": [
-        ("parity", "adjacency_match"),
+        ("parity", "event_log_match"),
         ("parity", "postmortem_match_exact"),
         ("build", "rss_within_bound"),
         ("run", "rss_within_bound"),

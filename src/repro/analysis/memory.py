@@ -16,12 +16,10 @@ vertex), the ``group_start`` mask (1 B per event) and the extra
 ``indptr`` entry (8 B).
 
 Partitions build their graphs on demand, so each graph's bytes are a
-transient cost of the task solving it, never a standing allocation.  The
-accounting splits them by residency: ``heap_bytes`` is what the process
-owns while the graph is alive, ``mapped_bytes`` is file-backed address
-space the kernel pages in and out on demand (a ``.tcsr`` artifact opened
-via :func:`repro.graph.io.open_events`).  Only the heap side counts against
-the paper's fit-in-memory requirement.
+transient cost of the task solving it, never a standing allocation.  A
+graph is always compacted onto the heap, even from a ``.tcsr`` event log
+opened via :func:`repro.graph.io.open_events`; only that raw log can be
+file-backed, and ``raw_event_mapped_bytes`` reports its mapped part.
 """
 
 from __future__ import annotations
@@ -41,10 +39,8 @@ ENCODING_BYTES = 8  # the paper: "we use 64-bit for all data"
 class GraphMemory:
     """Memory of one multi-window graph.
 
-    ``heap_bytes`` + ``mapped_bytes`` partition the graph's array bytes by
-    residency: heap allocations vs file-backed memory maps.  Graphs are
-    transient, so ``heap_bytes`` is what this graph costs while a task
-    holds it, not a standing allocation.
+    Graphs are transient, so ``heap_bytes`` is what this graph costs
+    while a task holds it, not a standing allocation.
     """
 
     index: int
@@ -53,12 +49,6 @@ class GraphMemory:
     n_events: int
     model_bytes: int
     heap_bytes: int
-    mapped_bytes: int
-
-    @property
-    def allocated_bytes(self) -> int:
-        """All array bytes regardless of residency (legacy name)."""
-        return self.heap_bytes + self.mapped_bytes
 
 
 @dataclass
@@ -76,12 +66,9 @@ class MemoryReport:
         return sum(g.model_bytes for g in self.graphs)
 
     @property
-    def total_mapped_bytes(self) -> int:
-        return sum(g.mapped_bytes for g in self.graphs)
-
-    @property
     def total_allocated_bytes(self) -> int:
-        return sum(g.allocated_bytes for g in self.graphs)
+        """Heap bytes summed over all multi-window graphs."""
+        return sum(g.heap_bytes for g in self.graphs)
 
     @property
     def peak_transient_bytes(self) -> int:
@@ -124,7 +111,6 @@ def memory_report(
                 n_events=g.nnz,
                 model_bytes=model,
                 heap_bytes=g.memory_bytes(),
-                mapped_bytes=g.mapped_bytes(),
             )
         )
     events = partition.events

@@ -216,20 +216,6 @@ class TemporalEventSet:
             sort=False,
         )
 
-    def relabeled_compact(self) -> Tuple["TemporalEventSet", np.ndarray]:
-        """Relabel vertices to ``0..k-1`` keeping only vertices that appear.
-
-        Returns the new event set and the ``old_id_of_new`` mapping array.
-        """
-        self._require_nonempty()
-        ids = np.union1d(self.src, self.dst)
-        new_src = np.searchsorted(ids, self.src)
-        new_dst = np.searchsorted(ids, self.dst)
-        es = TemporalEventSet(
-            new_src, new_dst, self.time, n_vertices=ids.size, sort=False
-        )
-        return es, ids
-
     def iter_batches(self, batch_size: int) -> Iterator["TemporalEventSet"]:
         """Yield consecutive fixed-size batches in timestamp order.
 

@@ -7,8 +7,8 @@
   timestamp, plus vectorized window activity/dedup masks and degrees.
 * :mod:`repro.graph.multiwindow` — partitioning the window sequence into
   multi-window graphs (Section 4.1) with local vertex compaction.
-* :mod:`repro.graph.io` — the out-of-core ``.tcsr`` artifact: a
-  memory-mapped temporal CSR built in bounded-memory chunks.
+* :mod:`repro.graph.io` — the out-of-core ``.tcsr`` artifact: the
+  memory-mapped, time-indexed event log built in bounded-memory chunks.
 """
 
 from repro.graph.csr import CSRGraph, build_csr_from_edges
@@ -19,7 +19,6 @@ from repro.graph.io import (
     TemporalCSRBuilder,
     build_tcsr,
     is_tcsr,
-    open_adjacency,
     open_events,
     write_tcsr,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "build_tcsr",
     "write_tcsr",
     "open_events",
-    "open_adjacency",
     "is_tcsr",
     "MultiWindowGraph",
     "LazyMultiWindowPartition",

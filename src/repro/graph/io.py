@@ -1,11 +1,12 @@
-"""The ``.tcsr`` artifact: the temporal CSR as a memory-mapped file.
+"""The ``.tcsr`` artifact: the time-sorted event log as a memory-mapped file.
 
 Mirrors the ``.rankstore`` design on the *input* side of the pipeline: a
 versioned preamble at offset 0, every array at a fixed 64-byte-aligned
 offset so readers ``np.memmap`` them directly, and a trailing JSON table
 describing the layout.  Opening an artifact costs O(1) I/O regardless of
-event count; windows are built lazily because the existing
-``WindowView``/workspace machinery only touches the slices a window needs.
+event count.  Every runtime graph is compacted from a slice of the event
+log (:func:`repro.graph.multiwindow.graph_from_payload`), so the log and
+its time index are all the artifact stores.
 
 Layout of a ``.tcsr`` file::
 
@@ -16,18 +17,16 @@ Layout of a ``.tcsr`` file::
     offset 64   the arrays, each 64-byte aligned, in table order:
                   ev_src/ev_dst/ev_time      the time-sorted event log
                   time_index                 every stride-th timestamp
-                  in_indptr/in_col/in_time/in_group_start    the temporal
-                                             CSR (rows = destinations)
     after them  the JSON table: per-array name/dtype/shape/offset + meta
+
+That is 24 B per event plus 8 B per ``time_index_stride`` events.
 
 The file is written by :class:`TemporalCSRBuilder` in **bounded memory**:
 incoming event chunks spill to a side file, a parallel pass (one thread
-task per chunk) time-sorts each chunk in place and takes per-destination
-event counts, chunks are merged bucket-at-a-time into the final
-time-sorted log, and the CSR is built with a streaming counting-sort
-scatter followed by a parallel per-row-block ``(neighbor, time)`` sort —
-never holding more than O(chunk) events in RAM.  The resulting arrays are
-bitwise-identical to :meth:`TemporalAdjacency.from_events` on the same
+task per chunk) time-sorts each chunk in place and samples its
+timestamps, and chunks are merged bucket-at-a-time into the final
+time-sorted log — never holding more than O(chunk) events in RAM.  The
+log is bitwise-identical to the in-RAM ``TemporalEventSet`` of the same
 events (stable sorts compose: per-chunk sort + in-order bucket merge
 reproduces the global stable time sort exactly).
 """
@@ -45,11 +44,9 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import GraphBuildError, ValidationError
+from repro.errors import ValidationError
 from repro.events.event_set import TemporalEventSet
-from repro.graph.temporal_csr import TemporalAdjacency, TemporalCSR
 from repro.sanitize import freeze_boundary
-from repro.utils.segments import indptr_to_row_ids, lengths_to_indptr
 
 __all__ = [
     "MAGIC",
@@ -60,7 +57,6 @@ __all__ = [
     "build_tcsr",
     "write_tcsr",
     "open_events",
-    "open_adjacency",
     "is_tcsr",
 ]
 
@@ -68,7 +64,7 @@ PathLike = Union[str, os.PathLike]
 T = TypeVar("T")
 
 MAGIC = b"TCSRART1"
-VERSION = 2
+VERSION = 3
 #: preamble struct: magic, version, flags, n_vertices, n_events,
 #: table_offset, table_len, time_index_stride (+ padding to 64 bytes)
 _PREAMBLE = struct.Struct("<8sII5Q")
@@ -85,15 +81,10 @@ DEFAULT_TIME_INDEX_STRIDE = 8192
 #: place near-quantile bucket boundaries without rescanning any chunk
 _SAMPLES_PER_CHUNK = 64
 
-#: blocks processed between page drops in the streaming passes; bounds
-#: the resident set contributed by dirty mmap pages
-_DROP_INTERVAL_BLOCKS = 4
-
 #: the array names of an artifact, in layout order
 ARRAY_NAMES = (
     "ev_src", "ev_dst", "ev_time",
     "time_index",
-    "in_indptr", "in_col", "in_time", "in_group_start",
 )
 
 
@@ -183,23 +174,14 @@ def _close_map(arr) -> None:
 
 
 def _layout(
-    n_vertices: int, n_events: int, ti_len: int
+    n_events: int, ti_len: int
 ) -> Tuple[List[Dict[str, object]], int]:
     """Per-array table entries (name/dtype/shape/offset) + end offset."""
-    shapes = {
-        "ev_src": (n_events,), "ev_dst": (n_events,),
-        "ev_time": (n_events,),
-        "time_index": (ti_len,),
-        "in_indptr": (n_vertices + 1,), "in_col": (n_events,),
-        "in_time": (n_events,), "in_group_start": (n_events,),
-    }
+    dtype = np.dtype("<i8")
     entries: List[Dict[str, object]] = []
     offset = PREAMBLE_SIZE
     for name in ARRAY_NAMES:
-        dtype = np.dtype("|b1") if name.endswith("group_start") else (
-            np.dtype("<i8")
-        )
-        shape = shapes[name]
+        shape = (ti_len,) if name == "time_index" else (n_events,)
         offset = _aligned(offset)
         entries.append(
             {
@@ -228,9 +210,9 @@ class TemporalCSRBuilder:
         builder.finalize()
 
     ``chunk_events`` bounds both the spill granularity and the working
-    set of every construction pass (sort, merge, scatter, row-block
-    sort); peak resident memory is O(``chunk_events`` x ``n_workers``)
-    plus a per-vertex count array, never O(total events).
+    set of both construction passes (per-chunk sort, bucket merge); peak
+    resident memory is O(``chunk_events`` x ``n_workers``), never
+    O(total events).
     """
 
     def __init__(
@@ -306,39 +288,27 @@ class TemporalCSRBuilder:
             spill[off + 2 * cnt: off + 3 * cnt],
         )
 
-    def _sort_count_pass(
-        self, spill: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Time-sort every spill chunk in place; per-destination event
-        counts and boundary samples fall out of the same scan."""
-        V = self.n_vertices
+    def _sort_pass(self, spill: np.ndarray) -> np.ndarray:
+        """Time-sort every spill chunk in place; the sorted boundary
+        samples of every chunk fall out of the same scan."""
 
-        def sort_count(ci: int):
+        def sort_chunk(ci: int) -> np.ndarray:
             s_v, d_v, t_v = self._chunk_views(spill, ci)
             order = np.argsort(t_v, kind="stable")
             t = t_v[order]
             t_v[:] = t
             s_v[:] = s_v[order]
-            d = d_v[order]
-            d_v[:] = d
-            in_c = np.bincount(d, minlength=V).astype(np.int64, copy=False)
-            del d
+            d_v[:] = d_v[order]
             step = max(1, t.size // _SAMPLES_PER_CHUNK)
             off, cnt = self._chunks[ci]
             _drop_pages(spill, dirty=True, lo=off, hi=off + 3 * cnt)
-            return in_c, t[::step].copy()
+            return t[::step].copy()
 
-        parts = _map_items(sort_count, len(self._chunks), self.n_workers)
-        in_counts = np.zeros(V, dtype=np.int64)
-        all_samples: List[np.ndarray] = []
-        for in_c, sample in parts:
-            in_counts += in_c
-            all_samples.append(sample)
-        samples = (
-            np.sort(np.concatenate(all_samples))
-            if all_samples else np.empty(0, dtype=np.int64)
+        samples = _map_items(sort_chunk, len(self._chunks), self.n_workers)
+        return (
+            np.sort(np.concatenate(samples))
+            if samples else np.empty(0, dtype=np.int64)
         )
-        return in_counts, samples
 
     def _bucket_splits(
         self, spill: np.ndarray, samples: np.ndarray
@@ -430,109 +400,6 @@ class TemporalCSRBuilder:
         for arr in (ev_src, ev_dst, ev_time, ti):
             _drop_pages(arr, dirty=True)
 
-    def _scatter_pass(
-        self,
-        ev_rows: np.ndarray,
-        ev_cols: np.ndarray,
-        ev_time: np.ndarray,
-        indptr: np.ndarray,
-        col_mm: np.ndarray,
-        time_mm: np.ndarray,
-    ) -> None:
-        """Counting-sort scatter: stream the time-sorted log block by
-        block, placing every event at its row's cursor.  Stable in log
-        order, so within a row events land already time-sorted."""
-        n = self._n_events
-        cursors = indptr[:-1].copy()
-        block = 0
-        for lo in range(0, n, self.chunk_events):
-            hi = min(lo + self.chunk_events, n)
-            r = np.array(ev_rows[lo:hi])
-            c = np.array(ev_cols[lo:hi])
-            t = np.array(ev_time[lo:hi])
-            order = np.argsort(r, kind="stable")
-            r = r[order]
-            m = r.size
-            newseg = np.empty(m, dtype=np.bool_)
-            newseg[0] = True
-            np.not_equal(r[1:], r[:-1], out=newseg[1:])
-            seg_idx = np.flatnonzero(newseg)
-            seg_len = np.diff(np.concatenate([seg_idx, [m]]))
-            rank = np.arange(m, dtype=np.int64) - np.repeat(
-                seg_idx, seg_len
-            )
-            dest = cursors[r] + rank
-            col_mm[dest] = c[order]
-            time_mm[dest] = t[order]
-            cursors[r[seg_idx]] += seg_len
-            # the log block is consumed; the scatter destinations are
-            # spread over the whole CSR, so those two drop whole
-            _drop_pages(ev_rows, lo=lo, hi=hi)
-            _drop_pages(ev_cols, lo=lo, hi=hi)
-            _drop_pages(ev_time, lo=lo, hi=hi)
-            block += 1
-            if block % _DROP_INTERVAL_BLOCKS == 0:
-                _drop_pages(col_mm, dirty=True)
-                _drop_pages(time_mm, dirty=True)
-        if not np.array_equal(cursors, indptr[1:]):
-            raise GraphBuildError(
-                "CSR scatter did not fill every row"
-            )
-
-    def _row_blocks(self, indptr: np.ndarray) -> List[Tuple[int, int]]:
-        """Contiguous row ranges each holding <= chunk_events events
-        (single oversized rows get a block of their own)."""
-        blocks: List[Tuple[int, int]] = []
-        V = indptr.size - 1
-        r0 = 0
-        while r0 < V:
-            target = int(indptr[r0]) + self.chunk_events
-            r1 = int(np.searchsorted(indptr, target, side="right")) - 1
-            r1 = min(max(r1, r0 + 1), V)
-            blocks.append((r0, r1))
-            r0 = r1
-        return blocks
-
-    def _rowsort_pass(
-        self,
-        indptr: np.ndarray,
-        col_mm: np.ndarray,
-        time_mm: np.ndarray,
-        gs_mm: np.ndarray,
-    ) -> None:
-        """Per-row-block ``(neighbor, time)`` sort + group-start mask.
-
-        Blocks split at row boundaries, so every (row, neighbor, time)
-        tie group lives in exactly one block and the stable ``lexsort``
-        matches the in-RAM ``_build_orientation`` ordering bitwise.
-        """
-        blocks = self._row_blocks(indptr)
-
-        def sort_rows(bi: int) -> None:
-            r0, r1 = blocks[bi]
-            e0, e1 = int(indptr[r0]), int(indptr[r1])
-            if e1 == e0:
-                return
-            c = np.array(col_mm[e0:e1])
-            t = np.array(time_mm[e0:e1])
-            rows = indptr_to_row_ids(indptr[r0: r1 + 1] - e0)
-            order = np.lexsort((t, c, rows))
-            c = c[order]
-            t = t[order]
-            col_mm[e0:e1] = c
-            time_mm[e0:e1] = t
-            gs = np.empty(c.size, dtype=np.bool_)
-            gs[0] = True
-            np.not_equal(c[1:], c[:-1], out=gs[1:])
-            rs = rows[order]
-            gs[1:] |= rs[1:] != rs[:-1]
-            gs_mm[e0:e1] = gs
-            _drop_pages(col_mm, dirty=True, lo=e0, hi=e1)
-            _drop_pages(time_mm, dirty=True, lo=e0, hi=e1)
-            _drop_pages(gs_mm, dirty=True, lo=e0, hi=e1)
-
-        _map_items(sort_rows, len(blocks), self.n_workers)
-
     # ------------------------------------------------------------------
     def finalize(self) -> str:
         """Run the construction passes and seal the artifact.
@@ -557,14 +424,13 @@ class TemporalCSRBuilder:
                     self._spill_path, dtype=np.int64, mode="r+",
                     shape=(3 * n,),
                 )
-                in_counts, samples = self._sort_count_pass(spill)
+                samples = self._sort_pass(spill)
                 _, splits = self._bucket_splits(spill, samples)
             else:
-                in_counts = np.zeros(V, dtype=np.int64)
                 splits = np.zeros((0, 2), dtype=np.int64)
 
             ti_len = len(range(0, n, self.time_index_stride))
-            entries, arrays_end = _layout(V, n, ti_len)
+            entries, arrays_end = _layout(n, ti_len)
             with open(self.path, "wb") as f:
                 opened_artifact = True
                 f.write(
@@ -588,20 +454,6 @@ class TemporalCSRBuilder:
                 _close_map(spill)
                 spill = None
             os.unlink(self._spill_path)
-
-            indptr = lengths_to_indptr(in_counts)
-            maps["in_indptr"][:] = indptr
-            if n:
-                self._scatter_pass(
-                    maps["ev_dst"], maps["ev_src"], maps["ev_time"], indptr,
-                    maps["in_col"], maps["in_time"],
-                )
-                self._rowsort_pass(
-                    indptr, maps["in_col"], maps["in_time"],
-                    maps["in_group_start"],
-                )
-            for name in ("in_col", "in_time", "in_group_start", "in_indptr"):
-                _drop_pages(maps[name], dirty=True)
 
             table = {
                 "arrays": entries,
@@ -681,8 +533,7 @@ def write_tcsr(
 ) -> str:
     """Write an in-RAM event set as a ``.tcsr`` artifact.
 
-    ``open_adjacency`` on the result equals
-    ``TemporalAdjacency.from_events(events)`` array for array.
+    ``open_events`` on the result equals ``events`` array for array.
     """
     chunk = builder_kwargs.get("chunk_events", DEFAULT_CHUNK_EVENTS)
     with TemporalCSRBuilder(
@@ -776,7 +627,7 @@ class TcsrFile:
                 f"{self.path}: corrupt preamble (time-index stride 0)"
             )
         ti_len = -(-self.n_events // self.time_index_stride)
-        entries, arrays_end = _layout(self.n_vertices, self.n_events, ti_len)
+        entries, arrays_end = _layout(self.n_events, ti_len)
         if arrays_end > table_offset:
             raise ValidationError(
                 f"{self.path}: arrays extend past the layout table "
@@ -864,23 +715,6 @@ class TcsrFile:
             self.n_vertices,
             self._time_index(),
             self.time_index_stride,
-        )
-
-    def adjacency(self) -> TemporalAdjacency:
-        """The temporal CSR as mapped arrays.
-
-        The precomputed ``group_start`` mask is trusted (the writer
-        derived it once), so no O(nnz) pass runs at open time.
-        """
-        indptr = self.array("in_indptr")
-        return TemporalAdjacency(
-            TemporalCSR(
-                indptr,
-                self.array("in_col"),
-                self.array("in_time"),
-                indptr.size - 1,
-                group_start=self.array("in_group_start"),
-            )
         )
 
     # ------------------------------------------------------------------
@@ -1020,15 +854,6 @@ class MappedEventSet(TemporalEventSet):
 def open_events(path: PathLike) -> MappedEventSet:
     """Open a ``.tcsr`` artifact's event log as a mapped event set."""
     return TcsrFile(path).events()
-
-
-def open_adjacency(path: PathLike) -> TemporalAdjacency:
-    """Open a ``.tcsr`` artifact as a mapped :class:`TemporalAdjacency`.
-
-    The backing :class:`TcsrFile` mappings stay alive for as long as the
-    returned structure's arrays do (numpy owns the maps).
-    """
-    return TcsrFile(path).adjacency()
 
 
 def is_tcsr(path: PathLike) -> bool:

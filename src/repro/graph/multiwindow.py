@@ -125,12 +125,8 @@ class MultiWindowGraph:
         return out
 
     def memory_bytes(self) -> int:
-        """Heap bytes (mmap-backed adjacency arrays excluded)."""
+        """Bytes of the adjacency's arrays and the id map."""
         return self.adjacency.memory_bytes() + self.global_ids.nbytes
-
-    def mapped_bytes(self) -> int:
-        """File-mapped bytes of the adjacency (address space, not RSS)."""
-        return self.adjacency.mapped_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -160,22 +156,25 @@ def build_compact_graph(
     src: np.ndarray,
     dst: np.ndarray,
     time: np.ndarray,
+    n_vertices: int,
     sub: WindowSpec,
     first_window: int,
 ) -> MultiWindowGraph:
     """Compact a time-sliced event run into one multi-window graph.
 
     The single construction step behind every multi-window graph: vertex
-    compaction via ``union1d`` + ``searchsorted`` relabeling, then the
-    temporal CSR over local ids.
+    compaction over the global id space ``[0, n_vertices)`` — a presence
+    mask, its ``flatnonzero`` as the sorted ``ids`` and one ``cumsum`` as
+    the global-to-local map — then the temporal CSR over local ids.
     """
-    if src.size:
-        ids = np.union1d(src, dst)
-        local_src = np.searchsorted(ids, src)
-        local_dst = np.searchsorted(ids, dst)
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        local_src = local_dst = np.asarray(src, dtype=np.int64)
+    present = np.zeros(n_vertices, dtype=np.bool_)
+    present[src] = True
+    present[dst] = True
+    ids = np.flatnonzero(present)
+    local_of = np.cumsum(present, dtype=np.int64)
+    local_of -= 1
+    local_src = local_of.take(src)
+    local_dst = local_of.take(dst)
     adjacency = TemporalAdjacency.from_arrays(
         local_src, local_dst, time, ids.size
     )
@@ -192,6 +191,7 @@ def graph_from_payload(
         events.src[lo:hi],
         events.dst[lo:hi],
         events.time[lo:hi],
+        events.n_vertices,
         sub,
         first_window,
     )

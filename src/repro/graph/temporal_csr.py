@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.errors import GraphBuildError
 from repro.graph.csr import CSRGraph, build_csr_from_edges
-from repro.utils.arrays import heap_and_mapped_bytes
 from repro.utils.segments import (
     indptr_to_row_ids,
     lengths_to_indptr,
@@ -72,7 +71,6 @@ class TemporalCSR:
         col: np.ndarray,
         time: np.ndarray,
         n_rows: int,
-        group_start: Optional[np.ndarray] = None,
     ) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.col = np.ascontiguousarray(col, dtype=np.int64)
@@ -84,18 +82,7 @@ class TemporalCSR:
             raise GraphBuildError("col/time must both have indptr[-1] entries")
 
         self._row_ids: Optional[np.ndarray] = None
-        if group_start is not None:
-            # precomputed mask (e.g. attached from a shared-memory arena):
-            # trust it instead of re-deriving — the O(nnz) recompute is
-            # exactly the work zero-copy attachment exists to avoid
-            group_start = np.ascontiguousarray(group_start, dtype=np.bool_)
-            if group_start.size != self.col.size:
-                raise GraphBuildError(
-                    "group_start must have one entry per stored event"
-                )
-            self.group_start = group_start
-        else:
-            self.group_start = self._compute_group_starts()
+        self.group_start = self._compute_group_starts()
 
     def _compute_group_starts(self) -> np.ndarray:
         nnz = self.col.size
@@ -163,20 +150,8 @@ class TemporalCSR:
         return (self.indptr, self.col, self.time, self.group_start)
 
     def memory_bytes(self) -> int:
-        """Heap-allocated bytes (64-bit encoding, as in the paper).
-
-        Memory-mapped arrays are *excluded*: their pages are file-backed
-        and reclaimable, so counting them as allocated would overstate
-        the footprint of an out-of-core graph by orders of magnitude.
-        See :meth:`mapped_bytes` for the address-space side.
-        """
-        heap, _ = heap_and_mapped_bytes(self._arrays())
-        return heap
-
-    def mapped_bytes(self) -> int:
-        """Bytes backed by memory-mapped files (address space, not RSS)."""
-        _, mapped = heap_and_mapped_bytes(self._arrays())
-        return mapped
+        """Bytes of the stored arrays (64-bit encoding, as in the paper)."""
+        return sum(a.nbytes for a in self._arrays())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -318,17 +293,6 @@ class TemporalAdjacency:
         in_time_order = not np.any(time[1:] < time[:-1])
         return cls(in_csr, (order, time) if in_time_order else None)
 
-    @classmethod
-    def open(cls, path) -> "TemporalAdjacency":
-        """Open a ``.tcsr`` artifact as an mmap-backed temporal CSR.
-
-        O(1) in the event count: arrays page in lazily as windows touch
-        them.  See :mod:`repro.graph.io` for the artifact format.
-        """
-        from repro.graph.io import open_adjacency
-
-        return open_adjacency(path)
-
     @property
     def nnz(self) -> int:
         return self.in_csr.nnz
@@ -351,12 +315,8 @@ class TemporalAdjacency:
         return WindowView(self, window, workspace=workspace)
 
     def memory_bytes(self) -> int:
-        """Heap bytes of the temporal CSR (mapped arrays excluded)."""
+        """Bytes of the temporal CSR's arrays."""
         return self.in_csr.memory_bytes()
-
-    def mapped_bytes(self) -> int:
-        """File-mapped bytes of the temporal CSR."""
-        return self.in_csr.mapped_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

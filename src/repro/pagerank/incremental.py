@@ -129,11 +129,11 @@ def _power_iterate_graph(
     into = mask[dst]
     rows, in_src = np.divmod(np.sort(local_id[dst[into]] * n + src[into]), n)
     in_col = local_id[in_src]
-    in_indptr = _check_indptr(
+    indptr = _check_indptr(
         np.searchsorted(rows, np.arange(k + 1)), in_col.size
     )
-    nonempty = in_indptr[:-1] < in_indptr[1:]
-    starts = in_indptr[:-1][nonempty]
+    nonempty = indptr[:-1] < indptr[1:]
+    starts = indptr[:-1][nonempty]
 
     # pooled once per solve: the x/y ping-pong pair, |y - x|, the shares
     # (plus the zero slot) and the gathered per-edge terms

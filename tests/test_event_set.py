@@ -104,14 +104,6 @@ class TestTransforms:
         assert len(clean) == 1
         assert clean.src.tolist() == [1]
 
-    def test_relabeled_compact(self):
-        es = TemporalEventSet([10, 20], [20, 30], [0, 1], n_vertices=100)
-        compact, ids = es.relabeled_compact()
-        assert compact.n_vertices == 3
-        assert ids.tolist() == [10, 20, 30]
-        assert compact.src.tolist() == [0, 1]
-        assert compact.dst.tolist() == [1, 2]
-
     def test_iter_batches(self):
         es = random_events(n_events=100, seed=4)
         batches = list(es.iter_batches(30))

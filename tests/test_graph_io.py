@@ -2,18 +2,23 @@
 
 Covers the acceptance properties of the memory-mapped input path:
 
-* **round-trip parity** — ``from_events → write → open`` equals the
-  in-RAM adjacency array-for-array, including empty windows,
-  dangling-heavy graphs, and duplicate-heavy (weighted) logs;
+* **round-trip parity** — ``write → open_events`` equals the in-RAM
+  ``TemporalEventSet`` array for array, including the empty set,
+  dangling-heavy, duplicate-heavy and quiet-gap logs; graphs compacted
+  from the mapped log equal the in-RAM ones, and a postmortem run from
+  the artifact is bitwise-identical to one from in-RAM input;
+* **format** — four arrays (the event log and its time index), 24 B per
+  event plus 8 B per time-index entry;
 * **chunked construction** — the builder's bounded-memory merge of
   unsorted chunks is bitwise-identical to a single in-RAM sort;
 * **rejection** — truncated, corrupted, unfinalized and old-version
   artifacts, and layout tables that disagree with the preamble, raise
   ``ValidationError`` instead of returning garbage;
-* **memory honesty** — mapped arrays report as mapped, not heap;
+* **memory honesty** — graphs built from a mapped log live on the heap,
+  and only the raw log reports as mapped;
 * **zero-copy publication** — the shared arena publishes mapped event
-  columns without copying (postmortem parity on ``.tcsr`` input lives in
-  ``tests/test_knob_parity.py``);
+  columns without copying (postmortem parity on ``.tcsr`` input across
+  executors lives in ``tests/test_knob_parity.py``);
 * **CLI** — ``generate --out x.tcsr``, ``run x.tcsr``, ``inspect``.
 """
 
@@ -28,7 +33,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ValidationError
-from repro.events import TemporalEventSet, Window, WindowSpec
+from repro.events import TemporalEventSet, WindowSpec
 from repro.graph import io as io_mod
 from repro.graph.io import (
     MAGIC,
@@ -38,12 +43,12 @@ from repro.graph.io import (
     TemporalCSRBuilder,
     build_tcsr,
     is_tcsr,
-    open_adjacency,
     open_events,
     write_tcsr,
 )
 from repro.graph.multiwindow import LazyMultiWindowPartition
-from repro.graph.temporal_csr import TemporalAdjacency
+from repro.models import PostmortemDriver, PostmortemOptions
+from repro.pagerank import PagerankConfig
 from repro.utils.arrays import is_mmap_backed
 from tests.conftest import random_events
 
@@ -51,13 +56,14 @@ from tests.conftest import random_events
 CSR_ARRAYS = ("indptr", "col", "time", "group_start")
 
 
-def assert_adjacency_equal(mapped: TemporalAdjacency, ram: TemporalAdjacency):
-    assert mapped.n_vertices == ram.n_vertices
-    for name in CSR_ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(mapped.in_csr, name), getattr(ram.in_csr, name),
-            err_msg=f"in_csr.{name}",
-        )
+def assert_event_log_equal(mapped, events):
+    """The one event-log round-trip check: the mapped log equals the
+    in-RAM event set array for array."""
+    assert mapped.n_vertices == events.n_vertices
+    for name in ("src", "dst", "time"):
+        got, want = getattr(mapped, name), getattr(events, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def roundtrip(tmp_path, events, **kw):
@@ -66,71 +72,87 @@ def roundtrip(tmp_path, events, **kw):
     return path
 
 
+def assert_roundtrip(tmp_path, events, **kw):
+    """Write ``events``, check the mapped log, return it (open)."""
+    mapped = open_events(roundtrip(tmp_path, events, **kw))
+    assert_event_log_equal(mapped, events)
+    return mapped
+
+
+def duplicate_heavy():
+    # many repeated (u, v) pairs with tied timestamps
+    rng = np.random.default_rng(13)
+    src = rng.integers(0, 8, 2_000)
+    dst = rng.integers(0, 8, 2_000)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    time = rng.integers(0, 50, src.size)  # heavy ties
+    return TemporalEventSet(src, dst, time, n_vertices=8)
+
+
 # ----------------------------------------------------------------------
 # round-trip parity
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     def test_matches_in_ram_adjacency(self, tmp_path):
+        # every graph compacted from the mapped log equals the one
+        # compacted from the in-RAM log
         events = random_events(n_vertices=50, n_events=2_000, seed=3)
-        path = roundtrip(tmp_path, events)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, TemporalAdjacency.from_events(events))
+        mapped = assert_roundtrip(tmp_path, events)
+        spec = WindowSpec.covering(events, delta=2_000, sw=700)
+        ram_part = LazyMultiWindowPartition(events, spec, 3)
+        map_part = LazyMultiWindowPartition(mapped, spec, 3)
+        for g_ram, g_map in zip(ram_part, map_part):
+            np.testing.assert_array_equal(g_map.global_ids, g_ram.global_ids)
+            for name in CSR_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(g_map.adjacency.in_csr, name),
+                    getattr(g_ram.adjacency.in_csr, name),
+                    err_msg=f"in_csr.{name}",
+                )
+        mapped.close()
 
     def test_event_log_matches_stable_sort(self, tmp_path):
         events = random_events(n_vertices=30, n_events=800, seed=5)
-        path = roundtrip(tmp_path, events)
-        mapped = open_events(path)
-        np.testing.assert_array_equal(mapped.src, events.src)
-        np.testing.assert_array_equal(mapped.dst, events.dst)
-        np.testing.assert_array_equal(mapped.time, events.time)
-        mapped.close()
+        assert_roundtrip(tmp_path, events).close()
 
     def test_empty_event_set(self, tmp_path):
         events = TemporalEventSet(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.int64), n_vertices=7,
         )
-        path = roundtrip(tmp_path, events)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, TemporalAdjacency.from_events(events))
-        assert adj.n_vertices == 7
+        mapped = assert_roundtrip(tmp_path, events)
+        assert mapped.n_vertices == 7 and len(mapped) == 0
 
     def test_dangling_heavy(self, tmp_path):
         # 990 of 1000 vertices have no edges at all (isolated), sources
-        # concentrated on a handful — the indptr runs of equal offsets
-        # that the scatter pass must reproduce exactly
+        # concentrated on a handful
         rng = np.random.default_rng(11)
         src = rng.integers(0, 5, 600)
         dst = rng.integers(5, 10, 600)
         time = rng.integers(0, 10_000, 600)
         events = TemporalEventSet(src, dst, time, n_vertices=1_000)
-        path = roundtrip(tmp_path, events)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, TemporalAdjacency.from_events(events))
+        assert_roundtrip(tmp_path, events).close()
 
     def test_weighted_duplicate_heavy(self, tmp_path):
-        # many repeated (u, v) pairs with tied timestamps: the weighted
-        # kernel's per-group multiplicities must come out identical from
-        # the mapped structure
-        rng = np.random.default_rng(13)
-        src = rng.integers(0, 8, 2_000)
-        dst = rng.integers(0, 8, 2_000)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        time = rng.integers(0, 50, src.size)  # heavy ties
-        events = TemporalEventSet(src, dst, time, n_vertices=8)
-        path = roundtrip(tmp_path, events)
-        ram = TemporalAdjacency.from_events(events)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, ram)
-        v0 = ram.window_view(Window(0, 10, 30))
-        v1 = adj.window_view(Window(0, 10, 30))
-        np.testing.assert_array_equal(v0.in_dedup, v1.in_dedup)
-        np.testing.assert_array_equal(v0.multiplicities, v1.multiplicities)
+        # the weighted kernel's per-group multiplicities must come out
+        # identical from a graph compacted off the mapped log
+        events = duplicate_heavy()
+        mapped = assert_roundtrip(tmp_path, events)
+        spec = WindowSpec(0, 20, 10, 3)
+        ram = LazyMultiWindowPartition(events, spec, 1).graph_at(0)
+        got = LazyMultiWindowPartition(mapped, spec, 1).graph_at(0)
+        for w in range(spec.n_windows):
+            v0, v1 = ram.window_view(w), got.window_view(w)
+            np.testing.assert_array_equal(v0.in_dedup, v1.in_dedup)
+            np.testing.assert_array_equal(
+                v0.multiplicities, v1.multiplicities
+            )
+        mapped.close()
 
     def test_empty_windows(self, tmp_path):
-        # a long quiet gap in the middle of the span: window views over
-        # the gap must be empty from both representations
+        # a long quiet gap in the middle of the span: windows over the
+        # gap hold no events in either representation
         src = np.array([0, 1, 2, 3] * 50, dtype=np.int64)
         dst = np.array([1, 2, 3, 0] * 50, dtype=np.int64)
         time = np.concatenate(
@@ -138,22 +160,55 @@ class TestRoundTrip:
              np.arange(100, dtype=np.int64) + 100_000]
         )
         events = TemporalEventSet(src, dst, time, n_vertices=4)
-        path = roundtrip(tmp_path, events)
-        ram = TemporalAdjacency.from_events(events)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, ram)
+        mapped = assert_roundtrip(tmp_path, events, time_index_stride=16)
         for lo, hi in ((200, 300), (50_000, 60_000), (0, 50)):
-            np.testing.assert_array_equal(
-                adj.in_csr.active_mask(lo, hi),
-                ram.in_csr.active_mask(lo, hi),
-            )
+            assert mapped.time_slice_indices(lo, hi) == \
+                events.time_slice_indices(lo, hi)
+        spec = WindowSpec(0, 99, 50_000, 3)
+        view = LazyMultiWindowPartition(mapped, spec, 3).window_view(1)
+        assert view.n_active_edges == 0 and view.n_active_vertices == 0
+        mapped.close()
 
-    def test_temporal_adjacency_open_classmethod(self, tmp_path):
-        events = random_events(n_vertices=20, n_events=300, seed=7)
-        path = roundtrip(tmp_path, events)
-        adj = TemporalAdjacency.open(path)
-        assert_adjacency_equal(adj, TemporalAdjacency.from_events(events))
-        assert is_mmap_backed(adj.in_csr.col)
+    @pytest.mark.parametrize(
+        "options",
+        [{"kernel": "spmm", "vector_length": 4}, {"weighted": True}],
+        ids=["spmm", "weighted"],
+    )
+    def test_postmortem_from_artifact_is_bitwise(self, tmp_path, options):
+        events = duplicate_heavy()
+        mapped = assert_roundtrip(tmp_path, events, chunk_events=256)
+        spec = WindowSpec(0, 12, 3, 12)
+        cfg = PagerankConfig(tolerance=1e-10, max_iterations=200)
+        opts = PostmortemOptions(n_multiwindows=3, **options)
+        want = PostmortemDriver(events, spec, cfg, opts).run()
+        got = PostmortemDriver(mapped, spec, cfg, opts).run()
+        assert len(got.windows) == len(want.windows) == spec.n_windows
+        for g, w in zip(got.windows, want.windows):
+            assert g.iterations == w.iterations, g.window_index
+            assert g.converged == w.converged
+            assert np.array_equal(g.residual, w.residual)
+            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+        mapped.close()
+
+
+# ----------------------------------------------------------------------
+# format
+# ----------------------------------------------------------------------
+class TestFormat:
+    @pytest.mark.parametrize("size,stride", [(0, 8), (1, 8), (640, 64),
+                                             (641, 64), (3_000, 8192)])
+    def test_stored_bytes_are_the_event_log(self, tmp_path, size, stride):
+        events = random_events(n_vertices=20, n_events=size, seed=2) \
+            if size else TemporalEventSet([], [], [], n_vertices=3)
+        path = roundtrip(tmp_path, events, time_index_stride=stride)
+        n = len(events)  # random_events drops self-loops
+        with TcsrFile(path) as artifact:
+            names = [r["name"] for r in artifact.array_table()]
+            assert names == ["ev_src", "ev_dst", "ev_time", "time_index"]
+            assert artifact.stored_bytes() == 24 * n + 8 * -(-n // stride)
+            assert artifact.info()["format"] == "tcsr v3"
+        assert io_mod.VERSION == 3
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +231,9 @@ class TestChunkedBuilder:
 
         path = str(tmp_path / "chunked.tcsr")
         build_tcsr(iter(chunks), path, 40, chunk_events=128, n_workers=2)
-        adj = open_adjacency(path)
-        assert_adjacency_equal(adj, TemporalAdjacency.from_events(events))
+        mapped = open_events(path)
+        assert_event_log_equal(mapped, events)
+        mapped.close()
 
     def test_add_events_validates(self, tmp_path):
         path = str(tmp_path / "bad.tcsr")
@@ -348,13 +404,17 @@ class TestRejection:
         with pytest.raises(ValidationError, match="version"):
             TcsrFile(path)
 
-    def test_v1_artifact_asks_for_a_rebuild(self, tmp_path):
-        # v1 stored a second, push-style CSR; its preamble is the same
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_v1_artifact_asks_for_a_rebuild(self, tmp_path, version):
+        # v1 stored a second, push-style CSR and v2 a whole-horizon
+        # in-CSR; their preambles are the same as v3's
         path = self._valid(tmp_path)
         data = bytearray(open(path, "rb").read())
-        data[8] = 1
+        data[8] = version
         open(path, "wb").write(bytes(data))
-        with pytest.raises(ValidationError, match="version 1.*rebuild"):
+        with pytest.raises(
+            ValidationError, match=f"version {version} .*need v3.*rebuild"
+        ):
             TcsrFile(path)
 
     @staticmethod
@@ -376,10 +436,10 @@ class TestRejection:
         "mutate",
         [
             edit_entry("ev_src", "shape", None),
-            edit_entry("in_time", "dtype", "garbage"),
+            edit_entry("ev_time", "dtype", "garbage"),
             lambda table: table["arrays"],
             edit_entry("ev_dst", "offset", -64),
-            edit_entry("in_col", "dtype", "<f8"),
+            edit_entry("ev_src", "dtype", "<f8"),
             edit_entry("ev_src", "shape", [1]),
         ],
         ids=[
@@ -402,14 +462,18 @@ class TestRejection:
 # memory honesty
 # ----------------------------------------------------------------------
 class TestMemoryHonesty:
-    def test_mapped_adjacency_reports_zero_heap(self, tmp_path):
+    def test_graph_from_mapped_slice_is_heap(self, tmp_path):
+        # compaction copies the mapped slice, so a graph's bytes are
+        # exactly its arrays' bytes, all of them heap
         events = random_events(n_vertices=25, n_events=500, seed=43)
-        path = roundtrip(tmp_path, events)
-        ram = TemporalAdjacency.from_events(events)
-        adj = open_adjacency(path)
-        assert adj.memory_bytes() == 0
-        assert adj.mapped_bytes() == ram.memory_bytes()
-        assert ram.mapped_bytes() == 0
+        mapped = open_events(roundtrip(tmp_path, events))
+        spec = WindowSpec.covering(events, delta=2_000, sw=500)
+        for g in LazyMultiWindowPartition(mapped, spec, 3):
+            arrays = [getattr(g.adjacency.in_csr, name) for name in CSR_ARRAYS]
+            arrays.append(g.global_ids)
+            assert not any(is_mmap_backed(a) for a in arrays)
+            assert g.memory_bytes() == sum(a.nbytes for a in arrays)
+        mapped.close()
 
     def test_memory_report_splits_residency(self, tmp_path):
         events = random_events(n_vertices=25, n_events=2_000, seed=47)
@@ -501,8 +565,8 @@ class TestCli:
         out = io.StringIO()
         assert main(["inspect", art], out=out) == 0
         dump = out.getvalue()
-        assert "tcsr v2" in dump and "TCSRART1" in dump
-        assert "in_indptr" in dump and "time-index" in dump
+        assert "tcsr v3" in dump and "TCSRART1" in dump
+        assert "ev_src" in dump and "time-index" in dump
 
         out = io.StringIO()
         assert main(

@@ -41,7 +41,6 @@ class TestMemoryReport:
         report = memory_report(part)
         assert len(report.graphs) == 4
         for g in report.graphs:
-            assert g.mapped_bytes == 0
             assert g.heap_bytes == (
                 g.model_bytes + ENCODING_BYTES * g.n_vertices
                 + g.n_events + ENCODING_BYTES

@@ -111,6 +111,25 @@ class TestLocalViews:
         )
         assert np.all(out[others] == 0)
 
+    def test_compaction_is_the_sorted_union_relabel(self, setup):
+        # ids are the slice's vertices ascending and local ids their
+        # ranks: what np.union1d + np.searchsorted give, dtype included
+        events, spec = setup
+        part = LazyMultiWindowPartition(events, spec, 3)
+        for g in range(len(part)):
+            _, _, lo, hi = part.graph_payload(g)
+            src, dst = events.src[lo:hi], events.dst[lo:hi]
+            ids = np.union1d(src, dst)
+            graph = part.graph_at(g)
+            assert graph.global_ids.dtype == ids.dtype
+            np.testing.assert_array_equal(graph.global_ids, ids)
+            local = graph.adjacency.in_csr
+            rows = local.row_ids()
+            got = sorted(zip(ids[local.col].tolist(), ids[rows].tolist(),
+                             local.time.tolist()))
+            assert got == sorted(zip(src.tolist(), dst.tolist(),
+                                     events.time[lo:hi].tolist()))
+
     def test_local_window_rejects_foreign_index(self, setup):
         events, spec = setup
         part = LazyMultiWindowPartition(events, spec, 3)
