@@ -57,12 +57,6 @@ GUARDED = {
         (("pm_over_offline_worst",),
          "postmortem/offline k-core wall-clock (worst dataset)"),
     ],
-    # back-to-back same-machine ratio: the auto policy's slack over the
-    # measured best fixed backend
-    "backends": [
-        (("auto", "auto_over_best"),
-         "auto/best-fixed full-kernel time"),
-    ],
     # no guarded ratios: the Fig 5 contract is the ordering flags below
     # (postmortem faster than offline and streaming on every config)
     "fig5_models": [],
@@ -93,13 +87,6 @@ REQUIRED_FLAGS = {
     "extension_kcore": [
         ("values_match",),
         ("pm_beats_streaming",),
-    ],
-    "backends": [
-        ("parity", "spmv"),
-        ("parity", "weighted"),
-        ("parity", "spmm"),
-        ("auto", "auto_within_bound"),
-        ("workstats", "recorded"),
     ],
     # minimum over configs of the median per-round speedup is > 1
     "fig5_models": [

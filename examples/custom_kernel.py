@@ -54,8 +54,7 @@ class ReciprocityProgram(VertexProgram):
     def init_window(self, view):
         return None
 
-    def solve_window(self, view, x0=None, *, workspace=None,
-                     iteration_hint=None):
+    def solve_window(self, view, x0=None, *, workspace=None):
         # the window's simple edges, read off the adjacency's group index
         src, dst = view.edges()
         values = reciprocity(src, dst, view.adjacency.n_vertices)

@@ -43,10 +43,6 @@ class ModelTiming:
     def postmortem_vs_offline(self) -> float:
         return self.offline_seconds / max(self.postmortem_seconds, 1e-12)
 
-    @property
-    def streaming_vs_offline(self) -> float:
-        return self.offline_seconds / max(self.streaming_seconds, 1e-12)
-
 
 def compare_models(
     events: TemporalEventSet,

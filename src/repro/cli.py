@@ -16,7 +16,6 @@ Usage (also available as ``python -m repro``)::
     repro-temporal serve wiki.rankstore --shards 3 --replicas 2
     repro-temporal bench-traffic http://127.0.0.1:8321 --requests 2000
     repro-temporal lint src benchmarks --format json
-    repro-temporal backends
 
 * **generate** — write a synthetic dataset profile to ``.npz``/``.tsv``.
 * **info** — event counts, span, temporal shape classification.
@@ -41,9 +40,6 @@ Usage (also available as ``python -m repro``)::
   per-op p50/p99 latency, throughput, and shed/degraded counts.
 * **lint** — the project-specific static-analysis suite (exit 1 on
   findings; see ``docs/linting.md``).
-* **backends** — the registered kernel backends, whether each is
-  available in this environment, and the cost-model constants the
-  ``--backend auto`` decision is priced with.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
-    from repro.pagerank.backends import BACKEND_NAMES
     from repro.programs.registry import PROGRAMS
     from repro.runtime.execution import EXECUTORS
 
@@ -133,16 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "offline over windows; streaming is serial-only")
     p_run.add_argument("--executor-workers", type=int, default=4,
                        help="worker count for the non-serial executors")
-    p_run.add_argument("--backend", default="auto",
-                       choices=list(BACKEND_NAMES),
-                       help="kernel propagation backend: flat NumPy "
-                       "gather/reduce, numba-JIT destination-partitioned "
-                       "reduce under a cache budget (the flat pass "
-                       "without numba), or the cost model's pick "
-                       "(default); all bitwise-identical")
-    p_run.add_argument("--cache-budget", type=int, default=262_144,
-                       help="per-partition rank-slice budget in bytes for "
-                       "the numba backend (default 256 KiB)")
     p_run.add_argument("--top", type=int, default=3,
                        help="top vertices to print per window")
     p_run.add_argument("--every", type=int, default=1,
@@ -274,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".lint-cache/",
     )
 
-    sub.add_parser(
-        "backends",
-        help="list kernel backends, their availability, and the "
-        "cost-model constants driving backend=auto",
-    )
-
     p_srv = sub.add_parser(
         "serve", help="serve a rank store over JSON/HTTP"
     )
@@ -367,8 +346,6 @@ def _make_config(args):
     return PagerankConfig(
         alpha=args.alpha,
         tolerance=args.tolerance,
-        backend=getattr(args, "backend", "auto"),
-        cache_budget=getattr(args, "cache_budget", 262_144),
     )
 
 
@@ -1052,55 +1029,6 @@ def cmd_lint(args, out) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_backends(args, out) -> int:
-    from repro.pagerank.backends import backend_availability
-    from repro.pagerank.backends.numba_backend import DEFAULT_CACHE_BUDGET
-    from repro.parallel.cost_model import (
-        DEFAULT_EXPECTED_ITERATIONS,
-        PCPM_BIN_COST_RATIO,
-        PCPM_LOCALITY_DISCOUNT,
-        CostModel,
-    )
-    from repro.reporting import format_table
-
-    rows = [
-        [name, "yes" if available else "no", note]
-        for name, (available, note) in backend_availability().items()
-    ]
-    print(
-        format_table(["backend", "available", "notes"], rows,
-                     title="kernel backends"),
-        file=out,
-    )
-
-    model = CostModel()
-    const_rows = [
-        ["c_edge", f"{model.c_edge:.3e}",
-         "flat per-edge gather+reduce cost (s)"],
-        ["c_edge_local", f"{model.c_edge_local:.3e}",
-         "per-edge cost inside a cache-resident partition (s)"],
-        ["c_bin", f"{model.c_bin:.3e}",
-         "one-time per-edge destination-binning cost (s)"],
-        ["c_partition", f"{model.c_partition:.3e}",
-         "per-partition per-iteration overhead (s)"],
-        ["locality discount", f"{PCPM_LOCALITY_DISCOUNT:g}",
-         "c_edge_local / c_edge"],
-        ["bin cost ratio", f"{PCPM_BIN_COST_RATIO:g}",
-         "c_bin / c_edge"],
-        ["default cache budget", f"{DEFAULT_CACHE_BUDGET}",
-         "bytes of rank slice per partition"],
-        ["default expected iterations",
-         f"{DEFAULT_EXPECTED_ITERATIONS}",
-         "amortization horizon when no hint is available"],
-    ]
-    print(
-        format_table(["constant", "value", "meaning"], const_rows,
-                     title="backend=auto cost model"),
-        file=out,
-    )
-    return 0
-
-
 def cmd_report(args, out) -> int:
     from repro.reporting.report import generate_report
 
@@ -1120,7 +1048,6 @@ _COMMANDS = {
     "compare": cmd_compare,
     "sweep": cmd_sweep,
     "lint": cmd_lint,
-    "backends": cmd_backends,
     "report": cmd_report,
     "inspect": cmd_inspect,
     "query": cmd_query,

@@ -78,10 +78,6 @@ def run_work(events: "TemporalEventSet", spec: WindowSpec,
     return _run_event_count(events, spec, w_start, w_end) * n_windows
 
 
-def _boundaries_from_splits(splits: List[int], n_windows: int) -> List[int]:
-    return [0] + splits + [n_windows]
-
-
 def greedy_boundaries(
     events: "TemporalEventSet", spec: WindowSpec, n_parts: int
 ) -> List[int]:

@@ -775,11 +775,6 @@ class TcsrFile:
                 info[f"built with {key}"] = self.meta[key]
         return info
 
-    def advise_dontneed(self) -> None:
-        """Release resident pages of every open view (advisory)."""
-        for arr in self._views.values():
-            _drop_pages(arr)
-
     def close(self) -> None:
         """Release the mappings; all views become invalid."""
         for arr in self._views.values():

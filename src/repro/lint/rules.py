@@ -402,10 +402,9 @@ class MissingDtypeRule(Rule):
         "precision and doubling memory traffic in hot kernels."
     )
     scopes = (
-        "pagerank/", "pagerank/backends/", "programs/",
+        "pagerank/", "programs/",
         "graph/temporal_csr", "graph/io",
         "benchmarks/bench_edge_compaction",
-        "benchmarks/bench_backends",
     )
 
     #: allocator -> index of the positional dtype parameter
@@ -449,8 +448,8 @@ class CsrPythonLoopRule(Rule):
         "segment primitives exist to avoid."
     )
     scopes = (
-        "pagerank/", "pagerank/backends/", "graph/", "programs/",
-        "benchmarks/bench_edge_compaction", "benchmarks/bench_backends",
+        "pagerank/", "graph/", "programs/",
+        "benchmarks/bench_edge_compaction",
     )
 
     CSR_NAMES = {

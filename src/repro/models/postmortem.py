@@ -247,7 +247,6 @@ class PostmortemDriver:
         )
         result.metadata["n_multiwindows"] = n_graphs
         result.metadata["replication_factor"] = partition.replication_factor
-        result.metadata["backend"] = self.config.backend
         result.metadata["program"] = self.program.name
         result.metadata["task_log"] = task_log
         result.metadata["options"] = self.options

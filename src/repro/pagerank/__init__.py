@@ -13,18 +13,10 @@
   across the windows of one partial-initialization chain.
 * :mod:`repro.pagerank.compaction` — per-window active-edge packing (the
   literal Θ(|E_w|) iteration).
-* :mod:`repro.pagerank.backends` — pluggable execution strategies for the
-  per-iteration gather→reduce step (flat NumPy, or numba-JIT destination
-  partitioning) behind one bitwise-identical contract.
 * :mod:`repro.pagerank.incremental` — warm-startable power iteration on a
   simple CSR graph (offline cold start, streaming warm start).
 """
 
-from repro.pagerank.backends import (
-    backend_availability,
-    create_backend,
-    resolve_backend,
-)
 from repro.pagerank.compaction import CompactedPull, compact_pull
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult, BatchPagerankResult, WorkStats
@@ -55,7 +47,4 @@ __all__ = [
     "pagerank_window_weighted",
     "CompactedPull",
     "compact_pull",
-    "backend_availability",
-    "create_backend",
-    "resolve_backend",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
-from repro.pagerank.backends.registry import validate_backend_name
 
 __all__ = ["PagerankConfig"]
 
@@ -49,20 +48,6 @@ class PagerankConfig:
     strict:
         When True, kernels raise :class:`~repro.errors.ConvergenceError`
         instead of returning a non-converged result.
-    backend:
-        Execution strategy for the single-window kernels' per-iteration
-        gather→reduce step over the window's packed active edges
-        (:mod:`repro.pagerank.backends`; the SpMM batch's cell pass has
-        one strategy): ``"numpy"`` (flat pass), ``"numba"``
-        (destination-partitioned reduce under the cache budget, after
-        Lakhotia et al., with a JIT-fused loop; the flat pass when numba
-        is absent), or ``"auto"`` (default: numpy without the JIT, else
-        ask :func:`repro.parallel.cost_model.choose_backend`).  All
-        backends produce bitwise-identical values.
-    cache_budget:
-        Per-partition rank-slice budget in bytes for the numba backend
-        (``cache_budget // 8`` vertices per partition); also the
-        threshold below which ``backend="auto"`` never partitions.
     """
 
     alpha: float = 0.15
@@ -70,8 +55,6 @@ class PagerankConfig:
     max_iterations: int = 100
     dangling: str = "uniform"
     strict: bool = False
-    backend: str = "auto"
-    cache_budget: int = 262_144
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -88,11 +71,6 @@ class PagerankConfig:
             raise ValidationError(
                 f"dangling must be one of {_DANGLING_MODES}, "
                 f"got {self.dangling!r}"
-            )
-        validate_backend_name(self.backend)
-        if self.cache_budget <= 0:
-            raise ValidationError(
-                f"cache_budget must be > 0 bytes, got {self.cache_budget}"
             )
 
     @property

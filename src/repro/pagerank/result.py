@@ -38,16 +38,15 @@ class WorkStats:
     vertex_ops:
         Iterations × vertices updated.
     binning_seconds:
-        Wall-clock spent in the one-time edge setup: the numba plan's
-        destination-partition binning (~0 for the flat numpy plan), or
-        building an SpMM batch's active cells.
-        Unlike the counters above this is machine-*dependent* — it exists
-        so benchmarks and the traffic harness can attribute backend wins
-        without re-profiling.
+        Wall-clock spent building an SpMM batch's active cells (its
+        one-time edge setup); the single-window solves have no such step
+        and add 0.  Unlike the counters above this is machine-*dependent*
+        — it exists so benchmarks and traces can split setup from
+        propagation without re-profiling.
     propagate_seconds:
         Wall-clock spent inside the per-iteration gather→reduce
-        propagation (the backend's plan, or the SpMM cell pass with its
-        share computation).
+        propagation (the single-window share/gather/segment-sum step, or
+        the SpMM cell pass with its share computation).
     """
 
     iterations: int = 0

@@ -22,8 +22,7 @@ cells cost nothing — and needs no per-iteration index arithmetic.
 holds only its own column's cells in stored order, so the result is
 bitwise-identical to the full-width masked pass (dropping exact-zero
 contributions changes no bit; see
-:func:`~repro.utils.segments.segment_sum_ordered`).  ``backend`` does
-not apply: the cell list is the one traversal.
+:func:`~repro.utils.segments.segment_sum_ordered`).
 
 Windows may converge at different iterations.  A converged column's
 values are written out and the live state, the per-column vertex data

@@ -43,11 +43,11 @@ import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.backends import resolve_backend
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
 from repro.pagerank.workspace import Workspace
+from repro.utils.segments import segment_sum_ordered
 
 __all__ = ["pagerank_window"]
 
@@ -57,7 +57,6 @@ def pagerank_window(
     config: PagerankConfig = PagerankConfig(),
     x0: Optional[np.ndarray] = None,
     workspace=None,
-    iteration_hint: Optional[int] = None,
 ) -> PagerankResult:
     """Compute PageRank for one window of a temporal adjacency.
 
@@ -80,9 +79,6 @@ def pagerank_window(
         multi-window chain pays the allocator once instead of per window.
         Results are bitwise-identical with and without a workspace; the
         returned values are always a freshly owned array.
-    iteration_hint:
-        Expected iteration count for the ``backend="auto"`` decision —
-        drivers pass the chain's previous window count.
 
     Returns
     -------
@@ -91,7 +87,7 @@ def pagerank_window(
         hold exactly ``+0.0``.
     """
     return _power_iterate(
-        view, config, x0, workspace, iteration_hint,
+        view, config, x0, workspace,
         view.out_degrees, config.damping, config.alpha,
     )
 
@@ -107,7 +103,6 @@ def _power_iterate(
     config: PagerankConfig,
     x0: Optional[np.ndarray],
     workspace: Optional[Workspace],
-    iteration_hint: Optional[int],
     out_weight: np.ndarray,
     scale: float,
     base: float,
@@ -128,8 +123,7 @@ def _power_iterate(
     multiplicities, aligned with the view's active groups.
     ``normalized`` compares unit-mass iterates (a scale-invariant
     residual) and returns the unit-mass fixed point.  ``config`` supplies
-    the tolerance, iteration cap, strictness, dangling policy and
-    propagation backend.
+    the tolerance, iteration cap, strictness and dangling policy.
     """
     n = view.adjacency.n_vertices
     k = view.n_active_vertices
@@ -156,17 +150,6 @@ def _power_iterate(
     )[:, :m]
     local_id.take(packed.col, out=local_col)
     local_id.take(packed.rows, out=local_rows)
-
-    # the backend prices the packed edges the iteration streams and
-    # precomputes its per-window plan once — the numba destination
-    # binning, pooled like the compaction buffers
-    backend = resolve_backend(config, m, n, iteration_hint)
-    t_bin = time.perf_counter()
-    plan = backend.make_plan(
-        local_col, local_rows, k,
-        workspace=ws, key="spmv.plan", capacity=capacity,
-    )
-    binning_seconds = time.perf_counter() - t_bin
 
     # window-local scratch: capacity-n pooled rows sliced to |V_w|; x and
     # y ping-pong between rank0/rank1 so an iteration never reads the
@@ -208,7 +191,10 @@ def _power_iterate(
         t_prop = time.perf_counter()
         np.multiply(x, inv, out=share)
         y = rank1 if x is rank0 else rank0
-        plan.propagate(share, weights=weights, out=y, contrib=contrib)
+        share.take(local_col, out=contrib)
+        if weights is not None:
+            contrib *= weights
+        segment_sum_ordered(contrib, local_rows, k, out=y)
         propagate_seconds += time.perf_counter() - t_prop
         y *= scale
         if dangling.size:
@@ -247,7 +233,6 @@ def _power_iterate(
         edge_traversals=iterations * m,
         active_edge_traversals=iterations * view.n_active_edges,
         vertex_ops=iterations * k,
-        binning_seconds=binning_seconds,
         propagate_seconds=propagate_seconds,
     )
     return PagerankResult(

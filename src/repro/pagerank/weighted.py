@@ -42,7 +42,6 @@ def pagerank_window_weighted(
     config: PagerankConfig = PagerankConfig(),
     x0: Optional[np.ndarray] = None,
     workspace=None,
-    iteration_hint: Optional[int] = None,
 ) -> PagerankResult:
     """Multiplicity-weighted PageRank for one window.
 
@@ -63,6 +62,6 @@ def pagerank_window_weighted(
         weights=weights, minlength=n,
     )
     return _power_iterate(
-        view, config, x0, workspace, iteration_hint,
+        view, config, x0, workspace,
         out_strength, config.damping, config.alpha, weights=weights,
     )

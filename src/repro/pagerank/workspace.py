@@ -11,7 +11,7 @@ difference and inverse-degree vectors have length |V_w|: each is pooled as
 a capacity-n buffer sliced to the window (the way the compaction pools its
 edge arrays at the graph's group count), and only the zero-padded residual
 buffer keeps length n.
-PCPM-style PageRank work is memory-bound, so paying the allocator (and
+PageRank work is memory-bound, so paying the allocator (and
 first-touch page faults) for the same shapes once per window per iteration
 is pure overhead.
 

@@ -31,7 +31,6 @@ from repro.parallel.partitioners import (
 from repro.parallel.cost_model import (
     CostModel,
     calibrate_cost_model,
-    choose_backend,
     default_cost_model,
 )
 from repro.parallel.simulator import (
@@ -72,7 +71,6 @@ __all__ = [
     "contiguous_blocks",
     "CostModel",
     "calibrate_cost_model",
-    "choose_backend",
     "default_cost_model",
     "simulate_parallel_for",
     "simulate_chunk_schedule",

@@ -37,32 +37,12 @@ from repro.errors import ValidationError
 __all__ = [
     "CostModel",
     "calibrate_cost_model",
-    "choose_backend",
     "default_cost_model",
-    "DEFAULT_EXPECTED_ITERATIONS",
 ]
 
 #: fraction of the per-stored-event cost charged per active edge per SpMM
 #: column (the register-streamed part of the work).
 SPMM_COLUMN_DISCOUNT = 0.5
-
-#: iteration estimate used by the ``backend="auto"`` policy when the
-#: caller has no history (first window of a chain): typical converged
-#: counts at tolerance 1e-8 land in the 15-40 range, so 20 is
-#: conservative without being timid.
-DEFAULT_EXPECTED_ITERATIONS = 20
-
-#: fraction of the per-edge cost a partition-centric (PCPM) traversal pays
-#: once every partition's rank slice is cache resident: the reduction
-#: streams a slice instead of scattering across the full vector.  Like
-#: ``SPMM_COLUMN_DISCOUNT`` this is a modelling constant of the simulated
-#: machine, realised by the numba backend's fused gather+reduce loop.
-PCPM_LOCALITY_DISCOUNT = 0.7
-
-#: one-time destination-partition binning pass, relative to the per-edge
-#: cost: a searchsorted over the (already destination-sorted) edge list
-#: plus one modulo pass streams the structure about 1.5 times.
-PCPM_BIN_COST_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -74,15 +54,9 @@ class CostModel:
     c_active: float = 0.5e-8
     c_task: float = 7.5e-7
     c_region: float = 3.0e-6
-    c_edge_local: float = PCPM_LOCALITY_DISCOUNT * 1.0e-8
-    c_bin: float = PCPM_BIN_COST_RATIO * 1.0e-8
-    c_partition: float = 5.0e-6
 
     def __post_init__(self) -> None:
-        for name in (
-            "c_edge", "c_vertex", "c_active", "c_task", "c_region",
-            "c_edge_local", "c_bin", "c_partition",
-        ):
+        for name in ("c_edge", "c_vertex", "c_active", "c_task", "c_region"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
@@ -132,62 +106,6 @@ class CostModel:
         )
         return iterations * per_iter
 
-    # ------------------------------------------------------------------
-    # partition-centric backend (repro.pagerank.backends.numba_backend)
-    # ------------------------------------------------------------------
-    def bin_cost(self, n_edges: int) -> float:
-        """The one-time destination-partition binning of ``n_edges``."""
-        return self.c_bin * n_edges
-
-    def pcpm_iteration_cost(
-        self,
-        n_edges: int,
-        n_vertices: int,
-        n_partitions: int,
-    ) -> float:
-        """One partition-centric power iteration: locality-discounted edge
-        work, the usual vertex update, plus a fixed per-partition dispatch
-        overhead (slice bookkeeping, one reduce call per partition).
-
-        The locality discount models the *fused* per-partition reduce —
-        gather, mask, weight and accumulate in one cache-resident pass.
-        """
-        return (
-            self.c_edge_local * n_edges
-            + self.c_vertex * n_vertices
-            + self.c_partition * max(n_partitions, 1)
-        )
-
-    def choose_backend(
-        self,
-        n_edges: int,
-        n_vertices: int,
-        expected_iterations: int,
-        cache_budget: int,
-    ) -> str:
-        """``"numpy"`` or ``"numba"``: whichever total is cheaper.
-
-        ``n_edges`` is the number of edges actually traversed per
-        iteration — the window's packed active edges ``|E_w|``.
-        Partitioning cannot help when the whole rank vector already fits
-        the cache budget, so that case short-circuits to
-        ``"numpy"``; otherwise the partitioned numba plan wins iff the
-        per-iteration locality saving, over the expected iteration count,
-        amortizes the one-time binning pass and the per-partition
-        dispatch overhead.  The registry only asks when the JIT is
-        importable.
-        """
-        if n_edges <= 0 or n_vertices * 8 <= cache_budget:
-            return "numpy"
-        iters = max(int(expected_iterations), 1)
-        width = max(1, int(cache_budget) // 8)
-        n_partitions = -(-n_vertices // width)
-        flat = iters * self.spmv_iteration_cost(n_edges, n_vertices)
-        partitioned = self.bin_cost(n_edges) + iters * (
-            self.pcpm_iteration_cost(n_edges, n_vertices, n_partitions)
-        )
-        return "numba" if partitioned < flat else "numpy"
-
     def with_overrides(self, **kwargs) -> "CostModel":
         return replace(self, **kwargs)
 
@@ -197,33 +115,6 @@ def default_cost_model() -> CostModel:
     NumPy kernels on a modern x86 core; use :func:`calibrate_cost_model`
     for machine-accurate magnitudes."""
     return CostModel()
-
-
-#: module-level model backing the stateless :func:`choose_backend`;
-#: deterministic so the ``"auto"`` decision never varies run to run
-_DEFAULT_MODEL = CostModel()
-
-
-def choose_backend(
-    n_edges: int,
-    n_vertices: int,
-    expected_iterations: int,
-    cache_budget: int,
-    model: CostModel = None,
-) -> str:
-    """Stateless entry point for the kernels' ``backend="auto"`` policy.
-
-    Returns the cheaper backend — ``"numpy"`` (flat full-width
-    reduction) or ``"numba"`` (JIT-fused destination-partitioned
-    reduction); the backend registry asks only when numba is importable.
-    Uses the deterministic default model unless a calibrated one is
-    supplied: the decision depends only on *ratios* of same-unit costs,
-    which the calibration barely moves.
-    """
-    model = model if model is not None else _DEFAULT_MODEL
-    return model.choose_backend(
-        n_edges, n_vertices, expected_iterations, cache_budget
-    )
 
 
 def calibrate_cost_model(
@@ -294,7 +185,4 @@ def calibrate_cost_model(
         c_active=SPMM_COLUMN_DISCOUNT * c_edge,
         c_task=c_task,
         c_region=c_task * 4,
-        c_edge_local=PCPM_LOCALITY_DISCOUNT * c_edge,
-        c_bin=PCPM_BIN_COST_RATIO * c_edge,
-        c_partition=c_task * 5,
     )

@@ -2,7 +2,7 @@
 
 The paper's machinery below the driver layer — multi-window partitioning
 (Section 4.1), partial-initialization chains (Section 4.2), pooled
-workspaces, executors, edge compaction and the propagation backends — is
+workspaces, executors and edge compaction — is
 PageRank-agnostic in principle: any per-window analytic that initializes a
 per-vertex state, runs a (possibly iterative) propagation step over a
 :class:`~repro.graph.temporal_csr.WindowView` and tests convergence can
@@ -105,15 +105,12 @@ class VertexProgram:
         x0: Optional[np.ndarray] = None,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         """Solve one window in the view's local vertex space.
 
         ``workspace`` is the chain's pooled
         :class:`~repro.pagerank.workspace.Workspace`; programs that use it
-        must still return freshly owned values.  ``iteration_hint`` is the
-        chain's previous iteration count (the ``backend="auto"``
-        predictor); non-adaptive programs ignore it.
+        must still return freshly owned values.
         """
         raise NotImplementedError
 

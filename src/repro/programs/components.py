@@ -60,7 +60,6 @@ class ComponentsProgram(VertexProgram):
         x0: Optional[np.ndarray] = None,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         sizes = component_sizes(
             undirected_window_csr(view), view.active_vertices_mask

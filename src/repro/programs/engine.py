@@ -4,8 +4,7 @@ This is the PageRank-agnostic extraction of the postmortem driver's
 per-multi-window-graph loop.  Everything the paper's machinery provides —
 lazy window views against one pooled workspace, partial-initialization
 chaining (Section 4.2) via the program's ``warm_start`` hook, the SpMM
-region schedule (Section 4.4) for programs with a batched kernel, the
-iteration-count feedback that drives ``backend="auto"``, and the
+region schedule (Section 4.4) for programs with a batched kernel, and the
 two-batch memory bound — now serves *any* :class:`~repro.programs.base.
 VertexProgram`.  With the reference :class:`~repro.programs.pagerank.
 PagerankProgram` the solve sequence is call-for-call identical to the
@@ -18,7 +17,7 @@ simulator replays) lives here because the engine is what emits it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -139,10 +138,6 @@ def solve_program_chain(
 
     workspace = Workspace()
     views: Dict[int, object] = {}
-    # backend="auto" iteration estimate: consecutive windows of a chain
-    # have nearly identical spectra, so the previous solve's iteration
-    # count is the best available predictor for the next one
-    iteration_hint: Optional[int] = None
     chain_state = partial_init and program.iterative
 
     def view_of(w: int):
@@ -168,13 +163,8 @@ def solve_program_chain(
 
         if len(batch.windows) == 1:
             pr = program.solve_window(
-                batch_views[0], x0_cols[0], workspace=workspace,
-                iteration_hint=iteration_hint,
+                batch_views[0], x0_cols[0], workspace=workspace
             )
-            # raw count on purpose: a zero (empty previous window) makes
-            # cost_model_estimate fall back to its default estimate with
-            # a debug note instead of being silently dropped here
-            iteration_hint = pr.iterations
             local_values[batch.windows[0]] = pr.values
             work.merge(pr.work)
             _emit_window(
@@ -207,7 +197,6 @@ def solve_program_chain(
             batch_result = program.solve_batch(
                 batch_views, X0, workspace=workspace
             )
-            iteration_hint = int(batch_result.iterations_per_window.max())
             work.merge(batch_result.work)
             for j, w in enumerate(batch.windows):
                 local_values[w] = batch_result.values[:, j].copy()

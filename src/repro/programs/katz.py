@@ -6,7 +6,7 @@ instead of the degree normalization — so it has no power loop of its own.
 All three solve surfaces run PageRank's loops with Katz's constants
 (scale ``a``, the max-degree-clamped attenuation; base ``b``) and a
 normalized residual: :func:`repro.pagerank.spmv._power_iterate` per
-window (packed active edges, backend and the chain's pooled workspace
+window (packed active edges and the chain's pooled workspace
 included),
 :func:`repro.pagerank.spmm._power_iterate_batch` for region-schedule
 batches (Section 4.4's batching applied to a second analytic), and
@@ -189,9 +189,9 @@ class KatzProgram(VertexProgram):
     """Temporal Katz centrality on the PageRank-grade stack."""
 
     config: KatzConfig = field(default_factory=KatzConfig)
-    #: propagation policy of the single-window solves (backend, cache
-    #: budget) — the Katz parameters themselves live in
-    #: ``config``
+    #: the run's PageRank config; the shared power loops read only its
+    #: dangling policy, which Katz's unit out-weights leave inert — the
+    #: Katz parameters themselves live in ``config``
     routing: PagerankConfig = field(default_factory=PagerankConfig)
 
     name = "katz"
@@ -221,12 +221,11 @@ class KatzProgram(VertexProgram):
         x0: Optional[np.ndarray] = None,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         return _power_iterate(
             view, self._solver(),
             self.init_window(view) if x0 is None else x0,
-            workspace, iteration_hint,
+            workspace,
             np.ones(view.adjacency.n_vertices, dtype=np.float64),
             _effective_attenuation(
                 self.config, view.in_degrees, view.out_degrees

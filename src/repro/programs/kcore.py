@@ -127,7 +127,6 @@ class KCoreProgram(VertexProgram):
         x0: Optional[np.ndarray] = None,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         core = core_numbers(view)
         return fixpoint_result(

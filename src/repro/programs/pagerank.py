@@ -8,7 +8,7 @@ Every hook delegates to the exact function the pre-engine drivers called —
 kernels, :func:`~repro.pagerank.incremental.incremental_pagerank` for the
 materialized path — so engine output is bitwise-identical to the historic
 driver by construction, not by tolerance.  The parity suite asserts this
-across kernels × edge paths × backends.
+across kernels × weighting × warm starts.
 """
 
 from __future__ import annotations
@@ -70,13 +70,9 @@ class PagerankProgram(VertexProgram):
         x0: Optional[np.ndarray] = None,
         *,
         workspace=None,
-        iteration_hint: Optional[int] = None,
     ) -> PagerankResult:
         solver = pagerank_window_weighted if self.weighted else pagerank_window
-        return solver(
-            view, self.config, x0=x0, workspace=workspace,
-            iteration_hint=iteration_hint,
-        )
+        return solver(view, self.config, x0=x0, workspace=workspace)
 
     def solve_batch(
         self,

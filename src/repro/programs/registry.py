@@ -38,8 +38,7 @@ def make_program(
     """Construct the named program.
 
     ``config`` is the run's :class:`~repro.pagerank.config.PagerankConfig`
-    — PageRank's solver parameters, and every gather-reduce program's
-    propagation policy (edge path / backend / cache budget).
+    — PageRank's solver parameters, handed to Katz as its ``routing``.
     ``katz_config`` optionally overrides the Katz parameters; ``weighted``
     applies only to PageRank.
     """

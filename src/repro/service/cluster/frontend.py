@@ -237,11 +237,22 @@ class ClusterFrontend:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = int(headers.get("content-length", 0) or 0)
+        except ValueError:
+            return 400, {"error": "Content-Length is not an integer"}
+        if length < 0:
+            return 400, {"error": "Content-Length is negative"}
         if length > _MAX_BODY:
             return 413, {"error": f"body larger than {_MAX_BODY} bytes"}
         if length:
-            body = await reader.readexactly(length)
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError as exc:
+                return 400, {
+                    "error": f"body ended after {len(exc.partial)} of "
+                    f"{length} bytes"
+                }
         return await self._route(method, target, body)
 
     # ------------------------------------------------------------------

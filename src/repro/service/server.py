@@ -359,6 +359,18 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-n) would read to EOF, holding this thread for as
+            # long as a keep-alive client stays connected; with the body's
+            # framing unknown the connection cannot carry another request
+            self.close_connection = True
+            self._reply(
+                400, {"error": "Content-Length must be a non-negative integer"}
+            )
+            return
+        try:
             queries = json.loads(self.rfile.read(length).decode())
         except (ValueError, json.JSONDecodeError) as exc:
             self._reply(400, {"error": f"bad request body: {exc}"})

@@ -6,7 +6,7 @@ event of the multi-window graph each iteration, zeroed the inactive ones
 with the window's first-active-event mask, and kept rank vectors of
 length ``n`` with the active set applied by boolean vertex masks and the
 residual run over all ``n`` entries.  This module is that loop, unchanged
-in arithmetic and independent of the library's packing and backends, so
+in arithmetic and independent of the library's packing, so
 the differential tests can require the SpMV, weighted and Katz solves to
 match it bit for bit.
 """
@@ -218,8 +218,7 @@ def reference_chain(
     :func:`dense_mask_pagerank` and the full-width SpMM loop of
     ``tests/spmm_reference.py`` — which is the canonical answer every
     execution knob must reproduce bitwise.  ``masked=False`` calls the
-    library kernels instead, with one pooled workspace per graph and the
-    previous solve's iteration count as the ``backend="auto"`` hint.
+    library kernels instead, with one pooled workspace per graph.
     """
     out = np.zeros((spec.n_windows, events.n_vertices))
     iterations = np.zeros(spec.n_windows, dtype=np.int64)
@@ -236,7 +235,6 @@ def reference_chain(
         workspace = Workspace()
         views = {}
         values = {}
-        hint = None
         for batch in batches:
             bviews = []
             for w in batch.windows:
@@ -264,10 +262,8 @@ def reference_chain(
                         else pagerank_window
                     )
                     pr = solver(
-                        bviews[0], cfg, x0=x0_cols[0], workspace=workspace,
-                        iteration_hint=hint,
+                        bviews[0], cfg, x0=x0_cols[0], workspace=workspace
                     )
-                hint = pr.iterations
                 solved = [(batch.windows[0], pr.values, pr.iterations)]
             else:
                 X0 = np.stack(x0_cols, axis=1)
@@ -280,7 +276,6 @@ def reference_chain(
                     br = pagerank_windows_spmm(
                         bviews, cfg, x0=X0, workspace=workspace
                     )
-                hint = int(br.iterations_per_window.max())
                 solved = [
                     (w, br.values[:, j].copy(), br.iterations_per_window[j])
                     for j, w in enumerate(batch.windows)

@@ -9,6 +9,7 @@ responses and a leak-free teardown.
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import json
 import threading
@@ -346,6 +347,32 @@ class TestFrontend:
         with pytest.raises(urllib.error.HTTPError) as err:
             get_json(frontend.url + "/top_k?window=99&k=2")
         assert err.value.code == 400
+
+    @pytest.mark.parametrize(
+        "length,body",
+        [("abc", b"[]"), ("-5", b"[]"), ("10", b"[]")],
+        ids=["not-an-integer", "negative", "short-body"],
+    )
+    def test_bad_content_length_is_400(self, length, body):
+        """A body whose framing cannot be read is answered with 400
+        rather than raising, which would close the socket with no status
+        line.  The request is fed to the parser directly, so no shard
+        process is needed."""
+        raw = (
+            f"POST /batch HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode() + body
+
+        async def answer():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            frontend = ClusterFrontend(cluster=None)
+            return await frontend._handle_request(reader)
+
+        status, payload = asyncio.run(answer())
+        assert status == 400
+        assert "Content-Length" in payload["error"] or \
+            "body ended" in payload["error"]
 
     def test_global_admission_cap_sheds(self, cluster):
         fe = ClusterFrontend(cluster, port=0, max_inflight=1).start()

@@ -110,14 +110,15 @@ class TestKatzSpmm:
 
 
 ROUTINGS = [
-    PagerankConfig(backend=backend, cache_budget=64)
-    for backend in ("numpy", "numba")
+    PagerankConfig(dangling=dangling) for dangling in ("uniform", "drop")
 ]
 
 
 class TestKatzRouting:
-    """Katz runs PageRank's power loops, so it inherits their routing
-    contract: every backend gives the same bits."""
+    """Katz runs PageRank's power loops with the run's PageRank config as
+    its routing.  The loops read only its dangling policy, and Katz's
+    unit out-weights leave no dangling vertex, so every routing gives the
+    same bits."""
 
     def test_solve_window_bitwise_across_routing(self, setup):
         adj, spec = setup

@@ -638,14 +638,17 @@ class TestRepositoryIsClean:
                 "silent-except", "mutable-default"} <= applicable
 
     def test_scopes_cover_the_kernel_backends(self):
-        # the backend package holds the hottest allocation and loop
-        # sites in the tree (partition binning + per-partition reduce), so
-        # the dtype and CSR-loop rules must reach it, and the bench
-        # that times it
+        # the single-window and batched propagation steps hold the
+        # hottest allocation and loop sites in the tree, so the dtype and
+        # CSR-loop rules must reach them, and the bench that times the
+        # packed edge pass; the paths must exist, so a moved kernel
+        # cannot silently drop out of scope
         for path in (
-            "src/repro/pagerank/backends/numba_backend.py",
-            "benchmarks/bench_backends.py",
+            "src/repro/pagerank/spmv.py",
+            "src/repro/pagerank/spmm.py",
+            "benchmarks/bench_edge_compaction.py",
         ):
+            assert (REPO_ROOT / path).is_file(), path
             applicable = {
                 r.name for r in ALL_RULES if r.applies_to(path)
             }

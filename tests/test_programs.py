@@ -2,8 +2,7 @@
 
 Covers the registry, the first-class programs, and the bitwise contract:
 PageRank routed through the engine is *bitwise-identical* to the historic
-postmortem loop across kernels (spmv / spmm) × backends (numpy / numba) ×
-weighted — asserted against hand-rolled reference chains that replay the
+postmortem loop across kernels (spmv / spmm) × weighted — asserted against hand-rolled reference chains that replay the
 pre-engine driver's solve sequence, once with the library kernels and
 once with the masked oracles (``tests/dense_mask_reference.py``).
 """
@@ -114,21 +113,13 @@ def reference_chain(events, spec, cfg, reference="compacted", **kw):
 class TestEngineBitwiseGrid:
     """The tentpole acceptance criterion: PageRank through the engine is
     bitwise-identical to the historic driver loop and to the masked
-    oracles, across kernels × backends × weighted."""
+    oracles, across kernels × weighted."""
 
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
     @pytest.mark.parametrize("reference", ["masked", "compacted"])
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_engine_matches_reference(
-        self, setup, kernel, reference, backend
-    ):
+    def test_engine_matches_reference(self, setup, kernel, reference):
         events, spec = setup
-        cfg = PagerankConfig(
-            tolerance=1e-10,
-            max_iterations=300,
-            backend=backend,
-            cache_budget=512,
-        )
+        cfg = PagerankConfig(tolerance=1e-10, max_iterations=300)
         run = PostmortemDriver(
             events,
             spec,
@@ -182,15 +173,10 @@ class TestKatzProgram:
     def test_backend_kernel_matches_segment_sum(self, setup):
         """The program's solve (PageRank's window-local loop) and the
         reference reduceat kernel agree on the normalized fixed point
-        (different summation orders); the partitioned numba plan matches
-        the flat one bitwise."""
+        (different summation orders)."""
         events, spec = setup
         adj = TemporalAdjacency.from_events(events)
         cfg = KatzConfig(tolerance=1e-12, max_iterations=500)
-        numba_program = KatzProgram(
-            config=cfg,
-            routing=PagerankConfig(backend="numba", cache_budget=64),
-        )
         for i in range(min(spec.n_windows, 4)):
             view = adj.window_view(spec.window(i))
             ours = KatzProgram(config=cfg).solve_window(view)
@@ -198,8 +184,6 @@ class TestKatzProgram:
             assert np.allclose(
                 ours.values, legacy.values, atol=1e-9
             ), i
-            numba = numba_program.solve_window(view)
-            assert np.array_equal(numba.values, ours.values), i
 
     def test_warm_start_converges_no_slower(self, setup):
         events, spec = setup

@@ -1,7 +1,5 @@
 """Property-based tests for the PageRank kernels."""
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from repro.pagerank import (
     PagerankConfig,
     full_initialization,
     pagerank_window,
+    pagerank_window_weighted,
     pagerank_windows_spmm,
     partial_initialization,
 )
@@ -107,28 +106,23 @@ def test_spmm_columns_equal_spmv(view, k):
         assert np.allclose(batch.values[:, j], single.values, atol=1e-8)
 
 
-@given(window_instances(), st.booleans())
+@given(window_instances(), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_backend_never_changes_values(view, use_workspace):
-    """``backend`` is a pure execution-strategy knob: numpy, numba
-    (degraded or not) and auto produce bitwise-identical values, with
-    owned and workspace-pooled buffers alike."""
+def test_backend_never_changes_values(view, use_workspace, weighted):
+    """The one propagation step reproduces the masked oracle bit for
+    bit, weighted or not, with owned and workspace-pooled buffers
+    alike."""
     from repro.pagerank import Workspace
+    from tests.dense_mask_reference import dense_mask_pagerank
 
-    def solve(backend):
-        ws = Workspace() if use_workspace else None
-        return pagerank_window(
-            view,
-            replace(CFG, backend=backend, cache_budget=64),
-            workspace=ws,
-        )
-
-    baseline = solve("numpy")
-    for backend in ("numba", "auto"):
-        r = solve(backend)
-        assert np.array_equal(r.values, baseline.values)
-        assert r.iterations == baseline.iterations
-        assert r.converged == baseline.converged
+    solver = pagerank_window_weighted if weighted else pagerank_window
+    ws = Workspace() if use_workspace else None
+    want = dense_mask_pagerank(view, CFG, weighted=weighted)
+    for _ in range(2):  # a second solve reuses the pooled scratch
+        r = solver(view, CFG, workspace=ws)
+        assert np.array_equal(r.values, want.values)
+        assert r.iterations == want.iterations
+        assert r.converged == want.converged
 
 
 @given(window_instances())

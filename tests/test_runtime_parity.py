@@ -45,7 +45,7 @@ TOL = 1e-7
 
 #: cross-model agreement per float program: PageRank's three models share
 #: one fixed point to solver tolerance; Katz additionally crosses the
-#: backend-propagation (temporal) vs segment-sum (materialized) reduce
+#: ordered segment-sum (temporal) vs reduceat (materialized) reduce
 #: orders, so its bound is looser
 PROGRAM_TOL = {"pagerank": 1e-7, "katz": 5e-6}
 
@@ -330,8 +330,7 @@ class TestProgramFlagPreservesPagerank:
         ).run()
 
         # the historic postmortem loop, hand-rolled: one pooled workspace
-        # per multi-window graph, eq. 4 warm starts along the chain, the
-        # previous solve's iteration count as the backend="auto" hint
+        # per multi-window graph, eq. 4 warm starts along the chain
         expected = reference_chain(
             events, spec, cfg, n_multiwindows, partial_init=partial,
             masked=False,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -118,6 +119,23 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             post_json(server.url + "/batch", {"op": "top_k"})
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "-5", "abc"])
+    def test_bad_content_length_is_400(self, server, length):
+        """A negative length must not reach ``rfile.read``: ``read(-1)``
+        reads to EOF, holding the handler thread for as long as the
+        keep-alive client stays connected (this client waits 5 s)."""
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.putrequest("POST", "/batch")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
 
     def test_stats_counts_batches(self, server):
         for _ in range(3):

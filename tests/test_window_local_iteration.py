@@ -5,8 +5,8 @@ monotone relabelling of its packed active edges.  The oracle is the dense
 whole-vertex-space loop they replaced (``tests/dense_mask_reference.py``):
 on adversarial windows — empty, a lone self-loop, all destinations
 dangling, active vertices interleaved with inactive ones, inactive rows
-before and after the active block — and across backends, weighting and
-warm starts, values, iteration counts and residuals must
+before and after the active block — and across weighting, dangling
+policies, iteration caps and warm starts, values, iteration counts and residuals must
 agree bit for bit, and every inactive entry must be ``+0.0``.
 """
 
@@ -81,8 +81,6 @@ def adversarial_windows(draw):
 
 @given(
     adjacency=adversarial_windows(),
-    backend=st.sampled_from(["numpy", "numba"]),
-    cache_budget=st.sampled_from([64, 262_144]),
     weighted=st.booleans(),
     warm=st.booleans(),
     use_workspace=st.booleans(),
@@ -91,12 +89,10 @@ def adversarial_windows(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_matches_dense_mask_loop(
-    adjacency, backend, cache_budget, weighted, warm,
-    use_workspace, dangling, max_iterations,
+    adjacency, weighted, warm, use_workspace, dangling, max_iterations,
 ):
     cfg = PagerankConfig(
-        tolerance=1e-12, max_iterations=max_iterations,
-        backend=backend, cache_budget=cache_budget, dangling=dangling,
+        tolerance=1e-12, max_iterations=max_iterations, dangling=dangling,
     )
     view = adjacency.window_view(WINDOW)
     x0 = None
