@@ -25,8 +25,8 @@ from repro.analysis import (
     topk_churn_series,
 )
 from repro.datasets import get_profile
-from repro.models import load_run, save_run
 from repro.reporting import format_series, format_table
+from repro.service import RankStore, write_store
 
 DAY = 86_400
 
@@ -45,16 +45,17 @@ def main() -> None:
         PostmortemOptions(kernel="spmm", vector_length=8),
     ).run()
 
-    # cache the series — downstream analytics re-read it cheaply
-    cache = Path(tempfile.gettempdir()) / "epinions_run.npz"
-    save_run(run, cache)
-    run = load_run(cache)
-    print(f"cached + reloaded {run.n_windows} windows from {cache}\n")
+    # cache the series as a float64 rank store (bitwise the solver's
+    # vectors) — downstream analytics re-read it from the memory map
+    cache = Path(tempfile.gettempdir()) / "epinions_run.rankstore"
+    write_store(run, cache, spec, dtype=np.float64)
+    store = RankStore(cache)
+    print(f"cached + reopened {store.n_windows} windows from {cache}\n")
 
-    vectors = [w.values for w in run.windows]
+    vectors = list(store.matrix)
     stability = rank_stability_series(vectors)
     churn = topk_churn_series(vectors, k=10)
-    activity = np.array([w.n_active_edges for w in run.windows], float)
+    activity = np.array(store.columns["n_active_edges"], float)
     changes = detect_change_points(activity, z_threshold=2.5)
 
     step = max(1, (spec.n_windows - 1) // 12)

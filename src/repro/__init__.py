@@ -40,8 +40,6 @@ from repro.events import (
     Window,
     load_events_tsv,
     save_events_tsv,
-    load_events_npz,
-    save_events_npz,
 )
 from repro.graph import (
     CSRGraph,
@@ -104,8 +102,6 @@ __all__ = [
     "Window",
     "load_events_tsv",
     "save_events_tsv",
-    "load_events_npz",
-    "save_events_npz",
     # graphs
     "CSRGraph",
     "build_csr_from_edges",

@@ -2,14 +2,14 @@
 
 Usage (also available as ``python -m repro``)::
 
-    repro-temporal generate wiki-talk --scale 0.2 --out wiki.npz
-    repro-temporal info wiki.npz
-    repro-temporal run wiki.npz --delta-days 90 --sw 86400 --top 5
-    repro-temporal compare wiki.npz --delta-days 90 --sw 86400
-    repro-temporal sweep wiki.npz --delta-days 90 --sw 86400 --workers 48
-    repro-temporal run wiki.npz --delta-days 90 --sw 86400 --program kcore
+    repro-temporal generate wiki-talk --scale 0.2 --out wiki.tcsr
+    repro-temporal info wiki.tcsr
+    repro-temporal run wiki.tcsr --delta-days 90 --sw 86400 --top 5
+    repro-temporal compare wiki.tcsr --delta-days 90 --sw 86400
+    repro-temporal sweep wiki.tcsr --delta-days 90 --sw 86400 --workers 48
+    repro-temporal run wiki.tcsr --delta-days 90 --sw 86400 --program kcore
     repro-temporal report --output-dir benchmarks/output --out REPORT.md
-    repro-temporal run wiki.npz --delta-days 90 --sw 86400 --store wiki.rankstore
+    repro-temporal run wiki.tcsr --delta-days 90 --sw 86400 --store wiki.rankstore
     repro-temporal inspect wiki.rankstore
     repro-temporal query wiki.rankstore top-k --window 3 -k 10
     repro-temporal serve wiki.rankstore --port 8321
@@ -17,19 +17,21 @@ Usage (also available as ``python -m repro``)::
     repro-temporal bench-traffic http://127.0.0.1:8321 --requests 2000
     repro-temporal lint src benchmarks --format json
 
-* **generate** — write a synthetic dataset profile to ``.npz``/``.tsv``.
+* **generate** — write a synthetic dataset profile to a ``.tcsr`` event
+  log or a ``.tsv`` text file.
 * **info** — event counts, span, temporal shape classification.
 * **run** — a windowed vertex program (``--program``: PageRank by
   default, or Katz / k-core / connected-component sizes) under
   ``--model offline|streaming|postmortem`` (default postmortem);
-  per-window top vertices.  ``--save`` archives the run (``.npz``);
-  ``--store`` streams a servable rank store to disk; ``--executor`` fans
-  the work out where the model's dependence structure permits.
+  per-window top vertices.  ``--store`` streams the run to a servable
+  ``.rankstore`` (``--store-dtype float64`` keeps it bitwise);
+  ``--executor`` fans the work out where the model's dependence
+  structure permits.
 * **compare** — measured wall-clock of offline / streaming / postmortem.
 * **sweep** — simulated multicore sweep of level x granularity (the
   Section 6.3.6 tuning aid).
 * **report** — collate benchmark outputs into one Markdown report.
-* **inspect** — describe a saved run archive or rank store.
+* **inspect** — describe a ``.tcsr`` event log or a ``.rankstore``.
 * **query** — answer top-k / rank / trajectory / movers / window-at
   queries against a rank store.
 * **serve** — JSON-over-HTTP query server with request micro-batching;
@@ -70,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scale", type=float, default=1.0)
     p_gen.add_argument("--seed-offset", type=int, default=0)
     p_gen.add_argument("--out", required=True,
-                       help="output path (.npz, .tsv or .tcsr)")
+                       help="output path (.tcsr or .tsv)")
     p_gen.add_argument("--format", default="auto",
-                       choices=["auto", "npz", "tsv", "tcsr"],
+                       choices=["auto", "tsv", "tcsr"],
                        help="output format; auto infers from --out suffix. "
                        "tcsr builds the memory-mapped artifact straight to "
                        "disk in bounded-memory chunks (use for *-xl "
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list dataset profiles")
 
     p_info = sub.add_parser("info", help="describe an event file")
-    p_info.add_argument("events", help="event file (.npz or .tsv)")
+    p_info.add_argument("events", help="event file (.tcsr or .tsv)")
 
     def add_window_args(p):
         p.add_argument("--delta-days", type=float, required=True,
@@ -100,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         "any execution model"
     )
     p_run.add_argument("events", nargs="?", default=None,
-                       help="event file (.npz, .tsv or .tcsr; a .tcsr "
+                       help="event file (.tcsr or .tsv; a .tcsr "
                        "artifact stays memory-mapped)")
     add_window_args(p_run)
     p_run.add_argument("--model", default="postmortem",
                        choices=["offline", "streaming", "postmortem"],
                        help="execution model (paper Section 3.3); every "
-                       "model honours --store/--save, executors where its "
+                       "model honours --store, executors where its "
                        "dependence structure permits")
     p_run.add_argument("--program", default="pagerank",
                        choices=list(PROGRAMS),
@@ -132,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="top vertices to print per window")
     p_run.add_argument("--every", type=int, default=1,
                        help="print every Nth window")
-    p_run.add_argument("--save", default=None, metavar="PATH",
-                       help="archive the run to a .npz (see `inspect`)")
-    p_run.add_argument("--no-compress", action="store_true",
-                       help="save the archive uncompressed so load_run "
-                       "can memory-map it")
     p_run.add_argument("--store", default=None, metavar="PATH",
                        help="stream a servable rank store to PATH "
                        "(see `serve` / `query`)")
@@ -169,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None, help="write Markdown here")
 
     p_ins = sub.add_parser(
-        "inspect", help="describe a saved run archive or rank store"
+        "inspect", help="describe a .tcsr event log or a rank store"
     )
-    p_ins.add_argument("archive",
-                       help=".npz run archive, .rankstore or .tcsr")
+    p_ins.add_argument("archive", help=".tcsr or .rankstore file")
 
     p_query = sub.add_parser(
         "query", help="query a rank store from the command line"
@@ -321,13 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_events(path: str):
-    from repro.events import load_events_npz, load_events_tsv
+    from repro.events import load_events_tsv
     from repro.graph.io import is_tcsr, open_events
 
     if is_tcsr(path):
         return open_events(path)
-    if path.endswith(".npz"):
-        return load_events_npz(path)
     return load_events_tsv(path)
 
 
@@ -354,14 +348,12 @@ def _generate_format(args) -> str:
         return args.format
     if args.out.endswith(".tcsr"):
         return "tcsr"
-    if args.out.endswith(".npz"):
-        return "npz"
     return "tsv"
 
 
 def cmd_generate(args, out) -> int:
     from repro.datasets import get_profile
-    from repro.events import save_events_npz, save_events_tsv
+    from repro.events import save_events_tsv
 
     profile = get_profile(args.profile)
     fmt = _generate_format(args)
@@ -387,10 +379,7 @@ def cmd_generate(args, out) -> int:
         )
         return 0
     events = profile.generate(seed_offset=args.seed_offset, scale=args.scale)
-    if fmt == "npz":
-        save_events_npz(events, args.out)
-    else:
-        save_events_tsv(events, args.out)
+    save_events_tsv(events, args.out)
     print(
         f"wrote {len(events)} events ({events.n_vertices} vertices, "
         f"{events.span // 86_400} days) to {args.out}",
@@ -448,7 +437,7 @@ def cmd_run(args, out) -> int:
     from repro.runtime import make_driver
 
     if args.events is None:
-        raise ValidationError("give an events file (.npz, .tsv or .tcsr)")
+        raise ValidationError("give an events file (.tcsr or .tsv)")
     events = _load_events(args.events)
     spec = _make_spec(events, args)
     options = PostmortemOptions(
@@ -485,11 +474,6 @@ def cmd_run(args, out) -> int:
         print(f"wrote rank store to {args.store}", file=out)
     else:
         run = driver.run()
-    if args.save:
-        from repro.models import save_run
-
-        save_run(run, args.save, compress=not args.no_compress)
-        print(f"saved run archive to {args.save}", file=out)
     rows = []
     for w in run.windows[:: max(args.every, 1)]:
         top = ", ".join(
@@ -623,7 +607,7 @@ def _dump_artifact(out, title, info, header, arrays=None) -> None:
 
 
 def cmd_inspect(args, out) -> int:
-    from repro.reporting import format_kv
+    from repro.errors import ValidationError
     from repro.graph.io import TcsrFile, is_tcsr
     from repro.service.store import RankStore, is_rank_store
 
@@ -642,21 +626,9 @@ def cmd_inspect(args, out) -> int:
             )
         return 0
 
-    from repro.models import load_run
-
-    run = load_run(args.archive)
-    n_vertices = run.windows[0].values.shape[0] if run.windows else 0
-    info = {
-        "format": "run archive (.npz)",
-        "model": run.model,
-        "windows": run.n_windows,
-        "vertices": n_vertices,
-        "total iterations": run.total_iterations,
-        "all converged": run.all_converged,
-        "total seconds": round(run.total_time, 3),
-    }
-    print(format_kv(info, title=args.archive), file=out)
-    return 0
+    raise ValidationError(
+        f"{args.archive}: not a .tcsr event log or a .rankstore"
+    )
 
 
 def cmd_query(args, out) -> int:

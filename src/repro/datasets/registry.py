@@ -1,32 +1,26 @@
 """A small caching registry for generated datasets.
 
 Benchmarks re-use the same event sets across many configurations; the
-registry memoizes generation (keyed by profile name, seed offset and scale)
-and can optionally persist sets to ``.npz`` on disk so repeated benchmark
-runs skip generation entirely.
+registry memoizes generation in memory, keyed by profile name, seed
+offset and scale.  To keep a generated set on disk, write it with
+``repro-temporal generate --out x.tcsr`` and open the artifact.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.datasets.profiles import PROFILES, DatasetProfile, get_profile
 from repro.events.event_set import TemporalEventSet
-from repro.events.io import load_events_npz, save_events_npz
 
 __all__ = ["DatasetRegistry", "default_registry"]
 
 
 class DatasetRegistry:
-    """Memoizing (and optionally disk-backed) dataset factory."""
+    """Memoizing dataset factory."""
 
-    def __init__(self, cache_dir: Optional[os.PathLike] = None) -> None:
+    def __init__(self) -> None:
         self._memory: Dict[Tuple[str, int, float], TemporalEventSet] = {}
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self._cache_dir is not None:
-            self._cache_dir.mkdir(parents=True, exist_ok=True)
 
     def get(
         self, name: str, seed_offset: int = 0, scale: float = 1.0
@@ -34,20 +28,11 @@ class DatasetRegistry:
         """Return the event set for profile ``name``, generating it at most
         once per (name, seed_offset, scale)."""
         key = (name, seed_offset, float(scale))
-        if key in self._memory:
-            return self._memory[key]
-
-        events: Optional[TemporalEventSet] = None
-        path = self._disk_path(key)
-        if path is not None and path.exists():
-            events = load_events_npz(path)
-        if events is None:
-            profile = get_profile(name)
-            events = profile.generate(seed_offset=seed_offset, scale=scale)
-            if path is not None:
-                save_events_npz(events, path)
-        self._memory[key] = events
-        return events
+        if key not in self._memory:
+            self._memory[key] = get_profile(name).generate(
+                seed_offset=seed_offset, scale=scale
+            )
+        return self._memory[key]
 
     def profile(self, name: str) -> DatasetProfile:
         return get_profile(name)
@@ -57,13 +42,6 @@ class DatasetRegistry:
 
     def clear(self) -> None:
         self._memory.clear()
-
-    def _disk_path(self, key) -> Optional[Path]:
-        if self._cache_dir is None:
-            return None
-        name, seed_offset, scale = key
-        safe = name.replace("/", "_")
-        return self._cache_dir / f"{safe}_s{seed_offset}_x{scale:g}.npz"
 
 
 _DEFAULT: Optional[DatasetRegistry] = None

@@ -11,8 +11,6 @@ from repro.events.windows import WindowSpec, Window
 from repro.events.io import (
     load_events_tsv,
     save_events_tsv,
-    load_events_npz,
-    save_events_npz,
 )
 
 __all__ = [
@@ -21,6 +19,4 @@ __all__ = [
     "Window",
     "load_events_tsv",
     "save_events_tsv",
-    "load_events_npz",
-    "save_events_npz",
 ]

@@ -1,11 +1,8 @@
-"""Serialization of temporal event sets.
+"""Text serialization of temporal event sets.
 
-Two formats:
-
-* **TSV** — the SNAP-style ``src\\tdst\\ttimestamp`` text format the paper's
-  datasets ship in; human-readable, slow.
-* **NPZ** — compressed NumPy archive of the three arrays; fast, used by the
-  benchmark harness to cache generated datasets.
+TSV is the SNAP-style ``src\\tdst\\ttimestamp`` format the paper's
+datasets ship in: human-readable and slow.  The binary event artifact is
+the memory-mapped ``.tcsr`` log (:mod:`repro.graph.io`).
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from repro.events.event_set import TemporalEventSet
 __all__ = [
     "load_events_tsv",
     "save_events_tsv",
-    "load_events_npz",
-    "save_events_npz",
 ]
 
 PathLike = Union[str, os.PathLike]
@@ -56,29 +51,3 @@ def load_events_tsv(path: PathLike, n_vertices=None) -> TemporalEventSet:
     return TemporalEventSet(
         data[:, 0], data[:, 1], data[:, 2], n_vertices=n_vertices
     )
-
-
-def save_events_npz(events: TemporalEventSet, path: PathLike) -> None:
-    """Cache an event set as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        path,
-        src=events.src,
-        dst=events.dst,
-        time=events.time,
-        n_vertices=np.int64(events.n_vertices),
-    )
-
-
-def load_events_npz(path: PathLike) -> TemporalEventSet:
-    """Load an event set cached by :func:`save_events_npz`."""
-    with np.load(path) as archive:
-        for key in ("src", "dst", "time", "n_vertices"):
-            if key not in archive:
-                raise ValidationError(f"npz archive missing array {key!r}")
-        return TemporalEventSet(
-            archive["src"],
-            archive["dst"],
-            archive["time"],
-            n_vertices=int(archive["n_vertices"]),
-            sort=False,
-        )

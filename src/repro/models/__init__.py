@@ -7,7 +7,6 @@ timings so benchmarks can compare build vs. compute costs across models.
 
 from repro.models.base import RunResult, WindowResult
 from repro.models.offline import OfflineDriver
-from repro.models.results_io import save_run, load_run
 from repro.models.postmortem import PostmortemDriver, PostmortemOptions
 
 __all__ = [
@@ -16,6 +15,4 @@ __all__ = [
     "OfflineDriver",
     "PostmortemDriver",
     "PostmortemOptions",
-    "save_run",
-    "load_run",
 ]

@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.pagerank.config import PagerankConfig
-from repro.pagerank.init import materialized_partial_initialization
+from repro.pagerank.init import mask_partial_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
 from repro.pagerank.spmv import _unit_mass
 from repro.utils.segments import _check_indptr, _sum_nonempty
@@ -103,7 +103,7 @@ def _power_iterate_graph(
     set into ``|V_w|``-length vectors, so each iteration touches |V_w|
     entries and the snapshot's edges.  It starts from ``prev_values``
     transferred by eq. 4
-    (:func:`~repro.pagerank.init.materialized_partial_initialization`)
+    (:func:`~repro.pagerank.init.mask_partial_initialization`)
     or, cold, from ``cold_mass`` spread evenly over the active vertices.
     ``out_weight`` is the length-``n`` per-source weight (out-degree for
     PageRank, 1 for Katz), ``normalized`` compares unit-mass iterates and
@@ -144,8 +144,8 @@ def _power_iterate_graph(
     # n-term pairwise sums (and bits) as over the whole vertex space
     resid = np.zeros(n, dtype=np.float64)
     if prev_values is not None:
-        materialized_partial_initialization(
-            mask, k, prev_values, prev_active
+        mask_partial_initialization(
+            mask, prev_values, prev_active
         ).take(active_idx, out=rank0)
     else:
         rank0.fill(cold_mass / k)

@@ -30,7 +30,7 @@ from repro.graph.temporal_csr import WindowView
 __all__ = [
     "full_initialization",
     "partial_initialization",
-    "materialized_partial_initialization",
+    "mask_partial_initialization",
 ]
 
 
@@ -71,53 +71,43 @@ def partial_initialization(
         raise ValidationError(
             "prev_values must be a per-vertex vector in the shared space"
         )
-
-    cur = view.active_vertices_mask
-    prev = prev_view.active_vertices_mask
-    shared = cur & prev
-    n_cur = view.n_active_vertices
-    n_shared = int(shared.sum())
-    if n_cur == 0:
-        return np.zeros(view.adjacency.n_vertices, dtype=np.float64)
-
-    shared_mass = float(prev_values[shared].sum())
-    if n_shared == 0 or shared_mass <= 0.0:
-        return full_initialization(view)
-
-    x = np.zeros(view.adjacency.n_vertices, dtype=np.float64)
-    scale = (n_shared / n_cur) / shared_mass
-    x[shared] = prev_values[shared] * scale
-    # vertices newly active in this window get the uniform share
-    x[cur & ~prev] = 1.0 / n_cur
-    return x
+    return mask_partial_initialization(
+        view.active_vertices_mask, prev_values,
+        prev_view.active_vertices_mask,
+    )
 
 
-def materialized_partial_initialization(
+def mask_partial_initialization(
     mask: np.ndarray,
-    n_active: int,
     prev_values: np.ndarray,
     prev_active: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Eq. 4 warm start on a materialized graph (offline / streaming).
+    """Eq. 4 over vertex masks: the transfer every warm start runs.
 
-    The previous window's values on the shared vertices, rescaled so they
-    carry ``n_shared / n_active`` of the mass, and the uniform
-    ``1 / n_active`` on vertices new in this window.  ``prev_active``
-    defaults to the previous vector's positive support.  Falls back to
-    the uniform vector when no vertex is shared or the shared mass is 0.
+    The previous window's values on the shared vertices (``mask &
+    prev_active``), rescaled so they carry ``n_shared / n_active`` of the
+    mass, and the uniform ``1 / n_active`` on vertices new in this
+    window.  ``prev_active`` defaults to the previous vector's positive
+    support.  Falls back to the uniform vector when no vertex is shared
+    or the shared mass is not positive, and to zeros when ``mask`` is
+    empty.
 
-    PageRank's and Katz's materialized solvers (``solve_graph``) share it.
+    :func:`partial_initialization` (the postmortem kernels) and the
+    materialized solve of offline and streaming
+    (:func:`~repro.pagerank.incremental._power_iterate_graph`) share it.
     """
-    n = mask.size
+    x = np.zeros(mask.size, dtype=np.float64)
+    n_active = int(np.count_nonzero(mask))
+    if n_active == 0:
+        return x
     prev_values = np.asarray(prev_values, dtype=np.float64)
     shared = mask & (
         np.asarray(prev_active, dtype=bool)
         if prev_active is not None
         else prev_values > 0
     )
-    n_shared = int(shared.sum())
+    n_shared = int(np.count_nonzero(shared))
     shared_mass = float(prev_values[shared].sum())
-    x = np.zeros(n, dtype=np.float64)
     if n_shared and shared_mass > 0:
         x[shared] = prev_values[shared] * ((n_shared / n_active) / shared_mass)
         x[mask & ~shared] = 1.0 / n_active

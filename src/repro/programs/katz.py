@@ -24,7 +24,7 @@ the independent reference the program is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -189,10 +189,6 @@ class KatzProgram(VertexProgram):
     """Temporal Katz centrality on the PageRank-grade stack."""
 
     config: KatzConfig = field(default_factory=KatzConfig)
-    #: the run's PageRank config; the shared power loops read only its
-    #: dangling policy, which Katz's unit out-weights leave inert — the
-    #: Katz parameters themselves live in ``config``
-    routing: PagerankConfig = field(default_factory=PagerankConfig)
 
     name = "katz"
     iterative = True
@@ -263,7 +259,7 @@ class KatzProgram(VertexProgram):
         prev_values: Optional[np.ndarray] = None,
         prev_active: Optional[np.ndarray] = None,
     ) -> PagerankResult:
-        # the loop's eq. 4 transfer (materialized_partial_initialization)
+        # the loop's eq. 4 transfer (mask_partial_initialization)
         # is deliberately not katz_partial_init: the two group their float
         # operations differently, and merging them would change the stored
         # bits of one of the models
@@ -281,10 +277,12 @@ class KatzProgram(VertexProgram):
         )
 
     def _solver(self) -> PagerankConfig:
-        """The propagation routing with Katz's own tolerance, iteration
-        cap and strictness — what the shared power loops read."""
+        """Katz's tolerance, iteration cap and strictness in the form the
+        shared power loops read.  The loops take the step's scale and
+        base as arguments, and Katz's unit out-weights leave no dangling
+        vertex, so no other field matters."""
         c = self.config
-        return replace(
-            self.routing, tolerance=c.tolerance,
-            max_iterations=c.max_iterations, strict=c.strict,
+        return PagerankConfig(
+            tolerance=c.tolerance, max_iterations=c.max_iterations,
+            strict=c.strict,
         )

@@ -38,9 +38,8 @@ def make_program(
     """Construct the named program.
 
     ``config`` is the run's :class:`~repro.pagerank.config.PagerankConfig`
-    — PageRank's solver parameters, handed to Katz as its ``routing``.
-    ``katz_config`` optionally overrides the Katz parameters; ``weighted``
-    applies only to PageRank.
+    — PageRank's solver parameters.  ``katz_config`` optionally overrides
+    the Katz parameters; ``weighted`` applies only to PageRank.
     """
     validate_program_name(name)
     if weighted and name != "pagerank":
@@ -61,8 +60,7 @@ def make_program(
         from repro.programs.katz import KatzConfig, KatzProgram
 
         return KatzProgram(
-            config=katz_config if katz_config is not None else KatzConfig(),
-            routing=config,
+            config=katz_config if katz_config is not None else KatzConfig()
         )
 
     if name == "kcore":

@@ -46,13 +46,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.service.cluster.coordinator import ShardCluster
-from repro.service.server import _GET_ROUTES
+from repro.service.server import _GET_ROUTES, _MAX_BODY
 
 __all__ = ["ClusterFrontend"]
 
 logger = logging.getLogger(__name__)
 
-_MAX_BODY = 8 * 1024 * 1024
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",

@@ -73,6 +73,10 @@ _GET_ROUTES: Dict[str, Tuple[str, Dict[str, str]]] = {
     "/windows_at": ("windows_at", {"t": "t"}),
 }
 
+#: largest ``POST /batch`` body accepted (the cluster frontend applies
+#: the same cap); a larger ``Content-Length`` is answered 413 unread
+_MAX_BODY = 8 * 1024 * 1024
+
 
 class _Job:
     """One submitted unit: a list of queries and the future for their
@@ -369,6 +373,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(
                 400, {"error": "Content-Length must be a non-negative integer"}
             )
+            return
+        if length > _MAX_BODY:
+            # reading would allocate the whole declared length up front;
+            # the unread body leaves the connection unusable
+            self.close_connection = True
+            self._reply(413, {"error": f"body larger than {_MAX_BODY} bytes"})
             return
         try:
             queries = json.loads(self.rfile.read(length).decode())

@@ -6,10 +6,12 @@ Layout of a ``.rankstore`` file::
                   magic "RANKSTR1", version u32, flags u32,
                   n_windows u64, n_vertices u64,
                   matrix_offset u64, index_offset u64, index_len u64
-    offset 64   the rank matrix: float32, C-order, (n_windows, n_vertices)
-    after it    the JSON index: per-window metadata columns
-                (iterations, converged, residual, active counts), optional
-                window intervals (t_start/t_end), model name, run metadata
+    offset 64   the rank matrix: float32 or float64 (the dtype code),
+                C-order, (n_windows, n_vertices)
+    after it    the JSON index, running to the end of the file:
+                per-window metadata columns (iterations, converged,
+                residual, active counts), optional window intervals
+                (t_start/t_end), model name, run metadata
 
 The matrix sits at a fixed offset so readers ``np.memmap`` it directly —
 opening a store costs one page of I/O regardless of how many windows it
@@ -37,7 +39,6 @@ from repro.sanitize import (
 )
 from repro.events.windows import WindowSpec
 from repro.models.base import RunResult, WindowResult
-from repro.models.results_io import WINDOW_FIELDS, jsonable_metadata
 
 __all__ = [
     "MAGIC",
@@ -62,9 +63,25 @@ PREAMBLE_SIZE = 64
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
-#: per-window metadata columns carried in the JSON index (the same fields
-#: the ``.npz`` run archives store, minus window_index which is implicit)
-INDEX_FIELDS = [f for f in WINDOW_FIELDS if f != "window_index"]
+#: per-window metadata columns carried in the JSON index (the
+#: :class:`~repro.models.base.WindowResult` summary fields; the window
+#: index is the row number)
+INDEX_FIELDS = [
+    "iterations",
+    "converged",
+    "residual",
+    "n_active_vertices",
+    "n_active_edges",
+]
+
+
+def _jsonable_metadata(metadata: Dict[str, object]) -> Dict[str, object]:
+    """The JSON-serializable scalar subset of a run's metadata dict."""
+    return {
+        k: v
+        for k, v in metadata.items()
+        if isinstance(v, (int, float, str, bool))
+    }
 
 
 def intervals_containing(
@@ -217,7 +234,7 @@ class RankStoreWriter:
             index = {
                 "model": self.model,
                 "program": self.program,
-                "metadata": jsonable_metadata(self.metadata),
+                "metadata": _jsonable_metadata(self.metadata),
                 "t_start": self._t_start,
                 "t_end": self._t_end,
                 "columns": {
@@ -289,6 +306,46 @@ def write_store(
             writer.write_window(w.window_index, w.values, meta=w)
 
 
+def _decode_index(path: str, raw: bytes, n_windows: int) -> Dict:
+    """Decode and shape-check a store's JSON index.
+
+    Every per-window list (each metadata column, and the interval pair,
+    which is present or absent as a whole) must hold ``n_windows``
+    entries, and the intervals must be integers.
+    """
+    try:
+        index = json.loads(raw.decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise ValidationError(
+            f"{path}: rank store index is not valid JSON ({exc})"
+        ) from exc
+    if not isinstance(index, dict):
+        raise ValidationError(f"{path}: rank store index is not an object")
+
+    def per_window(value) -> bool:
+        return isinstance(value, list) and len(value) == n_windows
+
+    columns = index.get("columns", {})
+    if not isinstance(columns, dict) or not all(
+        per_window(col) for col in columns.values()
+    ):
+        raise ValidationError(
+            f"{path}: rank store columns must hold {n_windows} entries each"
+        )
+    t_start, t_end = index.get("t_start"), index.get("t_end")
+    if (t_start, t_end) != (None, None) and not (
+        per_window(t_start) and per_window(t_end)
+        and all(type(t) is int and abs(t) < 2**63 for t in t_start + t_end)
+    ):
+        raise ValidationError(
+            f"{path}: rank store window intervals must be {n_windows} "
+            "integer pairs"
+        )
+    if not isinstance(index.get("metadata", {}), dict):
+        raise ValidationError(f"{path}: rank store metadata is not an object")
+    return index
+
+
 class RankStore:
     """Read side: the memory-mapped matrix plus the decoded index.
 
@@ -325,8 +382,31 @@ class RankStore:
                     f"{self.path}: rank store was never finalized "
                     "(writer not closed?)"
                 )
+            # the layout is fully determined by the shape: the matrix
+            # right after the preamble, the index right after the matrix
+            # and running to the end of the file
+            dtype = _DTYPES[dtype_code]
+            matrix_bytes = n_windows * n_vertices * dtype.itemsize
+            if (
+                n_windows == 0
+                or n_vertices == 0
+                or matrix_offset != PREAMBLE_SIZE
+                or index_offset != PREAMBLE_SIZE + matrix_bytes
+            ):
+                raise ValidationError(
+                    f"{self.path}: corrupt rank store preamble "
+                    f"({n_windows} x {n_vertices} matrix at "
+                    f"{matrix_offset}, index at {index_offset})"
+                )
+            file_bytes = os.fstat(f.fileno()).st_size
+            if index_offset + index_len != file_bytes:
+                raise ValidationError(
+                    f"{self.path}: rank store index ends at byte "
+                    f"{index_offset + index_len}, file has {file_bytes} "
+                    "(truncated or corrupt)"
+                )
             f.seek(index_offset)
-            index = json.loads(f.read(index_len).decode())
+            index = _decode_index(self.path, f.read(index_len), n_windows)
         self.n_windows = int(n_windows)
         self.n_vertices = int(n_vertices)
         self._version = int(version)
@@ -348,7 +428,7 @@ class RankStore:
         self.t_end = (
             np.asarray(t_end, dtype=np.int64) if t_end is not None else None
         )
-        self.dtype = _DTYPES[dtype_code]
+        self.dtype = dtype
         self.matrix = np.memmap(
             self.path,
             dtype=self.dtype,

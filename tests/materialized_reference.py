@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.pagerank.config import PagerankConfig
-from repro.pagerank.init import materialized_partial_initialization
+from repro.pagerank.init import mask_partial_initialization
 from repro.pagerank.result import PagerankResult, WorkStats
 from repro.utils.segments import _check_indptr, _sum_nonempty
 
@@ -53,9 +53,7 @@ def reference_power_iterate_graph(
             converged=True, residual=0.0,
         )
     if prev_values is not None:
-        x = materialized_partial_initialization(
-            mask, n_active, prev_values, prev_active
-        )
+        x = mask_partial_initialization(mask, prev_values, prev_active)
     else:
         x = np.where(mask, cold_mass / n_active, 0.0)
     inv_out = np.zeros(n, dtype=np.float64)

@@ -3,22 +3,20 @@
 Every single-window solve (SpMV, weighted, Katz) runs one flat
 gather→reduce per power iteration over the window's packed active
 edges, and the SpMM batch one pass over its live cells.  These tests
-pin that step to the masked oracles across the window regimes, check
-that kernels sharing a pooled workspace do not disturb one another,
-that the work statistics are recorded, and that the removed
-``backend``/``cache_budget`` knobs are rejected on every surface.
+check that the kernels run back to back, or share a pooled workspace,
+without disturbing one another, that the work statistics are recorded,
+and that the removed ``backend``/``cache_budget`` knobs are rejected on
+every surface.  Parity of each kernel with its masked oracle is
+``tests/test_edge_compaction.py::TestBitwiseParity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.events import WindowSpec
-from repro.models import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
     PagerankConfig,
     WorkStats,
@@ -27,15 +25,13 @@ from repro.pagerank import (
     pagerank_window_weighted,
     pagerank_windows_spmm,
 )
-from tests.conftest import random_events
-from tests.dense_mask_reference import dense_mask_pagerank, reference_chain
+from tests.dense_mask_reference import dense_mask_pagerank
 from tests.test_edge_compaction import (
     CFG,
     _views_regimes,
     assert_batch_matches,
     assert_solve_matches,
     make_view,
-    spmm_oracle,
 )
 
 
@@ -71,7 +67,7 @@ class TestRegistry:
         for flags in (["--backend", "pcpm"], ["--cache-budget", "4096"]):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(
-                    ["run", "x.npz", "--delta-days", "1", "--sw", "1"]
+                    ["run", "x.tsv", "--delta-days", "1", "--sw", "1"]
                     + flags
                 )
             assert exc.value.code == 2
@@ -91,34 +87,6 @@ class TestRegistry:
     "name,view", _views_regimes(), ids=[n for n, _ in _views_regimes()]
 )
 class TestBackendParity:
-    def _solve(self, kernel, view, use_workspace):
-        ws = Workspace() if use_workspace else None
-        return kernel(view, CFG, workspace=ws)
-
-    def _assert_single_window_work(self, r, view):
-        """The packed pass reads active edges only and has no setup."""
-        assert r.work.edge_traversals == r.iterations * view.n_active_edges
-        assert r.work.active_edge_traversals == r.work.edge_traversals
-        assert r.work.binning_seconds == 0.0
-
-    def test_spmv(self, name, view, use_workspace):
-        r = self._solve(pagerank_window, view, use_workspace)
-        assert_solve_matches(r, dense_mask_pagerank(view, CFG))
-        self._assert_single_window_work(r, view)
-
-    def test_weighted(self, name, view, use_workspace):
-        r = self._solve(pagerank_window_weighted, view, use_workspace)
-        assert_solve_matches(
-            r, dense_mask_pagerank(view, CFG, weighted=True)
-        )
-        self._assert_single_window_work(r, view)
-
-    def test_spmm(self, name, view, use_workspace):
-        views = [view] * 3
-        ws = Workspace() if use_workspace else None
-        r = pagerank_windows_spmm(views, CFG, workspace=ws)
-        assert_batch_matches(r, spmm_oracle(views, CFG))
-
     def test_composes_with_edge_path(self, name, view, use_workspace):
         """The unweighted and weighted passes over the packed edges run
         back to back (through one workspace in the ``ws`` case) and each
@@ -174,29 +142,3 @@ class TestWorkStats:
         a.merge(b)
         assert a.binning_seconds == 0.75
         assert a.propagate_seconds == 1.5
-
-
-# ---------------------------------------------------------------------------
-# driver level
-# ---------------------------------------------------------------------------
-class TestDriverThreading:
-    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    def test_driver_backends_agree(self, kernel):
-        """The serial and thread executors run the one step and both
-        reproduce the masked oracles' warm-start chain bitwise."""
-        events = random_events(seed=61, n_events=300)
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
-        want = reference_chain(
-            events, spec, CFG, 2, kernel=kernel, vector_length=4
-        )
-        for executor in ("serial", "thread"):
-            run = PostmortemDriver(
-                events, spec, CFG,
-                PostmortemOptions(
-                    n_multiwindows=2, kernel=kernel, vector_length=4,
-                    executor=executor, n_threads=2,
-                ),
-            ).run()
-            np.testing.assert_array_equal(run.values_matrix(), want.values)
-            assert [w.iterations for w in run.windows] == \
-                want.iterations.tolist(), executor

@@ -5,12 +5,11 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
-from repro.events import load_events_npz
 
 
 @pytest.fixture
 def events_file(tmp_path):
-    path = tmp_path / "events.npz"
+    path = tmp_path / "events.tsv"
     rc = main(
         ["generate", "askubuntu", "--scale", "0.05", "--out", str(path)],
         out=io.StringIO(),
@@ -30,10 +29,6 @@ class TestParser:
 
 
 class TestGenerate:
-    def test_npz_roundtrip(self, events_file):
-        events = load_events_npz(events_file)
-        assert len(events) > 0
-
     def test_tsv_output(self, tmp_path):
         path = tmp_path / "events.tsv"
         out = io.StringIO()
@@ -45,9 +40,19 @@ class TestGenerate:
         assert path.exists()
         assert "wrote" in out.getvalue()
 
+    def test_npz_format_rejected(self, tmp_path, capsys):
+        """``.tcsr`` and ``.tsv`` are the event formats."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["generate", "askubuntu", "--format", "npz",
+                 "--out", str(tmp_path / "x.npz")]
+            )
+        assert exc.value.code == 2
+        assert "'auto', 'tsv', 'tcsr'" in capsys.readouterr().err
+
     def test_unknown_profile_fails(self, tmp_path):
         rc = main(
-            ["generate", "nope", "--out", str(tmp_path / "x.npz")],
+            ["generate", "nope", "--out", str(tmp_path / "x.tsv")],
             out=io.StringIO(),
         )
         assert rc == 1
@@ -67,7 +72,7 @@ class TestListInfo:
         assert "events" in text and "shape class" in text
 
     def test_info_missing_file(self):
-        assert main(["info", "/nonexistent.npz"], out=io.StringIO()) == 1
+        assert main(["info", "/nonexistent.tsv"], out=io.StringIO()) == 1
 
 
 class TestRun:
@@ -105,6 +110,32 @@ class TestRun:
             out=out,
         )
         assert rc == 0
+
+
+    def test_npz_input_fails(self, tmp_path, capsys):
+        """An ``.npz`` archive is no event input: ``run`` exits 1 through
+        the CLI's ``error:`` path."""
+        import numpy as np
+
+        path = tmp_path / "x.npz"
+        np.savez(path, src=np.array([0]), dst=np.array([1]),
+                 time=np.array([5]), n_vertices=np.int64(2))
+        rc = main(
+            ["run", str(path), "--delta-days", "1", "--sw", "86400"],
+            out=io.StringIO(),
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_run_has_no_archive_flags(self, capsys):
+        for flag in ("--save", "--no-compress"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["run", "x.tsv", "--delta-days", "1", "--sw", "1",
+                     flag, "run.npz"]
+                )
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestCompareSweep:

@@ -185,13 +185,12 @@ class TestRegistry:
         b = reg.get("askubuntu", scale=0.1)
         assert a is not b
 
-    def test_disk_cache(self, tmp_path):
-        reg1 = DatasetRegistry(cache_dir=tmp_path)
-        a = reg1.get("askubuntu", scale=0.05)
-        assert any(tmp_path.iterdir())
-        reg2 = DatasetRegistry(cache_dir=tmp_path)
-        b = reg2.get("askubuntu", scale=0.05)
-        assert a == b
+    def test_memory_only(self, tmp_path):
+        """The registry keeps no disk cache: ``.tcsr`` is the on-disk
+        event artifact."""
+        with pytest.raises(TypeError):
+            DatasetRegistry(cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_names_and_clear(self):
         reg = DatasetRegistry()

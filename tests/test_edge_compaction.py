@@ -172,10 +172,17 @@ def _views_regimes():
     "name,view", _views_regimes(), ids=[n for n, _ in _views_regimes()]
 )
 class TestBitwiseParity:
+    def _assert_single_window_work(self, r, view):
+        """The packed pass reads active edges only and has no setup."""
+        assert r.work.edge_traversals == r.iterations * view.n_active_edges
+        assert r.work.active_edge_traversals == r.work.edge_traversals
+        assert r.work.binning_seconds == 0.0
+
     def test_spmv(self, name, view, use_workspace):
         ws = Workspace() if use_workspace else None
         got = pagerank_window(view, CFG, workspace=ws)
         assert_solve_matches(got, dense_mask_pagerank(view, CFG))
+        self._assert_single_window_work(got, view)
 
     def test_weighted(self, name, view, use_workspace):
         ws = Workspace() if use_workspace else None
@@ -183,6 +190,7 @@ class TestBitwiseParity:
         assert_solve_matches(
             got, dense_mask_pagerank(view, CFG, weighted=True)
         )
+        self._assert_single_window_work(got, view)
 
     def test_katz(self, name, view, use_workspace):
         ws = Workspace() if use_workspace else None
@@ -274,10 +282,10 @@ class TestEdgePathSelection:
 def test_edge_path_knob_removed(tmp_path, capsys):
     """Compaction is the only traversal: ``run`` has no knob to pin."""
     from repro.cli import main
-    from repro.events import save_events_npz
+    from repro.events import save_events_tsv
 
-    path = tmp_path / "ev.npz"
-    save_events_npz(random_events(seed=43, n_events=200), str(path))
+    path = tmp_path / "ev.tsv"
+    save_events_tsv(random_events(seed=43, n_events=200), str(path))
     with pytest.raises(SystemExit) as exc:
         main([
             "run", str(path), "--delta-days", "0.03", "--sw", "1000",

@@ -1,15 +1,9 @@
 """Unit tests for event-set serialization."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.events import (
-    load_events_npz,
-    load_events_tsv,
-    save_events_npz,
-    save_events_tsv,
-)
+from repro.events import load_events_tsv, save_events_tsv
 from tests.conftest import random_events
 
 
@@ -39,19 +33,3 @@ class TestTsv:
         path.write_text("0\t1\n")
         with pytest.raises(ValidationError):
             load_events_tsv(path)
-
-
-class TestNpz:
-    def test_roundtrip(self, tmp_path):
-        es = random_events(seed=12)
-        path = tmp_path / "events.npz"
-        save_events_npz(es, path)
-        back = load_events_npz(path)
-        assert back == es
-        assert back.n_vertices == es.n_vertices
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, src=np.array([0]), dst=np.array([1]))
-        with pytest.raises(ValidationError):
-            load_events_npz(path)

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.events import Window, WindowSpec
 from repro.graph import TemporalAdjacency
-from repro.pagerank import PagerankConfig, Workspace
 from repro.programs.katz import KatzConfig, KatzProgram, katz_window
 from tests.conftest import random_events
 
@@ -88,6 +87,20 @@ class TestKatzSpmm:
                 == single.iterations * view.n_active_edges
             ), w.index
 
+    def test_compacted_batch_streams_only_the_union(self, setup):
+        adj, spec = setup
+        views = [
+            adj.window_view(spec.window(0)),
+            adj.window_view(spec.window(spec.n_windows - 1)),
+        ]
+        batch = solve_batch(views)
+        assert 0 < batch.work.edge_traversals
+        assert batch.work.edge_traversals < batch.work.iterations * adj.nnz
+        for j, v in enumerate(views):
+            assert np.allclose(
+                batch.values[:, j], katz_window(v, CFG).values, atol=1e-8
+            )
+
     def test_rejects_empty_and_mixed(self, setup):
         adj, spec = setup
         with pytest.raises(ValidationError):
@@ -106,57 +119,4 @@ class TestKatzSpmm:
         with pytest.raises(ValidationError):
             PROGRAM.solve_batch(
                 [adj.window_view(spec.window(0))], np.zeros((2, 1))
-            )
-
-
-ROUTINGS = [
-    PagerankConfig(dangling=dangling) for dangling in ("uniform", "drop")
-]
-
-
-class TestKatzRouting:
-    """Katz runs PageRank's power loops with the run's PageRank config as
-    its routing.  The loops read only its dangling policy, and Katz's
-    unit out-weights leave no dangling vertex, so every routing gives the
-    same bits."""
-
-    def test_solve_window_bitwise_across_routing(self, setup):
-        adj, spec = setup
-        for w in spec:
-            view = adj.window_view(w)
-            x0 = PROGRAM.init_window(view)
-            runs = [
-                KatzProgram(config=CFG, routing=r).solve_window(view, x0)
-                for r in ROUTINGS
-            ]
-            for r in runs[1:]:
-                assert np.array_equal(r.values, runs[0].values), w.index
-                assert r.iterations == runs[0].iterations, w.index
-
-    def test_solve_batch_bitwise_across_routing(self, setup):
-        adj, spec = setup
-        views = [adj.window_view(w) for w in spec]
-        runs = [
-            solve_batch(views, KatzProgram(config=CFG, routing=r), **kw)
-            for r in ROUTINGS
-            for kw in ({}, {"workspace": Workspace()})
-        ]
-        for r in runs[1:]:
-            assert np.array_equal(r.values, runs[0].values)
-            assert np.array_equal(
-                r.iterations_per_window, runs[0].iterations_per_window
-            )
-
-    def test_compacted_batch_streams_only_the_union(self, setup):
-        adj, spec = setup
-        views = [
-            adj.window_view(spec.window(0)),
-            adj.window_view(spec.window(spec.n_windows - 1)),
-        ]
-        batch = solve_batch(views)
-        assert 0 < batch.work.edge_traversals
-        assert batch.work.edge_traversals < batch.work.iterations * adj.nnz
-        for j, v in enumerate(views):
-            assert np.allclose(
-                batch.values[:, j], katz_window(v, CFG).values, atol=1e-8
             )

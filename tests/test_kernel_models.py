@@ -1,5 +1,5 @@
 """Tests for non-PageRank analytics under the three execution models,
-time-series analytics, and run persistence."""
+time-series analytics, and run persistence (the float64 rank store)."""
 
 from dataclasses import dataclass, field
 from typing import List
@@ -17,12 +17,12 @@ from repro.errors import ValidationError
 from repro.events import WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.models import PostmortemDriver, PostmortemOptions
-from repro.models.results_io import load_run, save_run
 from repro.pagerank import PagerankConfig
 from repro.pagerank.incremental import incremental_pagerank
 from repro.programs import make_program
 from repro.programs.katz import KatzProgram
 from repro.runtime import MODELS, make_driver
+from repro.service import RankStore, write_store
 from repro.streaming import StreamingDriver, StreamingGraph
 from tests.conftest import random_events
 
@@ -144,17 +144,20 @@ class TestTimeseries:
 
 class TestRunPersistence:
     def test_roundtrip(self, instance, tmp_path):
+        """A float64 rank store keeps a finished run bitwise."""
         events, spec = instance
         run = PostmortemDriver(
             events, spec, PagerankConfig(tolerance=1e-10)
         ).run()
-        path = tmp_path / "run.npz"
-        save_run(run, path)
-        back = load_run(path)
-        assert back.model == run.model
-        assert back.n_windows == run.n_windows
-        assert run.max_difference(back) == 0.0
-        assert back.window(0).iterations == run.window(0).iterations
+        path = tmp_path / "run.rankstore"
+        write_store(run, path, spec, dtype=np.float64)
+        with RankStore(path) as back:
+            assert back.model == run.model
+            assert back.n_windows == run.n_windows
+            np.testing.assert_array_equal(back.matrix, run.values_matrix())
+            assert back.columns["iterations"] == [
+                w.iterations for w in run.windows
+            ]
 
     def test_rejects_valueless_run(self, instance, tmp_path):
         events, spec = instance
@@ -162,13 +165,16 @@ class TestRunPersistence:
             events, spec, PagerankConfig()
         ).run(store_values=False)
         with pytest.raises(ValidationError):
-            save_run(run, tmp_path / "x.npz")
+            write_store(run, tmp_path / "x.rankstore", spec)
 
     def test_rejects_bad_archive(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, values=np.zeros((1, 2)))
-        with pytest.raises(ValidationError):
-            load_run(path)
+        """A file without the rank-store magic, such as an ``.npz``
+        archive, is refused."""
+        path = tmp_path / "bad.rankstore"
+        with open(path, "wb") as f:
+            np.savez(f, values=np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match="bad magic"):
+            RankStore(path)
 
 
 class TestStatefulStreaming:

@@ -272,7 +272,7 @@ class TestExecutorSurface:
     def test_cli_rejects_process(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "x.npz", "--delta-days", "1", "--sw", "1",
+                ["run", "x.tsv", "--delta-days", "1", "--sw", "1",
                  "--executor", "process"]
             )
         assert "shared" in capsys.readouterr().err

@@ -79,7 +79,7 @@ class TestCliProgram:
         from repro.programs import PROGRAMS
         from repro.service import RankStore
 
-        path = tmp_path / "e.npz"
+        path = tmp_path / "e.tsv"
         main(
             ["generate", "askubuntu", "--scale", "0.05", "--out", str(path)],
             out=io.StringIO(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -13,7 +14,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.service import QueryEngine, QueryServer, RankStoreWriter
-from repro.service.server import BatchingExecutor
+from repro.service.server import _MAX_BODY, BatchingExecutor
 
 
 @pytest.fixture
@@ -136,6 +137,23 @@ class TestEndpoints:
             assert "Content-Length" in json.loads(resp.read())["error"]
         finally:
             conn.close()
+
+    def test_oversized_body_is_413_unread(self, server):
+        """A length over the cap is refused before any body byte is read
+        (a buffered read allocates the declared length up front), and the
+        connection is closed.  This client sends headers only, so a
+        handler that read the body would block past the 5 s timeout."""
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % (_MAX_BODY + 1)
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"413"
+        assert str(_MAX_BODY) in json.loads(body)["error"]
 
     def test_stats_counts_batches(self, server):
         for _ in range(3):

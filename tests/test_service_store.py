@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.models import PostmortemDriver, PostmortemOptions
+from repro.errors import ReproError, ValidationError
+from repro.events import WindowSpec
+from repro.models import PostmortemDriver, PostmortemOptions, WindowResult
 from repro.service import RankStore, RankStoreWriter, write_store
-from repro.service.store import is_rank_store
+from repro.service.store import PREAMBLE_SIZE, is_rank_store
 
 
 @pytest.fixture
@@ -85,6 +86,45 @@ class TestReader:
         path.write_bytes(b"RANKSTR1")
         with pytest.raises(ValidationError, match="too short"):
             RankStore(path)
+
+    def test_truncations_and_bit_flips_fail_typed(self, tmp_path):
+        """Every truncation, and every single-bit flip outside the matrix
+        bytes (the format has no checksum over them), either raises a
+        ``ReproError`` or opens a store whose rows are bitwise the rows
+        written."""
+        path = tmp_path / "s.rankstore"
+        rows = np.random.default_rng(3).random((5, 7))
+        with RankStoreWriter(path, n_windows=5, n_vertices=7,
+                             spec=WindowSpec(0, 100, 50, 5),
+                             dtype=np.float64) as w:
+            for i, row in enumerate(rows):
+                w.write_window(i, row, meta=WindowResult(
+                    i, row, iterations=i + 1, converged=True,
+                    residual=1e-9, n_active_vertices=7,
+                    n_active_edges=3 * i,
+                ))
+        data = path.read_bytes()
+        bad = tmp_path / "bad.rankstore"
+
+        def rejected_or_intact(blob: bytes) -> bool:
+            bad.write_bytes(blob)
+            try:
+                store = RankStore(bad)
+            except ReproError:
+                return True
+            with store:
+                store.info()
+                return np.asarray(store.matrix).tobytes() == rows.tobytes()
+
+        assert rejected_or_intact(data) and RankStore(path).n_windows == 5
+        for n in range(len(data)):
+            assert rejected_or_intact(data[:n]), f"truncated to {n} bytes"
+        matrix_end = PREAMBLE_SIZE + rows.nbytes
+        for byte in [*range(PREAMBLE_SIZE), *range(matrix_end, len(data))]:
+            for bit in range(8):
+                blob = bytearray(data)
+                blob[byte] ^= 1 << bit
+                assert rejected_or_intact(bytes(blob)), (byte, bit)
 
     def test_unfinalized_store_rejected(self, tmp_path):
         path = tmp_path / "s.rankstore"
@@ -238,9 +278,8 @@ class TestCliIntegration:
 
         from repro.cli import main
 
-        events_path = tmp_path / "ev.npz"
+        events_path = tmp_path / "ev.tsv"
         store_path = tmp_path / "ev.rankstore"
-        save_path = tmp_path / "run.npz"
         assert main(
             ["generate", "askubuntu", "--scale", "0.05", "--out",
              str(events_path)],
@@ -250,8 +289,7 @@ class TestCliIntegration:
         assert main(
             ["run", str(events_path), "--delta-days", "180",
              "--sw", "5184000", "--max-windows", "6",
-             "--store", str(store_path), "--save", str(save_path),
-             "--no-compress"],
+             "--store", str(store_path), "--store-dtype", "float64"],
             out=out,
         ) == 0
         assert "wrote rank store" in out.getvalue()
@@ -259,10 +297,10 @@ class TestCliIntegration:
         out = io.StringIO()
         assert main(["inspect", str(store_path)], out=out) == 0
         assert "rankstore v1" in out.getvalue()
+        assert "float64" in out.getvalue()
 
-        out = io.StringIO()
-        assert main(["inspect", str(save_path)], out=out) == 0
-        assert "run archive" in out.getvalue()
+        # the event text file is neither binary artifact
+        assert main(["inspect", str(events_path)], out=io.StringIO()) == 1
 
         out = io.StringIO()
         assert main(
