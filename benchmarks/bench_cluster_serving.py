@@ -7,7 +7,8 @@ by a 3-shard cluster behind the asyncio front door:
   to a single in-process :class:`QueryEngine` (scatter/gather and
   cross-shard movers change topology, not answers);
 * under zipfian load, cached ``top_k`` p99 through the cluster stays
-  within 10x the single-process server's p50 — federation buys capacity
+  within 10x the p50 of the one-shard tier ``repro serve`` runs by
+  default (4 query workers) — sharding buys capacity
   without wrecking the fast path;
 * overload sheds (HTTP 429) instead of queueing without bound — the
   admission-controlled front door keeps latency flat by refusing work;
@@ -34,7 +35,7 @@ import pytest
 
 from benchmarks._common import OUTPUT_DIR, emit
 from repro.reporting import format_table
-from repro.service import QueryEngine, QueryServer, RankStoreWriter
+from repro.service import QueryEngine, RankStoreWriter
 from repro.service.cluster import (
     ClusterFrontend,
     ShardCluster,
@@ -49,7 +50,9 @@ N_QUERIES = 600
 N_WARMUP = 300
 CONCURRENCY = 8
 ZIPF_S = 1.1
-#: acceptance bound — cluster cached top-k p99 vs single-process p50
+#: query worker threads of the one-shard reference tier
+ONE_SHARD_WORKERS = 4
+#: acceptance bound — cluster cached top-k p99 vs one-shard p50
 P99_BOUND = 10.0
 
 SHM = Path("/dev/shm")
@@ -85,16 +88,21 @@ def _zipf_load(url: str, seed: int, n: int, concurrency: int = CONCURRENCY):
     return run_load(url, queries, concurrency=concurrency)
 
 
+def _serve(cluster):
+    """Warm the caches, then measure: the zipfian report through a
+    frontend over ``cluster``."""
+    with ClusterFrontend(cluster, port=0).start() as frontend:
+        _zipf_load(frontend.url, seed=11, n=N_WARMUP)
+        return _zipf_load(frontend.url, seed=12, n=N_QUERIES)
+
+
 def test_cluster_serving(store_path):
     before = _arena_segments()
 
-    # -- single-process baseline ----------------------------------------
-    single = QueryServer(store_path, port=0, workers=4).start()
-    try:
-        _zipf_load(single.url, seed=11, n=N_WARMUP)   # warm the caches
-        single_report = _zipf_load(single.url, seed=12, n=N_QUERIES)
-    finally:
-        single.shutdown()
+    # -- the default `repro serve` tier: one shard ----------------------
+    with ShardCluster(store_path, n_shards=1,
+                      engine_workers=ONE_SHARD_WORKERS) as one_shard:
+        single_report = _serve(one_shard)
     assert single_report.errors == 0
     single_p50 = single_report.percentile("top_k", 50)
 
@@ -102,12 +110,7 @@ def test_cluster_serving(store_path):
     cluster = ShardCluster(store_path, n_shards=N_SHARDS, engine_workers=2)
     engine = QueryEngine(store_path)
     try:
-        frontend = ClusterFrontend(cluster, port=0).start()
-        try:
-            _zipf_load(frontend.url, seed=11, n=N_WARMUP)
-            cluster_report = _zipf_load(frontend.url, seed=12, n=N_QUERIES)
-        finally:
-            frontend.shutdown()
+        cluster_report = _serve(cluster)
         assert cluster_report.errors == 0
         assert cluster_report.degraded == 0
         cluster_p99 = cluster_report.percentile("top_k", 99)
@@ -168,7 +171,7 @@ def test_cluster_serving(store_path):
     text = format_table(
         ["tier", "qps", "top-k p50 (ms)", "top-k p99 (ms)", "shed"],
         [
-            row("single server", single_report),
+            row("one shard", single_report),
             row(f"{N_SHARDS}-shard cluster", cluster_report),
             row("choked frontend", overload),
         ],
@@ -179,7 +182,7 @@ def test_cluster_serving(store_path):
         ),
     )
     text += (
-        f"\n\ncluster top-k p99 / single p50: {ratio:.2f}x "
+        f"\n\ncluster top-k p99 / one-shard p50: {ratio:.2f}x "
         f"(bound {P99_BOUND:.0f}x)"
         f"\nparity on all ops: {parity}; overload sheds: {overload_sheds}; "
         f"leak-free teardown: {no_shm_leak}"

@@ -9,7 +9,7 @@ Wall-clock numbers are deliberately ignored — CI runners are shared and
 slow; the guarded metrics are serialization volumes and ratios, which
 depend only on the code.
 
-Usage:  python benchmarks/check_regression.py shared_memory
+Usage:  python benchmarks/check_regression.py dispatch
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ TOLERANCE = 2.0
 #: per-bench guarded metrics: (json path, human label); every metric is
 #: "smaller is better" and bounded by TOLERANCE x baseline
 GUARDED = {
-    "shared_memory": [
-        (("dispatch", "payload_ratio"), "shared/pickled payload ratio"),
-        (("dispatch", "shared_arena_bytes"), "shared dispatch bytes"),
-    ],
-    "scaling_workers": [
+    "dispatch": [
+        (("postmortem", "payload_ratio"), "shared/pickled payload ratio"),
+        (("postmortem", "shared_payload_bytes"),
+         "postmortem shared dispatch bytes"),
         (("offline", "shared_payload_bytes"), "offline shared dispatch bytes"),
         (("offline", "shared_arena_bytes"), "offline shared arena bytes"),
     ],
@@ -44,10 +43,11 @@ GUARDED = {
         (("spmv", "periter_ratio"), "compacted/masked per-iteration time (spmv)"),
         (("spmm", "cell_fraction"), "cells read per iteration / (nnz*k) (spmm)"),
     ],
-    # cluster p99 vs single-process p50 compares two back-to-back runs on
-    # the same machine — a ratio, like the compaction per-iteration times
+    # 3-shard p99 vs one-shard p50 compares two back-to-back runs on the
+    # same machine — a ratio, like the compaction per-iteration times
     "cluster_serving": [
-        (("slo", "p99_over_single_p50"), "cluster top-k p99 / single p50"),
+        (("slo", "p99_over_single_p50"),
+         "3-shard top-k p99 / one-shard p50"),
     ],
     # median per-round ratio over interleaved same-machine rounds:
     # postmortem k-core wall-clock over the offline rebuild
@@ -67,10 +67,10 @@ GUARDED = {
 
 #: per-bench boolean invariants that must hold in the fresh results
 REQUIRED_FLAGS = {
-    "shared_memory": [("thread_match_exact",)],
-    "scaling_workers": [
-        ("thread_match_exact",),
-        ("shared_match_exact",),
+    # shared is bitwise-identical to serial on both task shapes
+    "dispatch": [
+        ("postmortem", "match_exact"),
+        ("offline", "match_exact"),
     ],
     "edge_compaction": [
         ("spmv", "match_exact"),

@@ -34,9 +34,9 @@ Usage (also available as ``python -m repro``)::
 * **inspect** — describe a ``.tcsr`` event log or a ``.rankstore``.
 * **query** — answer top-k / rank / trajectory / movers / window-at
   queries against a rank store.
-* **serve** — JSON-over-HTTP query server with request micro-batching;
-  ``--shards N`` federates the store across worker processes (window
-  ranges in shared memory) behind an asyncio frontend with admission
+* **serve** — JSON-over-HTTP query server: shard worker processes
+  (one by default; ``--shards N`` partitions the windows across N) with
+  request micro-batching, behind an asyncio frontend with admission
   control.
 * **bench-traffic** — zipfian load against a running server; reports
   per-op p50/p99 latency, throughput, and shed/degraded counts.
@@ -123,13 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--executor", default="serial",
                        choices=list(EXECUTORS),
                        help="how window work is fanned out: in this "
-                       "process, by a thread pool, or by a shared-memory "
-                       "process pool (zero-copy publication; works with "
-                       "--store). "
+                       "process, or by a shared-memory process pool "
+                       "(zero-copy publication; works with --store). "
                        "postmortem parallelizes over multi-window graphs, "
                        "offline over windows; streaming is serial-only")
     p_run.add_argument("--executor-workers", type=int, default=4,
-                       help="worker count for the non-serial executors")
+                       help="worker count for the shared executor")
     p_run.add_argument("--top", type=int, default=3,
                        help="top vertices to print per window")
     p_run.add_argument("--every", type=int, default=1,
@@ -264,30 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8321)
     p_srv.add_argument("--workers", type=int, default=4,
-                       help="query worker threads (per shard when "
-                       "--shards > 1)")
+                       help="query worker threads per shard replica")
     p_srv.add_argument("--max-batch", type=int, default=64,
                        help="max queries coalesced into one engine batch")
     p_srv.add_argument("--shards", type=int, default=1,
-                       help="shard worker processes; > 1 federates the "
-                       "store across a window-partitioned cluster behind "
-                       "an asyncio frontend")
+                       help="shard worker processes; the store's windows "
+                       "are partitioned across them behind one asyncio "
+                       "frontend")
     p_srv.add_argument("--replicas", type=int, default=1,
-                       help="replica processes per shard (cluster mode); "
-                       "replicas share the shard's rows via shared "
-                       "memory, zero extra copies")
-    p_srv.add_argument("--max-queue", type=int, default=None,
-                       help="bound the admission queue (per shard in "
-                       "cluster mode); a full queue sheds with 429 "
-                       "instead of queueing latency")
+                       help="replica processes per shard; replicas share "
+                       "the shard's rows via shared memory, zero extra "
+                       "copies")
+    p_srv.add_argument("--max-queue", type=int, default=64,
+                       help="admission bound per shard replica; a full "
+                       "queue sheds with 429 instead of queueing latency")
     p_srv.add_argument("--submit-timeout", type=float, default=0.0,
                        help="seconds a submit may wait for an admission "
                        "slot before shedding")
     p_srv.add_argument("--max-inflight", type=int, default=256,
-                       help="cluster frontend global in-flight request "
-                       "cap (cluster mode only)")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log every request")
+                       help="frontend global in-flight request cap")
 
     p_tr = sub.add_parser(
         "bench-traffic",
@@ -700,8 +694,8 @@ def cmd_query(args, out) -> int:
 
 def _graceful_sigterm() -> None:
     """Route SIGTERM through the KeyboardInterrupt path so `kill` tears
-    the server down like Ctrl-C does — in cluster mode an abrupt exit
-    would orphan shard workers and leak their shm segments."""
+    the server down like Ctrl-C does — an abrupt exit would orphan the
+    shard workers and leak their shm segments."""
     import signal
 
     def _raise(signum, frame):
@@ -715,47 +709,15 @@ def _graceful_sigterm() -> None:
 
 def cmd_serve(args, out) -> int:
     from repro.runtime.artifacts import discover_rank_store
+    from repro.service.cluster import ClusterFrontend, ShardCluster
 
     _graceful_sigterm()
     store_path = discover_rank_store(args.store)
-    if args.shards > 1:
-        return _serve_cluster(args, store_path, out)
-    from repro.service import QueryServer
-
-    server = QueryServer(
-        store_path,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        submit_timeout=args.submit_timeout,
-        verbose=args.verbose,
-    )
-    store = server.engine.store
-    print(
-        f"serving {store_path} ({store.n_windows} windows x "
-        f"{store.n_vertices} vertices) on {server.url} "
-        f"({args.workers} workers; Ctrl-C to stop)",
-        file=out,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down", file=out)
-    finally:
-        server.shutdown()
-    return 0
-
-
-def _serve_cluster(args, store_path, out) -> int:
-    from repro.service.cluster import ClusterFrontend, ShardCluster
-
     cluster = ShardCluster(
         store_path,
         n_shards=args.shards,
         replicas=args.replicas,
-        max_queue=args.max_queue if args.max_queue is not None else 64,
+        max_queue=args.max_queue,
         submit_timeout=args.submit_timeout,
         engine_workers=args.workers,
         max_batch=args.max_batch,
@@ -766,7 +728,6 @@ def _serve_cluster(args, store_path, out) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         own_cluster=True,
-        verbose=args.verbose,
     )
     try:
         frontend.start()

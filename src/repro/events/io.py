@@ -32,7 +32,9 @@ def save_events_tsv(events: TemporalEventSet, path: PathLike) -> None:
 def load_events_tsv(path: PathLike, n_vertices=None) -> TemporalEventSet:
     """Read a SNAP-style ``src dst time`` file.
 
-    Lines starting with ``#`` or ``%`` are treated as comments.
+    Lines starting with ``#`` or ``%`` are treated as comments.  A file
+    that is not integer text (a binary archive, say) raises
+    :class:`~repro.errors.ValidationError`.
     """
     import warnings
 
@@ -41,7 +43,15 @@ def load_events_tsv(path: PathLike, n_vertices=None) -> TemporalEventSet:
         warnings.filterwarnings(
             "ignore", message=".*input contained no data.*"
         )
-        data = np.loadtxt(path, dtype=np.int64, comments=("#", "%"), ndmin=2)
+        try:
+            data = np.loadtxt(
+                path, dtype=np.int64, comments=("#", "%"), ndmin=2
+            )
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ValidationError(
+                f"{path}: not `src dst time` integer text; event inputs "
+                f"are .tsv text or a .tcsr event log ({exc})"
+            ) from exc
     if data.size == 0:
         return TemporalEventSet([], [], [], n_vertices=n_vertices or 0)
     if data.shape[1] != 3:

@@ -446,8 +446,8 @@ class WindowView:
         return self._inv_out
 
     def compact_pull(self, workspace=None):
-        """The window's active in-edges packed into a dense
-        ``(indptr_c, col_c)`` pair (:class:`~repro.pagerank.compaction.
+        """The window's active in-edges packed into dense
+        ``(col_c, rows_c)`` arrays (:class:`~repro.pagerank.compaction.
         CompactedPull`): the active groups in group order, so iterating
         over the packed arrays is bitwise-identical to masking the full
         structure.

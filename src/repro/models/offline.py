@@ -11,8 +11,8 @@ Because windows are fully independent, this is the one model whose every
 window is its own task.  The run states its work once — one window range
 per window and one module-level worker — and
 :func:`repro.runtime.execution.map_tasks` fans it out under any runtime
-executor (``serial``, ``thread``, or ``shared``, where the event log's
-three columns are published once into a shared-memory arena, workers
+executor (``serial``, or ``shared``, where the event log's three
+columns are published once into a shared-memory arena, workers
 attach zero-copy and sinks run in the parent via the drain thread).
 
 Every executor solves each window with the identical code path, so results

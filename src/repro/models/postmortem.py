@@ -77,15 +77,14 @@ class PostmortemOptions:
     vector_length:
         SpMM batch width (the paper uses 8 or 16).
     executor:
-        ``"serial"``, ``"thread"`` (threads over multi-window graphs;
-        scales only when kernels release the GIL) or ``"shared"``
-        (process pool over a shared-memory arena: the event columns are
-        published once via :mod:`repro.parallel.shared_arena`, each task
-        ships only its graph's build recipe, and ``value_sink`` callbacks
-        run in the parent, fed by a result shuttle).  Results are
-        bitwise-identical across executors.
+        ``"serial"`` or ``"shared"`` (process pool over a shared-memory
+        arena: the event columns are published once via
+        :mod:`repro.parallel.shared_arena`, each task ships only its
+        graph's build recipe, and ``value_sink`` callbacks run in the
+        parent, fed by a result shuttle).  Results are bitwise-identical
+        across executors.
     n_threads:
-        Worker count for the ``"thread"`` and ``"shared"`` executors.
+        Worker count for the ``"shared"`` executor.
     partition_method:
         ``"uniform"`` (the paper's equal-window-count split),
         ``"minimax"`` or ``"greedy"`` (the work-balanced splits of
@@ -187,9 +186,8 @@ class PostmortemDriver:
         it is solved — e.g. ``RankStoreWriter.write_window`` to stream a
         servable rank store to disk.  Combined with ``store_values=False``
         a run persists every vector while holding only one in memory at a
-        time.  The sink may be called concurrently under the ``"thread"``
-        executor (rank-store writers lock internally); under ``"shared"``
-        the arena's result shuttle invokes it in the parent process.
+        time.  Under ``"shared"`` the arena's result shuttle invokes it
+        from a drain thread in the parent process.
 
         ``progress(graphs_done, graphs_total)`` reports at multi-window
         graph granularity — the model's unit of parallel work.

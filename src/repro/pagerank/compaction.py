@@ -10,12 +10,12 @@ once and iterate over the pack.
 
 Compaction is the classic gather-scatter move from the GAP/STINGER CSR
 lineage: pay one gather *per window* to pack the active deduplicated
-in-edges into a dense ``(indptr_c, col_c, rows_c)`` triple, then iterate
+in-edges into a dense ``(col_c, rows_c)`` pair, then iterate
 over only the Θ(|E_w|) packed edges (the kernels then relabel the pack
 into the window's own vertex space, so the vertex side of an iteration is
 Θ(|V_w|) and the whole iteration Θ(|V_w| + |E_w|)).  The gather reads the
 window view's active (row, neighbor) groups, so the pack costs
-Θ(groups + |V| + |E_w|), not a pass over the stored events.  The groups
+Θ(groups + |E_w|), not a pass over the stored events.  The groups
 are listed in stored order, so the packed edges keep their **within-row
 order** (and a monotone relabelling keeps it too); reducing them with the
 sequential :func:`~repro.utils.segments.segment_sum_ordered` then
@@ -38,8 +38,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.utils.segments import lengths_to_indptr
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.temporal_csr import WindowView
     from repro.pagerank.workspace import Workspace
@@ -52,18 +50,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompactedPull:
-    """One window's active in-edges packed into a dense CSR pair.
+    """One window's active in-edges packed into dense edge arrays.
 
     Attributes
     ----------
-    indptr:
-        ``(n_rows + 1,)`` int64 — per-destination ranges into ``col``.
     col:
         ``(n_edges,)`` int64 — source vertex per packed edge, preserving
         the stored within-row order (the bitwise-identity requirement).
     rows:
-        ``(n_edges,)`` int64 — destination vertex per packed edge (the
-        expansion of ``indptr``), consumed by the kernels' sequential
+        ``(n_edges,)`` int64 — destination vertex per packed edge,
+        consumed by the kernels' sequential
         :func:`~repro.utils.segments.segment_sum_ordered` reduction.
 
     When built against a :class:`~repro.pagerank.workspace.Workspace` the
@@ -71,24 +67,12 @@ class CompactedPull:
     solve, recycled by the chain's next compaction.
     """
 
-    indptr: np.ndarray
     col: np.ndarray
     rows: np.ndarray
 
     @property
     def n_edges(self) -> int:
         return self.col.size
-
-
-def _packed_indptr(
-    counts: np.ndarray, workspace: Optional["Workspace"], key: str
-) -> np.ndarray:
-    if workspace is None:
-        return lengths_to_indptr(counts)
-    indptr = workspace.buffer(key, (counts.size + 1,), np.int64)
-    indptr[0] = 0
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
 
 
 def _gather(
@@ -111,11 +95,10 @@ def _gather(
 def compact_pull(
     view: "WindowView", workspace: Optional["Workspace"] = None
 ) -> CompactedPull:
-    """Pack ``view``'s active in-edges into ``(indptr_c, col_c, rows_c)``.
+    """Pack ``view``'s active in-edges into ``(col_c, rows_c)``.
 
-    A scan of the view's group mask, a gather of the active groups'
-    sources and destinations and a prefix sum over the view's in-degrees
-    — Θ(groups + |V| + |E_w|) — after which every
+    A scan of the view's group mask and a gather of the active groups'
+    sources and destinations — Θ(groups + |E_w|) — after which every
     power iteration costs Θ(|E_w|) instead of Θ(nnz).  The weighted
     kernel pairs the packed edges with ``view.multiplicities``, which
     follow the same group order.
@@ -123,7 +106,6 @@ def compact_pull(
     groups = view.adjacency.groups
     active = view.active_groups
     return CompactedPull(
-        indptr=_packed_indptr(view.in_degrees, workspace, "compact.indptr"),
         col=_gather(groups.col, active, workspace, "compact.col"),
         rows=_gather(groups.row, active, workspace, "compact.rows"),
     )

@@ -2,8 +2,8 @@
 
 The paper runs on 48 real cores under Intel TBB's work-stealing scheduler.
 CPython's GIL makes that unmeasurable directly, so this package provides
-both a real process backend and a simulated machine (the drivers' thread
-and serial fan-out lives in :func:`repro.runtime.execution.map_tasks`):
+both a real process backend and a simulated machine (the drivers' serial
+fan-out lives in :func:`repro.runtime.execution.map_tasks`):
 
 * **A shared-memory process backend** (:mod:`repro.parallel.shared_arena`)
   — the event log's columns published once into a ``multiprocessing``

@@ -31,14 +31,13 @@ __all__ = ["ModelDriver", "ProgressFn", "Sink", "record_run_metadata"]
 #: each window's solved vector (global vertex space) the moment it exists;
 #: ``meta`` is the window's :class:`~repro.models.base.WindowResult`.  The
 #: canonical sink is :meth:`repro.service.store.RankStoreWriter.
-#: write_window`.  The ``"thread"`` executor may call a sink concurrently
-#: and the ``"shared"`` executor calls it from a parent-side drain thread,
-#: so a sink that mutates shared state must lock internally.
+#: write_window`.  The ``"shared"`` executor calls it from a parent-side
+#: drain thread, so a sink that shares state with the calling thread must
+#: lock internally.
 Sink = Callable[[int, object, object], None]
 
-#: progress callback: ``progress(done, total)``.  Parallel executors may
-#: invoke it from worker threads (never from worker *processes* — those
-#: report through the parent).
+#: progress callback: ``progress(done, total)``, always invoked in the
+#: calling thread (worker processes report through the parent).
 ProgressFn = Callable[[int, int], None]
 
 

@@ -1,13 +1,10 @@
 """Executor selection and the one ordered task map.
 
-The runtime recognises three executors:
+The runtime recognises two executors:
 
 ``serial``
     Plain loop in the calling thread.  Always supported; the reference
-    against which the parallel executors must be bitwise-identical.
-``thread``
-    ``ThreadPoolExecutor`` over the tasks.  NumPy kernels release the
-    GIL, so this wins on real workloads with zero pickling.
+    against which the parallel executor must be bitwise-identical.
 ``shared``
     Process pool over a POSIX shared-memory arena
     (:mod:`repro.parallel.shared_arena`): the event columns are published
@@ -25,7 +22,6 @@ which is the only place that looks at the executor name.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
@@ -34,7 +30,7 @@ from repro.events.event_set import TemporalEventSet
 __all__ = ["EXECUTORS", "map_tasks", "require_executor"]
 
 #: every executor the runtime knows about, in increasing dispatch cost
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "shared")
+EXECUTORS: Tuple[str, ...] = ("serial", "shared")
 
 
 def require_executor(
@@ -75,9 +71,8 @@ def map_tasks(
     payload and feed each return value to ``consume`` in payload order.
 
     ``serial`` (and any run of fewer than two tasks) calls the worker in
-    this thread, ``thread`` on a pool of ``n_workers`` threads; both pass
-    ``source`` (default: ``events`` itself) and call ``value_sink``
-    directly.  ``shared`` publishes ``events``' columns through
+    this thread with ``source`` (default: ``events`` itself) and calls
+    ``value_sink`` directly.  ``shared`` publishes ``events``' columns through
     :func:`repro.parallel.shared_arena.run_arena_tasks`; there ``source``
     is an event set over the attached columns, wrapped once per arena in
     each worker process, and ``sink`` ships vectors to ``value_sink`` in
@@ -85,7 +80,7 @@ def map_tasks(
     reference) and ``payloads``/``args`` picklable.
 
     Returns the arena's dispatch statistics for ``shared`` and an empty
-    dict for the in-process executors.
+    dict for ``serial``.
     """
     require_executor(executor, EXECUTORS, "task map")
     if source is None:
@@ -93,15 +88,6 @@ def map_tasks(
     if executor == "serial" or len(payloads) < 2:
         for i, payload in enumerate(payloads):
             consume(worker(source, payload, i, value_sink, *args))
-        return {}
-    if executor == "thread":
-        with ThreadPoolExecutor(n_workers) as pool:
-            futures = [
-                pool.submit(worker, source, payload, i, value_sink, *args)
-                for i, payload in enumerate(payloads)
-            ]
-            for future in futures:
-                consume(future.result())
         return {}
     # resolved at call time, so wrappers set on the module attribute
     # (tracing) see the dispatch

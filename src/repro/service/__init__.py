@@ -6,25 +6,21 @@ on-disk :class:`~repro.service.store.RankStore` (a memory-mapped
 ``(n_windows, n_vertices)`` float32 matrix plus a window-metadata index),
 and a :class:`~repro.service.engine.QueryEngine` answers top-k / rank /
 trajectory / movers queries over mmap slices without ever loading the full
-matrix.  :class:`~repro.service.server.QueryServer` exposes the engine over
-JSON-over-HTTP with request micro-batching.
+matrix.
 
-When one process is not enough, :mod:`repro.service.cluster` federates
-the same query surface across shard worker processes behind an asyncio
-frontend (``serve --shards N``) — see that package's docstring.
+:mod:`repro.service.cluster` serves the engine's query surface over
+JSON-over-HTTP: shard worker processes (one by default, ``serve --shards
+N`` for more) behind an asyncio frontend — see that package's docstring.
 """
 
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.engine import QueryEngine, compute_movers
-from repro.service.server import BatchingExecutor, QueryServer
 from repro.service.store import RankStore, RankStoreWriter, write_store
 
 __all__ = [
-    "BatchingExecutor",
     "CacheStats",
     "LRUCache",
     "QueryEngine",
-    "QueryServer",
     "RankStore",
     "RankStoreWriter",
     "compute_movers",

@@ -1,8 +1,9 @@
-"""The sharded serving federation: one store, many processes, one API.
+"""The serving tier: one store, one or more processes, one API.
 
-A single :class:`~repro.service.server.QueryServer` is bounded by one
-process's GIL and one mmap.  This package federates the same query
-surface across shard worker processes:
+``repro serve`` always runs this tier.  It serves the
+:class:`~repro.service.engine.QueryEngine` query surface from shard
+worker processes (one by default) behind an asyncio HTTP frontend, so
+adding shards or replicas changes capacity, not answers:
 
 * :mod:`~repro.service.cluster.shard_map` — contiguous window-range
   partition of the store (the routing table);

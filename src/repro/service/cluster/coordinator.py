@@ -3,11 +3,12 @@
 :class:`ShardCluster` federates one ``.rankstore`` across worker
 processes:
 
-* at startup the store's rank matrix is packed **once** into POSIX
-  shared-memory arenas (one segment per shard, owned and eventually
-  unlinked by this process only — the PR-3 lifecycle rules); every
-  replica of a shard attaches zero-copy, so hot rank pages exist once
-  per machine regardless of replica count;
+* at startup each shard's rows of the rank matrix are published
+  **once** as an arena: a mapping of the store file when it is
+  file-backed, otherwise a POSIX shared-memory segment owned and
+  eventually unlinked by this process only; every replica of a shard
+  attaches zero-copy, so hot rank pages exist once per machine
+  regardless of replica count;
 * each query is routed by the :class:`~repro.service.cluster.shard_map.
   ShardMap`: point lookups (``top_k``/``rank``) go to the owning shard,
   ``trajectory`` scatters over every overlapping shard and gathers the
@@ -295,8 +296,17 @@ class ShardCluster:
         ping_timeout: float = 5.0,
         mp_context=None,
     ) -> None:
-        if replicas <= 0:
-            raise ValidationError(f"replicas must be > 0, got {replicas}")
+        # checked here, not in the worker processes, where a bad value
+        # would only surface as a dead shard
+        for name, value in (("replicas", replicas), ("max_queue", max_queue),
+                            ("engine_workers", engine_workers),
+                            ("max_batch", max_batch)):
+            if value <= 0:
+                raise ValidationError(f"{name} must be > 0, got {value}")
+        if submit_timeout < 0:
+            raise ValidationError(
+                f"submit_timeout must be >= 0, got {submit_timeout}"
+            )
         import multiprocessing
 
         ctx = mp_context if mp_context is not None \
@@ -328,8 +338,9 @@ class ShardCluster:
                     if src.t_end is not None else None
                 )
                 self._store_info = dict(src.info())
-                # one segment per shard: rows are copied file->shm once
-                # here, then every replica attaches zero-copy
+                # one arena per shard: a file-backed store's rows are
+                # published as a mapping of the file, others are copied
+                # into shm once; every replica attaches zero-copy
                 for spec in self.shard_map.shards:
                     prefix = f"s{spec.shard_id}/"
                     rows = np.ascontiguousarray(

@@ -1,10 +1,10 @@
-"""The asyncio front door of the sharded serving tier — stdlib only.
+"""The asyncio front door of the serving tier — stdlib only.
 
-:class:`ClusterFrontend` is the cluster-mode sibling of
-:class:`~repro.service.server.QueryServer`: the same JSON-over-HTTP query
-surface, but served by an ``asyncio`` acceptor and answered by a
-:class:`~repro.service.cluster.coordinator.ShardCluster` instead of one
-in-process engine.  Concurrency is two-level:
+:class:`ClusterFrontend` is the HTTP server ``repro serve`` runs: the
+:class:`~repro.service.engine.QueryEngine` query surface as JSON over
+HTTP, served by an ``asyncio`` acceptor and answered by a
+:class:`~repro.service.cluster.coordinator.ShardCluster`.  Concurrency
+is two-level:
 
 * the event loop multiplexes thousands of connections on one thread and
   applies **global admission control** — at most ``max_inflight``
@@ -15,13 +15,19 @@ in-process engine.  Concurrency is two-level:
   (``cluster.batch``) on the loop's default thread-pool executor, so the
   acceptor never blocks on a shard round-trip.
 
-Endpoints are a superset of the single-process server's::
+Endpoints::
 
-    GET  /health /healthz /store /stats     as QueryServer, plus shard
-                                            liveness in /healthz
-    GET  /cluster                           topology + per-replica status
-    GET  /top_k /rank /trajectory /movers /windows_at
-    POST /batch
+    GET  /health                      liveness (plain ok)
+    GET  /healthz                     liveness, load and shard liveness
+    GET  /store                       store summary
+    GET  /stats                       router, cache and batching counters
+    GET  /cluster                     topology + per-replica status
+    GET  /top_k?window=W&k=K
+    GET  /rank?vertex=V&window=W
+    GET  /trajectory?vertex=V&start=S&stop=E
+    GET  /movers?from=A&to=B&k=K
+    GET  /windows_at?t=T
+    POST /batch                       JSON list of query dicts
 
 Failure semantics on single-query endpoints: ``429`` when the query was
 shed (global cap or a shard's bounded queue), ``503`` when a dead shard
@@ -46,11 +52,27 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.service.cluster.coordinator import ShardCluster
-from repro.service.server import _GET_ROUTES, _MAX_BODY
 
 __all__ = ["ClusterFrontend"]
 
 logger = logging.getLogger(__name__)
+
+#: GET route → (query op, {url param → query key}) — every value is parsed
+#: as an int (the API is all indices, ids and timestamps)
+_GET_ROUTES: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "/top_k": ("top_k", {"window": "window", "k": "k"}),
+    "/rank": ("rank", {"vertex": "vertex", "window": "window"}),
+    "/trajectory": (
+        "trajectory",
+        {"vertex": "vertex", "start": "start", "stop": "stop"},
+    ),
+    "/movers": ("movers", {"from": "from", "to": "to", "k": "k"}),
+    "/windows_at": ("windows_at", {"t": "t"}),
+}
+
+#: largest ``POST /batch`` body accepted; a larger ``Content-Length`` is
+#: answered 413 without reading the body
+_MAX_BODY = 8 * 1024 * 1024
 
 _STATUS_TEXT = {
     200: "OK",
@@ -79,7 +101,6 @@ class ClusterFrontend:
         max_inflight: int = 256,
         request_timeout: float = 30.0,
         own_cluster: bool = False,
-        verbose: bool = False,
     ) -> None:
         if max_inflight <= 0:
             raise ValidationError(
@@ -91,7 +112,6 @@ class ClusterFrontend:
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
         self.own_cluster = own_cluster
-        self.verbose = verbose
         self.requests_served = 0
         self.requests_shed = 0
         self._inflight = 0

@@ -9,9 +9,9 @@ windows follow the same law.  The skew is what exercises the serving
 tier's caches: a zipfian top-k stream hits the per-shard top-k cache on
 the hot windows while the tail forces slice decodes.
 
-:func:`run_load` is the measurement half: a thread pool drives an HTTP
-frontend (single-process ``QueryServer`` or the cluster's
-``ClusterFrontend`` — same endpoints) at a given concurrency and reports
+:func:`run_load` is the measurement half: a thread pool drives a
+:class:`~repro.service.cluster.frontend.ClusterFrontend` (what
+``repro serve`` runs) at a given concurrency and reports
 per-op p50/p99 latency, throughput, and the shed/degraded/error counts
 that the SLO gate in ``benchmarks/check_regression.py`` asserts on.
 

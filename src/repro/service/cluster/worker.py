@@ -6,10 +6,14 @@ the rank matrix into a POSIX shared-memory arena
 :class:`ShardStore` — a rank-store stand-in whose ``matrix`` is a
 zero-copy view of those shared pages — so R replicas of a shard share one
 physical copy of the rows instead of R heap copies.  On top of the store
-sits the exact same single-process serving stack as ``QueryServer``:
-a :class:`~repro.service.engine.QueryEngine` (LRU slice/top-k caches)
-fed by a :class:`~repro.service.server.BatchingExecutor` (micro-batching
-across concurrent requests).
+sits a :class:`~repro.service.engine.QueryEngine` (LRU slice/top-k
+caches) fed by a :class:`BatchingExecutor`, the micro-batching layer:
+every request enqueues onto one queue, a bounded pool of threads drains
+it in gulps, concatenates the drained queries and evaluates them through
+``QueryEngine.batch``, so concurrent queries against the same window
+share one slice decode.  Under no load a request is evaluated alone (no
+added latency); under load, coalescing amortizes decode cost exactly
+when it matters.
 
 Transport is a ``multiprocessing`` duplex pipe.  Requests arrive as
 ``(req_id, kind, payload)`` tuples with *local* window indices (the
@@ -38,20 +42,244 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 import threading
-from typing import Dict, Optional
+from concurrent.futures import Future
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import OverloadedError, ValidationError
 from repro.parallel.shared_arena import ArenaHandle, attach_arena
+from repro.sanitize import (
+    LOCK_RANK_EXECUTOR_COUNTERS,
+    LOCK_RANK_EXECUTOR_STATE,
+    make_lock,
+)
 from repro.service.cluster.shard_map import ShardSpec
 from repro.service.engine import QueryEngine
-from repro.service.server import BatchingExecutor
 
-__all__ = ["ShardStore", "shard_worker_main"]
+__all__ = ["BatchingExecutor", "ShardStore", "shard_worker_main"]
 
 logger = logging.getLogger(__name__)
+
+_STOP = object()
+
+
+class _Job:
+    """One submitted unit: a list of queries and the future for their
+    results (a single GET is a one-query job)."""
+
+    __slots__ = ("queries", "future")
+
+    def __init__(self, queries: Sequence[Dict]) -> None:
+        self.queries = list(queries)
+        self.future: "Future[List[Dict]]" = Future()
+
+
+class BatchingExecutor:
+    """Coalesces concurrent query jobs into shared engine batches.
+
+    ``max_queue`` bounds how many jobs may sit in the admission queue at
+    once (``None`` = unbounded).  A submit against a full queue waits at
+    most ``submit_timeout`` seconds for a slot and then raises
+    :class:`~repro.errors.OverloadedError`.  The shard worker leaves it
+    unbounded: its coordinator-side :class:`~repro.service.cluster.
+    coordinator.ReplicaProxy` already bounds what reaches the pipe.
+    """
+
+    def __init__(
+        self,
+        engine: QueryEngine,
+        workers: int = 4,
+        max_batch: int = 64,
+        max_queue: Optional[int] = None,
+        submit_timeout: float = 0.0,
+    ) -> None:
+        if workers <= 0:
+            raise ValidationError(f"workers must be > 0, got {workers}")
+        if max_batch <= 0:
+            raise ValidationError(f"max_batch must be > 0, got {max_batch}")
+        if max_queue is not None and max_queue <= 0:
+            raise ValidationError(f"max_queue must be > 0, got {max_queue}")
+        if submit_timeout < 0:
+            raise ValidationError(
+                f"submit_timeout must be >= 0, got {submit_timeout}"
+            )
+        self.engine = engine
+        self.max_batch = max_batch
+        self.max_queue = max_queue
+        self.submit_timeout = submit_timeout
+        self._queue: "queue.Queue" = queue.Queue()
+        # admission slots live beside the queue (not as queue maxsize) so
+        # the _STOP sentinels can never be blocked out by a full queue
+        self._slots = (
+            threading.BoundedSemaphore(max_queue)
+            if max_queue is not None
+            else None
+        )
+        self._counter_lock = make_lock(
+            "executor-counters", LOCK_RANK_EXECUTOR_COUNTERS
+        )
+        self.jobs_submitted = 0
+        self.jobs_completed = 0
+        self.jobs_shed = 0
+        self.batches_executed = 0
+        self.batched_queries = 0
+        self.jobs_coalesced = 0
+        #: guards ``_stopped`` together with queue insertion, so a job can
+        #: never be enqueued behind the ``_STOP`` sentinels (where no
+        #: worker would ever drain it)
+        self._state_lock = make_lock(
+            "executor-state", LOCK_RANK_EXECUTOR_STATE
+        )
+        self._stopped = False
+        self._workers = [
+            threading.Thread(
+                target=self._worker, name=f"rank-serve-{i}", daemon=True
+            )
+            for i in range(workers)
+        ]
+        for t in self._workers:
+            t.start()
+
+    # ------------------------------------------------------------------
+    def submit(self, queries: Sequence[Dict]) -> "Future[List[Dict]]":
+        """Enqueue one job; the future resolves to one result per query.
+
+        Raises :class:`~repro.errors.OverloadedError` when the bounded
+        admission queue stays full past ``submit_timeout``.
+        """
+        if self._slots is not None and not self._slots.acquire(
+            timeout=self.submit_timeout
+        ):
+            with self._counter_lock:
+                self.jobs_shed += 1
+            raise OverloadedError(
+                f"admission queue full ({self.max_queue} jobs); request "
+                "shed after "
+                f"{self.submit_timeout:.3f}s"
+            )
+        job = _Job(queries)
+        try:
+            with self._state_lock:
+                if self._stopped:
+                    raise ValidationError("executor is stopped")
+                self._queue.put(job)
+        except BaseException:
+            self._release_slot()
+            raise
+        with self._counter_lock:
+            self.jobs_submitted += 1
+        return job.future
+
+    def _release_slot(self) -> None:
+        if self._slots is not None:
+            try:
+                self._slots.release()
+            except ValueError:  # pragma: no cover - defensive double release
+                logger.warning("admission slot over-released")
+
+    def _worker(self) -> None:
+        while True:
+            job = self._queue.get()
+            if job is _STOP:
+                return
+            self._release_slot()
+            jobs = [job]
+            # gulp whatever queued up behind this job: those queries ride
+            # in the same engine batch and share slice decodes
+            while sum(len(j.queries) for j in jobs) < self.max_batch:
+                try:
+                    nxt = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if nxt is _STOP:
+                    self._queue.put(_STOP)  # hand the sentinel back
+                    break
+                self._release_slot()
+                jobs.append(nxt)
+            queries = [q for j in jobs for q in j.queries]
+            try:
+                results = self.engine.batch(queries)
+            except Exception as exc:  # noqa: BLE001 - worker boundary
+                with self._counter_lock:
+                    self.jobs_completed += len(jobs)
+                for j in jobs:
+                    if not j.future.set_running_or_notify_cancel():
+                        continue
+                    j.future.set_exception(exc)
+                continue
+            with self._counter_lock:
+                self.batches_executed += 1
+                self.batched_queries += len(queries)
+                self.jobs_completed += len(jobs)
+                if len(jobs) > 1:
+                    self.jobs_coalesced += len(jobs)
+            offset = 0
+            for j in jobs:
+                part = results[offset:offset + len(j.queries)]
+                offset += len(j.queries)
+                if j.future.set_running_or_notify_cancel():
+                    j.future.set_result(part)
+
+    def stats(self) -> Dict[str, float]:
+        with self._counter_lock:
+            in_flight = self.jobs_submitted - self.jobs_completed
+            mean_batch = (
+                self.batched_queries / self.batches_executed
+                if self.batches_executed
+                else 0.0
+            )
+            return {
+                "jobs_submitted": self.jobs_submitted,
+                "jobs_completed": self.jobs_completed,
+                "jobs_shed": self.jobs_shed,
+                "in_flight": in_flight,
+                "batches_executed": self.batches_executed,
+                "jobs_coalesced": self.jobs_coalesced,
+                "mean_batch_queries": round(mean_batch, 3),
+                "max_queue": self.max_queue or 0,
+                "workers": len(self._workers),
+            }
+
+    def stop(self, timeout: float = 5.0) -> bool:
+        """Drain outstanding jobs, then stop the workers.
+
+        Returns ``True`` when every worker actually exited within
+        ``timeout``; ``False`` means some worker is still mid-batch and
+        may touch the engine after this call (the caller must not unmap
+        the store in that case).  Jobs left undrained (only possible on
+        timeout) get their futures failed so no waiter hangs.
+        """
+        with self._state_lock:
+            if self._stopped:
+                return all(not t.is_alive() for t in self._workers)
+            self._stopped = True
+            for _ in self._workers:
+                self._queue.put(_STOP)
+        for t in self._workers:
+            t.join(timeout)
+        all_exited = all(not t.is_alive() for t in self._workers)
+        # fail any leftovers so their waiters get an immediate error
+        # instead of blocking until their request timeout
+        while True:
+            try:
+                job = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if job is _STOP:
+                continue
+            if job.future.set_running_or_notify_cancel():
+                job.future.set_exception(
+                    ValidationError("executor is stopped")
+                )
+        # the drain may have eaten a sentinel a straggler still needs to
+        # exit once its batch finishes — re-seed one per live worker
+        for t in self._workers:
+            if t.is_alive():
+                self._queue.put(_STOP)
+        return all_exited
 
 
 class ShardStore:

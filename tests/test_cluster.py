@@ -1,6 +1,6 @@
 """The sharded serving federation (repro.service.cluster).
 
-Covers the shard map, coordinator parity against the single-process
+Covers the shard map, coordinator parity against one in-process
 engine, admission control and load-shedding, the asyncio frontend, the
 traffic generator, and the failure drill the tier exists for: a shard
 killed mid-load must yield explicitly ``degraded`` (never wrong)
@@ -35,6 +35,7 @@ from repro.service.cluster import (
     query_to_url,
     run_load,
 )
+from repro.service.cluster.frontend import _MAX_BODY
 from repro.service.cluster.shard_map import ShardSpec
 
 N_WINDOWS = 9
@@ -127,6 +128,37 @@ class TestShardMap:
         assert json.loads(json.dumps(desc)) == desc
 
 
+#: every op, including cross-shard trajectories and movers
+SURFACE_QUERIES = (
+    [{"op": "top_k", "window": w, "k": 5} for w in range(N_WINDOWS)]
+    + [
+        {"op": "rank", "vertex": v, "window": (3 * v) % N_WINDOWS}
+        for v in range(10)
+    ]
+    + [
+        {"op": "trajectory", "vertex": 2},
+        {"op": "trajectory", "vertex": 3, "start": 1, "stop": 8},
+        {"op": "trajectory", "vertex": 4, "start": 4, "stop": 5},
+        {"op": "movers", "from": 0, "to": 8, "k": 6},
+        {"op": "movers", "from": 3, "to": 5, "k": 6},
+        {"op": "movers", "from": 4, "to": 4, "k": 6},
+        {"op": "windows_at", "t": 120},
+        {"op": "windows_at", "t": -5},
+    ]
+)
+
+ERROR_QUERIES = [
+    {"op": "top_k", "window": 99, "k": 5},
+    {"op": "top_k", "window": 0, "k": 0},
+    {"op": "rank", "vertex": 999, "window": 0},
+    {"op": "movers", "from": 0, "to": 99},
+    {"op": "movers", "from": 0, "to": 1, "k": -2},
+    {"op": "trajectory", "vertex": 0, "start": 7, "stop": 3},
+    {"op": "nope"},
+    {"op": "rank"},
+]
+
+
 class TestClusterParity:
     """A 3-shard cluster must answer exactly like one QueryEngine."""
 
@@ -134,41 +166,23 @@ class TestClusterParity:
         return json.loads(json.dumps(results))
 
     def test_full_surface_parity(self, engine, cluster):
-        queries = [
-            {"op": "top_k", "window": w, "k": 5} for w in range(N_WINDOWS)
-        ]
-        queries += [
-            {"op": "rank", "vertex": v, "window": (3 * v) % N_WINDOWS}
-            for v in range(10)
-        ]
-        queries += [
-            {"op": "trajectory", "vertex": 2},
-            {"op": "trajectory", "vertex": 3, "start": 1, "stop": 8},
-            {"op": "trajectory", "vertex": 4, "start": 4, "stop": 5},
-            {"op": "movers", "from": 0, "to": 8, "k": 6},
-            {"op": "movers", "from": 3, "to": 5, "k": 6},
-            {"op": "movers", "from": 4, "to": 4, "k": 6},
-            {"op": "windows_at", "t": 120},
-            {"op": "windows_at", "t": -5},
-        ]
-        assert self._normalize(cluster.batch(queries)) == self._normalize(
-            engine.batch(queries)
-        )
+        assert self._normalize(
+            cluster.batch(SURFACE_QUERIES)
+        ) == self._normalize(engine.batch(SURFACE_QUERIES))
 
     def test_error_parity(self, engine, cluster):
-        queries = [
-            {"op": "top_k", "window": 99, "k": 5},
-            {"op": "top_k", "window": 0, "k": 0},
-            {"op": "rank", "vertex": 999, "window": 0},
-            {"op": "movers", "from": 0, "to": 99},
-            {"op": "movers", "from": 0, "to": 1, "k": -2},
-            {"op": "trajectory", "vertex": 0, "start": 7, "stop": 3},
-            {"op": "nope"},
-            {"op": "rank"},
-        ]
-        assert self._normalize(cluster.batch(queries)) == self._normalize(
-            engine.batch(queries)
-        )
+        assert self._normalize(
+            cluster.batch(ERROR_QUERIES)
+        ) == self._normalize(engine.batch(ERROR_QUERIES))
+
+    def test_one_shard_parity(self, store_path, engine):
+        """The default ``repro serve`` tier: one shard, every window."""
+        queries = SURFACE_QUERIES + ERROR_QUERIES
+        with ShardCluster(store_path, n_shards=1) as one:
+            assert one.shard_map.n_shards == 1
+            assert self._normalize(one.batch(queries)) == self._normalize(
+                engine.batch(queries)
+            )
 
     def test_cross_shard_movers_match_engine(self, engine, cluster):
         for w_from, w_to in [(0, 8), (2, 3), (5, 6), (8, 0)]:
@@ -373,6 +387,25 @@ class TestFrontend:
         assert status == 400
         assert "Content-Length" in payload["error"] or \
             "body ended" in payload["error"]
+
+    def test_oversized_content_length_is_413(self):
+        """A declared body over the cap is refused before any of it is
+        read: this request sends no body at all."""
+        raw = (
+            "POST /batch HTTP/1.1\r\n"
+            f"Content-Length: {_MAX_BODY + 1}\r\n\r\n"
+        ).encode()
+
+        async def answer():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            frontend = ClusterFrontend(cluster=None)
+            return await frontend._handle_request(reader)
+
+        status, payload = asyncio.run(answer())
+        assert status == 413
+        assert str(_MAX_BODY) in payload["error"]
 
     def test_global_admission_cap_sheds(self, cluster):
         fe = ClusterFrontend(cluster, port=0, max_inflight=1).start()

@@ -71,18 +71,6 @@ class TestPostmortemDriver:
         ).run()
         assert a.max_difference(b) < 1e-9
 
-    def test_thread_executor_same_result(self, setup):
-        events, spec, cfg = setup
-        serial = PostmortemDriver(events, spec, cfg).run()
-        threaded = PostmortemDriver(
-            events,
-            spec,
-            cfg,
-            PostmortemOptions(executor="thread", n_threads=3,
-                              n_multiwindows=4),
-        ).run()
-        assert serial.max_difference(threaded) < 1e-9
-
     def test_task_log(self, setup):
         events, spec, cfg = setup
         opts = PostmortemOptions(n_multiwindows=3, kernel="spmm",

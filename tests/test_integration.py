@@ -39,10 +39,10 @@ class TestModelEquivalence:
                               vector_length=4),
             PostmortemOptions(n_multiwindows=6, kernel="spmm",
                               vector_length=16, partial_init=False),
-            PostmortemOptions(n_multiwindows=2, executor="thread",
+            PostmortemOptions(n_multiwindows=2, executor="shared",
                               n_threads=2),
         ],
-        ids=["single-mw", "spmm-4", "spmm-16-coldinit", "threaded"],
+        ids=["single-mw", "spmm-4", "spmm-16-coldinit", "shared"],
     )
     def test_postmortem_configs_agree(self, instance, opts):
         events, spec = instance

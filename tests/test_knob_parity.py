@@ -276,3 +276,20 @@ class TestExecutorSurface:
                  "--executor", "process"]
             )
         assert "shared" in capsys.readouterr().err
+
+    def test_thread_executor_removed(self, events, spec, capsys):
+        """Shared dispatch is the one way to fan out: ``thread`` is
+        rejected by the options, the drivers and the CLI alike."""
+        for make in (
+            lambda: PostmortemOptions(executor="thread"),
+            lambda: OfflineDriver(events, spec, CONFIG, executor="thread"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert str(EXECUTORS) in str(exc.value)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "x.tsv", "--delta-days", "1", "--sw", "1",
+                 "--executor", "thread"]
+            )
+        assert "'serial', 'shared'" in capsys.readouterr().err

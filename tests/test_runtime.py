@@ -29,10 +29,10 @@ def setup():
 
 class TestExecution:
     def test_executor_registry(self):
-        assert EXECUTORS == ("serial", "thread", "shared")
+        assert EXECUTORS == ("serial", "shared")
 
     def test_require_executor_accepts_supported(self):
-        require_executor("thread", ("serial", "thread"), "offline")
+        require_executor("shared", ("serial", "shared"), "offline")
 
     def test_require_executor_rejects_unsupported(self):
         with pytest.raises(ValidationError, match="streaming"):
@@ -50,7 +50,7 @@ class TestRecordRunMetadata:
 
     def test_parallel_keeps_worker_count(self):
         result = RunResult(model="test", windows=[])
-        record_run_metadata(result, executor="thread", n_workers=8,
+        record_run_metadata(result, executor="shared", n_workers=8,
                             n_windows=5)
         assert result.metadata["n_workers"] == 8
 
@@ -84,7 +84,7 @@ class TestRegistry:
         )
         assert run.metadata["n_windows"] == spec.n_windows
 
-    @pytest.mark.parametrize("executor", ["thread", "shared"])
+    @pytest.mark.parametrize("executor", ["shared"])
     def test_streaming_rejects_parallel_executor(self, setup, executor):
         events, spec, cfg = setup
         with pytest.raises(ValidationError, match="streaming"):
@@ -93,12 +93,12 @@ class TestRegistry:
     def test_postmortem_executor_comes_from_options(self, setup):
         events, spec, cfg = setup
         options = PostmortemOptions(
-            n_multiwindows=2, executor="thread", n_threads=2
+            n_multiwindows=2, executor="shared", n_threads=2
         )
         run = make_driver(
             "postmortem", events, spec, cfg, postmortem_options=options
         ).run()
-        assert run.metadata["executor"] == "thread"
+        assert run.metadata["executor"] == "shared"
         assert run.metadata["n_workers"] == 2
 
     def test_rejects_nonpositive_workers(self, setup):

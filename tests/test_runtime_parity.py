@@ -109,7 +109,7 @@ class TestCrossModelParity:
 
 
 class TestOfflineExecutorParity:
-    @pytest.mark.parametrize("executor", ["thread", "shared"])
+    @pytest.mark.parametrize("executor", ["shared"])
     def test_bitwise_identical_to_serial(self, setup, runs, executor):
         events, spec, cfg = setup
         run = make_driver(
@@ -119,7 +119,7 @@ class TestOfflineExecutorParity:
         assert run.metadata["executor"] == executor
         assert np.array_equal(run.values_matrix(), serial.values_matrix())
 
-    def test_thread_sink_sees_every_window_once(self, setup, runs):
+    def test_shared_sink_sees_every_window_once(self, setup, runs):
         events, spec, cfg = setup
         counter = {}
         collected = {}
@@ -129,7 +129,7 @@ class TestOfflineExecutorParity:
             collected[w] = np.array(values, copy=True)
 
         make_driver(
-            "offline", events, spec, cfg, executor="thread", n_workers=3
+            "offline", events, spec, cfg, executor="shared", n_workers=3
         ).run(store_values=False, value_sink=sink)
         assert counter == {i: 1 for i in range(spec.n_windows)}
         emitted = np.stack([collected[i] for i in range(spec.n_windows)])
@@ -168,12 +168,12 @@ class TestRankStoreParity:
         finally:
             store.close()
 
-    def test_offline_thread_store_matches_serial_store(
+    def test_offline_shared_store_matches_serial_store(
         self, setup, runs, tmp_path
     ):
-        """The acceptance scenario: offline --executor thread --store."""
+        """offline --executor shared --store writes the serial store."""
         events, spec, cfg = setup
-        path = tmp_path / "offline-thread.rankstore"
+        path = tmp_path / "offline-shared.rankstore"
         writer = RankStoreWriter(
             path,
             n_windows=spec.n_windows,
@@ -183,7 +183,7 @@ class TestRankStoreParity:
             dtype=np.float64,
         )
         make_driver(
-            "offline", events, spec, cfg, executor="thread", n_workers=3
+            "offline", events, spec, cfg, executor="shared", n_workers=3
         ).run(store_values=False, value_sink=writer.write_window)
         writer.close()
 
@@ -259,7 +259,7 @@ class TestProgramExecutorParity:
     independent-window (offline) models."""
 
     @pytest.mark.parametrize("program", PROGRAMS)
-    @pytest.mark.parametrize("executor", ["thread", "shared"])
+    @pytest.mark.parametrize("executor", ["shared"])
     def test_postmortem_bitwise(
         self, setup, program_runs, program, executor
     ):
@@ -282,7 +282,7 @@ class TestProgramExecutorParity:
         )
 
     @pytest.mark.parametrize("program", PROGRAMS)
-    @pytest.mark.parametrize("executor", ["thread", "shared"])
+    @pytest.mark.parametrize("executor", ["shared"])
     def test_offline_bitwise(self, setup, program_runs, program, executor):
         events, spec, cfg = setup
         run = make_driver(

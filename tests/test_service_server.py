@@ -1,11 +1,17 @@
-"""End-to-end tests for the JSON/HTTP query server (repro.service.server)."""
+"""End-to-end tests for the JSON/HTTP query server ``repro serve`` runs
+by default: a one-shard :class:`~repro.service.cluster.ShardCluster`
+behind the :class:`~repro.service.cluster.ClusterFrontend`, plus the
+shard worker's micro-batching :class:`BatchingExecutor`."""
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,14 +19,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.service import QueryEngine, QueryServer, RankStoreWriter
-from repro.service.server import _MAX_BODY, BatchingExecutor
+from repro.service import QueryEngine, RankStoreWriter
+from repro.service.cluster import ClusterFrontend, ShardCluster
+from repro.service.cluster.frontend import _MAX_BODY
+from repro.service.cluster.worker import BatchingExecutor
 
 
-@pytest.fixture
-def store_path(tmp_path):
+@pytest.fixture(scope="module")
+def store_path(tmp_path_factory):
     rng = np.random.default_rng(7)
-    path = tmp_path / "srv.rankstore"
+    path = tmp_path_factory.mktemp("srv") / "srv.rankstore"
     with RankStoreWriter(path, n_windows=6, n_vertices=50) as w:
         for i in range(6):
             row = rng.random(50)
@@ -28,9 +36,23 @@ def store_path(tmp_path):
     return path
 
 
-@pytest.fixture
+def start_server(store_path, **cluster_kwargs):
+    """The default ``repro serve`` tier: one shard behind the frontend
+    (frequent health pings keep the worker counters in /stats fresh)."""
+    cluster_kwargs.setdefault("engine_workers", 2)
+    cluster = ShardCluster(
+        store_path, n_shards=1, health_interval=0.05, **cluster_kwargs
+    )
+    try:
+        return ClusterFrontend(cluster, port=0, own_cluster=True).start()
+    except BaseException:
+        cluster.shutdown()
+        raise
+
+
+@pytest.fixture(scope="module")
 def server(store_path):
-    srv = QueryServer(store_path, port=0, workers=2).start()
+    srv = start_server(store_path)
     yield srv
     srv.shutdown()
 
@@ -49,6 +71,19 @@ def post_json(url: str, payload):
         return resp.status, json.loads(resp.read())
 
 
+def worker_stats(server, ready):
+    """The shard worker's counters from /stats once ``ready(stats)``
+    holds; they arrive with the coordinator's next health ping."""
+    deadline = time.monotonic() + 10
+    while True:
+        _, stats = get_json(server.url + "/stats")
+        (replica,) = stats["replicas"].values()
+        worker = replica["worker"]
+        if (worker and ready(worker)) or time.monotonic() > deadline:
+            return stats, worker
+        time.sleep(0.02)
+
+
 class TestEndpoints:
     def test_health(self, server):
         assert get_json(server.url + "/health") == (200, {"status": "ok"})
@@ -58,6 +93,7 @@ class TestEndpoints:
         assert status == 200
         assert info["windows"] == 6
         assert info["vertices"] == 50
+        assert info["shards"] == 1
 
     def test_top_k(self, server):
         status, body = get_json(server.url + "/top_k?window=0&k=3")
@@ -123,9 +159,9 @@ class TestEndpoints:
 
     @pytest.mark.parametrize("length", ["-1", "-5", "abc"])
     def test_bad_content_length_is_400(self, server, length):
-        """A negative length must not reach ``rfile.read``: ``read(-1)``
-        reads to EOF, holding the handler thread for as long as the
-        keep-alive client stays connected (this client waits 5 s)."""
+        """A length that cannot frame a body is answered 400, not read
+        (reading to EOF would hold the request until this client gives
+        up after 5 s)."""
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=5)
         try:
@@ -139,10 +175,9 @@ class TestEndpoints:
             conn.close()
 
     def test_oversized_body_is_413_unread(self, server):
-        """A length over the cap is refused before any body byte is read
-        (a buffered read allocates the declared length up front), and the
-        connection is closed.  This client sends headers only, so a
-        handler that read the body would block past the 5 s timeout."""
+        """A length over the cap is refused before any body byte is read,
+        and the connection is closed.  This client sends headers only, so
+        a server that read the body would block past the 5 s timeout."""
         with socket.create_connection(server.address, timeout=5) as sock:
             sock.sendall(
                 b"POST /batch HTTP/1.1\r\nHost: x\r\n"
@@ -158,11 +193,15 @@ class TestEndpoints:
     def test_stats_counts_batches(self, server):
         for _ in range(3):
             get_json(server.url + "/top_k?window=1&k=2")
-        status, stats = get_json(server.url + "/stats")
-        assert status == 200
-        assert stats["batching"]["jobs_submitted"] >= 3
-        assert stats["batching"]["batches_executed"] >= 1
-        assert stats["topk_cache"]["hits"] >= 2
+        stats, worker = worker_stats(
+            server,
+            lambda w: w["batching"]["jobs_submitted"] >= 3
+            and w["topk_cache"]["hits"] >= 2,
+        )
+        assert stats["router"]["queries_routed"] >= 3
+        assert worker["batching"]["jobs_submitted"] >= 3
+        assert worker["batching"]["batches_executed"] >= 1
+        assert worker["topk_cache"]["hits"] >= 2
 
 
 class TestConcurrency:
@@ -185,16 +224,19 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert not errors
-        _, stats = get_json(server.url + "/stats")
-        assert stats["batching"]["jobs_submitted"] >= 90
+        _, worker = worker_stats(
+            server, lambda w: w["batching"]["jobs_completed"] >= 90
+        )
+        assert worker["batching"]["jobs_completed"] >= 90
 
     def test_shutdown_is_idempotent(self, store_path):
-        srv = QueryServer(store_path, port=0).start()
-        assert get_json(srv.url + "/health")[0] == 200
+        srv = start_server(store_path)
+        url = srv.url
+        assert get_json(url + "/health")[0] == 200
         srv.shutdown()
         srv.shutdown()
         with pytest.raises(urllib.error.URLError):
-            get_json(srv.url + "/health")
+            get_json(url + "/health")
 
 
 class TestBatchingExecutor:
@@ -356,46 +398,39 @@ class TestAdmissionControl:
         engine.close()
 
     def test_http_429_when_saturated(self, store_path):
-        srv = QueryServer(
-            store_path, port=0, workers=1, max_batch=1, max_queue=1,
-            submit_timeout=0.0,
-        ).start()
+        """``--max-queue 1``: while the shard holds one query, the rest
+        are shed with 429 instead of queueing behind it."""
+        srv = start_server(store_path, max_queue=1, engine_workers=1)
+        (replica,) = srv.cluster._replicas[0]
+        statuses = []
+
+        def fire():
+            try:
+                statuses.append(
+                    get_json(srv.url + "/top_k?window=0&k=2")[0]
+                )
+            except urllib.error.HTTPError as err:
+                statuses.append(err.code)
+                if err.code == 429:
+                    assert json.loads(err.read())["shed"] is True
+
+        threads = [threading.Thread(target=fire) for _ in range(8)]
+        os.kill(replica.process.pid, signal.SIGSTOP)  # stall the shard
         try:
-            entered, gate = threading.Event(), threading.Event()
-            original_batch = srv.engine.batch
-
-            def slow_batch(queries):
-                entered.set()
-                gate.wait(timeout=10)
-                return original_batch(queries)
-
-            srv.engine.batch = slow_batch
-            statuses = []
-
-            def fire():
-                try:
-                    statuses.append(
-                        get_json(srv.url + "/top_k?window=0&k=2")[0]
-                    )
-                except urllib.error.HTTPError as err:
-                    statuses.append(err.code)
-                    if err.code == 429:
-                        assert json.loads(err.read())["shed"] is True
-
-            threads = [
-                threading.Thread(target=fire) for _ in range(8)
-            ]
             for t in threads:
                 t.start()
-            assert entered.wait(timeout=5)
-            gate.set()
+            deadline = time.monotonic() + 10
+            while len(statuses) < 7 and time.monotonic() < deadline:
+                time.sleep(0.01)  # all but the admitted one are shed
+        finally:
+            os.kill(replica.process.pid, signal.SIGCONT)
+        try:
             for t in threads:
                 t.join(timeout=10)
-            assert statuses.count(429) >= 1
-            assert statuses.count(200) >= 1
-            assert srv.executor.stats()["jobs_shed"] >= 1
+            assert statuses.count(429) == 7
+            assert statuses.count(200) == 1
+            assert srv.cluster.stats()["router"]["queries_shed"] == 7
         finally:
-            gate.set()
             srv.shutdown()
 
 
@@ -405,12 +440,16 @@ class TestHealthz:
         assert status == 200
         assert body["status"] == "ok"
         assert body["in_flight"] == 0
-        assert body["workers"] == 2
+        assert body["shards"] == body["shards_alive"] == 1
 
     def test_stats_expose_admission_fields(self, server):
         get_json(server.url + "/top_k?window=0&k=2")
-        _, stats = get_json(server.url + "/stats")
-        batching = stats["batching"]
+        stats, worker = worker_stats(
+            server, lambda w: w["batching"]["jobs_completed"] >= 1
+        )
+        assert stats["router"]["queries_shed"] == 0
+        assert stats["frontend"]["max_inflight"] == 256
+        batching = worker["batching"]
         for key in ("jobs_shed", "in_flight", "mean_batch_queries",
                     "max_queue", "jobs_completed"):
             assert key in batching

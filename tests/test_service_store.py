@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ReproError, ValidationError
 from repro.events import WindowSpec
-from repro.models import PostmortemDriver, PostmortemOptions, WindowResult
+from repro.models import PostmortemDriver, WindowResult
 from repro.service import RankStore, RankStoreWriter, write_store
 from repro.service.store import PREAMBLE_SIZE, is_rank_store
 
@@ -226,24 +226,6 @@ class TestDriverSink:
         assert np.array_equal(np.asarray(a.matrix), np.asarray(b.matrix))
         for i in range(spec.n_windows):
             assert a.window_meta(i) == b.window_meta(i)
-
-    def test_sink_with_thread_executor(self, events, spec, config,
-                                       tmp_path):
-        options = PostmortemOptions(executor="thread", n_threads=3)
-        path = tmp_path / "threaded.rankstore"
-        with RankStoreWriter(path, n_windows=spec.n_windows,
-                             n_vertices=events.n_vertices, spec=spec,
-                             dtype=np.float64) as writer:
-            PostmortemDriver(events, spec, config, options).run(
-                store_values=False, value_sink=writer.write_window
-            )
-        reference = PostmortemDriver(events, spec, config).run()
-        store = RankStore(path)
-        for w in reference.windows:
-            np.testing.assert_allclose(
-                np.asarray(store.row(w.window_index)), w.values,
-                atol=1e-12,
-            )
 
     def test_streaming_peak_memory_independent_of_window_count(
         self, tmp_path

@@ -110,9 +110,9 @@ class TestArena:
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    def test_shared_matches_thread_bitwise(self, setup, kernel):
+    def test_shared_matches_serial_bitwise(self, setup, kernel):
         events, spec, cfg = setup
-        ref = run_with(events, spec, cfg, "thread", kernel)
+        ref = run_with(events, spec, cfg, "serial", kernel)
         other = run_with(events, spec, cfg, "shared", kernel)
         for wa, wb in zip(ref.windows, other.windows):
             assert wa.iterations == wb.iterations, wa.window_index
@@ -136,7 +136,7 @@ class TestExecutorParity:
     def test_identical_rank_stores(self, setup, tmp_path):
         events, spec, cfg = setup
         paths = {}
-        for ex in ("thread", "shared"):
+        for ex in ("serial", "shared"):
             path = tmp_path / f"{ex}.rankstore"
             with RankStoreWriter(
                 path,
@@ -150,7 +150,7 @@ class TestExecutorParity:
                     sink=writer.write_window, store_values=False,
                 )
             paths[ex] = path
-        with RankStore(paths["thread"]) as a, RankStore(paths["shared"]) as b:
+        with RankStore(paths["serial"]) as a, RankStore(paths["shared"]) as b:
             for w in range(spec.n_windows):
                 assert np.array_equal(a.row(w), b.row(w)), w
 
@@ -235,7 +235,7 @@ class TestAttachedEventSet:
         assert spec.n_windows > 1
         assert count_event_sets == {"validated": 0, "wrapped": 1}
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_in_process_runs_construct_none(
         self, setup, count_event_sets, executor
     ):
