@@ -396,7 +396,13 @@ class WindowView:
     @property
     def active_groups(self) -> np.ndarray:
         """Ids of the window's active (row, neighbor) groups, ascending —
-        the order the in-orientation stores them in."""
+        the order the in-orientation stores them in.
+
+        Recomputed on each read rather than kept: the SpMM schedule holds
+        two batches of views for its warm starts, and keeping this
+        Θ(|E_w|) array on each of them raised the net peak RSS of the
+        perfbench youtube workload (SpMM on two workers) from 27 to
+        36 MiB."""
         return self.group_mask.nonzero()[0]
 
     @property

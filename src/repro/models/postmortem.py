@@ -14,9 +14,22 @@ The partition holds only a build recipe per graph
 (:meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_payload`);
 the run hands those recipes and one module-level worker to
 :func:`repro.runtime.execution.map_tasks`, and whichever executor runs a
-task compacts its graph, solves the chain and drops the graph.  Live
-graphs are therefore bounded by the number of concurrent workers, on
-in-RAM and ``.tcsr`` input alike, for every partition method.
+task compacts its graphs, solves their chains and drops the graphs.
+
+A task is a *lockstep group*: consecutive graphs whose stored events
+(known from the recipes before anything is built) add up to at most
+:data:`LOCKSTEP_EVENTS`.  Their chains run in lockstep
+(:func:`repro.programs.engine.solve_program_chains`): step j solves
+window j of every graph in the group in one batched power iteration,
+and every window's bits equal the one-chain-at-a-time run.  A graph
+larger than the bound is a group of its own.  Groups form only on the
+``serial`` executor, for iterative programs on the sequential (SpMV)
+schedule; the ``shared`` executor sends one graph per task, and the
+SpMM region schedule and non-iterative programs solve one graph at a
+time (:func:`repro.programs.engine.solve_program_chain`).  Live graphs
+are therefore bounded by one group on ``serial`` and by the number of
+concurrent workers on ``shared``, on in-RAM and ``.tcsr`` input alike,
+for every partition method.
 
 Since the vertex-program refactor the per-graph chain loop lives in
 :mod:`repro.programs.engine`; this driver binds it to a
@@ -45,18 +58,36 @@ from repro.graph.multiwindow import (
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
 from repro.programs.base import VertexProgram
-from repro.programs.engine import TaskRecord, solve_program_chain
+from repro.programs.engine import (
+    TaskRecord,
+    solve_program_chain,
+    solve_program_chains,
+)
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
 from repro.runtime.execution import EXECUTORS, map_tasks
 
 __all__ = [
+    "LOCKSTEP_EVENTS",
     "PostmortemOptions",
     "PostmortemDriver",
     "solve_multiwindow_graph",
 ]
 
 _KERNELS = ("spmv", "spmm")
+
+#: stored events one lockstep group may hold (the graphs of a group are
+#: built and iterated together).  Lockstep pays where windows are small
+#: and the interpreter, not edge work, sets the pace; with big windows a
+#: big group only adds memory and cache misses.  Measured on
+#: ``benchmarks/bench_outofcore.py``'s 1M-event run probe (8 graphs,
+#: 47k-131k stored events each): one group of all 8 (a 2**20 bound)
+#: solved 16-20% slower than one graph at a time and raised the peak by
+#: 35 MB; at 2**18 (groups of 2-4 graphs) it is as fast as one at a time
+#: and 4 MB above it.  The serve-zipf input (6 graphs, 121,824 stored
+#: events) is one group.  At the 10M-event scale every graph is larger
+#: than the bound and runs alone.
+LOCKSTEP_EVENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -201,9 +232,9 @@ class PostmortemDriver:
         window_results: Dict[int, WindowResult] = {}
         done = 0
 
-        def consume(task_result) -> None:
+        def chain_done(chain_result) -> None:
             nonlocal done
-            wrs, tasks, work = task_result
+            wrs, tasks, work = chain_result
             window_results.update(wrs)
             task_log.extend(tasks)
             result.work.merge(work)
@@ -211,20 +242,30 @@ class PostmortemDriver:
             if progress is not None:
                 progress(done, n_graphs)
 
-        # one task per multi-window graph: the graph is the coarse
-        # parallel unit (its windows chain through partial init)
+        def consume(group_result) -> None:
+            for chain_result in group_result:
+                chain_done(chain_result)
+
+        groups = self._groups(partition)
+        # in-process the worker reports each chain as it finishes; a
+        # shared worker's chains come back with its task
+        in_process = self.options.executor == "serial" or len(groups) < 2
         with result.timings.phase("pagerank"):
             stats = map_tasks(
                 self.options.executor,
                 self.events,
-                [partition.graph_payload(i) for i in range(n_graphs)],
-                _solve_graph_task,
+                [
+                    tuple((g, partition.graph_payload(g)) for g in group)
+                    for group in groups
+                ],
+                _solve_group_task,
                 args=(
                     self.config,
                     self.options,
                     self.events.n_vertices,
                     store_values,
                     self.program,
+                    chain_done if in_process else None,
                 ),
                 consume=consume,
                 n_workers=self.options.n_threads,
@@ -233,6 +274,9 @@ class PostmortemDriver:
             )
         if stats:
             result.metadata["shared_arena"] = stats
+        # chains report as they finish; the log keeps graph order (a
+        # stable sort leaves each chain's windows in order)
+        task_log.sort(key=lambda task: task.multiwindow)
 
         result.windows = [
             window_results[i] for i in range(self.spec.n_windows)
@@ -250,41 +294,87 @@ class PostmortemDriver:
         result.metadata["options"] = self.options
         return result
 
+    def _groups(self, partition) -> List[List[int]]:
+        """The run's tasks as lists of graph indices: consecutive graphs
+        up to :data:`LOCKSTEP_EVENTS` stored events per group when the
+        chains can run in lockstep (the serial executor, an iterative
+        program on the sequential schedule), else one graph per task."""
+        n_graphs = len(partition)
+        if self.options.executor != "serial" or not _lockstep(
+            self.program, self.options
+        ):
+            return [[g] for g in range(n_graphs)]
+        groups: List[List[int]] = []
+        held = 0
+        for g in range(n_graphs):
+            _, _, lo, hi = partition.graph_payload(g)
+            if groups and held + (hi - lo) <= LOCKSTEP_EVENTS:
+                groups[-1].append(g)
+                held += hi - lo
+            else:
+                groups.append([g])
+                held = hi - lo
+        return groups
 
-def _solve_graph_task(
+
+def _lockstep(program: VertexProgram, options: PostmortemOptions) -> bool:
+    """Whether the chains run on the sequential schedule of an iterative
+    program (the shape :func:`solve_program_chains` steps together)."""
+    return program.iterative and not (
+        options.kernel == "spmm" and program.supports_batch
+    )
+
+
+def _solve_group_task(
     source,
     payload: tuple,
-    mw_index: int,
+    task_index: int,
     sink,
     config: PagerankConfig,
     options: PostmortemOptions,
     n_global_vertices: int,
     store_values: bool,
-    program: Optional[VertexProgram] = None,
+    program: VertexProgram,
+    chain_done=None,
 ):
-    """The task-map worker: build one multi-window graph, solve its chain,
-    drop it.
+    """The task-map worker: build one lockstep group's multi-window
+    graphs, solve their chains, drop the graphs.
 
-    In-process ``source`` is the driver's partition, so the graph comes
-    from :meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_at`;
+    ``payload`` pairs each graph's index with its recipe.  In-process
+    ``source`` is the driver's partition, so a graph comes from
+    :meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_at`;
     in a ``shared`` worker it is the event set over the attached columns
-    and ``payload`` (the graph's recipe) names the slice to compact.
-    Either way the graph is identical.
+    and the recipe names the slice to compact.  Either way the graph is
+    identical.  Returns the chains' ``(window_results, tasks, work)``
+    triples, or reports each to ``chain_done`` as it finishes (then
+    returning none).
     """
+    indices = [g for g, _ in payload]
     if isinstance(source, LazyMultiWindowPartition):
-        graph = source.graph_at(mw_index)
+        graphs = [source.graph_at(g) for g in indices]
     else:
-        graph = graph_from_payload(source, payload)
-    return solve_multiwindow_graph(
-        graph,
-        mw_index,
-        config,
-        options,
-        n_global_vertices,
-        store_values,
-        sink,
-        program,
-    )
+        graphs = [graph_from_payload(source, recipe) for _, recipe in payload]
+    if _lockstep(program, options):
+        results = solve_program_chains(
+            graphs,
+            indices,
+            program,
+            partial_init=options.partial_init,
+            n_global_vertices=n_global_vertices,
+            store_values=store_values,
+            value_sink=sink,
+            chain_done=chain_done,
+        )
+    else:
+        results = []
+        for graph, g in zip(graphs, indices):
+            results.append(solve_multiwindow_graph(
+                graph, g, config, options, n_global_vertices,
+                store_values, sink, program,
+            ))
+            if chain_done is not None:
+                chain_done(results[-1])
+    return [] if chain_done is not None else results
 
 
 def solve_multiwindow_graph(

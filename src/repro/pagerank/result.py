@@ -13,7 +13,9 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["WorkStats", "PagerankResult", "BatchPagerankResult"]
+__all__ = [
+    "WorkStats", "PagerankResult", "BatchPagerankResult", "LockstepResult",
+]
 
 
 @dataclass
@@ -116,3 +118,20 @@ class BatchPagerankResult:
             converged=bool(self.converged[j]),
             residual=float(self.residuals[j]),
         )
+
+
+@dataclass
+class LockstepResult:
+    """Solution of a lockstep solve: one window from each of several
+    multi-window graphs, iterated together.
+
+    ``columns[j]`` solves the j-th window in its own graph's vertex
+    space (the vectors differ in length, so there is no matrix form);
+    ``work`` merges the columns' counters.
+    """
+
+    columns: List[PagerankResult]
+
+    @property
+    def work(self) -> WorkStats:
+        return WorkStats.accumulate(c.work for c in self.columns)

@@ -16,12 +16,13 @@ paper's §4.2 per-window work — implemented as fully-vectorized NumPy
 (per the HPC-Python guides: a gather and a sequential segment sum; no
 Python-level edge loop):
 
-    w       = x * inv_outdeg                         # per-source share
-    contrib = w[col_c]                               # per-packed-edge
-    y       = segment_sum_ordered(contrib, rows_c)   # per-destination
+    w       = x * inv_outdeg                          # per-source share
+    contrib = w[col_c]                                # per-packed-edge
+    y       = np.bincount(rows_c, weights=contrib)    # per-destination
 
-The reduction is :func:`~repro.utils.segments.segment_sum_ordered`
-(strictly left-to-right within each destination), which keeps the result
+The reduction is the sequential ``np.bincount`` behind
+:func:`~repro.utils.segments.segment_sum_ordered` (strictly
+left-to-right within each destination), which keeps the result
 bitwise-identical to a masked pass over all ``nnz`` stored events that
 zeroes the inactive ones (the oracle in ``tests/dense_mask_reference.py``)
 — a pairwise ``reduceat`` would round differently depending on how many
@@ -29,27 +30,50 @@ masked zeros pad each row.  The one length-``n`` pass left per iteration
 is the residual sum, which runs over a zero-padded buffer so its pairwise
 summation keeps the bits of the whole-graph residual.
 
-The loop (``_power_iterate``) takes the step's affine constants as
-arguments rather than reading ``alpha``, so the weighted kernel and Katz
+The loop (``_power_iterate``) is a **lockstep** loop: it iterates any
+number of windows at once, each in its own window-local space, and a
+single-window solve is the loop with one column.  The postmortem engine
+hands it window j of every multi-window graph of a lockstep group
+(:func:`repro.programs.engine.solve_program_chains`): the columns'
+relabelled edges are concatenated with per-column offsets on both the
+gather index and the ``np.bincount`` key (the layout of
+:class:`~repro.pagerank.spmm.ActiveCells`), so one multiply, one
+``take`` and one ``bincount`` propagate every column, and each bin still
+adds only its own column's terms in stored order.  Everything
+elementwise (scale, dangling term, teleport, ``|y - x|``, the scatter
+into the padded residual buffers) runs over the concatenation.  The
+per-column reduction rule: every sum whose bits depend on its grouping —
+the dangling mass, the residual over the column's zero-padded length-n
+buffer and Katz's unit-mass totals — is a separate pairwise
+``np.add.reduce`` per column, over exactly the terms a one-column solve
+sums (``np.add.reduceat`` groups them differently).  So a column's
+values, iterations, residual and ``converged`` are bitwise-identical to
+solving its window alone, whichever columns share its loop.  A
+converged column's values are copied out and its edges are deleted
+from the concatenation; its rows stay in place, so nothing else is
+re-based.
+
+The loop takes the step's affine constants as arguments rather than
+reading ``alpha``, so the weighted kernel and Katz
 (:mod:`repro.programs.katz`) run it too.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
+from repro.pagerank.compaction import compact_pull
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
-from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
 from repro.pagerank.workspace import Workspace
-from repro.utils.segments import segment_sum_ordered
 
-__all__ = ["pagerank_window"]
+__all__ = ["pagerank_window", "pagerank_windows_lockstep"]
 
 
 def pagerank_window(
@@ -74,11 +98,11 @@ def pagerank_window(
         active vertices are read.
     workspace:
         Optional :class:`~repro.pagerank.workspace.Workspace` supplying the
-        per-iteration scratch (window-local rank ping-pong pair, share
-        vector, packed-edge contribution buffer, residual buffer) so a
-        multi-window chain pays the allocator once instead of per window.
-        Results are bitwise-identical with and without a workspace; the
-        returned values are always a freshly owned array.
+        per-iteration scratch (rank ping-pong pair, share vector, packed
+        edge and contribution buffers, residual buffer) so a multi-window
+        chain pays the allocator once instead of per window.  Results are
+        bitwise-identical with and without a workspace; the returned
+        values are always a freshly owned array.
 
     Returns
     -------
@@ -86,10 +110,39 @@ def pagerank_window(
         Values live in the view's (local) vertex space; inactive vertices
         hold exactly ``+0.0``.
     """
+    return pagerank_windows_lockstep([view], config, [x0], workspace).columns[0]
+
+
+def pagerank_windows_lockstep(
+    views: Sequence[WindowView],
+    config: PagerankConfig = PagerankConfig(),
+    x0: Optional[Sequence[Optional[np.ndarray]]] = None,
+    workspace=None,
+) -> LockstepResult:
+    """PageRank of several windows, each in its own vertex space, in one
+    lockstep power iteration.
+
+    ``x0[j]`` (``None`` for a full initialization) seeds ``views[j]``.
+    The views may come from different multi-window graphs; column j's
+    result is bitwise-identical to ``pagerank_window(views[j], config,
+    x0[j])``.
+    """
     return _power_iterate(
-        view, config, x0, workspace,
-        view.out_degrees, config.damping, config.alpha,
+        views, config, _seeds(views, x0), workspace,
+        [v.out_degrees for v in views],
+        [config.damping] * len(views), config.alpha,
     )
+
+
+def _seeds(views, x0):
+    """``x0`` as one entry per view (``None`` = full initialization)."""
+    if x0 is None:
+        return [None] * len(views)
+    if len(x0) != len(views):
+        raise ValidationError(
+            f"need one seed per window, got {len(x0)} for {len(views)}"
+        )
+    return x0
 
 
 def _unit_mass(values: np.ndarray, total) -> np.ndarray:
@@ -98,143 +151,308 @@ def _unit_mass(values: np.ndarray, total) -> np.ndarray:
     return values / np.where(total > 0, total, 1.0)
 
 
+class _Column:
+    """One window of a lockstep solve in its window-local space
+    ``[0, |V_w|)``: its inverse out-weights and dangling set, its
+    iterate and, once finished, its outcome.  Its packed edges go
+    straight into the concatenation (:meth:`pack`)."""
+
+    __slots__ = (
+        "view", "n", "k", "active_idx", "inv", "dangling", "weights",
+        "scale", "x", "total", "iterations", "residual", "converged",
+        "propagate_seconds",
+    )
+
+    def __init__(self, view, x0, out_weight, scale, weights, dangling):
+        n = self.n = view.adjacency.n_vertices
+        self.view = view
+        self.k = view.n_active_vertices
+        self.scale = scale
+        self.weights = weights
+        self.total = 0.0
+        self.iterations = 0
+        self.propagate_seconds = 0.0
+        if x0 is None:
+            x0 = full_initialization(view)
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (n,):
+            raise ValidationError(f"x0 must have shape ({n},), got {x0.shape}")
+        self.active_idx = view.active_vertices_mask.nonzero()[0]
+        # an empty window is solved before it starts
+        self.converged = self.k == 0
+        self.residual = 0.0 if self.converged else np.inf
+        self.x = x0.take(self.active_idx)
+        if self.converged:
+            return
+        # inv = 1/out_weight on the active vertices, 0 where dangling
+        inv = self.inv = out_weight.take(self.active_idx).astype(np.float64)
+        self.dangling = (
+            (inv == 0.0).nonzero()[0] if dangling
+            else np.zeros(0, dtype=np.int64)
+        )
+        np.divide(1.0, inv, out=inv, where=inv != 0.0)
+
+    def pack(self, start: int, col: np.ndarray, rows: np.ndarray) -> None:
+        """Write the window's packed active edges, relabelled to rows
+        ``start + [0, k)`` of a concatenated space, into ``col`` and
+        ``rows`` (slices of the concatenation)."""
+        # monotone global -> local map: an active vertex gets its rank
+        # among the active ones; the packed edges join active vertices
+        # only, so relabelled rows stay non-decreasing and within-row
+        # order is untouched
+        local_id = np.cumsum(self.view.active_vertices_mask, dtype=np.int64)
+        local_id += start - 1
+        packed = compact_pull(self.view)
+        np.take(local_id, packed.col, out=col)
+        np.take(local_id, packed.rows, out=rows)
+
+    def result(self, normalized: bool) -> PagerankResult:
+        values = np.zeros(self.n, dtype=np.float64)
+        values[self.active_idx] = (
+            _unit_mass(self.x, self.total) if normalized else self.x
+        )
+        it = self.iterations
+        work = WorkStats(
+            iterations=it,
+            edge_traversals=it * self.view.n_active_edges,
+            active_edge_traversals=it * self.view.n_active_edges,
+            vertex_ops=it * self.k,
+            propagate_seconds=self.propagate_seconds,
+        )
+        return PagerankResult(
+            values, it, self.converged, self.residual, work
+        )
+
+
+class _Concat:
+    """A lockstep solve's columns laid end to end.  Column j owns rows
+    ``[starts[j], starts[j] + k[j])`` of the concatenated vertex space,
+    ``m[j]`` consecutive packed edges, and the slice ``pad_slices[j]`` of
+    the zero-padded residual buffer, which serves as its own length-n_j
+    buffer (a slice sums with the bits of a separate array of its
+    length).  The vertex layout is fixed for the whole solve: a finished
+    column only loses its edges (:meth:`drop`), so its rows still ride
+    the elementwise passes but touch nothing of the live columns."""
+
+    def __init__(
+        self, columns: List[_Column], base: float, ws: Workspace
+    ) -> None:
+        k = self.k = np.array([c.k for c in columns], dtype=np.int64)
+        self.m = np.array(
+            [c.view.n_active_edges for c in columns], dtype=np.int64
+        )
+        n = np.array([c.n for c in columns], dtype=np.int64)
+        self.starts = np.cumsum(k) - k
+        pads = np.cumsum(n) - n
+        self.k_total = int(k.sum())
+        self.col = np.empty(int(self.m.sum()), dtype=np.int64)
+        self.rows = np.empty_like(self.col)
+        hi = np.cumsum(self.m).tolist()
+        for c, start, a, b in zip(
+            columns, self.starts.tolist(), [0] + hi[:-1], hi
+        ):
+            c.pack(start, self.col[a:b], self.rows[a:b])
+        self.pad_pos = _join(
+            [c.active_idx for c in columns], np.repeat(pads, k)
+        )
+        self.pad_slices = [
+            slice(p, p + size) for p, size in zip(pads.tolist(), n.tolist())
+        ]
+        d = [c.dangling.size for c in columns]
+        self.dangling = _join(
+            [c.dangling for c in columns], np.repeat(self.starts, d)
+        )
+        lo = np.cumsum([0] + d).tolist()
+        self.dangling_slices = [
+            (j, slice(lo[j], lo[j + 1])) for j in range(len(columns)) if d[j]
+        ]
+        self.x = _join([c.x for c in columns])
+        self.inv = _join([c.inv for c in columns])
+        self.weights = (
+            None if columns[0].weights is None
+            else _join([c.weights for c in columns])
+        )
+        self.col_scale = np.array([c.scale for c in columns], dtype=np.float64)
+        self.scale = np.repeat(self.col_scale, k)
+        # base / k_j per row: the division a one-column solve does once
+        self.teleport = np.repeat(base / k, k)
+        self.resid = ws.zeros("spmv.resid", (int(n.sum()),), np.float64)
+        self.share = np.empty(self.k_total, dtype=np.float64)
+        self.contrib = np.empty(self.col.size, dtype=np.float64)
+
+    def drop(self, alive: np.ndarray) -> None:
+        """Delete the edges of the columns not ``alive`` (and their
+        dangling terms), keeping the survivors' edges in order."""
+        edges = np.repeat(alive, self.m)
+        self.m = self.m * alive
+        self.col = self.col[edges]
+        self.rows = self.rows[edges]
+        if self.weights is not None:
+            self.weights = self.weights[edges]
+        self.contrib = self.contrib[: self.col.size]
+        self.dangling_slices = [
+            (j, s) for j, s in self.dangling_slices if alive[j]
+        ]
+
+    def column_sums(self, values: np.ndarray, columns) -> np.ndarray:
+        """The totals of ``values`` over each of ``columns`` (positions),
+        each summed over its zero-padded buffer (the bits of a sum over
+        its whole vertex space)."""
+        resid = self.resid
+        resid[self.pad_pos] = values
+        totals = np.zeros(self.k.size, dtype=np.float64)
+        for j in columns:
+            totals[j] = np.add.reduce(resid[self.pad_slices[j]])
+        return totals
+
+
+def _join(parts: List[np.ndarray], offsets=None) -> np.ndarray:
+    """``parts`` end to end plus ``offsets``; a lone part (whose offset
+    is 0) is used as it is, so a one-window solve holds no second copy
+    of its edges."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate(parts)
+    if offsets is not None:
+        out += offsets
+    return out
+
+
 def _power_iterate(
-    view: WindowView,
+    views: Sequence[WindowView],
     config: PagerankConfig,
-    x0: Optional[np.ndarray],
+    x0: Sequence[Optional[np.ndarray]],
     workspace: Optional[Workspace],
-    out_weight: np.ndarray,
-    scale: float,
+    out_weights: Sequence[np.ndarray],
+    scales: Sequence[float],
     base: float,
-    weights: Optional[np.ndarray] = None,
+    weights: Optional[Sequence[np.ndarray]] = None,
     normalized: bool = False,
-) -> PagerankResult:
-    """The window-local power iteration of every single-window solve.
+) -> LockstepResult:
+    """The lockstep power iteration of every window solve.
 
-    One step is the affine pull
+    Column j steps the affine pull
 
-        y = scale * A^T (x / out_weight) + dangling + base / |V_w|
+        y = scales[j] * A_j^T (x / out_weights[j]) + dangling + base / |V_j|
 
     — PageRank passes ``scale = 1 - alpha`` and ``base = alpha``, Katz its
     clamped attenuation, its base and unit out-weights (so its dangling
-    set is empty).  ``out_weight`` is the length-``n`` source weight
+    set is empty).  ``out_weights[j]`` is the length-``n_j`` source weight
     vector (window out-degree or out-strength), zero exactly at dangling
-    and inactive vertices; ``weights`` the optional per-edge
+    and inactive vertices; ``weights[j]`` the optional per-edge
     multiplicities, aligned with the view's active groups.
     ``normalized`` compares unit-mass iterates (a scale-invariant
-    residual) and returns the unit-mass fixed point.  ``config`` supplies
-    the tolerance, iteration cap, strictness and dangling policy.
+    residual) and returns the unit-mass fixed points.  ``config``
+    supplies the tolerance, iteration cap, strictness and dangling
+    policy.  A strict run raises :class:`ConvergenceError` naming the
+    first column, in input order, that reached the cap unconverged.
     """
-    n = view.adjacency.n_vertices
-    k = view.n_active_vertices
-    if k == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
-    # a window packs at most one edge per (row, neighbor) group, so the
-    # pooled edge buffers take the graph's group count as capacity
-    capacity = view.adjacency.groups.n_groups
-    packed = view.compact_pull(workspace=workspace)
-    m = packed.n_edges
     ws = workspace if workspace is not None else Workspace()
-
-    # monotone global -> local map: an active vertex gets its rank among
-    # the active ones; the packed edges join active vertices only, so
-    # relabelled rows stay non-decreasing and within-row order is untouched
-    active_idx = np.flatnonzero(view.active_vertices_mask)
-    local_id = ws.buffer("spmv.local_id", (n,), np.int64)
-    np.cumsum(view.active_vertices_mask, dtype=np.int64, out=local_id)
-    local_id -= 1
-    local_col, local_rows = ws.buffer(
-        "spmv.edges", (2, capacity), np.int64
-    )[:, :m]
-    local_id.take(packed.col, out=local_col)
-    local_id.take(packed.rows, out=local_rows)
-
-    # window-local scratch: capacity-n pooled rows sliced to |V_w|; x and
-    # y ping-pong between rank0/rank1 so an iteration never reads the
-    # array it is writing
-    rank0, rank1, share, diff, inv, dang_buf = ws.buffer(
-        "spmv.vertex", (6, n), np.float64
-    )[:, :k]
-    contrib = ws.buffer("spmv.contrib", (capacity,), np.float64)[:m]
-    # |y - x| scattered into zeros: the same n-term pairwise sum (and so
-    # the same bits) as a residual over the whole vertex space
-    resid = ws.zeros("spmv.resid", (n,), np.float64)
-
-    if x0 is None:
-        x0 = full_initialization(view)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValidationError(f"x0 must have shape ({n},), got {x0.shape}")
-    x0.take(active_idx, out=rank0)
-    # inv = 1/out_weight on the active vertices, 0 where dangling
-    np.copyto(inv, out_weight.take(active_idx))
-    if config.dangling == "uniform":
-        dangling = np.flatnonzero(inv == 0.0)
-    else:
-        dangling = np.zeros(0, dtype=np.int64)
-    np.divide(1.0, inv, out=inv, where=inv != 0.0)
-    dang_buf = dang_buf[: dangling.size]
-
-    teleport = base / k
-    if normalized:
-        # unit-mass totals are summed over the zero-padded buffer too, so
-        # their bits match a sum over the whole vertex space
-        resid[active_idx] = rank0
-        total = float(np.add.reduce(resid))
-    residual = np.inf
-    iterations = 0
-    propagate_seconds = 0.0
-    x = rank0
-    for iterations in range(1, config.max_iterations + 1):
-        t_prop = time.perf_counter()
-        np.multiply(x, inv, out=share)
-        y = rank1 if x is rank0 else rank0
-        share.take(local_col, out=contrib)
-        if weights is not None:
-            contrib *= weights
-        segment_sum_ordered(contrib, local_rows, k, out=y)
-        propagate_seconds += time.perf_counter() - t_prop
-        y *= scale
-        if dangling.size:
-            x.take(dangling, out=dang_buf)
-            dangling_mass = float(np.add.reduce(dang_buf))
-            if dangling_mass:
-                y += scale * dangling_mass / k
-        y += teleport
-        if normalized:
-            resid[active_idx] = y
-            y_total = float(np.add.reduce(resid))
-            np.subtract(
-                _unit_mass(y, y_total), _unit_mass(x, total), out=diff
-            )
-            total = y_total
-        else:
-            np.subtract(y, x, out=diff)
-        np.abs(diff, out=diff)
-        resid[active_idx] = diff
-        residual = float(np.add.reduce(resid))
-        x = y
-        if residual < config.tolerance:
-            break
-    else:
-        if config.strict:
+    tol = config.tolerance
+    # residual prefilter: the segment sums of |y - x| and a column's
+    # exact padded sum add the same non-negative terms in different
+    # orders, so they differ by at most about k_j * 2**-53 relative --
+    # far inside this 1e-6 margin.  A column whose approximation is above
+    # the margin cannot pass the exact test, so only the others (and, on
+    # the last allowed iteration, every column) pay for the exact sum.
+    near = tol * (1.0 + 1e-6)
+    columns = [
+        _Column(
+            v, x, w, s, None if weights is None else weights[j],
+            config.dangling == "uniform",
+        )
+        for j, (v, x, w, s) in enumerate(zip(views, x0, out_weights, scales))
+    ]
+    level = [c for c in columns if not c.converged]
+    if level:
+        _iterate(level, _Concat(level, base, ws), config, near, normalized)
+    for c in columns:
+        if config.strict and not c.converged:
             raise ConvergenceError(
-                f"window {view.window.index} did not converge in "
+                f"window {c.view.window.index} did not converge in "
                 f"{config.max_iterations} iterations "
-                f"(residual {residual:.3e})"
+                f"(residual {c.residual:.3e})"
             )
+    return LockstepResult([c.result(normalized) for c in columns])
 
-    values = np.zeros(n, dtype=np.float64)
-    values[active_idx] = _unit_mass(x, total) if normalized else x
-    work = WorkStats(
-        iterations=iterations,
-        edge_traversals=iterations * m,
-        active_edge_traversals=iterations * view.n_active_edges,
-        vertex_ops=iterations * k,
-        propagate_seconds=propagate_seconds,
-    )
-    return PagerankResult(
-        values, iterations, residual < config.tolerance, residual, work
-    )
+
+def _iterate(
+    columns: List[_Column],
+    state: _Concat,
+    config: PagerankConfig,
+    near: float,
+    normalized: bool,
+) -> None:
+    """Step ``columns`` (laid out by ``state``) until each converges or
+    reaches the cap, leaving every column's final iterate, total,
+    iterations, residual and share of the propagation time on it."""
+    tol = config.tolerance
+    alive = np.ones(len(columns), dtype=bool)
+    live = list(range(len(columns)))
+    x = state.x
+    totals = state.column_sums(x, live) if normalized else None
+    k = state.k
+    # running sum over steps of (propagate time / live columns): every
+    # column starts at step 0, so its share of the joint propagation is
+    # the sum's value when it finishes
+    shared_propagate = 0.0
+    step = 0
+    while live and step < config.max_iterations:
+        step += 1
+        last = step == config.max_iterations
+        t_prop = time.perf_counter()
+        np.multiply(x, state.inv, out=state.share)
+        # mode="clip" skips the bounds check: every index is in range
+        contrib = np.take(
+            state.share, state.col, out=state.contrib, mode="clip"
+        )
+        if state.weights is not None:
+            contrib *= state.weights
+        y = np.bincount(state.rows, weights=contrib, minlength=state.k_total)
+        shared_propagate += (time.perf_counter() - t_prop) / len(live)
+        y *= state.scale
+        if state.dangling_slices:
+            gathered = x.take(state.dangling)
+            mass = np.zeros(k.size, dtype=np.float64)
+            for j, s in state.dangling_slices:
+                mass[j] = np.add.reduce(gathered[s])
+            # (scale * mass) / k, as a one-column solve's scalar rounds
+            mass *= state.col_scale
+            mass /= k
+            y += np.repeat(mass, k)
+        y += state.teleport
+        if normalized:
+            y_totals = state.column_sums(y, live)
+            diff = _unit_mass(y, np.repeat(y_totals, k))
+            diff -= _unit_mass(x, np.repeat(totals, k))
+            totals = y_totals
+        else:
+            diff = np.subtract(y, x)
+        np.abs(diff, out=diff)
+        x = y
+        if last:
+            check = live
+        else:
+            near_cols = np.add.reduceat(diff, state.starts) < near
+            check = (near_cols & alive).nonzero()[0].tolist()
+            if not check:
+                continue
+        resid = state.resid
+        resid[state.pad_pos] = diff
+        finished = False
+        for j in check:
+            c = columns[j]
+            c.residual = float(np.add.reduce(resid[state.pad_slices[j]]))
+            c.converged = c.residual < tol
+            if c.converged or last:
+                lo = int(state.starts[j])
+                c.x = y[lo: lo + c.k]
+                c.total = float(totals[j]) if normalized else 0.0
+                c.iterations = step
+                c.propagate_seconds = shared_propagate
+                alive[j] = False
+                finished = True
+        if finished:
+            live = alive.nonzero()[0].tolist()
+            if live:
+                state.drop(alive)

@@ -11,10 +11,10 @@ ride the same stack.  :class:`VertexProgram` captures exactly that shape.
 A program exposes **two solve surfaces**, one per graph representation:
 
 * the *temporal* surface (``init_window`` / ``warm_start`` /
-  ``solve_window`` / optional ``solve_batch``) operates on window views of
+  ``solve_window`` / ``solve_batch``) operates on window views of
   a multi-window temporal CSR — the postmortem engine
-  (:mod:`repro.programs.engine`) drives it through warm-start chains,
-  pooled workspaces and the SpMM region schedule;
+  (:mod:`repro.programs.engine`) drives it through warm-start chains run
+  in lockstep, pooled workspaces and the SpMM region schedule;
 * the *materialized* surface (``solve_graph``) operates on a per-window
   simple :class:`~repro.graph.csr.CSRGraph` — the offline and streaming
   drivers use it, which is what makes cross-model parity a property every
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
+from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
 
 __all__ = ["VertexProgram", "fixpoint_result"]
 
@@ -69,8 +69,8 @@ class VertexProgram:
         fixpoints (k-core) solve each window independently and never
         receive an ``x0``.
     supports_batch:
-        Whether ``solve_batch`` exists, i.e. the program has an
-        SpMM-shaped batched kernel the region schedule can feed.
+        Whether ``solve_batch`` takes a region batch, i.e. the program
+        has an SpMM-shaped batched kernel the region schedule can feed.
 
     Every window solution is a per-vertex float vector in the view's local
     space; the engine scatters it to the global space and can stream it
@@ -117,13 +117,29 @@ class VertexProgram:
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0: np.ndarray,
+        x0,
         *,
         workspace=None,
-    ) -> BatchPagerankResult:
-        """Solve a region-schedule batch (column ``j`` of ``x0`` seeds
-        ``views[j]``).  Only called when ``supports_batch``."""
-        raise NotImplementedError
+    ):
+        """Solve several windows in one call (seed ``j`` starts
+        ``views[j]``).
+
+        An ``(n, k)`` ``x0`` is a region-schedule batch of one
+        multi-window graph's windows, returning a
+        :class:`~repro.pagerank.result.BatchPagerankResult`; only called
+        when ``supports_batch``.  A sequence of per-window seeds is a
+        lockstep step over windows of *different* graphs, each in its own
+        vertex space, returning a
+        :class:`~repro.pagerank.result.LockstepResult` whose column ``j``
+        must equal ``solve_window(views[j], x0[j])`` bit for bit.  The
+        default solves the lockstep columns one by one; kernels with a
+        batched loop override it.
+        """
+        if x0 is None or isinstance(x0, np.ndarray):
+            raise NotImplementedError
+        return LockstepResult(
+            [self.solve_window(v, x) for v, x in zip(views, x0)]
+        )
 
     # -- materialized surface (offline / streaming drivers) ------------
     def solve_graph(

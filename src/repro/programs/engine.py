@@ -1,4 +1,4 @@
-"""The temporal vertex-program engine: one warm-start chain solver.
+"""The temporal vertex-program engine: warm-start chain solvers.
 
 This is the PageRank-agnostic extraction of the postmortem driver's
 per-multi-window-graph loop.  Everything the paper's machinery provides —
@@ -7,8 +7,18 @@ chaining (Section 4.2) via the program's ``warm_start`` hook, the SpMM
 region schedule (Section 4.4) for programs with a batched kernel, and the
 two-batch memory bound — now serves *any* :class:`~repro.programs.base.
 VertexProgram`.  With the reference :class:`~repro.programs.pagerank.
-PagerankProgram` the solve sequence is call-for-call identical to the
-historic driver, so output is bitwise-identical by construction.
+PagerankProgram` the output is bitwise-identical to the historic driver.
+
+Two entry points:
+
+* :func:`solve_program_chains` runs the sequential schedule of several
+  graphs in lockstep: step j solves window j of every chain, in one
+  ``solve_batch`` call when two or more chains of an iterative program
+  are live.  Every sum whose rounding depends on its grouping stays a
+  per-window reduction (:mod:`repro.pagerank.spmv`), so each window's
+  bits equal its chain run alone.
+* :func:`solve_program_chain` runs one graph on the region schedule (or,
+  for programs without a batched kernel, window by window).
 
 :class:`TaskRecord` (the machine-independent work log the parallel
 simulator replays) lives here because the engine is what emits it.
@@ -17,7 +27,7 @@ simulator replays) lives here because the engine is what emits it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +40,7 @@ from repro.programs.base import VertexProgram
 # model drivers import this engine, so a module-level import here would
 # be circular for callers that reach the engine first
 
-__all__ = ["TaskRecord", "solve_program_chain"]
+__all__ = ["TaskRecord", "solve_program_chain", "solve_program_chains"]
 
 
 @dataclass
@@ -234,3 +244,105 @@ def solve_program_chain(
         views = {w: v for w, v in views.items() if w in keep}
         local_values = {w: v for w, v in local_values.items() if w in keep}
     return window_results, tasks, work
+
+
+class _Chain:
+    """One multi-window graph's warm-start chain inside a lockstep run."""
+
+    __slots__ = ("graph", "mw_index", "prev", "results")
+
+    def __init__(self, graph: MultiWindowGraph, mw_index: int) -> None:
+        self.graph = graph
+        self.mw_index = mw_index
+        #: (view, local values) of the last solved window
+        self.prev = None
+        #: ``(window_results, tasks, work)``, as solve_program_chain
+        self.results = ({}, [], WorkStats())
+
+
+def solve_program_chains(
+    graphs: Sequence[MultiWindowGraph],
+    mw_indices: Sequence[int],
+    program: VertexProgram,
+    *,
+    partial_init: bool = True,
+    n_global_vertices: int,
+    store_values: bool = True,
+    value_sink=None,
+    chain_done: Optional[Callable[[tuple], None]] = None,
+) -> List[tuple]:
+    """Run the sequential schedule of several multi-window graphs in
+    lockstep: step j solves window j of every chain that has one.
+
+    The chains stay independent — each warm-starts window j from its own
+    window j-1 (eq. 4) — so every window's answer is bitwise-identical to
+    running the chains one after another with :func:`solve_program_chain`.
+    One :class:`~repro.pagerank.workspace.Workspace` serves every solve:
+    they run one at a time and each consumes its scratch before the next.
+
+    What the lockstep saves is interpreter time: when two or more chains
+    are live, an iterative program solves their windows with one
+    ``solve_batch`` call whose seeds are a list (for PageRank, weighted
+    PageRank and Katz, one power iteration over the concatenated windows,
+    see :mod:`repro.pagerank.spmv`); a single live chain, and every
+    window of a non-iterative program, goes through ``solve_window``.
+    Windows reach ``value_sink`` interleaved across chains.
+
+    ``chain_done(result)`` is called as each chain finishes, with the
+    ``(window_results, tasks, work)`` triple :func:`solve_program_chain`
+    returns; the triples are also returned, in input order.
+    """
+    chains = [_Chain(g, mw) for g, mw in zip(graphs, mw_indices)]
+    chain_state = partial_init and program.iterative
+    workspace = Workspace()
+    for j in range(max((g.n_windows for g in graphs), default=0)):
+        live = [c for c in chains if j < c.graph.n_windows]
+        views, seeds, warm = [], [], []
+        for c in live:
+            view = c.graph.window_view(
+                c.graph.first_window + j, workspace=workspace
+            )
+            if chain_state and c.prev is not None:
+                seeds.append(program.warm_start(view, *c.prev))
+                warm.append(True)
+            else:
+                seeds.append(program.init_window(view))
+                warm.append(False)
+            views.append(view)
+        if len(live) > 1 and program.iterative:
+            solved = program.solve_batch(
+                views, seeds, workspace=workspace
+            ).columns
+        else:
+            solved = [
+                program.solve_window(v, x, workspace=workspace)
+                for v, x in zip(views, seeds)
+            ]
+        for c, view, pr, used_partial in zip(live, views, solved, warm):
+            window_results, tasks, work = c.results
+            window = c.graph.first_window + j
+            work.merge(pr.work)
+            _emit_window(
+                c.graph, window, view, pr.values, pr.iterations,
+                pr.converged, pr.residual, window_results, store_values,
+                n_global_vertices, value_sink,
+            )
+            tasks.append(
+                TaskRecord(
+                    multiwindow=c.mw_index,
+                    windows=[window],
+                    iterations=pr.iterations,
+                    structure_nnz=c.graph.nnz,
+                    active_edges=view.n_active_edges,
+                    active_vertices=view.n_active_vertices,
+                    used_partial_init=used_partial,
+                    kernel="spmv",
+                )
+            )
+            # only window j can seed window j + 1
+            c.prev = (view, pr.values)
+            if j == c.graph.n_windows - 1:
+                c.prev = None
+                if chain_done is not None:
+                    chain_done(c.results)
+    return [c.results for c in chains]

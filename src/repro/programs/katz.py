@@ -6,8 +6,8 @@ instead of the degree normalization — so it has no power loop of its own.
 All three solve surfaces run PageRank's loops with Katz's constants
 (scale ``a``, the max-degree-clamped attenuation; base ``b``) and a
 normalized residual: :func:`repro.pagerank.spmv._power_iterate` per
-window (packed active edges and the chain's pooled workspace
-included),
+window and per lockstep step (packed active edges and the chain's pooled
+workspace included),
 :func:`repro.pagerank.spmm._power_iterate_batch` for region-schedule
 batches (Section 4.4's batching applied to a second analytic), and
 :func:`repro.pagerank.incremental._power_iterate_graph` for the
@@ -34,9 +34,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import _power_iterate_graph
-from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
+from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
 from repro.pagerank.spmm import _power_iterate_batch
-from repro.pagerank.spmv import _power_iterate
+from repro.pagerank.spmv import _power_iterate, _seeds
 from repro.programs.base import VertexProgram
 from repro.utils.segments import segment_sum
 
@@ -218,27 +218,22 @@ class KatzProgram(VertexProgram):
         *,
         workspace=None,
     ) -> PagerankResult:
-        return _power_iterate(
-            view, self._solver(),
-            self.init_window(view) if x0 is None else x0,
-            workspace,
-            np.ones(view.adjacency.n_vertices, dtype=np.float64),
-            _effective_attenuation(
-                self.config, view.in_degrees, view.out_degrees
-            ),
-            self.config.base, normalized=True,
-        )
+        return self._lockstep([view], [x0], workspace).columns[0]
 
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0: np.ndarray,
+        x0,
         *,
         workspace=None,
-    ) -> BatchPagerankResult:
-        """Katz on PageRank's SpMM loop: one clamped attenuation per
-        column, pooled and read cell by cell exactly like a PageRank
-        batch."""
+    ):
+        """Katz on PageRank's batched loops, one clamped attenuation per
+        column.  An ``(n, k)`` ``x0`` is a region batch of one graph's
+        windows (the SpMM loop, its cells pooled and read like a PageRank
+        batch); a sequence of per-window seeds is a lockstep step over
+        windows of different graphs (the SpMV loop)."""
+        if not isinstance(x0, np.ndarray):
+            return self._lockstep(views, x0, workspace)
         c = self.config
         scale = np.array(
             [_effective_attenuation(c, v.in_degrees, v.out_degrees)
@@ -248,6 +243,20 @@ class KatzProgram(VertexProgram):
         return _power_iterate_batch(
             views, self._solver(), x0, workspace,
             scale, c.base, normalized=True, unit_weights=True,
+        )
+
+    def _lockstep(self, views, x0, workspace) -> LockstepResult:
+        c = self.config
+        return _power_iterate(
+            views, self._solver(),
+            [self.init_window(v) if x is None else x
+             for v, x in zip(views, _seeds(views, x0))],
+            workspace,
+            [np.ones(v.adjacency.n_vertices, dtype=np.float64)
+             for v in views],
+            [_effective_attenuation(c, v.in_degrees, v.out_degrees)
+             for v in views],
+            c.base, normalized=True,
         )
 
     # -- materialized surface ------------------------------------------

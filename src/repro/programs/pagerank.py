@@ -3,8 +3,9 @@
 Every hook delegates to the exact function the pre-engine drivers called —
 :func:`~repro.pagerank.init.full_initialization` /
 :func:`~repro.pagerank.init.partial_initialization` for state,
-:func:`~repro.pagerank.spmv.pagerank_window` (or the weighted variant) and
-:func:`~repro.pagerank.spmm.pagerank_windows_spmm` for the temporal
+:func:`~repro.pagerank.spmv.pagerank_window` (or the weighted variant),
+its lockstep form :func:`~repro.pagerank.spmv.pagerank_windows_lockstep`
+and :func:`~repro.pagerank.spmm.pagerank_windows_spmm` for the temporal
 kernels, :func:`~repro.pagerank.incremental.incremental_pagerank` for the
 materialized path — so engine output is bitwise-identical to the historic
 driver by construction, not by tolerance.  The parity suite asserts this
@@ -14,7 +15,7 @@ across kernels × weighting × warm starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,10 +24,17 @@ from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import incremental_pagerank
 from repro.pagerank.init import full_initialization, partial_initialization
-from repro.pagerank.result import BatchPagerankResult, PagerankResult
+from repro.pagerank.result import (
+    BatchPagerankResult,
+    LockstepResult,
+    PagerankResult,
+)
 from repro.pagerank.spmm import pagerank_windows_spmm
-from repro.pagerank.spmv import pagerank_window
-from repro.pagerank.weighted import pagerank_window_weighted
+from repro.pagerank.spmv import pagerank_window, pagerank_windows_lockstep
+from repro.pagerank.weighted import (
+    pagerank_window_weighted,
+    pagerank_windows_weighted,
+)
 from repro.programs.base import VertexProgram
 
 __all__ = ["PagerankProgram"]
@@ -37,9 +45,9 @@ class PagerankProgram(VertexProgram):
     """The paper's PageRank (eq. 1) as a vertex program.
 
     ``weighted`` selects the event-multiplicity-weighted SpMV kernel,
-    which has no batched form — the engine falls back to the sequential
-    schedule exactly as :class:`PostmortemOptions` validation historically
-    required.
+    which has no SpMM form — the engine runs it on the sequential
+    schedule (lockstep across graphs included), as
+    :class:`PostmortemOptions` validation requires.
     """
 
     config: PagerankConfig = field(default_factory=PagerankConfig)
@@ -77,10 +85,20 @@ class PagerankProgram(VertexProgram):
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0: np.ndarray,
+        x0,
         *,
         workspace=None,
-    ) -> BatchPagerankResult:
+    ) -> Union[BatchPagerankResult, LockstepResult]:
+        """An ``(n, k)`` ``x0`` is a region batch of one graph's windows
+        (the SpMM kernel); a sequence of per-window seeds is a lockstep
+        step over windows of different graphs (the SpMV loop, weighted
+        or not)."""
+        if not isinstance(x0, np.ndarray):
+            solver = (
+                pagerank_windows_weighted if self.weighted
+                else pagerank_windows_lockstep
+            )
+            return solver(views, self.config, x0, workspace)
         return pagerank_windows_spmm(
             views, self.config, x0=x0, workspace=workspace
         )

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import OverloadedError, ValidationError
+from repro.errors import ValidationError
 from repro.parallel.shared_arena import ArenaHandle, attach_arena
 from repro.sanitize import (
     LOCK_RANK_EXECUTOR_COUNTERS,
@@ -80,12 +80,9 @@ class _Job:
 class BatchingExecutor:
     """Coalesces concurrent query jobs into shared engine batches.
 
-    ``max_queue`` bounds how many jobs may sit in the admission queue at
-    once (``None`` = unbounded).  A submit against a full queue waits at
-    most ``submit_timeout`` seconds for a slot and then raises
-    :class:`~repro.errors.OverloadedError`.  The shard worker leaves it
-    unbounded: its coordinator-side :class:`~repro.service.cluster.
-    coordinator.ReplicaProxy` already bounds what reaches the pipe.
+    The queue is unbounded: the coordinator-side :class:`~repro.service.
+    cluster.coordinator.ReplicaProxy` already bounds (and sheds) what
+    reaches a shard worker's pipe.
     """
 
     def __init__(
@@ -93,37 +90,19 @@ class BatchingExecutor:
         engine: QueryEngine,
         workers: int = 4,
         max_batch: int = 64,
-        max_queue: Optional[int] = None,
-        submit_timeout: float = 0.0,
     ) -> None:
         if workers <= 0:
             raise ValidationError(f"workers must be > 0, got {workers}")
         if max_batch <= 0:
             raise ValidationError(f"max_batch must be > 0, got {max_batch}")
-        if max_queue is not None and max_queue <= 0:
-            raise ValidationError(f"max_queue must be > 0, got {max_queue}")
-        if submit_timeout < 0:
-            raise ValidationError(
-                f"submit_timeout must be >= 0, got {submit_timeout}"
-            )
         self.engine = engine
         self.max_batch = max_batch
-        self.max_queue = max_queue
-        self.submit_timeout = submit_timeout
         self._queue: "queue.Queue" = queue.Queue()
-        # admission slots live beside the queue (not as queue maxsize) so
-        # the _STOP sentinels can never be blocked out by a full queue
-        self._slots = (
-            threading.BoundedSemaphore(max_queue)
-            if max_queue is not None
-            else None
-        )
         self._counter_lock = make_lock(
             "executor-counters", LOCK_RANK_EXECUTOR_COUNTERS
         )
         self.jobs_submitted = 0
         self.jobs_completed = 0
-        self.jobs_shed = 0
         self.batches_executed = 0
         self.batched_queries = 0
         self.jobs_coalesced = 0
@@ -145,47 +124,21 @@ class BatchingExecutor:
 
     # ------------------------------------------------------------------
     def submit(self, queries: Sequence[Dict]) -> "Future[List[Dict]]":
-        """Enqueue one job; the future resolves to one result per query.
-
-        Raises :class:`~repro.errors.OverloadedError` when the bounded
-        admission queue stays full past ``submit_timeout``.
-        """
-        if self._slots is not None and not self._slots.acquire(
-            timeout=self.submit_timeout
-        ):
-            with self._counter_lock:
-                self.jobs_shed += 1
-            raise OverloadedError(
-                f"admission queue full ({self.max_queue} jobs); request "
-                "shed after "
-                f"{self.submit_timeout:.3f}s"
-            )
+        """Enqueue one job; the future resolves to one result per query."""
         job = _Job(queries)
-        try:
-            with self._state_lock:
-                if self._stopped:
-                    raise ValidationError("executor is stopped")
-                self._queue.put(job)
-        except BaseException:
-            self._release_slot()
-            raise
+        with self._state_lock:
+            if self._stopped:
+                raise ValidationError("executor is stopped")
+            self._queue.put(job)
         with self._counter_lock:
             self.jobs_submitted += 1
         return job.future
-
-    def _release_slot(self) -> None:
-        if self._slots is not None:
-            try:
-                self._slots.release()
-            except ValueError:  # pragma: no cover - defensive double release
-                logger.warning("admission slot over-released")
 
     def _worker(self) -> None:
         while True:
             job = self._queue.get()
             if job is _STOP:
                 return
-            self._release_slot()
             jobs = [job]
             # gulp whatever queued up behind this job: those queries ride
             # in the same engine batch and share slice decodes
@@ -197,7 +150,6 @@ class BatchingExecutor:
                 if nxt is _STOP:
                     self._queue.put(_STOP)  # hand the sentinel back
                     break
-                self._release_slot()
                 jobs.append(nxt)
             queries = [q for j in jobs for q in j.queries]
             try:
@@ -234,12 +186,10 @@ class BatchingExecutor:
             return {
                 "jobs_submitted": self.jobs_submitted,
                 "jobs_completed": self.jobs_completed,
-                "jobs_shed": self.jobs_shed,
                 "in_flight": in_flight,
                 "batches_executed": self.batches_executed,
                 "jobs_coalesced": self.jobs_coalesced,
                 "mean_batch_queries": round(mean_batch, 3),
-                "max_queue": self.max_queue or 0,
                 "workers": len(self._workers),
             }
 

@@ -325,77 +325,8 @@ class TestBatchingExecutor:
 
 
 class TestAdmissionControl:
-    """The bounded admission queue: real load-shedding, not latency."""
-
-    def _stalled_executor(self, store_path, max_queue):
-        engine = QueryEngine(store_path)
-        executor = BatchingExecutor(
-            engine, workers=1, max_batch=1, max_queue=max_queue,
-            submit_timeout=0.0,
-        )
-        entered, gate = threading.Event(), threading.Event()
-        original_batch = engine.batch
-
-        def slow_batch(queries):
-            entered.set()
-            gate.wait(timeout=10)
-            return original_batch(queries)
-
-        engine.batch = slow_batch
-        return engine, executor, entered, gate
-
-    def test_validates_bounds(self, store_path):
-        engine = QueryEngine(store_path)
-        with pytest.raises(ValidationError):
-            BatchingExecutor(engine, max_queue=0)
-        with pytest.raises(ValidationError):
-            BatchingExecutor(engine, submit_timeout=-1.0)
-        engine.close()
-
-    def test_full_queue_sheds(self, store_path):
-        from repro.errors import OverloadedError
-
-        engine, executor, entered, gate = self._stalled_executor(
-            store_path, max_queue=2
-        )
-        try:
-            # one job occupies the worker (its slot is recycled once the
-            # worker dequeues it), then two more fill the admission queue
-            futures = [
-                executor.submit([{"op": "rank", "vertex": 0, "window": 0}])
-            ]
-            assert entered.wait(timeout=5)
-            futures += [
-                executor.submit([{"op": "rank", "vertex": v, "window": 0}])
-                for v in (1, 2)
-            ]
-            with pytest.raises(OverloadedError, match="shed"):
-                executor.submit([{"op": "rank", "vertex": 9, "window": 0}])
-            assert executor.stats()["jobs_shed"] == 1
-            gate.set()
-            assert all(
-                f.result(timeout=5)[0]["ok"] for f in futures
-            )
-            # slots were recycled: submits admit again after the drain
-            ok = executor.submit([{"op": "rank", "vertex": 1, "window": 1}])
-            assert ok.result(timeout=5)[0]["ok"]
-        finally:
-            gate.set()
-            executor.stop()
-            engine.close()
-
-    def test_unbounded_by_default(self, store_path):
-        engine = QueryEngine(store_path)
-        executor = BatchingExecutor(engine, workers=1)
-        assert executor._slots is None
-        futures = [
-            executor.submit([{"op": "rank", "vertex": v, "window": 0}])
-            for v in range(50)
-        ]
-        assert all(f.result(timeout=10)[0]["ok"] for f in futures)
-        assert executor.stats()["jobs_shed"] == 0
-        executor.stop()
-        engine.close()
+    """The replica proxy's bounded admission queue: real load-shedding,
+    not latency."""
 
     def test_http_429_when_saturated(self, store_path):
         """``--max-queue 1``: while the shard holds one query, the rest
@@ -450,8 +381,7 @@ class TestHealthz:
         assert stats["router"]["queries_shed"] == 0
         assert stats["frontend"]["max_inflight"] == 256
         batching = worker["batching"]
-        for key in ("jobs_shed", "in_flight", "mean_batch_queries",
-                    "max_queue", "jobs_completed"):
+        for key in ("in_flight", "mean_batch_queries", "jobs_completed"):
             assert key in batching
         assert batching["in_flight"] == 0
         assert batching["jobs_completed"] >= 1
