@@ -14,11 +14,13 @@ bench measures the kernels against it on a realistic profile:
   the masked oracle *bitwise* (sequential ``segment_sum_ordered`` makes
   zero-dropping exact).
 
-The SpMM batch reads only its live (edge, window) cells
-(:class:`~repro.pagerank.spmm.ActiveCells`).  Its section reports the
-cells read per iteration as a fraction of ``nnz * k`` and checks the
-batch bitwise against the full-width masked pass it replaced
-(``tests/spmm_reference.py``).
+An SpMM batch (a strided set of windows of one graph, as the region
+schedule forms them) runs on the lockstep loop
+(:func:`~repro.pagerank.spmv.pagerank_windows_lockstep`), which reads
+only each column's packed active edges — its live (edge, window) cells.
+Its section reports the cells read per iteration of the longest column
+as a fraction of ``nnz * k`` and checks every column bitwise against the
+masked single-window oracle.
 
 Wall-clock on a shared CI box is noise, so the *guarded* regression
 metrics are ratios: traversed-events and cell fractions (pure code
@@ -51,11 +53,10 @@ from repro.pagerank import (
     Workspace,
     pagerank_window,
     pagerank_window_weighted,
-    pagerank_windows_spmm,
+    pagerank_windows_lockstep,
 )
 from repro.reporting import format_table
 from tests.dense_mask_reference import dense_mask_pagerank
-from tests.spmm_reference import reference_power_iterate_batch
 
 PROFILE = "stackoverflow"
 DELTA_DAYS = 30
@@ -130,28 +131,22 @@ def test_edge_compaction():
     # -- spmm: the strided batch's active cells --------------------------
     stride = max(1, len(views) // SPMM_BATCH)
     batch = views[::stride][:SPMM_BATCH]
-    m_run = pagerank_windows_spmm(
+    m_run = pagerank_windows_lockstep(
         batch, BENCH_CONFIG, workspace=Workspace()
     )
-    oracle = reference_power_iterate_batch(
-        batch, BENCH_CONFIG, None,
-        np.full(len(batch), BENCH_CONFIG.damping, dtype=np.float64),
-        BENCH_CONFIG.alpha,
+    oracle = [dense_mask_pagerank(v, BENCH_CONFIG) for v in batch]
+    spmm_match = all(
+        _same(column, want) and column.residual == want.residual
+        for column, want in zip(m_run.columns, oracle)
     )
-    spmm_match = (
-        np.array_equal(m_run.values, oracle.values)
-        and np.array_equal(
-            m_run.iterations_per_window, oracle.iterations_per_window
-        )
-        and np.array_equal(m_run.residuals, oracle.residuals)
-    )
-    spmm_work = m_run.work
-    spmm_iters = int(spmm_work.iterations)
-    cell_fraction = spmm_work.edge_traversals / (
+    # the loop steps until its longest column converges: its count is
+    # the batch's iterations, and every column's edges are its cells
+    spmm_iters = max(column.iterations for column in m_run.columns)
+    cell_fraction = m_run.work.edge_traversals / (
         spmm_iters * nnz * len(batch)
     )
     m_seconds, _ = interleaved_rounds(
-        {"spmm": lambda: pagerank_windows_spmm(
+        {"spmm": lambda: pagerank_windows_lockstep(
             batch, BENCH_CONFIG, workspace=Workspace()
         )},
         ROUNDS,

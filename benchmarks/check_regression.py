@@ -36,8 +36,10 @@ GUARDED = {
     # traversal/cell fractions are pure code facts; the per-iteration
     # time ratio compares the kernel with the masked test oracle in
     # interleaved rounds on the same machine, so it is stable where
-    # absolute wall-clock is not.  The SpMM batch has one traversal (its
-    # active cells), so it has no masked/compacted time ratio to guard
+    # absolute wall-clock is not.  The SpMM batch runs the lockstep loop
+    # over each column's packed active edges (its live cells) and has
+    # no other traversal, so it has no masked/compacted time ratio to
+    # guard
     "edge_compaction": [
         (("spmv", "traversal_ratio"), "compacted/masked traversed events"),
         (("spmv", "periter_ratio"), "compacted/masked per-iteration time (spmv)"),

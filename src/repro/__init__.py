@@ -53,10 +53,9 @@ from repro.graph import (
 from repro.pagerank import (
     PagerankConfig,
     PagerankResult,
-    BatchPagerankResult,
     WorkStats,
     pagerank_window,
-    pagerank_windows_spmm,
+    pagerank_windows_lockstep,
     full_initialization,
     partial_initialization,
 )
@@ -113,10 +112,9 @@ __all__ = [
     # pagerank
     "PagerankConfig",
     "PagerankResult",
-    "BatchPagerankResult",
     "WorkStats",
     "pagerank_window",
-    "pagerank_windows_spmm",
+    "pagerank_windows_lockstep",
     "full_initialization",
     "partial_initialization",
     # models

@@ -104,17 +104,12 @@ class MultiWindowGraph:
         w = self.spec.window(local)
         return Window(index=global_index, t_start=w.t_start, t_end=w.t_end)
 
-    def window_view(self, global_index: int, workspace=None) -> WindowView:
+    def window_view(self, global_index: int) -> WindowView:
         """Per-window activity data over the *local* structure.
 
         Θ(window events + groups) through the adjacency's
-        :class:`~repro.graph.temporal_csr.GroupIndex`.  ``workspace`` is
-        remembered by the view so its
-        :meth:`~repro.graph.temporal_csr.WindowView.compact_pull` packs
-        into the chain's pooled scratch."""
-        return self.adjacency.window_view(
-            self.local_window(global_index), workspace=workspace
-        )
+        :class:`~repro.graph.temporal_csr.GroupIndex`."""
+        return self.adjacency.window_view(self.local_window(global_index))
 
     def to_global(self, local_values: np.ndarray, n_global: int) -> np.ndarray:
         """Scatter a local per-vertex vector into the global vertex space
@@ -288,12 +283,9 @@ class LazyMultiWindowPartition:
         """Build the graph owning a global window index."""
         return self.graph_at(self.owner_of(window_index))
 
-    def window_view(self, window_index: int, workspace=None) -> WindowView:
-        """Per-window view via a freshly built owning graph
-        (``workspace`` forwarded to the view)."""
-        return self.graph_of(window_index).window_view(
-            window_index, workspace=workspace
-        )
+    def window_view(self, window_index: int) -> WindowView:
+        """Per-window view via a freshly built owning graph."""
+        return self.graph_of(window_index).window_view(window_index)
 
     @property
     def total_stored_events(self) -> int:

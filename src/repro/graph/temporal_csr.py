@@ -305,14 +305,13 @@ class TemporalAdjacency:
             self._time_order = None
         return self._groups
 
-    def window_view(self, window: "Window", workspace=None) -> "WindowView":
+    def window_view(self, window: "Window") -> "WindowView":
         """Everything one PageRank run needs for ``window``.
 
         Θ(window events + groups) through the :class:`GroupIndex`, not a
-        pass over every stored event.  ``workspace`` is remembered by the
-        view for the scratch its kernels request.
+        pass over every stored event.
         """
-        return WindowView(self, window, workspace=workspace)
+        return WindowView(self, window)
 
     def memory_bytes(self) -> int:
         """Bytes of the temporal CSR's arrays."""
@@ -355,20 +354,11 @@ class WindowView:
         "n_active_vertices",
         "n_active_edges",
         "_span",
-        "_inv_out",
-        "_workspace",
-        "_compact_pull",
     )
 
-    def __init__(
-        self,
-        adjacency: TemporalAdjacency,
-        window: "Window",
-        workspace=None,
-    ) -> None:
+    def __init__(self, adjacency: TemporalAdjacency, window: "Window") -> None:
         self.adjacency = adjacency
         self.window = window
-        self._workspace = workspace
         groups = adjacency.groups
         self._span = groups.span(window.t_start, window.t_end)
         self.group_mask = groups.counts(self._span) > 0
@@ -385,8 +375,6 @@ class WindowView:
         self.active_vertices_mask = active
         self.n_active_vertices = int(np.count_nonzero(active))
         self.n_active_edges = int(active_groups.size)
-        self._inv_out: Optional[np.ndarray] = None
-        self._compact_pull = None
 
     @property
     def n_vertices(self) -> int:
@@ -399,7 +387,7 @@ class WindowView:
         the order the in-orientation stores them in.
 
         Recomputed on each read rather than kept: the SpMM schedule holds
-        two batches of views for its warm starts, and keeping this
+        two steps of views for its warm starts, and keeping this
         Θ(|E_w|) array on each of them raised the net peak RSS of the
         perfbench youtube workload (SpMM on two workers) from 27 to
         36 MiB."""
@@ -424,54 +412,6 @@ class WindowView:
         return self.adjacency.in_csr.dedup_mask(
             self.window.t_start, self.window.t_end
         )
-
-    def inverse_out_degrees(self) -> np.ndarray:
-        """1 / |Γ+(u)| with zeros for dangling/inactive vertices.
-
-        Without a workspace the Θ(n) result is computed once and cached
-        on the view.  With one, it is recomputed into pooled
-        scratch on every call (no per-window allocation inside a
-        partial-init chain) and stays valid until the next
-        ``inverse_out_degrees`` call on *any* view sharing the workspace
-        — kernels consume it within a single solve, which never
-        interleaves with another view's call.
-        """
-        ws = self._workspace
-        if ws is not None:
-            n = self.adjacency.n_vertices
-            inv = ws.zeros("view.inv_out", (n,), np.float64)
-            nz = ws.buffer("view.inv_nz", (n,), np.bool_)
-            np.greater(self.out_degrees, 0, out=nz)
-            inv[nz] = 1.0 / self.out_degrees[nz]
-            return inv
-        if self._inv_out is None:
-            inv = np.zeros(self.adjacency.n_vertices, dtype=np.float64)
-            nz = self.out_degrees > 0
-            inv[nz] = 1.0 / self.out_degrees[nz]
-            self._inv_out = inv
-        return self._inv_out
-
-    def compact_pull(self, workspace=None):
-        """The window's active in-edges packed into dense
-        ``(col_c, rows_c)`` arrays (:class:`~repro.pagerank.compaction.
-        CompactedPull`): the active groups in group order, so iterating
-        over the packed arrays is bitwise-identical to masking the full
-        structure.
-
-        ``workspace`` defaults to the view's own; with
-        one, the packed arrays are pooled-scratch slices valid for the
-        current solve.  Without one, the result is owned and cached.
-        """
-        # lazy import: the compaction engine lives with the kernels it
-        # feeds, and the graph layer must stay importable without them
-        from repro.pagerank.compaction import compact_pull
-
-        ws = workspace if workspace is not None else self._workspace
-        if ws is not None:
-            return compact_pull(self, workspace=ws)
-        if self._compact_pull is None:
-            self._compact_pull = compact_pull(self)
-        return self._compact_pull
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` of the window's simple edges (int64), one per

@@ -4,8 +4,8 @@ The driver partitions the window sequence into multi-window graphs
 **once** (Section 4.1), then solves every window with:
 
 * partial initialization across consecutive windows (Section 4.2),
-* the SpMV kernel or the SpMM-inspired batched kernel with the strided
-  region schedule (Section 4.4),
+* the SpMV schedule, or the SpMM-inspired strided region schedule
+  (Section 4.4) whose regions step through one batched loop,
 * optionally, parallelism over multi-window graphs: each graph is one task
   whose windows chain through partial initialization inside one worker
   (Section 4.3.1's scheduling constraint).
@@ -18,18 +18,19 @@ task compacts its graphs, solves their chains and drops the graphs.
 
 A task is a *lockstep group*: consecutive graphs whose stored events
 (known from the recipes before anything is built) add up to at most
-:data:`LOCKSTEP_EVENTS`.  Their chains run in lockstep
-(:func:`repro.programs.engine.solve_program_chains`): step j solves
-window j of every graph in the group in one batched power iteration,
-and every window's bits equal the one-chain-at-a-time run.  A graph
-larger than the bound is a group of its own.  Groups form only on the
-``serial`` executor, for iterative programs on the sequential (SpMV)
-schedule; the ``shared`` executor sends one graph per task, and the
-SpMM region schedule and non-iterative programs solve one graph at a
-time (:func:`repro.programs.engine.solve_program_chain`).  Live graphs
-are therefore bounded by one group on ``serial`` and by the number of
-concurrent workers on ``shared``, on in-RAM and ``.tcsr`` input alike,
-for every partition method.
+:data:`LOCKSTEP_EVENTS`.  Every task runs one chain stepper
+(:func:`repro.programs.engine.solve_program_chains`): each graph is a
+warm-start chain, or, under ``kernel="spmm"``, ``vector_length`` chains
+(the regions of its region schedule); step j solves window j of every
+chain in the task in one batched power iteration, and every window's
+bits equal its single-window solve from the seed its chain hands it.
+A graph larger than the bound is a group of its own.  Groups of several
+graphs form only on the ``serial`` executor, for iterative programs on
+the sequential (SpMV) schedule; the ``shared`` executor, the SpMM region
+schedule and non-iterative programs send one graph per task.  Live
+graphs are therefore bounded by one group on ``serial`` and by the
+number of concurrent workers on ``shared``, on in-RAM and ``.tcsr``
+input alike, for every partition method.
 
 Since the vertex-program refactor the per-graph chain loop lives in
 :mod:`repro.programs.engine`; this driver binds it to a
@@ -52,17 +53,12 @@ from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
 from repro.graph.multiwindow import (
     LazyMultiWindowPartition,
-    MultiWindowGraph,
     graph_from_payload,
 )
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
 from repro.programs.base import VertexProgram
-from repro.programs.engine import (
-    TaskRecord,
-    solve_program_chain,
-    solve_program_chains,
-)
+from repro.programs.engine import TaskRecord, solve_program_chains
 from repro.programs.registry import resolve_program
 from repro.runtime.base import record_run_metadata
 from repro.runtime.execution import EXECUTORS, map_tasks
@@ -71,7 +67,6 @@ __all__ = [
     "LOCKSTEP_EVENTS",
     "PostmortemOptions",
     "PostmortemDriver",
-    "solve_multiwindow_graph",
 ]
 
 _KERNELS = ("spmv", "spmm")
@@ -102,11 +97,13 @@ class PostmortemOptions:
         Warm-start each window from its predecessor (within the same
         multi-window graph).
     kernel:
-        ``"spmv"`` (one window at a time) or ``"spmm"`` (batched windows
-        with the region schedule; programs without a batched kernel fall
-        back to the sequential schedule).
+        ``"spmv"`` (each graph's windows in order) or ``"spmm"`` (the
+        region schedule: each graph's windows in ``vector_length``
+        regions stepped together; non-iterative programs keep the
+        sequential order).
     vector_length:
-        SpMM batch width (the paper uses 8 or 16).
+        SpMM batch width, the number of regions per graph (the paper
+        uses 8 or 16).
     executor:
         ``"serial"`` or ``"shared"`` (process pool over a shared-memory
         arena: the event columns are published once via
@@ -260,7 +257,6 @@ class PostmortemDriver:
                 ],
                 _solve_group_task,
                 args=(
-                    self.config,
                     self.options,
                     self.events.n_vertices,
                     store_values,
@@ -318,11 +314,9 @@ class PostmortemDriver:
 
 
 def _lockstep(program: VertexProgram, options: PostmortemOptions) -> bool:
-    """Whether the chains run on the sequential schedule of an iterative
-    program (the shape :func:`solve_program_chains` steps together)."""
-    return program.iterative and not (
-        options.kernel == "spmm" and program.supports_batch
-    )
+    """Whether several graphs' chains may share a task: an iterative
+    program on the sequential schedule."""
+    return program.iterative and options.kernel != "spmm"
 
 
 def _solve_group_task(
@@ -330,7 +324,6 @@ def _solve_group_task(
     payload: tuple,
     task_index: int,
     sink,
-    config: PagerankConfig,
     options: PostmortemOptions,
     n_global_vertices: int,
     store_values: bool,
@@ -345,7 +338,7 @@ def _solve_group_task(
     :meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_at`;
     in a ``shared`` worker it is the event set over the attached columns
     and the recipe names the slice to compact.  Either way the graph is
-    identical.  Returns the chains' ``(window_results, tasks, work)``
+    identical.  Returns the graphs' ``(window_results, tasks, work)``
     triples, or reports each to ``chain_done`` as it finishes (then
     returning none).
     """
@@ -354,56 +347,16 @@ def _solve_group_task(
         graphs = [source.graph_at(g) for g in indices]
     else:
         graphs = [graph_from_payload(source, recipe) for _, recipe in payload]
-    if _lockstep(program, options):
-        results = solve_program_chains(
-            graphs,
-            indices,
-            program,
-            partial_init=options.partial_init,
-            n_global_vertices=n_global_vertices,
-            store_values=store_values,
-            value_sink=sink,
-            chain_done=chain_done,
-        )
-    else:
-        results = []
-        for graph, g in zip(graphs, indices):
-            results.append(solve_multiwindow_graph(
-                graph, g, config, options, n_global_vertices,
-                store_values, sink, program,
-            ))
-            if chain_done is not None:
-                chain_done(results[-1])
-    return [] if chain_done is not None else results
-
-
-def solve_multiwindow_graph(
-    graph: MultiWindowGraph,
-    mw_index: int,
-    config: PagerankConfig,
-    options: PostmortemOptions,
-    n_global_vertices: int,
-    store_values: bool,
-    value_sink=None,
-    program: Optional[VertexProgram] = None,
-):
-    """Solve every window of one multi-window graph.
-
-    The model-level wrapper over :func:`repro.programs.engine.
-    solve_program_chain`: it resolves the program (PageRank with
-    ``options.weighted`` when none is given — the historic behaviour) and
-    forwards the chain knobs from :class:`PostmortemOptions`.
-    """
-    if program is None:
-        program = resolve_program(None, config, weighted=options.weighted)
-    return solve_program_chain(
-        graph,
-        mw_index,
+    results = solve_program_chains(
+        graphs,
+        indices,
         program,
         partial_init=options.partial_init,
         kernel=options.kernel,
         vector_length=options.vector_length,
         n_global_vertices=n_global_vertices,
         store_values=store_values,
-        value_sink=value_sink,
+        value_sink=sink,
+        chain_done=chain_done,
     )
+    return [] if chain_done is not None else results

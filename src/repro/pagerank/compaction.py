@@ -26,21 +26,21 @@ to that pass (masked positions contribute exact ``0.0``, and adding
 keep the masked pass as their oracle, ``tests/dense_mask_reference.py``).
 Note this identity genuinely needs the *sequential* reduction:
 ``np.add.reduceat`` sums pairwise, so its rounding depends on how many
-masked zeros pad each segment.  The SpMM batch reads each window's
-active groups directly (:class:`~repro.pagerank.spmm.ActiveCells`), the
-same traversal cut into (edge, window) cells.
+masked zeros pad each segment.  The lockstep loop
+(:mod:`repro.pagerank.spmv`) relabels each window's pack straight into
+its concatenation of windows — every schedule, the SpMM region
+schedule's batches included, iterates these packs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.temporal_csr import WindowView
-    from repro.pagerank.workspace import Workspace
 
 __all__ = [
     "CompactedPull",
@@ -61,10 +61,6 @@ class CompactedPull:
         ``(n_edges,)`` int64 — destination vertex per packed edge,
         consumed by the kernels' sequential
         :func:`~repro.utils.segments.segment_sum_ordered` reduction.
-
-    When built against a :class:`~repro.pagerank.workspace.Workspace` the
-    arrays are slices of pooled scratch: valid for the current window's
-    solve, recycled by the chain's next compaction.
     """
 
     col: np.ndarray
@@ -75,37 +71,19 @@ class CompactedPull:
         return self.col.size
 
 
-def _gather(
-    values: np.ndarray,
-    index: np.ndarray,
-    workspace: Optional["Workspace"],
-    key: str,
-) -> np.ndarray:
-    """``values[index]`` as int64 (the group index may store int32 ids),
-    into group-capacity pooled scratch when a workspace is given (the
-    capacity is constant per multi-window graph, so a chain allocates
-    once)."""
-    if workspace is None:
-        return values[index].astype(np.int64, copy=False)
-    out = workspace.buffer(key, values.shape, np.int64)[: index.size]
-    np.copyto(out, values[index])
-    return out
-
-
-def compact_pull(
-    view: "WindowView", workspace: Optional["Workspace"] = None
-) -> CompactedPull:
+def compact_pull(view: "WindowView") -> CompactedPull:
     """Pack ``view``'s active in-edges into ``(col_c, rows_c)``.
 
     A scan of the view's group mask and a gather of the active groups'
     sources and destinations — Θ(groups + |E_w|) — after which every
     power iteration costs Θ(|E_w|) instead of Θ(nnz).  The weighted
     kernel pairs the packed edges with ``view.multiplicities``, which
-    follow the same group order.
+    follow the same group order.  The group index may store int32 ids;
+    the packed arrays are int64.
     """
     groups = view.adjacency.groups
     active = view.active_groups
     return CompactedPull(
-        col=_gather(groups.col, active, workspace, "compact.col"),
-        rows=_gather(groups.row, active, workspace, "compact.rows"),
+        col=groups.col[active].astype(np.int64, copy=False),
+        rows=groups.row[active].astype(np.int64, copy=False),
     )

@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 __all__ = [
-    "WorkStats", "PagerankResult", "BatchPagerankResult", "LockstepResult",
+    "WorkStats", "PagerankResult", "LockstepResult",
 ]
 
 
@@ -27,28 +27,24 @@ class WorkStats:
     iterations:
         Power iterations executed.
     edge_traversals:
-        Total stored events or cells read.  The single-window kernels
-        iterate over the window's packed active edges and the SpMM batch
-        over its live cells, so for them this equals
+        Total stored events read.  The kernels iterate over each
+        window's packed active edges, so for them this equals
         ``active_edge_traversals``; a masked pass would read iterations ×
         structure nnz — the *structure* size, which is why multi-window
         partitioning matters for it.
     active_edge_traversals:
-        Iterations × active (deduplicated) edges — the useful work; for
-        an SpMM batch, the live (edge, window) cells of every joint
-        iteration.
+        Iterations × active (deduplicated) edges — the useful work.
     vertex_ops:
         Iterations × vertices updated.
     binning_seconds:
-        Wall-clock spent building an SpMM batch's active cells (its
-        one-time edge setup); the single-window solves have no such step
-        and add 0.  Unlike the counters above this is machine-*dependent*
-        — it exists so benchmarks and traces can split setup from
-        propagation without re-profiling.
+        Wall-clock of a one-time edge setup before the iterations.  No
+        kernel has one (each window's edges are packed straight into the
+        lockstep concatenation), so it reads 0; trace consumers still
+        subtract it from a solve's self time.
     propagate_seconds:
         Wall-clock spent inside the per-iteration gather→reduce
-        propagation (the single-window share/gather/segment-sum step, or
-        the SpMM cell pass with its share computation).
+        propagation (the share/gather/segment-sum step), split evenly
+        among the windows of a lockstep step.
     """
 
     iterations: int = 0
@@ -92,32 +88,6 @@ class PagerankResult:
     @property
     def total_mass(self) -> float:
         return float(self.values.sum())
-
-
-@dataclass
-class BatchPagerankResult:
-    """Solution of an SpMM batch: k windows solved simultaneously.
-
-    ``values`` is ``(n_vertices, k)``; column j corresponds to
-    ``window_indices[j]``.
-    """
-
-    values: np.ndarray
-    window_indices: List[int]
-    iterations_per_window: np.ndarray
-    converged: np.ndarray
-    residuals: np.ndarray
-    work: WorkStats = field(default_factory=WorkStats)
-
-    def column(self, window_index: int) -> PagerankResult:
-        """Extract one window's result from the batch."""
-        j = self.window_indices.index(window_index)
-        return PagerankResult(
-            values=self.values[:, j].copy(),
-            iterations=int(self.iterations_per_window[j]),
-            converged=bool(self.converged[j]),
-            residual=float(self.residuals[j]),
-        )
 
 
 @dataclass

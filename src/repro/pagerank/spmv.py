@@ -30,28 +30,30 @@ masked zeros pad each row.  The one length-``n`` pass left per iteration
 is the residual sum, which runs over a zero-padded buffer so its pairwise
 summation keeps the bits of the whole-graph residual.
 
-The loop (``_power_iterate``) is a **lockstep** loop: it iterates any
-number of windows at once, each in its own window-local space, and a
-single-window solve is the loop with one column.  The postmortem engine
-hands it window j of every multi-window graph of a lockstep group
-(:func:`repro.programs.engine.solve_program_chains`): the columns'
-relabelled edges are concatenated with per-column offsets on both the
-gather index and the ``np.bincount`` key (the layout of
-:class:`~repro.pagerank.spmm.ActiveCells`), so one multiply, one
-``take`` and one ``bincount`` propagate every column, and each bin still
-adds only its own column's terms in stored order.  Everything
-elementwise (scale, dangling term, teleport, ``|y - x|``, the scatter
-into the padded residual buffers) runs over the concatenation.  The
-per-column reduction rule: every sum whose bits depend on its grouping —
-the dangling mass, the residual over the column's zero-padded length-n
-buffer and Katz's unit-mass totals — is a separate pairwise
-``np.add.reduce`` per column, over exactly the terms a one-column solve
-sums (``np.add.reduceat`` groups them differently).  So a column's
-values, iterations, residual and ``converged`` are bitwise-identical to
-solving its window alone, whichever columns share its loop.  A
-converged column's values are copied out and its edges are deleted
-from the concatenation; its rows stay in place, so nothing else is
-re-based.
+The loop (``_power_iterate``) is a **lockstep** loop and the only
+postmortem power iteration: it iterates any number of windows at once,
+each in its own window-local space, and a single-window solve is the
+loop with one column.  The postmortem engine
+(:func:`repro.programs.engine.solve_program_chains`) hands it one step
+of its warm-start chains — window j of every multi-window graph of a
+lockstep group, or, under the SpMM region schedule (Section 4.4), batch
+b of one graph's regions.  The columns' relabelled edges are
+concatenated with per-column offsets on both the gather index and the
+``np.bincount`` key, so one multiply and one ``take`` and one
+``bincount`` per pass of up to :data:`PASS_EDGES` edges (whole columns)
+propagate every column, and each bin still adds only its own column's
+terms in stored order.  Everything elementwise (scale, dangling term,
+teleport, ``|y - x|``, the scatter into the padded residual buffers)
+runs over the concatenation.  The per-column reduction rule: every sum
+whose bits depend on its grouping — the dangling mass, the residual
+over the column's zero-padded length-n buffer and Katz's unit-mass
+totals — is a separate pairwise ``np.add.reduce`` per column, over
+exactly the terms a one-column solve sums (``np.add.reduceat`` groups
+them differently).  So a column's values, iterations, residual and
+``converged`` are bitwise-identical to solving its window alone,
+whichever columns share its loop.  A converged column's values are
+copied out and its edges leave the passes; its edges and rows stay in
+place, so nothing is copied or re-based.
 
 The loop takes the step's affine constants as arguments rather than
 reading ``alpha``, so the weighted kernel and Katz
@@ -98,9 +100,8 @@ def pagerank_window(
         active vertices are read.
     workspace:
         Optional :class:`~repro.pagerank.workspace.Workspace` supplying the
-        per-iteration scratch (rank ping-pong pair, share vector, packed
-        edge and contribution buffers, residual buffer) so a multi-window
-        chain pays the allocator once instead of per window.  Results are
+        zero-padded residual buffer, so a multi-window chain pays the
+        allocator once instead of per window.  Results are
         bitwise-identical with and without a workspace; the returned
         values are always a freshly owned array.
 
@@ -123,9 +124,9 @@ def pagerank_windows_lockstep(
     lockstep power iteration.
 
     ``x0[j]`` (``None`` for a full initialization) seeds ``views[j]``.
-    The views may come from different multi-window graphs; column j's
-    result is bitwise-identical to ``pagerank_window(views[j], config,
-    x0[j])``.
+    The views may come from different multi-window graphs, or be one
+    batch of a graph's SpMM regions; column j's result is
+    bitwise-identical to ``pagerank_window(views[j], config, x0[j])``.
     """
     return _power_iterate(
         views, config, _seeds(views, x0), workspace,
@@ -224,33 +225,43 @@ class _Column:
         )
 
 
+#: packed edges one gather + ``bincount`` pass covers (a column with
+#: more is a pass of its own).  The contribution buffer is one pass
+#: long, so a step holds 16 B of edge index per live edge plus one
+#: pass, however many windows it steps.
+PASS_EDGES = 1 << 16
+
+
 class _Concat:
     """A lockstep solve's columns laid end to end.  Column j owns rows
     ``[starts[j], starts[j] + k[j])`` of the concatenated vertex space,
-    ``m[j]`` consecutive packed edges, and the slice ``pad_slices[j]`` of
+    ``spans[j]`` of the packed edges, and the slice ``pad_slices[j]`` of
     the zero-padded residual buffer, which serves as its own length-n_j
     buffer (a slice sums with the bits of a separate array of its
-    length).  The vertex layout is fixed for the whole solve: a finished
-    column only loses its edges (:meth:`drop`), so its rows still ride
-    the elementwise passes but touch nothing of the live columns."""
+    length).  The layout is fixed for the whole solve: a finished column
+    only leaves the propagation passes (:meth:`plan`), so its rows still
+    ride the elementwise passes but touch nothing of the live columns."""
 
     def __init__(
         self, columns: List[_Column], base: float, ws: Workspace
     ) -> None:
         k = self.k = np.array([c.k for c in columns], dtype=np.int64)
-        self.m = np.array(
+        m = np.array(
             [c.view.n_active_edges for c in columns], dtype=np.int64
         )
         n = np.array([c.n for c in columns], dtype=np.int64)
         self.starts = np.cumsum(k) - k
         pads = np.cumsum(n) - n
         self.k_total = int(k.sum())
-        self.col = np.empty(int(self.m.sum()), dtype=np.int64)
+        self.col = np.empty(int(m.sum()), dtype=np.int64)
         self.rows = np.empty_like(self.col)
-        hi = np.cumsum(self.m).tolist()
-        for c, start, a, b in zip(
-            columns, self.starts.tolist(), [0] + hi[:-1], hi
-        ):
+        hi = np.cumsum(m).tolist()
+        #: per column: edges [a, b) and rows [lo, hi)
+        self.spans = list(zip(
+            [0] + hi[:-1], hi, self.starts.tolist(),
+            (self.starts + k).tolist(),
+        ))
+        for c, (a, b, start, _) in zip(columns, self.spans):
             c.pack(start, self.col[a:b], self.rows[a:b])
         self.pad_pos = _join(
             [c.active_idx for c in columns], np.repeat(pads, k)
@@ -278,18 +289,33 @@ class _Concat:
         self.teleport = np.repeat(base / k, k)
         self.resid = ws.zeros("spmv.resid", (int(n.sum()),), np.float64)
         self.share = np.empty(self.k_total, dtype=np.float64)
-        self.contrib = np.empty(self.col.size, dtype=np.float64)
+        self.plan(np.ones(len(columns), dtype=bool))
+        # a pass is one column, or whole columns whose edges fit
+        # PASS_EDGES, so no later plan needs a longer buffer
+        longest = max(b - a for a, b, _, _ in self.spans)
+        self.contrib = np.empty(
+            min(self.col.size, max(PASS_EDGES, longest)), dtype=np.float64
+        )
 
-    def drop(self, alive: np.ndarray) -> None:
-        """Delete the edges of the columns not ``alive`` (and their
-        dangling terms), keeping the survivors' edges in order."""
-        edges = np.repeat(alive, self.m)
-        self.m = self.m * alive
-        self.col = self.col[edges]
-        self.rows = self.rows[edges]
-        if self.weights is not None:
-            self.weights = self.weights[edges]
-        self.contrib = self.contrib[: self.col.size]
+    def plan(self, alive: np.ndarray) -> None:
+        """Cut the ``alive`` columns into propagation passes ``(a, b, lo,
+        hi)``: edges ``[a, b)`` and rows ``[lo, hi)`` of a run of
+        consecutive live columns with at most :data:`PASS_EDGES` edges.
+        A pass holds whole columns, so each row's terms are still added
+        in stored order by one ``bincount``.  Finished columns' edges
+        stay in place, outside every pass, and their dangling terms are
+        dropped."""
+        passes = []
+        for j in alive.nonzero()[0].tolist():
+            a, b, lo, hi = self.spans[j]
+            if (
+                passes and passes[-1][1] == a
+                and b - passes[-1][0] <= PASS_EDGES
+            ):
+                passes[-1] = (passes[-1][0], b, passes[-1][2], hi)
+            else:
+                passes.append((a, b, lo, hi))
+        self.passes = passes
         self.dangling_slices = [
             (j, s) for j, s in self.dangling_slices if alive[j]
         ]
@@ -347,6 +373,8 @@ def _power_iterate(
     policy.  A strict run raises :class:`ConvergenceError` naming the
     first column, in input order, that reached the cap unconverged.
     """
+    if not views:
+        raise ValidationError("need at least one window view")
     ws = workspace if workspace is not None else Workspace()
     tol = config.tolerance
     # residual prefilter: the segment sums of |y - x| and a column's
@@ -402,13 +430,25 @@ def _iterate(
         last = step == config.max_iterations
         t_prop = time.perf_counter()
         np.multiply(x, state.inv, out=state.share)
-        # mode="clip" skips the bounds check: every index is in range
-        contrib = np.take(
-            state.share, state.col, out=state.contrib, mode="clip"
-        )
-        if state.weights is not None:
-            contrib *= state.weights
-        y = np.bincount(state.rows, weights=contrib, minlength=state.k_total)
+        y = None
+        for a, b, lo, hi in state.passes:
+            # mode="clip" skips the bounds check: every index is in range
+            contrib = np.take(
+                state.share, state.col[a:b], out=state.contrib[: b - a],
+                mode="clip",
+            )
+            if state.weights is not None:
+                contrib *= state.weights[a:b]
+            if y is None:
+                # the first pass lays out y, zero off its rows
+                y = np.bincount(
+                    state.rows[a:b], weights=contrib,
+                    minlength=state.k_total,
+                )
+            else:
+                y[lo:hi] = np.bincount(
+                    state.rows[a:b], weights=contrib, minlength=hi
+                )[lo:]
         shared_propagate += (time.perf_counter() - t_prop) / len(live)
         y *= state.scale
         if state.dangling_slices:
@@ -455,4 +495,4 @@ def _iterate(
         if finished:
             live = alive.nonzero()[0].tolist()
             if live:
-                state.drop(alive)
+                state.plan(alive)

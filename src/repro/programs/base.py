@@ -14,7 +14,7 @@ A program exposes **two solve surfaces**, one per graph representation:
   ``solve_window`` / ``solve_batch``) operates on window views of
   a multi-window temporal CSR — the postmortem engine
   (:mod:`repro.programs.engine`) drives it through warm-start chains run
-  in lockstep, pooled workspaces and the SpMM region schedule;
+  in lockstep (whole graphs, or the regions of the SpMM schedule);
 * the *materialized* surface (``solve_graph``) operates on a per-window
   simple :class:`~repro.graph.csr.CSRGraph` — the offline and streaming
   drivers use it, which is what makes cross-model parity a property every
@@ -67,10 +67,8 @@ class VertexProgram:
         Whether windows chain: iterative programs are warm-started from
         the previous window's solution (``warm_start``); non-iterative
         fixpoints (k-core) solve each window independently and never
-        receive an ``x0``.
-    supports_batch:
-        Whether ``solve_batch`` takes a region batch, i.e. the program
-        has an SpMM-shaped batched kernel the region schedule can feed.
+        receive an ``x0``.  Only iterative programs run the SpMM
+        region schedule.
 
     Every window solution is a per-vertex float vector in the view's local
     space; the engine scatters it to the global space and can stream it
@@ -80,7 +78,6 @@ class VertexProgram:
 
     name: str = "program"
     iterative: bool = True
-    supports_batch: bool = False
 
     # -- temporal surface (postmortem engine) --------------------------
     def init_window(self, view: WindowView) -> Optional[np.ndarray]:
@@ -117,28 +114,21 @@ class VertexProgram:
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0,
+        x0: Optional[Sequence[Optional[np.ndarray]]] = None,
         *,
         workspace=None,
-    ):
-        """Solve several windows in one call (seed ``j`` starts
-        ``views[j]``).
-
-        An ``(n, k)`` ``x0`` is a region-schedule batch of one
-        multi-window graph's windows, returning a
-        :class:`~repro.pagerank.result.BatchPagerankResult`; only called
-        when ``supports_batch``.  A sequence of per-window seeds is a
-        lockstep step over windows of *different* graphs, each in its own
-        vertex space, returning a
-        :class:`~repro.pagerank.result.LockstepResult` whose column ``j``
-        must equal ``solve_window(views[j], x0[j])`` bit for bit.  The
-        default solves the lockstep columns one by one; kernels with a
-        batched loop override it.
+    ) -> LockstepResult:
+        """Solve one lockstep step: ``x0[j]`` seeds ``views[j]``, and the
+        views may come from different graphs (or different regions of
+        one), each solved in its own vertex space.  Column ``j`` of the
+        returned :class:`~repro.pagerank.result.LockstepResult` must
+        equal ``solve_window(views[j], x0[j])`` bit for bit.  The default
+        solves the columns one by one; kernels with a batched loop
+        override it.  ``x0=None`` starts every column cold.
         """
-        if x0 is None or isinstance(x0, np.ndarray):
-            raise NotImplementedError
+        seeds = [None] * len(views) if x0 is None else x0
         return LockstepResult(
-            [self.solve_window(v, x) for v, x in zip(views, x0)]
+            [self.solve_window(v, x) for v, x in zip(views, seeds)]
         )
 
     # -- materialized surface (offline / streaming drivers) ------------

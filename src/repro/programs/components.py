@@ -48,7 +48,6 @@ class ComponentsProgram(VertexProgram):
 
     name = "components"
     iterative = False
-    supports_batch = False
 
     # -- temporal surface ----------------------------------------------
     def init_window(self, view: WindowView) -> Optional[np.ndarray]:

@@ -1,24 +1,24 @@
-"""The temporal vertex-program engine: warm-start chain solvers.
+"""The temporal vertex-program engine: one lockstep chain stepper.
 
 This is the PageRank-agnostic extraction of the postmortem driver's
 per-multi-window-graph loop.  Everything the paper's machinery provides —
-lazy window views against one pooled workspace, partial-initialization
-chaining (Section 4.2) via the program's ``warm_start`` hook, the SpMM
-region schedule (Section 4.4) for programs with a batched kernel, and the
-two-batch memory bound — now serves *any* :class:`~repro.programs.base.
-VertexProgram`.  With the reference :class:`~repro.programs.pagerank.
-PagerankProgram` the output is bitwise-identical to the historic driver.
+lazy window views, partial-initialization chaining (Section 4.2) via the
+program's ``warm_start`` hook, the SpMM region schedule (Section 4.4) and
+the two-step memory bound — serves *any* :class:`~repro.programs.base.
+VertexProgram`.
 
-Two entry points:
-
-* :func:`solve_program_chains` runs the sequential schedule of several
-  graphs in lockstep: step j solves window j of every chain, in one
-  ``solve_batch`` call when two or more chains of an iterative program
-  are live.  Every sum whose rounding depends on its grouping stays a
-  per-window reduction (:mod:`repro.pagerank.spmv`), so each window's
-  bits equal its chain run alone.
-* :func:`solve_program_chain` runs one graph on the region schedule (or,
-  for programs without a batched kernel, window by window).
+A *chain* is a contiguous run of one multi-window graph's windows, each
+warm-started from its predecessor (eq. 4): the whole graph, or, under
+``kernel="spmm"`` for an iterative program, each region of the graph's
+region schedule (:func:`repro.models.schedule.regions`).
+:func:`solve_program_chains` steps every chain of several graphs in
+lockstep: step j solves window j of every chain that has one, in one
+``solve_batch`` call when two or more chains of an iterative program are
+live.  Regions of one graph and chains of different graphs are the same
+thing to the loop (:mod:`repro.pagerank.spmv`), and every sum whose
+rounding depends on its grouping stays a per-window reduction, so each
+window's bits equal its own single-window solve given the seed its
+schedule hands it.
 
 :class:`TaskRecord` (the machine-independent work log the parallel
 simulator replays) lives here because the engine is what emits it.
@@ -40,13 +40,14 @@ from repro.programs.base import VertexProgram
 # model drivers import this engine, so a module-level import here would
 # be circular for callers that reach the engine first
 
-__all__ = ["TaskRecord", "solve_program_chain", "solve_program_chains"]
+__all__ = ["TaskRecord", "solve_program_chains"]
 
 
 @dataclass
 class TaskRecord:
-    """Machine-independent record of one solved task (window or SpMM
-    batch), consumed by the parallel machine simulator."""
+    """Machine-independent record of one solved task — the windows one
+    graph solved at one lockstep step (several for an SpMM batch) —
+    consumed by the parallel machine simulator."""
 
     multiwindow: int
     windows: List[int]
@@ -92,172 +93,33 @@ def _emit_window(
     out[window] = result
 
 
-def solve_program_chain(
-    graph: MultiWindowGraph,
-    mw_index: int,
-    program: VertexProgram,
-    *,
-    partial_init: bool = True,
-    kernel: str = "spmv",
-    vector_length: int = 16,
-    n_global_vertices: int,
-    store_values: bool = True,
-    value_sink=None,
-):
-    """Run ``program`` over every window of one multi-window graph.
+class _Graph:
+    """One multi-window graph of a lockstep run and the
+    ``(window_results, tasks, work)`` triple it reports."""
 
-    A module-level function (not a method) so the ``"shared"`` executor
-    can run it in worker processes; within one
-    graph the windows form a sequential warm-start chain, so a graph is
-    the natural unit of coarse-grained parallelism.
+    __slots__ = ("graph", "mw_index", "n_steps", "results")
 
-    One kernel :class:`~repro.pagerank.workspace.Workspace` serves the
-    whole chain: window views are built lazily against it and the batch
-    loop retains only the views and state vectors the *next* batch's
-    warm start can reference (a batch's predecessors are, by construction
-    of both schedules, in the immediately preceding batch), so peak
-    memory stays at two batches of scratch regardless of chain length.
-
-    ``kernel="spmm"`` engages the region schedule only for programs with
-    a batched kernel (``supports_batch``); others fall back to the
-    sequential schedule — the k-core fixpoint has no batch shape, but a
-    ``--program kcore`` run must not have to know that.
-
-    Returns ``(window_results, tasks, work)``.
-    """
-    from repro.models.schedule import (
-        sequential_schedule,
-        spmm_region_schedule,
-    )
-
-    if (
-        kernel == "spmm"
-        and graph.n_windows > 1
-        and program.supports_batch
-    ):
-        batches = spmm_region_schedule(
-            graph.first_window, graph.n_windows, vector_length
-        )
-    else:
-        batches = sequential_schedule(graph.first_window, graph.n_windows)
-
-    window_results: Dict[int, "WindowResult"] = {}
-    local_values: Dict[int, np.ndarray] = {}
-    tasks: List[TaskRecord] = []
-    work = WorkStats()
-
-    workspace = Workspace()
-    views: Dict[int, object] = {}
-    chain_state = partial_init and program.iterative
-
-    def view_of(w: int):
-        view = views.get(w)
-        if view is None:
-            view = graph.window_view(w, workspace=workspace)
-            views[w] = view
-        return view
-
-    for batch in batches:
-        batch_views = [view_of(w) for w in batch.windows]
-        x0_cols = []
-        used_partial = False
-        for w, pred in zip(batch.windows, batch.predecessors):
-            view = views[w]
-            if chain_state and pred is not None and pred in local_values:
-                x0_cols.append(
-                    program.warm_start(view, views[pred], local_values[pred])
-                )
-                used_partial = True
-            else:
-                x0_cols.append(program.init_window(view))
-
-        if len(batch.windows) == 1:
-            pr = program.solve_window(
-                batch_views[0], x0_cols[0], workspace=workspace
-            )
-            local_values[batch.windows[0]] = pr.values
-            work.merge(pr.work)
-            _emit_window(
-                graph,
-                batch.windows[0],
-                batch_views[0],
-                pr.values,
-                pr.iterations,
-                pr.converged,
-                pr.residual,
-                window_results,
-                store_values,
-                n_global_vertices,
-                value_sink,
-            )
-            tasks.append(
-                TaskRecord(
-                    multiwindow=mw_index,
-                    windows=list(batch.windows),
-                    iterations=pr.iterations,
-                    structure_nnz=graph.nnz,
-                    active_edges=batch_views[0].n_active_edges,
-                    active_vertices=batch_views[0].n_active_vertices,
-                    used_partial_init=used_partial,
-                    kernel="spmv",
-                )
-            )
-        else:
-            X0 = np.stack(x0_cols, axis=1)
-            batch_result = program.solve_batch(
-                batch_views, X0, workspace=workspace
-            )
-            work.merge(batch_result.work)
-            for j, w in enumerate(batch.windows):
-                local_values[w] = batch_result.values[:, j].copy()
-                _emit_window(
-                    graph,
-                    w,
-                    batch_views[j],
-                    local_values[w],
-                    int(batch_result.iterations_per_window[j]),
-                    bool(batch_result.converged[j]),
-                    float(batch_result.residuals[j]),
-                    window_results,
-                    store_values,
-                    n_global_vertices,
-                    value_sink,
-                )
-            tasks.append(
-                TaskRecord(
-                    multiwindow=mw_index,
-                    windows=list(batch.windows),
-                    iterations=int(batch_result.iterations_per_window.max()),
-                    structure_nnz=graph.nnz,
-                    active_edges=sum(v.n_active_edges for v in batch_views),
-                    active_vertices=sum(
-                        v.n_active_vertices for v in batch_views
-                    ),
-                    used_partial_init=used_partial,
-                    kernel="spmm",
-                )
-            )
-
-        # only this batch's windows can seed the next batch's warm
-        # start; dropping older views/vectors bounds the chain's footprint
-        keep = set(batch.windows)
-        views = {w: v for w, v in views.items() if w in keep}
-        local_values = {w: v for w, v in local_values.items() if w in keep}
-    return window_results, tasks, work
+    def __init__(
+        self, graph: MultiWindowGraph, mw_index: int, n_steps: int
+    ) -> None:
+        self.graph = graph
+        self.mw_index = mw_index
+        self.n_steps = n_steps
+        self.results = ({}, [], WorkStats())
 
 
 class _Chain:
-    """One multi-window graph's warm-start chain inside a lockstep run."""
+    """One warm-start chain: windows ``[start, start + size)`` of a
+    graph."""
 
-    __slots__ = ("graph", "mw_index", "prev", "results")
+    __slots__ = ("owner", "start", "size", "prev")
 
-    def __init__(self, graph: MultiWindowGraph, mw_index: int) -> None:
-        self.graph = graph
-        self.mw_index = mw_index
+    def __init__(self, owner: _Graph, start: int, size: int) -> None:
+        self.owner = owner
+        self.start = start
+        self.size = size
         #: (view, local values) of the last solved window
         self.prev = None
-        #: ``(window_results, tasks, work)``, as solve_program_chain
-        self.results = ({}, [], WorkStats())
 
 
 def solve_program_chains(
@@ -266,42 +128,57 @@ def solve_program_chains(
     program: VertexProgram,
     *,
     partial_init: bool = True,
+    kernel: str = "spmv",
+    vector_length: int = 16,
     n_global_vertices: int,
     store_values: bool = True,
     value_sink=None,
     chain_done: Optional[Callable[[tuple], None]] = None,
 ) -> List[tuple]:
-    """Run the sequential schedule of several multi-window graphs in
-    lockstep: step j solves window j of every chain that has one.
+    """Run every window of several multi-window graphs, stepping their
+    chains in lockstep: step j solves window j of every chain that has
+    one.
 
-    The chains stay independent — each warm-starts window j from its own
-    window j-1 (eq. 4) — so every window's answer is bitwise-identical to
-    running the chains one after another with :func:`solve_program_chain`.
-    One :class:`~repro.pagerank.workspace.Workspace` serves every solve:
-    they run one at a time and each consumes its scratch before the next.
+    Each graph is one chain, or, under ``kernel="spmm"`` for an
+    iterative program, ``vector_length`` chains — the regions of its
+    region schedule, so step b is the schedule's batch b.  The chains
+    stay independent (each warm-starts from its own previous window), so
+    every window's answer is bitwise-identical to solving it alone from
+    the seed its chain hands it.  When two or more chains are live an
+    iterative program solves the step with one ``solve_batch`` call
+    whose seeds are a list (for PageRank, weighted PageRank and Katz,
+    one power iteration over the concatenated windows, see
+    :mod:`repro.pagerank.spmv`); a single live chain, and every window
+    of a non-iterative program, goes through ``solve_window``.  One
+    :class:`~repro.pagerank.workspace.Workspace` serves every solve.
 
-    What the lockstep saves is interpreter time: when two or more chains
-    are live, an iterative program solves their windows with one
-    ``solve_batch`` call whose seeds are a list (for PageRank, weighted
-    PageRank and Katz, one power iteration over the concatenated windows,
-    see :mod:`repro.pagerank.spmv`); a single live chain, and every
-    window of a non-iterative program, goes through ``solve_window``.
-    Windows reach ``value_sink`` interleaved across chains.
+    A chain keeps only the view and values of its last window — all the
+    next step's warm start can reference — so live memory is two steps'
+    windows regardless of chain length.  Windows reach ``value_sink`` in
+    step order, interleaved across chains.  Each graph logs one
+    :class:`TaskRecord` per step it takes part in.
 
-    ``chain_done(result)`` is called as each chain finishes, with the
-    ``(window_results, tasks, work)`` triple :func:`solve_program_chain`
-    returns; the triples are also returned, in input order.
+    ``chain_done(result)`` is called as each graph finishes, with its
+    ``(window_results, tasks, work)`` triple; the triples are also
+    returned, in input order.
     """
-    chains = [_Chain(g, mw) for g, mw in zip(graphs, mw_indices)]
+    from repro.models.schedule import regions
+
+    width = vector_length if kernel == "spmm" and program.iterative else 1
+    owners, chains = [], []
+    for graph, mw in zip(graphs, mw_indices):
+        spans = regions(graph.first_window, graph.n_windows, width)
+        # regions are longest first
+        owner = _Graph(graph, mw, spans[0][1])
+        owners.append(owner)
+        chains.extend(_Chain(owner, start, size) for start, size in spans)
     chain_state = partial_init and program.iterative
     workspace = Workspace()
-    for j in range(max((g.n_windows for g in graphs), default=0)):
-        live = [c for c in chains if j < c.graph.n_windows]
+    for j in range(max((c.size for c in chains), default=0)):
+        live = [c for c in chains if j < c.size]
         views, seeds, warm = [], [], []
         for c in live:
-            view = c.graph.window_view(
-                c.graph.first_window + j, workspace=workspace
-            )
+            view = c.owner.graph.window_view(c.start + j)
             if chain_state and c.prev is not None:
                 seeds.append(program.warm_start(view, *c.prev))
                 warm.append(True)
@@ -318,31 +195,43 @@ def solve_program_chains(
                 program.solve_window(v, x, workspace=workspace)
                 for v, x in zip(views, seeds)
             ]
-        for c, view, pr, used_partial in zip(live, views, solved, warm):
-            window_results, tasks, work = c.results
-            window = c.graph.first_window + j
+        # a graph's chains are consecutive in ``live``: its first window
+        # of the step opens the step's record, the others join it
+        last = None
+        for c, view, pr, used in zip(live, views, solved, warm):
+            owner = c.owner
+            window_results, tasks, work = owner.results
+            window = c.start + j
             work.merge(pr.work)
             _emit_window(
-                c.graph, window, view, pr.values, pr.iterations,
+                owner.graph, window, view, pr.values, pr.iterations,
                 pr.converged, pr.residual, window_results, store_values,
                 n_global_vertices, value_sink,
             )
-            tasks.append(
-                TaskRecord(
-                    multiwindow=c.mw_index,
+            # only window j can seed window j + 1
+            c.prev = (view, pr.values) if j + 1 < c.size else None
+            if owner is last:
+                task = tasks[-1]
+                task.windows.append(window)
+                task.iterations = max(task.iterations, pr.iterations)
+                task.active_edges += view.n_active_edges
+                task.active_vertices += view.n_active_vertices
+                task.used_partial_init |= used
+                task.kernel = "spmm"
+            else:
+                tasks.append(TaskRecord(
+                    multiwindow=owner.mw_index,
                     windows=[window],
                     iterations=pr.iterations,
-                    structure_nnz=c.graph.nnz,
+                    structure_nnz=owner.graph.nnz,
                     active_edges=view.n_active_edges,
                     active_vertices=view.n_active_vertices,
-                    used_partial_init=used_partial,
+                    used_partial_init=used,
                     kernel="spmv",
-                )
-            )
-            # only window j can seed window j + 1
-            c.prev = (view, pr.values)
-            if j == c.graph.n_windows - 1:
-                c.prev = None
-                if chain_done is not None:
-                    chain_done(c.results)
-    return [c.results for c in chains]
+                ))
+                last = owner
+        if chain_done is not None:
+            for owner in owners:
+                if owner.n_steps == j + 1:
+                    chain_done(owner.results)
+    return [owner.results for owner in owners]

@@ -3,20 +3,18 @@
 Katz solves the affine fixed point  x = a · A^T x + b  — the same
 gather-over-in-edges step as the PageRank pull, with unit source weights
 instead of the degree normalization — so it has no power loop of its own.
-All three solve surfaces run PageRank's loops with Katz's constants
-(scale ``a``, the max-degree-clamped attenuation; base ``b``) and a
-normalized residual: :func:`repro.pagerank.spmv._power_iterate` per
-window and per lockstep step (packed active edges and the chain's pooled
-workspace included),
-:func:`repro.pagerank.spmm._power_iterate_batch` for region-schedule
-batches (Section 4.4's batching applied to a second analytic), and
-:func:`repro.pagerank.incremental._power_iterate_graph` for the
-materialized snapshots of the offline and streaming models.  The same
-attenuation clamp everywhere makes all three execution models converge
-to one fixed point per window.  Nathan & Bader's streaming Katz (cited in
-the paper's Section 3.2) updates it incrementally; this is the
-*postmortem* version, with the eq. 4-style partial-initialization warm
-start of Section 4.2.
+Both solve surfaces run PageRank's loops with Katz's constants (scale
+``a``, the max-degree-clamped attenuation; base ``b``) and a normalized
+residual: :func:`repro.pagerank.spmv._power_iterate` per window and per
+lockstep step (packed active edges included; the SpMM region schedule's
+batches are lockstep steps too, so Section 4.4's batching applies to a
+second analytic), and :func:`repro.pagerank.incremental.
+_power_iterate_graph` for the materialized snapshots of the offline and
+streaming models.  The same attenuation clamp everywhere makes all three
+execution models converge to one fixed point per window.  Nathan &
+Bader's streaming Katz (cited in the paper's Section 3.2) updates it
+incrementally; this is the *postmortem* version, with the eq. 4-style
+partial-initialization warm start of Section 4.2.
 
 :func:`katz_window` (plain ``segment_sum`` over the masked structure) is
 the independent reference the program is tested against.
@@ -35,7 +33,6 @@ from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import _power_iterate_graph
 from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
-from repro.pagerank.spmm import _power_iterate_batch
 from repro.pagerank.spmv import _power_iterate, _seeds
 from repro.programs.base import VertexProgram
 from repro.utils.segments import segment_sum
@@ -192,7 +189,6 @@ class KatzProgram(VertexProgram):
 
     name = "katz"
     iterative = True
-    supports_batch = True
 
     # -- temporal surface ----------------------------------------------
     def init_window(self, view: WindowView) -> np.ndarray:
@@ -223,27 +219,13 @@ class KatzProgram(VertexProgram):
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0,
+        x0: Optional[Sequence[Optional[np.ndarray]]] = None,
         *,
         workspace=None,
-    ):
-        """Katz on PageRank's batched loops, one clamped attenuation per
-        column.  An ``(n, k)`` ``x0`` is a region batch of one graph's
-        windows (the SpMM loop, its cells pooled and read like a PageRank
-        batch); a sequence of per-window seeds is a lockstep step over
-        windows of different graphs (the SpMV loop)."""
-        if not isinstance(x0, np.ndarray):
-            return self._lockstep(views, x0, workspace)
-        c = self.config
-        scale = np.array(
-            [_effective_attenuation(c, v.in_degrees, v.out_degrees)
-             for v in views],
-            dtype=np.float64,
-        )
-        return _power_iterate_batch(
-            views, self._solver(), x0, workspace,
-            scale, c.base, normalized=True, unit_weights=True,
-        )
+    ) -> LockstepResult:
+        """One lockstep step on PageRank's loop, one clamped attenuation
+        per column."""
+        return self._lockstep(views, x0, workspace)
 
     def _lockstep(self, views, x0, workspace) -> LockstepResult:
         c = self.config

@@ -115,7 +115,6 @@ class KCoreProgram(VertexProgram):
 
     name = "kcore"
     iterative = False
-    supports_batch = False
 
     # -- temporal surface ----------------------------------------------
     def init_window(self, view: WindowView) -> Optional[np.ndarray]:

@@ -3,19 +3,19 @@
 Every hook delegates to the exact function the pre-engine drivers called —
 :func:`~repro.pagerank.init.full_initialization` /
 :func:`~repro.pagerank.init.partial_initialization` for state,
-:func:`~repro.pagerank.spmv.pagerank_window` (or the weighted variant),
-its lockstep form :func:`~repro.pagerank.spmv.pagerank_windows_lockstep`
-and :func:`~repro.pagerank.spmm.pagerank_windows_spmm` for the temporal
-kernels, :func:`~repro.pagerank.incremental.incremental_pagerank` for the
-materialized path — so engine output is bitwise-identical to the historic
-driver by construction, not by tolerance.  The parity suite asserts this
-across kernels × weighting × warm starts.
+:func:`~repro.pagerank.spmv.pagerank_window` (or the weighted variant)
+and its lockstep form :func:`~repro.pagerank.spmv.pagerank_windows_lockstep`
+for the temporal kernel (every schedule, SpMM regions included, steps
+through it), :func:`~repro.pagerank.incremental.incremental_pagerank` for
+the materialized path — so engine output is bitwise-identical to the
+masked single-window oracle by construction, not by tolerance.  The
+parity suite asserts this across schedules × weighting × warm starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import incremental_pagerank
 from repro.pagerank.init import full_initialization, partial_initialization
-from repro.pagerank.result import (
-    BatchPagerankResult,
-    LockstepResult,
-    PagerankResult,
-)
-from repro.pagerank.spmm import pagerank_windows_spmm
+from repro.pagerank.result import LockstepResult, PagerankResult
 from repro.pagerank.spmv import pagerank_window, pagerank_windows_lockstep
 from repro.pagerank.weighted import (
     pagerank_window_weighted,
@@ -44,10 +39,8 @@ __all__ = ["PagerankProgram"]
 class PagerankProgram(VertexProgram):
     """The paper's PageRank (eq. 1) as a vertex program.
 
-    ``weighted`` selects the event-multiplicity-weighted SpMV kernel,
-    which has no SpMM form — the engine runs it on the sequential
-    schedule (lockstep across graphs included), as
-    :class:`PostmortemOptions` validation requires.
+    ``weighted`` selects the event-multiplicity-weighted kernel
+    (:class:`PostmortemOptions` pairs it with the SpMV schedule).
     """
 
     config: PagerankConfig = field(default_factory=PagerankConfig)
@@ -55,10 +48,6 @@ class PagerankProgram(VertexProgram):
 
     name = "pagerank"
     iterative = True
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return not self.weighted
 
     # -- temporal surface ----------------------------------------------
     def init_window(self, view: WindowView) -> np.ndarray:
@@ -85,23 +74,17 @@ class PagerankProgram(VertexProgram):
     def solve_batch(
         self,
         views: Sequence[WindowView],
-        x0,
+        x0: Optional[Sequence[Optional[np.ndarray]]] = None,
         *,
         workspace=None,
-    ) -> Union[BatchPagerankResult, LockstepResult]:
-        """An ``(n, k)`` ``x0`` is a region batch of one graph's windows
-        (the SpMM kernel); a sequence of per-window seeds is a lockstep
-        step over windows of different graphs (the SpMV loop, weighted
-        or not)."""
-        if not isinstance(x0, np.ndarray):
-            solver = (
-                pagerank_windows_weighted if self.weighted
-                else pagerank_windows_lockstep
-            )
-            return solver(views, self.config, x0, workspace)
-        return pagerank_windows_spmm(
-            views, self.config, x0=x0, workspace=workspace
+    ) -> LockstepResult:
+        """One lockstep step: one power iteration over every window's
+        packed edges (the weighted loop when ``weighted``)."""
+        solver = (
+            pagerank_windows_weighted if self.weighted
+            else pagerank_windows_lockstep
         )
+        return solver(views, self.config, x0, workspace)
 
     # -- materialized surface ------------------------------------------
     def solve_graph(

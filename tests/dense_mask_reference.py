@@ -8,7 +8,9 @@ length ``n`` with the active set applied by boolean vertex masks and the
 residual run over all ``n`` entries.  This module is that loop, unchanged
 in arithmetic and independent of the library's packing, so
 the differential tests can require the SpMV, weighted and Katz solves to
-match it bit for bit.
+match it bit for bit — one window at a time, or any number of windows
+stepped together by the lockstep loop (the SpMM region schedule's
+batches included).
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 
 from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.graph.temporal_csr import WindowView
-from repro.models.schedule import sequential_schedule, spmm_region_schedule
+from repro.models.schedule import spmm_region_schedule
 from repro.pagerank import (
     Workspace,
     pagerank_window,
     pagerank_window_weighted,
-    pagerank_windows_spmm,
     partial_initialization,
 )
 from repro.pagerank.config import PagerankConfig
@@ -32,7 +33,6 @@ from repro.pagerank.init import full_initialization
 from repro.pagerank.result import PagerankResult
 from repro.programs.katz import KatzConfig, KatzProgram, _effective_attenuation
 from repro.utils.segments import segment_sum_ordered
-from tests.spmm_reference import reference_power_iterate_batch
 
 __all__ = [
     "ChainResult",
@@ -151,7 +151,9 @@ def dense_mask_pagerank(
         dangling_idx = np.flatnonzero(active_mask & ~nz)
     else:
         weights = None
-        inv_out = view.inverse_out_degrees()
+        inv_out = np.zeros(n, dtype=np.float64)
+        nz = view.out_degrees > 0
+        inv_out[nz] = 1.0 / view.out_degrees[nz]
         dangling_idx = np.flatnonzero(active_mask & (view.out_degrees == 0))
 
     if x0 is None:
@@ -213,78 +215,41 @@ def reference_chain(
     """The postmortem solve sequence over a uniform partition, hand-rolled.
 
     Replays what the driver does per multi-window graph: eq. 4 warm
-    starts along the chain and the region schedule for (unweighted)
-    SpMM.  ``masked=True`` solves every window with the masked oracles —
-    :func:`dense_mask_pagerank` and the full-width SpMM loop of
-    ``tests/spmm_reference.py`` — which is the canonical answer every
-    execution knob must reproduce bitwise.  ``masked=False`` calls the
-    library kernels instead, with one pooled workspace per graph.
+    starts along each chain, where a chain is the whole graph (SpMV) or
+    one region of the region schedule (SpMM).  Every window is solved on
+    its own from the seed its schedule hands it.  ``masked=True`` solves
+    with the masked oracle :func:`dense_mask_pagerank` — the canonical
+    answer every execution knob must reproduce bitwise.  ``masked=False``
+    calls the library's single-window kernels instead, with one pooled
+    workspace per graph.
     """
     out = np.zeros((spec.n_windows, events.n_vertices))
     iterations = np.zeros(spec.n_windows, dtype=np.int64)
     partition = LazyMultiWindowPartition(events, spec, n_multiwindows)
+    width = vector_length if kernel == "spmm" else 1
+    solver = pagerank_window_weighted if weighted else pagerank_window
     for graph in partition:
-        if kernel == "spmm" and graph.n_windows > 1 and not weighted:
-            batches = spmm_region_schedule(
-                graph.first_window, graph.n_windows, vector_length
-            )
-        else:
-            batches = sequential_schedule(
-                graph.first_window, graph.n_windows
-            )
         workspace = Workspace()
         views = {}
         values = {}
-        for batch in batches:
-            bviews = []
-            for w in batch.windows:
-                if w not in views:
-                    views[w] = graph.window_view(w, workspace=workspace)
-                bviews.append(views[w])
-            x0_cols = []
+        for batch in spmm_region_schedule(
+            graph.first_window, graph.n_windows, width
+        ):
             for w, pred in zip(batch.windows, batch.predecessors):
-                if partial_init and pred is not None and pred in values:
-                    x0_cols.append(
-                        partial_initialization(
-                            views[w], views[pred], values[pred]
-                        )
+                view = views[w] = graph.window_view(w)
+                if partial_init and pred is not None:
+                    x0 = partial_initialization(
+                        view, views[pred], values[pred]
                     )
                 else:
-                    x0_cols.append(full_initialization(views[w]))
-            if len(batch.windows) == 1:
+                    x0 = full_initialization(view)
                 if masked:
                     pr = dense_mask_pagerank(
-                        bviews[0], cfg, x0=x0_cols[0], weighted=weighted
+                        view, cfg, x0=x0, weighted=weighted
                     )
                 else:
-                    solver = (
-                        pagerank_window_weighted if weighted
-                        else pagerank_window
-                    )
-                    pr = solver(
-                        bviews[0], cfg, x0=x0_cols[0], workspace=workspace
-                    )
-                solved = [(batch.windows[0], pr.values, pr.iterations)]
-            else:
-                X0 = np.stack(x0_cols, axis=1)
-                if masked:
-                    br = reference_power_iterate_batch(
-                        bviews, cfg, X0,
-                        np.full(len(bviews), cfg.damping), cfg.alpha,
-                    )
-                else:
-                    br = pagerank_windows_spmm(
-                        bviews, cfg, x0=X0, workspace=workspace
-                    )
-                solved = [
-                    (w, br.values[:, j].copy(), br.iterations_per_window[j])
-                    for j, w in enumerate(batch.windows)
-                ]
-            for w, local, iters in solved:
-                values[w] = local
-                out[w] = graph.to_global(local, events.n_vertices)
-                iterations[w] = iters
-            keep = set(batch.windows)
-            views = {w: v for w, v in views.items() if w in keep}
-            values = {w: v for w, v in values.items() if w in keep}
+                    pr = solver(view, cfg, x0=x0, workspace=workspace)
+                values[w] = pr.values
+                out[w] = graph.to_global(pr.values, events.n_vertices)
+                iterations[w] = pr.iterations
     return ChainResult(out, iterations)

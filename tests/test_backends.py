@@ -1,8 +1,8 @@
 """The one propagation step that replaced the kernel-backend registry.
 
-Every single-window solve (SpMV, weighted, Katz) runs one flat
-gather→reduce per power iteration over the window's packed active
-edges, and the SpMM batch one pass over its live cells.  These tests
+Every solve (SpMV, weighted, Katz, and an SpMM batch stepped through the
+lockstep loop) runs one flat gather→reduce per power iteration over its
+windows' packed active edges.  These tests
 check that the kernels run back to back, or share a pooled workspace,
 without disturbing one another, that the work statistics are recorded,
 and that the removed ``backend``/``cache_budget`` knobs are rejected on
@@ -23,7 +23,7 @@ from repro.pagerank import (
     Workspace,
     pagerank_window,
     pagerank_window_weighted,
-    pagerank_windows_spmm,
+    pagerank_windows_lockstep,
 )
 from tests.dense_mask_reference import dense_mask_pagerank
 from tests.test_edge_compaction import (
@@ -108,12 +108,13 @@ def test_backends_share_one_workspace():
     views = [view] * 3
     spmv = pagerank_window(view, CFG)
     weighted = pagerank_window_weighted(view, CFG)
-    batch = pagerank_windows_spmm(views, CFG)
+    batch = pagerank_windows_lockstep(views, CFG)
     ws = Workspace()
     for _ in range(2):
         assert_solve_matches(pagerank_window(view, CFG, workspace=ws), spmv)
         assert_batch_matches(
-            pagerank_windows_spmm(views, CFG, workspace=ws), batch
+            pagerank_windows_lockstep(views, CFG, workspace=ws),
+            batch.columns,
         )
         assert_solve_matches(
             pagerank_window_weighted(view, CFG, workspace=ws), weighted
@@ -125,15 +126,15 @@ def test_backends_share_one_workspace():
 # ---------------------------------------------------------------------------
 class TestWorkStats:
     def test_kernels_record_phase_seconds(self):
-        """Both kernels time their propagation; only the SpMM batch has
-        an edge-setup phase (its active-cell build) to time."""
+        """Every kernel times its propagation, a batch included; none has
+        an edge-setup phase to time, so ``binning_seconds`` reads 0."""
         view = make_view(seed=59)
         for kernel in (pagerank_window, pagerank_window_weighted):
             r = kernel(view, CFG)
             assert r.work.binning_seconds == 0.0
             assert r.work.propagate_seconds > 0.0
-        b = pagerank_windows_spmm([view] * 2, CFG)
-        assert b.work.binning_seconds > 0.0
+        b = pagerank_windows_lockstep([view] * 2, CFG)
+        assert b.work.binning_seconds == 0.0
         assert b.work.propagate_seconds > 0.0
 
     def test_merge_accumulates(self):

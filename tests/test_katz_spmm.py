@@ -1,5 +1,7 @@
-"""Tests for batched Katz: ``KatzProgram.solve_batch`` on the shared
-SpMM power loop, checked against the reference ``katz_window``."""
+"""Tests for batched Katz: ``KatzProgram.solve_batch`` — one step of
+the SpMM region schedule, or of any lockstep group — on PageRank's
+lockstep loop, checked against the reference ``katz_window`` and the
+program's own single-window solve."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ PROGRAM = KatzProgram(config=CFG)
 
 def solve_batch(views, program=PROGRAM, **kwargs):
     """Batch-solve ``views`` from their cold starts."""
-    x0 = np.stack([program.init_window(v) for v in views], axis=1)
+    x0 = [program.init_window(v) for v in views]
     return program.solve_batch(views, x0, **kwargs)
 
 
@@ -35,17 +37,24 @@ class TestKatzSpmm:
         batch = solve_batch(views)
         for j, v in enumerate(views):
             single = katz_window(v, CFG)
-            assert np.allclose(batch.values[:, j], single.values,
+            assert np.allclose(batch.columns[j].values, single.values,
                                atol=1e-8), j
+            # bitwise the program's own one-window solve
+            own = PROGRAM.solve_window(v)
+            assert batch.columns[j].values.tobytes() == own.values.tobytes()
+            assert batch.columns[j].iterations == own.iterations
 
     def test_columns_are_distributions(self, setup):
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
         batch = solve_batch(views)
         for j, v in enumerate(views):
+            values = batch.columns[j].values
             if v.n_active_vertices:
-                assert batch.values[:, j].sum() == pytest.approx(1.0,
-                                                                 abs=1e-8)
+                assert values.sum() == pytest.approx(1.0, abs=1e-8)
+            # inactive vertices hold exactly +0.0
+            inactive = values[~v.active_vertices_mask]
+            assert not inactive.any() and not np.signbit(inactive).any()
 
     def test_empty_column(self, setup):
         adj, spec = setup
@@ -53,19 +62,19 @@ class TestKatzSpmm:
             adj.window_view(spec.window(0)),
             adj.window_view(Window(1, 10**9, 10**9 + 1)),
         ]
-        batch = solve_batch(views)
-        assert batch.converged[1]
-        assert np.all(batch.values[:, 1] == 0)
+        empty = solve_batch(views).columns[1]
+        assert empty.converged and empty.iterations == 0
+        assert np.all(empty.values == 0)
 
     def test_shared_structure_work(self, setup):
         adj, spec = setup
         views = [adj.window_view(w) for w in spec]
         batch = solve_batch(views)
-        # the batch reads each live window's active cells, not the whole
+        # the batch reads each live window's active edges, not the whole
         # structure per column
         assert batch.work.edge_traversals == sum(
-            int(it) * v.n_active_edges
-            for it, v in zip(batch.iterations_per_window, views)
+            c.iterations * v.n_active_edges
+            for c, v in zip(batch.columns, views)
         )
         assert (
             batch.work.edge_traversals == batch.work.active_edge_traversals
@@ -78,9 +87,9 @@ class TestKatzSpmm:
         for w in spec:
             view = adj.window_view(w)
             x0 = PROGRAM.init_window(view)
-            batch = PROGRAM.solve_batch([view], x0[:, None])
+            batch = PROGRAM.solve_batch([view], [x0])
             single = PROGRAM.solve_window(view, x0)
-            assert batch.iterations_per_window[0] == single.iterations
+            assert batch.columns[0].iterations == single.iterations
             assert (
                 batch.work.active_edge_traversals
                 == single.work.active_edge_traversals
@@ -98,25 +107,17 @@ class TestKatzSpmm:
         assert batch.work.edge_traversals < batch.work.iterations * adj.nnz
         for j, v in enumerate(views):
             assert np.allclose(
-                batch.values[:, j], katz_window(v, CFG).values, atol=1e-8
+                batch.columns[j].values, katz_window(v, CFG).values,
+                atol=1e-8,
             )
 
-    def test_rejects_empty_and_mixed(self, setup):
-        adj, spec = setup
+    def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            PROGRAM.solve_batch([], np.zeros((35, 0)))
-        other = TemporalAdjacency.from_events(
-            random_events(n_vertices=35, n_events=450, seed=77)
-        )
-        with pytest.raises(ValidationError):
-            solve_batch(
-                [adj.window_view(spec.window(0)),
-                 other.window_view(spec.window(1))]
-            )
+            PROGRAM.solve_batch([], [])
 
     def test_rejects_bad_x0(self, setup):
         adj, spec = setup
         with pytest.raises(ValidationError):
             PROGRAM.solve_batch(
-                [adj.window_view(spec.window(0))], np.zeros((2, 1))
+                [adj.window_view(spec.window(0))], [np.zeros(2)]
             )

@@ -4,11 +4,11 @@ Executors, partition methods and the input medium change how a run is
 dispatched and where its graphs are built, never what is computed — so
 every combination must reproduce the canonical answer *bitwise*:
 
-* postmortem: executor {serial, thread, shared} x partition method
+* postmortem: executor {serial, shared} x partition method
   {uniform, minimax, greedy} x input {in-RAM, ``.tcsr``}, against the
   serial in-RAM run of the same partition method (balanced runs group
   windows differently, so their warm-start chains differ from uniform);
-* offline: executor {serial, thread, shared} x input, against the serial
+* offline: executor {serial, shared} x input, against the serial
   in-RAM run;
 * kernels: kernel {spmv, spmm} (and the weighted SpMV kernel) x
   executor x window regime, against the canonical answer: the same
@@ -19,11 +19,15 @@ every combination must reproduce the canonical answer *bitwise*:
   a per-window edge-path choice would tell apart — ``compacted``: sparse
   windows of a bursty stream; ``masked``: windows whose pack is every
   stored event (fully active, no duplicate pairs), warm starts that are
-  already the fixed point, and empty windows.
+  already the fixed point, and empty windows;
+* the SpMM region schedule: program {PageRank, Katz} x partition method
+  x executor x ``vector_length`` {1, 3, 16}, against each window solved
+  alone by the masked oracle from the seed the region schedule hands it,
+  with the task log's steps equal to the schedule's batches.
 
 Values and per-window iteration counts must be equal, not close.  The
 suite also pins the executor surface: the legal set is exactly
-``serial``/``thread``/``shared`` and anything else is a typed error.
+``serial``/``shared`` and anything else is a typed error.
 """
 
 import numpy as np
@@ -36,9 +40,16 @@ from repro.graph import multiwindow
 from repro.graph.balanced import BalancedMultiWindowPartition
 from repro.graph.io import open_events, write_tcsr
 from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
+from repro.models.schedule import spmm_region_schedule
 from repro.pagerank import PagerankConfig
+from repro.programs.katz import KatzConfig, KatzProgram
+from repro.programs.pagerank import PagerankProgram
 from repro.runtime import EXECUTORS
-from tests.dense_mask_reference import reference_chain
+from tests.dense_mask_reference import (
+    dense_mask_katz,
+    dense_mask_pagerank,
+    reference_chain,
+)
 
 CONFIG = PagerankConfig(tolerance=1e-11, max_iterations=300)
 PARTITIONS = ("uniform", "minimax", "greedy")
@@ -210,6 +221,97 @@ def test_masked_regime_windows_are_full_or_empty(full_windows):
     cold = [1, 6, 12]
     assert all(iterations[cold] > 1)
     assert all(np.delete(iterations, cold) <= 1)
+
+
+PROGRAMS = {
+    "pagerank": PagerankProgram(config=CONFIG),
+    "katz": KatzProgram(config=KatzConfig(tolerance=1e-12)),
+}
+
+
+def make_partition(events, spec, method):
+    if method == "uniform":
+        return multiwindow.LazyMultiWindowPartition(events, spec, 4)
+    return BalancedMultiWindowPartition(events, spec, 4, method=method)
+
+
+def region_oracle(events, spec, program, method, width):
+    """Every window solved alone by the masked oracle, seeded along the
+    region schedule's chains: ``({window: (global values, iterations)},
+    {graph: [batch windows]})``."""
+    part = make_partition(events, spec, method)
+    windows, batches = {}, {}
+    for g in range(len(part)):
+        graph = part.graph_at(g)
+        schedule = spmm_region_schedule(
+            graph.first_window, graph.n_windows, width
+        )
+        batches[g] = [b.windows for b in schedule]
+        views, values = {}, {}
+        for batch in schedule:
+            for w, pred in zip(batch.windows, batch.predecessors):
+                view = views[w] = graph.window_view(w)
+                x0 = (
+                    program.init_window(view) if pred is None
+                    else program.warm_start(view, views[pred], values[pred])
+                )
+                if isinstance(program, KatzProgram):
+                    pr = dense_mask_katz(view, program.config, x0=x0)
+                else:
+                    pr = dense_mask_pagerank(view, program.config, x0=x0)
+                values[w] = pr.values
+                windows[w] = (
+                    graph.to_global(pr.values, events.n_vertices),
+                    pr.iterations,
+                )
+    return windows, batches
+
+
+@pytest.fixture(scope="module")
+def region_oracles(events, spec):
+    """:func:`region_oracle` per (program, method, width), computed once
+    for both executors."""
+    cache = {}
+
+    def get(name, method, width):
+        key = (name, method, width)
+        if key not in cache:
+            cache[key] = region_oracle(
+                events, spec, PROGRAMS[name], method, width
+            )
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("method", PARTITIONS)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_spmm_region_schedule_bitwise(
+    events, spec, region_oracles, name, method, executor, width
+):
+    """``kernel="spmm"`` steps each graph's regions through one lockstep
+    loop: every window equals its masked single-window solve, and the
+    task log holds one record per schedule batch."""
+    windows, batches = region_oracles(name, method, width)
+    options = PostmortemOptions(
+        n_multiwindows=4, kernel="spmm", vector_length=width,
+        executor=executor, n_threads=2, partition_method=method,
+    )
+    run = PostmortemDriver(
+        events, spec, CONFIG, options, program=PROGRAMS[name]
+    ).run()
+    assert [w.window_index for w in run.windows] == sorted(windows)
+    for w in run.windows:
+        values, iterations = windows[w.window_index]
+        assert w.iterations == iterations, w.window_index
+        np.testing.assert_array_equal(w.values, values)
+    log = run.metadata["task_log"]
+    for g, steps in batches.items():
+        assert [t.windows for t in log if t.multiwindow == g] == steps, g
+    if width > 1:
+        assert any(len(t.windows) > 1 for t in log)
 
 
 def run_starts(partition):

@@ -638,14 +638,14 @@ class TestRepositoryIsClean:
                 "silent-except", "mutable-default"} <= applicable
 
     def test_scopes_cover_the_kernel_backends(self):
-        # the single-window and batched propagation steps hold the
-        # hottest allocation and loop sites in the tree, so the dtype and
-        # CSR-loop rules must reach them, and the bench that times the
-        # packed edge pass; the paths must exist, so a moved kernel
-        # cannot silently drop out of scope
+        # the lockstep propagation step and the engine that feeds it
+        # hold the hottest allocation and loop sites in the tree, so the
+        # dtype and CSR-loop rules must reach them, and the bench that
+        # times the packed edge pass; the paths must exist, so a moved
+        # kernel cannot silently drop out of scope
         for path in (
             "src/repro/pagerank/spmv.py",
-            "src/repro/pagerank/spmm.py",
+            "src/repro/programs/engine.py",
             "benchmarks/bench_edge_compaction.py",
         ):
             assert (REPO_ROOT / path).is_file(), path

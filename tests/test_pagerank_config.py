@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.pagerank import (
-    BatchPagerankResult,
-    PagerankConfig,
-    PagerankResult,
-    WorkStats,
-)
+from repro.pagerank import PagerankConfig, PagerankResult, WorkStats
+from repro.pagerank.result import LockstepResult
 
 
 class TestConfig:
@@ -69,26 +65,18 @@ class TestResults:
         assert r.total_mass == pytest.approx(1.0)
 
     def test_batch_column_extraction(self):
-        vals = np.array([[0.1, 0.9], [0.2, 0.8]])
-        batch = BatchPagerankResult(
-            values=vals,
-            window_indices=[4, 9],
-            iterations_per_window=np.array([3, 5]),
-            converged=np.array([True, False]),
-            residuals=np.array([1e-12, 1e-3]),
-        )
-        col = batch.column(9)
-        assert col.values.tolist() == [0.9, 0.8]
+        """A lockstep batch keeps one result per column, in input order,
+        and merges the columns' work."""
+        columns = [
+            PagerankResult(np.array([0.1, 0.9]), 3, True, 1e-12,
+                           WorkStats(iterations=3, edge_traversals=6)),
+            PagerankResult(np.array([0.2, 0.8]), 5, False, 1e-3,
+                           WorkStats(iterations=5, edge_traversals=20)),
+        ]
+        batch = LockstepResult(columns)
+        col = batch.columns[1]
+        assert col.values.tolist() == [0.2, 0.8]
         assert col.iterations == 5
         assert col.converged is False
-
-    def test_batch_column_missing(self):
-        batch = BatchPagerankResult(
-            values=np.zeros((2, 1)),
-            window_indices=[1],
-            iterations_per_window=np.array([1]),
-            converged=np.array([True]),
-            residuals=np.array([0.0]),
-        )
-        with pytest.raises(ValueError):
-            batch.column(7)
+        assert batch.work.iterations == 8
+        assert batch.work.edge_traversals == 26

@@ -242,8 +242,8 @@ class TestKCoreProgram:
 
     def test_not_iterative(self):
         program = KCoreProgram()
+        # not iterative: the engine keeps it off the SpMM region schedule
         assert not program.iterative
-        assert not program.supports_batch
 
 
 class TestComponentsProgram:

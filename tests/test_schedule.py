@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.models.schedule import (
-    SpmmBatch,
-    sequential_schedule,
-    spmm_region_schedule,
-)
+from repro.models.schedule import SpmmBatch, regions, spmm_region_schedule
 
 
 def all_windows(batches):
@@ -19,7 +15,9 @@ def all_windows(batches):
 
 class TestSequential:
     def test_order_and_predecessors(self):
-        batches = sequential_schedule(10, 4)
+        """One region is the whole graph: the sequential (SpMV) order."""
+        assert regions(10, 4, 1) == [(10, 4)]
+        batches = spmm_region_schedule(10, 4, 1)
         assert [b.windows for b in batches] == [[10], [11], [12], [13]]
         assert [b.predecessors for b in batches] == [
             [None], [10], [11], [12]
@@ -58,6 +56,7 @@ class TestRegionSchedule:
 
     def test_uneven_regions(self):
         # 10 windows into 3 regions -> sizes 4, 3, 3
+        assert regions(0, 10, 3) == [(0, 4), (4, 3), (7, 3)]
         batches = spmm_region_schedule(0, 10, 3)
         assert batches[0].windows == [0, 4, 7]
         assert batches[-1].width >= 1

@@ -1,16 +1,18 @@
-"""The active-cell SpMM pass against the full-width masked oracle.
+"""SpMM region batches on the lockstep loop against the masked oracle.
 
-:mod:`tests.spmm_reference` keeps the masked ``(nnz, k)`` batch loop the
-active-cell kernel replaced.  Every case here requires the kernel to
-reproduce it bit for bit — values, per-column iterations, residuals and
-``converged`` — across staggered convergence (the live set shrinking
-several times), empty columns, k = 1, Katz's unit weights and normalized
-residual, and a caller-supplied :class:`Workspace`.
+A batch of the region schedule is one lockstep step over windows of one
+multi-window graph.  Every case here requires each column to reproduce
+the masked single-window oracle of ``tests/dense_mask_reference.py`` bit
+for bit — values, iterations, residual and ``converged`` — across
+staggered convergence (the live set shrinking several times), empty
+columns, k = 1, Katz's unit weights and normalized residual, and a
+caller-supplied :class:`Workspace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,54 +21,38 @@ from hypothesis import strategies as st
 
 from repro.events import TemporalEventSet, Window, WindowSpec
 from repro.graph import TemporalAdjacency
-from repro.pagerank import PagerankConfig, Workspace
-from repro.pagerank.spmm import (
-    COLUMN_GROUP,
-    ActiveCells,
-    _power_iterate_batch,
-    pagerank_windows_spmm,
-)
-from repro.programs.katz import (
-    KatzConfig,
-    KatzProgram,
-    _effective_attenuation,
-)
+from repro.pagerank import PagerankConfig, Workspace, pagerank_windows_lockstep
+from repro.pagerank import spmv
+from repro.pagerank.weighted import pagerank_windows_weighted
+from repro.programs.katz import KatzConfig, KatzProgram
 from tests.conftest import random_events
-from tests.spmm_reference import (
-    masked_propagate_batch,
-    reference_power_iterate_batch,
-)
+from tests.dense_mask_reference import dense_mask_katz, dense_mask_pagerank
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=300)
 
 
 def assert_bitwise(got, want):
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(
-        got.iterations_per_window, want.iterations_per_window
-    )
-    assert np.array_equal(got.residuals, want.residuals)
-    assert np.array_equal(got.converged, want.converged)
-    assert got.window_indices == want.window_indices
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.iterations == want.iterations
+    assert np.float64(got.residual).tobytes() == \
+        np.float64(want.residual).tobytes()
+    assert got.converged == want.converged
 
 
-def solve_both(views, config=CFG, x0=None, workspace=None, scale=None,
-               base=None, normalized=False, unit_weights=False):
-    k = len(views)
-    scale = (
-        np.full(k, config.damping, dtype=np.float64)
-        if scale is None else scale
-    )
-    base = config.alpha if base is None else base
-    got = _power_iterate_batch(
-        views, config, x0, workspace, scale, base,
-        normalized=normalized, unit_weights=unit_weights,
-    )
-    want = reference_power_iterate_batch(
-        views, config, x0, scale, base,
-        normalized=normalized, unit_weights=unit_weights,
-    )
+def solve_both(views, config=CFG, x0=None, workspace=None):
+    """The batch on the lockstep loop, and each window by the oracle."""
+    got = pagerank_windows_lockstep(views, config, x0, workspace).columns
+    seeds = [None] * len(views) if x0 is None else x0
+    want = [
+        dense_mask_pagerank(v, config, x0=x) for v, x in zip(views, seeds)
+    ]
     return got, want
+
+
+def assert_all_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_bitwise(g, w)
 
 
 @st.composite
@@ -97,33 +83,36 @@ def batches(draw):
     st.sampled_from(["uniform", "drop"]),
     st.booleans(),
     st.booleans(),
+    st.sampled_from([8, 20, 60, spmv.PASS_EDGES]),
 )
 @settings(max_examples=120, deadline=None)
 def test_pagerank_batch_matches_masked_oracle(views, dangling, use_ws,
-                                              warm):
+                                              warm, pass_edges):
     config = replace(CFG, dangling=dangling)
     x0 = None
     if warm:
         rng = np.random.default_rng(len(views))
-        x0 = rng.random((views[0].adjacency.n_vertices, len(views)))
-    got, want = solve_both(
-        views, config, x0=x0, workspace=Workspace() if use_ws else None
-    )
-    assert_bitwise(got, want)
+        n = views[0].adjacency.n_vertices
+        x0 = [rng.random(n) for _ in views]
+    with mock.patch.object(spmv, "PASS_EDGES", pass_edges):
+        got, want = solve_both(
+            views, config, x0=x0, workspace=Workspace() if use_ws else None
+        )
+    assert_all_bitwise(got, want)
 
 
 @given(batches(), st.floats(0.01, 0.3), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_katz_flags_match_masked_oracle(views, attenuation, use_ws):
-    """Katz's surface: unit source weights, per-column scale, normalized
-    residual and unit-mass output."""
-    k = len(views)
-    scale = attenuation * np.linspace(0.5, 1.0, k)
-    got, want = solve_both(
-        views, scale=scale, base=1.0, normalized=True, unit_weights=True,
+    """Katz's surface: unit source weights, per-column clamped scale,
+    normalized residual and unit-mass output."""
+    config = KatzConfig(attenuation=attenuation, tolerance=1e-12)
+    program = KatzProgram(config=config)
+    got = program.solve_batch(
+        views, [None] * len(views),
         workspace=Workspace() if use_ws else None,
-    )
-    assert_bitwise(got, want)
+    ).columns
+    assert_all_bitwise(got, [dense_mask_katz(v, config) for v in views])
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +128,10 @@ def staggered():
 class TestCases:
     def test_staggered_convergence_shrinks_live_set(self, staggered):
         got, want = solve_both(staggered)
-        assert_bitwise(got, want)
-        # the live set shrinks at several distinct iterations, across
-        # more than one column group
-        assert len(staggered) > 2 * COLUMN_GROUP
-        assert np.unique(got.iterations_per_window).size >= 4
+        assert_all_bitwise(got, want)
+        # the live set shrinks at several distinct iterations
+        assert len(staggered) > 8
+        assert len({c.iterations for c in got}) >= 4
 
     def test_empty_columns(self, staggered):
         adj = staggered[0].adjacency
@@ -151,45 +139,57 @@ class TestCases:
                  for i in range(2)]
         views = [empty[0]] + staggered[:5] + [empty[1]]
         got, want = solve_both(views)
-        assert_bitwise(got, want)
-        assert got.converged[0] and got.converged[-1]
-        assert got.iterations_per_window[0] == 0
-        assert np.all(got.values[:, [0, -1]] == 0.0)
+        assert_all_bitwise(got, want)
+        for c in (got[0], got[-1]):
+            assert c.converged and c.iterations == 0
+            assert not c.values.any()
 
     def test_all_columns_empty(self, staggered):
         adj = staggered[0].adjacency
         views = [adj.window_view(Window(i, 10**9, 10**9 + 1))
                  for i in range(3)]
         got, want = solve_both(views)
-        assert_bitwise(got, want)
-        assert got.work.iterations == 0
+        assert_all_bitwise(got, want)
+        assert sum(c.work.iterations for c in got) == 0
 
     @pytest.mark.parametrize("j", [0, 3, 7])
     def test_single_column(self, staggered, j):
         got, want = solve_both([staggered[j]])
-        assert_bitwise(got, want)
+        assert_all_bitwise(got, want)
+
+    @pytest.mark.parametrize("pass_edges", [1, 60, 250, 1_000])
+    def test_passes_split_and_replan(self, staggered, monkeypatch,
+                                     pass_edges):
+        """Columns propagate in passes of whole columns; as columns
+        finish, the passes are cut again over the survivors.  Neither
+        moves a bit."""
+        monkeypatch.setattr(spmv, "PASS_EDGES", pass_edges)
+        edges = [v.n_active_edges for v in staggered]
+        assert max(edges) < sum(edges) // 4  # several passes
+        got, want = solve_both(staggered)
+        assert_all_bitwise(got, want)
+        got = pagerank_windows_weighted(staggered, CFG).columns
+        assert_all_bitwise(got, [
+            dense_mask_pagerank(v, CFG, weighted=True) for v in staggered
+        ])
+        katz = KatzConfig(tolerance=1e-12)
+        got = KatzProgram(config=katz).solve_batch(staggered).columns
+        assert_all_bitwise(got, [dense_mask_katz(v, katz) for v in staggered])
 
     def test_iteration_cap(self, staggered):
         config = replace(CFG, max_iterations=7)
         got, want = solve_both(staggered, config)
-        assert_bitwise(got, want)
-        assert not got.converged.any()
+        assert_all_bitwise(got, want)
+        assert not any(c.converged for c in got)
 
     def test_katz_program_batch(self, staggered):
-        program = KatzProgram(config=KatzConfig(tolerance=1e-12))
+        config = KatzConfig(tolerance=1e-12)
+        program = KatzProgram(config=config)
         views = staggered[:6]
-        x0 = np.stack([program.init_window(v) for v in views], axis=1)
-        got = program.solve_batch(views, x0)
-        scale = np.array(
-            [_effective_attenuation(program.config, v.in_degrees,
-                                    v.out_degrees) for v in views],
-            dtype=np.float64,
-        )
-        want = reference_power_iterate_batch(
-            views, program._solver(), x0, scale, program.config.base,
-            normalized=True, unit_weights=True,
-        )
-        assert_bitwise(got, want)
+        x0 = [program.init_window(v) for v in views]
+        got = program.solve_batch(views, x0).columns
+        want = [dense_mask_katz(v, config, x0=x) for v, x in zip(views, x0)]
+        assert_all_bitwise(got, want)
 
     def test_caller_workspace_across_widths(self, staggered):
         """One workspace serves batches of different widths and a chain
@@ -198,41 +198,7 @@ class TestCases:
         for views in (staggered[:8], staggered[8:16], staggered[:3],
                       staggered[3:11]):
             got, want = solve_both(views, workspace=ws)
-            assert_bitwise(got, want)
-
-
-class TestActiveCells:
-    """The propagation step alone, against the masked gather/reduce."""
-
-    def _check(self, views, cells, live, rng):
-        adj = views[0].adjacency
-        n = adj.n_vertices
-        in_csr = adj.in_csr
-        dedup = np.stack([views[j].in_dedup for j in live], axis=1)
-        shares = rng.random((live.size, n))
-        out = np.empty((n, live.size))
-        want = masked_propagate_batch(
-            np.ascontiguousarray(shares.T), in_csr.col, in_csr.row_ids(),
-            dedup, n,
-        )
-        assert np.array_equal(cells.propagate(shares, out), want)
-        assert cells.n_cells == sum(views[j].n_active_edges for j in live)
-
-    def test_propagate_matches_flat_reference(self, staggered):
-        rng = np.random.default_rng(7)
-        views = staggered[:10]
-        cells = ActiveCells(views[0].adjacency, views)
-        live = np.arange(len(views))
-        self._check(views, cells, live, rng)
-        # drop columns across and within groups, then down to one
-        for survive in (
-            np.array([1, 0, 1, 1, 0, 1, 1, 1, 1, 0], dtype=bool),
-            np.array([0, 1, 1, 0, 1, 1, 1], dtype=bool),
-            np.array([0, 0, 0, 1, 0], dtype=bool),
-        ):
-            cells.keep(survive)
-            live = live[survive]
-            self._check(views, cells, live, rng)
+            assert_all_bitwise(got, want)
 
 
 def test_workspace_holds_no_structure_sized_buffer():
@@ -244,5 +210,5 @@ def test_workspace_holds_no_structure_sized_buffer():
     views = [adj.window_view(spec.window(i)) for i in range(16)]
     k, nnz = len(views), adj.nnz
     ws = Workspace()
-    pagerank_windows_spmm(views, CFG, workspace=ws)
-    assert ws.nbytes < nnz * k * 8
+    pagerank_windows_lockstep(views, CFG, workspace=ws)
+    assert 0 < ws.nbytes < nnz * k * 8

@@ -120,15 +120,6 @@ class TestWindowView:
         vertices = {u for u, v in edges} | {v for u, v in edges}
         assert view.n_active_vertices == len(vertices)
 
-    def test_inverse_out_degrees(self, spec, adjacency):
-        view = adjacency.window_view(spec.window(0))
-        inv = view.inverse_out_degrees()
-        nz = view.out_degrees > 0
-        assert np.allclose(inv[nz] * view.out_degrees[nz], 1.0)
-        assert np.all(inv[~nz] == 0)
-        # cached
-        assert view.inverse_out_degrees() is inv
-
     def test_compact_graph_matches_events(self, events, spec, adjacency):
         w = spec.window(2)
         view = adjacency.window_view(w)

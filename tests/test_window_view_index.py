@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency, build_csr_from_edges
+from repro.pagerank import compact_pull
 from repro.programs.kcore import undirected_simple_csr, undirected_window_csr
 from tests.dense_mask_reference import pair_multiplicities
 
@@ -92,7 +93,7 @@ def assert_view_matches_oracle(view):
         assert got.indptr.dtype == want.indptr.dtype
         assert got.col.dtype == want.col.dtype
 
-    packed = view.compact_pull()
+    packed = compact_pull(view)
     np.testing.assert_array_equal(packed.col, in_csr.col[dedup])
     np.testing.assert_array_equal(packed.rows, in_csr.row_ids()[dedup])
     np.testing.assert_array_equal(

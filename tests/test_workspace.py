@@ -12,8 +12,7 @@ import pytest
 from repro.events import WindowSpec
 from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.pagerank import PagerankConfig, Workspace
-from repro.pagerank.spmm import pagerank_windows_spmm
-from repro.pagerank.spmv import pagerank_window
+from repro.pagerank.spmv import pagerank_window, pagerank_windows_lockstep
 from repro.pagerank.weighted import pagerank_window_weighted
 from tests.conftest import random_events
 
@@ -57,20 +56,6 @@ class TestWorkspaceBuffers:
 
 
 class TestKernelParity:
-    def test_window_view_construction_parity(self, graph):
-        ws = Workspace()
-        for w in graph.window_indices():
-            plain = graph.window_view(w)
-            wsv = graph.window_view(w, workspace=ws)
-            assert np.array_equal(plain.in_dedup, wsv.in_dedup)
-            assert np.array_equal(plain.in_degrees, wsv.in_degrees)
-            assert np.array_equal(plain.out_degrees, wsv.out_degrees)
-            assert np.array_equal(
-                plain.active_vertices_mask, wsv.active_vertices_mask
-            )
-        # views count through the adjacency's group index: no pooled scratch
-        assert len(ws) == 0
-
     @pytest.mark.parametrize(
         "solver", [pagerank_window, pagerank_window_weighted],
         ids=["spmv", "weighted"],
@@ -79,10 +64,9 @@ class TestKernelParity:
         ws = Workspace()
         x_plain = x_ws = None
         for w in graph.window_indices():
-            plain_view = graph.window_view(w)
-            ws_view = graph.window_view(w, workspace=ws)
-            r_plain = solver(plain_view, CFG, x0=x_plain)
-            r_ws = solver(ws_view, CFG, x0=x_ws, workspace=ws)
+            view = graph.window_view(w)
+            r_plain = solver(view, CFG, x0=x_plain)
+            r_ws = solver(view, CFG, x0=x_ws, workspace=ws)
             assert r_plain.iterations == r_ws.iterations
             assert np.array_equal(r_plain.values, r_ws.values)
             x_plain, x_ws = r_plain.values, r_ws.values
@@ -91,27 +75,23 @@ class TestKernelParity:
     def test_spmm_batch_parity(self, graph):
         ws = Workspace()
         windows = list(graph.window_indices())[:4]
-        plain_views = [graph.window_view(w) for w in windows]
-        ws_views = [graph.window_view(w, workspace=ws) for w in windows]
-        r_plain = pagerank_windows_spmm(plain_views, CFG)
-        r_ws = pagerank_windows_spmm(ws_views, CFG, workspace=ws)
-        assert np.array_equal(r_plain.values, r_ws.values)
-        assert np.array_equal(
-            r_plain.iterations_per_window, r_ws.iterations_per_window
-        )
+        views = [graph.window_view(w) for w in windows]
+        r_plain = pagerank_windows_lockstep(views, CFG)
+        r_ws = pagerank_windows_lockstep(views, CFG, workspace=ws)
+        for plain, pooled in zip(r_plain.columns, r_ws.columns):
+            assert np.array_equal(plain.values, pooled.values)
+            assert plain.iterations == pooled.iterations
 
     def test_returned_values_are_owned(self, graph):
         """A later window's solve must not mutate an earlier result."""
         ws = Workspace()
         windows = list(graph.window_indices())
         first = pagerank_window(
-            graph.window_view(windows[0], workspace=ws), CFG, workspace=ws
+            graph.window_view(windows[0]), CFG, workspace=ws
         )
         snapshot = first.values.copy()
         for w in windows[1:3]:
-            pagerank_window(
-                graph.window_view(w, workspace=ws), CFG, workspace=ws
-            )
+            pagerank_window(graph.window_view(w), CFG, workspace=ws)
         assert np.array_equal(first.values, snapshot)
 
 
