@@ -5,6 +5,9 @@ of the partial initialization because all the initial Pagerank vectors
 will do full initialization" (the region heads of the first batch).  This
 ablation sweeps the vector length and reports:
 
+* the width each multi-window graph ran: the vector length is an upper
+  bound, and the driver picks each graph's region count from its
+  windows' event counts (``metadata["lockstep"]``),
 * the number of cold-started windows (region heads),
 * total iterations executed (partial-init quality),
 * measured serial time: the median and interquartile range over
@@ -88,6 +91,7 @@ def run_ablation():
         rows.append(
             [
                 k,
+                "/".join(map(str, run.metadata["lockstep"]["widths"])),
                 cold,
                 run.total_iterations,
                 round(med, 3),
@@ -112,6 +116,7 @@ def run_ablation():
     text = format_table(
         [
             "vector length",
+            "widths run",
             "cold-start windows",
             "total iterations",
             "serial time (s, median)",

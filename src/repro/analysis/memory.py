@@ -16,7 +16,10 @@ vertex), the ``group_start`` mask (1 B per event) and the extra
 ``indptr`` entry (8 B).
 
 Partitions build their graphs on demand, so each graph's bytes are a
-transient cost of the task solving it, never a standing allocation.  A
+transient cost of the task solving it, never a standing allocation.
+:meth:`MemoryReport.pagerank_workspace_bytes` prices the other
+transient: what one lockstep solve call of the postmortem engine holds
+beside the graph (:meth:`GraphMemory.step_bytes`).  A
 graph is always compacted onto the heap, even from a ``.tcsr`` event log
 opened via :func:`repro.graph.io.open_events`; only that raw log can be
 file-backed, and ``raw_event_mapped_bytes`` reports its mapped part.
@@ -24,15 +27,27 @@ file-backed, and ``raw_event_mapped_bytes`` reports its mapped part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.graph.multiwindow import LazyMultiWindowPartition
+from repro.pagerank.spmv import PASS_EDGES
+from repro.programs import engine
 from repro.utils.arrays import heap_and_mapped_bytes
 
 __all__ = ["MemoryReport", "memory_report", "ENCODING_BYTES"]
 
 ENCODING_BYTES = 8  # the paper: "we use 64-bit for all data"
+
+#: |V_w|-length vectors a column holds while it iterates (iterate, inverse
+#: out-weights, share, row scale and teleport, the new iterate, |y - x|,
+#: its padded positions and their temporaries); tracemalloc reads 8-9 on
+#: youtube and wiki-talk windows
+VERTEX_VECTORS = 10
+#: array headers and index lists: per solve call and per column of it
+#: (most of the peak on windows of a few hundred edges)
+CALL_OVERHEAD_BYTES = 6 * 1024
+COLUMN_OVERHEAD_BYTES = 1024
 
 
 @dataclass
@@ -49,6 +64,43 @@ class GraphMemory:
     n_events: int
     model_bytes: int
     heap_bytes: int
+    #: active edges and vertices of each window, in order
+    window_edges: List[int] = field(default_factory=list)
+    window_vertices: List[int] = field(default_factory=list)
+
+    def step_bytes(self, vector_length: int = 1) -> int:
+        """What one lockstep solve call over ``vector_length`` of this
+        graph's windows (its largest) holds beside the graph: 16 B of
+        edge index per live edge, at most the engine's
+        :data:`~repro.programs.engine.STEP_EVENTS` unless a single window
+        is larger; one contribution pass of up to
+        :data:`~repro.pagerank.spmv.PASS_EDGES` edges; one window's
+        packed edges while they are relabelled; and per column the
+        length-n padded residual buffer and result, one id map at a
+        time, and :data:`VERTEX_VECTORS` window-local vectors."""
+        if not self.window_edges:
+            return 0
+        k = min(vector_length, len(self.window_edges))
+        heads = sorted(
+            range(len(self.window_edges)),
+            key=lambda w: -self.window_edges[w],
+        )[:k]
+        largest = self.window_edges[heads[0]]
+        edges = min(
+            sum(self.window_edges[w] for w in heads),
+            max(engine.STEP_EVENTS, largest),
+        )
+        vertices = sum(self.window_vertices[w] for w in heads)
+        edge_bytes = (
+            2 * edges + min(edges, max(PASS_EDGES, largest)) + 2 * largest
+        )
+        vertex_bytes = (2 * k + 1) * self.n_vertices + (
+            VERTEX_VECTORS * vertices
+        )
+        return (
+            ENCODING_BYTES * (edge_bytes + vertex_bytes)
+            + CALL_OVERHEAD_BYTES + COLUMN_OVERHEAD_BYTES * k
+        )
 
 
 @dataclass
@@ -82,13 +134,12 @@ class MemoryReport:
         return self.total_allocated_bytes / max(self.raw_event_bytes, 1)
 
     def pagerank_workspace_bytes(self, vector_length: int = 1) -> int:
-        """The intermediate-vector memory one in-flight solve needs per
-        multi-window graph (x and y per column), maximized over graphs —
-        the part the paper says must be "retained available"."""
+        """The memory one in-flight lockstep solve call of up to
+        ``vector_length`` windows of one graph holds beside the graph
+        (:meth:`GraphMemory.step_bytes`), maximized over graphs — the
+        part the paper says must be "retained available"."""
         return max(
-            (2 * g.n_vertices * vector_length * ENCODING_BYTES
-             for g in self.graphs),
-            default=0,
+            (g.step_bytes(vector_length) for g in self.graphs), default=0
         )
 
 
@@ -98,11 +149,15 @@ def memory_report(
     """Account the memory of a multi-window partition.
 
     Graphs are built one at a time (never all resident) and reported as
-    transient costs.
+    transient costs, with each window's active edges and vertices.
     """
     graphs = []
     for i, g in enumerate(partition):
         model = ENCODING_BYTES * (g.n_local_vertices + 2 * g.nnz)
+        sizes = [
+            (view.n_active_edges, view.n_active_vertices)
+            for view in map(g.window_view, g.window_indices())
+        ]
         graphs.append(
             GraphMemory(
                 index=i,
@@ -111,6 +166,8 @@ def memory_report(
                 n_events=g.nnz,
                 model_bytes=model,
                 heap_bytes=g.memory_bytes(),
+                window_edges=[edges for edges, _ in sizes],
+                window_vertices=[vertices for _, vertices in sizes],
             )
         )
     events = partition.events

@@ -57,6 +57,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
+    from repro.models import PostmortemOptions
     from repro.programs.registry import PROGRAMS
     from repro.runtime.execution import EXECUTORS
 
@@ -116,8 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: pagerank; every model supports every "
                        "program)")
     p_run.add_argument("--multiwindows", type=int, default=6)
-    p_run.add_argument("--kernel", choices=["spmv", "spmm"], default="spmm")
-    p_run.add_argument("--vector-length", type=int, default=16)
+    # the library's defaults, so a bare `run` is a default-options run
+    p_run.add_argument("--kernel", choices=["spmv", "spmm"],
+                       default=PostmortemOptions.kernel,
+                       help="postmortem schedule (default: "
+                       f"{PostmortemOptions.kernel})")
+    p_run.add_argument("--vector-length", type=int,
+                       default=PostmortemOptions.vector_length,
+                       help="most SpMM regions per multi-window graph; "
+                       "the run picks each graph's width from its "
+                       "windows' event counts (default: "
+                       f"{PostmortemOptions.vector_length})")
     p_run.add_argument("--partition", default="uniform",
                        choices=["uniform", "minimax", "greedy"])
     p_run.add_argument("--executor", default="serial",
@@ -468,6 +478,15 @@ def cmd_run(args, out) -> int:
         print(f"wrote rank store to {args.store}", file=out)
     else:
         run = driver.run()
+    lockstep = run.metadata.get("lockstep")
+    if lockstep is not None:
+        print(
+            f"lockstep: widths {lockstep['widths']} from max window events "
+            f"{lockstep['max_window_events']}, step cap "
+            f"{lockstep['step_events']} edges, "
+            f"{lockstep['solve_calls']} solve calls",
+            file=out,
+        )
     rows = []
     for w in run.windows[:: max(args.every, 1)]:
         top = ", ".join(

@@ -20,10 +20,15 @@ A task is a *lockstep group*: consecutive graphs whose stored events
 (known from the recipes before anything is built) add up to at most
 :data:`LOCKSTEP_EVENTS`.  Every task runs one chain stepper
 (:func:`repro.programs.engine.solve_program_chains`): each graph is a
-warm-start chain, or, under ``kernel="spmm"``, ``vector_length`` chains
-(the regions of its region schedule); step j solves window j of every
-chain in the task in one batched power iteration, and every window's
-bits equal its single-window solve from the seed its chain hands it.
+warm-start chain, or, under ``kernel="spmm"``, as many chains as its
+*width* (the regions of its region schedule); step j solves window j of
+every chain in the task, in batched power iterations of at most
+:data:`~repro.programs.engine.STEP_EVENTS` active edges each, and every
+window's bits equal its single-window solve from the seed its chain
+hands it.  The driver picks each graph's width before anything is
+built, from its windows' event counts (:func:`region_width`):
+``vector_length`` is an upper bound, and a graph whose largest window
+fills a step alone gets width 1, the plain SpMV chain.
 A graph larger than the bound is a group of its own.  Groups of several
 graphs form only on the ``serial`` executor, for iterative programs on
 the sequential (SpMV) schedule; the ``shared`` executor, the SpMM region
@@ -46,17 +51,19 @@ the documented substitution for the paper's 48-core TBB runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ValidationError
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
+from repro.graph.balanced import window_event_counts
 from repro.graph.multiwindow import (
     LazyMultiWindowPartition,
     graph_from_payload,
 )
 from repro.models.base import RunResult, WindowResult
 from repro.pagerank.config import PagerankConfig
+from repro.programs import engine
 from repro.programs.base import VertexProgram
 from repro.programs.engine import TaskRecord, solve_program_chains
 from repro.programs.registry import resolve_program
@@ -67,6 +74,7 @@ __all__ = [
     "LOCKSTEP_EVENTS",
     "PostmortemOptions",
     "PostmortemDriver",
+    "region_width",
 ]
 
 _KERNELS = ("spmv", "spmm")
@@ -85,6 +93,25 @@ _KERNELS = ("spmv", "spmm")
 LOCKSTEP_EVENTS = 1 << 18
 
 
+def region_width(
+    max_window_events: int, n_windows: int, vector_length: int
+) -> int:
+    """The region count of a graph on the SpMM schedule: as many of its
+    largest window as one step of :data:`~repro.programs.engine.
+    STEP_EVENTS` edges holds, clamped to ``[1, min(vector_length,
+    n_windows)]``.  A window's event count bounds its active edges, so
+    a step of region heads stays under the cap; width 1 is the plain
+    SpMV chain.
+
+    >>> region_width(40_000, 18, 16), region_width(1_000, 120, 16)
+    (1, 16)
+    """
+    return max(1, min(
+        engine.STEP_EVENTS // max(max_window_events, 1),
+        vector_length, n_windows,
+    ))
+
+
 @dataclass(frozen=True)
 class PostmortemOptions:
     """Tuning knobs of the postmortem model.
@@ -98,12 +125,15 @@ class PostmortemOptions:
         multi-window graph).
     kernel:
         ``"spmv"`` (each graph's windows in order) or ``"spmm"`` (the
-        region schedule: each graph's windows in ``vector_length``
-        regions stepped together; non-iterative programs keep the
-        sequential order).
+        region schedule: each graph's windows in contiguous regions
+        stepped together; non-iterative programs keep the sequential
+        order).
     vector_length:
-        SpMM batch width, the number of regions per graph (the paper
-        uses 8 or 16).
+        The most SpMM regions per graph (the paper uses 8 or 16).  The
+        run chooses each graph's width from counts, as
+        :func:`region_width` of its largest window's event count, so
+        graphs of large windows run width 1 (the SpMV chain); the
+        widths chosen are in ``RunResult.metadata["lockstep"]``.
     executor:
         ``"serial"`` or ``"shared"`` (process pool over a shared-memory
         arena: the event columns are published once via
@@ -219,6 +249,11 @@ class PostmortemDriver:
 
         ``progress(graphs_done, graphs_total)`` reports at multi-window
         graph granularity — the model's unit of parallel work.
+
+        ``metadata["lockstep"]`` records how the run was stepped: the
+        step cap ``step_events``, each graph's chosen ``widths`` and the
+        ``max_window_events`` they came from, and the ``solve_calls``
+        the cap produced.
         """
         result = RunResult(model=self.model_name)
         with result.timings.phase("build"):
@@ -227,14 +262,15 @@ class PostmortemDriver:
 
         task_log: List[TaskRecord] = []
         window_results: Dict[int, WindowResult] = {}
-        done = 0
+        done = solve_calls = 0
 
         def chain_done(chain_result) -> None:
-            nonlocal done
-            wrs, tasks, work = chain_result
+            nonlocal done, solve_calls
+            wrs, tasks, work, calls = chain_result
             window_results.update(wrs)
             task_log.extend(tasks)
             result.work.merge(work)
+            solve_calls += calls
             done += 1
             if progress is not None:
                 progress(done, n_graphs)
@@ -244,6 +280,7 @@ class PostmortemDriver:
                 chain_done(chain_result)
 
         groups = self._groups(partition)
+        widths, peaks = self._widths(partition)
         # in-process the worker reports each chain as it finishes; a
         # shared worker's chains come back with its task
         in_process = self.options.executor == "serial" or len(groups) < 2
@@ -252,7 +289,10 @@ class PostmortemDriver:
                 self.options.executor,
                 self.events,
                 [
-                    tuple((g, partition.graph_payload(g)) for g in group)
+                    tuple(
+                        (g, partition.graph_payload(g), widths[g])
+                        for g in group
+                    )
                     for group in groups
                 ],
                 _solve_group_task,
@@ -287,6 +327,12 @@ class PostmortemDriver:
         result.metadata["replication_factor"] = partition.replication_factor
         result.metadata["program"] = self.program.name
         result.metadata["task_log"] = task_log
+        result.metadata["lockstep"] = {
+            "step_events": engine.STEP_EVENTS,
+            "widths": widths,
+            "max_window_events": peaks,
+            "solve_calls": solve_calls,
+        }
         result.metadata["options"] = self.options
         return result
 
@@ -312,6 +358,25 @@ class PostmortemDriver:
                 held = hi - lo
         return groups
 
+    def _widths(self, partition) -> Tuple[List[int], List[int]]:
+        """Each graph's region count and the largest event count of its
+        windows, from the time index before any graph is built: width
+        1 unless an iterative program runs the SpMM schedule, else
+        :func:`region_width`."""
+        counts = window_event_counts(self.events, self.spec)
+        spmm = self.options.kernel == "spmm" and self.program.iterative
+        widths, peaks = [], []
+        for g in range(len(partition)):
+            sub_spec, first, _, _ = partition.graph_payload(g)
+            n = sub_spec.n_windows
+            peak = int(counts[first:first + n].max(initial=0))
+            peaks.append(peak)
+            widths.append(
+                region_width(peak, n, self.options.vector_length)
+                if spmm else 1
+            )
+        return widths, peaks
+
 
 def _lockstep(program: VertexProgram, options: PostmortemOptions) -> bool:
     """Whether several graphs' chains may share a task: an iterative
@@ -333,27 +398,28 @@ def _solve_group_task(
     """The task-map worker: build one lockstep group's multi-window
     graphs, solve their chains, drop the graphs.
 
-    ``payload`` pairs each graph's index with its recipe.  In-process
+    ``payload`` holds each graph's index, recipe and region count.  In-process
     ``source`` is the driver's partition, so a graph comes from
     :meth:`~repro.graph.multiwindow.LazyMultiWindowPartition.graph_at`;
     in a ``shared`` worker it is the event set over the attached columns
     and the recipe names the slice to compact.  Either way the graph is
-    identical.  Returns the graphs' ``(window_results, tasks, work)``
-    triples, or reports each to ``chain_done`` as it finishes (then
-    returning none).
+    identical.  Returns the graphs' ``(window_results, tasks, work,
+    solve_calls)`` tuples, or reports each to ``chain_done`` as it
+    finishes (then returning none).
     """
-    indices = [g for g, _ in payload]
+    indices = [g for g, _, _ in payload]
     if isinstance(source, LazyMultiWindowPartition):
         graphs = [source.graph_at(g) for g in indices]
     else:
-        graphs = [graph_from_payload(source, recipe) for _, recipe in payload]
+        graphs = [
+            graph_from_payload(source, recipe) for _, recipe, _ in payload
+        ]
     results = solve_program_chains(
         graphs,
         indices,
         program,
+        widths=[width for _, _, width in payload],
         partial_init=options.partial_init,
-        kernel=options.kernel,
-        vector_length=options.vector_length,
         n_global_vertices=n_global_vertices,
         store_values=store_values,
         value_sink=sink,

@@ -14,6 +14,12 @@ are the lockstep steps of those chains: the postmortem engine
 steps as batches for the machine simulator
 (:mod:`repro.parallel.levels`).  With ``vector_length=1`` the one region
 is the whole graph: the sequential (SpMV) order.
+
+The region count of each graph is the postmortem driver's choice, made
+from its windows' event counts
+(:func:`repro.models.postmortem.region_width`) with the
+``vector_length`` option as the upper bound; the functions here take
+whatever width they are given.
 """
 
 from __future__ import annotations

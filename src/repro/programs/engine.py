@@ -8,17 +8,20 @@ the two-step memory bound — serves *any* :class:`~repro.programs.base.
 VertexProgram`.
 
 A *chain* is a contiguous run of one multi-window graph's windows, each
-warm-started from its predecessor (eq. 4): the whole graph, or, under
-``kernel="spmm"`` for an iterative program, each region of the graph's
-region schedule (:func:`repro.models.schedule.regions`).
-:func:`solve_program_chains` steps every chain of several graphs in
-lockstep: step j solves window j of every chain that has one, in one
-``solve_batch`` call when two or more chains of an iterative program are
-live.  Regions of one graph and chains of different graphs are the same
-thing to the loop (:mod:`repro.pagerank.spmv`), and every sum whose
-rounding depends on its grouping stays a per-window reduction, so each
-window's bits equal its own single-window solve given the seed its
-schedule hands it.
+warm-started from its predecessor (eq. 4): each region of the graph's
+region schedule (:func:`repro.models.schedule.regions`), whose width the
+caller picks per graph — width 1 is the whole graph, the plain SpMV
+chain.  :func:`solve_program_chains` steps every chain of several graphs
+in lockstep: step j solves window j of every chain that has one.  The
+step's live windows are cut into consecutive runs of at most
+:data:`STEP_EVENTS` active edges, and each run of two or more windows of
+an iterative program is one ``solve_batch`` call; a lone window, or one
+larger than the cap, goes through ``solve_window``.  Regions of one graph
+and chains of different graphs are the same thing to the loop
+(:mod:`repro.pagerank.spmv`), and every sum whose rounding depends on
+its grouping stays a per-window reduction, so each window's bits equal
+its own single-window solve given the seed its schedule hands it,
+however the step is cut.
 
 :class:`TaskRecord` (the machine-independent work log the parallel
 simulator replays) lives here because the engine is what emits it.
@@ -27,7 +30,7 @@ simulator replays) lives here because the engine is what emits it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +43,18 @@ from repro.programs.base import VertexProgram
 # model drivers import this engine, so a module-level import here would
 # be circular for callers that reach the engine first
 
-__all__ = ["TaskRecord", "solve_program_chains"]
+__all__ = ["STEP_EVENTS", "TaskRecord", "solve_program_chains"]
+
+#: active edges one lockstep solve call may hold.  Batching pays where
+#: the interpreter's fixed cost per call, not edge work, sets the pace;
+#: steps that join several large windows ran slower than one window at a
+#: time.  Measured in-process on the perfbench inputs (seed 0):
+#: serve-zipf's steps (6 windows of 176-1,278 events) fit whole, and a
+#: cap of 2**11 that splits them was 15% slower; youtube's windows
+#: (35k-51k events) each run alone, which took its serial SpMV run from
+#: 0.379 s to 0.349 s.  The postmortem driver sizes each graph's region
+#: count from the same constant.
+STEP_EVENTS = 1 << 14
 
 
 @dataclass
@@ -94,10 +108,14 @@ def _emit_window(
 
 
 class _Graph:
-    """One multi-window graph of a lockstep run and the
-    ``(window_results, tasks, work)`` triple it reports."""
+    """One multi-window graph of a lockstep run and what it reports:
+    ``(window_results, tasks, work, solve_calls)``, where a solve call
+    counts at the graph of its first window."""
 
-    __slots__ = ("graph", "mw_index", "n_steps", "results")
+    __slots__ = (
+        "graph", "mw_index", "n_steps", "window_results", "tasks", "work",
+        "solve_calls",
+    )
 
     def __init__(
         self, graph: MultiWindowGraph, mw_index: int, n_steps: int
@@ -105,7 +123,14 @@ class _Graph:
         self.graph = graph
         self.mw_index = mw_index
         self.n_steps = n_steps
-        self.results = ({}, [], WorkStats())
+        self.window_results: Dict[int, "WindowResult"] = {}
+        self.tasks: List[TaskRecord] = []
+        self.work = WorkStats()
+        self.solve_calls = 0
+
+    @property
+    def results(self) -> tuple:
+        return self.window_results, self.tasks, self.work, self.solve_calls
 
 
 class _Chain:
@@ -122,14 +147,30 @@ class _Chain:
         self.prev = None
 
 
+def _runs(views) -> List[Tuple[int, int]]:
+    """Cut a step's views into consecutive runs ``[a, b)`` whose active
+    edges add up to at most :data:`STEP_EVENTS`; a view with more is a
+    run of its own."""
+    runs: List[Tuple[int, int]] = []
+    held = 0
+    for i, view in enumerate(views):
+        edges = view.n_active_edges
+        if runs and held + edges <= STEP_EVENTS:
+            runs[-1] = (runs[-1][0], i + 1)
+            held += edges
+        else:
+            runs.append((i, i + 1))
+            held = edges
+    return runs
+
+
 def solve_program_chains(
     graphs: Sequence[MultiWindowGraph],
     mw_indices: Sequence[int],
     program: VertexProgram,
     *,
+    widths: Sequence[int],
     partial_init: bool = True,
-    kernel: str = "spmv",
-    vector_length: int = 16,
     n_global_vertices: int,
     store_values: bool = True,
     value_sink=None,
@@ -139,17 +180,19 @@ def solve_program_chains(
     chains in lockstep: step j solves window j of every chain that has
     one.
 
-    Each graph is one chain, or, under ``kernel="spmm"`` for an
-    iterative program, ``vector_length`` chains — the regions of its
-    region schedule, so step b is the schedule's batch b.  The chains
-    stay independent (each warm-starts from its own previous window), so
-    every window's answer is bitwise-identical to solving it alone from
-    the seed its chain hands it.  When two or more chains are live an
-    iterative program solves the step with one ``solve_batch`` call
-    whose seeds are a list (for PageRank, weighted PageRank and Katz,
-    one power iteration over the concatenated windows, see
-    :mod:`repro.pagerank.spmv`); a single live chain, and every window
-    of a non-iterative program, goes through ``solve_window``.  One
+    Graph g is ``widths[g]`` chains — the regions of its
+    region schedule, so step b is the schedule's batch b; width 1 is the
+    plain SpMV chain, and a non-iterative program always runs width 1.
+    The chains stay independent (each warm-starts from its own previous
+    window), so every window's answer is bitwise-identical to solving it
+    alone from the seed its chain hands it.  A step's live windows are
+    cut into consecutive runs of at most :data:`STEP_EVENTS` active
+    edges; an iterative program solves a run of two or more with one
+    ``solve_batch`` call whose seeds are a list (for PageRank, weighted
+    PageRank and Katz, one power iteration over the concatenated
+    windows, see :mod:`repro.pagerank.spmv`).  A lone window, a window
+    above the cap, and every window of a non-iterative program go
+    through ``solve_window``.  One
     :class:`~repro.pagerank.workspace.Workspace` serves every solve.
 
     A chain keeps only the view and values of its last window — all the
@@ -159,15 +202,18 @@ def solve_program_chains(
     :class:`TaskRecord` per step it takes part in.
 
     ``chain_done(result)`` is called as each graph finishes, with its
-    ``(window_results, tasks, work)`` triple; the triples are also
-    returned, in input order.
+    ``(window_results, tasks, work, solve_calls)`` tuple; the tuples are
+    also returned, in input order.  ``solve_calls`` counts the solve
+    calls whose first window is the graph's, so they sum to the run's.
     """
     from repro.models.schedule import regions
 
-    width = vector_length if kernel == "spmm" and program.iterative else 1
     owners, chains = [], []
-    for graph, mw in zip(graphs, mw_indices):
-        spans = regions(graph.first_window, graph.n_windows, width)
+    for graph, mw, width in zip(graphs, mw_indices, widths):
+        spans = regions(
+            graph.first_window, graph.n_windows,
+            width if program.iterative else 1,
+        )
         # regions are longest first
         owner = _Graph(graph, mw, spans[0][1])
         owners.append(owner)
@@ -186,32 +232,37 @@ def solve_program_chains(
                 seeds.append(program.init_window(view))
                 warm.append(False)
             views.append(view)
-        if len(live) > 1 and program.iterative:
-            solved = program.solve_batch(
-                views, seeds, workspace=workspace
-            ).columns
-        else:
-            solved = [
-                program.solve_window(v, x, workspace=workspace)
-                for v, x in zip(views, seeds)
-            ]
+        runs = (
+            _runs(views) if program.iterative
+            else [(i, i + 1) for i in range(len(views))]
+        )
+        solved = []
+        for a, b in runs:
+            if b - a > 1:
+                solved.extend(program.solve_batch(
+                    views[a:b], seeds[a:b], workspace=workspace
+                ).columns)
+            else:
+                solved.append(program.solve_window(
+                    views[a], seeds[a], workspace=workspace
+                ))
+            live[a].owner.solve_calls += 1
         # a graph's chains are consecutive in ``live``: its first window
         # of the step opens the step's record, the others join it
         last = None
         for c, view, pr, used in zip(live, views, solved, warm):
             owner = c.owner
-            window_results, tasks, work = owner.results
             window = c.start + j
-            work.merge(pr.work)
+            owner.work.merge(pr.work)
             _emit_window(
                 owner.graph, window, view, pr.values, pr.iterations,
-                pr.converged, pr.residual, window_results, store_values,
-                n_global_vertices, value_sink,
+                pr.converged, pr.residual, owner.window_results,
+                store_values, n_global_vertices, value_sink,
             )
             # only window j can seed window j + 1
             c.prev = (view, pr.values) if j + 1 < c.size else None
             if owner is last:
-                task = tasks[-1]
+                task = owner.tasks[-1]
                 task.windows.append(window)
                 task.iterations = max(task.iterations, pr.iterations)
                 task.active_edges += view.n_active_edges
@@ -219,7 +270,7 @@ def solve_program_chains(
                 task.used_partial_init |= used
                 task.kernel = "spmm"
             else:
-                tasks.append(TaskRecord(
+                owner.tasks.append(TaskRecord(
                     multiwindow=owner.mw_index,
                     windows=[window],
                     iterations=pr.iterations,

@@ -111,6 +111,37 @@ class TestRun:
         )
         assert rc == 0
 
+    def test_bare_run_is_a_default_options_run(self, events_file, tmp_path):
+        """With no ``--kernel`` or ``--vector-length``, ``run`` writes the
+        same store as ``PostmortemDriver`` under default options, and
+        prints the widths the run chose."""
+        from repro.cli import _load_events
+        from repro.events import WindowSpec
+        from repro.models import PostmortemDriver
+        from repro.pagerank import PagerankConfig
+        from repro.service import RankStoreWriter
+
+        cli_store = tmp_path / "cli.rankstore"
+        out = io.StringIO()
+        rc = main(
+            ["run", events_file, "--delta-days", "180", "--sw", "5184000",
+             "--max-windows", "10", "--store", str(cli_store),
+             "--store-dtype", "float64"],
+            out=out,
+        )
+        assert rc == 0
+        assert "lockstep: widths [" in out.getvalue()
+        events = _load_events(events_file)
+        covering = WindowSpec.covering_days(events, 180, 5184000)
+        spec = WindowSpec(covering.t0, covering.delta, covering.sw,
+                          min(covering.n_windows, 10))
+        lib_store = tmp_path / "lib.rankstore"
+        with RankStoreWriter(lib_store, spec.n_windows, events.n_vertices,
+                             spec=spec, dtype="float64") as writer:
+            PostmortemDriver(events, spec, PagerankConfig()).run(
+                value_sink=writer.write_window
+            )
+        assert cli_store.read_bytes() == lib_store.read_bytes()
 
     def test_npz_input_fails(self, tmp_path, capsys):
         """An ``.npz`` archive is no event input: it raises a typed error

@@ -22,7 +22,8 @@ every combination must reproduce the canonical answer *bitwise*:
   already the fixed point, and empty windows;
 * the SpMM region schedule: program {PageRank, Katz} x partition method
   x executor x ``vector_length`` {1, 3, 16}, against each window solved
-  alone by the masked oracle from the seed the region schedule hands it,
+  alone by the masked oracle from the seed the region schedule hands it
+  at each graph's chosen width (the run's ``metadata["lockstep"]``),
   with the task log's steps equal to the schedule's batches.
 
 Values and per-window iteration counts must be equal, not close.  The
@@ -40,6 +41,7 @@ from repro.graph import multiwindow
 from repro.graph.balanced import BalancedMultiWindowPartition
 from repro.graph.io import open_events, write_tcsr
 from repro.models import OfflineDriver, PostmortemDriver, PostmortemOptions
+from repro.models.postmortem import region_width
 from repro.models.schedule import spmm_region_schedule
 from repro.pagerank import PagerankConfig
 from repro.programs.katz import KatzConfig, KatzProgram
@@ -235,16 +237,17 @@ def make_partition(events, spec, method):
     return BalancedMultiWindowPartition(events, spec, 4, method=method)
 
 
-def region_oracle(events, spec, program, method, width):
+def region_oracle(events, spec, program, method, widths):
     """Every window solved alone by the masked oracle, seeded along the
-    region schedule's chains: ``({window: (global values, iterations)},
-    {graph: [batch windows]})``."""
+    region schedule's chains at graph g's width ``widths[g]``:
+    ``({window: (global values, iterations)}, {graph: [batch
+    windows]})``."""
     part = make_partition(events, spec, method)
     windows, batches = {}, {}
     for g in range(len(part)):
         graph = part.graph_at(g)
         schedule = spmm_region_schedule(
-            graph.first_window, graph.n_windows, width
+            graph.first_window, graph.n_windows, widths[g]
         )
         batches[g] = [b.windows for b in schedule]
         views, values = {}, {}
@@ -269,15 +272,15 @@ def region_oracle(events, spec, program, method, width):
 
 @pytest.fixture(scope="module")
 def region_oracles(events, spec):
-    """:func:`region_oracle` per (program, method, width), computed once
+    """:func:`region_oracle` per (program, method, widths), computed once
     for both executors."""
     cache = {}
 
-    def get(name, method, width):
-        key = (name, method, width)
+    def get(name, method, widths):
+        key = (name, method, tuple(widths))
         if key not in cache:
             cache[key] = region_oracle(
-                events, spec, PROGRAMS[name], method, width
+                events, spec, PROGRAMS[name], method, widths
             )
         return cache[key]
 
@@ -292,9 +295,9 @@ def test_spmm_region_schedule_bitwise(
     events, spec, region_oracles, name, method, executor, width
 ):
     """``kernel="spmm"`` steps each graph's regions through one lockstep
-    loop: every window equals its masked single-window solve, and the
-    task log holds one record per schedule batch."""
-    windows, batches = region_oracles(name, method, width)
+    loop at the width the run chose for it: every window equals its
+    masked single-window solve along that width's region schedule, and
+    the task log holds one record per schedule batch."""
     options = PostmortemOptions(
         n_multiwindows=4, kernel="spmm", vector_length=width,
         executor=executor, n_threads=2, partition_method=method,
@@ -302,6 +305,13 @@ def test_spmm_region_schedule_bitwise(
     run = PostmortemDriver(
         events, spec, CONFIG, options, program=PROGRAMS[name]
     ).run()
+    lockstep = run.metadata["lockstep"]
+    assert lockstep["widths"] == [
+        region_width(peak, size, width) for peak, size in zip(
+            lockstep["max_window_events"], graph_sizes(events, spec, method)
+        )
+    ]
+    windows, batches = region_oracles(name, method, lockstep["widths"])
     assert [w.window_index for w in run.windows] == sorted(windows)
     for w in run.windows:
         values, iterations = windows[w.window_index]
@@ -312,6 +322,14 @@ def test_spmm_region_schedule_bitwise(
         assert [t.windows for t in log if t.multiwindow == g] == steps, g
     if width > 1:
         assert any(len(t.windows) > 1 for t in log)
+
+
+def graph_sizes(events, spec, method):
+    """Window count of every multi-window graph, from the recipes."""
+    part = make_partition(events, spec, method)
+    return [
+        part.graph_payload(g)[0].n_windows for g in range(len(part))
+    ]
 
 
 def run_starts(partition):

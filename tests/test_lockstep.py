@@ -22,10 +22,17 @@ import pytest
 from repro.errors import ConvergenceError
 from repro.events.event_set import TemporalEventSet
 from repro.events.windows import WindowSpec
-from repro.graph.balanced import BalancedMultiWindowPartition
+from repro.graph.balanced import (
+    BalancedMultiWindowPartition,
+    window_event_counts,
+)
 from repro.graph.multiwindow import LazyMultiWindowPartition
 from repro.models import postmortem as pm
-from repro.models.postmortem import PostmortemDriver, PostmortemOptions
+from repro.models.postmortem import (
+    PostmortemDriver,
+    PostmortemOptions,
+    region_width,
+)
 from repro.pagerank.config import PagerankConfig
 from repro.programs import engine
 from repro.programs.katz import KatzConfig, KatzProgram
@@ -85,10 +92,10 @@ def per_chain(events, spec, program, partition, n_graphs):
 
 
 def run(events, spec, program, partition="uniform", n_graphs=4,
-        executor="serial", **kw):
+        executor="serial", kernel="spmv", **kw):
     options = PostmortemOptions(
         n_multiwindows=n_graphs, partition_method=partition,
-        executor=executor, n_threads=2,
+        executor=executor, n_threads=2, kernel=kernel,
     )
     return PostmortemDriver(
         events, spec, program.config if isinstance(program, PagerankProgram)
@@ -311,3 +318,90 @@ def test_custom_program_defaults_to_one_window_at_a_time(burst):
         run(events, spec, PlainPagerank(), "greedy"),
         per_chain(events, spec, reference, "greedy", 4),
     )
+
+
+@pytest.mark.parametrize("executor", ("serial", "shared"))
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_step_cap_changes_no_bit(burst, monkeypatch, name, executor):
+    """A step cap of one edge solves every window of a step alone, one of
+    2**40 edges the whole step in one call; the chains are independent,
+    so every window's bits are the same either way."""
+    events, spec = burst
+    program = make_program(name)
+    runs = {}
+    for cap in (1, 1 << 40):
+        monkeypatch.setattr(engine, "STEP_EVENTS", cap)
+        runs[cap] = run(events, spec, program, "minimax", executor=executor)
+    alone, whole = runs[1], runs[1 << 40]
+    for a, b in zip(alone.windows, whole.windows):
+        assert a.window_index == b.window_index
+        assert (a.iterations, a.converged, a.residual) == (
+            b.iterations, b.converged, b.residual
+        ), a.window_index
+        np.testing.assert_array_equal(a.values, b.values)
+    calls = [r.metadata["lockstep"]["solve_calls"] for r in (alone, whole)]
+    assert calls[0] == spec.n_windows  # every burst window has edges
+    if executor == "serial":  # shared tasks hold one chain per step
+        assert calls[1] < calls[0]
+    assert_matches(whole, per_chain(events, spec, program, "minimax", 4))
+
+
+@pytest.mark.parametrize("vector_length", (1, 3, 16))
+def test_region_width_rule(vector_length):
+    """A window that fills a step alone gives width 1; smaller windows
+    give as many regions as a step holds, at most ``vector_length`` and
+    the graph's window count."""
+    step = engine.STEP_EVENTS
+    for peak in (step, step + 1, 40 * step):
+        assert region_width(peak, 30, vector_length) == 1
+    for peak, n_windows in ((step // 2, 30), (step // 5, 30),
+                            (step // 40, 30), (step // 40, 2), (0, 30)):
+        assert region_width(peak, n_windows, vector_length) == min(
+            vector_length, n_windows, step // max(peak, 1)
+        )
+
+
+def test_lockstep_metadata_reads_back(burst, monkeypatch):
+    """``metadata["lockstep"]`` holds the step cap, each graph's width
+    and the largest window event count it came from, and the number of
+    solve calls; width-1 graphs log plain ``spmv`` records."""
+    events, spec = burst
+    counts = window_event_counts(events, spec)
+    part = LazyMultiWindowPartition(events, spec, 4)
+    graphs = [part.graph_at(g) for g in range(len(part))]
+    peaks = [
+        int(counts[g.first_window:g.first_window + g.n_windows].max())
+        for g in graphs
+    ]
+    # the burst's graph fills a step alone, the others do not
+    monkeypatch.setattr(engine, "STEP_EVENTS", max(peaks))
+    calls = []
+    for method in ("solve_window", "solve_batch"):
+        def spy(self, *args, _original=getattr(PagerankProgram, method),
+                **kw):
+            calls.append(1)
+            return _original(self, *args, **kw)
+
+        monkeypatch.setattr(PagerankProgram, method, spy)
+    result = run(events, spec, make_program("pagerank"), kernel="spmm")
+    lockstep = result.metadata["lockstep"]
+    widths = [
+        region_width(peak, g.n_windows, 16)
+        for peak, g in zip(peaks, graphs)
+    ]
+    assert 1 in widths and max(widths) > 1
+    assert lockstep == {
+        "step_events": max(peaks),
+        "widths": widths,
+        "max_window_events": peaks,
+        "solve_calls": len(calls),
+    }
+    log = result.metadata["task_log"]
+    # region heads fit one call, so each (graph, step) record is one call
+    assert len(log) == len(calls)
+    for task in log:
+        assert task.kernel == (
+            "spmm" if len(task.windows) > 1 else "spmv"
+        )
+        if widths[task.multiwindow] == 1:
+            assert len(task.windows) == 1

@@ -1,11 +1,15 @@
 """Tests for the Section 4.1 memory accounting."""
 
+import tracemalloc
+
 import pytest
 
 from repro.analysis import memory_report
 from repro.analysis.memory import ENCODING_BYTES
 from repro.events import WindowSpec
 from repro.graph import LazyMultiWindowPartition
+from repro.programs import engine
+from repro.programs.pagerank import PagerankProgram
 from tests.conftest import random_events
 
 
@@ -59,12 +63,47 @@ class TestMemoryReport:
             part.replication_factor
         )
 
-    def test_workspace_scales_with_vector_length(self, partition):
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_step_price_bounds_a_solve_batch_peak(self, partition, width):
+        """The priced step is at least what one ``solve_batch`` over the
+        graph's ``width`` largest windows allocates, and at most twice
+        it."""
         part, _ = partition
         report = memory_report(part)
-        w1 = report.pagerank_workspace_bytes(1)
-        w16 = report.pagerank_workspace_bytes(16)
-        assert w16 == 16 * w1
+        program = PagerankProgram()
+        prices = []
+        for g_mem, graph in zip(report.graphs, part.graphs):
+            views = sorted(
+                map(graph.window_view, graph.window_indices()),
+                key=lambda v: -v.n_active_edges,
+            )[:width]
+            seeds = [program.init_window(v) for v in views]
+            tracemalloc.start()
+            try:
+                program.solve_batch(views, seeds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            price = g_mem.step_bytes(width)
+            assert peak <= price <= 2 * peak, (g_mem.index, peak, price)
+            prices.append(price)
+        assert report.pagerank_workspace_bytes(width) == max(prices)
+
+    def test_step_price_follows_the_step_cap(self, partition, monkeypatch):
+        """Under a cap below one window a step holds that one window's
+        edges however wide it is (16 B of index and 8 B of contribution
+        each); the vertex vectors still grow."""
+        part, _ = partition
+        g_mem = memory_report(part).graphs[0]
+        largest = max(g_mem.window_edges)
+        wide = g_mem.step_bytes(16)
+        monkeypatch.setattr(engine, "STEP_EVENTS", 1)
+        capped = g_mem.step_bytes(16)
+        assert capped < wide
+        assert capped > g_mem.step_bytes(1)
+        assert wide - capped == 3 * ENCODING_BYTES * (
+            sum(g_mem.window_edges) - largest
+        )
 
     def test_more_partitions_more_memory(self):
         events = random_events(n_vertices=40, n_events=800, seed=72)
