@@ -39,15 +39,16 @@ __all__ = ["MemoryReport", "memory_report", "ENCODING_BYTES"]
 
 ENCODING_BYTES = 8  # the paper: "we use 64-bit for all data"
 
-#: |V_w|-length vectors a column holds while it iterates (iterate, inverse
-#: out-weights, share, row scale and teleport, the new iterate, |y - x|,
-#: its padded positions and their temporaries); tracemalloc reads 8-9 on
-#: youtube and wiki-talk windows
-VERTEX_VECTORS = 10
+#: |V_w|-length vectors a column holds while it iterates (iterate,
+#: inverse out-weights, share, row scale and teleport, the new iterate,
+#: |y - x|, its padded positions, their concatenations and temporaries);
+#: tracemalloc reads 7-8 for a lone window and 12-13 per window of a
+#: lockstep step on windows of 20k vertices
+VERTEX_VECTORS = 12
 #: array headers and index lists: per solve call and per column of it
 #: (most of the peak on windows of a few hundred edges)
-CALL_OVERHEAD_BYTES = 6 * 1024
-COLUMN_OVERHEAD_BYTES = 1024
+CALL_OVERHEAD_BYTES = 3 * 1024
+COLUMN_OVERHEAD_BYTES = 2 * 1024
 
 
 @dataclass
@@ -64,6 +65,8 @@ class GraphMemory:
     n_events: int
     model_bytes: int
     heap_bytes: int
+    #: (destination, source) groups of the graph's group index
+    n_groups: int
     #: active edges and vertices of each window, in order
     window_edges: List[int] = field(default_factory=list)
     window_vertices: List[int] = field(default_factory=list)
@@ -71,13 +74,15 @@ class GraphMemory:
     def step_bytes(self, vector_length: int = 1) -> int:
         """What one lockstep solve call over ``vector_length`` of this
         graph's windows (its largest) holds beside the graph: 16 B of
-        edge index per live edge, at most the engine's
-        :data:`~repro.programs.engine.STEP_EVENTS` unless a single window
-        is larger; one contribution pass of up to
-        :data:`~repro.pagerank.spmv.PASS_EDGES` edges; one window's
-        packed edges while they are relabelled; and per column the
-        length-n padded residual buffer and result, one id map at a
-        time, and :data:`VERTEX_VECTORS` window-local vectors."""
+        edge index per live edge — the relabelled edges each window's
+        view built and hands to the call, which a lone window iterates
+        in place and several windows copy into their concatenation — at
+        most the engine's :data:`~repro.programs.engine.STEP_EVENTS`
+        unless a single window is larger; one contribution pass of up to
+        :data:`~repro.pagerank.spmv.PASS_EDGES` edges; one view's 1-byte
+        group mark at a time; and per column the view's length-n
+        local-id map, the length-n padded residual buffer and result,
+        and :data:`VERTEX_VECTORS` window-local vectors."""
         if not self.window_edges:
             return 0
         k = min(vector_length, len(self.window_edges))
@@ -91,14 +96,10 @@ class GraphMemory:
             max(engine.STEP_EVENTS, largest),
         )
         vertices = sum(self.window_vertices[w] for w in heads)
-        edge_bytes = (
-            2 * edges + min(edges, max(PASS_EDGES, largest)) + 2 * largest
-        )
-        vertex_bytes = (2 * k + 1) * self.n_vertices + (
-            VERTEX_VECTORS * vertices
-        )
+        edge_bytes = 2 * edges + min(edges, max(PASS_EDGES, largest))
+        vertex_bytes = 3 * k * self.n_vertices + VERTEX_VECTORS * vertices
         return (
-            ENCODING_BYTES * (edge_bytes + vertex_bytes)
+            ENCODING_BYTES * (edge_bytes + vertex_bytes) + self.n_groups
             + CALL_OVERHEAD_BYTES + COLUMN_OVERHEAD_BYTES * k
         )
 
@@ -166,6 +167,7 @@ def memory_report(
                 n_events=g.nnz,
                 model_bytes=model,
                 heap_bytes=g.memory_bytes(),
+                n_groups=g.adjacency.groups.n_groups,
                 window_edges=[edges for edges, _ in sizes],
                 window_vertices=[vertices for _, vertices in sizes],
             )

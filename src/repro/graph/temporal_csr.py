@@ -20,10 +20,10 @@ rows are destinations, so the pull-style SpMV is a segment-sum over rows.
 Its :class:`GroupIndex` lists the (destination, source) groups and orders
 the stored events by time, which gives both degree vectors and every
 window's simple edges without a second, push-style orientation.  A
-:class:`WindowView` counts its window's events per group with one
-``bincount`` over that window's run of the time order — Θ(window events +
-groups) instead of a pass over every stored event — and keeps the active
-groups, the degrees and the active vertex set.
+:class:`WindowView` marks its window's active groups from that window's
+run of the time order and builds everything a solve needs — its active
+vertex index, local-id map, local out-degrees and relabelled edges — from
+the active groups' rows and columns, gathered once.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class GroupIndex:
 
     Vertex and group ids are int32 while they fit, so beside a held time
     array the index costs 4 B per stored event and 8 B per group.
-    :meth:`counts` turns a span into events per group — a simple edge is
-    active in a window iff its group has an event in it.
+    :meth:`active` turns a span into the window's active groups — a
+    simple edge is active in a window iff its group has an event in it —
+    and :meth:`counts` into events per group.
     """
 
     __slots__ = ("row", "col", "time", "group")
@@ -238,13 +239,25 @@ class GroupIndex:
     def span(self, t_start: int, t_end: int) -> Tuple[int, int]:
         """The run ``[lo, hi)`` of the time order inside
         ``[t_start, t_end]``."""
-        lo = int(np.searchsorted(self.time, t_start, side="left"))
-        hi = int(np.searchsorted(self.time, t_end, side="right"))
+        # times are integers: the right edge of t_end is the left edge
+        # of t_end + 1, so one probe finds both ends
+        lo, hi = self.time.searchsorted((t_start, t_end + 1)).tolist()
         return lo, hi
+
+    def active(self, span: Tuple[int, int]) -> np.ndarray:
+        """Ids of the groups with an event in the window whose time-order
+        run is ``span``, ascending: a 1-byte mark per group scattered
+        from the run, then its ``nonzero``."""
+        lo, hi = span
+        mark = np.zeros(self.n_groups, dtype=bool)
+        # an intp index scatters several times faster than an int32 one
+        mark[self.group[lo:hi].astype(np.intp)] = True
+        return mark.nonzero()[0]
 
     def counts(self, span: Tuple[int, int]) -> np.ndarray:
         """Events per group in the window whose time-order run is
-        ``span`` — Θ(window events + groups)."""
+        ``span`` (int64, one per group) — the weighted kernel's edge
+        multiplicities."""
         lo, hi = span
         return np.bincount(self.group[lo:hi], minlength=self.n_groups)
 
@@ -284,13 +297,26 @@ class TemporalAdjacency:
     def from_arrays(
         cls, src, dst, time, n_vertices: int
     ) -> "TemporalAdjacency":
-        """Build the temporal CSR from raw (src, dst, time) arrays."""
+        """Build the temporal CSR from raw (src, dst, time) arrays.
+
+        The (destination, source, time) order is one stable argsort of
+        the fused key ``dst * n_vertices + src``: on input in time order
+        a stable sort keeps each group's events in time order already.
+        Other input is first put in time order by a stable argsort, so
+        both give the permutation of ``np.lexsort((time, src, dst))``.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         time = np.asarray(time, dtype=np.int64)
-        order = np.lexsort((time, src, dst))
-        in_csr = _build_orientation(dst, src, time, n_vertices, order)
+        key = dst * n_vertices
+        key += src
         in_time_order = not np.any(time[1:] < time[:-1])
+        if in_time_order:
+            order = np.argsort(key, kind="stable")
+        else:
+            by_time = np.argsort(time, kind="stable")
+            order = by_time[np.argsort(key[by_time], kind="stable")]
+        in_csr = _build_orientation(dst, src, time, n_vertices, order)
         return cls(in_csr, (order, time) if in_time_order else None)
 
     @property
@@ -308,8 +334,9 @@ class TemporalAdjacency:
     def window_view(self, window: "Window") -> "WindowView":
         """Everything one PageRank run needs for ``window``.
 
-        Θ(window events + groups) through the :class:`GroupIndex`, not a
-        pass over every stored event.
+        Θ(window events + |E_w|) through the :class:`GroupIndex`, plus
+        byte-wide passes over the groups and the vertices — not a pass
+        over every stored event.
         """
         return WindowView(self, window)
 
@@ -326,34 +353,41 @@ class TemporalAdjacency:
 class WindowView:
     """One window's activity, read off a :class:`TemporalAdjacency`.
 
-    Construction counts the window's events per group through the
-    adjacency's :class:`GroupIndex` — Θ(window events + groups) — and
-    keeps:
+    Construction is one pass over the window's own events:
 
-    * ``group_mask`` — which in-orientation (row, neighbor) groups have
-      an event in the window; :attr:`active_groups` lists them in group
-      order, one per active simple edge;
-    * ``in_degrees`` / ``out_degrees`` — ``bincount`` of the active
-      groups' rows / neighbors;
-    * ``active_vertices_mask`` (the active vertex set V_i),
-      ``n_active_vertices`` and ``n_active_edges``.
+    1. a 1-byte mark per group, scattered from the window's run of the
+       time order, whose ``nonzero`` lists the active groups (one per
+       active simple edge, in stored order);
+    2. one gather of those groups' rows and columns;
+    3. a 1-byte mark per vertex from that gather, whose ``nonzero`` is
+       ``active_idx``, the sorted active vertex set V_i;
+    4. ``local_id``, the monotone map from a vertex to its rank in
+       ``active_idx`` (``-1`` off the window), by one scatter;
+    5. the relabelled edges and, by one ``bincount`` of their sources,
+       ``local_out_degrees``.
 
-    Two things are derived only on demand: :attr:`in_dedup`, the Θ(nnz)
-    first-active-event mask that the masked reference loops stream, and
-    :attr:`multiplicities`, the weighted kernel's per-edge event counts.
-    Neither is kept on the view.
+    That is Θ(window events + |E_w|) plus byte-wide passes over the
+    groups and vertices and the fill of ``local_id``.  A view keeps only
+    Θ(|V_w|) and Θ(n) arrays: the relabelled edges are handed over once, to the solve that
+    packs them (:meth:`take_local_edges`), so the views a chain holds
+    after their solve stay vertex-sized.
+
+    Whole-space vectors are derived on demand: ``active_vertices_mask``,
+    ``out_degrees`` and ``in_degrees`` (Katz's degree clamp reads the
+    last two), :attr:`active_groups`, :meth:`edges` and
+    :attr:`multiplicities` (the weighted kernel's per-edge event counts).
     """
 
     __slots__ = (
         "adjacency",
         "window",
-        "group_mask",
-        "out_degrees",
-        "in_degrees",
-        "active_vertices_mask",
+        "active_idx",
+        "local_id",
+        "local_out_degrees",
         "n_active_vertices",
         "n_active_edges",
         "_span",
+        "_local_edges",
     )
 
     def __init__(self, adjacency: TemporalAdjacency, window: "Window") -> None:
@@ -361,61 +395,89 @@ class WindowView:
         self.window = window
         groups = adjacency.groups
         self._span = groups.span(window.t_start, window.t_end)
-        self.group_mask = groups.counts(self._span) > 0
-
-        active_groups = self.group_mask.nonzero()[0]
+        active = groups.active(self._span)
+        rows = groups.row.take(active).astype(np.intp)
+        cols = groups.col.take(active).astype(np.intp)
         n = adjacency.n_vertices
-        self.in_degrees = np.bincount(
-            groups.row[active_groups], minlength=n
+        seen = np.zeros(n, dtype=bool)
+        seen[rows] = True
+        seen[cols] = True
+        self.active_idx = seen.nonzero()[0]
+        k = self.n_active_vertices = self.active_idx.size
+        self.n_active_edges = active.size
+        # an active vertex's local id is its rank among the active ones:
+        # the packed edges join active vertices only, so relabelled rows
+        # stay non-decreasing and within-row order is untouched
+        self.local_id = np.full(n, -1, dtype=np.int64)
+        self.local_id[self.active_idx] = np.arange(k)
+        col = self.local_id.take(cols)
+        self.local_out_degrees = np.bincount(col, minlength=k)
+        self._local_edges: Optional[Tuple[np.ndarray, np.ndarray]] = (
+            col, self.local_id.take(rows)
         )
-        self.out_degrees = np.bincount(
-            groups.col[active_groups], minlength=n
-        )
-        active = np.logical_or(self.in_degrees, self.out_degrees)
-        self.active_vertices_mask = active
-        self.n_active_vertices = int(np.count_nonzero(active))
-        self.n_active_edges = int(active_groups.size)
 
     @property
     def n_vertices(self) -> int:
         """|V_i| — vertices incident to at least one active edge."""
         return self.n_active_vertices
 
+    def take_local_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(col, rows)`` of the window's simple edges in window-local
+        ids (int64), one per active group in stored order.
+
+        The first call hands over the arrays construction built and the
+        view stops holding them; a later call gathers them again from the
+        group index."""
+        edges = self._local_edges
+        if edges is None:
+            groups = self.adjacency.groups
+            active = self.active_groups
+            return (
+                self.local_id.take(groups.col.take(active)),
+                self.local_id.take(groups.row.take(active)),
+            )
+        self._local_edges = None
+        return edges
+
+    @property
+    def active_vertices_mask(self) -> np.ndarray:
+        """The active vertex set V_i as an ``(n,)`` bool mask."""
+        return self.local_id >= 0
+
+    @property
+    def out_degrees(self) -> np.ndarray:
+        """Active out-degree per vertex (``(n,)`` int64)."""
+        out = np.zeros(self.adjacency.n_vertices, dtype=np.int64)
+        out[self.active_idx] = self.local_out_degrees
+        return out
+
+    @property
+    def in_degrees(self) -> np.ndarray:
+        """Active in-degree per vertex (``(n,)`` int64)."""
+        groups = self.adjacency.groups
+        return np.bincount(
+            groups.row.take(self.active_groups),
+            minlength=self.adjacency.n_vertices,
+        )
+
     @property
     def active_groups(self) -> np.ndarray:
         """Ids of the window's active (row, neighbor) groups, ascending —
-        the order the in-orientation stores them in.
-
-        Recomputed on each read rather than kept: the SpMM schedule holds
-        two steps of views for its warm starts, and keeping this
-        Θ(|E_w|) array on each of them raised the net peak RSS of the
-        perfbench youtube workload (SpMM on two workers) from 27 to
-        36 MiB."""
-        return self.group_mask.nonzero()[0]
+        the order the in-orientation stores them in.  Marked again on
+        each read rather than kept: a Θ(|E_w|) array on every view a
+        chain holds raised the net peak RSS of the perfbench youtube
+        workload from 27 to 36 MiB."""
+        return self.adjacency.groups.active(self._span)
 
     @property
     def multiplicities(self) -> np.ndarray:
         """Events in the window per active group, aligned with
         :attr:`active_groups` (int64)."""
-        return self.adjacency.groups.counts(self._span)[self.group_mask]
-
-    @property
-    def in_dedup(self) -> np.ndarray:
-        """The in-orientation's first-active-event mask (``(nnz,)``
-        bool): one True per active simple edge, at the group's first
-        event in the window.
-
-        A fresh Θ(nnz) :meth:`TemporalCSR.dedup_mask` on every read — not
-        kept, so the views a chain holds stay group-sized.  The masked
-        reference loops (:func:`repro.programs.katz.katz_window` and the
-        test oracles) read it once per solve."""
-        return self.adjacency.in_csr.dedup_mask(
-            self.window.t_start, self.window.t_end
-        )
+        return self.adjacency.groups.counts(self._span)[self.active_groups]
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` of the window's simple edges (int64), one per
-        active group, in the in-orientation's group order — Θ(groups)."""
+        active group, in the in-orientation's group order."""
         groups = self.adjacency.groups
         active = self.active_groups
         return (

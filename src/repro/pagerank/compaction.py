@@ -10,14 +10,15 @@ once and iterate over the pack.
 
 Compaction is the classic gather-scatter move from the GAP/STINGER CSR
 lineage: pay one gather *per window* to pack the active deduplicated
-in-edges into a dense ``(col_c, rows_c)`` pair, then iterate
-over only the Θ(|E_w|) packed edges (the kernels then relabel the pack
-into the window's own vertex space, so the vertex side of an iteration is
-Θ(|V_w|) and the whole iteration Θ(|V_w| + |E_w|)).  The gather reads the
-window view's active (row, neighbor) groups, so the pack costs
-Θ(groups + |E_w|), not a pass over the stored events.  The groups
-are listed in stored order, so the packed edges keep their **within-row
-order** (and a monotone relabelling keeps it too); reducing them with the
+in-edges into a dense ``(col_c, rows_c)`` pair, relabelled into the
+window's own vertex space ``[0, |V_w|)``, then iterate over only the
+Θ(|E_w|) packed edges, so the vertex side of an iteration is Θ(|V_w|)
+and the whole iteration Θ(|V_w| + |E_w|).  The window view builds the
+pack as it is constructed, from the one gather of its active (row,
+neighbor) groups that also yields its vertex set (:class:`~repro.graph.
+temporal_csr.WindowView`), and hands it to the solve.  The groups are
+listed in stored order and the relabelling is monotone, so the packed
+edges keep their **within-row order**; reducing them with the
 sequential :func:`~repro.utils.segments.segment_sum_ordered` then
 performs exactly the same additions in exactly the same order as a
 masked pass over all stored events — the results are bitwise-identical
@@ -27,9 +28,9 @@ keep the masked pass as their oracle, ``tests/dense_mask_reference.py``).
 Note this identity genuinely needs the *sequential* reduction:
 ``np.add.reduceat`` sums pairwise, so its rounding depends on how many
 masked zeros pad each segment.  The lockstep loop
-(:mod:`repro.pagerank.spmv`) relabels each window's pack straight into
-its concatenation of windows — every schedule, the SpMM region
-schedule's batches included, iterates these packs.
+(:mod:`repro.pagerank.spmv`) offsets each window's pack into its
+concatenation of windows — every schedule, the SpMM region schedule's
+batches included, iterates these packs.
 """
 
 from __future__ import annotations
@@ -50,16 +51,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompactedPull:
-    """One window's active in-edges packed into dense edge arrays.
+    """One window's active in-edges packed into dense edge arrays, in
+    the window-local vertex space ``[0, |V_w|)``.
 
     Attributes
     ----------
     col:
-        ``(n_edges,)`` int64 — source vertex per packed edge, preserving
-        the stored within-row order (the bitwise-identity requirement).
+        ``(n_edges,)`` int64 — local source id per packed edge,
+        preserving the stored within-row order (the bitwise-identity
+        requirement).
     rows:
-        ``(n_edges,)`` int64 — destination vertex per packed edge,
-        consumed by the kernels' sequential
+        ``(n_edges,)`` int64 — local destination id per packed edge,
+        non-decreasing, consumed by the kernels' sequential
         :func:`~repro.utils.segments.segment_sum_ordered` reduction.
     """
 
@@ -72,18 +75,12 @@ class CompactedPull:
 
 
 def compact_pull(view: "WindowView") -> CompactedPull:
-    """Pack ``view``'s active in-edges into ``(col_c, rows_c)``.
+    """``view``'s active in-edges, packed and relabelled to local ids.
 
-    A scan of the view's group mask and a gather of the active groups'
-    sources and destinations — Θ(groups + |E_w|) — after which every
-    power iteration costs Θ(|E_w|) instead of Θ(nnz).  The weighted
-    kernel pairs the packed edges with ``view.multiplicities``, which
-    follow the same group order.  The group index may store int32 ids;
-    the packed arrays are int64.
+    Takes the pack the view built (:meth:`~repro.graph.temporal_csr.
+    WindowView.take_local_edges`), so the view no longer holds it; a
+    second call gathers it again.  The weighted kernel pairs the packed
+    edges with ``view.multiplicities``, which follow the same group
+    order.
     """
-    groups = view.adjacency.groups
-    active = view.active_groups
-    return CompactedPull(
-        col=groups.col[active].astype(np.int64, copy=False),
-        rows=groups.row[active].astype(np.int64, copy=False),
-    )
+    return CompactedPull(*view.take_local_edges())

@@ -16,6 +16,16 @@
 Both windows must live in the *same* vertex index space (the same
 multi-window graph) — the paper explicitly skips partial initialization
 across multi-window boundaries because the compacted index spaces differ.
+
+The postmortem engine seeds each window in its window-local space (the
+value of each vertex of ``view.active_idx``, in that order):
+:func:`local_full_initialization` and :func:`local_partial_initialization`
+touch no length-``n`` vector beyond the previous window's local-id map.
+:func:`full_initialization` and :func:`partial_initialization` scatter
+the same seeds into the graph's vertex space, and
+:func:`mask_partial_initialization` is eq. 4 over whole-space vertex
+masks, the transfer of the offline and streaming solves.  All of them
+give the same bits.
 """
 
 from __future__ import annotations
@@ -29,26 +39,32 @@ from repro.graph.temporal_csr import WindowView
 
 __all__ = [
     "full_initialization",
+    "local_full_initialization",
+    "local_partial_initialization",
     "partial_initialization",
     "mask_partial_initialization",
 ]
 
 
+def local_full_initialization(view: WindowView) -> np.ndarray:
+    """Uniform 1/|V_i| on each of the window's active vertices
+    (window-local, ``(|V_i|,)``)."""
+    k = view.n_active_vertices
+    return np.full(k, 1.0 / k if k else 0.0, dtype=np.float64)
+
+
 def full_initialization(view: WindowView) -> np.ndarray:
     """Uniform 1/|V_i| over the window's active vertices, 0 elsewhere."""
-    n_active = view.n_active_vertices
-    x = np.zeros(view.adjacency.n_vertices, dtype=np.float64)
-    if n_active:
-        x[view.active_vertices_mask] = 1.0 / n_active
-    return x
+    return _scatter(view, local_full_initialization(view))
 
 
-def partial_initialization(
+def local_partial_initialization(
     view: WindowView,
     prev_view: WindowView,
     prev_values: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 4 warm start of ``view`` from the previous window's solution.
+    """Eq. 4 warm start of ``view`` from the previous window's solution,
+    in the window-local space (``(|V_i|,)``).
 
     Parameters
     ----------
@@ -57,8 +73,13 @@ def partial_initialization(
     prev_values:
         Converged PageRank of ``prev_view`` in that space.
 
-    Falls back to full initialization when the windows share no vertices or
-    the previous mass on the shared set is numerically zero.
+    The shared set is the current window's vertices that the previous
+    window's local-id map holds, in vertex order, so its mass is the
+    pairwise sum of the same values in the same order as
+    :func:`mask_partial_initialization`'s, and the result has its bits.
+    Θ(|V_i|): no length-``n`` mask is built.  Falls back to full
+    initialization when the windows share no vertices or the previous
+    mass on the shared set is not positive.
     """
     if view.adjacency is not prev_view.adjacency:
         if view.adjacency.n_vertices != prev_view.adjacency.n_vertices:
@@ -71,10 +92,32 @@ def partial_initialization(
         raise ValidationError(
             "prev_values must be a per-vertex vector in the shared space"
         )
-    return mask_partial_initialization(
-        view.active_vertices_mask, prev_values,
-        prev_view.active_vertices_mask,
+    x = local_full_initialization(view)
+    cur = view.active_idx
+    shared = prev_view.local_id.take(cur) >= 0
+    held = prev_values.take(cur[shared])
+    shared_mass = float(np.add.reduce(held))
+    if held.size and shared_mass > 0:
+        x[shared] = held * ((held.size / cur.size) / shared_mass)
+    return x
+
+
+def partial_initialization(
+    view: WindowView,
+    prev_view: WindowView,
+    prev_values: np.ndarray,
+) -> np.ndarray:
+    """Eq. 4 warm start of ``view`` (:func:`local_partial_initialization`)
+    scattered into the graph's vertex space, 0 off the window."""
+    return _scatter(
+        view, local_partial_initialization(view, prev_view, prev_values)
     )
+
+
+def _scatter(view: WindowView, local: np.ndarray) -> np.ndarray:
+    x = np.zeros(view.adjacency.n_vertices, dtype=np.float64)
+    x[view.active_idx] = local
+    return x
 
 
 def mask_partial_initialization(
@@ -92,9 +135,10 @@ def mask_partial_initialization(
     or the shared mass is not positive, and to zeros when ``mask`` is
     empty.
 
-    :func:`partial_initialization` (the postmortem kernels) and the
-    materialized solve of offline and streaming
-    (:func:`~repro.pagerank.incremental._power_iterate_graph`) share it.
+    The materialized solve of offline and streaming
+    (:func:`~repro.pagerank.incremental._power_iterate_graph`) runs it;
+    the postmortem engine's window-local
+    :func:`local_partial_initialization` gives the same bits.
     """
     x = np.zeros(mask.size, dtype=np.float64)
     n_active = int(np.count_nonzero(mask))

@@ -5,13 +5,14 @@ restricted to the window's active vertex set ``V_w``:
 
     y[v] = alpha/|V_w| + (1 - alpha) * Σ_{active in-edges (u, v)} x[u] / outdeg_w(u)
 
-Once per window the active deduplicated in-edges are packed
-(:mod:`repro.pagerank.compaction`) and relabelled into the window's own
-**window-local vertex space** ``[0, |V_w|)`` with a monotone map (local
-id = rank of the vertex among the active ones); ``x0``, the inverse
-out-degrees and the dangling set are gathered into ``|V_w|``-length
-vectors.  Every per-iteration array then has length |V_w| (vertex side)
-or |E_w| (edge side), so one iteration costs Θ(|V_w| + |E_w|) — the
+The window view builds each window's active deduplicated in-edges
+already packed (:mod:`repro.pagerank.compaction`) and relabelled into
+the window's own **window-local vertex space** ``[0, |V_w|)`` with a
+monotone map (local id = rank of the vertex among the active ones),
+together with its local out-degrees; seeds arrive window-local too
+(:func:`~repro.pagerank.init.local_partial_initialization`).  Every
+per-iteration array then has length |V_w| (vertex side) or |E_w| (edge
+side), so one iteration costs Θ(|V_w| + |E_w|) — the
 paper's §4.2 per-window work — implemented as fully-vectorized NumPy
 (per the HPC-Python guides: a gather and a sequential segment sum; no
 Python-level edge loop):
@@ -71,7 +72,7 @@ from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.compaction import compact_pull
 from repro.pagerank.config import PagerankConfig
-from repro.pagerank.init import full_initialization
+from repro.pagerank.init import local_full_initialization
 from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
 from repro.pagerank.workspace import Workspace
 
@@ -96,8 +97,12 @@ def pagerank_window(
     x0:
         Optional initial vector (e.g. from
         :func:`~repro.pagerank.init.partial_initialization`); defaults to
-        the uniform full initialization.  Only its entries on the window's
-        active vertices are read.
+        the uniform full initialization.  Either per vertex of the graph
+        (``(n,)``: only its entries on the window's active vertices are
+        read) or window-local (``(|V_w|,)``: the value of each vertex of
+        ``view.active_idx``, as :func:`~repro.pagerank.init.
+        local_partial_initialization` returns it).  When every vertex is
+        active the two are the same vector.
     workspace:
         Optional :class:`~repro.pagerank.workspace.Workspace` supplying the
         zero-padded residual buffer, so a multi-window chain pays the
@@ -130,7 +135,7 @@ def pagerank_windows_lockstep(
     """
     return _power_iterate(
         views, config, _seeds(views, x0), workspace,
-        [v.out_degrees for v in views],
+        [v.local_out_degrees for v in views],
         [config.damping] * len(views), config.alpha,
     )
 
@@ -156,7 +161,7 @@ class _Column:
     """One window of a lockstep solve in its window-local space
     ``[0, |V_w|)``: its inverse out-weights and dangling set, its
     iterate and, once finished, its outcome.  Its packed edges go
-    straight into the concatenation (:meth:`pack`)."""
+    straight from the view into the concatenation (:class:`_Concat`)."""
 
     __slots__ = (
         "view", "n", "k", "active_idx", "inv", "dangling", "weights",
@@ -166,46 +171,37 @@ class _Column:
 
     def __init__(self, view, x0, out_weight, scale, weights, dangling):
         n = self.n = view.adjacency.n_vertices
+        k = self.k = view.n_active_vertices
         self.view = view
-        self.k = view.n_active_vertices
+        self.active_idx = view.active_idx
         self.scale = scale
         self.weights = weights
         self.total = 0.0
         self.iterations = 0
         self.propagate_seconds = 0.0
         if x0 is None:
-            x0 = full_initialization(view)
+            x0 = local_full_initialization(view)
         x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (n,):
-            raise ValidationError(f"x0 must have shape ({n},), got {x0.shape}")
-        self.active_idx = view.active_vertices_mask.nonzero()[0]
+        if x0.shape == (n,):
+            x0 = x0.take(self.active_idx)
+        elif x0.shape != (k,):
+            raise ValidationError(
+                f"x0 must have shape ({n},) or window-local ({k},), "
+                f"got {x0.shape}"
+            )
+        self.x = x0
         # an empty window is solved before it starts
-        self.converged = self.k == 0
+        self.converged = k == 0
         self.residual = 0.0 if self.converged else np.inf
-        self.x = x0.take(self.active_idx)
         if self.converged:
             return
         # inv = 1/out_weight on the active vertices, 0 where dangling
-        inv = self.inv = out_weight.take(self.active_idx).astype(np.float64)
+        inv = self.inv = out_weight.astype(np.float64)
         self.dangling = (
             (inv == 0.0).nonzero()[0] if dangling
             else np.zeros(0, dtype=np.int64)
         )
         np.divide(1.0, inv, out=inv, where=inv != 0.0)
-
-    def pack(self, start: int, col: np.ndarray, rows: np.ndarray) -> None:
-        """Write the window's packed active edges, relabelled to rows
-        ``start + [0, k)`` of a concatenated space, into ``col`` and
-        ``rows`` (slices of the concatenation)."""
-        # monotone global -> local map: an active vertex gets its rank
-        # among the active ones; the packed edges join active vertices
-        # only, so relabelled rows stay non-decreasing and within-row
-        # order is untouched
-        local_id = np.cumsum(self.view.active_vertices_mask, dtype=np.int64)
-        local_id += start - 1
-        packed = compact_pull(self.view)
-        np.take(local_id, packed.col, out=col)
-        np.take(local_id, packed.rows, out=rows)
 
     def result(self, normalized: bool) -> PagerankResult:
         values = np.zeros(self.n, dtype=np.float64)
@@ -253,25 +249,33 @@ class _Concat:
         self.starts = np.cumsum(k) - k
         pads = np.cumsum(n) - n
         self.k_total = int(k.sum())
-        self.col = np.empty(int(m.sum()), dtype=np.int64)
-        self.rows = np.empty_like(self.col)
         hi = np.cumsum(m).tolist()
         #: per column: edges [a, b) and rows [lo, hi)
         self.spans = list(zip(
             [0] + hi[:-1], hi, self.starts.tolist(),
             (self.starts + k).tolist(),
         ))
-        for c, (a, b, start, _) in zip(columns, self.spans):
-            c.pack(start, self.col[a:b], self.rows[a:b])
+        # each window's local pack, offset to its rows of the
+        # concatenated space; a lone window's pack is iterated in place
+        if len(columns) == 1:
+            packed = compact_pull(columns[0].view)
+            self.col, self.rows = packed.col, packed.rows
+        else:
+            self.col = np.empty(int(m.sum()), dtype=np.int64)
+            self.rows = np.empty_like(self.col)
+            for c, (a, b, start, _) in zip(columns, self.spans):
+                packed = compact_pull(c.view)
+                np.add(packed.col, start, out=self.col[a:b])
+                np.add(packed.rows, start, out=self.rows[a:b])
         self.pad_pos = _join(
-            [c.active_idx for c in columns], np.repeat(pads, k)
+            [c.active_idx for c in columns], pads.repeat(k)
         )
         self.pad_slices = [
             slice(p, p + size) for p, size in zip(pads.tolist(), n.tolist())
         ]
         d = [c.dangling.size for c in columns]
         self.dangling = _join(
-            [c.dangling for c in columns], np.repeat(self.starts, d)
+            [c.dangling for c in columns], self.starts.repeat(d)
         )
         lo = np.cumsum([0] + d).tolist()
         self.dangling_slices = [
@@ -284,9 +288,9 @@ class _Concat:
             else _join([c.weights for c in columns])
         )
         self.col_scale = np.array([c.scale for c in columns], dtype=np.float64)
-        self.scale = np.repeat(self.col_scale, k)
+        self.scale = self.col_scale.repeat(k)
         # base / k_j per row: the division a one-column solve does once
-        self.teleport = np.repeat(base / k, k)
+        self.teleport = (base / k).repeat(k)
         self.resid = ws.zeros("spmv.resid", (int(n.sum()),), np.float64)
         self.share = np.empty(self.k_total, dtype=np.float64)
         self.plan(np.ones(len(columns), dtype=bool))
@@ -363,9 +367,10 @@ def _power_iterate(
 
     — PageRank passes ``scale = 1 - alpha`` and ``base = alpha``, Katz its
     clamped attenuation, its base and unit out-weights (so its dangling
-    set is empty).  ``out_weights[j]`` is the length-``n_j`` source weight
-    vector (window out-degree or out-strength), zero exactly at dangling
-    and inactive vertices; ``weights[j]`` the optional per-edge
+    set is empty).  ``out_weights[j]`` is the window-local source weight
+    vector (``(|V_j|,)``: window out-degree or out-strength of each
+    vertex of ``views[j].active_idx``), zero exactly at dangling
+    vertices; ``weights[j]`` the optional per-edge
     multiplicities, aligned with the view's active groups.
     ``normalized`` compares unit-mass iterates (a scale-invariant
     residual) and returns the unit-mass fixed points.  ``config``
@@ -433,9 +438,8 @@ def _iterate(
         y = None
         for a, b, lo, hi in state.passes:
             # mode="clip" skips the bounds check: every index is in range
-            contrib = np.take(
-                state.share, state.col[a:b], out=state.contrib[: b - a],
-                mode="clip",
+            contrib = state.share.take(
+                state.col[a:b], out=state.contrib[: b - a], mode="clip"
             )
             if state.weights is not None:
                 contrib *= state.weights[a:b]
@@ -459,12 +463,12 @@ def _iterate(
             # (scale * mass) / k, as a one-column solve's scalar rounds
             mass *= state.col_scale
             mass /= k
-            y += np.repeat(mass, k)
+            y += mass.repeat(k)
         y += state.teleport
         if normalized:
             y_totals = state.column_sums(y, live)
-            diff = _unit_mass(y, np.repeat(y_totals, k))
-            diff -= _unit_mass(x, np.repeat(totals, k))
+            diff = _unit_mass(y, y_totals.repeat(k))
+            diff -= _unit_mass(x, totals.repeat(k))
             totals = y_totals
         else:
             diff = np.subtract(y, x)

@@ -70,12 +70,13 @@ def pagerank_windows_weighted(
     graphs) in one lockstep loop; column j is bitwise-identical to
     ``pagerank_window_weighted(views[j], config, x0[j])``."""
     weights = [v.multiplicities.astype(np.float64) for v in views]
-    # weighted out-strength per source: sum of its outgoing edge weights
+    # weighted out-strength per active source: sum of its outgoing edge
+    # weights, in stored order
     out_strength = [
         np.bincount(
             v.adjacency.groups.col[v.active_groups],
             weights=w, minlength=v.adjacency.n_vertices,
-        )
+        ).take(v.active_idx)
         for v, w in zip(views, weights)
     ]
     return _power_iterate(

@@ -197,9 +197,11 @@ def solve_program_chains(
 
     A chain keeps only the view and values of its last window — all the
     next step's warm start can reference — so live memory is two steps'
-    windows regardless of chain length.  Windows reach ``value_sink`` in
-    step order, interleaved across chains.  Each graph logs one
-    :class:`TaskRecord` per step it takes part in.
+    windows regardless of chain length, and of the previous step only
+    its vertex-sized part: a view builds its window-local edges as it is
+    constructed and hands them to its solve.  Windows reach
+    ``value_sink`` in step order, interleaved across chains.  Each graph
+    logs one :class:`TaskRecord` per step it takes part in.
 
     ``chain_done(result)`` is called as each graph finishes, with its
     ``(window_results, tasks, work, solve_calls)`` tuple; the tuples are
@@ -259,8 +261,12 @@ def solve_program_chains(
                 pr.converged, pr.residual, owner.window_results,
                 store_values, n_global_vertices, value_sink,
             )
-            # only window j can seed window j + 1
-            c.prev = (view, pr.values) if j + 1 < c.size else None
+            # only window j can seed window j + 1; the view's packed
+            # edges went to its solve, so a chain holds Θ(|V_w|) per view
+            c.prev = (
+                (view, pr.values) if chain_state and j + 1 < c.size
+                else None
+            )
             if owner is last:
                 task = owner.tasks[-1]
                 task.windows.append(window)

@@ -15,9 +15,6 @@ execution models converge to one fixed point per window.  Nathan &
 Bader's streaming Katz (cited in the paper's Section 3.2) updates it
 incrementally; this is the *postmortem* version, with the eq. 4-style
 partial-initialization warm start of Section 4.2.
-
-:func:`katz_window` (plain ``segment_sum`` over the masked structure) is
-the independent reference the program is tested against.
 """
 
 from __future__ import annotations
@@ -27,21 +24,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ValidationError
+from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import _power_iterate_graph
-from repro.pagerank.result import LockstepResult, PagerankResult, WorkStats
+from repro.pagerank.result import LockstepResult, PagerankResult
 from repro.pagerank.spmv import _power_iterate, _seeds
 from repro.programs.base import VertexProgram
-from repro.utils.segments import segment_sum
 
 __all__ = [
     "KatzConfig",
     "KatzProgram",
     "katz_partial_init",
-    "katz_window",
 ]
 
 
@@ -86,11 +81,6 @@ def _effective_attenuation(
     return a
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    total = v.sum()
-    return v / total if total > 0 else v
-
-
 def katz_partial_init(
     view: WindowView,
     prev_view: WindowView,
@@ -118,67 +108,6 @@ def katz_partial_init(
     else:
         x[cur] = 1.0 / n_cur
     return x
-
-
-def katz_window(
-    view: WindowView,
-    config: KatzConfig = KatzConfig(),
-    x0: Optional[np.ndarray] = None,
-) -> PagerankResult:
-    """Reference Katz centrality of one window: a plain ``segment_sum``
-    over the masked structure, normalized to unit L1 mass over the active
-    vertices (so warm starts transfer across windows the same way eq. 4
-    does for PageRank)."""
-    adjacency = view.adjacency
-    n = adjacency.n_vertices
-    n_active = view.n_active_vertices
-    if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
-
-    in_csr = adjacency.in_csr
-    dedup = view.in_dedup
-    col = in_csr.col
-    active = view.active_vertices_mask
-    a = _effective_attenuation(config, view.in_degrees, view.out_degrees)
-    b = config.base / n_active
-
-    if x0 is None:
-        x = np.where(active, b, 0.0)
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise ValidationError(f"x0 must have shape ({n},)")
-
-    work = WorkStats()
-    residual = np.inf
-    for it in range(1, config.max_iterations + 1):
-        # raw affine iteration x <- a A^T x + b; the true Katz fixed point
-        # (normalizing inside the loop would change it)
-        contrib = np.where(dedup, x[col], 0.0)
-        y = a * segment_sum(contrib, in_csr.indptr)
-        y[active] += b
-        y[~active] = 0.0
-
-        # scale-invariant residual: Katz is used for ranking, so compare
-        # the normalized iterates
-        residual = float(np.abs(_normalized(y) - _normalized(x)).sum())
-        x = y
-        work.iterations += 1
-        work.edge_traversals += in_csr.nnz
-        work.active_edge_traversals += view.n_active_edges
-        work.vertex_ops += n_active
-        if residual < config.tolerance:
-            return PagerankResult(_normalized(x), it, True, residual, work)
-
-    if config.strict:
-        raise ConvergenceError(
-            f"Katz did not converge in {config.max_iterations} iterations"
-        )
-    return PagerankResult(
-        _normalized(x), config.max_iterations, False, residual, work
-    )
 
 
 @dataclass(frozen=True)
@@ -234,8 +163,7 @@ class KatzProgram(VertexProgram):
             [self.init_window(v) if x is None else x
              for v, x in zip(views, _seeds(views, x0))],
             workspace,
-            [np.ones(v.adjacency.n_vertices, dtype=np.float64)
-             for v in views],
+            [np.ones(v.n_active_vertices, dtype=np.float64) for v in views],
             [_effective_attenuation(c, v.in_degrees, v.out_degrees)
              for v in views],
             c.base, normalized=True,

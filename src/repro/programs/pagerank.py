@@ -1,8 +1,9 @@
 """PageRank re-homed as the reference :class:`VertexProgram`.
 
-Every hook delegates to the exact function the pre-engine drivers called —
-:func:`~repro.pagerank.init.full_initialization` /
-:func:`~repro.pagerank.init.partial_initialization` for state,
+Every hook delegates to one library function —
+:func:`~repro.pagerank.init.local_full_initialization` /
+:func:`~repro.pagerank.init.local_partial_initialization` for state
+(window-local seeds, with the bits of the whole-space eq. 4),
 :func:`~repro.pagerank.spmv.pagerank_window` (or the weighted variant)
 and its lockstep form :func:`~repro.pagerank.spmv.pagerank_windows_lockstep`
 for the temporal kernel (every schedule, SpMM regions included, steps
@@ -23,7 +24,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.incremental import incremental_pagerank
-from repro.pagerank.init import full_initialization, partial_initialization
+from repro.pagerank.init import (
+    local_full_initialization,
+    local_partial_initialization,
+)
 from repro.pagerank.result import LockstepResult, PagerankResult
 from repro.pagerank.spmv import pagerank_window, pagerank_windows_lockstep
 from repro.pagerank.weighted import (
@@ -51,7 +55,7 @@ class PagerankProgram(VertexProgram):
 
     # -- temporal surface ----------------------------------------------
     def init_window(self, view: WindowView) -> np.ndarray:
-        return full_initialization(view)
+        return local_full_initialization(view)
 
     def warm_start(
         self,
@@ -59,7 +63,7 @@ class PagerankProgram(VertexProgram):
         prev_view: WindowView,
         prev_values: np.ndarray,
     ) -> np.ndarray:
-        return partial_initialization(view, prev_view, prev_values)
+        return local_partial_initialization(view, prev_view, prev_values)
 
     def solve_window(
         self,

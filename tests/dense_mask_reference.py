@@ -10,7 +10,9 @@ in arithmetic and independent of the library's packing, so
 the differential tests can require the SpMV, weighted and Katz solves to
 match it bit for bit — one window at a time, or any number of windows
 stepped together by the lockstep loop (the SpMM region schedule's
-batches included).
+batches included).  It also keeps the other whole-structure oracles:
+:func:`in_dedup`, a window's Θ(nnz) first-active-event mask, and
+:func:`katz_window`, the plain ``segment_sum`` Katz reference.
 """
 
 from __future__ import annotations
@@ -29,18 +31,31 @@ from repro.pagerank import (
     partial_initialization,
 )
 from repro.pagerank.config import PagerankConfig
+from repro.errors import ConvergenceError, ValidationError
 from repro.pagerank.init import full_initialization
-from repro.pagerank.result import PagerankResult
+from repro.pagerank.result import PagerankResult, WorkStats
 from repro.programs.katz import KatzConfig, KatzProgram, _effective_attenuation
-from repro.utils.segments import segment_sum_ordered
+from repro.utils.segments import segment_sum, segment_sum_ordered
 
 __all__ = [
     "ChainResult",
     "dense_mask_katz",
     "dense_mask_pagerank",
+    "in_dedup",
+    "katz_window",
     "pair_multiplicities",
     "reference_chain",
+    "whole_space",
 ]
+
+
+def in_dedup(view: WindowView) -> np.ndarray:
+    """The in-orientation's first-active-event mask of ``view``'s window
+    (``(nnz,)`` bool): one True per active simple edge, at the group's
+    first event in the window — a Θ(nnz) pass over the stored events."""
+    return view.adjacency.in_csr.dedup_mask(
+        view.window.t_start, view.window.t_end
+    )
 
 
 def pair_multiplicities(csr, t_start: int, t_end: int):
@@ -52,6 +67,22 @@ def pair_multiplicities(csr, t_start: int, t_end: int):
     pairs = np.stack([csr.row_ids()[active], csr.col[active]])
     uniq, counts = np.unique(pairs, axis=1, return_counts=True)
     return uniq[0], uniq[1], counts
+
+
+def whole_space(view: WindowView, x0) -> np.ndarray:
+    """A seed as a fresh ``(n,)`` vector: a whole-space seed is copied, a
+    window-local one (the value of each vertex of ``view.active_idx``,
+    as the programs' ``init_window``/``warm_start`` return it) is
+    scattered, 0 off the window."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = view.adjacency.n_vertices
+    if x0.shape == (n,):
+        return x0.copy()
+    if x0.shape != (view.n_active_vertices,):
+        raise ValidationError(f"x0 must have shape ({n},)")
+    x = np.zeros(n, dtype=np.float64)
+    x[view.active_idx] = x0
+    return x
 
 
 def _unit_mass(values: np.ndarray, total: float) -> np.ndarray:
@@ -76,7 +107,7 @@ def _masked_loop(
     unit-mass iterates (Katz)."""
     in_csr = view.adjacency.in_csr
     n = view.adjacency.n_vertices
-    dedup = view.in_dedup
+    dedup = in_dedup(view)
     rows = in_csr.row_ids()
     active_mask = view.active_vertices_mask
     n_active = view.n_active_vertices
@@ -136,7 +167,7 @@ def dense_mask_pagerank(
 
     in_csr = adjacency.in_csr
     active_mask = view.active_vertices_mask
-    dedup = view.in_dedup
+    dedup = in_dedup(view)
     if weighted:
         *_, counts = pair_multiplicities(
             in_csr, view.window.t_start, view.window.t_end
@@ -159,7 +190,7 @@ def dense_mask_pagerank(
     if x0 is None:
         x = full_initialization(view)
     else:
-        x = np.asarray(x0, dtype=np.float64).copy()
+        x = whole_space(view, x0)
     return _masked_loop(
         view, config, x, inv_out, dangling_idx, config.damping,
         config.alpha, weights=weights,
@@ -181,7 +212,7 @@ def dense_mask_katz(
     if x0 is None:
         x = KatzProgram(config=config).init_window(view)
     else:
-        x = np.asarray(x0, dtype=np.float64).copy()
+        x = whole_space(view, x0)
     loop = PagerankConfig(
         tolerance=config.tolerance, max_iterations=config.max_iterations
     )
@@ -190,6 +221,68 @@ def dense_mask_katz(
     return _masked_loop(
         view, loop, x, inv_out, np.zeros(0, dtype=np.int64),
         scale, config.base, normalized=True,
+    )
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    total = v.sum()
+    return v / total if total > 0 else v
+
+
+def katz_window(
+    view: WindowView,
+    config: KatzConfig = KatzConfig(),
+    x0: Optional[np.ndarray] = None,
+) -> PagerankResult:
+    """Reference Katz centrality of one window: a plain ``segment_sum``
+    over the masked structure, normalized to unit L1 mass over the active
+    vertices (so warm starts transfer across windows the same way eq. 4
+    does for PageRank)."""
+    adjacency = view.adjacency
+    n = adjacency.n_vertices
+    n_active = view.n_active_vertices
+    if n_active == 0:
+        return _empty(n)
+
+    in_csr = adjacency.in_csr
+    dedup = in_dedup(view)
+    col = in_csr.col
+    active = view.active_vertices_mask
+    a = _effective_attenuation(config, view.in_degrees, view.out_degrees)
+    b = config.base / n_active
+
+    if x0 is None:
+        x = np.where(active, b, 0.0)
+    else:
+        x = whole_space(view, x0)
+
+    work = WorkStats()
+    residual = np.inf
+    for it in range(1, config.max_iterations + 1):
+        # raw affine iteration x <- a A^T x + b; the true Katz fixed point
+        # (normalizing inside the loop would change it)
+        contrib = np.where(dedup, x[col], 0.0)
+        y = a * segment_sum(contrib, in_csr.indptr)
+        y[active] += b
+        y[~active] = 0.0
+
+        # scale-invariant residual: Katz is used for ranking, so compare
+        # the normalized iterates
+        residual = float(np.abs(_normalized(y) - _normalized(x)).sum())
+        x = y
+        work.iterations += 1
+        work.edge_traversals += in_csr.nnz
+        work.active_edge_traversals += view.n_active_edges
+        work.vertex_ops += n_active
+        if residual < config.tolerance:
+            return PagerankResult(_normalized(x), it, True, residual, work)
+
+    if config.strict:
+        raise ConvergenceError(
+            f"Katz did not converge in {config.max_iterations} iterations"
+        )
+    return PagerankResult(
+        _normalized(x), config.max_iterations, False, residual, work
     )
 
 

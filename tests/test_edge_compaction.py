@@ -26,6 +26,7 @@ from tests.conftest import random_events
 from tests.dense_mask_reference import (
     dense_mask_katz,
     dense_mask_pagerank,
+    in_dedup,
     reference_chain,
 )
 
@@ -81,11 +82,15 @@ class TestCompactStructure:
         in_csr = view.adjacency.in_csr
         packed = compact_pull(view)
         assert packed.n_edges == view.n_active_edges
-        assert np.array_equal(packed.col, in_csr.col[view.in_dedup])
+        # the pack is window-local: active_idx maps it back
+        assert np.array_equal(
+            view.active_idx[packed.col], in_csr.col[in_dedup(view)]
+        )
         # per-row edge counts reproduce the active in-degrees
         n = view.in_degrees.size
         assert np.array_equal(
-            np.bincount(packed.rows, minlength=n), view.in_degrees
+            np.bincount(view.active_idx[packed.rows], minlength=n),
+            view.in_degrees,
         )
 
     def test_empty_window(self):

@@ -9,8 +9,9 @@ import pytest
 from repro.errors import ValidationError
 from repro.events import Window, WindowSpec
 from repro.graph import TemporalAdjacency
-from repro.programs.katz import KatzConfig, KatzProgram, katz_window
+from repro.programs.katz import KatzConfig, KatzProgram
 from tests.conftest import random_events
+from tests.dense_mask_reference import katz_window
 
 CFG = KatzConfig(tolerance=1e-12, max_iterations=500)
 PROGRAM = KatzProgram(config=CFG)

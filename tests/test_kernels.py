@@ -10,10 +10,11 @@ from repro.events import Window
 from repro.graph import TemporalAdjacency
 from repro.models import PostmortemOptions
 from repro.programs.components import ComponentsProgram
-from repro.programs.katz import KatzConfig, katz_partial_init, katz_window
+from repro.programs.katz import KatzConfig, katz_partial_init
 from repro.programs.kcore import core_numbers
 from repro.runtime import make_driver
 from tests.conftest import random_events
+from tests.dense_mask_reference import katz_window
 
 
 @pytest.fixture

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.events import WindowSpec
+from repro.events import TemporalEventSet, Window, WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.pagerank import (
     PagerankConfig,
     full_initialization,
     pagerank_window,
     partial_initialization,
+)
+from repro.pagerank.init import (
+    local_full_initialization,
+    local_partial_initialization,
+    mask_partial_initialization,
 )
 from tests.conftest import random_events
 
@@ -126,3 +133,97 @@ class TestPartialInitialization:
         v1 = adj.window_view(spec.window(1))
         with pytest.raises(ValidationError):
             partial_initialization(v1, v0, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# window-local eq. 4 against the whole-space mask transfer
+# ---------------------------------------------------------------------------
+def bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+def assert_local_eq4_matches_masks(view, prev_view, prev_values):
+    """The window-local seed, and its scatter into the vertex space, have
+    the bits of ``mask_partial_initialization`` over the two windows'
+    vertex masks."""
+    want = mask_partial_initialization(
+        view.active_vertices_mask, prev_values,
+        prev_view.active_vertices_mask,
+    )
+    local = local_partial_initialization(view, prev_view, prev_values)
+    assert local.shape == (view.n_active_vertices,)
+    assert bits(local) == bits(want[view.active_idx])
+    assert bits(partial_initialization(view, prev_view, prev_values)) == (
+        bits(want)
+    )
+
+
+@st.composite
+def eq4_cases(draw):
+    """An event set, two windows of it and a previous vector: values
+    drawn per vertex with zeros common (on active vertices too), or the
+    previous window's own PageRank."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 30))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    time = draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    adj = TemporalAdjacency.from_events(
+        TemporalEventSet(src, dst, time, n_vertices=n)
+    )
+    windows = []
+    for i in range(2):
+        lo = draw(st.integers(-5, 45))
+        windows.append(Window(i, lo, lo + draw(st.integers(0, 20))))
+    prev_view, view = (adj.window_view(w) for w in windows)
+    if draw(st.booleans()):
+        prev_values = pagerank_window(prev_view).values
+    else:
+        prev_values = np.array(draw(st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 1.0, allow_subnormal=False),
+            ),
+            min_size=n, max_size=n,
+        )))
+    return view, prev_view, prev_values
+
+
+@given(eq4_cases())
+@settings(max_examples=300, deadline=None)
+def test_local_eq4_bitwise_equals_mask_transfer(case):
+    assert_local_eq4_matches_masks(*case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["no-shared", "zero-shared-mass", "empty", "single-vertex",
+     "zeros-on-active"],
+)
+def test_local_eq4_edge_cases(case):
+    # previous window [0, 10], current window [20, 30]
+    src, dst, time, n = {
+        "no-shared": ([0, 1, 2, 3], [1, 0, 3, 2], [1, 2, 21, 22], 4),
+        "zero-shared-mass": ([0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 21, 22], 3),
+        "empty": ([0, 1], [1, 0], [1, 2], 2),
+        "single-vertex": ([0, 0], [0, 0], [1, 21], 1),
+        "zeros-on-active": ([0, 1, 2, 1, 2], [1, 2, 0, 2, 3],
+                            [1, 2, 3, 21, 22], 4),
+    }[case]
+    adj = TemporalAdjacency.from_events(
+        TemporalEventSet(src, dst, time, n_vertices=n)
+    )
+    prev_view = adj.window_view(Window(0, 0, 10))
+    view = adj.window_view(Window(1, 20, 30))
+    prev_values = pagerank_window(prev_view).values
+    if case == "zero-shared-mass":
+        prev_values[1] = 0.0
+    elif case == "zeros-on-active":
+        prev_values[1] = 0.0
+    assert_local_eq4_matches_masks(view, prev_view, prev_values)
+    local = local_partial_initialization(view, prev_view, prev_values)
+    if case == "empty":
+        assert local.size == 0
+    elif case in ("no-shared", "zero-shared-mass"):
+        # the uniform fallback
+        assert bits(local) == bits(local_full_initialization(view))

@@ -24,10 +24,11 @@ from repro.programs import (
     validate_program_name,
 )
 from repro.programs.components import ComponentsProgram
-from repro.programs.katz import KatzConfig, KatzProgram, katz_window
+from repro.programs.katz import KatzConfig, KatzProgram
 from repro.programs.kcore import KCoreProgram
 from repro.runtime import make_driver
 from tests.conftest import random_events
+from tests.dense_mask_reference import katz_window
 from tests.dense_mask_reference import reference_chain as _reference_chain
 
 VECTOR_LENGTH = 4

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.events import TemporalEventSet, Window, WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.programs.components import ComponentsProgram
-from repro.programs.katz import katz_window
 from repro.programs.kcore import core_numbers, undirected_window_csr
 from repro.runtime import MODELS, make_driver
+from tests.dense_mask_reference import katz_window
 
 
 @st.composite

@@ -7,7 +7,7 @@ from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency
 from repro.pagerank import PagerankConfig, pagerank_window
 from repro.pagerank.weighted import pagerank_window_weighted
-from tests.dense_mask_reference import pair_multiplicities
+from tests.dense_mask_reference import in_dedup, pair_multiplicities
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=400)
 
@@ -52,7 +52,7 @@ class TestMultiplicities:
         adj = TemporalAdjacency.from_events(events)
         view = adj.window_view(Window(0, 0, 10))
         assert view.multiplicities.size == 0
-        assert view.in_dedup.size == 0
+        assert in_dedup(view).size == 0
 
 
 class TestWeightedPagerank:

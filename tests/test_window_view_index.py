@@ -1,12 +1,17 @@
 """Window views read off the group index equal views built from scratch.
 
-A :class:`~repro.graph.temporal_csr.WindowView` counts its window's
-events per (row, neighbor) group through the adjacency's
-:class:`~repro.graph.temporal_csr.GroupIndex`.  Whatever windows came
-before it, every view must equal the Θ(nnz) definition: the
-in-orientation's ``dedup_mask``, its per-row ``segment_count`` and, with
-row and column swapped, the out-degrees and out-edges.
+A :class:`~repro.graph.temporal_csr.WindowView` marks its window's
+active (row, neighbor) groups through the adjacency's
+:class:`~repro.graph.temporal_csr.GroupIndex` and builds its vertex set,
+local-id map, local out-degrees and relabelled edges from one gather of
+those groups.  Whatever windows came before it, every view must equal
+the Θ(nnz) definition: the in-orientation's ``dedup_mask``, its per-row
+``segment_count`` and, with row and column swapped, the out-degrees and
+out-edges — each window-local array mapped back through ``active_idx``
+to its recomputation from the length-``n`` masks.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,8 +20,9 @@ from hypothesis import strategies as st
 from repro.events import TemporalEventSet, Window
 from repro.graph import TemporalAdjacency, build_csr_from_edges
 from repro.pagerank import compact_pull
+from repro.pagerank.spmv import _Column
 from repro.programs.kcore import undirected_simple_csr, undirected_window_csr
-from tests.dense_mask_reference import pair_multiplicities
+from tests.dense_mask_reference import in_dedup, pair_multiplicities
 
 MAX_TIME = 60
 
@@ -66,18 +72,34 @@ def assert_view_matches_oracle(view):
     dedup = in_csr.dedup_mask(ts, te)
     # the in-orientation stores (destination, source): swap for out-edges
     src, dst = in_csr.col[dedup], in_csr.row_ids()[dedup]
+    in_deg = in_csr.degrees(ts, te)
+    out_deg = np.bincount(src, minlength=n)
+    mask = (in_deg > 0) | (out_deg > 0)
 
-    np.testing.assert_array_equal(view.in_dedup, dedup)
-    np.testing.assert_array_equal(view.in_degrees, in_csr.degrees(ts, te))
-    np.testing.assert_array_equal(
-        view.out_degrees, np.bincount(src, minlength=n)
-    )
-    np.testing.assert_array_equal(
-        view.active_vertices_mask,
-        (view.in_degrees > 0) | (view.out_degrees > 0),
-    )
-    assert view.n_active_vertices == int(view.active_vertices_mask.sum())
+    np.testing.assert_array_equal(in_dedup(view), dedup)
+    np.testing.assert_array_equal(view.in_degrees, in_deg)
+    np.testing.assert_array_equal(view.out_degrees, out_deg)
+    np.testing.assert_array_equal(view.active_vertices_mask, mask)
+    assert view.n_active_vertices == int(mask.sum())
     assert view.n_active_edges == int(dedup.sum())
+
+    # the window-local arrays, mapped back through active_idx
+    active = view.active_idx
+    k = active.size
+    np.testing.assert_array_equal(active, np.flatnonzero(mask))
+    assert active.dtype == np.int64
+    local_id = np.full(n, -1, dtype=np.int64)
+    local_id[mask] = np.arange(k)
+    np.testing.assert_array_equal(view.local_id, local_id)
+    np.testing.assert_array_equal(view.local_out_degrees, out_deg[mask])
+    column = _Column(view, None, view.local_out_degrees, 1.0, None, True)
+    if k:
+        np.testing.assert_array_equal(
+            active[column.dangling], np.flatnonzero(mask & (out_deg == 0))
+        )
+        inv = np.zeros(n)
+        inv[out_deg > 0] = 1.0 / out_deg[out_deg > 0]
+        np.testing.assert_array_equal(column.inv, inv[mask])
 
     rows, cols, counts = pair_multiplicities(in_csr, ts, te)
     np.testing.assert_array_equal(view.multiplicities, counts)
@@ -93,18 +115,22 @@ def assert_view_matches_oracle(view):
         assert got.indptr.dtype == want.indptr.dtype
         assert got.col.dtype == want.col.dtype
 
-    packed = compact_pull(view)
-    np.testing.assert_array_equal(packed.col, in_csr.col[dedup])
-    np.testing.assert_array_equal(packed.rows, in_csr.row_ids()[dedup])
-    np.testing.assert_array_equal(
-        np.bincount(packed.rows, minlength=n), in_csr.degrees(ts, te)
-    )
+    # the pack the view built, handed over once; a second take gathers
+    # the same edges again
+    for _ in range(2):
+        packed = compact_pull(view)
+        assert packed.col.dtype == packed.rows.dtype == np.int64
+        np.testing.assert_array_equal(active[packed.col], src)
+        np.testing.assert_array_equal(active[packed.rows], dst)
+        np.testing.assert_array_equal(
+            np.bincount(packed.rows, minlength=k), in_deg[mask]
+        )
 
 
 def snapshot(view):
     return (
-        view.group_mask.copy(), view.in_degrees.copy(),
-        view.out_degrees.copy(), view.active_vertices_mask.copy(),
+        view.active_groups.copy(), view.active_idx.copy(),
+        view.local_id.copy(), view.local_out_degrees.copy(),
     )
 
 
@@ -151,3 +177,24 @@ def test_time_ordered_input_times_are_held_not_copied():
     assert groups.row.dtype == groups.col.dtype == np.int32
     for ts, te in ((0, 12), (5, 25), (20, 40), (0, 40)):
         assert_view_matches_oracle(adj.window_view(Window(0, ts, te)))
+
+
+def test_view_of_a_small_window_allocates_less_than_a_word_per_group():
+    """A view over ten events of a graph with 50k+ groups allocates well
+    under 8 B per group: its group mark is 1 B per group, and nothing
+    else it builds is group-sized."""
+    rng = np.random.default_rng(3)
+    n, m = 1_000, 60_000
+    adj = TemporalAdjacency.from_arrays(
+        rng.integers(0, n, m), rng.integers(0, n, m), np.arange(m), n
+    )
+    n_groups = adj.groups.n_groups
+    assert n_groups >= 50_000
+    tracemalloc.start()
+    try:
+        view = adj.window_view(Window(0, 30_000, 30_009))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.n_active_edges == 10
+    assert peak < 8 * n_groups, (peak, n_groups)
